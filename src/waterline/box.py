@@ -8,8 +8,17 @@ Strategies (selected through ``SolverConfig.box_strategy``):
   violations alternately; guarded against oscillation by an iteration cap
   with a fall back to ``set_a``.
 * ``bisect`` -- outer bisection on the water level with clamped demands.
-* ``order``  -- sorts channels by the rate at their upper bound and sweeps
-  the candidate upper-bound sets in that order (the default).
+* ``order``  -- the default.  Sorts channels by the rate at their upper
+  bound, the order in which a falling water level meets them, and finds the
+  first candidate upper-bound set whose water level spends the budget by
+  binary search: the clamped total does not increase with the water level,
+  so the test is monotone in the case index.  This is the exact sort-based
+  breakpoint search of Palomar & Fonollosa (IEEE TSP 2005), O(K log K).
+
+Demands, rates and utilities go through :class:`~waterline.objectives.Channels`:
+numpy arrays when every channel is ``log_capacity``, ``inverse_mse`` or
+``af_relay`` (mixed or not), the objects' own methods for ``sum_log``,
+``sum_inverse_mse`` and custom objectives.
 
 All four return identical allocations up to numeric tolerance; the
 cross-strategy agreement is part of the acceptance suite.
@@ -19,14 +28,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import _water_level_and_powers, solve_p1_lower
 from .errors import InfeasibleBudget
-from .objectives import Objective
+from .objectives import Channels, Objective
 from .problems import Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
-
-_STRATEGY_NAMES = ("set_a", "set_b", "bisect", "order")
 
 
 def _slack_budget_allocation(problem: BoxProblem) -> Allocation | None:
@@ -49,22 +58,39 @@ def _check_feasible(problem: BoxProblem) -> None:
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
 
 
-def _finish(problem: BoxProblem, powers, mu, iterations, status="optimal",
-            water_levels=None) -> Allocation:
-    gamma, tau = problem.lower_bounds, problem.upper_bounds
-    lower_set, upper_set, active_set = [], [], []
-    for i, p in enumerate(powers):
-        if p <= gamma[i] + 1e-12 * (1.0 + gamma[i]):
-            lower_set.append(i)
-        elif math.isfinite(tau[i]) and p >= tau[i] - 1e-12 * (1.0 + tau[i]):
-            upper_set.append(i)
-        else:
-            active_set.append(i)
-    objective = sum(o.eval(p) for o, p in zip(problem.objectives, powers))
+def _classify(powers: np.ndarray, gamma: np.ndarray, tau: np.ndarray):
+    """Masks ``(fixed, lower, upper, active)`` over the channels.
+
+    A channel is fixed when its box has no room (tau - gamma within the
+    1e-12 relative tolerance): it sits at both bounds, so neither rate
+    condition applies to it.
+    """
+    slack = 1e-12 * (1.0 + gamma)
+    fixed = tau - gamma <= slack
+    lower = ~fixed & (powers <= gamma + slack)
+    # tau - 1e-12 * (1 + tau), in a form that keeps an infinite tau infinite.
+    upper = ~fixed & ~lower & (powers >= tau * (1.0 - 1e-12) - 1e-12)
+    return fixed, lower, upper, ~(fixed | lower | upper)
+
+
+def _clamped_demand(channels: Channels, mu: float, gamma: np.ndarray,
+                    tau: np.ndarray) -> np.ndarray:
+    """Demands at water level ``mu``, clipped into each channel's box."""
+    return np.minimum(np.maximum(channels.demand(mu), gamma), tau)
+
+
+def _finish(problem: BoxProblem, channels: Channels, powers, mu, iterations,
+            status="optimal", water_levels=None) -> Allocation:
+    powers = np.asarray(powers, dtype=float)
+    fixed, lower, upper, active = _classify(
+        powers, np.asarray(problem.lower_bounds, dtype=float),
+        np.asarray(problem.upper_bounds, dtype=float))
+    active_set = np.flatnonzero(active).tolist()
     return Allocation(
-        powers=list(powers), water_level=mu if active_set else None,
-        active_set=active_set, lower_set=lower_set, upper_set=upper_set,
-        iterations=iterations, objective_value=objective, status=status,
+        powers=powers.tolist(), water_level=mu if active_set else None,
+        active_set=active_set, lower_set=np.flatnonzero(fixed | lower).tolist(),
+        upper_set=np.flatnonzero(upper).tolist(), iterations=iterations,
+        objective_value=float(channels.eval(powers).sum()), status=status,
         water_levels=water_levels or [])
 
 
@@ -100,7 +126,7 @@ def solve_box_set_a(problem: BoxProblem,
             powers[i] = tau[i]
             budget -= tau[i]
         remaining = [i for i in remaining if i not in pinned]
-    return _finish(problem, powers, mu, calls)
+    return _finish(problem, Channels(problem.objectives), powers, mu, calls)
 
 
 def solve_box_set_b(problem: BoxProblem,
@@ -111,7 +137,7 @@ def solve_box_set_b(problem: BoxProblem,
     if slack is not None:
         return slack
     k = problem.n
-    objs = list(problem.objectives)
+    channels = Channels(problem.objectives)
     gamma, tau = problem.lower_bounds, problem.upper_bounds
     idx_low = [True] * k   # True while the lower bound is not pinned
     idx_up = [True] * k    # True while the upper bound is not pinned
@@ -133,9 +159,9 @@ def solve_box_set_b(problem: BoxProblem,
                 idx_low[i] = False
             return
         mu_val, act_powers = _water_level_and_powers(
-            [objs[i] for i in active], remaining, cfg, scale=problem.budget)
+            channels.take(active), remaining, cfg, scale=problem.budget)
         mu = mu_val
-        for i, p in zip(active, act_powers):
+        for i, p in zip(active, act_powers.tolist()):
             powers[i] = p
 
     for i in range(k):
@@ -168,7 +194,7 @@ def solve_box_set_b(problem: BoxProblem,
             if idx_up[i]:
                 idx_low[i] = True
         recompute()
-    return _finish(problem, powers, mu, max(rounds, 1))
+    return _finish(problem, channels, powers, mu, max(rounds, 1))
 
 
 def solve_box_bisect(problem: BoxProblem,
@@ -178,19 +204,16 @@ def solve_box_bisect(problem: BoxProblem,
     slack = _slack_budget_allocation(problem)
     if slack is not None:
         return slack
-    k = problem.n
-    objs = list(problem.objectives)
-    gamma, tau = problem.lower_bounds, problem.upper_bounds
+    channels = Channels(problem.objectives)
+    objs = channels.objectives
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(problem.upper_bounds, dtype=float)
     budget = problem.budget
     sigma = 1e-4 * cfg.power_tolerance * budget
 
     def clamped_total(mu_val: float):
-        powers = []
-        for i, obj in enumerate(objs):
-            p = obj.demand(mu_val)
-            p = min(max(p, gamma[i]), tau[i])
-            powers.append(p)
-        return powers, sum(powers)
+        powers = _clamped_demand(channels, mu_val, gamma, tau)
+        return powers, float(powers.sum())
 
     def rate_at(obj: Objective, p: float) -> float:
         edge = obj.domain_min()
@@ -199,9 +222,9 @@ def solve_box_bisect(problem: BoxProblem,
             r = obj.rate(max(p, edge) + 1e-12)
         return r
 
-    mu_max = max(rate_at(obj, gamma[i]) for i, obj in enumerate(objs))
-    finite_tau_rates = [rate_at(obj, tau[i]) for i, obj in enumerate(objs)
-                        if math.isfinite(tau[i])]
+    mu_max = max(rate_at(obj, g) for obj, g in zip(objs, problem.lower_bounds))
+    finite_tau_rates = [rate_at(obj, t) for obj, t in zip(objs, problem.upper_bounds)
+                        if math.isfinite(t)]
     if finite_tau_rates:
         mu_min = min(finite_tau_rates)
     else:
@@ -229,66 +252,64 @@ def solve_box_bisect(problem: BoxProblem,
         if (mu_max - mu_min) <= 1e-16 * max(mu_max, 1e-300):
             status = "feasible"  # tolerance floor: return the best iterate
             break
-        mu = 0.5 * (mu_min + mu_max)
-        powers, total = clamped_total(mu)
-        if abs(total - budget) <= abs(best_total - budget):
-            best_powers, best_total, best_mu = powers, total, mu
-        else:
-            best_powers, best_total, best_mu = powers, total, mu
-    return _finish(problem, best_powers, best_mu, max(iterations, 1), status=status)
+        best_mu = 0.5 * (mu_min + mu_max)
+        best_powers, best_total = clamped_total(best_mu)
+    return _finish(problem, channels, best_powers, best_mu, max(iterations, 1),
+                   status=status)
 
 
 def solve_box_ordered(problem: BoxProblem,
                       cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
-    """Order-based sweep over candidate upper-bound sets."""
+    """Order-based search over candidate upper-bound sets."""
     _check_feasible(problem)
     slack = _slack_budget_allocation(problem)
     if slack is not None:
         return slack
     k = problem.n
-    objs = list(problem.objectives)
-    gamma, tau = problem.lower_bounds, problem.upper_bounds
+    channels = Channels(problem.objectives)
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(problem.upper_bounds, dtype=float)
 
-    def tau_rate(i: int) -> float:
-        if math.isinf(tau[i]):
-            return 0.0
-        return objs[i].rate(tau[i])
+    finite = np.flatnonzero(np.isfinite(tau))
+    tau_rate = np.zeros(k)
+    tau_rate[finite] = channels.take(finite).rate(tau[finite])
+    order = np.argsort(-tau_rate, kind="stable")
 
-    order = sorted(range(k), key=lambda i: -tau_rate(i))
+    def exits(case: int) -> bool:
+        """Case ``case`` pins order[:case] at tau; it exits when its water
+        level, the tau-rate of order[case], spends the whole budget."""
+        mu_case = float(tau_rate[order[case]])
+        return mu_case <= 0 or \
+            float(_clamped_demand(channels, mu_case, gamma, tau).sum()) >= problem.budget
 
-    def clamped_demand_total(mu_val: float) -> float:
-        total = 0.0
-        for i, obj in enumerate(objs):
-            total += min(max(obj.demand(mu_val), gamma[i]), tau[i])
-        return total
-
-    exit_case = None
-    for case in range(k):
-        mu_case = tau_rate(order[case])
-        if mu_case <= 0 or clamped_demand_total(mu_case) >= problem.budget:
-            exit_case = case
-            break
-    if exit_case is None:
+    # The cases run through decreasing tau-rates (infinite-tau channels have
+    # rate 0 and come last) and the clamped total does not increase with the
+    # water level, so exits() is monotone in the case index.
+    lo, hi, probes = 0, k, 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        probes += 1
+        if exits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == k:
         # Every candidate water level under-uses the budget: only possible
         # when the budget exceeds the sum of (finite) upper bounds, which the
         # slack-budget branch already covered.
-        raise InfeasibleBudget("order sweep found no feasible case")
+        raise InfeasibleBudget("order search found no feasible case")
 
-    fixed = [order[c] for c in range(exit_case)]
-    rest = [order[c] for c in range(exit_case, k)]
-    powers = [0.0] * k
-    for i in fixed:
-        powers[i] = tau[i]
-    budget = problem.budget - sum(tau[i] for i in fixed)
+    fixed, rest = order[:lo], order[lo:]
+    powers = np.empty(k)
+    powers[fixed] = tau[fixed]
     sub = SimplexProblem(
-        objectives=[objs[i] for i in rest],
-        budget=budget,
-        lower_bounds=[gamma[i] for i in rest])
+        objectives=[channels.objectives[i] for i in rest.tolist()],
+        budget=problem.budget - float(tau[fixed].sum()),
+        lower_bounds=gamma[rest].tolist())
     sub_alloc = solve_p1_lower(sub, cfg)
-    for i, p in zip(rest, sub_alloc.powers):
-        powers[i] = p
-    return _finish(problem, powers, sub_alloc.water_level,
-                   exit_case + sub_alloc.iterations,
+    powers[rest] = sub_alloc.powers
+    return _finish(problem, channels, powers, sub_alloc.water_level,
+                   probes + sub_alloc.iterations,
                    water_levels=sub_alloc.water_levels)
 
 
@@ -310,43 +331,37 @@ def kkt_residual_box(problem: BoxProblem,
                      allocation: Allocation | list[float],
                      tolerance: float = 1e-8) -> KktReport:
     """Residuals of the four box optimality conditions."""
-    powers = list(allocation.powers) if isinstance(allocation, Allocation) \
-        else [float(p) for p in allocation]
-    objs = list(problem.objectives)
-    gamma, tau = problem.lower_bounds, problem.upper_bounds
-    lower, upper, active = [], [], []
-    for i, p in enumerate(powers):
-        if p <= gamma[i] + 1e-12 * (1.0 + gamma[i]):
-            lower.append(i)
-        elif math.isfinite(tau[i]) and p >= tau[i] - 1e-12 * (1.0 + tau[i]):
-            upper.append(i)
-        else:
-            active.append(i)
+    powers = np.array(allocation.powers if isinstance(allocation, Allocation)
+                      else allocation, dtype=float)
+    channels = Channels(problem.objectives)
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(problem.upper_bounds, dtype=float)
+    _fixed, lower, upper, active = _classify(powers, gamma, tau)
+
+    def rates(mask: np.ndarray, at: np.ndarray) -> np.ndarray:
+        index = np.flatnonzero(mask)
+        return channels.take(index).rate(at[index])
 
     residuals: dict[str, float] = {}
     not_applicable: list[str] = []
-    rates = [objs[i].rate(powers[i]) for i in active]
-    residuals["rate_spread"] = (max(rates) - min(rates)) if len(rates) > 1 else 0.0
-    if rates:
-        mu_lo, mu_hi = min(rates), max(rates)
-        residuals["lower_rate_violation"] = max(
-            [objs[j].rate(gamma[j]) - mu_lo for j in lower], default=0.0)
-        residuals["upper_rate_violation"] = max(
-            [mu_hi - objs[j].rate(tau[j]) for j in upper], default=0.0)
-        residuals["lower_rate_violation"] = max(0.0, residuals["lower_rate_violation"])
-        residuals["upper_rate_violation"] = max(0.0, residuals["upper_rate_violation"])
+    active_rates = rates(active, powers)
+    residuals["rate_spread"] = float(active_rates.max() - active_rates.min()) \
+        if active_rates.size > 1 else 0.0
+    if active_rates.size:
+        mu_lo, mu_hi = active_rates.min(), active_rates.max()
+        residuals["lower_rate_violation"] = float(
+            np.max(rates(lower, gamma) - mu_lo, initial=0.0))
+        residuals["upper_rate_violation"] = float(
+            np.max(mu_hi - rates(upper, tau), initial=0.0))
     else:
         residuals["lower_rate_violation"] = 0.0
         residuals["upper_rate_violation"] = 0.0
-    finite_tau = all(math.isfinite(t) for t in tau)
-    if finite_tau and sum(tau) <= problem.budget:
+    if np.isfinite(tau).all() and tau.sum() <= problem.budget:
         not_applicable.append("power_residual")
         residuals["power_residual"] = 0.0
     else:
-        residuals["power_residual"] = abs(sum(powers) - problem.budget) / problem.budget
-    bounds_violation = 0.0
-    for i, p in enumerate(powers):
-        bounds_violation = max(bounds_violation, gamma[i] - p, p - tau[i])
-    residuals["bounds_violation"] = max(0.0, bounds_violation)
+        residuals["power_residual"] = abs(float(powers.sum()) - problem.budget) / problem.budget
+    residuals["bounds_violation"] = float(max(
+        0.0, (gamma - powers).max(), (powers - tau).max()))
     return KktReport(residuals=residuals, tolerance=tolerance,
                      not_applicable=not_applicable)

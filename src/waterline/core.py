@@ -9,61 +9,53 @@ and the water level increases strictly across rounds.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
+import numpy as np
+
 from .errors import BracketFailure, DomainError, InfeasibleBudget
-from .objectives import Objective
+from .objectives import Channels, Objective
 from .problems import Allocation, KktReport, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
 
 
-def _closed_form_mu(objectives: Sequence[Objective], budget: float) -> float | None:
+def _closed_form_mu(channels: Channels, budget: float) -> float | None:
     """Closed-form water level for homogeneous closed-form families."""
-    families = {obj.family for obj in objectives}
-    if families == {"log_capacity"}:
-        denom = budget + sum(obj.b / obj.a for obj in objectives)
-        if denom <= 0:
-            raise BracketFailure("budget below the reachable demand range")
-        return sum(obj.w for obj in objectives) / denom
-    if families == {"inverse_mse"}:
-        denom = budget + sum(obj.b / obj.a for obj in objectives)
-        if denom <= 0:
-            raise BracketFailure("budget below the reachable demand range")
-        root = sum(math.sqrt(obj.w / obj.a) for obj in objectives) / denom
-        return root * root
-    return None
+    if channels.family not in ("log_capacity", "inverse_mse"):
+        return None
+    denom = budget + (channels.b / channels.a).sum()
+    if denom <= 0:
+        raise BracketFailure("budget below the reachable demand range")
+    if channels.family == "log_capacity":
+        return float(channels.w.sum() / denom)
+    root = np.sqrt(channels.w / channels.a).sum() / denom
+    return float(root * root)
 
 
-def _water_level_and_powers(objectives: Sequence[Objective], budget: float,
+def _water_level_and_powers(channels: Channels, budget: float,
                             cfg: SolverConfig = _DEFAULT_CFG,
                             scale: float | None = None):
     """Solve sum_k g_k(mu) = budget on the given channels.
 
-    Returns ``(mu, powers)`` with signed powers (negative entries mean the
-    channel demands less than its domain edge at this water level).
+    Returns ``(mu, powers)`` with signed powers as an array (negative entries
+    mean the channel demands less than its domain edge at this water level).
     """
-    if not objectives:
+    if not len(channels):
         raise BracketFailure("water level undefined on an empty active set")
     scale = abs(budget) if scale is None else scale
     # Drive the residual well below the configured tolerance so that
     # independently configured strategies agree to much better than it.
     tol = 1e-4 * cfg.power_tolerance * max(scale, 1e-30)
 
-    mu = _closed_form_mu(objectives, budget)
+    mu = _closed_form_mu(channels, budget)
     if mu is not None:
-        return mu, [obj.demand(mu) for obj in objectives]
+        return mu, channels.demand(mu)
 
-    hints: list[float | None] = [None] * len(objectives)
+    hints: list[float | None] = [None] * len(channels)
 
     def h(mu_val: float) -> float:
-        total = 0.0
-        for i, obj in enumerate(objectives):
-            p = obj.demand(mu_val, hint=hints[i])
-            hints[i] = p if p > obj.domain_min() else None
-            total += p
-        return total - budget
+        return float(channels.demand(mu_val, hints).sum()) - budget
 
     # Bracket the strictly decreasing residual by doubling/halving.
     mu_lo = mu_hi = 1.0
@@ -89,7 +81,7 @@ def _water_level_and_powers(objectives: Sequence[Objective], budget: float,
         if growth > 64:
             raise BracketFailure("could not bracket the water level from above")
     if mu_lo == mu_hi:
-        return mu_lo, [obj.demand(mu_lo, hint=hints[i]) for i, obj in enumerate(objectives)]
+        return mu_lo, channels.demand(mu_lo, hints)
 
     # Illinois-damped regula falsi on the bracket.
     side = 0
@@ -118,7 +110,7 @@ def _water_level_and_powers(objectives: Sequence[Objective], budget: float,
         if mu_hi - mu_lo <= cfg.mu_tolerance * 1e-4 * mu_hi:
             break
     mu = mu_mid
-    return mu, [obj.demand(mu, hint=hints[i]) for i, obj in enumerate(objectives)]
+    return mu, channels.demand(mu, hints)
 
 
 def solve_water_level(objectives: Sequence[Objective], budget: float,
@@ -129,7 +121,7 @@ def solve_water_level(objectives: Sequence[Objective], budget: float,
     remaining = budget - fixed_consumption
     if remaining <= 0:
         raise BracketFailure("no budget left for the active channels")
-    mu, _ = _water_level_and_powers(objectives, remaining, cfg,
+    mu, _ = _water_level_and_powers(Channels(objectives), remaining, cfg,
                                     scale=scale if scale is not None else budget)
     return mu
 
@@ -137,15 +129,16 @@ def solve_water_level(objectives: Sequence[Objective], budget: float,
 def solve_p1_lower(problem: SimplexProblem,
                    cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
     """Deactivation-loop solver under arbitrary lower bounds (P1.1)."""
-    objs = list(problem.objectives)
-    gamma = list(problem.lower_bounds)
-    k = len(objs)
+    channels = Channels(problem.objectives)
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    k = len(channels)
     budget = problem.budget
-    if sum(gamma) > budget * (1.0 + 1e-12):
+    if gamma.sum() > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
 
-    active = [True] * k
-    powers = list(gamma)
+    active = np.ones(k, dtype=bool)
+    act_idx, act = np.arange(k), channels
+    powers = gamma.copy()
     water_levels: list[float] = []
     mu: float | None = None
     status = "optimal"
@@ -153,48 +146,41 @@ def solve_p1_lower(problem: SimplexProblem,
     cap = cfg.outer_cap(k)
 
     while True:
-        act_idx = [i for i in range(k) if active[i]]
-        remaining = budget - sum(gamma[i] for i in range(k) if not active[i])
-        if not act_idx or remaining <= cfg.power_tolerance * budget:
-            for i in act_idx:
-                active[i] = False
-                powers[i] = gamma[i]
+        remaining = budget - float(gamma[~active].sum())
+        if not act_idx.size or remaining <= cfg.power_tolerance * budget:
+            active[:] = False
+            powers[:] = gamma
             mu = None
             status = "feasible"
             break
-        mu, act_powers = _water_level_and_powers(
-            [objs[i] for i in act_idx], remaining, cfg, scale=budget)
-        for i, p in zip(act_idx, act_powers):
-            powers[i] = p
-        violated = [i for i, p in zip(act_idx, act_powers) if p <= gamma[i]]
-        if not violated:
-            water_levels.append(mu)
-            break
+        mu, act_powers = _water_level_and_powers(act, remaining, cfg, scale=budget)
         water_levels.append(mu)
-        for i in violated:
-            active[i] = False
-            powers[i] = gamma[i]
+        act_gamma = gamma[act_idx]
+        keep = act_powers > act_gamma
+        powers[act_idx] = np.where(keep, act_powers, act_gamma)
+        if keep.all():
+            break
+        active[act_idx[~keep]] = False
+        keep = keep.nonzero()[0]
+        act_idx, act = act_idx[keep], act.take(keep)
         rounds += 1
-        if rounds > cap:  # unreachable: the active set shrinks every round
+        if rounds > cap:  # reachable only under a user-set outer cap
             status = "iteration_cap"
-            for i in act_idx:
-                if active[i]:
-                    powers[i] = gamma[i]
-                    active[i] = False
+            powers[active] = gamma[active]
+            active[:] = False
             mu = None
             break
 
-    active_set = [i for i in range(k) if active[i]]
-    lower_set = [i for i in range(k) if not active[i]]
-    objective_value = sum(obj.eval(p) for obj, p in zip(objs, powers))
+    active_set = np.flatnonzero(active).tolist()
+    lower_set = np.flatnonzero(~active).tolist()
     return Allocation(
-        powers=powers,
+        powers=powers.tolist(),
         water_level=mu if active_set else None,
         active_set=active_set,
         lower_set=lower_set,
         upper_set=[],
         iterations=len(water_levels) if water_levels else 1,
-        objective_value=objective_value,
+        objective_value=float(channels.eval(powers).sum()),
         status=status,
         water_levels=water_levels,
     )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .box import _finish, solve_box
 from .errors import InfeasibleBudget
+from .objectives import Channels
 from .problems import Allocation, AscendingProblem, BoxProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
@@ -93,7 +94,7 @@ def solve_ascending(problem: AscendingProblem,
         lower_bounds=gamma,
         upper_bounds=[None if math.isinf(t) else t for t in tau])
     mu = water_levels[0] if (splits == 0 and water_levels) else None
-    result = _finish(full, powers, mu, max(iterations, 1),
+    result = _finish(full, Channels(objs), powers, mu, max(iterations, 1),
                      status="optimal" if splits <= 1 else "feasible",
                      water_levels=water_levels)
     result.splits = splits

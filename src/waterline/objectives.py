@@ -195,6 +195,28 @@ class LogCapacity(Objective):
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         return self.w * np.log(self.b + self.a * p)
 
+    # Array forms of demand, rate and eval over parameter arrays w, a, b,
+    # used by Channels; each repeats the scalar formula operation for
+    # operation, so the results agree to the last bit where no log is taken.
+    @staticmethod
+    def _bank_demand(w, a, b, mu):
+        return w / mu - b / a
+
+    @staticmethod
+    def _bank_rate(w, a, b, p):
+        arg = b + a * p
+        if (arg < 0).any():
+            raise DomainError("power outside admissible domain")
+        with np.errstate(divide="ignore"):
+            return w * a / arg
+
+    @staticmethod
+    def _bank_eval(w, a, b, p):
+        arg = b + a * p
+        if (arg <= 0).any():
+            raise DomainError("log argument <= 0")
+        return w * np.log(arg)
+
     def to_params(self) -> dict:
         return {"family": self.family, "w": self.w, "a": self.a, "b": self.b}
 
@@ -237,6 +259,25 @@ class InverseMse(Objective):
 
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         return -self.w / (self.b + self.a * p)
+
+    @staticmethod
+    def _bank_demand(w, a, b, mu):
+        return np.sqrt(w / (a * mu)) - b / a
+
+    @staticmethod
+    def _bank_rate(w, a, b, p):
+        arg = b + a * p
+        if (arg < 0).any():
+            raise DomainError("power outside admissible domain")
+        with np.errstate(divide="ignore"):
+            return w * a / (arg * arg)
+
+    @staticmethod
+    def _bank_eval(w, a, b, p):
+        arg = b + a * p
+        if (arg <= 0).any():
+            raise DomainError("denominator <= 0")
+        return -w / arg
 
     def to_params(self) -> dict:
         return {"family": self.family, "w": self.w, "a": self.a, "b": self.b}
@@ -287,6 +328,26 @@ class AfRelay(Objective):
 
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         return self.w * (np.log1p(self.b * p) - np.log1p(self.b * (1.0 - self.a) * p))
+
+    @staticmethod
+    def _bank_demand(w, a, b, mu):
+        one_minus_a = 1.0 - a
+        disc = a * a + 4.0 * w * one_minus_a * a * b / mu
+        return (np.sqrt(disc) - (2.0 - a)) / (2.0 * one_minus_a * b)
+
+    @staticmethod
+    def _bank_rate(w, a, b, p):
+        if (p < 0).any():
+            raise DomainError("power outside admissible domain")
+        d1 = 1.0 + b * p
+        d2 = 1.0 + b * (1.0 - a) * p
+        return w * a * b / (d1 * d2)
+
+    @staticmethod
+    def _bank_eval(w, a, b, p):
+        if (p < 0).any():
+            raise DomainError("power outside admissible domain")
+        return w * (np.log1p(b * p) - np.log1p(b * (1.0 - a) * p))
 
     def to_params(self) -> dict:
         return {"family": self.family, "w": self.w, "a": self.a, "b": self.b}
@@ -456,6 +517,120 @@ class CustomObjective(Objective):
         h = 1e-7 * (1.0 + abs(p))
         lo = max(p - h, self._domain_min)
         return (self._rate(p + h) - self._rate(lo)) / (p + h - lo)
+
+
+_BANK_FAMILIES = (LogCapacity, InverseMse, AfRelay)
+
+
+class Channels:
+    """The objectives of one solve, with array-valued demand, rate and eval.
+
+    When every objective is a ``LogCapacity``, ``InverseMse`` or ``AfRelay``
+    (mixing allowed), their ``w, a, b`` parameters are held as numpy arrays,
+    the closed-form bank, and each operation is a few array expressions per
+    family.  Otherwise every operation calls the objects' own methods; that
+    is the path of the numeric and custom families.
+    """
+
+    __slots__ = ("objectives", "family", "w", "a", "b", "_codes", "_groups")
+
+    def __init__(self, objectives: Sequence[Objective]):
+        self.objectives = list(objectives)
+        kinds = {type(obj) for obj in self.objectives}
+        self.w = self.a = self.b = self._codes = self.family = None
+        self._groups: list = []
+        if kinds and kinds.issubset(_BANK_FAMILIES):
+            n = len(self.objectives)
+            codes = None if len(kinds) == 1 else np.array(
+                [_BANK_FAMILIES.index(type(o)) for o in self.objectives], dtype=np.int8)
+            self._set_bank(np.fromiter((o.w for o in self.objectives), float, n),
+                           np.fromiter((o.a for o in self.objectives), float, n),
+                           np.fromiter((o.b for o in self.objectives), float, n),
+                           kinds.pop() if codes is None else None, codes)
+
+    def _set_bank(self, w, a, b, single: type | None, codes) -> None:
+        """Hold w, a, b with one ``(family, index, w, a, b)`` group per family
+        present; ``codes`` gives each channel's family when ``single`` is None."""
+        self.w, self.a, self.b, self._codes = w, a, b, None
+        if single is None:
+            self._groups = []
+            for code, cls in enumerate(_BANK_FAMILIES):
+                idx = (codes == code).nonzero()[0]
+                if idx.size:
+                    self._groups.append((cls, idx, w[idx], a[idx], b[idx]))
+            if len(self._groups) == 1:
+                single = self._groups[0][0]
+            else:
+                self._codes = codes
+        if single is not None:
+            self._groups = [(single, None, w, a, b)]
+        self.family = single.family if single is not None else None
+
+    @property
+    def closed_form(self) -> bool:
+        """True when the operations run on the bank's arrays."""
+        return self.w is not None
+
+    def __len__(self) -> int:
+        return len(self.objectives)
+
+    def take(self, index) -> Channels:
+        """The channels at ``index`` (an integer array), in that order."""
+        index = np.asarray(index, dtype=np.intp)
+        sub = object.__new__(Channels)
+        sub.objectives = [self.objectives[i] for i in index.tolist()]
+        sub.w = sub.a = sub.b = sub._codes = sub.family = None
+        sub._groups = []
+        if self.closed_form:
+            single = self._groups[0][0] if self._codes is None else None
+            sub._set_bank(self.w[index], self.a[index], self.b[index], single,
+                          None if self._codes is None else self._codes[index])
+        return sub
+
+    def _apply(self, op: str, x) -> np.ndarray:
+        if len(self._groups) == 1:
+            cls, _, w, a, b = self._groups[0]
+            return getattr(cls, op)(w, a, b, x)
+        scalar = np.ndim(x) == 0
+        out = np.empty(len(self))
+        for cls, idx, w, a, b in self._groups:
+            out[idx] = getattr(cls, op)(w, a, b, x if scalar else x[idx])
+        return out
+
+    def demand(self, mu: float, hints: list | None = None) -> np.ndarray:
+        """Signed demands at water level ``mu``.
+
+        ``hints`` (one entry per channel, updated in place) warm-starts the
+        numeric inversions of the object path; the bank ignores it.
+        """
+        if mu <= 0:
+            raise DomainError(f"rate target must be positive, got {mu}")
+        if self.closed_form:
+            return self._apply("_bank_demand", mu)
+        if hints is None:
+            return np.array([obj.demand(mu) for obj in self.objectives], dtype=float)
+        out = np.empty(len(self))
+        for i, obj in enumerate(self.objectives):
+            p = obj.demand(mu, hint=hints[i])
+            hints[i] = p if p > obj.domain_min() else None
+            out[i] = p
+        return out
+
+    def rate(self, powers) -> np.ndarray:
+        """Marginal utilities at ``powers`` (one per channel)."""
+        if self.closed_form:
+            return self._apply("_bank_rate", np.asarray(powers, dtype=float))
+        return np.array([obj.rate(p) for obj, p in
+                         zip(self.objectives, np.asarray(powers, dtype=float).tolist())],
+                        dtype=float)
+
+    def eval(self, powers) -> np.ndarray:
+        """Utilities at ``powers`` (one per channel)."""
+        if self.closed_form:
+            return self._apply("_bank_eval", np.asarray(powers, dtype=float))
+        return np.array([obj.eval(p) for obj, p in
+                         zip(self.objectives, np.asarray(powers, dtype=float).tolist())],
+                        dtype=float)
 
 
 FAMILIES = {

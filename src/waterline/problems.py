@@ -32,6 +32,12 @@ class SolverConfig:
 
 
 def _validate_bounds(k: int, budget: float, lower, upper):
+    """Checked ``(lower, upper)`` lists for k channels under ``budget``.
+
+    Every problem class validates its budget and bounds here.
+    """
+    if not math.isfinite(budget):
+        raise DomainError(f"budget must be finite, got {budget}")
     lower = [0.0] * k if lower is None else [float(x) for x in lower]
     if len(lower) != k:
         raise DomainError("lower bound count does not match objective count")
@@ -44,6 +50,8 @@ def _validate_bounds(k: int, budget: float, lower, upper):
         if len(upper) != k:
             raise DomainError("upper bound count does not match objective count")
     for lo, hi in zip(lower, upper):
+        if math.isnan(hi):
+            raise DomainError("upper bounds must be numbers or null, got NaN")
         if hi < lo:
             raise DomainError(f"upper bound {hi} below lower bound {lo}")
     if sum(lower) > budget * (1.0 + 1e-12):
@@ -165,24 +173,15 @@ class FairProblem:
                 if not cluster_mode and aware:
                     raise DomainError("cluster-aware objectives require a cluster mode")
         sizes = [len(g) for g in self.groups]
-        if self.lower_bounds is None:
-            self.lower_bounds = [[0.0] * n for n in sizes]
-        else:
-            self.lower_bounds = [[float(x) for x in row] for row in self.lower_bounds]
-        if self.upper_bounds is None:
-            self.upper_bounds = [[math.inf] * n for n in sizes]
-        else:
-            self.upper_bounds = [[math.inf if x is None else float(x) for x in row]
-                                 for row in self.upper_bounds]
-        if [len(r) for r in self.lower_bounds] != sizes or \
-                [len(r) for r in self.upper_bounds] != sizes:
+        lower = [None] * len(sizes) if self.lower_bounds is None else self.lower_bounds
+        upper = [None] * len(sizes) if self.upper_bounds is None else self.upper_bounds
+        if len(lower) != len(sizes) or len(upper) != len(sizes):
             raise DomainError("bound shapes do not match group shapes")
-        total_lower = 0.0
-        for lo_row, hi_row in zip(self.lower_bounds, self.upper_bounds):
-            for lo, hi in zip(lo_row, hi_row):
-                if lo < 0 or hi < lo:
-                    raise DomainError("bounds must satisfy 0 <= lower <= upper")
-                total_lower += lo
+        rows = [_validate_bounds(n, self.budget, lo, hi)
+                for n, lo, hi in zip(sizes, lower, upper)]
+        self.lower_bounds = [lo for lo, _ in rows]
+        self.upper_bounds = [hi for _, hi in rows]
+        total_lower = sum(sum(row) for row in self.lower_bounds)
         if total_lower > self.budget * (1.0 + 1e-12):
             raise InfeasibleBudget("sum of lower bounds exceeds budget")
 

@@ -7,9 +7,11 @@ import pytest
 
 from waterline import (
     BOX_STRATEGIES, BoxProblem, DomainError, InfeasibleBudget, LogCapacity,
-    SolverConfig, enumerate_box, kkt_residual_box, solve_box)
+    ScenarioSpec, SimplexProblem, SolverConfig, build_instance,
+    check_conditions, enumerate_box, kkt_residual_box, solve_box,
+    solve_p1_lower)
 
-from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, random_box
+from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective, random_box
 
 K3_EXAMPLE = BoxProblem(
     [LogCapacity(1, 1, 1), LogCapacity(1, 1, 0.5), LogCapacity(1, 1, 0.5)],
@@ -35,6 +37,17 @@ def test_degenerate_box_pins_channel(strategy):
     alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
     assert alloc.powers[0] == pytest.approx(0.7, abs=1e-9)
     assert alloc.powers[1] == pytest.approx(2.3, abs=1e-9)
+
+
+@pytest.mark.parametrize("strategy", BOX_STRATEGIES)
+def test_zero_width_box_passes_conditions(strategy):
+    # Channel 1 has no room: it is fixed, so neither rate condition applies.
+    problem = BoxProblem([LogCapacity(1, 1, 1)] * 2, 6.0,
+                         [0.0, 1e-300], [10.0, 1e-300])
+    alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
+    assert alloc.powers == pytest.approx([6.0, 1e-300], abs=1e-9)
+    report = check_conditions(problem, alloc, tolerance=1e-8)
+    assert report.passed, report.residuals
 
 
 @pytest.mark.parametrize("strategy", BOX_STRATEGIES)
@@ -110,3 +123,64 @@ def test_bounds_always_respected(rng):
                 if math.isinf(total_upper) or total_upper > problem.budget:
                     assert alloc.total_power == pytest.approx(
                         problem.budget, rel=1e-8)
+
+
+def _order_linear_scan(problem):
+    """Reference for ``order``: test the cases one at a time, in order,
+    with the objects' scalar demands, then solve the exit case's rest."""
+    objs = problem.objectives
+    gamma, tau = problem.lower_bounds, problem.upper_bounds
+    k = problem.n
+
+    def tau_rate(i):
+        return 0.0 if math.isinf(tau[i]) else objs[i].rate(tau[i])
+
+    def clamped_total(mu):
+        return sum(min(max(demand(mu), g), t) for demand, g, t in boxes)
+
+    boxes = [(o.demand, g, t) for o, g, t in zip(objs, gamma, tau)]
+    order = sorted(range(k), key=lambda i: -tau_rate(i))
+    for case in range(k):
+        mu = tau_rate(order[case])
+        if mu <= 0 or clamped_total(mu) >= problem.budget:
+            break
+    else:
+        raise AssertionError("no case spends the budget")
+    fixed, rest = order[:case], order[case:]
+    powers = [0.0] * k
+    for i in fixed:
+        powers[i] = tau[i]
+    sub = SimplexProblem([objs[i] for i in rest],
+                         problem.budget - sum(tau[i] for i in fixed),
+                         [gamma[i] for i in rest])
+    for i, p in zip(rest, solve_p1_lower(sub).powers):
+        powers[i] = p
+    return powers, sum(o.eval(p) for o, p in zip(objs, powers))
+
+
+@pytest.mark.parametrize("gamma,tau", [(0.4, 1.6), (0.0, 1.05), (0.9, 1.1)])
+def test_order_matches_linear_scan_on_scenarios(gamma, tau):
+    for snr_db in (-10, 0, 10, 20, 30):
+        spec = ScenarioSpec(antennas=4, subcarriers=256, snr_db=snr_db,
+                            gamma=gamma, tau=tau, seed=11)
+        problem = build_instance(spec, 0)
+        alloc = solve_box(problem, SolverConfig(box_strategy="order"))
+        powers, value = _order_linear_scan(problem)
+        assert max(abs(p - q) for p, q in zip(alloc.powers, powers)) <= 1e-6
+        assert abs(alloc.objective_value - value) <= 1e-8
+
+
+@pytest.mark.parametrize("families", [CLOSED_FORM_FAMILIES, ("sum_log",)],
+                         ids=["mixed_closed_form", "sum_log"])
+def test_order_matches_set_a(families):
+    rng = random.Random(31)
+    for _ in range(10):
+        problem = random_box(families[0], rng, 12)
+        objs = [make_objective(families[i % len(families)], rng)
+                for i in range(problem.n)]
+        problem = BoxProblem(objs, problem.budget, problem.lower_bounds,
+                             problem.upper_bounds)
+        order = solve_box(problem, SolverConfig(box_strategy="order"))
+        ref = solve_box(problem, SolverConfig(box_strategy="set_a"))
+        assert max(abs(p - q) for p, q in zip(order.powers, ref.powers)) <= 1e-6
+        assert abs(order.objective_value - ref.objective_value) <= 1e-8

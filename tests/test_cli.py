@@ -182,3 +182,13 @@ def test_sweep_jobs_deterministic(runner, tmp_path):
     assert runner.invoke(main, base + ["--out", out1]).exit_code == 0
     assert runner.invoke(main, base + ["--jobs", "4", "--out", out2]).exit_code == 0
     assert open(out1).read() == open(out2).read()
+
+
+@pytest.mark.parametrize("field,value", [("upper_bounds", [float("nan"), 5.0]),
+                                         ("budget", float("inf"))])
+def test_solve_rejects_non_finite_input(runner, tmp_path, field, value):
+    doc = dict(K3_BOX, upper_bounds=[None, None, None])
+    doc[field] = value if field == "budget" else value + [None]
+    inst = _write(tmp_path, "bad.json", doc)
+    result = runner.invoke(main, ["solve", inst])
+    assert result.exit_code == 1, result.output

@@ -127,3 +127,16 @@ def test_result_document_shape(rng):
     assert doc["status"] == alloc.status
     assert doc["config"]["box_strategy"] == "order"
     json.dumps(doc)  # serializable
+
+
+@pytest.mark.parametrize("field,value", [("upper_bounds", [float("nan"), 5.0]),
+                                         ("budget", float("inf"))])
+def test_non_finite_input_rejected_on_load(tmp_path, field, value):
+    doc = {"problem_class": "box", "budget": 6.0,
+           "objectives": [{"family": "log_capacity", "w": 1.0, "a": 1.0, "b": 1.0}] * 2,
+           "upper_bounds": [1.0, None]}
+    doc[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match="finite|NaN"):
+        load_instance(str(path))

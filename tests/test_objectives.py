@@ -10,7 +10,9 @@ from waterline import (
     AfRelay, ClusterLogCapacity, CustomObjective, DomainError, InverseMse,
     LogCapacity, NegativeDemand, SumInverseMse, SumLog, objective_from_params)
 
-from conftest import FLAT_FAMILIES, make_objective
+from waterline.objectives import Channels
+
+from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective
 
 
 @pytest.mark.parametrize("family", FLAT_FAMILIES)
@@ -153,3 +155,39 @@ def test_eval_array_matches_scalar():
         np.testing.assert_allclose(obj.eval_array(points),
                                    [obj.eval(float(p)) for p in points],
                                    rtol=1e-12)
+
+
+def _scalar(objs, method, xs):
+    return [getattr(o, method)(x) for o, x in zip(objs, xs)]
+
+
+@pytest.mark.parametrize("families", [CLOSED_FORM_FAMILIES, ("inverse_mse",),
+                                      ("sum_log", "log_capacity")],
+                         ids=["mixed_bank", "single_bank", "objects"])
+def test_channels_match_scalar_methods(families):
+    rng = random.Random(8)
+    objs = [make_objective(families[i % len(families)], rng) for i in range(12)]
+    channels = Channels(objs)
+    assert channels.closed_form == set(families).issubset(CLOSED_FORM_FAMILIES)
+    powers = np.array([rng.uniform(0.0, 5.0) for _ in objs])
+    for mu in (0.05, 0.7, 3.0):
+        # Same operations in the same order: equal to the last bit.
+        assert channels.demand(mu).tolist() == [o.demand(mu) for o in objs]
+    assert channels.rate(powers).tolist() == _scalar(objs, "rate", powers.tolist())
+    assert channels.eval(powers) == pytest.approx(
+        _scalar(objs, "eval", powers.tolist()), rel=1e-14, abs=1e-14)
+    index = [5, 0, 7]
+    sub = channels.take(index)
+    assert sub.objectives == [objs[i] for i in index]
+    assert sub.rate(powers[index]).tolist() == \
+        _scalar(sub.objectives, "rate", powers[index].tolist())
+
+
+def test_channels_reject_out_of_domain_power():
+    channels = Channels([LogCapacity(1, 1, 0.5), InverseMse(1, 1, 0.5)])
+    with pytest.raises(DomainError):
+        channels.rate(np.array([-1.0, 0.0]))
+    with pytest.raises(DomainError):
+        channels.eval(np.array([0.0, -1.0]))
+    with pytest.raises(DomainError):
+        channels.demand(0.0)
