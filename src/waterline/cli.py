@@ -20,13 +20,14 @@ import click
 from .box import solve_box
 from .core import solve_p1_lower
 from .errors import SchemaError, SizeLimit, WaterlineError
-from .fair import _group_eval, solve_fair
+from .fair import solve_fair
 from .io import (instance_to_dict, load_instance, load_result,
                  result_to_dict, save_result)
 from .nested import solve_ascending
+from .objectives import ClusterChannels
 from .oracle import check_conditions, enumerate_box
-from .problems import (BOX_STRATEGIES, FairProblem, FairSolution,
-                       BoxProblem, SolverConfig)
+from .problems import (BOX_STRATEGIES, AscendingProblem, BoxProblem,
+                       FairProblem, FairSolution, SolverConfig)
 from .scenario import ScenarioSpec, build_instance
 
 
@@ -61,7 +62,6 @@ def _dispatch(problem, cfg: SolverConfig):
         return solve_fair(problem, cfg), problem.mode
     if isinstance(problem, BoxProblem):
         return solve_box(problem, cfg), f"box:{cfg.box_strategy}"
-    from .problems import AscendingProblem
     if isinstance(problem, AscendingProblem):
         return solve_ascending(problem, cfg), "nested"
     return solve_p1_lower(problem, cfg), "deactivation"
@@ -109,7 +109,7 @@ def _rebuild_fair_solution(problem: FairProblem, doc: dict) -> FairSolution:
             any(len(row) != len(g) for row, g in zip(powers, problem.groups)):
         raise SchemaError("powers", "group shapes do not match the instance")
     totals = [sum(row) for row in powers]
-    utilities = [_group_eval(g, row, total)
+    utilities = [float(ClusterChannels(g).bind(total).eval(row).sum())
                  for g, row, total in zip(problem.groups, powers, totals)]
     active_sets = doc.get("active_sets") or [
         [i for i, p in enumerate(row)

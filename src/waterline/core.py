@@ -1,10 +1,27 @@
 """Water-level root finding and the simplex solvers (Algorithms for P1/P1.1).
 
-The deactivation loop initializes every subchannel as active, solves the
-common-rate equation on the active set, and removes (pins at its lower bound)
-every channel whose unconstrained demand falls at or below that bound.  The
-loop shrinks the active set strictly each round, so it runs at most K-1 times
-and the water level increases strictly across rounds.
+``water_fill`` solves P1.1 on a :class:`~waterline.objectives.Channels` set
+and picks its path from the channels' family:
+
+* Homogeneous ``log_capacity`` and ``inverse_mse`` banks take the exact
+  sorted search.  A falling water level meets the channels in descending
+  order of their rate at the lower bound, so sorting once by that rate and
+  taking cumulative sums of the closed-form numerator and denominator gives
+  the water level of every candidate active set; the last one whose level
+  lies below its own channels' rates is the optimum (the breakpoint search of
+  Palomar & Fonollosa, IEEE TSP 2005, here on lower bounds).  O(K log K),
+  one pass.
+* Every other family (``af_relay``, mixed banks, ``sum_log``,
+  ``sum_inverse_mse``, custom) keeps the deactivation loop.  It initializes
+  every subchannel as active, solves the common-rate equation on the active
+  set, and removes (pins at its lower bound) every channel whose
+  unconstrained demand falls at or below that bound.  The loop shrinks the
+  active set strictly each round, so it runs at most K-1 times and the water
+  level increases strictly across rounds.
+
+``solve_p1_lower`` is the public entry: it takes a validated
+:class:`~waterline.problems.SimplexProblem`.  The box strategies and the fair
+solvers call ``water_fill`` directly on channels they have already checked.
 """
 
 from __future__ import annotations
@@ -18,11 +35,13 @@ from .objectives import Channels, Objective
 from .problems import Allocation, KktReport, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
+# Homogeneous families whose P1.1 water_fill solves by the sorted search.
+_SORTED_FAMILIES = ("log_capacity", "inverse_mse")
 
 
 def _closed_form_mu(channels: Channels, budget: float) -> float | None:
     """Closed-form water level for homogeneous closed-form families."""
-    if channels.family not in ("log_capacity", "inverse_mse"):
+    if channels.family not in _SORTED_FAMILIES:
         return None
     denom = budget + (channels.b / channels.a).sum()
     if denom <= 0:
@@ -128,14 +147,63 @@ def solve_water_level(objectives: Sequence[Objective], budget: float,
 
 def solve_p1_lower(problem: SimplexProblem,
                    cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
-    """Deactivation-loop solver under arbitrary lower bounds (P1.1)."""
-    channels = Channels(problem.objectives)
-    gamma = np.array(problem.lower_bounds, dtype=float)
+    """P1.1 (budget plus per-channel lower bounds) for a validated problem."""
+    return water_fill(Channels(problem.objectives),
+                      np.array(problem.lower_bounds, dtype=float),
+                      problem.budget, cfg)
+
+
+def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
+               cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
+    """P1.1 on ``channels`` with lower bounds ``gamma``; inputs unchecked.
+
+    Homogeneous ``log_capacity`` and ``inverse_mse`` banks take the exact
+    sorted search, every other family the deactivation loop.
+    """
+    if channels.family not in _SORTED_FAMILIES:
+        return deactivation_loop(channels, gamma, budget, cfg)
+    floor = float(gamma.sum())
+    if floor > budget * (1.0 + 1e-12):
+        raise InfeasibleBudget("sum of lower bounds exceeds budget")
     k = len(channels)
-    budget = problem.budget
+    spare = budget - floor
+    if spare <= cfg.power_tolerance * budget:
+        return _allocation(channels, gamma.copy(), np.zeros(k, dtype=bool),
+                           None, [], "feasible")
+    # Channel i's demand is u_i/sqrt(mu) - offset_i (inverse_mse) or
+    # u_i/mu - offset_i (log_capacity), so its rate at gamma_i is u_i/c_i
+    # (squared for inverse_mse) with c_i = gamma_i + offset_i.  The top m
+    # channels by rate are active at the level whose root is
+    # sum(u)/(spare + sum(c)) over them; that root is a mediant of the
+    # previous one and u_m/c_m, so the prefixes whose root lies below their
+    # own last rate form an initial run, and the last of them is the optimum.
+    offset = channels.b / channels.a
+    log = channels.family == "log_capacity"
+    u = channels.w if log else np.sqrt(channels.w / channels.a)
+    c = gamma + offset
+    order = np.argsort(c / u, kind="stable")
+    c, u_sorted = c[order], u[order]
+    root = np.cumsum(u_sorted) / (spare + np.cumsum(c))
+    below = (root * c < u_sorted).nonzero()[0]
+    if not below.size:  # spare lost to rounding against the strongest channel
+        return deactivation_loop(channels, gamma, budget, cfg)
+    active = np.zeros(k, dtype=bool)
+    active[order[:below[-1] + 1]] = True
+    # The level on the final active set, in the operations of the
+    # deactivation loop's last round (_closed_form_mu).
+    root = u[active].sum() / ((budget - float(gamma[~active].sum())) + offset[active].sum())
+    mu = float(root) if log else float(root * root)
+    powers = gamma.copy()
+    powers[active] = channels.demand(mu)[active]
+    return _allocation(channels, powers, active, mu, [mu], "optimal")
+
+
+def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
+                      cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
+    """P1.1 by the deactivation loop (any family); inputs unchecked."""
     if gamma.sum() > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
-
+    k = len(channels)
     active = np.ones(k, dtype=bool)
     act_idx, act = np.arange(k), channels
     powers = gamma.copy()
@@ -170,14 +238,18 @@ def solve_p1_lower(problem: SimplexProblem,
             active[:] = False
             mu = None
             break
+    return _allocation(channels, powers, active, mu, water_levels, status)
 
-    active_set = np.flatnonzero(active).tolist()
-    lower_set = np.flatnonzero(~active).tolist()
+
+def _allocation(channels: Channels, powers: np.ndarray, active: np.ndarray,
+                mu: float | None, water_levels: list[float],
+                status: str) -> Allocation:
+    active_set = active.nonzero()[0].tolist()
     return Allocation(
         powers=powers.tolist(),
         water_level=mu if active_set else None,
         active_set=active_set,
-        lower_set=lower_set,
+        lower_set=(~active).nonzero()[0].tolist(),
         upper_set=[],
         iterations=len(water_levels) if water_levels else 1,
         objective_value=float(channels.eval(powers).sum()),

@@ -14,68 +14,60 @@ Three couplings over groups of subchannels sharing one total budget:
 All three rely on monotonicity: group power demand decreases in the water
 level and increases in the target utility, so every loop is a bracketed
 bisection.
+
+Every group runs on :class:`~waterline.objectives.Channels` arrays.  Max-min
+groups are built once per solve and carry a boolean mask of the channels
+pinned at their upper bound.  Cluster groups are
+:class:`~waterline.objectives.ClusterChannels`, bound to each trial group
+budget by one array expression; their group solves go straight to
+:func:`~waterline.core.water_fill`, which takes the exact sorted search for
+the homogeneous ``log_capacity`` banks that binding yields and keeps the
+deactivation loop for groups that mix in other families.  The inputs were
+validated once, by :class:`~waterline.problems.FairProblem`.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .box import solve_box
-from .core import solve_p1_lower
+from .core import water_fill
 from .errors import DomainError, InfeasibleTarget
+from .objectives import Channels, ClusterChannels
 from .problems import (
     MODE_CLUSTER, MODE_CLUSTER_MAXMIN, MODE_MAXMIN,
-    BoxProblem, FairProblem, FairSolution, SimplexProblem, SolverConfig)
+    BoxProblem, FairProblem, FairSolution, SolverConfig)
 
 _DEFAULT_CFG = SolverConfig()
 
 
-def _is_cluster(obj) -> bool:
-    return getattr(obj, "cluster_aware", False)
+def _group_state(channels: Channels, gamma, tau, pinned, mu: float | None):
+    """Powers/utility/total at water level mu (None = rest at lower bounds).
+
+    Channels flagged in the boolean mask ``pinned`` sit at their upper bound.
+    """
+    free = gamma if mu is None else np.maximum(channels.demand(mu), gamma)
+    powers = np.where(pinned, tau, free)
+    return powers, float(channels.eval(powers).sum()), float(powers.sum())
 
 
-def _bind_group(group, cluster_power: float):
-    return [obj.bind(cluster_power) if _is_cluster(obj) else obj
-            for obj in group]
-
-
-def _group_eval(group, powers, cluster_power: float | None = None) -> float:
-    total = 0.0
-    for obj, p in zip(group, powers):
-        total += obj.eval(p, cluster_power) if _is_cluster(obj) else obj.eval(p)
-    return total
-
-
-def _group_state(objs, gamma, pinned: dict[int, float], mu: float | None):
-    """Powers/utility/total at water level mu (None = rest at lower bounds)."""
-    powers = []
-    for i, obj in enumerate(objs):
-        if i in pinned:
-            powers.append(pinned[i])
-        elif mu is None:
-            powers.append(gamma[i])
-        else:
-            p = obj.demand(mu)
-            powers.append(p if p > gamma[i] else gamma[i])
-    utility = sum(obj.eval(p) for obj, p in zip(objs, powers))
-    return powers, utility, sum(powers)
-
-
-def _group_mu_for_t(objs, gamma, pinned: dict[int, float], t: float):
+def _group_mu_for_t(channels: Channels, gamma, tau, pinned, t: float):
     """Water level (and allocation) reaching group utility t at least power.
 
     Returns ``(mu, powers, utility, total)``; ``mu`` is None when the group
     already meets t resting at its lower bounds, or has no free channel.
     """
-    free = [i for i in range(len(objs)) if i not in pinned]
-    if not free:
-        return (None, *_group_state(objs, gamma, pinned, None))
+    free = ~pinned
+    if not free.any():
+        return (None, *_group_state(channels, gamma, tau, pinned, None))
 
     def phi(mu_val: float) -> float:
-        return _group_state(objs, gamma, pinned, mu_val)[1]
+        return _group_state(channels, gamma, tau, pinned, mu_val)[1]
 
-    if all(math.isfinite(objs[i].rate(gamma[i])) for i in free):
-        floor = _group_state(objs, gamma, pinned, None)
+    if np.isfinite(channels.rate(gamma)[free]).all():
+        floor = _group_state(channels, gamma, tau, pinned, None)
         if floor[1] >= t:
             return (None, *floor)
 
@@ -88,7 +80,7 @@ def _group_mu_for_t(objs, gamma, pinned: dict[int, float], t: float):
                 break
         else:
             # utility never drops to t: every free channel is clamped
-            return (None, *_group_state(objs, gamma, pinned, None))
+            return (None, *_group_state(channels, gamma, tau, pinned, None))
     else:
         for _ in range(450):
             mu_hi = mu_lo
@@ -107,44 +99,44 @@ def _group_mu_for_t(objs, gamma, pinned: dict[int, float], t: float):
         if mu_hi - mu_lo <= 1e-15 * mu_hi:
             break
     mu = 0.5 * (mu_lo + mu_hi)
-    return (mu, *_group_state(objs, gamma, pinned, mu))
+    return (mu, *_group_state(channels, gamma, tau, pinned, mu))
 
 
-def _maxmin_engine(groups, budget, gammas, pinned, cfg,
+def _maxmin_engine(chans, budget, gammas, taus, pinned, cfg,
                    t_cap: float | None = None):
     """Outer bisection on the common utility target t.
 
-    Returns ``(t, states, iterations, surplus)`` where ``states[j]`` is the
-    ``(mu, powers, utility, total)`` tuple of group j and ``surplus`` flags
-    that the utility cap was reached with budget left over.
+    ``chans[j]``, ``gammas[j]``, ``taus[j]`` and the boolean mask
+    ``pinned[j]`` describe group j.  Returns ``(t, states, iterations,
+    surplus)`` where ``states[j]`` is the ``(mu, powers, utility, total)``
+    tuple of group j and ``surplus`` flags that the utility cap was reached
+    with budget left over.
     """
-    n_groups = len(groups)
-    floors = []
-    for j in range(n_groups):
-        floors.append(sum(pinned[j].values()) +
-                      sum(gammas[j][i] for i in range(len(groups[j]))
-                          if i not in pinned[j]))
+    n_groups = len(chans)
+    floors = [float(np.where(pin, tau, gamma).sum())
+              for gamma, tau, pin in zip(gammas, taus, pinned)]
     total_floor = sum(floors)
 
     t_his = []
-    for j in range(n_groups):
-        group = groups[j]
-        free = [i for i in range(len(group)) if i not in pinned[j]]
-        pin_util = sum(group[i].eval(pinned[j][i]) for i in pinned[j])
-        avail = budget - (total_floor - floors[j]) - sum(pinned[j].values())
-        free_floor = sum(gammas[j][i] for i in free)
-        if not free or avail <= free_floor * (1.0 + 1e-12) or avail <= 0:
-            t_his.append(_group_state(group, gammas[j], pinned[j], None)[1])
+    for j, channels in enumerate(chans):
+        gamma, pin = gammas[j], pinned[j]
+        pin_idx, free = np.flatnonzero(pin), np.flatnonzero(~pin)
+        pin_power = taus[j][pin_idx]
+        pin_util = float(channels.take(pin_idx).eval(pin_power).sum()) \
+            if pin_idx.size else 0.0
+        avail = budget - (total_floor - floors[j]) - float(pin_power.sum())
+        free_floor = float(gamma[free].sum())
+        if not free.size or avail <= free_floor * (1.0 + 1e-12) or avail <= 0:
+            t_his.append(_group_state(channels, gamma, taus[j], pin, None)[1])
             continue
-        sub = SimplexProblem([group[i] for i in free], avail,
-                             [gammas[j][i] for i in free])
-        t_his.append(solve_p1_lower(sub, cfg).objective_value + pin_util)
+        alloc = water_fill(channels.take(free), gamma[free], avail, cfg)
+        t_his.append(alloc.objective_value + pin_util)
     t_hi = min(t_his)
     if t_cap is not None:
         t_hi = min(t_hi, t_cap)
 
     def demand(t_val: float):
-        states = [list(_group_mu_for_t(groups[j], gammas[j], pinned[j], t_val))
+        states = [list(_group_mu_for_t(chans[j], gammas[j], taus[j], pinned[j], t_val))
                   for j in range(n_groups)]
         return states, sum(s[3] for s in states)
 
@@ -191,17 +183,13 @@ def _distribute_surplus(groups, budget, gammas, taus, states, cfg) -> None:
     for j, group in enumerate(groups):
         if remaining <= cfg.power_tolerance * budget:
             return
-        tau_row = taus[j]
-        head = math.inf
-        if all(math.isfinite(t) for t in tau_row):
-            head = sum(tau_row) - states[j][3]
+        tau = taus[j]
+        head = float(tau.sum()) - states[j][3] if np.isfinite(tau).all() else math.inf
         give = min(remaining, head)
         if give <= cfg.power_tolerance * budget:
             continue
-        lower = [min(max(p, gammas[j][i]), tau_row[i])
-                 for i, p in enumerate(states[j][1])]
-        sub = BoxProblem(group, states[j][3] + give, lower,
-                         [None if math.isinf(t) else t for t in tau_row])
+        lower = np.minimum(np.maximum(states[j][1], gammas[j]), tau)
+        sub = BoxProblem(group, states[j][3] + give, lower.tolist(), tau.tolist())
         alloc = solve_box(sub, cfg)
         states[j] = [alloc.water_level, alloc.powers, alloc.objective_value,
                      sum(alloc.powers)]
@@ -209,25 +197,34 @@ def _distribute_surplus(groups, budget, gammas, taus, states, cfg) -> None:
 
 
 def _build_solution(problem: FairProblem, t, states, pinned, iterations,
-                    status: str = "optimal",
-                    cluster_totals: list[float] | None = None) -> FairSolution:
-    gammas = problem.lower_bounds
+                    status: str = "optimal") -> FairSolution:
+    """``states[j]`` is group j's ``(mu, powers, utility, total)``;
+    ``pinned[j]`` masks its channels pinned at the upper bound (None: none)."""
     powers, water_levels, totals, utilities, active_sets = [], [], [], [], []
-    for j, s in enumerate(states):
-        mu, pw, util, total = s
-        powers.append(list(pw))
-        water_levels.append(mu)
-        totals.append(total)
-        if cluster_totals is not None:
-            util = _group_eval(problem.groups[j], pw, cluster_totals[j])
-        utilities.append(util)
-        active_sets.append(
-            [i for i, p in enumerate(pw)
-             if i not in pinned[j] and p > gammas[j][i] + 1e-12 * (1.0 + gammas[j][i])])
+    for j, (mu, pw, util, total) in enumerate(states):
+        pw = np.asarray(pw, dtype=float)
+        gamma = np.asarray(problem.lower_bounds[j], dtype=float)
+        active = pw > gamma + 1e-12 * (1.0 + gamma)
+        if pinned is not None:
+            active &= ~pinned[j]
+        powers.append(pw.tolist())
+        water_levels.append(None if mu is None else float(mu))
+        totals.append(float(total))
+        utilities.append(float(util))
+        active_sets.append(np.flatnonzero(active).tolist())
     return FairSolution(powers=powers, water_levels=water_levels,
                         group_totals=totals, group_utilities=utilities,
                         t=t, active_sets=active_sets,
                         iterations=iterations, status=status)
+
+
+def _maxmin_groups(problem: FairProblem):
+    """Per-group channels, lower and upper bound arrays and empty pin masks."""
+    chans = [Channels(group) for group in problem.groups]
+    gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
+    taus = [np.array(row, dtype=float) for row in problem.upper_bounds]
+    pinned = [np.zeros(len(group), dtype=bool) for group in problem.groups]
+    return chans, gammas, taus, pinned
 
 
 def solve_maxmin(problem: FairProblem,
@@ -237,12 +234,11 @@ def solve_maxmin(problem: FairProblem,
         raise DomainError(f"solve_maxmin requires maxmin mode, got {problem.mode!r}")
     if any(math.isfinite(t) for row in problem.upper_bounds for t in row):
         return solve_maxmin_boxed(problem, cfg)
-    pinned = [dict() for _ in problem.groups]
+    chans, gammas, taus, pinned = _maxmin_groups(problem)
     t, states, iterations, surplus = _maxmin_engine(
-        problem.groups, problem.budget, problem.lower_bounds, pinned, cfg)
+        chans, problem.budget, gammas, taus, pinned, cfg)
     if surplus:
-        _distribute_surplus(problem.groups, problem.budget,
-                            problem.lower_bounds, problem.upper_bounds,
+        _distribute_surplus(problem.groups, problem.budget, gammas, taus,
                             states, cfg)
     return _build_solution(problem, t, states, pinned, iterations)
 
@@ -254,50 +250,56 @@ def solve_maxmin_boxed(problem: FairProblem,
         raise DomainError(
             f"solve_maxmin_boxed requires maxmin mode, got {problem.mode!r}")
     groups, budget = problem.groups, problem.budget
-    gammas, taus = problem.lower_bounds, problem.upper_bounds
+    chans, gammas, taus, pinned = _maxmin_groups(problem)
 
-    if all(math.isfinite(t) for row in taus for t in row) and \
-            sum(sum(row) for row in taus) <= budget:
-        states = []
-        for j, group in enumerate(groups):
-            pw = list(taus[j])
-            states.append([None, pw, _group_eval(group, pw), sum(pw)])
+    if all(np.isfinite(tau).all() for tau in taus) and \
+            sum(float(tau.sum()) for tau in taus) <= budget:
+        states = [[None, tau, float(channels.eval(tau).sum()), float(tau.sum())]
+                  for channels, tau in zip(chans, taus)]
         t = min(s[2] for s in states)
-        return _build_solution(problem, t, states,
-                               [dict() for _ in groups], 1, status="feasible")
+        return _build_solution(problem, t, states, None, 1, status="feasible")
 
-    floors = [sum(row) for row in gammas]
+    floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
     t_caps = []
     for j, group in enumerate(groups):
         avail = budget - (total_floor - floors[j])
         if avail <= floors[j] * (1.0 + 1e-12) or avail <= 0:
-            t_caps.append(_group_state(group, gammas[j], {}, None)[1])
+            t_caps.append(_group_state(chans[j], gammas[j], taus[j], pinned[j],
+                                       None)[1])
             continue
-        sub = BoxProblem(group, avail, gammas[j],
-                         [None if math.isinf(t) else t for t in taus[j]])
+        sub = BoxProblem(group, avail, problem.lower_bounds[j], problem.upper_bounds[j])
         t_caps.append(solve_box(sub, cfg).objective_value)
     t_cap = min(t_caps)
 
-    pinned = [dict() for _ in groups]
     total_k = sum(len(g) for g in groups)
     iterations = 0
     t, states = t_cap, None
     for _ in range(cfg.outer_cap(total_k) + 1):
-        t, states, its, _ = _maxmin_engine(groups, budget, gammas, pinned,
+        t, states, its, _ = _maxmin_engine(chans, budget, gammas, taus, pinned,
                                            cfg, t_cap=t_cap)
         iterations += its
         new_pins = False
-        for j in range(len(groups)):
-            for i, p in enumerate(states[j][1]):
-                if i not in pinned[j] and math.isfinite(taus[j][i]) and \
-                        p >= taus[j][i]:
-                    pinned[j][i] = taus[j][i]
-                    new_pins = True
+        for j, state in enumerate(states):
+            hit = ~pinned[j] & (np.asarray(state[1]) >= taus[j])
+            if hit.any():
+                pinned[j] = pinned[j] | hit
+                new_pins = True
         if not new_pins:
             break
     _distribute_surplus(groups, budget, gammas, taus, states, cfg)
     return _build_solution(problem, t, states, pinned, iterations)
+
+
+def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
+    """``(clusters, gammas, solve_group)`` for a cluster-mode problem, where
+    ``solve_group(j, b)`` solves group j bound to the group budget ``b``."""
+    clusters = [ClusterChannels(group) for group in problem.groups]
+    gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
+
+    def solve_group(j: int, group_budget: float):
+        return water_fill(clusters[j].bind(group_budget), gammas[j], group_budget, cfg)
+    return clusters, gammas, solve_group
 
 
 def solve_cluster(problem: FairProblem,
@@ -306,13 +308,8 @@ def solve_cluster(problem: FairProblem,
     if problem.mode != MODE_CLUSTER:
         raise DomainError(f"solve_cluster requires cluster mode, got {problem.mode!r}")
     groups, budget = problem.groups, problem.budget
-    gammas = problem.lower_bounds
+    clusters, gammas, solve_group = _cluster_solver(problem, cfg)
     n_groups = len(groups)
-
-    def solve_group(j: int, group_budget: float):
-        sub = SimplexProblem(_bind_group(groups[j], group_budget),
-                             group_budget, gammas[j])
-        return solve_p1_lower(sub, cfg)
 
     def finish(totals, iterations):
         states = []
@@ -320,26 +317,19 @@ def solve_cluster(problem: FairProblem,
             alloc = solve_group(j, total)
             states.append([alloc.water_level, alloc.powers,
                            alloc.objective_value, total])
-        t = min(_group_eval(groups[j], states[j][1], totals[j])
-                for j in range(n_groups))
-        return _build_solution(problem, t, states,
-                               [dict() for _ in groups], iterations,
-                               cluster_totals=totals)
+        t = min(s[2] for s in states)
+        return _build_solution(problem, t, states, None, iterations)
 
     if n_groups == 1:
         return finish([budget], 1)
-    if not any(_is_cluster(o) and o.sigma_e2 > 0 for g in groups for o in g):
+    if not any(cluster.coupled for cluster in clusters):
         # No interference coupling: the groups pool into one problem.
-        flat_objs, flat_gamma, sizes = [], [], []
-        for j, group in enumerate(groups):
-            flat_objs.extend(_bind_group(group, 0.0))
-            flat_gamma.extend(gammas[j])
-            sizes.append(len(group))
-        alloc = solve_p1_lower(SimplexProblem(flat_objs, budget, flat_gamma), cfg)
+        pooled = ClusterChannels([o for group in groups for o in group])
+        alloc = water_fill(pooled.bind(0.0), np.concatenate(gammas), budget, cfg)
         totals, pos = [], 0
-        for size in sizes:
-            totals.append(sum(alloc.powers[pos:pos + size]))
-            pos += size
+        for group in groups:
+            totals.append(sum(alloc.powers[pos:pos + len(group)]))
+            pos += len(group)
         return finish(totals, alloc.iterations)
 
     b_min = 1e-9 * budget / n_groups
@@ -348,9 +338,7 @@ def solve_cluster(problem: FairProblem,
         """d(group utility)/d(group budget): water level + interference drag."""
         alloc = solve_group(j, group_budget)
         mu = alloc.water_level if alloc.water_level is not None else 0.0
-        drag = sum(o.cluster_partial(p, group_budget)
-                   for o, p in zip(groups[j], alloc.powers) if _is_cluster(o))
-        return mu + drag
+        return mu + clusters[j].drag(alloc.powers, group_budget)
 
     def budget_at(j: int, nu: float) -> float:
         if marginal(j, budget) >= nu:
@@ -393,21 +381,14 @@ def solve_cluster_maxmin(problem: FairProblem,
     if problem.mode != MODE_CLUSTER_MAXMIN:
         raise DomainError(
             f"solve_cluster_maxmin requires cluster_maxmin mode, got {problem.mode!r}")
-    groups, budget = problem.groups, problem.budget
-    gammas = problem.lower_bounds
-    n_groups = len(groups)
-    floors = [sum(row) for row in gammas]
+    budget, n_groups = problem.budget, problem.n_groups
+    _, gammas, solve_group = _cluster_solver(problem, cfg)
+    floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
     b_min = 1e-9 * budget / n_groups
 
-    def solve_group(j: int, group_budget: float):
-        sub = SimplexProblem(_bind_group(groups[j], group_budget),
-                             group_budget, gammas[j])
-        return solve_p1_lower(sub, cfg)
-
     def utility(j: int, group_budget: float) -> float:
-        return _group_eval(groups[j], solve_group(j, group_budget).powers,
-                           group_budget)
+        return solve_group(j, group_budget).objective_value
 
     def budget_for_t(j: int, t_val: float) -> float:
         lo = floors[j] + b_min
@@ -464,8 +445,7 @@ def solve_cluster_maxmin(problem: FairProblem,
         alloc = solve_group(j, total)
         states.append([alloc.water_level, alloc.powers,
                        alloc.objective_value, total])
-    return _build_solution(problem, t, states, [dict() for _ in groups],
-                           iterations, cluster_totals=totals)
+    return _build_solution(problem, t, states, None, iterations)
 
 
 def solve_fair(problem: FairProblem,

@@ -532,20 +532,20 @@ class Channels:
     is the path of the numeric and custom families.
     """
 
-    __slots__ = ("objectives", "family", "w", "a", "b", "_codes", "_groups")
+    __slots__ = ("_objects", "family", "w", "a", "b", "_codes", "_groups")
 
     def __init__(self, objectives: Sequence[Objective]):
-        self.objectives = list(objectives)
-        kinds = {type(obj) for obj in self.objectives}
+        self._objects = list(objectives)
+        kinds = {type(obj) for obj in self._objects}
         self.w = self.a = self.b = self._codes = self.family = None
         self._groups: list = []
         if kinds and kinds.issubset(_BANK_FAMILIES):
-            n = len(self.objectives)
+            n = len(self._objects)
             codes = None if len(kinds) == 1 else np.array(
-                [_BANK_FAMILIES.index(type(o)) for o in self.objectives], dtype=np.int8)
-            self._set_bank(np.fromiter((o.w for o in self.objectives), float, n),
-                           np.fromiter((o.a for o in self.objectives), float, n),
-                           np.fromiter((o.b for o in self.objectives), float, n),
+                [_BANK_FAMILIES.index(type(o)) for o in self._objects], dtype=np.int8)
+            self._set_bank(np.fromiter((o.w for o in self._objects), float, n),
+                           np.fromiter((o.a for o in self._objects), float, n),
+                           np.fromiter((o.b for o in self._objects), float, n),
                            kinds.pop() if codes is None else None, codes)
 
     def _set_bank(self, w, a, b, single: type | None, codes) -> None:
@@ -571,20 +571,51 @@ class Channels:
         """True when the operations run on the bank's arrays."""
         return self.w is not None
 
+    @property
+    def objectives(self) -> list:
+        """The objectives, one per channel (built from the bank on first use
+        when the channels came from ``with_a``)."""
+        if self._objects is None:
+            objects = [None] * len(self)
+            for cls, idx, w, a, b in self._groups:
+                slots = range(len(self)) if idx is None else idx.tolist()
+                for i, wi, ai, bi in zip(slots, w.tolist(), a.tolist(), b.tolist()):
+                    objects[i] = cls(wi, ai, bi)
+            self._objects = objects
+        return self._objects
+
     def __len__(self) -> int:
-        return len(self.objectives)
+        return len(self.w) if self.closed_form else len(self._objects)
 
     def take(self, index) -> Channels:
         """The channels at ``index`` (an integer array), in that order."""
         index = np.asarray(index, dtype=np.intp)
+        objects = None if self._objects is None else \
+            [self._objects[i] for i in index.tolist()]
+        if not self.closed_form:
+            sub = object.__new__(Channels)
+            sub.w = sub.a = sub.b = sub._codes = sub.family = None
+            sub._groups = []
+        else:
+            sub = self._rebank(self.w[index], self.a[index], self.b[index], index)
+        sub._objects = objects
+        return sub
+
+    def with_a(self, a: np.ndarray) -> Channels:
+        """The same bank channels with the parameter ``a`` replaced."""
+        return self._rebank(self.w, a, self.b)
+
+    def _rebank(self, w, a, b, index=None) -> Channels:
+        """Bank channels of this bank's families (at ``index``, when given)
+        with the parameter arrays ``w, a, b``; their objects are built only
+        if ``objectives`` is read."""
         sub = object.__new__(Channels)
-        sub.objectives = [self.objectives[i] for i in index.tolist()]
-        sub.w = sub.a = sub.b = sub._codes = sub.family = None
-        sub._groups = []
-        if self.closed_form:
-            single = self._groups[0][0] if self._codes is None else None
-            sub._set_bank(self.w[index], self.a[index], self.b[index], single,
-                          None if self._codes is None else self._codes[index])
+        sub._objects = None
+        if self._codes is None:
+            sub._set_bank(w, a, b, self._groups[0][0], None)
+        else:
+            sub._set_bank(w, a, b, None,
+                          self._codes if index is None else self._codes[index])
         return sub
 
     def _apply(self, op: str, x) -> np.ndarray:
@@ -608,9 +639,9 @@ class Channels:
         if self.closed_form:
             return self._apply("_bank_demand", mu)
         if hints is None:
-            return np.array([obj.demand(mu) for obj in self.objectives], dtype=float)
+            return np.array([obj.demand(mu) for obj in self._objects], dtype=float)
         out = np.empty(len(self))
-        for i, obj in enumerate(self.objectives):
+        for i, obj in enumerate(self._objects):
             p = obj.demand(mu, hint=hints[i])
             hints[i] = p if p > obj.domain_min() else None
             out[i] = p
@@ -621,7 +652,7 @@ class Channels:
         if self.closed_form:
             return self._apply("_bank_rate", np.asarray(powers, dtype=float))
         return np.array([obj.rate(p) for obj, p in
-                         zip(self.objectives, np.asarray(powers, dtype=float).tolist())],
+                         zip(self._objects, np.asarray(powers, dtype=float).tolist())],
                         dtype=float)
 
     def eval(self, powers) -> np.ndarray:
@@ -629,8 +660,63 @@ class Channels:
         if self.closed_form:
             return self._apply("_bank_eval", np.asarray(powers, dtype=float))
         return np.array([obj.eval(p) for obj, p in
-                         zip(self.objectives, np.asarray(powers, dtype=float).tolist())],
+                         zip(self._objects, np.asarray(powers, dtype=float).tolist())],
                         dtype=float)
+
+
+def _cluster_aware(obj) -> bool:
+    return getattr(obj, "cluster_aware", False)
+
+
+class ClusterChannels:
+    """One group of a fair problem, bound to its cluster power by arrays.
+
+    Entries are :class:`ClusterLogCapacity` or ordinary objectives.
+    ``bind(cluster_power)`` gives the group's :class:`Channels` at that
+    cluster power: each cluster-aware entry becomes the ``log_capacity``
+    channel ``w*log(1 + a'*p)`` with ``a' = a/(sigma_e2*P + sigma_n2)``, the
+    operations of :meth:`ClusterLogCapacity.bind` run as one array expression
+    over parameter arrays built here, once.  When the ordinary entries are
+    closed-form families too, the result is a bank; otherwise the group
+    binds through the objects and runs on the object path.
+    """
+
+    def __init__(self, objectives: Sequence):
+        self.objectives = list(objectives)
+        self.index = np.array([i for i, o in enumerate(self.objectives)
+                               if _cluster_aware(o)], dtype=np.intp)
+        aware = [self.objectives[i] for i in self.index.tolist()]
+        self.w = np.array([o.w for o in aware], dtype=float)
+        self.a = np.array([o.a for o in aware], dtype=float)
+        self.sigma_e2 = np.array([o.sigma_e2 for o in aware], dtype=float)
+        self.sigma_n2 = np.array([o.sigma_n2 for o in aware], dtype=float)
+        # Cluster-aware entries enter as log_capacity with b = 1; bind() sets their a.
+        self._template = Channels([o.bind(0.0) if _cluster_aware(o) else o
+                                   for o in self.objectives])
+
+    @property
+    def coupled(self) -> bool:
+        """True when some entry's utility depends on the cluster power."""
+        return bool((self.sigma_e2 > 0).any())
+
+    def bind(self, cluster_power: float) -> Channels:
+        """The group's channels with the cluster power frozen at ``cluster_power``."""
+        if not self.index.size:
+            return self._template
+        if not self._template.closed_form:
+            return Channels([o.bind(cluster_power) if _cluster_aware(o) else o
+                             for o in self.objectives])
+        a = self._template.a.copy()
+        a[self.index] = self.a / (self.sigma_e2 * cluster_power + self.sigma_n2)
+        return self._template.with_a(a)
+
+    def drag(self, powers, cluster_power: float) -> float:
+        """Sum of :meth:`ClusterLogCapacity.cluster_partial` over the
+        cluster-aware entries at ``powers``."""
+        p = np.asarray(powers, dtype=float)[self.index]
+        denom = self.sigma_e2 * cluster_power + self.sigma_n2
+        return float((-self.w * self.a * p * self.sigma_e2 /
+                      (denom * (denom + self.a * p))).sum())
 
 
 FAMILIES = {

@@ -16,15 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import kkt_residual_p1, solve_water_level
-from .box import kkt_residual_box
+from .core import kkt_residual_p1, solve_water_level, water_fill
+from .box import kkt_residual_box, solve_box
 from .errors import BracketFailure, DomainError, SizeLimit
-from .fair import _bind_group, _group_eval, _is_cluster
-from .core import solve_p1_lower
+from .objectives import ClusterChannels
 from .problems import (
-    MODE_CLUSTER, MODE_MAXMIN,
-    Allocation, AscendingProblem, BoxProblem, FairProblem, FairSolution,
-    KktReport, SimplexProblem, SolverConfig)
+    MODE_CLUSTER, Allocation, AscendingProblem, BoxProblem, FairProblem,
+    FairSolution, KktReport, SimplexProblem, SolverConfig)
 
 _DEFAULT_CFG = SolverConfig()
 
@@ -337,6 +335,7 @@ def _grid_search_fair(problem: FairProblem,
     heads = [sum(row) if all(math.isfinite(x) for x in row) else math.inf
              for row in taus]
     is_min = problem.mode != MODE_CLUSTER
+    clusters = [ClusterChannels(group) for group in groups]
 
     def group_utility(j: int, group_budget: float) -> float:
         if group_budget < floors[j]:
@@ -344,20 +343,14 @@ def _grid_search_fair(problem: FairProblem,
         group_budget = min(group_budget, heads[j])
         if group_budget <= 0:
             return -math.inf
-        bound = _bind_group(groups[j], group_budget)
-        if all(math.isfinite(x) for x in taus[j]):
-            from .box import solve_box
-            sub = BoxProblem(bound, group_budget, gammas[j], list(taus[j]))
-            alloc = solve_box(sub, cfg)
-        elif any(math.isfinite(x) for x in taus[j]):
-            from .box import solve_box
-            sub = BoxProblem(bound, group_budget, gammas[j],
-                             [None if math.isinf(x) else x for x in taus[j]])
-            alloc = solve_box(sub, cfg)
+        bound = clusters[j].bind(group_budget)
+        if any(math.isfinite(x) for x in taus[j]):
+            alloc = solve_box(BoxProblem(bound.objectives, group_budget,
+                                         gammas[j], taus[j]), cfg)
         else:
-            alloc = solve_p1_lower(
-                SimplexProblem(bound, group_budget, gammas[j]), cfg)
-        return _group_eval(groups[j], alloc.powers, group_budget)
+            alloc = water_fill(bound, np.array(gammas[j], dtype=float),
+                               group_budget, cfg)
+        return alloc.objective_value
 
     def combined(totals) -> float:
         utils = [group_utility(j, b) for j, b in enumerate(totals)]
@@ -422,36 +415,45 @@ def _fair_report(problem: FairProblem, solution: FairSolution,
     not_applicable: list[str] = []
 
     rate_spread = 0.0
+    saturated = []
     for j, group in enumerate(groups):
-        bound = _bind_group(group, totals[j])
-        rates = []
-        for i, obj in enumerate(bound):
-            p = solution.powers[j][i]
-            interior = p > gammas[j][i] + 1e-9 * (1.0 + gammas[j][i]) and \
-                (math.isinf(taus[j][i]) or p < taus[j][i] - 1e-9 * (1.0 + taus[j][i]))
-            if interior:
-                rates.append(obj.rate(p))
-        if len(rates) > 1:
-            spread = (max(rates) - min(rates)) / max(abs(max(rates)), 1e-30)
-            rate_spread = max(rate_spread, spread)
+        p = np.array(solution.powers[j], dtype=float)
+        gamma = np.array(gammas[j], dtype=float)
+        tau = np.array(taus[j], dtype=float)
+        # tau - 1e-9 * (1 + tau), in a form that keeps an infinite tau infinite.
+        below_tau = p < tau * (1.0 - 1e-9) - 1e-9
+        saturated.append(not below_tau.any())
+        interior = np.flatnonzero((p > gamma + 1e-9 * (1.0 + gamma)) & below_tau)
+        if interior.size > 1:
+            bound = ClusterChannels(group).bind(totals[j])
+            rates = bound.take(interior).rate(p[interior])
+            spread = (rates.max() - rates.min()) / max(abs(rates.max()), 1e-30)
+            rate_spread = max(rate_spread, float(spread))
     residuals["rate_spread"] = rate_spread
 
     if problem.mode == MODE_CLUSTER:
         not_applicable.append("utility_spread")
         residuals["utility_spread"] = 0.0
     else:
-        spread = 0.0
+        # Every group reaches t, and a group may exceed t only when it has no
+        # power to give up (its total within tolerance of its floor), or when
+        # t cannot rise: some group at t is saturated, every channel at its
+        # upper bound, so the rest is surplus.  Both are read from the powers,
+        # not from the solution's own active sets.
         denom = 1.0 + abs(solution.t)
-        for j, util in enumerate(solution.group_utilities):
-            pinned = not solution.active_sets[j]
-            if pinned:
-                spread = max(spread, (solution.t - util) / denom)
-            else:
-                spread = max(spread, abs(util - solution.t) / denom)
+        gaps = [(util - solution.t) / denom for util in solution.group_utilities]
+        capped = any(sat and abs(gap) <= tolerance for sat, gap in zip(saturated, gaps))
+        spread = 0.0
+        for j, gap in enumerate(gaps):
+            at_floor = totals[j] - sum(gammas[j]) <= tolerance * problem.budget
+            spread = max(spread, -gap if capped or at_floor else abs(gap))
         residuals["utility_spread"] = max(0.0, spread)
 
-    residuals["power_residual"] = abs(
-        sum(totals) - problem.budget) / problem.budget
+    spend = problem.budget
+    if all(math.isfinite(x) for row in taus for x in row):
+        # When every channel fits at its upper bound, that is the optimum.
+        spend = min(spend, sum(sum(row) for row in taus))
+    residuals["power_residual"] = abs(sum(totals) - spend) / problem.budget
     bounds_violation = 0.0
     for j in range(len(groups)):
         for i, p in enumerate(solution.powers[j]):

@@ -192,7 +192,17 @@ class FairProblem:
 
 @dataclass
 class Allocation:
-    """Solved powers plus the certificates the solvers emit alongside them."""
+    """Solved powers plus the certificates the solvers emit alongside them.
+
+    ``water_levels`` lists the water level of every round a P1/P1.1 solve
+    ran and ``iterations`` counts those rounds (at least 1).  The exact
+    sorted search of homogeneous ``log_capacity``/``inverse_mse`` solves is a
+    single pass: ``water_levels == [water_level]`` and ``iterations == 1``
+    (empty and 1 when the lower bounds use up the budget).  The deactivation
+    loop of the other families lists one level per round.  Box strategies
+    count their own iterations (``order``: binary-search probes plus the
+    final P1.1 solve's count).
+    """
 
     powers: list[float]
     water_level: float | None

@@ -4,6 +4,14 @@ import random
 
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    settings.register_profile("short", max_examples=50, deadline=None, derandomize=True)
+    settings.load_profile("short")
+
 from waterline import (
     AfRelay, AscendingProblem, BoxProblem, InverseMse, LogCapacity,
     SimplexProblem, SumInverseMse, SumLog)

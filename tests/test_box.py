@@ -58,6 +58,10 @@ def test_slack_budget_returns_all_upper(strategy):
     assert alloc.powers == pytest.approx([2.0, 3.0])
     assert alloc.status == "feasible"
     assert alloc.upper_set == [0, 1]
+    assert check_conditions(problem, alloc).passed
+    # Stopping short of the upper bounds leaves power unspent.
+    report = check_conditions(problem, [1.0, 1.5])
+    assert report.residuals["power_residual"] == pytest.approx(0.25)
 
 
 def test_infeasible_lower_bounds():

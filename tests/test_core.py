@@ -3,12 +3,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from waterline import (
     DomainError, InfeasibleBudget, LogCapacity, InverseMse, SimplexProblem,
     SolverConfig, enumerate_p1, kkt_residual_p1, solve_p1, solve_p1_lower,
     solve_water_level)
+from waterline.core import deactivation_loop, water_fill
+from waterline.objectives import Channels
 
 from conftest import FLAT_FAMILIES, make_objective, random_simplex
 
@@ -125,3 +128,52 @@ def test_solver_config_validation():
     with pytest.raises(DomainError):
         SolverConfig(box_strategy="nope")
     assert SolverConfig(max_outer_iterations=7).outer_cap(100) == 7
+
+
+def _bank_instance(family, rng, k, infinite_rates=False):
+    """K channels of one closed-form family with positive lower bounds; with
+    ``infinite_rates`` every other channel is log_capacity with b = 0 and a
+    zero lower bound, where the rate at the bound is infinite."""
+    cls = LogCapacity if family == "log_capacity" else InverseMse
+    w = rng.uniform(0.5, 2.0, k)
+    a = 10.0 ** rng.uniform(-2.0, 2.0, k)
+    b = rng.uniform(0.05, 2.0, k)
+    budget = k * rng.uniform(0.5, 3.0)
+    gamma = rng.uniform(0.01, 0.8, k) * budget / k
+    if infinite_rates:
+        b[::2] = 0.0
+        gamma[::2] = 0.0
+    channels = Channels([cls(*p) for p in zip(w, a, b)])
+    return channels, gamma, budget
+
+
+@pytest.mark.parametrize("family,infinite_rates",
+                         [("log_capacity", False), ("log_capacity", True),
+                          ("inverse_mse", False)],
+                         ids=["log_capacity", "log_capacity_b0", "inverse_mse"])
+def test_sorted_search_matches_deactivation_loop(family, infinite_rates):
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 3, 5, 16, 64, 257, 1024):
+        for _ in range(4):
+            channels, gamma, budget = _bank_instance(family, rng, k, infinite_rates)
+            exact = water_fill(channels, gamma, budget)
+            loop = deactivation_loop(channels, gamma, budget)
+            assert exact.status == loop.status == "optimal"
+            # One pass: a single water level, no deactivation rounds.
+            assert exact.iterations == 1
+            assert exact.water_levels == [exact.water_level]
+            assert max(abs(p - q) for p, q in zip(exact.powers, loop.powers)) <= 1e-6
+            assert abs(exact.objective_value - loop.objective_value) <= 1e-8
+            assert exact.water_level == pytest.approx(loop.water_level, rel=1e-12)
+            assert exact.active_set == loop.active_set
+
+
+@pytest.mark.parametrize("cls", [LogCapacity, InverseMse])
+def test_sorted_search_feasible_when_bounds_use_the_budget(cls):
+    objs = [cls(1, 2, 1), cls(1, 1, 3), cls(2, 1, 0.5)]
+    gamma = [0.3, 0.5, 0.2]
+    alloc = solve_p1_lower(SimplexProblem(objs, 1.0, gamma))
+    assert alloc.status == "feasible"
+    assert alloc.powers == gamma
+    assert alloc.water_level is None
+    assert alloc.active_set == []

@@ -3,12 +3,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from waterline import (
     BoxProblem, ClusterLogCapacity, FairProblem, InverseMse, LogCapacity,
-    SimplexProblem, check_conditions, grid_search, solve_box, solve_cluster,
-    solve_cluster_maxmin, solve_maxmin, solve_maxmin_boxed, solve_p1)
+    SimplexProblem, SumLog, check_conditions, grid_search, solve_box,
+    solve_cluster, solve_cluster_maxmin, solve_fair, solve_maxmin,
+    solve_maxmin_boxed, solve_p1)
+from waterline.objectives import Channels, ClusterChannels
 
 
 def test_maxmin_symmetric_split():
@@ -48,7 +51,8 @@ def test_maxmin_monotone_group_demand():
     # the inner map t -> demanded power is increasing (bisection validity)
     from waterline.fair import _group_mu_for_t
     group = [LogCapacity(1, 2, 1), LogCapacity(1, 1, 1)]
-    demands = [_group_mu_for_t(group, [0.0, 0.0], {}, t)[3]
+    demands = [_group_mu_for_t(Channels(group), np.zeros(2), np.full(2, np.inf),
+                               np.zeros(2, dtype=bool), t)[3]
                for t in (0.2, 0.5, 1.0, 1.5)]
     assert all(a < b for a, b in zip(demands, demands[1:]))
     # and power demand decreases in the water level
@@ -176,3 +180,96 @@ def test_conditions_flag_unequal_group_utilities():
     report = check_conditions(problem, uniform, tolerance=1e-6)
     assert not report.passed
     assert report.residuals["utility_spread"] > 0.1
+
+
+def test_cluster_binding_matches_scalar_bind_bit_for_bit():
+    rng = random.Random(17)
+    aware = [ClusterLogCapacity(rng.uniform(0.5, 2), rng.uniform(0.1, 5),
+                                rng.choice([0.0, rng.uniform(0.01, 0.5)]),
+                                rng.uniform(0.5, 2)) for _ in range(9)]
+    mixed = aware[:3] + [LogCapacity(1, 2, 0.5), InverseMse(1, 1, 1)] + aware[3:]
+    for group in (aware, mixed):
+        clusters = ClusterChannels(group)
+        for power in (0.0, 1e-9, 0.37, 4.0, 250.0):
+            bound = clusters.bind(power)
+            assert bound.closed_form
+            for i, obj in enumerate(group):
+                ref = obj.bind(power) if hasattr(obj, "bind") else obj
+                assert type(bound.objectives[i]) is type(ref)
+                assert (bound.w[i], bound.a[i], bound.b[i]) == (ref.w, ref.a, ref.b)
+
+
+MIXED_CLUSTER_GROUPS = [
+    [ClusterLogCapacity(1, 2.0, 0.1, 1.0), LogCapacity(1, 1.5, 1.0),
+     InverseMse(1, 1.2, 1.0), SumLog([1.0, 0.5], 1.0, 1.0, [1.0, 2.0], [1.0, 0.5])],
+    [ClusterLogCapacity(1, 0.9, 0.1, 1.0), ClusterLogCapacity(1, 1.4, 0.2, 1.0)],
+]
+
+
+@pytest.mark.parametrize("mode", ["cluster", "cluster_maxmin"])
+def test_mixed_cluster_group_solves_and_matches_grid(mode):
+    problem = FairProblem(MIXED_CLUSTER_GROUPS, 5.0, mode=mode)
+    sol = solve_fair(problem)
+    report = check_conditions(problem, sol, tolerance=1e-8)
+    assert report.passed, report.residuals
+    assert sum(sol.group_totals) == pytest.approx(5.0, rel=1e-9)
+    oracle = grid_search(problem)
+    if mode == "cluster":
+        assert sum(sol.group_utilities) == pytest.approx(
+            oracle.objective_value, abs=1e-6)
+    else:
+        assert abs(sol.group_utilities[0] - sol.group_utilities[1]) <= 1e-6
+        assert sol.t == pytest.approx(oracle.objective_value, abs=1e-5)
+
+
+def test_conditions_flag_group_above_t_with_power_to_spare():
+    # The optimum is p = (1, 2) at t = log 3; here group 0 keeps more than it
+    # needs while group 1 sits below, and group 0 could give power away.
+    problem = FairProblem([[LogCapacity(1, 2, 1)], [LogCapacity(1, 1, 1)]], 3.0)
+    from waterline import FairSolution
+    greedy = FairSolution(
+        powers=[[1.5], [1.5]], water_levels=[None, None],
+        group_totals=[1.5, 1.5],
+        group_utilities=[math.log(4.0), math.log(2.5)],
+        t=math.log(2.5), active_sets=[[0], [0]], iterations=1,
+        status="optimal")
+    report = check_conditions(problem, greedy, tolerance=1e-6)
+    assert not report.passed
+    assert report.residuals["utility_spread"] > 0.1
+    # Claiming no active channels does not exempt a group from t.
+    greedy.active_sets = [[], []]
+    report = check_conditions(problem, greedy, tolerance=1e-6)
+    assert report.residuals["utility_spread"] > 0.1
+    # With room for every channel at its upper bound, stopping short of it
+    # leaves power unspent.
+    boxed = FairProblem([[LogCapacity(1, 1, 1)], [LogCapacity(1, 1, 1)]], 5.0,
+                        upper_bounds=[[1.0], [1.0]])
+    short = FairSolution(
+        powers=[[0.5], [0.5]], water_levels=[None, None],
+        group_totals=[0.5, 0.5], group_utilities=[math.log(1.5)] * 2,
+        t=math.log(1.5), active_sets=[[0], [0]], iterations=1,
+        status="feasible")
+    report = check_conditions(boxed, short, tolerance=1e-6)
+    assert report.residuals["power_residual"] == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("case", ["floor", "capped", "all_upper"])
+def test_conditions_accept_groups_above_t_that_cannot_give_way(case):
+    one = LogCapacity(1, 1, 1)
+    if case == "floor":
+        # log(1 + p) >= 0 > -1/(1 + p): group 0 meets t at its minimum budget.
+        problem = FairProblem([[one], [InverseMse(1, 1, 1)]], 2.0,
+                              mode="cluster_maxmin")
+    elif case == "capped":
+        # Group 2 is saturated at its upper bound, so t cannot rise past its
+        # utility and the budget it cannot take goes to the other groups.
+        problem = FairProblem([[one] * 3, [one] * 2, [one]], 6.0,
+                              upper_bounds=[[None] * 3, [None] * 2, [0.5]])
+    else:
+        # Every upper bound fits in the budget: all channels sit at tau.
+        problem = FairProblem([[one] * 3, [one]], 4.0,
+                              upper_bounds=[[0.5] * 3, [0.5]])
+    sol = solve_fair(problem)
+    assert max(sol.group_utilities) > sol.t + 0.1
+    report = check_conditions(problem, sol, tolerance=1e-8)
+    assert report.passed, report.residuals
