@@ -36,12 +36,12 @@ from .problems import Allocation, KktReport, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
 # Homogeneous families whose P1.1 water_fill solves by the sorted search.
-_SORTED_FAMILIES = ("log_capacity", "inverse_mse")
+SORTED_FAMILIES = ("log_capacity", "inverse_mse")
 
 
 def _closed_form_mu(channels: Channels, budget: float) -> float | None:
     """Closed-form water level for homogeneous closed-form families."""
-    if channels.family not in _SORTED_FAMILIES:
+    if channels.family not in SORTED_FAMILIES:
         return None
     denom = budget + (channels.b / channels.a).sum()
     if denom <= 0:
@@ -102,34 +102,45 @@ def _water_level_and_powers(channels: Channels, budget: float,
     if mu_lo == mu_hi:
         return mu_lo, channels.demand(mu_lo, hints)
 
-    # Illinois-damped regula falsi on the bracket.
+    mu = illinois_root(h, mu_lo, mu_hi, h_lo, h_hi, tol, cfg.mu_tolerance * 1e-4)
+    return mu, channels.demand(mu, hints)
+
+
+def illinois_root(h, lo: float, hi: float, h_lo: float, h_hi: float,
+                  tol: float, rtol: float) -> float:
+    """Root of a decreasing residual ``h`` by Illinois-damped regula falsi.
+
+    ``[lo, hi]`` brackets the root with ``h_lo = h(lo) >= 0 >= h(hi) = h_hi``.
+    Stops at the first iterate with ``|h| <= tol`` or once the bracket is no
+    wider than ``rtol * hi``, and returns the last iterate.  An increasing
+    map is passed negated, which leaves every iterate the same.
+    """
     side = 0
-    mu_mid = 0.5 * (mu_lo + mu_hi)
+    mid = 0.5 * (lo + hi)
     for _ in range(200):
         denom = h_hi - h_lo
         if denom == 0:
-            mu_mid = 0.5 * (mu_lo + mu_hi)
+            mid = 0.5 * (lo + hi)
         else:
-            mu_mid = mu_hi - h_hi * (mu_hi - mu_lo) / denom
-            if not (mu_lo < mu_mid < mu_hi):
-                mu_mid = 0.5 * (mu_lo + mu_hi)
-        h_mid = h(mu_mid)
+            mid = hi - h_hi * (hi - lo) / denom
+            if not (lo < mid < hi):
+                mid = 0.5 * (lo + hi)
+        h_mid = h(mid)
         if abs(h_mid) <= tol:
             break
         if h_mid > 0:
-            mu_lo, h_lo = mu_mid, h_mid
+            lo, h_lo = mid, h_mid
             if side == 1:
                 h_hi *= 0.5
             side = 1
         else:
-            mu_hi, h_hi = mu_mid, h_mid
+            hi, h_hi = mid, h_mid
             if side == -1:
                 h_lo *= 0.5
             side = -1
-        if mu_hi - mu_lo <= cfg.mu_tolerance * 1e-4 * mu_hi:
+        if hi - lo <= rtol * hi:
             break
-    mu = mu_mid
-    return mu, channels.demand(mu, hints)
+    return mid
 
 
 def solve_water_level(objectives: Sequence[Objective], budget: float,
@@ -160,7 +171,7 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
     Homogeneous ``log_capacity`` and ``inverse_mse`` banks take the exact
     sorted search, every other family the deactivation loop.
     """
-    if channels.family not in _SORTED_FAMILIES:
+    if channels.family not in SORTED_FAMILIES:
         return deactivation_loop(channels, gamma, budget, cfg)
     floor = float(gamma.sum())
     if floor > budget * (1.0 + 1e-12):

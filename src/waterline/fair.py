@@ -3,17 +3,28 @@
 Three couplings over groups of subchannels sharing one total budget:
 
 * max-min fairness -- maximize the minimum group utility; solved by outer
-  bisection on the common utility target t, with an inner per-group
-  bisection for the water level that attains t at minimum power.
+  bisection on the common utility target t, with an inner per-group solve
+  for the water level that attains t at minimum power.
 * clustered allocation -- each group's utilities depend on the group total
-  through an interference term; solved by equalizing the marginal value of
-  group budget across groups (water level plus the interference partials).
+  through an interference term; solved by bisection on the marginal value
+  of group budget (water level plus the interference partials), with an
+  inner per-group search for the budget at which the marginal meets it.
 * combined -- max-min over clustered groups; outer bisection on t with an
-  inner bisection for the group budget that attains t.
+  inner per-group search for the budget that attains t.
 
 All three rely on monotonicity: group power demand decreases in the water
-level and increases in the target utility, so every loop is a bracketed
-bisection.
+level and increases in the target utility, so every outer loop is a
+bracketed bisection.  The inner solves are exact or bracketed:
+
+* a max-min group's utility is closed form in its water level between the
+  levels where its channels join, so for a homogeneous ``log_capacity`` or
+  ``inverse_mse`` bank the level that reaches t is one table lookup and one
+  formula (:func:`_group_level`); other families bisect on the level
+  (:func:`_group_mu_for_t`);
+* a cluster group's budget map (to its marginal, or to its utility) keeps
+  every point evaluated during the solve, and each new target is solved by
+  Illinois regula falsi inside the tightest stored bracket
+  (:class:`_MonotoneMap`).
 
 Every group runs on :class:`~waterline.objectives.Channels` arrays.  Max-min
 groups are built once per solve and carry a boolean mask of the channels
@@ -29,11 +40,13 @@ validated once, by :class:`~waterline.problems.FairProblem`.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from functools import partial
 
 import numpy as np
 
 from .box import solve_box
-from .core import water_fill
+from .core import SORTED_FAMILIES, illinois_root, water_fill
 from .errors import DomainError, InfeasibleTarget
 from .objectives import Channels, ClusterChannels
 from .problems import (
@@ -41,6 +54,9 @@ from .problems import (
     BoxProblem, FairProblem, FairSolution, SolverConfig)
 
 _DEFAULT_CFG = SolverConfig()
+# Group budgets are searched to a bracket of a few ulp, where the fixed-step
+# bisection they replace ended.
+_ULP_WIDTH = 4.0 * np.finfo(float).eps
 
 
 def _group_state(channels: Channels, gamma, tau, pinned, mu: float | None):
@@ -54,10 +70,14 @@ def _group_state(channels: Channels, gamma, tau, pinned, mu: float | None):
 
 
 def _group_mu_for_t(channels: Channels, gamma, tau, pinned, t: float):
-    """Water level (and allocation) reaching group utility t at least power.
+    """Water level (and allocation) reaching group utility t at least power,
+    by bracketed bisection on the level.
 
     Returns ``(mu, powers, utility, total)``; ``mu`` is None when the group
     already meets t resting at its lower bounds, or has no free channel.
+    This is the path of every group that is not a homogeneous
+    ``log_capacity`` or ``inverse_mse`` bank (see :func:`_group_level`), and
+    the reference the breakpoint table is tested against.
     """
     free = ~pinned
     if not free.any():
@@ -102,6 +122,69 @@ def _group_mu_for_t(channels: Channels, gamma, tau, pinned, t: float):
     return (mu, *_group_state(channels, gamma, tau, pinned, mu))
 
 
+def _group_level(channels: Channels, gamma, tau, pinned):
+    """``t -> (mu, powers, utility, total)`` for one max-min group, as
+    :func:`_group_mu_for_t`.
+
+    A homogeneous ``log_capacity`` or ``inverse_mse`` bank gets a breakpoint
+    table.  As the level falls the free channels join in descending order of
+    their rate at the lower bound, and between two joins the utility is
+    closed form in the level: with m channels active it is
+    ``pin + F_m + C_m - W_m*log(mu)`` (log: ``W`` and ``C`` are prefix sums
+    of w and w*log(a*w)) or ``pin + F_m - V_m*sqrt(mu)`` (inverse MSE: ``V``
+    is the prefix sum of sqrt(w/a)), where ``F_m`` sums the floor utilities
+    of the channels not yet active and ``pin`` those of the pinned channels
+    at tau.  The utilities at the joins are increasing, so a target's active
+    set is one ``searchsorted`` and its level one formula.  A channel with
+    an infinite rate (b = 0, gamma = 0) sorts first and is always active.
+    Every other group keeps the bisection.
+    """
+    if channels.family not in SORTED_FAMILIES or pinned.all():
+        return partial(_group_mu_for_t, channels, gamma, tau, pinned)
+    pin = pinned.nonzero()[0]
+    pin_util = float(channels.take(pin).eval(tau[pin]).sum()) if pin.size else 0.0
+    free = (~pinned).nonzero()[0]
+    rate = channels.rate(gamma)[free]
+    by_rate = np.argsort(-rate, kind="stable")
+    order, rate = free[by_rate], rate[by_rate]
+    n_inf = int(np.count_nonzero(~np.isfinite(rate)))
+    f_floor = np.zeros(len(order))
+    f_floor[n_inf:] = channels.take(order[n_inf:]).eval(gamma[order[n_inf:]])
+    # F[m] sums the floor utilities of the channels from m on.
+    F = np.append(np.cumsum(f_floor[::-1])[::-1], 0.0) + pin_util
+    log = channels.family == "log_capacity"
+    w, a = channels.w[order], channels.a[order]
+    with np.errstate(invalid="ignore"):  # 0 * inf on the infinite rates
+        if log:
+            W = np.concatenate(([0.0], np.cumsum(w)))
+            C = np.concatenate(([0.0], np.cumsum(w * np.log(a * w))))
+            joins = F[:-1] + C[:-1] - W[:-1] * np.log(rate)
+        else:
+            V = np.concatenate(([0.0], np.cumsum(np.sqrt(w / a))))
+            joins = F[:-1] - V[:-1] * np.sqrt(rate)
+    joins[:n_inf] = -math.inf
+    first = max(n_inf, 1)
+    floor = None if n_inf else \
+        float(channels.eval(np.where(pinned, tau, gamma)).sum())
+
+    def level(t: float):
+        if floor is not None and floor >= t:
+            return (None, *_group_state(channels, gamma, tau, pinned, None))
+        m = max(int(np.searchsorted(joins, t)), first)
+        if log:
+            mu = math.exp((F[m] + C[m] - t) / W[m])
+        else:
+            root = (F[m] - t) / V[m]
+            if root <= 0:
+                raise InfeasibleTarget(
+                    f"group utility target {t} unreachable at any power")
+            mu = root * root
+        if not 0.0 < mu < math.inf:  # the level over- or underflows
+            return _group_mu_for_t(channels, gamma, tau, pinned, t)
+        return (mu, *_group_state(channels, gamma, tau, pinned, mu))
+    return level
+
+
 def _maxmin_engine(chans, budget, gammas, taus, pinned, cfg,
                    t_cap: float | None = None):
     """Outer bisection on the common utility target t.
@@ -135,9 +218,11 @@ def _maxmin_engine(chans, budget, gammas, taus, pinned, cfg,
     if t_cap is not None:
         t_hi = min(t_hi, t_cap)
 
+    levels = [_group_level(chans[j], gammas[j], taus[j], pinned[j])
+              for j in range(n_groups)]
+
     def demand(t_val: float):
-        states = [list(_group_mu_for_t(chans[j], gammas[j], taus[j], pinned[j], t_val))
-                  for j in range(n_groups)]
+        states = [list(level(t_val)) for level in levels]
         return states, sum(s[3] for s in states)
 
     states_hi, d_hi = demand(t_hi)
@@ -291,6 +376,54 @@ def solve_maxmin_boxed(problem: FairProblem,
     return _build_solution(problem, t, states, pinned, iterations)
 
 
+class _MonotoneMap:
+    """One group's monotone map ``x -> f(x)``, with every point evaluated
+    during a solve kept, sorted by x.
+
+    :meth:`root` finds ``f(x) = y`` by Illinois regula falsi inside the
+    tightest bracket among the stored points, to a bracket of a few ulp or an
+    exact hit.  The bracket is chosen by the sign of ``f - y``, so
+    rounding-level non-monotonicity cannot break it.
+    """
+
+    __slots__ = ("fn", "sign", "xs", "fs")
+
+    def __init__(self, fn, increasing: bool):
+        self.fn = fn
+        self.sign = -1.0 if increasing else 1.0
+        self.xs: list[float] = []
+        self.fs: list[float] = []
+
+    def __call__(self, x: float) -> float:
+        i = bisect_left(self.xs, x)
+        if i < len(self.xs) and self.xs[i] == x:
+            return self.fs[i]
+        fx = self.fn(x)
+        self.xs.insert(i, x)
+        self.fs.insert(i, fx)
+        return fx
+
+    def root(self, y: float) -> float:
+        """x with ``f(x) = y``; the smallest and the largest stored x must
+        lie on either side of it (``f < y`` first for an increasing map)."""
+        sign, fs = self.sign, self.fs
+        lo, hi = 0, len(fs) - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if sign * (fs[mid] - y) > 0:
+                lo = mid
+            else:
+                hi = mid
+        x_lo, x_hi = self.xs[lo], self.xs[hi]
+        h_hi = sign * (fs[hi] - y)
+        if h_hi == 0:
+            return x_hi
+        if x_hi - x_lo <= _ULP_WIDTH * x_hi:
+            return 0.5 * (x_lo + x_hi)
+        return illinois_root(lambda x: sign * (self(x) - y), x_lo, x_hi,
+                             sign * (fs[lo] - y), h_hi, 0.0, _ULP_WIDTH)
+
+
 def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
     """``(clusters, gammas, solve_group)`` for a cluster-mode problem, where
     ``solve_group(j, b)`` solves group j bound to the group budget ``b``."""
@@ -332,30 +465,31 @@ def solve_cluster(problem: FairProblem,
             pos += len(group)
         return finish(totals, alloc.iterations)
 
+    floors = [float(gamma.sum()) for gamma in gammas]
+    total_floor = sum(floors)
     b_min = 1e-9 * budget / n_groups
+    lows = [floor + b_min for floor in floors]
 
     def marginal(j: int, group_budget: float) -> float:
         """d(group utility)/d(group budget): water level + interference drag."""
         alloc = solve_group(j, group_budget)
-        mu = alloc.water_level if alloc.water_level is not None else 0.0
+        mu = alloc.water_level
+        if mu is None:  # at the floor: the level where the first channel joins
+            mu = float(clusters[j].bind(group_budget).rate(gammas[j]).max())
         return mu + clusters[j].drag(alloc.powers, group_budget)
 
-    def budget_at(j: int, nu: float) -> float:
-        if marginal(j, budget) >= nu:
-            return budget
-        if marginal(j, b_min) <= nu:
-            return b_min
-        lo, hi = b_min, budget
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if marginal(j, mid) > nu:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    marginals = [_MonotoneMap(partial(marginal, j), increasing=False)
+                 for j in range(n_groups)]
 
-    nu_lo = min(marginal(j, budget) for j in range(n_groups))
-    nu_hi = max(marginal(j, b_min) for j in range(n_groups))
+    def budget_at(j: int, nu: float) -> float:
+        if marginals[j](budget) >= nu:
+            return budget
+        if marginals[j](lows[j]) <= nu:
+            return lows[j]
+        return marginals[j].root(nu)
+
+    nu_lo = min(marginals[j](budget) for j in range(n_groups))
+    nu_hi = max(marginals[j](lows[j]) for j in range(n_groups))
     totals = [budget / n_groups] * n_groups
     iterations = 0
     for _ in range(100):
@@ -371,8 +505,10 @@ def solve_cluster(problem: FairProblem,
             nu_hi = nu
         if nu_hi - nu_lo <= 1e-14 * (1.0 + abs(nu_hi)):
             break
-    scale = budget / sum(totals)
-    return finish([b * scale for b in totals], iterations)
+    # Spread the residual over the budget above the floors.
+    scale = (budget - total_floor) / (sum(totals) - total_floor)
+    return finish([floor + (b - floor) * scale for floor, b in zip(floors, totals)],
+                  iterations)
 
 
 def solve_cluster_maxmin(problem: FairProblem,
@@ -382,30 +518,28 @@ def solve_cluster_maxmin(problem: FairProblem,
         raise DomainError(
             f"solve_cluster_maxmin requires cluster_maxmin mode, got {problem.mode!r}")
     budget, n_groups = problem.budget, problem.n_groups
-    _, gammas, solve_group = _cluster_solver(problem, cfg)
+    clusters, gammas, solve_group = _cluster_solver(problem, cfg)
     floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
-    b_min = 1e-9 * budget / n_groups
 
     def utility(j: int, group_budget: float) -> float:
-        return solve_group(j, group_budget).objective_value
+        channels = clusters[j].bind(group_budget)
+        if group_budget <= floors[j] and \
+                not np.isfinite(channels.rate(gammas[j])).all():
+            return -math.inf  # a channel with b = 0 rests at a zero floor
+        return water_fill(channels, gammas[j], group_budget, cfg).objective_value
+
+    utilities = [_MonotoneMap(partial(utility, j), increasing=True)
+                 for j in range(n_groups)]
 
     def budget_for_t(j: int, t_val: float) -> float:
-        lo = floors[j] + b_min
-        if utility(j, lo) >= t_val:
-            return lo
-        if utility(j, budget) <= t_val:
+        if utilities[j](floors[j]) >= t_val:
+            return floors[j]
+        if utilities[j](budget) <= t_val:
             return budget
-        hi = budget
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if utility(j, mid) < t_val:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return utilities[j].root(t_val)
 
-    t_hi = min(utility(j, budget - (total_floor - floors[j]))
+    t_hi = min(utilities[j](budget - (total_floor - floors[j]))
                for j in range(n_groups))
     totals = [budget_for_t(j, t_hi) for j in range(n_groups)]
     iterations = 1

@@ -7,10 +7,10 @@ import pytest
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves
-    pass
+    settings = None
 else:
     settings.register_profile("short", max_examples=50, deadline=None, derandomize=True)
-    settings.load_profile("short")
+    settings.register_profile("long", max_examples=500, deadline=None)
 
 from waterline import (
     AfRelay, AscendingProblem, BoxProblem, InverseMse, LogCapacity,
@@ -72,6 +72,12 @@ def random_ascending(family: str, rng: random.Random, k: int) -> AscendingProble
         prefixes.append(running_gamma + slack)
     return AscendingProblem([make_objective(family, rng) for _ in range(k)],
                             prefixes, lower, upper)
+
+
+def pytest_configure(config):
+    # The short, derandomized profile unless --hypothesis-profile names another.
+    if settings is not None and not config.getoption("--hypothesis-profile", None):
+        settings.load_profile("short")
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -273,3 +274,152 @@ def test_conditions_accept_groups_above_t_that_cannot_give_way(case):
     assert max(sol.group_utilities) > sol.t + 0.1
     report = check_conditions(problem, sol, tolerance=1e-8)
     assert report.passed, report.residuals
+
+
+def test_cluster_maxmin_group_meeting_t_at_its_floor_rests_there():
+    # log(1 + p) >= 0 > -1/(1 + p): group 0 needs no power to reach t.
+    problem = FairProblem([[LogCapacity(1, 1, 1)], [InverseMse(1, 1, 1)]], 2.0,
+                          mode="cluster_maxmin")
+    sol = solve_cluster_maxmin(problem)
+    assert sol.powers[0] == [0.0]
+    assert sol.active_sets[0] == []
+    report = check_conditions(problem, sol, tolerance=1e-8)
+    assert report.passed, report.residuals
+
+
+def test_cluster_group_with_a_large_floor_gets_budget_above_it():
+    # Group 0's floor exceeds its share of the budget.  Its marginal value of
+    # budget at the floor is the rate at which its channel joins, not 0, so
+    # it receives more than the floor.
+    problem = FairProblem([[ClusterLogCapacity(1, 10, 0.1, 1)],
+                           [ClusterLogCapacity(1, 0.5, 0.1, 1)]], 4.0,
+                          mode="cluster", lower_bounds=[[2.5], [0.0]])
+    sol = solve_cluster(problem)
+    assert sol.powers[0][0] > 2.8
+    assert sum(sol.group_utilities) == pytest.approx(
+        grid_search(problem).objective_value, abs=1e-6)
+    report = check_conditions(problem, sol, tolerance=1e-8)
+    assert report.passed, report.residuals
+
+
+def test_cluster_group_resting_at_its_floor_stays_feasible():
+    # Group 0 rests just above a floor larger than its share of the budget;
+    # spreading the bisection's residual over the whole totals would push it
+    # below the floor.
+    problem = FairProblem([[ClusterLogCapacity(1, 0.113, 0.1, 1)],
+                           [ClusterLogCapacity(1, 6.17, 0.05, 1),
+                            ClusterLogCapacity(1, 2.95, 0.12, 1)]], 5.75,
+                          mode="cluster", lower_bounds=[[4.7], [0.0, 0.0]])
+    sol = solve_cluster(problem)
+    assert sol.powers[0][0] >= 4.7
+    assert sum(sol.group_totals) == pytest.approx(5.75, rel=1e-12)
+    report = check_conditions(problem, sol, tolerance=1e-8)
+    assert report.passed, report.residuals
+
+
+def _random_maxmin_group(rng: random.Random):
+    """A log_capacity or inverse_mse group with zero-b channels at zero
+    floors, lower bounds and channels pinned at their upper bound."""
+    cls = rng.choice([LogCapacity, InverseMse])
+    objs, gamma, tau, pinned = [], [], [], []
+    for _ in range(rng.randint(1, 40)):
+        b = 0.0 if rng.random() < 0.15 else rng.uniform(0.05, 2)
+        g = 0.0 if b == 0.0 or rng.random() < 0.4 else rng.uniform(0, 1)
+        pin = rng.random() < 0.2
+        objs.append(cls(rng.uniform(0.2, 5), rng.uniform(0.2, 5), b))
+        gamma.append(g)
+        tau.append(g + rng.uniform(0.1, 2) if pin else math.inf)
+        pinned.append(pin)
+    return Channels(objs), np.array(gamma), np.array(tau), np.array(pinned)
+
+
+def test_exact_group_level_matches_bisection():
+    from waterline import InfeasibleTarget
+    from waterline.fair import _group_level, _group_mu_for_t, _group_state
+    rng = random.Random(23)
+    outcomes = {"level": 0, "floor": 0, "unreachable": 0}
+    for _ in range(120):
+        channels, gamma, tau, pinned = _random_maxmin_group(rng)
+        level = _group_level(channels, gamma, tau, pinned)
+        rates = channels.rate(gamma)[~pinned]
+        finite = rates[np.isfinite(rates)]
+        lo, hi = (1e-2 * finite.min(), 2 * finite.max()) if finite.size else (1e-2, 2)
+        targets = [_group_state(channels, gamma, tau, pinned,
+                                math.exp(rng.uniform(math.log(lo), math.log(hi))))[1]
+                   for _ in range(3)]
+        if finite.size == rates.size:  # else the floor utility is -inf
+            targets.append(_group_state(channels, gamma, tau, pinned, None)[1]
+                           - rng.uniform(0, 1))
+        if channels.family == "log_capacity":
+            targets.append(1e6)
+        else:  # the utility stays below its value at mu -> 0
+            targets.append(_group_state(channels, gamma, tau, pinned, 1e-300)[1]
+                           + rng.uniform(0.01, 1))
+        for t in targets:
+            results = []
+            for solve in (level, partial(_group_mu_for_t, channels, gamma, tau, pinned)):
+                try:
+                    results.append(solve(t)[0])
+                except InfeasibleTarget:
+                    results.append(InfeasibleTarget)
+            exact, reference = results
+            if reference is InfeasibleTarget or reference is None:
+                assert exact is reference
+                outcomes["unreachable" if exact else "floor"] += 1
+            else:
+                assert exact == pytest.approx(reference, rel=1e-12, abs=0)
+                outcomes["level"] += 1
+    assert min(outcomes.values()) > 20, outcomes
+
+
+def _fixed_step_bisection(f, lo, hi, y, steps, increasing):
+    """The group-budget search the memoised one replaced: ``steps`` halvings."""
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if (f(mid) < y) if increasing else (f(mid) > y):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind", ["utility", "marginal"])
+def test_memoised_budget_search_matches_bisection(kind):
+    from waterline.core import water_fill
+    from waterline.fair import _MonotoneMap
+    rng = random.Random(29)
+    cluster = ClusterChannels([ClusterLogCapacity(1.0, rng.expovariate(1.0) + 1e-3,
+                                                  0.05, 1.0) for _ in range(16)])
+    gamma, budget = np.zeros(16), 64.0
+    calls = {"bisection": 0, "memo": 0}
+
+    def group_map(b):
+        alloc = water_fill(cluster.bind(b), gamma, b)
+        if kind == "utility":
+            return alloc.objective_value
+        return alloc.water_level + cluster.drag(alloc.powers, b)
+
+    def counted(name):
+        def f(b):
+            calls[name] += 1
+            return group_map(b)
+        return f
+
+    increasing = kind == "utility"
+    steps = 100 if increasing else 80
+    lo, hi = 1e-9 * budget / 4, budget
+    memo = _MonotoneMap(counted("memo"), increasing)
+    memo(lo), memo(hi)
+    # Targets as the outer bisection produces them, homing in on f(0.3 * budget).
+    y_lo, y_hi = sorted((group_map(lo), group_map(hi)))
+    goal = group_map(0.3 * budget)
+    for _ in range(40):
+        y = 0.5 * (y_lo + y_hi)
+        reference = _fixed_step_bisection(counted("bisection"), lo, hi, y, steps,
+                                          increasing)
+        assert memo.root(y) == pytest.approx(reference, rel=1e-12, abs=0)
+        if y < goal:
+            y_lo = y
+        else:
+            y_hi = y
+    assert calls["memo"] < calls["bisection"] / 5, calls

@@ -32,10 +32,18 @@ def fair_problems(draw):
               for _ in range(draw(st.integers(2, 3)))]
     k = sum(len(g) for g in groups)
     budget = k * draw(st.floats(0.5, 3.0))
+    # Lower bounds use at most 90% of the budget between them.
+    lower = [[0.0] * len(g) for g in groups]
+    if draw(st.booleans()):
+        lower = [[draw(st.floats(0.0, 0.9)) * budget / k for _ in g] for g in groups]
     upper = None
     if mode == "maxmin" and draw(st.booleans()):
-        upper = [[draw(st.sampled_from([None, 0.5, 1.0, 3.0])) for _ in g] for g in groups]
-    return FairProblem(groups, budget, mode=mode, upper_bounds=upper)
+        upper = [[None if u is None else lo + u
+                  for lo, u in zip(row, (draw(st.sampled_from([None, 0.5, 1.0, 3.0]))
+                                         for _ in row))]
+                 for row in lower]
+    return FairProblem(groups, budget, mode=mode, lower_bounds=lower,
+                       upper_bounds=upper)
 
 
 @given(fair_problems())
