@@ -15,10 +15,12 @@ Strategies (selected through ``SolverConfig.box_strategy``):
   so the test is monotone in the case index.  This is the exact sort-based
   breakpoint search of Palomar & Fonollosa (IEEE TSP 2005), O(K log K).
 
-Demands, rates and utilities go through :class:`~waterline.objectives.Channels`:
-numpy arrays when every channel is ``log_capacity``, ``inverse_mse`` or
-``af_relay`` (mixed or not), the objects' own methods for ``sum_log``,
-``sum_inverse_mse`` and custom objectives.
+Each strategy is set logic over index masks of one
+:class:`~waterline.objectives.Channels` set and its bound arrays, built once
+by :func:`_box_strategy`; demands, rates and utilities are numpy arrays when
+every channel is ``log_capacity``, ``inverse_mse`` or ``af_relay`` (mixed or
+not), the objects' own methods for ``sum_log``, ``sum_inverse_mse`` and
+custom objectives.
 
 All four return identical allocations up to numeric tolerance; the
 cross-strategy agreement is part of the acceptance suite.
@@ -26,37 +28,18 @@ cross-strategy agreement is part of the acceptance suite.
 
 from __future__ import annotations
 
-import math
+import functools
+from typing import Sequence
 
 import numpy as np
 
 from .core import _water_level_and_powers, water_fill
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .errors import InfeasibleBudget
-from .objectives import Channels, Objective
-from .problems import Allocation, BoxProblem, KktReport, SolverConfig
+from .objectives import Channels
+from .problems import Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
-
-
-def _slack_budget_allocation(problem: BoxProblem) -> Allocation | None:
-    """All-upper allocation when the budget exceeds the sum of upper bounds."""
-    if any(math.isinf(t) for t in problem.upper_bounds):
-        return None
-    total_upper = sum(problem.upper_bounds)
-    if total_upper > problem.budget:
-        return None
-    powers = list(problem.upper_bounds)
-    objective = sum(o.eval(p) for o, p in zip(problem.objectives, powers))
-    return Allocation(
-        powers=powers, water_level=None, active_set=[],
-        lower_set=[], upper_set=list(range(problem.n)),
-        iterations=1, objective_value=objective, status="feasible")
-
-
-def _check_feasible(problem: BoxProblem) -> None:
-    if sum(problem.lower_bounds) > problem.budget * (1.0 + 1e-12):
-        raise InfeasibleBudget("sum of lower bounds exceeds budget")
 
 
 def _classify(powers: np.ndarray, gamma: np.ndarray, tau: np.ndarray):
@@ -95,16 +78,30 @@ def _finish(problem: BoxProblem, channels: Channels, powers, mu, iterations,
         water_levels=water_levels or [])
 
 
-def solve_box_set_a(problem: BoxProblem,
-                    cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
+def _box_strategy(body):
+    """The public strategy ``(problem, cfg)`` around
+    ``body(problem, cfg, channels, gamma, tau)``.
+
+    Builds the channels and the bound arrays once.  When every upper bound is
+    finite and their sum fits the budget, the all-upper allocation is the
+    answer and ``body`` does not run.
+    """
+    @functools.wraps(body)
+    def strategy(problem: BoxProblem,
+                 cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
+        channels = Channels(problem.objectives)
+        gamma = np.array(problem.lower_bounds, dtype=float)
+        tau = np.array(problem.upper_bounds, dtype=float)
+        if np.isfinite(tau).all() and float(tau.sum()) <= problem.budget:
+            return _finish(problem, channels, tau, None, 1, status="feasible")
+        return body(problem, cfg, channels, gamma, tau)
+    return strategy
+
+
+@_box_strategy
+def solve_box_set_a(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
+                    gamma: np.ndarray, tau: np.ndarray) -> Allocation:
     """Algorithm built on the lower-bound solver with upper-bound clamping."""
-    _check_feasible(problem)
-    slack = _slack_budget_allocation(problem)
-    if slack is not None:
-        return slack
-    channels = Channels(problem.objectives)
-    gamma = np.array(problem.lower_bounds, dtype=float)
-    tau = np.array(problem.upper_bounds, dtype=float)
     remaining = np.arange(problem.n)
     powers = np.zeros(problem.n)
     budget = problem.budget
@@ -126,85 +123,82 @@ def solve_box_set_a(problem: BoxProblem,
     return _finish(problem, channels, powers, mu, calls)
 
 
-def solve_box_set_b(problem: BoxProblem,
-                    cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
-    """Balanced dual-index solver; falls back to set_a on oscillation."""
-    _check_feasible(problem)
-    slack = _slack_budget_allocation(problem)
-    if slack is not None:
-        return slack
-    k = problem.n
-    channels = Channels(problem.objectives)
-    gamma, tau = problem.lower_bounds, problem.upper_bounds
-    idx_low = [True] * k   # True while the lower bound is not pinned
-    idx_up = [True] * k    # True while the upper bound is not pinned
-    powers = [0.0] * k
+@_box_strategy
+def solve_box_set_b(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
+                    gamma: np.ndarray, tau: np.ndarray) -> Allocation:
+    """Balanced dual-index solver; falls back to set_a on oscillation.
+
+    Every channel is free, pinned at gamma or pinned at tau: the masks
+    ``at_gamma`` and ``at_tau`` never overlap.  Only free channels can
+    violate a bound.
+    """
+    budget = problem.budget
+    at_gamma = np.zeros(problem.n, dtype=bool)
+    at_tau = np.zeros(problem.n, dtype=bool)
+    powers = gamma.copy()
+    near_gamma = gamma + 1e-12 * (1.0 + gamma)
     mu: float | None = None
-    tol = 1e-12
 
     def recompute():
+        """Water-fill the free channels with the budget the pinned ones leave."""
         nonlocal mu
-        active = [i for i in range(k) if idx_low[i] and idx_up[i]]
-        fixed = sum(gamma[i] for i in range(k) if not idx_low[i]) + \
-            sum(tau[i] for i in range(k) if not idx_up[i])
-        remaining = problem.budget - fixed
-        if not active:
+        free = ~(at_gamma | at_tau)
+        if not free.any():
             return
-        if remaining <= cfg.power_tolerance * problem.budget:
-            for i in active:
-                powers[i] = gamma[i]
-                idx_low[i] = False
+        # Summed left to right: the violation tests compare powers with the
+        # bounds to the last bit, so the rounding of this sum can change
+        # which channels pin next.
+        remaining = budget - (sum(gamma[at_gamma].tolist()) + sum(tau[at_tau].tolist()))
+        if remaining <= cfg.power_tolerance * budget:
+            powers[free] = gamma[free]
+            at_gamma[free] = True
             return
-        mu_val, act_powers = _water_level_and_powers(
-            channels.take(active), remaining, cfg, scale=problem.budget)
-        mu = mu_val
-        for i, p in zip(active, act_powers.tolist()):
-            powers[i] = p
+        index = free.nonzero()[0]
+        mu, powers[index] = _water_level_and_powers(
+            channels.take(index), remaining, cfg, scale=budget)
 
-    for i in range(k):
-        powers[i] = gamma[i]
     recompute()
     rounds = 0
-    cap = cfg.outer_cap(k)
+    cap = cfg.outer_cap(problem.n)
     while True:
-        lower_viol = [i for i in range(k)
-                      if idx_low[i] and idx_up[i] and powers[i] <= gamma[i] + tol * (1 + gamma[i])]
-        upper_viol = [i for i in range(k)
-                      if idx_up[i] and math.isfinite(tau[i]) and powers[i] >= tau[i]]
-        if not lower_viol and not upper_viol:
+        free = ~(at_gamma | at_tau)
+        lower_viol = free & (powers <= near_gamma)
+        upper_viol = free & (powers >= tau)
+        if not (lower_viol.any() or upper_viol.any()):
             break
         rounds += 1
         if rounds > cap:
             # Oscillation guard: the reset in the upper branch is not proven
             # cycle-free, so hand the instance to the sequential strategy.
             return solve_box_set_a(problem, cfg)
-        if lower_viol:
-            for i in lower_viol:
-                idx_low[i] = False
-                powers[i] = gamma[i]
-            recompute()
-            continue
-        for i in upper_viol:
-            idx_up[i] = False
-            powers[i] = tau[i]
-        for i in range(k):
-            if idx_up[i]:
-                idx_low[i] = True
+        if lower_viol.any():
+            at_gamma |= lower_viol
+            powers[lower_viol] = gamma[lower_viol]
+        else:
+            # Pin the upper violations and release every lower pin.
+            at_tau |= upper_viol
+            powers[upper_viol] = tau[upper_viol]
+            at_gamma[:] = False
         recompute()
     return _finish(problem, channels, powers, mu, max(rounds, 1))
 
 
-def solve_box_bisect(problem: BoxProblem,
-                     cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
+def _rate_inside(channels: Channels, powers: np.ndarray) -> np.ndarray:
+    """Rates at ``powers`` moved up to each channel's domain edge; where the
+    rate there is infinite (a log argument of 0), the rate 1e-12 inside."""
+    if not channels.closed_form:  # the bank families' domains start at 0
+        powers = np.maximum(powers, [obj.domain_min() for obj in channels.objectives])
+    rates = channels.rate(powers)
+    edge = np.isinf(rates).nonzero()[0]
+    if edge.size:
+        rates[edge] = channels.take(edge).rate(powers[edge] + 1e-12)
+    return rates
+
+
+@_box_strategy
+def solve_box_bisect(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
+                     gamma: np.ndarray, tau: np.ndarray) -> Allocation:
     """Outer bisection on the water level with per-channel clamping."""
-    _check_feasible(problem)
-    slack = _slack_budget_allocation(problem)
-    if slack is not None:
-        return slack
-    channels = Channels(problem.objectives)
-    objs = channels.objectives
-    gamma = np.array(problem.lower_bounds, dtype=float)
-    tau = np.array(problem.upper_bounds, dtype=float)
     budget = problem.budget
     sigma = 1e-4 * cfg.power_tolerance * budget
 
@@ -212,20 +206,12 @@ def solve_box_bisect(problem: BoxProblem,
         powers = _clamped_demand(channels, mu_val, gamma, tau)
         return powers, float(powers.sum())
 
-    def rate_at(obj: Objective, p: float) -> float:
-        edge = obj.domain_min()
-        r = obj.rate(max(p, edge))
-        if math.isinf(r):
-            r = obj.rate(max(p, edge) + 1e-12)
-        return r
-
-    mu_max = max(rate_at(obj, g) for obj, g in zip(objs, problem.lower_bounds))
-    finite_tau_rates = [rate_at(obj, t) for obj, t in zip(objs, problem.upper_bounds)
-                        if math.isfinite(t)]
-    if finite_tau_rates:
-        mu_min = min(finite_tau_rates)
+    mu_max = float(_rate_inside(channels, gamma).max())
+    finite = np.isfinite(tau).nonzero()[0]
+    if finite.size:
+        mu_min = float(_rate_inside(channels.take(finite), tau[finite]).min())
     else:
-        mu_min = min(rate_at(obj, budget) for obj in objs)
+        mu_min = float(_rate_inside(channels, np.full(problem.n, budget)).min())
     # Force a valid bracket in case the initial guesses do not straddle P.
     for _ in range(200):
         if clamped_total(mu_min)[1] >= budget:
@@ -255,18 +241,11 @@ def solve_box_bisect(problem: BoxProblem,
                    status=status)
 
 
-def solve_box_ordered(problem: BoxProblem,
-                      cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
+@_box_strategy
+def solve_box_ordered(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
+                      gamma: np.ndarray, tau: np.ndarray) -> Allocation:
     """Order-based search over candidate upper-bound sets."""
-    _check_feasible(problem)
-    slack = _slack_budget_allocation(problem)
-    if slack is not None:
-        return slack
     k = problem.n
-    channels = Channels(problem.objectives)
-    gamma = np.array(problem.lower_bounds, dtype=float)
-    tau = np.array(problem.upper_bounds, dtype=float)
-
     finite = np.flatnonzero(np.isfinite(tau))
     tau_rate = np.zeros(k)
     tau_rate[finite] = channels.take(finite).rate(tau[finite])
@@ -357,3 +336,13 @@ def kkt_residual_box(problem: BoxProblem,
     residuals["bounds_violation"] = float(max(
         0.0, (gamma - powers).max(), (powers - tau).max()))
     return KktReport(residuals=residuals, tolerance=tolerance)
+
+
+def kkt_residual_p1(problem: SimplexProblem,
+                    allocation: Allocation | Sequence[float],
+                    tolerance: float = 1e-8) -> KktReport:
+    """Residuals of the P1/P1.1 conditions: P1.1 is the box with no upper
+    bounds, so these are :func:`kkt_residual_box`'s."""
+    return kkt_residual_box(
+        BoxProblem(problem.objectives, problem.budget, problem.lower_bounds),
+        allocation, tolerance)

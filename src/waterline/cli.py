@@ -7,7 +7,6 @@ is accepted.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
 import math
@@ -258,13 +257,12 @@ def _sweep_point(spec: ScenarioSpec, realization: int, cfg: SolverConfig):
 @click.option("--realizations", type=int, default=100)
 @click.option("--seed", type=int, default=0)
 @click.option("--strategy", type=click.Choice(BOX_STRATEGIES), default="order")
-@click.option("--jobs", type=int, default=1, help="Concurrent realizations.")
 @click.option("--out", type=click.Path(), default=None,
               help="Write the CSV here instead of stdout.")
 @click.option("--dump", type=click.Path(), default=None,
               help="Write one realization's full allocation as JSON here.")
 def cmd_sweep(antennas, taps, decay, subcarriers, snr_list, gamma, tau,
-              realizations, seed, strategy, jobs, out, dump):
+              realizations, seed, strategy, out, dump):
     """Mean MSE versus SNR over many channel realizations."""
     try:
         snrs = [float(s) for s in snr_list.split(",") if s.strip()]
@@ -286,23 +284,12 @@ def cmd_sweep(antennas, taps, decay, subcarriers, snr_list, gamma, tau,
         except ValueError as exc:
             _fail(1, str(exc))
         values, bound_hits, errors = [], 0, 0
-
-        def solve_one(r, spec=spec):
+        for r in range(realizations):
             try:
-                return _sweep_point(spec, r, cfg)
+                mean_mse, at_bound, alloc, problem = _sweep_point(spec, r, cfg)
             except WaterlineError:
-                return None
-
-        if jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(solve_one, range(realizations)))
-        else:
-            results = [solve_one(r) for r in range(realizations)]
-        for r, res in enumerate(results):
-            if res is None:
                 errors += 1
                 continue
-            mean_mse, at_bound, alloc, problem = res
             values.append(mean_mse)
             bound_hits += at_bound
             if dump and r == 0 and snr == snrs[-1]:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BracketFailure, DomainError, InfeasibleBudget
 from .objectives import Channels, Objective
-from .problems import Allocation, KktReport, SimplexProblem, SolverConfig
+from .problems import Allocation, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
 # Homogeneous families whose P1.1 water_fill solves by the sorted search.
@@ -277,29 +277,3 @@ def solve_p1(problem: SimplexProblem,
                           "use solve_p1_lower")
     return solve_p1_lower(problem, cfg)
 
-
-def kkt_residual_p1(problem: SimplexProblem,
-                    allocation: Allocation | Sequence[float],
-                    tolerance: float = 1e-8) -> KktReport:
-    """Residuals of the three equal-rate optimality conditions for P1/P1.1."""
-    powers = list(allocation.powers) if isinstance(allocation, Allocation) \
-        else [float(p) for p in allocation]
-    objs = list(problem.objectives)
-    gamma = list(problem.lower_bounds)
-    eps = [1e-12 * (1.0 + g) for g in gamma]
-    active = [i for i, p in enumerate(powers) if p > gamma[i] + eps[i]]
-    inactive = [i for i in range(len(powers)) if i not in active]
-
-    residuals: dict[str, float] = {}
-    rates = [objs[i].rate(powers[i]) for i in active]
-    residuals["rate_spread"] = (max(rates) - min(rates)) if len(rates) > 1 else 0.0
-    if rates:
-        mu = min(rates)
-        worst = 0.0
-        for j in inactive:
-            worst = max(worst, objs[j].rate(gamma[j]) - mu)
-        residuals["bound_rate_violation"] = worst
-    else:
-        residuals["bound_rate_violation"] = 0.0
-    residuals["power_residual"] = abs(sum(powers) - problem.budget) / problem.budget
-    return KktReport(residuals=residuals, tolerance=tolerance)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import kkt_residual_p1, solve_water_level, water_fill
-from .box import kkt_residual_box, solve_box
+from .core import solve_water_level, water_fill
+from .box import kkt_residual_box, kkt_residual_p1, solve_box
 from .errors import BracketFailure, DomainError, SizeLimit
 from .objectives import ClusterChannels
 from .problems import (

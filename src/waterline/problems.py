@@ -181,6 +181,9 @@ class FairProblem:
                 for n, lo, hi in zip(sizes, lower, upper)]
         self.lower_bounds = [lo for lo, _ in rows]
         self.upper_bounds = [hi for _, hi in rows]
+        if cluster_mode and any(math.isfinite(hi) for row in self.upper_bounds
+                                for hi in row):
+            raise DomainError("cluster modes do not support finite upper bounds")
         total_lower = sum(sum(row) for row in self.lower_bounds)
         if total_lower > self.budget * (1.0 + 1e-12):
             raise InfeasibleBudget("sum of lower bounds exceeds budget")

@@ -32,11 +32,18 @@ def test_k3_example_matches_enumeration():
 
 @pytest.mark.parametrize("strategy", BOX_STRATEGIES)
 def test_degenerate_box_pins_channel(strategy):
-    problem = BoxProblem([LogCapacity(1, 1, 1), LogCapacity(1, 1, 1)],
-                         3.0, [0.7, 0.0], [0.7, None])
-    alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
-    assert alloc.powers[0] == pytest.approx(0.7, abs=1e-9)
-    assert alloc.powers[1] == pytest.approx(2.3, abs=1e-9)
+    # In the second input the gamma = tau channel 2 is pinned at its lower
+    # bound first; it must not count against the budget twice.
+    cases = [
+        (BoxProblem([LogCapacity(1, 1, 1), LogCapacity(1, 1, 1)],
+                    3.0, [0.7, 0.0], [0.7, None]), [0.7, 2.3]),
+        (BoxProblem([LogCapacity(1, 1, 1), LogCapacity(1, 2, 1), LogCapacity(1, 1, 2)],
+                    3.0, [0.0, 0.5, 0.5], [None, 2.0, 0.5]), [1.0, 1.5, 0.5]),
+    ]
+    for problem, expected in cases:
+        alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
+        assert alloc.powers == pytest.approx(expected, abs=1e-9)
+        assert check_conditions(problem, alloc, tolerance=1e-8).passed
 
 
 @pytest.mark.parametrize("strategy", BOX_STRATEGIES)

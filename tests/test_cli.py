@@ -81,6 +81,23 @@ def test_verify_pass_and_fail(runner, tmp_path):
     assert "FAIL" in bad.output
 
 
+def test_verify_fails_p1_below_lower_bound(runner, tmp_path):
+    doc = {"problem_class": "p1_lower", "budget": 2.0,
+           "objectives": [{"family": "log_capacity", "w": 1.0, "a": 0.1, "b": 1.0},
+                          {"family": "log_capacity", "w": 1.0, "a": 1.0, "b": 1.0}],
+           "lower_bounds": [1.0, 0.0]}
+    inst = _write(tmp_path, "p1.json", doc)
+    out = str(tmp_path / "result.json")
+    assert runner.invoke(main, ["solve", inst, "--out", out]).exit_code == 0
+    assert runner.invoke(main, ["verify", inst, out]).exit_code == 0
+    result = json.load(open(out))
+    result["powers"] = [0.0, 2.0]
+    json.dump(result, open(out, "w"))
+    bad = runner.invoke(main, ["verify", inst, out])
+    assert bad.exit_code == 1, bad.output
+    assert "FAIL  bounds_violation" in bad.output
+
+
 def test_verify_class_mismatch(runner, tmp_path):
     inst_box = _write(tmp_path, "box.json", K3_BOX)
     inst_p1 = _write(tmp_path, "p1.json", K2_P1)
@@ -175,13 +192,16 @@ def test_sweep_uniform_when_bounds_equal(runner, tmp_path):
     assert doc["powers"] == pytest.approx([uniform] * len(doc["powers"]))
 
 
-def test_sweep_jobs_deterministic(runner, tmp_path):
-    base = ["sweep", "--antennas", "2", "--taps", "3", "--subcarriers", "4",
-            "--realizations", "8", "--snr-list", "0,10", "--seed", "5"]
-    out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    assert runner.invoke(main, base + ["--out", out1]).exit_code == 0
-    assert runner.invoke(main, base + ["--jobs", "4", "--out", out2]).exit_code == 0
-    assert open(out1).read() == open(out2).read()
+def test_solve_rejects_cluster_upper_bounds(runner, tmp_path):
+    cluster = {"family": "cluster_log_capacity", "w": 1.0, "a": 1.0,
+               "sigma_e2": 0.1, "sigma_n2": 1.0}
+    doc = {"problem_class": "cluster", "budget": 6.0,
+           "groups": [[cluster, cluster], [cluster]],
+           "upper_bounds": [[0.5, None], [None]]}
+    inst = _write(tmp_path, "cluster.json", doc)
+    result = runner.invoke(main, ["solve", inst])
+    assert result.exit_code == 1, result.output
+    assert "upper bounds" in result.output
 
 
 @pytest.mark.parametrize("field,value", [("upper_bounds", [float("nan"), 5.0]),

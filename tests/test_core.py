@@ -122,6 +122,16 @@ def test_conditions_flag_power_mismatch():
     assert not report.passed
 
 
+def test_conditions_flag_lower_bound_violation():
+    # Channel 0 below its lower bound: the rate conditions alone pass it.
+    problem = SimplexProblem([LogCapacity(1, 0.1, 1), LogCapacity(1, 1, 1)],
+                             2.0, [1.0, 0.0])
+    report = kkt_residual_p1(problem, [0.0, 2.0])
+    assert report.residuals["bounds_violation"] == pytest.approx(1.0)
+    assert not report.passed
+    assert kkt_residual_p1(problem, solve_p1_lower(problem)).passed
+
+
 def test_solver_config_validation():
     with pytest.raises(DomainError):
         SolverConfig(mu_tolerance=0.0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from waterline import (
-    BoxProblem, ClusterLogCapacity, FairProblem, InverseMse, LogCapacity,
+    BoxProblem, ClusterLogCapacity, DomainError, FairProblem, InverseMse, LogCapacity,
     SimplexProblem, SumLog, check_conditions, grid_search, solve_box,
     solve_cluster, solve_cluster_maxmin, solve_fair, solve_maxmin,
     solve_maxmin_boxed, solve_p1)
@@ -69,6 +69,18 @@ def test_cluster_single_group_reduces_to_p1():
     ref = solve_p1(SimplexProblem([o.bind(4.0) for o in group], 4.0))
     assert sol.powers[0] == pytest.approx(ref.powers, rel=1e-8)
     assert sol.group_totals[0] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("mode", ["cluster", "cluster_maxmin"])
+def test_cluster_modes_refuse_finite_upper_bounds(mode):
+    # The cluster solvers have no upper-bound logic, so a finite tau is refused
+    # instead of being ignored; null (infinite) bounds are still accepted.
+    groups = [[ClusterLogCapacity(1, 2, 0.1, 1), ClusterLogCapacity(1, 1, 0.1, 1)],
+              [ClusterLogCapacity(1, 1, 0.1, 1)]]
+    with pytest.raises(DomainError):
+        FairProblem(groups, 6.0, mode=mode, upper_bounds=[[0.5, 0.5], [None]])
+    problem = FairProblem(groups, 6.0, mode=mode, upper_bounds=[[None, None], [None]])
+    assert check_conditions(problem, solve_fair(problem)).passed
 
 
 def test_cluster_no_csi_error_pools():

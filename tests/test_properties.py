@@ -6,8 +6,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from waterline import (  # noqa: E402
-    FAIR_MODES, ClusterLogCapacity, FairProblem, InverseMse, LogCapacity,
-    check_conditions, solve_fair)
+    BOX_STRATEGIES, FAIR_MODES, AfRelay, BoxProblem, ClusterLogCapacity,
+    FairProblem, InverseMse, LogCapacity, SolverConfig, SumInverseMse, SumLog,
+    check_conditions, solve_box, solve_fair)
+
+from conftest import FLAT_FAMILIES  # noqa: E402
 
 _param = st.floats(0.2, 5.0)
 
@@ -17,6 +20,13 @@ def _objective(kind: str, draw):
         return LogCapacity(draw(_param), draw(_param), draw(st.floats(0.05, 2.0)))
     if kind == "inverse_mse":
         return InverseMse(draw(_param), draw(_param), draw(st.floats(0.05, 2.0)))
+    if kind == "af_relay":
+        return AfRelay(draw(_param), draw(st.floats(0.1, 0.9)), draw(_param))
+    if kind in ("sum_log", "sum_inverse_mse"):
+        terms = draw(st.integers(1, 3))
+        w, c, d = ([draw(_param) for _ in range(terms)] for _ in range(3))
+        cls = SumLog if kind == "sum_log" else SumInverseMse
+        return cls(w, draw(_param), draw(_param), c, d)
     return ClusterLogCapacity(draw(_param), draw(_param), draw(st.floats(0.0, 0.5)),
                               draw(st.floats(0.5, 2.0)))
 
@@ -51,3 +61,30 @@ def test_every_fair_mode_passes_its_conditions(problem):
     solution = solve_fair(problem)
     report = check_conditions(problem, solution, tolerance=1e-8)
     assert report.passed, report.residuals
+
+
+@st.composite
+def box_problems(draw):
+    """Boxes of one flat family; some channels have gamma = tau, some tau = inf."""
+    family = draw(st.sampled_from(FLAT_FAMILIES))
+    k = draw(st.integers(2, 8))
+    budget = k * draw(st.floats(0.5, 3.0))
+    lower = [draw(st.floats(0.0, 0.6)) * budget / k for _ in range(k)]
+    upper = []
+    for lo in lower:
+        kind = draw(st.sampled_from(["fixed", "open", "box", "box"]))
+        upper.append(lo if kind == "fixed" else None if kind == "open"
+                     else lo + draw(st.floats(0.2, 2.5)) * budget / k)
+    return BoxProblem([_objective(family, draw) for _ in range(k)],
+                      budget, lower, upper)
+
+
+@given(box_problems())
+def test_every_box_strategy_agrees_and_passes_its_conditions(problem):
+    allocs = [solve_box(problem, SolverConfig(box_strategy=s)) for s in BOX_STRATEGIES]
+    ref = allocs[0]
+    for strategy, alloc in zip(BOX_STRATEGIES, allocs):
+        report = check_conditions(problem, alloc, tolerance=1e-8)
+        assert report.passed, (strategy, report.residuals)
+        assert max(abs(p - q) for p, q in zip(alloc.powers, ref.powers)) <= 1e-6, strategy
+        assert abs(alloc.objective_value - ref.objective_value) <= 1e-8, strategy
