@@ -93,7 +93,7 @@ def _box_strategy(body):
         gamma = np.array(problem.lower_bounds, dtype=float)
         tau = np.array(problem.upper_bounds, dtype=float)
         if np.isfinite(tau).all() and float(tau.sum()) <= problem.budget:
-            return _finish(problem, channels, tau, None, 1, status="feasible")
+            return _finish(problem, channels, tau, None, 1)
         return body(problem, cfg, channels, gamma, tau)
     return strategy
 

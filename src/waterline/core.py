@@ -112,7 +112,7 @@ def illinois_root(h, lo: float, hi: float, h_lo: float, h_hi: float,
 
     ``[lo, hi]`` brackets the root with ``h_lo = h(lo) >= 0 >= h(hi) = h_hi``.
     Stops at the first iterate with ``|h| <= tol`` or once the bracket is no
-    wider than ``rtol * hi``, and returns the last iterate.  An increasing
+    wider than ``rtol * max(|lo|, |hi|)``, and returns the last iterate.  An increasing
     map is passed negated, which leaves every iterate the same.
     """
     side = 0
@@ -138,7 +138,7 @@ def illinois_root(h, lo: float, hi: float, h_lo: float, h_hi: float,
             if side == -1:
                 h_lo *= 0.5
             side = -1
-        if hi - lo <= rtol * hi:
+        if hi - lo <= rtol * max(abs(lo), abs(hi)):
             break
     return mid
 

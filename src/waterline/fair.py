@@ -1,20 +1,20 @@
 """Solvers for grouped fairness problems.
 
-Three couplings over groups of subchannels sharing one total budget:
+Three couplings over groups of subchannels sharing one total budget, each
+adding one outer level over group budgets that are monotone in it:
 
-* max-min fairness -- maximize the minimum group utility; solved by outer
-  bisection on the common utility target t, with an inner per-group solve
-  for the water level that attains t at minimum power.
+* max-min fairness -- the common utility target t; each group takes the
+  water level that attains t at minimum power.
 * clustered allocation -- each group's utilities depend on the group total
-  through an interference term; solved by bisection on the marginal value
-  of group budget (water level plus the interference partials), with an
-  inner per-group search for the budget at which the marginal meets it.
-* combined -- max-min over clustered groups; outer bisection on t with an
-  inner per-group search for the budget that attains t.
+  through an interference term; the level is the price of group budget, and
+  each group takes the budget at which its marginal value (water level plus
+  the interference partials) falls to that price.
+* combined -- max-min over clustered groups; each group takes the budget
+  that attains t.
 
-All three rely on monotonicity: group power demand decreases in the water
-level and increases in the target utility, so every outer loop is a
-bracketed bisection.  The inner solves are exact or bracketed:
+One search, :func:`_outer_search`, finds every outer level: Illinois regula
+falsi on the summed group budgets, the single-level root find of the water
+level itself.  The inner solves are exact or bracketed:
 
 * a max-min group's utility is closed form in its water level between the
   levels where its channels join, so for a homogeneous ``log_capacity`` or
@@ -26,15 +26,12 @@ bracketed bisection.  The inner solves are exact or bracketed:
   Illinois regula falsi inside the tightest stored bracket
   (:class:`_MonotoneMap`).
 
-Every group runs on :class:`~waterline.objectives.Channels` arrays.  Max-min
-groups are built once per solve and carry a boolean mask of the channels
-pinned at their upper bound.  Cluster groups are
-:class:`~waterline.objectives.ClusterChannels`, bound to each trial group
-budget by one array expression; their group solves go straight to
-:func:`~waterline.core.water_fill`, which takes the exact sorted search for
-the homogeneous ``log_capacity`` banks that binding yields and keeps the
-deactivation loop for groups that mix in other families.  The inputs were
-validated once, by :class:`~waterline.problems.FairProblem`.
+Max-min groups are :class:`~waterline.objectives.Channels` arrays, built once
+per solve, with a boolean mask of the channels pinned at their upper bound.
+Cluster groups are :class:`~waterline.objectives.ClusterChannels`, bound to
+each trial group budget by one array expression and solved by
+:func:`~waterline.core.water_fill`.  The inputs were validated once, by
+:class:`~waterline.problems.FairProblem`.
 """
 
 from __future__ import annotations
@@ -54,8 +51,8 @@ from .problems import (
     BoxProblem, FairProblem, FairSolution, SolverConfig)
 
 _DEFAULT_CFG = SolverConfig()
-# Group budgets are searched to a bracket of a few ulp, where the fixed-step
-# bisection they replace ended.
+# Outer levels and group budgets are searched to a bracket of a few ulp, where
+# the fixed-step bisections they replaced ended.
 _ULP_WIDTH = 4.0 * np.finfo(float).eps
 
 
@@ -185,17 +182,67 @@ def _group_level(channels: Channels, gamma, tau, pinned):
     return level
 
 
+def _outer_search(evaluate, budget: float, cfg: SolverConfig, increasing: bool,
+                  hi: float, lo: float | None = None):
+    """The outer level x at which the summed group budgets spend ``budget``.
+
+    ``evaluate(x)`` returns ``(total, payload)``, the total monotone in x
+    (``increasing`` for a target t, decreasing for a price).  Without ``lo``
+    the bracket is found downward from ``hi``, doubling the gap and moving
+    ``hi`` to each probe whose total exceeds the budget.  When the budget is
+    spent at an end of the bracket, to within ``cfg.power_tolerance *
+    budget``, or only beyond it, that end is returned.  Otherwise Illinois
+    regula falsi (:func:`~waterline.core.illinois_root`) stops at the first
+    probe within that tolerance, or on a bracket a few ulp wide, returning
+    its end that fits the budget.  Returns ``(x, payload, evaluations)``,
+    counting the calls of ``evaluate``.
+    """
+    tol = cfg.power_tolerance * budget
+    sign = 1.0 if increasing else -1.0
+    probes = {}  # x -> (h(x), payload)
+
+    def h(x: float) -> float:
+        """Budget left over at x, negated when the total decreases in x."""
+        if x not in probes:
+            total, payload = evaluate(x)
+            probes[x] = (sign * (budget - total), payload)
+        return probes[x][0]
+
+    def done(x: float):
+        return x, probes[x][1], len(probes)
+
+    h_hi = h(hi)
+    if h_hi >= -tol:
+        return done(hi)
+    if lo is None:
+        gap = max(1.0, 0.5 * abs(hi))
+        for _ in range(200):
+            lo = hi - gap
+            if h(lo) >= -tol:
+                break
+            hi, h_hi, gap = lo, h(lo), 2.0 * gap
+        else:
+            raise InfeasibleTarget("could not bracket the common utility target")
+    h_lo = h(lo)
+    if h_lo <= tol:
+        return done(lo)
+    x = illinois_root(h, lo, hi, h_lo, h_hi, tol, _ULP_WIDTH)
+    if abs(h(x)) > tol:  # stopped on width: the end within the budget
+        x = min((sign * hp, p) for p, (hp, _) in probes.items() if sign * hp >= 0)[1]
+    return done(x)
+
+
 def _maxmin_engine(chans, budget, gammas, taus, pinned, cfg,
                    t_cap: float | None = None):
-    """Outer bisection on the common utility target t.
+    """The common utility target t, by :func:`_outer_search` on the summed
+    group demands from the least utility any group reaches on its own.
 
     ``chans[j]``, ``gammas[j]``, ``taus[j]`` and the boolean mask
     ``pinned[j]`` describe group j.  Returns ``(t, states, iterations,
     surplus)`` where ``states[j]`` is the ``(mu, powers, utility, total)``
-    tuple of group j and ``surplus`` flags that the utility cap was reached
-    with budget left over.
+    tuple of group j, ``iterations`` counts the demand evaluations and
+    ``surplus`` flags that the utility cap was reached with budget left over.
     """
-    n_groups = len(chans)
     floors = [float(np.where(pin, tau, gamma).sum())
               for gamma, tau, pin in zip(gammas, taus, pinned)]
     total_floor = sum(floors)
@@ -218,48 +265,14 @@ def _maxmin_engine(chans, budget, gammas, taus, pinned, cfg,
     if t_cap is not None:
         t_hi = min(t_hi, t_cap)
 
-    levels = [_group_level(chans[j], gammas[j], taus[j], pinned[j])
-              for j in range(n_groups)]
+    levels = [_group_level(*group) for group in zip(chans, gammas, taus, pinned)]
 
     def demand(t_val: float):
         states = [list(level(t_val)) for level in levels]
-        return states, sum(s[3] for s in states)
+        return sum(s[3] for s in states), states
 
-    states_hi, d_hi = demand(t_hi)
-    iterations = 1
-    if d_hi <= budget * (1.0 + 1e-12):
-        return t_hi, states_hi, iterations, True
-
-    gap = max(1.0, 0.5 * abs(t_hi))
-    t_lo = t_hi - gap
-    states_lo, d_lo = demand(t_lo)
-    for _ in range(200):
-        if d_lo <= budget:
-            break
-        gap *= 2.0
-        t_lo -= gap
-        states_lo, d_lo = demand(t_lo)
-        iterations += 1
-    else:
-        raise InfeasibleTarget("could not bracket the common utility target")
-
-    best_t, best_states = t_lo, states_lo
-    lo, hi = t_lo, t_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        states, d = demand(mid)
-        iterations += 1
-        if abs(d - budget) <= cfg.power_tolerance * budget:
-            best_t, best_states = mid, states
-            break
-        if d > budget:
-            hi = mid
-        else:
-            lo = mid
-            best_t, best_states = mid, states
-        if hi - lo <= 1e-15 * (1.0 + abs(hi)):
-            break
-    return best_t, best_states, iterations, False
+    t, states, iterations = _outer_search(demand, budget, cfg, True, t_hi)
+    return t, states, iterations, t == t_hi
 
 
 def _distribute_surplus(groups, budget, gammas, taus, states, cfg) -> None:
@@ -342,7 +355,7 @@ def solve_maxmin_boxed(problem: FairProblem,
         states = [[None, tau, float(channels.eval(tau).sum()), float(tau.sum())]
                   for channels, tau in zip(chans, taus)]
         t = min(s[2] for s in states)
-        return _build_solution(problem, t, states, None, 1, status="feasible")
+        return _build_solution(problem, t, states, None, 1)
 
     floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
@@ -403,9 +416,13 @@ class _MonotoneMap:
         self.fs.insert(i, fx)
         return fx
 
-    def root(self, y: float) -> float:
-        """x with ``f(x) = y``; the smallest and the largest stored x must
-        lie on either side of it (``f < y`` first for an increasing map)."""
+    def root(self, y: float, low: float, high: float) -> float:
+        """x in ``[low, high]`` with ``f(x) = y``, or the end of that range
+        where f comes nearest to y."""
+        if self.sign * (self(low) - y) <= 0:
+            return low
+        if self.sign * (self(high) - y) >= 0:
+            return high
         sign, fs = self.sign, self.fs
         lo, hi = 0, len(fs) - 1
         while hi - lo > 1:
@@ -425,33 +442,44 @@ class _MonotoneMap:
 
 
 def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
-    """``(clusters, gammas, solve_group)`` for a cluster-mode problem, where
-    ``solve_group(j, b)`` solves group j bound to the group budget ``b``."""
+    """``(clusters, gammas, solve_group, finish)`` for a cluster-mode problem.
+
+    ``solve_group(j, b)`` solves group j bound to the group budget ``b``;
+    ``finish(totals, iterations, t=None)`` solves every group at its final
+    total and builds the solution, with ``t`` the least group utility unless
+    given.
+    """
     clusters = [ClusterChannels(group) for group in problem.groups]
     gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
 
     def solve_group(j: int, group_budget: float):
         return water_fill(clusters[j].bind(group_budget), gammas[j], group_budget, cfg)
-    return clusters, gammas, solve_group
 
-
-def solve_cluster(problem: FairProblem,
-                  cfg: SolverConfig = _DEFAULT_CFG) -> FairSolution:
-    """Split the budget across clusters whose utilities feel the group total."""
-    if problem.mode != MODE_CLUSTER:
-        raise DomainError(f"solve_cluster requires cluster mode, got {problem.mode!r}")
-    groups, budget = problem.groups, problem.budget
-    clusters, gammas, solve_group = _cluster_solver(problem, cfg)
-    n_groups = len(groups)
-
-    def finish(totals, iterations):
+    def finish(totals, iterations: int, t: float | None = None) -> FairSolution:
         states = []
         for j, total in enumerate(totals):
             alloc = solve_group(j, total)
             states.append([alloc.water_level, alloc.powers,
                            alloc.objective_value, total])
-        t = min(s[2] for s in states)
+        if t is None:
+            t = min(s[2] for s in states)
         return _build_solution(problem, t, states, None, iterations)
+    return clusters, gammas, solve_group, finish
+
+
+def solve_cluster(problem: FairProblem,
+                  cfg: SolverConfig = _DEFAULT_CFG) -> FairSolution:
+    """Split the budget across clusters whose utilities feel the group total.
+
+    The price ν of group budget is found by :func:`_outer_search` on the
+    summed group budgets, each the budget at which the group's marginal
+    value (water level plus interference drag) falls to ν.
+    """
+    if problem.mode != MODE_CLUSTER:
+        raise DomainError(f"solve_cluster requires cluster mode, got {problem.mode!r}")
+    groups, budget = problem.groups, problem.budget
+    clusters, gammas, solve_group, finish = _cluster_solver(problem, cfg)
+    n_groups = len(groups)
 
     if n_groups == 1:
         return finish([budget], 1)
@@ -481,30 +509,13 @@ def solve_cluster(problem: FairProblem,
     marginals = [_MonotoneMap(partial(marginal, j), increasing=False)
                  for j in range(n_groups)]
 
-    def budget_at(j: int, nu: float) -> float:
-        if marginals[j](budget) >= nu:
-            return budget
-        if marginals[j](lows[j]) <= nu:
-            return lows[j]
-        return marginals[j].root(nu)
+    def spend(nu: float):
+        totals = [m.root(nu, low, budget) for m, low in zip(marginals, lows)]
+        return sum(totals), totals
 
     nu_lo = min(marginals[j](budget) for j in range(n_groups))
     nu_hi = max(marginals[j](lows[j]) for j in range(n_groups))
-    totals = [budget / n_groups] * n_groups
-    iterations = 0
-    for _ in range(100):
-        nu = 0.5 * (nu_lo + nu_hi)
-        totals = [budget_at(j, nu) for j in range(n_groups)]
-        total = sum(totals)
-        iterations += 1
-        if abs(total - budget) <= cfg.power_tolerance * budget:
-            break
-        if total > budget:
-            nu_lo = nu
-        else:
-            nu_hi = nu
-        if nu_hi - nu_lo <= 1e-14 * (1.0 + abs(nu_hi)):
-            break
+    _, totals, iterations = _outer_search(spend, budget, cfg, False, nu_hi, nu_lo)
     # Spread the residual over the budget above the floors.
     scale = (budget - total_floor) / (sum(totals) - total_floor)
     return finish([floor + (b - floor) * scale for floor, b in zip(floors, totals)],
@@ -513,12 +524,13 @@ def solve_cluster(problem: FairProblem,
 
 def solve_cluster_maxmin(problem: FairProblem,
                          cfg: SolverConfig = _DEFAULT_CFG) -> FairSolution:
-    """Max-min over clustered groups: bisection on t over group budgets."""
+    """Max-min over clustered groups: :func:`_outer_search` on the common
+    target t over the group budgets that attain it."""
     if problem.mode != MODE_CLUSTER_MAXMIN:
         raise DomainError(
             f"solve_cluster_maxmin requires cluster_maxmin mode, got {problem.mode!r}")
     budget, n_groups = problem.budget, problem.n_groups
-    clusters, gammas, solve_group = _cluster_solver(problem, cfg)
+    clusters, gammas, _, finish = _cluster_solver(problem, cfg)
     floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
 
@@ -532,54 +544,14 @@ def solve_cluster_maxmin(problem: FairProblem,
     utilities = [_MonotoneMap(partial(utility, j), increasing=True)
                  for j in range(n_groups)]
 
-    def budget_for_t(j: int, t_val: float) -> float:
-        if utilities[j](floors[j]) >= t_val:
-            return floors[j]
-        if utilities[j](budget) <= t_val:
-            return budget
-        return utilities[j].root(t_val)
+    def spend(t_val: float):
+        totals = [u.root(t_val, floor, budget) for u, floor in zip(utilities, floors)]
+        return sum(totals), totals
 
     t_hi = min(utilities[j](budget - (total_floor - floors[j]))
                for j in range(n_groups))
-    totals = [budget_for_t(j, t_hi) for j in range(n_groups)]
-    iterations = 1
-    if sum(totals) <= budget * (1.0 + 1e-12):
-        t = t_hi
-    else:
-        gap = max(1.0, 0.5 * abs(t_hi))
-        t_lo = t_hi - gap
-        for _ in range(200):
-            totals = [budget_for_t(j, t_lo) for j in range(n_groups)]
-            iterations += 1
-            if sum(totals) <= budget:
-                break
-            gap *= 2.0
-            t_lo -= gap
-        else:
-            raise InfeasibleTarget("could not bracket the common utility target")
-        t = t_lo
-        for _ in range(200):
-            mid = 0.5 * (t_lo + t_hi)
-            trial = [budget_for_t(j, mid) for j in range(n_groups)]
-            total = sum(trial)
-            iterations += 1
-            if abs(total - budget) <= cfg.power_tolerance * budget:
-                t, totals = mid, trial
-                break
-            if total > budget:
-                t_hi = mid
-            else:
-                t_lo = mid
-                t, totals = mid, trial
-            if t_hi - t_lo <= 1e-15 * (1.0 + abs(t_hi)):
-                break
-
-    states = []
-    for j, total in enumerate(totals):
-        alloc = solve_group(j, total)
-        states.append([alloc.water_level, alloc.powers,
-                       alloc.objective_value, total])
-    return _build_solution(problem, t, states, None, iterations)
+    t, totals, iterations = _outer_search(spend, budget, cfg, True, t_hi)
+    return finish(totals, iterations, t)
 
 
 def solve_fair(problem: FairProblem,

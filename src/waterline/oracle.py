@@ -406,6 +406,34 @@ def _ascending_report(problem: AscendingProblem, powers,
         tolerance=tolerance)
 
 
+def _marginal_spread(problem: FairProblem, solution: FairSolution,
+                     tolerance: float) -> float:
+    """Spread of the groups' marginal values of budget (cluster mode).
+
+    A group's marginal is the largest rate of its channels above their lower
+    bounds, bound at the group total, plus the interference drag.  Groups
+    above their floors must share it.  A group within ``tolerance`` of its
+    floor (read from its total) may lie below the least of theirs but not
+    above it; with no channel above its lower bounds it uses its largest
+    rate at them.
+    """
+    interior, resting = [], []
+    for group, p, gamma, total in zip(problem.groups, solution.powers,
+                                      problem.lower_bounds, solution.group_totals):
+        p, gamma = np.array(p, dtype=float), np.array(gamma, dtype=float)
+        cluster = ClusterChannels(group)
+        bound = cluster.bind(total)
+        above = p > gamma + 1e-9 * (1.0 + gamma)
+        rate = bound.rate(p)[above].max() if above.any() else bound.rate(gamma).max()
+        marginal = float(rate) + cluster.drag(p, total)
+        at_floor = total - float(gamma.sum()) <= tolerance * problem.budget
+        (resting if at_floor else interior).append(marginal)
+    if not interior:
+        return 0.0
+    finite = [abs(m) for m in interior + resting if math.isfinite(m)]
+    return (max(interior + resting) - min(interior)) / max(finite + [1e-30])
+
+
 def _fair_report(problem: FairProblem, solution: FairSolution,
                  tolerance: float) -> KktReport:
     groups = problem.groups
@@ -434,7 +462,10 @@ def _fair_report(problem: FairProblem, solution: FairSolution,
     if problem.mode == MODE_CLUSTER:
         not_applicable.append("utility_spread")
         residuals["utility_spread"] = 0.0
+        residuals["marginal_spread"] = _marginal_spread(problem, solution, tolerance)
     else:
+        not_applicable.append("marginal_spread")
+        residuals["marginal_spread"] = 0.0
         # Every group reaches t, and a group may exceed t only when it has no
         # power to give up (its total within tolerance of its floor), or when
         # t cannot rise: some group at t is saturated, every channel at its

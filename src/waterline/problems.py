@@ -225,7 +225,11 @@ class Allocation:
 
 @dataclass
 class FairSolution:
-    """Grouped allocation result with per-group water levels."""
+    """Grouped allocation result with per-group water levels.
+
+    ``iterations`` counts the outer evaluations of the summed group budgets,
+    bracket probes plus root steps (boxed max-min: over all its pin rounds).
+    """
 
     powers: list[list[float]]
     water_levels: list[float | None]

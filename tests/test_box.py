@@ -63,7 +63,7 @@ def test_slack_budget_returns_all_upper(strategy):
                          10.0, None, [2.0, 3.0])
     alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
     assert alloc.powers == pytest.approx([2.0, 3.0])
-    assert alloc.status == "feasible"
+    assert alloc.status == "optimal"
     assert alloc.upper_set == [0, 1]
     assert check_conditions(problem, alloc).passed
     # Stopping short of the upper bounds leaves power unspent.

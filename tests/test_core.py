@@ -10,7 +10,7 @@ from waterline import (
     DomainError, InfeasibleBudget, LogCapacity, InverseMse, SimplexProblem,
     SolverConfig, enumerate_p1, kkt_residual_p1, solve_p1, solve_p1_lower,
     solve_water_level)
-from waterline.core import deactivation_loop, water_fill
+from waterline.core import deactivation_loop, illinois_root, water_fill
 from waterline.objectives import Channels
 
 from conftest import FLAT_FAMILIES, make_objective, random_simplex
@@ -187,3 +187,19 @@ def test_sorted_search_feasible_when_bounds_use_the_budget(cls):
     assert alloc.powers == gamma
     assert alloc.water_level is None
     assert alloc.active_set == []
+
+
+def test_illinois_root_ends_on_width_for_a_negative_root():
+    # With tol = 0 only the bracket width can stop the search; its test must
+    # hold on a bracket of negative numbers too.
+    calls = []
+
+    def h(x):
+        calls.append(x)
+        return 0.1 - math.exp(x)
+
+    lo, hi = -10.0, -0.5
+    rtol = 4.0 * np.finfo(float).eps
+    root = illinois_root(h, lo, hi, h(lo), h(hi), 0.0, rtol)
+    assert len(calls) <= 40
+    assert root == pytest.approx(math.log(0.1), rel=1e-14)

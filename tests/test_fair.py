@@ -176,7 +176,7 @@ def test_boxed_all_upper_bounds_cover_budget():
     problem = FairProblem(groups, 5.0, upper_bounds=[[1.0], [1.0]])
     sol = solve_maxmin_boxed(problem)
     assert sol.powers == [[1.0], [1.0]]
-    assert sol.status == "feasible"
+    assert sol.status == "optimal"
 
 
 def test_conditions_flag_unequal_group_utilities():
@@ -312,6 +312,18 @@ def test_cluster_group_with_a_large_floor_gets_budget_above_it():
         grid_search(problem).objective_value, abs=1e-6)
     report = check_conditions(problem, sol, tolerance=1e-8)
     assert report.passed, report.residuals
+    # Leaving group 0 at its floor passes every per-group residual, but its
+    # marginal value of budget there exceeds group 1's.
+    from waterline import FairSolution
+    utils = [ClusterLogCapacity(1, 10, 0.1, 1).eval(2.5, 2.5),
+             ClusterLogCapacity(1, 0.5, 0.1, 1).eval(1.5, 1.5)]
+    stranded = FairSolution(
+        powers=[[2.5], [1.5]], water_levels=[None, None], group_totals=[2.5, 1.5],
+        group_utilities=utils, t=min(utils), active_sets=[[], [0]], iterations=1,
+        status="optimal")
+    report = check_conditions(problem, stranded, tolerance=1e-8)
+    assert not report.passed
+    assert report.residuals["marginal_spread"] > 0.2
 
 
 def test_cluster_group_resting_at_its_floor_stays_feasible():
@@ -429,7 +441,7 @@ def test_memoised_budget_search_matches_bisection(kind):
         y = 0.5 * (y_lo + y_hi)
         reference = _fixed_step_bisection(counted("bisection"), lo, hi, y, steps,
                                           increasing)
-        assert memo.root(y) == pytest.approx(reference, rel=1e-12, abs=0)
+        assert memo.root(y, lo, hi) == pytest.approx(reference, rel=1e-12, abs=0)
         if y < goal:
             y_lo = y
         else:

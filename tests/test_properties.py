@@ -34,7 +34,7 @@ def _objective(kind: str, draw):
 @st.composite
 def fair_problems(draw):
     mode = draw(st.sampled_from(FAIR_MODES))
-    kinds = ["log_capacity", "inverse_mse"]
+    kinds = list(FLAT_FAMILIES)
     if mode != "maxmin":
         kinds.append("cluster_log_capacity")
     groups = [[_objective(draw(st.sampled_from(kinds)), draw)
