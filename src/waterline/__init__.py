@@ -16,9 +16,7 @@ from .box import (
     kkt_residual_box, kkt_residual_p1, solve_box, solve_box_bisect,
     solve_box_ordered, solve_box_set_a, solve_box_set_b)
 from .nested import solve_ascending
-from .fair import (
-    solve_cluster, solve_cluster_maxmin, solve_fair, solve_maxmin,
-    solve_maxmin_boxed)
+from .fair import solve_cluster, solve_cluster_maxmin, solve_fair, solve_maxmin
 from .oracle import (
     OracleResult, check_conditions, enumerate_box, enumerate_p1,
     grid_search, projected_gradient)

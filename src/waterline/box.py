@@ -35,7 +35,6 @@ import numpy as np
 
 from .core import _water_level_and_powers, water_fill
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
-from .errors import InfeasibleBudget
 from .objectives import Channels
 from .problems import Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig
 
@@ -159,7 +158,7 @@ def solve_box_set_b(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
 
     recompute()
     rounds = 0
-    cap = cfg.outer_cap(problem.n)
+    cap = 4 * problem.n
     while True:
         free = ~(at_gamma | at_tau)
         lower_viol = free & (powers <= near_gamma)
@@ -269,12 +268,10 @@ def solve_box_ordered(problem: BoxProblem, cfg: SolverConfig, channels: Channels
             hi = mid
         else:
             lo = mid + 1
-    if lo == k:
-        # Every candidate water level under-uses the budget: only possible
-        # when the budget exceeds the sum of (finite) upper bounds, which the
-        # slack-budget branch already covered.
-        raise InfeasibleBudget("order search found no feasible case")
-
+    # Every case under-spends only when every tau is finite and their sum
+    # exceeds the budget by rounding: the last case leaves its channel the
+    # budget the others do not take.
+    lo = min(lo, k - 1)
     fixed, rest = order[:lo], order[lo:]
     powers = np.empty(k)
     powers[fixed] = tau[fixed]
@@ -300,34 +297,47 @@ def solve_box(problem: BoxProblem,
     return _STRATEGIES[cfg.box_strategy](problem, cfg)
 
 
-def kkt_residual_box(problem: BoxProblem,
-                     allocation: Allocation | list[float],
-                     tolerance: float = 1e-8) -> KktReport:
-    """Residuals of the four box optimality conditions."""
-    powers = np.array(allocation.powers if isinstance(allocation, Allocation)
-                      else allocation, dtype=float)
-    channels = Channels(problem.objectives)
-    gamma = np.array(problem.lower_bounds, dtype=float)
-    tau = np.array(problem.upper_bounds, dtype=float)
+def _rate_conditions(channels: Channels, powers: np.ndarray, gamma: np.ndarray,
+                    tau: np.ndarray):
+    """``(mu_lo, mu_hi, lower_violation, upper_violation)`` of the box rate
+    conditions, from the :func:`_classify` masks.
+
+    ``mu_lo``/``mu_hi`` are the least and largest rate of the interior
+    channels.  A channel at its lower bound may not have a rate there above
+    ``mu_lo``, nor one at its upper bound a rate there below ``mu_hi``.  With
+    no interior channel the lower-bound rates are held to the least
+    upper-bound rate; with neither, nothing is checked and ``mu_lo`` and
+    ``mu_hi`` are None.
+    """
     _fixed, lower, upper, active = _classify(powers, gamma, tau)
 
     def rates(mask: np.ndarray, at: np.ndarray) -> np.ndarray:
         index = np.flatnonzero(mask)
         return channels.take(index).rate(at[index])
 
-    residuals: dict[str, float] = {}
-    active_rates = rates(active, powers)
-    residuals["rate_spread"] = float(active_rates.max() - active_rates.min()) \
-        if active_rates.size > 1 else 0.0
+    active_rates, upper_rates = rates(active, powers), rates(upper, tau)
     if active_rates.size:
-        mu_lo, mu_hi = active_rates.min(), active_rates.max()
-        residuals["lower_rate_violation"] = float(
-            np.max(rates(lower, gamma) - mu_lo, initial=0.0))
-        residuals["upper_rate_violation"] = float(
-            np.max(mu_hi - rates(upper, tau), initial=0.0))
+        mu_lo, mu_hi = float(active_rates.min()), float(active_rates.max())
+    elif upper_rates.size:
+        mu_lo = mu_hi = float(upper_rates.min())
     else:
-        residuals["lower_rate_violation"] = 0.0
-        residuals["upper_rate_violation"] = 0.0
+        return None, None, 0.0, 0.0
+    return (mu_lo, mu_hi, float(np.max(rates(lower, gamma) - mu_lo, initial=0.0)),
+            float(np.max(mu_hi - upper_rates, initial=0.0)))
+
+
+def kkt_residual_box(problem: BoxProblem,
+                     allocation: Allocation | list[float],
+                     tolerance: float = 1e-8) -> KktReport:
+    """Residuals of the four box optimality conditions."""
+    powers = np.array(allocation.powers if isinstance(allocation, Allocation)
+                      else allocation, dtype=float)
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(problem.upper_bounds, dtype=float)
+    mu_lo, mu_hi, lower, upper = _rate_conditions(
+        Channels(problem.objectives), powers, gamma, tau)
+    residuals = {"rate_spread": 0.0 if mu_lo is None else mu_hi - mu_lo,
+                 "lower_rate_violation": lower, "upper_rate_violation": upper}
     spend = problem.budget
     if np.isfinite(tau).all():
         # When every channel fits at its upper bound, that is the optimum.

@@ -221,8 +221,6 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
     water_levels: list[float] = []
     mu: float | None = None
     status = "optimal"
-    rounds = 0
-    cap = cfg.outer_cap(k)
 
     while True:
         remaining = budget - float(gamma[~active].sum())
@@ -242,13 +240,6 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
         active[act_idx[~keep]] = False
         keep = keep.nonzero()[0]
         act_idx, act = act_idx[keep], act.take(keep)
-        rounds += 1
-        if rounds > cap:  # reachable only under a user-set outer cap
-            status = "iteration_cap"
-            powers[active] = gamma[active]
-            active[:] = False
-            mu = None
-            break
     return _allocation(channels, powers, active, mu, water_levels, status)
 
 

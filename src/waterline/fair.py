@@ -4,7 +4,8 @@ Three couplings over groups of subchannels sharing one total budget, each
 adding one outer level over group budgets that are monotone in it:
 
 * max-min fairness -- the common utility target t; each group takes the
-  water level that attains t at minimum power.
+  water level that attains t at minimum power, every channel's demand
+  clamped into its box.
 * clustered allocation -- each group's utilities depend on the group total
   through an interference term; the level is the price of group budget, and
   each group takes the budget at which its marginal value (water level plus
@@ -17,19 +18,20 @@ falsi on the summed group budgets, the single-level root find of the water
 level itself.  The inner solves are exact or bracketed:
 
 * a max-min group's utility is closed form in its water level between the
-  levels where its channels join, so for a homogeneous ``log_capacity`` or
-  ``inverse_mse`` bank the level that reaches t is one table lookup and one
-  formula (:func:`_group_level`); other families bisect on the level
-  (:func:`_group_mu_for_t`);
+  levels where its channels join (their rate at the lower bound) and
+  saturate (their rate at a finite upper bound), so for a homogeneous
+  ``log_capacity`` or ``inverse_mse`` bank the level that reaches t is one
+  table lookup and one formula (:func:`_group_level`); other families
+  bisect on the level (:func:`_group_mu_for_t`);
 * a cluster group's budget map (to its marginal, or to its utility) keeps
   every point evaluated during the solve, and each new target is solved by
   Illinois regula falsi inside the tightest stored bracket
   (:class:`_MonotoneMap`).
 
-Max-min groups are :class:`~waterline.objectives.Channels` arrays, built once
-per solve, with a boolean mask of the channels pinned at their upper bound.
-Cluster groups are :class:`~waterline.objectives.ClusterChannels`, bound to
-each trial group budget by one array expression and solved by
+Max-min groups are :class:`~waterline.objectives.Channels` arrays and their
+bound arrays, built once per solve.  Cluster groups are
+:class:`~waterline.objectives.ClusterChannels`, bound to each trial group
+budget by one array expression and solved by
 :func:`~waterline.core.water_fill`.  The inputs were validated once, by
 :class:`~waterline.problems.FairProblem`.
 """
@@ -42,7 +44,7 @@ from functools import partial
 
 import numpy as np
 
-from .box import solve_box
+from .box import _classify, _clamped_demand, solve_box
 from .core import SORTED_FAMILIES, illinois_root, water_fill
 from .errors import DomainError, InfeasibleTarget
 from .objectives import Channels, ClusterChannels
@@ -56,35 +58,28 @@ _DEFAULT_CFG = SolverConfig()
 _ULP_WIDTH = 4.0 * np.finfo(float).eps
 
 
-def _group_state(channels: Channels, gamma, tau, pinned, mu: float | None):
-    """Powers/utility/total at water level mu (None = rest at lower bounds).
-
-    Channels flagged in the boolean mask ``pinned`` sit at their upper bound.
-    """
-    free = gamma if mu is None else np.maximum(channels.demand(mu), gamma)
-    powers = np.where(pinned, tau, free)
+def _group_state(channels: Channels, gamma, tau, mu: float | None):
+    """Powers/utility/total at water level mu, each channel's demand clamped
+    into its box (None = rest at lower bounds)."""
+    powers = gamma if mu is None else _clamped_demand(channels, mu, gamma, tau)
     return powers, float(channels.eval(powers).sum()), float(powers.sum())
 
 
-def _group_mu_for_t(channels: Channels, gamma, tau, pinned, t: float):
+def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
     """Water level (and allocation) reaching group utility t at least power,
     by bracketed bisection on the level.
 
     Returns ``(mu, powers, utility, total)``; ``mu`` is None when the group
-    already meets t resting at its lower bounds, or has no free channel.
-    This is the path of every group that is not a homogeneous
-    ``log_capacity`` or ``inverse_mse`` bank (see :func:`_group_level`), and
-    the reference the breakpoint table is tested against.
+    already meets t resting at its lower bounds.  This is the path of every
+    group that is not a homogeneous ``log_capacity`` or ``inverse_mse`` bank
+    (see :func:`_group_level`), and the reference the breakpoint table is
+    tested against.
     """
-    free = ~pinned
-    if not free.any():
-        return (None, *_group_state(channels, gamma, tau, pinned, None))
-
     def phi(mu_val: float) -> float:
-        return _group_state(channels, gamma, tau, pinned, mu_val)[1]
+        return _group_state(channels, gamma, tau, mu_val)[1]
 
-    if np.isfinite(channels.rate(gamma)[free]).all():
-        floor = _group_state(channels, gamma, tau, pinned, None)
+    if np.isfinite(channels.rate(gamma)).all():
+        floor = _group_state(channels, gamma, tau, None)
         if floor[1] >= t:
             return (None, *floor)
 
@@ -96,8 +91,8 @@ def _group_mu_for_t(channels: Channels, gamma, tau, pinned, t: float):
             if phi(mu_hi) <= t:
                 break
         else:
-            # utility never drops to t: every free channel is clamped
-            return (None, *_group_state(channels, gamma, tau, pinned, None))
+            # utility never drops to t: every channel is clamped
+            return (None, *_group_state(channels, gamma, tau, None))
     else:
         for _ in range(450):
             mu_hi = mu_lo
@@ -116,59 +111,75 @@ def _group_mu_for_t(channels: Channels, gamma, tau, pinned, t: float):
         if mu_hi - mu_lo <= 1e-15 * mu_hi:
             break
     mu = 0.5 * (mu_lo + mu_hi)
-    return (mu, *_group_state(channels, gamma, tau, pinned, mu))
+    return (mu, *_group_state(channels, gamma, tau, mu))
 
 
-def _group_level(channels: Channels, gamma, tau, pinned):
+def _group_level(channels: Channels, gamma, tau):
     """``t -> (mu, powers, utility, total)`` for one max-min group, as
     :func:`_group_mu_for_t`.
 
     A homogeneous ``log_capacity`` or ``inverse_mse`` bank gets a breakpoint
-    table.  As the level falls the free channels join in descending order of
-    their rate at the lower bound, and between two joins the utility is
-    closed form in the level: with m channels active it is
-    ``pin + F_m + C_m - W_m*log(mu)`` (log: ``W`` and ``C`` are prefix sums
-    of w and w*log(a*w)) or ``pin + F_m - V_m*sqrt(mu)`` (inverse MSE: ``V``
-    is the prefix sum of sqrt(w/a)), where ``F_m`` sums the floor utilities
-    of the channels not yet active and ``pin`` those of the pinned channels
-    at tau.  The utilities at the joins are increasing, so a target's active
-    set is one ``searchsorted`` and its level one formula.  A channel with
-    an infinite rate (b = 0, gamma = 0) sorts first and is always active.
-    Every other group keeps the bisection.
+    table.  As the level falls, a channel joins at its rate at gamma and
+    saturates at its rate at a finite tau; the events are sorted once by
+    rate.  Between two events the utility is closed form in the level: with
+    the channels in between active it is ``F + C - W*log(mu)`` (log: ``W``
+    and ``C`` are signed prefix sums of w and w*log(a*w), + at a join and -
+    at a saturation) or ``F - V*sqrt(mu)`` (inverse MSE: ``V`` the signed
+    prefix sum of sqrt(w/a)), where ``F`` sums the floor utilities of the
+    channels not yet joined and the tau utilities of those saturated.  The
+    utilities at the events are increasing, so a target's segment is one
+    ``searchsorted`` and its level one formula.  On a segment with no active
+    channel the utility is flat and every level in it gives the same powers.
+    A channel with an infinite rate (b = 0, gamma = 0) sorts first and is
+    always active.  Every other group keeps the bisection.
     """
-    if channels.family not in SORTED_FAMILIES or pinned.all():
-        return partial(_group_mu_for_t, channels, gamma, tau, pinned)
-    pin = pinned.nonzero()[0]
-    pin_util = float(channels.take(pin).eval(tau[pin]).sum()) if pin.size else 0.0
-    free = (~pinned).nonzero()[0]
-    rate = channels.rate(gamma)[free]
-    by_rate = np.argsort(-rate, kind="stable")
-    order, rate = free[by_rate], rate[by_rate]
+    if channels.family not in SORTED_FAMILIES:
+        return partial(_group_mu_for_t, channels, gamma, tau)
+    k = len(channels)
+    capped = np.flatnonzero(np.isfinite(tau))
+    who = np.concatenate((np.arange(k), capped))
+    rate = np.concatenate((channels.rate(gamma),
+                           channels.take(capped).rate(tau[capped])))
+    by_rate = np.argsort(-rate, kind="stable")  # a tie puts the join first
+    who, rate = who[by_rate], rate[by_rate]
+    joins = by_rate < k
+    sign = np.where(joins, 1.0, -1.0)
     n_inf = int(np.count_nonzero(~np.isfinite(rate)))
-    f_floor = np.zeros(len(order))
-    f_floor[n_inf:] = channels.take(order[n_inf:]).eval(gamma[order[n_inf:]])
-    # F[m] sums the floor utilities of the channels from m on.
-    F = np.append(np.cumsum(f_floor[::-1])[::-1], 0.0) + pin_util
+    # The utility of each event's channel at that event's bound.
+    f_event = np.zeros(len(who))
+    f_event[n_inf:] = channels.take(who[n_inf:]).eval(
+        np.where(joins, gamma[who], tau[who])[n_inf:])
+    f_join, f_sat = np.where(joins, f_event, 0.0), np.where(joins, 0.0, f_event)
+    # F[s] sums the floor utilities of the channels joining from event s on
+    # and the tau utilities of those saturated before it.
+    F = np.append(np.cumsum(f_join[::-1])[::-1], 0.0) + \
+        np.concatenate(([0.0], np.cumsum(f_sat)))
+    count = np.concatenate(([0.0], np.cumsum(sign)))  # channels active
     log = channels.family == "log_capacity"
-    w, a = channels.w[order], channels.a[order]
+    w, a = channels.w[who], channels.a[who]
     with np.errstate(invalid="ignore"):  # 0 * inf on the infinite rates
         if log:
-            W = np.concatenate(([0.0], np.cumsum(w)))
-            C = np.concatenate(([0.0], np.cumsum(w * np.log(a * w))))
-            joins = F[:-1] + C[:-1] - W[:-1] * np.log(rate)
+            W = np.concatenate(([0.0], np.cumsum(sign * w)))
+            C = np.concatenate(([0.0], np.cumsum(sign * (w * np.log(a * w)))))
+            events = F[:-1] + C[:-1] - W[:-1] * np.log(rate)
         else:
-            V = np.concatenate(([0.0], np.cumsum(np.sqrt(w / a))))
-            joins = F[:-1] - V[:-1] * np.sqrt(rate)
-    joins[:n_inf] = -math.inf
+            V = np.concatenate(([0.0], np.cumsum(sign * np.sqrt(w / a))))
+            events = F[:-1] - V[:-1] * np.sqrt(rate)
+    events[:n_inf] = -math.inf
     first = max(n_inf, 1)
-    floor = None if n_inf else \
-        float(channels.eval(np.where(pinned, tau, gamma)).sum())
+    floor = None if n_inf else float(channels.eval(gamma).sum())
+    top = float(channels.eval(tau).sum()) if capped.size == k else math.inf
 
     def level(t: float):
         if floor is not None and floor >= t:
-            return (None, *_group_state(channels, gamma, tau, pinned, None))
-        m = max(int(np.searchsorted(joins, t)), first)
-        if log:
+            return (None, *_group_state(channels, gamma, tau, None))
+        m = max(int(np.searchsorted(events, t)), first)
+        if not count[m]:  # flat: every channel that joined is saturated
+            if t > top:
+                raise InfeasibleTarget(
+                    f"group utility target {t} above the utility {top} at tau")
+            mu = float(rate[m - 1])
+        elif log:
             mu = math.exp((F[m] + C[m] - t) / W[m])
         else:
             root = (F[m] - t) / V[m]
@@ -177,8 +188,8 @@ def _group_level(channels: Channels, gamma, tau, pinned):
                     f"group utility target {t} unreachable at any power")
             mu = root * root
         if not 0.0 < mu < math.inf:  # the level over- or underflows
-            return _group_mu_for_t(channels, gamma, tau, pinned, t)
-        return (mu, *_group_state(channels, gamma, tau, pinned, mu))
+            return _group_mu_for_t(channels, gamma, tau, t)
+        return (mu, *_group_state(channels, gamma, tau, mu))
     return level
 
 
@@ -232,49 +243,6 @@ def _outer_search(evaluate, budget: float, cfg: SolverConfig, increasing: bool,
     return done(x)
 
 
-def _maxmin_engine(chans, budget, gammas, taus, pinned, cfg,
-                   t_cap: float | None = None):
-    """The common utility target t, by :func:`_outer_search` on the summed
-    group demands from the least utility any group reaches on its own.
-
-    ``chans[j]``, ``gammas[j]``, ``taus[j]`` and the boolean mask
-    ``pinned[j]`` describe group j.  Returns ``(t, states, iterations,
-    surplus)`` where ``states[j]`` is the ``(mu, powers, utility, total)``
-    tuple of group j, ``iterations`` counts the demand evaluations and
-    ``surplus`` flags that the utility cap was reached with budget left over.
-    """
-    floors = [float(np.where(pin, tau, gamma).sum())
-              for gamma, tau, pin in zip(gammas, taus, pinned)]
-    total_floor = sum(floors)
-
-    t_his = []
-    for j, channels in enumerate(chans):
-        gamma, pin = gammas[j], pinned[j]
-        pin_idx, free = np.flatnonzero(pin), np.flatnonzero(~pin)
-        pin_power = taus[j][pin_idx]
-        pin_util = float(channels.take(pin_idx).eval(pin_power).sum()) \
-            if pin_idx.size else 0.0
-        avail = budget - (total_floor - floors[j]) - float(pin_power.sum())
-        free_floor = float(gamma[free].sum())
-        if not free.size or avail <= free_floor * (1.0 + 1e-12) or avail <= 0:
-            t_his.append(_group_state(channels, gamma, taus[j], pin, None)[1])
-            continue
-        alloc = water_fill(channels.take(free), gamma[free], avail, cfg)
-        t_his.append(alloc.objective_value + pin_util)
-    t_hi = min(t_his)
-    if t_cap is not None:
-        t_hi = min(t_hi, t_cap)
-
-    levels = [_group_level(*group) for group in zip(chans, gammas, taus, pinned)]
-
-    def demand(t_val: float):
-        states = [list(level(t_val)) for level in levels]
-        return sum(s[3] for s in states), states
-
-    t, states, iterations = _outer_search(demand, budget, cfg, True, t_hi)
-    return t, states, iterations, t == t_hi
-
-
 def _distribute_surplus(groups, budget, gammas, taus, states, cfg) -> None:
     """Hand leftover budget to groups with headroom without lowering anyone."""
     remaining = budget - sum(s[3] for s in states)
@@ -294,17 +262,13 @@ def _distribute_surplus(groups, budget, gammas, taus, states, cfg) -> None:
         remaining = budget - sum(s[3] for s in states)
 
 
-def _build_solution(problem: FairProblem, t, states, pinned, iterations,
-                    status: str = "optimal") -> FairSolution:
-    """``states[j]`` is group j's ``(mu, powers, utility, total)``;
-    ``pinned[j]`` masks its channels pinned at the upper bound (None: none)."""
+def _build_solution(problem: FairProblem, t, states, iterations) -> FairSolution:
+    """``states[j]`` is group j's ``(mu, powers, utility, total)``."""
     powers, water_levels, totals, utilities, active_sets = [], [], [], [], []
     for j, (mu, pw, util, total) in enumerate(states):
         pw = np.asarray(pw, dtype=float)
-        gamma = np.asarray(problem.lower_bounds[j], dtype=float)
-        active = pw > gamma + 1e-12 * (1.0 + gamma)
-        if pinned is not None:
-            active &= ~pinned[j]
+        active = _classify(pw, np.asarray(problem.lower_bounds[j], dtype=float),
+                           np.asarray(problem.upper_bounds[j], dtype=float))[3]
         powers.append(pw.tolist())
         water_levels.append(None if mu is None else float(mu))
         totals.append(float(total))
@@ -313,80 +277,56 @@ def _build_solution(problem: FairProblem, t, states, pinned, iterations,
     return FairSolution(powers=powers, water_levels=water_levels,
                         group_totals=totals, group_utilities=utilities,
                         t=t, active_sets=active_sets,
-                        iterations=iterations, status=status)
-
-
-def _maxmin_groups(problem: FairProblem):
-    """Per-group channels, lower and upper bound arrays and empty pin masks."""
-    chans = [Channels(group) for group in problem.groups]
-    gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
-    taus = [np.array(row, dtype=float) for row in problem.upper_bounds]
-    pinned = [np.zeros(len(group), dtype=bool) for group in problem.groups]
-    return chans, gammas, taus, pinned
+                        iterations=iterations, status="optimal")
 
 
 def solve_maxmin(problem: FairProblem,
                  cfg: SolverConfig = _DEFAULT_CFG) -> FairSolution:
-    """Maximize the minimum group utility under the total budget."""
+    """Maximize the minimum group utility under the total budget.
+
+    Each group's channels are clamped into their boxes, so one map takes a
+    target t to every group's least-power allocation reaching it.  When every
+    upper bound is finite and they fit the budget together, all channels sit
+    at them.  Otherwise t is found by :func:`_outer_search` on the summed
+    group demands, from the least utility a group reaches with the others at
+    their floors (its box optimum), and budget
+    left over at that cap goes to the groups with headroom.
+    """
     if problem.mode != MODE_MAXMIN:
         raise DomainError(f"solve_maxmin requires maxmin mode, got {problem.mode!r}")
-    if any(math.isfinite(t) for row in problem.upper_bounds for t in row):
-        return solve_maxmin_boxed(problem, cfg)
-    chans, gammas, taus, pinned = _maxmin_groups(problem)
-    t, states, iterations, surplus = _maxmin_engine(
-        chans, problem.budget, gammas, taus, pinned, cfg)
-    if surplus:
-        _distribute_surplus(problem.groups, problem.budget, gammas, taus,
-                            states, cfg)
-    return _build_solution(problem, t, states, pinned, iterations)
-
-
-def solve_maxmin_boxed(problem: FairProblem,
-                       cfg: SolverConfig = _DEFAULT_CFG) -> FairSolution:
-    """Max-min fairness with per-channel box bounds (pin-and-resolve loop)."""
-    if problem.mode != MODE_MAXMIN:
-        raise DomainError(
-            f"solve_maxmin_boxed requires maxmin mode, got {problem.mode!r}")
     groups, budget = problem.groups, problem.budget
-    chans, gammas, taus, pinned = _maxmin_groups(problem)
+    chans = [Channels(group) for group in groups]
+    gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
+    taus = [np.array(row, dtype=float) for row in problem.upper_bounds]
 
     if all(np.isfinite(tau).all() for tau in taus) and \
             sum(float(tau.sum()) for tau in taus) <= budget:
         states = [[None, tau, float(channels.eval(tau).sum()), float(tau.sum())]
                   for channels, tau in zip(chans, taus)]
-        t = min(s[2] for s in states)
-        return _build_solution(problem, t, states, None, 1)
+        return _build_solution(problem, min(s[2] for s in states), states, 1)
 
     floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
     t_caps = []
     for j, group in enumerate(groups):
         avail = budget - (total_floor - floors[j])
-        if avail <= floors[j] * (1.0 + 1e-12) or avail <= 0:
-            t_caps.append(_group_state(chans[j], gammas[j], taus[j], pinned[j],
-                                       None)[1])
-            continue
-        sub = BoxProblem(group, avail, problem.lower_bounds[j], problem.upper_bounds[j])
-        t_caps.append(solve_box(sub, cfg).objective_value)
-    t_cap = min(t_caps)
+        if avail <= floors[j] * (1.0 + 1e-12):
+            t_caps.append(_group_state(chans[j], gammas[j], taus[j], None)[1])
+        elif np.isfinite(taus[j]).any():
+            sub = BoxProblem(group, avail, problem.lower_bounds[j], problem.upper_bounds[j])
+            t_caps.append(solve_box(sub, cfg).objective_value)
+        else:  # no upper bound: P1.1, without the box problem's set-up
+            t_caps.append(water_fill(chans[j], gammas[j], avail, cfg).objective_value)
 
-    total_k = sum(len(g) for g in groups)
-    iterations = 0
-    t, states = t_cap, None
-    for _ in range(cfg.outer_cap(total_k) + 1):
-        t, states, its, _ = _maxmin_engine(chans, budget, gammas, taus, pinned,
-                                           cfg, t_cap=t_cap)
-        iterations += its
-        new_pins = False
-        for j, state in enumerate(states):
-            hit = ~pinned[j] & (np.asarray(state[1]) >= taus[j])
-            if hit.any():
-                pinned[j] = pinned[j] | hit
-                new_pins = True
-        if not new_pins:
-            break
+    levels = [_group_level(*group) for group in zip(chans, gammas, taus)]
+
+    def demand(t_val: float):
+        states = [list(level(t_val)) for level in levels]
+        return sum(s[3] for s in states), states
+
+    t, states, iterations = _outer_search(demand, budget, cfg, True, min(t_caps))
     _distribute_surplus(groups, budget, gammas, taus, states, cfg)
-    return _build_solution(problem, t, states, pinned, iterations)
+    return _build_solution(problem, t, states, iterations)
 
 
 class _MonotoneMap:
@@ -463,7 +403,7 @@ def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
                            alloc.objective_value, total])
         if t is None:
             t = min(s[2] for s in states)
-        return _build_solution(problem, t, states, None, iterations)
+        return _build_solution(problem, t, states, iterations)
     return clusters, gammas, solve_group, finish
 
 

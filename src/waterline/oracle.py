@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import solve_water_level, water_fill
-from .box import kkt_residual_box, kkt_residual_p1, solve_box
+from .box import (
+    _classify, _rate_conditions, kkt_residual_box, kkt_residual_p1, solve_box)
 from .errors import BracketFailure, DomainError, SizeLimit
 from .objectives import ClusterChannels
 from .problems import (
@@ -442,22 +443,25 @@ def _fair_report(problem: FairProblem, solution: FairSolution,
     residuals: dict[str, float] = {}
     not_applicable: list[str] = []
 
-    rate_spread = 0.0
+    # The box rate conditions within each group (its channels bound at the
+    # group total), normalised by the group's largest interior rate.
+    rates = dict.fromkeys(("rate_spread", "lower_rate_violation",
+                           "upper_rate_violation"), 0.0)
     saturated = []
     for j, group in enumerate(groups):
         p = np.array(solution.powers[j], dtype=float)
         gamma = np.array(gammas[j], dtype=float)
         tau = np.array(taus[j], dtype=float)
-        # tau - 1e-9 * (1 + tau), in a form that keeps an infinite tau infinite.
-        below_tau = p < tau * (1.0 - 1e-9) - 1e-9
-        saturated.append(not below_tau.any())
-        interior = np.flatnonzero((p > gamma + 1e-9 * (1.0 + gamma)) & below_tau)
-        if interior.size > 1:
-            bound = ClusterChannels(group).bind(totals[j])
-            rates = bound.take(interior).rate(p[interior])
-            spread = (rates.max() - rates.min()) / max(abs(rates.max()), 1e-30)
-            rate_spread = max(rate_spread, float(spread))
-    residuals["rate_spread"] = rate_spread
+        _fixed, lower, _upper, active = _classify(p, gamma, tau)
+        saturated.append(not (lower | active).any())
+        mu_lo, mu_hi, lower_v, upper_v = _rate_conditions(
+            ClusterChannels(group).bind(totals[j]), p, gamma, tau)
+        if mu_lo is None:
+            continue
+        scale = max(abs(mu_hi), 1e-30)
+        for name, value in zip(rates, (mu_hi - mu_lo, lower_v, upper_v)):
+            rates[name] = max(rates[name], value / scale)
+    residuals.update(rates)
 
     if problem.mode == MODE_CLUSTER:
         not_applicable.append("utility_spread")

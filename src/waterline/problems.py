@@ -16,7 +16,6 @@ BOX_STRATEGIES = ("set_a", "set_b", "bisect", "order")
 class SolverConfig:
     mu_tolerance: float = 1e-10           # relative tolerance on water levels
     power_tolerance: float = 1e-9         # absolute fraction of the budget
-    max_outer_iterations: int | None = None  # defaults to 4*K at the call site
     box_strategy: str = "order"
 
     def __post_init__(self):
@@ -24,11 +23,6 @@ class SolverConfig:
             raise DomainError("tolerances must be positive")
         if self.box_strategy not in BOX_STRATEGIES:
             raise DomainError(f"unknown box strategy: {self.box_strategy!r}")
-
-    def outer_cap(self, n_channels: int) -> int:
-        if self.max_outer_iterations is not None:
-            return self.max_outer_iterations
-        return 4 * max(n_channels, 1)
 
 
 def _validate_bounds(k: int, budget: float, lower, upper):
@@ -214,7 +208,7 @@ class Allocation:
     upper_set: list[int]
     iterations: int
     objective_value: float
-    status: str  # "optimal" | "feasible" | "iteration_cap"
+    status: str  # "optimal" | "feasible"
     water_levels: list[float] = field(default_factory=list)
     splits: int = 0
 
@@ -228,7 +222,8 @@ class FairSolution:
     """Grouped allocation result with per-group water levels.
 
     ``iterations`` counts the outer evaluations of the summed group budgets,
-    bracket probes plus root steps (boxed max-min: over all its pin rounds).
+    bracket probes plus root steps (1 when every channel sits at a finite
+    upper bound that the budget covers).
     """
 
     powers: list[list[float]]

@@ -41,10 +41,21 @@ class ScenarioSpec:
             raise ValueError("antennas, taps, and subcarriers must be >= 1")
         if not (0.0 < self.decay <= 1.0):
             raise ValueError("decay must lie in (0, 1]")
+        if not all(map(math.isfinite, (self.gamma, self.snr_db, self.noise_power))) \
+                or math.isnan(self.tau):
+            raise ValueError("gamma, snr_db and noise_power must be finite, "
+                             "and tau a number")
         if self.gamma < 0 or self.tau < self.gamma:
             raise ValueError("need 0 <= gamma <= tau")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
+        try:
+            budget = self.budget
+        except OverflowError:
+            budget = math.inf
+        if not 0.0 < budget < math.inf:
+            raise ValueError(f"snr_db {self.snr_db} and noise_power {self.noise_power} "
+                             f"give the budget {budget}; it must be positive and finite")
 
     @property
     def budget(self) -> float:

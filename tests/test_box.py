@@ -6,7 +6,7 @@ import random
 import pytest
 
 from waterline import (
-    BOX_STRATEGIES, BoxProblem, DomainError, InfeasibleBudget, LogCapacity,
+    BOX_STRATEGIES, BoxProblem, DomainError, InfeasibleBudget, InverseMse, LogCapacity,
     ScenarioSpec, SimplexProblem, SolverConfig, build_instance,
     check_conditions, enumerate_box, kkt_residual_box, solve_box,
     solve_p1_lower)
@@ -33,17 +33,35 @@ def test_k3_example_matches_enumeration():
 @pytest.mark.parametrize("strategy", BOX_STRATEGIES)
 def test_degenerate_box_pins_channel(strategy):
     # In the second input the gamma = tau channel 2 is pinned at its lower
-    # bound first; it must not count against the budget twice.
+    # bound first; it must not count against the budget twice.  In the third
+    # tau exceeds the budget by three ulp, so the slack-budget branch does
+    # not apply, yet at tau's own rate the demand rounds below the budget:
+    # every case of order's search under-spends.
+    budget, tau = 1.851135594294659, 1.8511355942946597
+    assert tau - budget == 3 * math.ulp(budget)
     cases = [
         (BoxProblem([LogCapacity(1, 1, 1), LogCapacity(1, 1, 1)],
                     3.0, [0.7, 0.0], [0.7, None]), [0.7, 2.3]),
         (BoxProblem([LogCapacity(1, 1, 1), LogCapacity(1, 2, 1), LogCapacity(1, 1, 2)],
                     3.0, [0.0, 0.5, 0.5], [None, 2.0, 0.5]), [1.0, 1.5, 0.5]),
+        (BoxProblem([InverseMse(1.670516547120894, 0.10596608169924385,
+                                1.3062240571612649)], budget, None, [tau]), [budget]),
     ]
     for problem, expected in cases:
         alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
+        assert alloc.status == "optimal"
         assert alloc.powers == pytest.approx(expected, abs=1e-9)
         assert check_conditions(problem, alloc, tolerance=1e-8).passed
+
+
+def test_conditions_flag_a_split_with_every_channel_at_a_bound():
+    # No channel is interior, but channel 0 at its lower bound has rate 1
+    # there while channel 1 sits at its upper bound with rate 1/3.
+    problem = BoxProblem([LogCapacity(1, 1, 1)] * 2, 2.0, [0.0, 0.0], [None, 2.0])
+    report = kkt_residual_box(problem, [0.0, 2.0])
+    assert report.residuals["lower_rate_violation"] == pytest.approx(2 / 3)
+    assert not report.passed
+    assert kkt_residual_box(problem, solve_box(problem)).passed
 
 
 @pytest.mark.parametrize("strategy", BOX_STRATEGIES)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests."""
 
 import json
+import math
 import os
 
 import pytest
@@ -96,6 +97,23 @@ def test_verify_fails_p1_below_lower_bound(runner, tmp_path):
     bad = runner.invoke(main, ["verify", inst, out])
     assert bad.exit_code == 1, bad.output
     assert "FAIL  bounds_violation" in bad.output
+
+
+def test_verify_fails_maxmin_group_with_a_better_channel_at_its_floor(runner, tmp_path):
+    one = {"family": "log_capacity", "w": 1.0, "a": 1.0, "b": 1.0}
+    doc = {"problem_class": "maxmin", "budget": 4.0, "groups": [[one, one], [one]]}
+    inst = _write(tmp_path, "maxmin.json", doc)
+    out = str(tmp_path / "result.json")
+    assert runner.invoke(main, ["solve", inst, "--out", out]).exit_code == 0
+    assert runner.invoke(main, ["verify", inst, out]).exit_code == 0
+    result = json.load(open(out))
+    # Both groups reach t = log 3, but group 0 would need less power by
+    # splitting its 2.0 evenly.
+    result.update(powers=[[0.0, 2.0], [2.0]], t=math.log(3.0), active_sets=[[1], [0]])
+    json.dump(result, open(out, "w"))
+    bad = runner.invoke(main, ["verify", inst, out])
+    assert bad.exit_code == 1, bad.output
+    assert "FAIL  lower_rate_violation" in bad.output
 
 
 def test_verify_class_mismatch(runner, tmp_path):
@@ -212,3 +230,17 @@ def test_solve_rejects_non_finite_input(runner, tmp_path, field, value):
     inst = _write(tmp_path, "bad.json", doc)
     result = runner.invoke(main, ["solve", inst])
     assert result.exit_code == 1, result.output
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("option,value", [("--gamma", "nan"), ("--tau", "nan"),
+                                          ("--snr-db", "nan"), ("--snr-db", "1e400")])
+def test_scenario_commands_reject_non_finite_input(runner, tmp_path, command,
+                                                   option, value):
+    if command == "sweep" and option == "--snr-db":
+        option = "--snr-list"
+    result = runner.invoke(main, [command, "--subcarriers", "2", "--realizations", "1",
+                                  "--out-dir" if command == "generate" else "--out",
+                                  str(tmp_path / "out"), option, value])
+    assert result.exit_code == 1, result.output
+    assert "error:" in result.output

@@ -137,7 +137,6 @@ def test_solver_config_validation():
         SolverConfig(mu_tolerance=0.0)
     with pytest.raises(DomainError):
         SolverConfig(box_strategy="nope")
-    assert SolverConfig(max_outer_iterations=7).outer_cap(100) == 7
 
 
 def _bank_instance(family, rng, k, infinite_rates=False):

@@ -10,8 +10,7 @@ import pytest
 from waterline import (
     BoxProblem, ClusterLogCapacity, DomainError, FairProblem, InverseMse, LogCapacity,
     SimplexProblem, SumLog, check_conditions, grid_search, solve_box,
-    solve_cluster, solve_cluster_maxmin, solve_fair, solve_maxmin,
-    solve_maxmin_boxed, solve_p1)
+    solve_cluster, solve_cluster_maxmin, solve_fair, solve_maxmin, solve_p1)
 from waterline.objectives import Channels, ClusterChannels
 
 
@@ -52,8 +51,7 @@ def test_maxmin_monotone_group_demand():
     # the inner map t -> demanded power is increasing (bisection validity)
     from waterline.fair import _group_mu_for_t
     group = [LogCapacity(1, 2, 1), LogCapacity(1, 1, 1)]
-    demands = [_group_mu_for_t(Channels(group), np.zeros(2), np.full(2, np.inf),
-                               np.zeros(2, dtype=bool), t)[3]
+    demands = [_group_mu_for_t(Channels(group), np.zeros(2), np.full(2, np.inf), t)[3]
                for t in (0.2, 0.5, 1.0, 1.5)]
     assert all(a < b for a, b in zip(demands, demands[1:]))
     # and power demand decreases in the water level
@@ -141,7 +139,7 @@ def test_cluster_maxmin_no_csi_error_matches_maxmin():
 def test_boxed_slack_boxes_match_unboxed():
     groups = [[LogCapacity(1, 2, 1)], [LogCapacity(1, 1, 1)]]
     plain = solve_maxmin(FairProblem(groups, 3.0))
-    boxed = solve_maxmin_boxed(FairProblem(
+    boxed = solve_maxmin(FairProblem(
         groups, 3.0, upper_bounds=[[100.0], [100.0]]))
     assert boxed.t == pytest.approx(plain.t, abs=1e-8)
     assert boxed.powers[0][0] == pytest.approx(plain.powers[0][0], abs=1e-6)
@@ -150,7 +148,7 @@ def test_boxed_slack_boxes_match_unboxed():
 def test_boxed_single_group_matches_solve_box():
     objs = [LogCapacity(1, 1, 1), LogCapacity(1, 1, 0.5)]
     box = solve_box(BoxProblem(objs, 3.0, [0.2, 0.2], [2.0, 2.0]))
-    sol = solve_maxmin_boxed(FairProblem(
+    sol = solve_maxmin(FairProblem(
         [objs], 3.0, lower_bounds=[[0.2, 0.2]], upper_bounds=[[2.0, 2.0]]))
     assert sol.powers[0] == pytest.approx(box.powers, abs=1e-8)
 
@@ -161,7 +159,7 @@ def test_boxed_tight_upper_bounds_respected():
                for _ in range(2)] for _ in range(2)]
     taus = [[0.6, 0.6], [5.0, 5.0]]
     problem = FairProblem(groups, 4.0, upper_bounds=taus)
-    sol = solve_maxmin_boxed(problem)
+    sol = solve_maxmin(problem)
     for row, tau_row in zip(sol.powers, taus):
         for p, tau in zip(row, tau_row):
             assert p <= tau + 1e-9
@@ -174,7 +172,7 @@ def test_boxed_tight_upper_bounds_respected():
 def test_boxed_all_upper_bounds_cover_budget():
     groups = [[LogCapacity(1, 1, 1)], [LogCapacity(1, 1, 1)]]
     problem = FairProblem(groups, 5.0, upper_bounds=[[1.0], [1.0]])
-    sol = solve_maxmin_boxed(problem)
+    sol = solve_maxmin(problem)
     assert sol.powers == [[1.0], [1.0]]
     assert sol.status == "optimal"
 
@@ -343,56 +341,68 @@ def test_cluster_group_resting_at_its_floor_stays_feasible():
 
 def _random_maxmin_group(rng: random.Random):
     """A log_capacity or inverse_mse group with zero-b channels at zero
-    floors, lower bounds and channels pinned at their upper bound."""
+    floors, lower bounds and finite upper bounds on some channels."""
     cls = rng.choice([LogCapacity, InverseMse])
-    objs, gamma, tau, pinned = [], [], [], []
+    capped = rng.choice([0.3, 1.0])  # the share of channels with a finite tau
+    objs, gamma, tau = [], [], []
     for _ in range(rng.randint(1, 40)):
         b = 0.0 if rng.random() < 0.15 else rng.uniform(0.05, 2)
         g = 0.0 if b == 0.0 or rng.random() < 0.4 else rng.uniform(0, 1)
-        pin = rng.random() < 0.2
         objs.append(cls(rng.uniform(0.2, 5), rng.uniform(0.2, 5), b))
         gamma.append(g)
-        tau.append(g + rng.uniform(0.1, 2) if pin else math.inf)
-        pinned.append(pin)
-    return Channels(objs), np.array(gamma), np.array(tau), np.array(pinned)
+        tau.append(g + rng.uniform(0.1, 2) if rng.random() < capped else math.inf)
+    return Channels(objs), np.array(gamma), np.array(tau)
 
 
 def test_exact_group_level_matches_bisection():
     from waterline import InfeasibleTarget
+    from waterline.box import _classify
     from waterline.fair import _group_level, _group_mu_for_t, _group_state
     rng = random.Random(23)
-    outcomes = {"level": 0, "floor": 0, "unreachable": 0}
+    outcomes = {"level": 0, "flat": 0, "floor": 0, "unreachable": 0}
     for _ in range(120):
-        channels, gamma, tau, pinned = _random_maxmin_group(rng)
-        level = _group_level(channels, gamma, tau, pinned)
-        rates = channels.rate(gamma)[~pinned]
+        channels, gamma, tau = _random_maxmin_group(rng)
+        level = _group_level(channels, gamma, tau)
+        capped = np.isfinite(tau)
+        rates = np.concatenate((channels.rate(gamma),
+                                channels.rate(np.where(capped, tau, gamma))[capped]))
         finite = rates[np.isfinite(rates)]
         lo, hi = (1e-2 * finite.min(), 2 * finite.max()) if finite.size else (1e-2, 2)
-        targets = [_group_state(channels, gamma, tau, pinned,
-                                math.exp(rng.uniform(math.log(lo), math.log(hi))))[1]
+
+        def utility(mu):
+            return _group_state(channels, gamma, tau, mu)[1]
+        targets = [utility(math.exp(rng.uniform(math.log(lo), math.log(hi))))
                    for _ in range(3)]
-        if finite.size == rates.size:  # else the floor utility is -inf
-            targets.append(_group_state(channels, gamma, tau, pinned, None)[1]
-                           - rng.uniform(0, 1))
-        if channels.family == "log_capacity":
+        # The utility where a channel saturates: flat beyond it when every
+        # channel that joined is saturated.
+        targets += [utility(r) for r in rng.sample(list(rates[len(gamma):]),
+                                                   min(2, int(capped.sum())))]
+        if np.isfinite(channels.rate(gamma)).all():  # else the floor utility is -inf
+            targets.append(utility(None) - rng.uniform(0, 1))
+        if capped.all():  # every channel at tau, and nothing above it
+            targets += [utility(1e-300), utility(1e-300) + rng.uniform(0.01, 1)]
+        elif channels.family == "log_capacity":
             targets.append(1e6)
         else:  # the utility stays below its value at mu -> 0
-            targets.append(_group_state(channels, gamma, tau, pinned, 1e-300)[1]
-                           + rng.uniform(0.01, 1))
+            targets.append(utility(1e-300) + rng.uniform(0.01, 1))
         for t in targets:
             results = []
-            for solve in (level, partial(_group_mu_for_t, channels, gamma, tau, pinned)):
+            for solve in (level, partial(_group_mu_for_t, channels, gamma, tau)):
                 try:
-                    results.append(solve(t)[0])
+                    results.append(solve(t))
                 except InfeasibleTarget:
-                    results.append(InfeasibleTarget)
+                    results.append(None)
             exact, reference = results
-            if reference is InfeasibleTarget or reference is None:
-                assert exact is reference
-                outcomes["unreachable" if exact else "floor"] += 1
-            else:
-                assert exact == pytest.approx(reference, rel=1e-12, abs=0)
+            if reference is None or reference[0] is None:
+                assert exact is reference or exact[0] is None
+                outcomes["floor" if reference else "unreachable"] += 1
+                continue
+            np.testing.assert_allclose(exact[1], reference[1], rtol=1e-10, atol=1e-12)
+            if _classify(reference[1], gamma, tau)[3].any():
+                assert exact[0] == pytest.approx(reference[0], rel=1e-12, abs=0)
                 outcomes["level"] += 1
+            else:  # no interior channel: the utility is flat in the level
+                outcomes["flat"] += 1
     assert min(outcomes.values()) > 20, outcomes
 
 
@@ -447,3 +457,116 @@ def test_memoised_budget_search_matches_bisection(kind):
         else:
             y_hi = y
     assert calls["memo"] < calls["bisection"] / 5, calls
+
+
+def _bisected_maxmin_t(problem: FairProblem, lo: float, hi: float) -> float:
+    """The largest t in ``[lo, hi]`` whose least-power group allocations fit
+    the budget, by plain bisection on t over :func:`_group_mu_for_t` (no
+    breakpoint table, no regula falsi).  The bracket is checked first."""
+    from waterline import InfeasibleTarget
+    from waterline.fair import _group_mu_for_t
+    groups = [(Channels(g), np.array(lo, dtype=float), np.array(hi, dtype=float))
+              for g, lo, hi in zip(problem.groups, problem.lower_bounds,
+                                   problem.upper_bounds)]
+
+    def fits(t):
+        try:
+            total = sum(_group_mu_for_t(*group, t)[3] for group in groups)
+        except InfeasibleTarget:
+            return False
+        return total <= problem.budget * (1 + 1e-12)
+    assert fits(lo) and not fits(hi)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def _random_boxed_maxmin(rng: random.Random, n_groups: int) -> FairProblem:
+    """Groups of 1-3 log_capacity or inverse_mse channels with lower bounds
+    and a mix of finite and infinite upper bounds."""
+    cls = rng.choice([LogCapacity, InverseMse])
+    groups = [[cls(rng.uniform(0.5, 2), rng.uniform(0.5, 2), rng.uniform(0.05, 2))
+               for _ in range(rng.randint(1, 3))] for _ in range(n_groups)]
+    k = sum(len(g) for g in groups)
+    budget = k * rng.uniform(0.5, 3)
+    lower = [[rng.uniform(0, 0.5) * budget / k for _ in g] for g in groups]
+    upper = [[lo + rng.choice([0.3, 1.0, 2.0]) * budget / k if rng.random() < 0.6
+              else None for lo in row] for row in lower]
+    return FairProblem(groups, budget, lower_bounds=lower, upper_bounds=upper)
+
+
+def test_boxed_maxmin_matches_references():
+    # grid_search returns a feasible point, so t may not fall below it; its
+    # last step, 1e-5 of the budget for two groups (1e-4 for three, and slow),
+    # bounds the gap.  The bisection reference pins t down to 1e-6.
+    rng = random.Random(31)
+    for n in range(16):
+        problem = _random_boxed_maxmin(rng, 3 if n % 3 == 0 else 2)
+        sol = solve_maxmin(problem)
+        assert check_conditions(problem, sol, tolerance=1e-8).passed
+        reference = _bisected_maxmin_t(problem, sol.t - 1e-3, sol.t + 1e-3)
+        assert sol.t == pytest.approx(reference, abs=1e-6)
+        if problem.n_groups == 2 and n < 8:
+            grid = grid_search(problem).objective_value
+            assert grid - 1e-9 <= sol.t <= grid + 1e-4 * problem.budget
+
+
+def test_conditions_flag_a_better_channel_left_at_its_lower_bound():
+    # t = log 3 for both groups, but group 0 can reach it with less power by
+    # splitting (1, 1) between its equal channels; the optimum t is 1.2069.
+    one = LogCapacity(1, 1, 1)
+    problem = FairProblem([[one, one], [one]], 4.0)
+    from waterline import FairSolution
+    split = FairSolution(
+        powers=[[0.0, 2.0], [2.0]], water_levels=[None, None], group_totals=[2.0, 2.0],
+        group_utilities=[math.log(3.0)] * 2, t=math.log(3.0), active_sets=[[1], [0]],
+        iterations=1, status="optimal")
+    report = check_conditions(problem, split, tolerance=1e-8)
+    assert not report.passed
+    assert report.residuals["lower_rate_violation"] == pytest.approx(2.0)
+    sol = solve_maxmin(problem)
+    assert sol.t == pytest.approx(1.2069, abs=1e-4)
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
+
+
+# Max-min instances where a channel demands more than its upper bound at the
+# unboxed t but less at the boxed optimum, with the t reached when that
+# channel is held at its bound once it has hit it.
+HELD_AT_TAU = [
+    ([[LogCapacity(1, 2, 1.25)], [LogCapacity(1, 2.5, 1), LogCapacity(1, 1.5, 0.75)]],
+     2.5, [[1.25], [0.25, 2.5]], (0, 0), 1.2964380),
+    ([[LogCapacity(1, 2.5, 1), LogCapacity(1, 1.5, 0.75)],
+      [LogCapacity(1, 0.5, 0.5), LogCapacity(1, 3.75, 0.75)]],
+     5.5, [[None, 0.75], [None, 0.5]], (0, 1), 1.7567292),
+]
+
+
+@pytest.mark.parametrize("groups,budget,upper,held,held_t", HELD_AT_TAU)
+def test_boxed_maxmin_takes_a_channel_back_below_its_upper_bound(
+        groups, budget, upper, held, held_t):
+    problem = FairProblem(groups, budget, upper_bounds=upper)
+    sol = solve_maxmin(problem)
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
+    assert sol.t == pytest.approx(
+        _bisected_maxmin_t(problem, sol.t - 1e-3, sol.t + 1e-3), abs=1e-9)
+    assert sol.t > held_t + 5e-6
+    j, i = held
+    assert sol.powers[j][i] < upper[j][i] - 1e-3
+
+
+def test_conditions_flag_a_channel_held_at_its_upper_bound():
+    # The second instance above with channel (0, 1) held at tau = 0.75: every
+    # group reaches t, but that channel's rate at tau is below its group's level.
+    groups, budget, upper = HELD_AT_TAU[1][:3]
+    problem = FairProblem(groups, budget, upper_bounds=upper)
+    from waterline import FairSolution
+    powers = [[0.8359375, 0.75], [3.4140625, 0.5]]
+    utils = [float(Channels(g).eval(p).sum()) for g, p in zip(groups, powers)]
+    held = FairSolution(
+        powers=powers, water_levels=[None, None], group_totals=[1.5859375, 3.9140625],
+        group_utilities=utils, t=min(utils), active_sets=[[0], [0]], iterations=1,
+        status="optimal")
+    report = check_conditions(problem, held, tolerance=1e-8)
+    assert not report.passed
+    assert report.residuals["upper_rate_violation"] > 1e-3

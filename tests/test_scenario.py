@@ -78,3 +78,12 @@ def test_spec_validation():
         ScenarioSpec(gamma=2.0, tau=1.0)
     with pytest.raises(ValueError):
         ScenarioSpec(antennas=0)
+    # snr_db = 4000 overflows the budget, and -4000 rounds it to 0.
+    for field, value in [("gamma", math.nan), ("gamma", math.inf), ("tau", math.nan),
+                         ("snr_db", math.nan), ("snr_db", math.inf), ("snr_db", 4000.0),
+                         ("snr_db", -4000.0), ("noise_power", math.nan),
+                         ("noise_power", math.inf)]:
+        with pytest.raises(ValueError):
+            ScenarioSpec(**{field: value})
+    assert math.isinf(ScenarioSpec(tau=math.inf).tau)
+
