@@ -312,11 +312,9 @@ def solve_maxmin(problem: FairProblem,
         avail = budget - (total_floor - floors[j])
         if avail <= floors[j] * (1.0 + 1e-12):
             t_caps.append(_group_state(chans[j], gammas[j], taus[j], None)[1])
-        elif np.isfinite(taus[j]).any():
+        else:
             sub = BoxProblem(group, avail, problem.lower_bounds[j], problem.upper_bounds[j])
             t_caps.append(solve_box(sub, cfg).objective_value)
-        else:  # no upper bound: P1.1, without the box problem's set-up
-            t_caps.append(water_fill(chans[j], gammas[j], avail, cfg).objective_value)
 
     levels = [_group_level(*group) for group in zip(chans, gammas, taus)]
 

@@ -444,7 +444,8 @@ def _fair_report(problem: FairProblem, solution: FairSolution,
     not_applicable: list[str] = []
 
     # The box rate conditions within each group (its channels bound at the
-    # group total), normalised by the group's largest interior rate.
+    # group total), normalised by the group's largest interior rate or, when
+    # no channel is interior, by its least rate at an upper bound.
     rates = dict.fromkeys(("rate_spread", "lower_rate_violation",
                            "upper_rate_violation"), 0.0)
     saturated = []

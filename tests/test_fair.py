@@ -393,11 +393,15 @@ def test_exact_group_level_matches_bisection():
                 except InfeasibleTarget:
                     results.append(None)
             exact, reference = results
-            if reference is None or reference[0] is None:
-                assert exact is reference or exact[0] is None
-                outcomes["floor" if reference else "unreachable"] += 1
+            assert (exact is None) == (reference is None)
+            if reference is None:
+                outcomes["unreachable"] += 1
                 continue
             np.testing.assert_allclose(exact[1], reference[1], rtol=1e-10, atol=1e-12)
+            if reference[0] is None:
+                assert exact[0] is None
+                outcomes["floor"] += 1
+                continue
             if _classify(reference[1], gamma, tau)[3].any():
                 assert exact[0] == pytest.approx(reference[0], rel=1e-12, abs=0)
                 outcomes["level"] += 1
