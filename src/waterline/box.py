@@ -223,7 +223,6 @@ def solve_box_bisect(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
 
     best_powers, best_total = clamped_total(0.5 * (mu_min + mu_max))
     best_mu = 0.5 * (mu_min + mu_max)
-    status = "optimal"
     iterations = 0
     while abs(best_total - budget) > sigma:
         iterations += 1
@@ -231,13 +230,16 @@ def solve_box_bisect(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
             mu_min = best_mu
         else:
             mu_max = best_mu
-        if (mu_max - mu_min) <= 1e-16 * max(mu_max, 1e-300):
-            status = "feasible"  # tolerance floor: return the best iterate
-            break
         best_mu = 0.5 * (mu_min + mu_max)
+        if not mu_min < best_mu < mu_max:
+            # One ulp apart, still off by sigma: take the end that under-spends.
+            best_mu = mu_max
+            best_powers, best_total = clamped_total(best_mu)
+            break
         best_powers, best_total = clamped_total(best_mu)
+    spent = abs(best_total - budget) <= cfg.power_tolerance * budget
     return _finish(problem, channels, best_powers, best_mu, max(iterations, 1),
-                   status=status)
+                   status="optimal" if spent else "feasible")
 
 
 @_box_strategy

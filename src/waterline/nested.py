@@ -1,108 +1,83 @@
-"""Recursive solver for box-bounded allocation under ascending prefix budgets.
+"""Box-bounded allocation under ascending prefix budgets, in one pass of a
+rising water level.
 
-The chain of constraints ``sum_{k<=J} p_k <= P_J`` (with ``P_J``
-nondecreasing) is handled by relaxation and splitting: solve the range as a
-single box-constrained problem under its final budget; if some interior
-prefix constraint is violated, split the range at the smallest violated
-prefix and recurse on both halves.  The recursion is organized as an
-explicit work-list of channel ranges, each carrying its own budget and the
-prefix caps interior to it.
-
-The result is always feasible.  It is globally optimal when no split or
-exactly one split occurs; with more splits it is close-to-optimal but not
-certified, which the ``status`` field reflects.
+Under caps ``sum_{k<=J} p_k <= P_J`` (``P_J`` nondecreasing) the optimum is a
+staircase: blocks that end at binding caps, with a level that falls from
+block to block (Padakandla & Sundaresan, SIAM J. Optim. 2009).  A block's
+level is the least at which every later cap holds with the later demands
+clamped into their boxes; the block ends at the last cap that binds there
+and is solved by the configured box strategy.  The result is the optimum,
+so ``status`` is always ``"optimal"``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
-from .box import _finish, solve_box
-from .errors import InfeasibleBudget
+from .box import _clamped_demand, _finish, _rate_inside, solve_box
+from .core import illinois_root
+from .errors import BracketFailure, InfeasibleBudget
 from .objectives import Channels
 from .problems import Allocation, AscendingProblem, BoxProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
 
 
-@dataclass
-class _Range:
-    lo: int                 # first channel index (inclusive)
-    hi: int                 # last channel index (inclusive)
-    caps: list[float]       # caps[j] bounds sum(p[lo..lo+j]); caps[-1] is the budget
-
-
 def solve_ascending(problem: AscendingProblem,
                     cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
-    """Work-list relaxation/splitting solver for ascending prefix budgets."""
-    k = problem.n
-    objs = list(problem.objectives)
-    gamma = list(problem.lower_bounds)
-    tau = list(problem.upper_bounds)
+    """One left-to-right pass of the rising water level."""
+    k, channels = problem.n, Channels(problem.objectives)
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(problem.upper_bounds, dtype=float)
+    caps = np.array(problem.prefix_budgets)
+    tol = 1e-4 * cfg.power_tolerance * caps[-1]
+    powers, water_levels = gamma.copy(), []
+    iterations = splits = start = 0
+    while True:
+        g, t, rest = gamma[start:], tau[start:], channels.take(np.arange(start, k))
+        room = caps[start:] - (caps[start - 1] if start else 0.0)
+        if np.isfinite(t).all() and (np.cumsum(t) <= room).all():
+            powers[start:] = t
+            break
 
-    powers = [0.0] * k
-    water_levels: list[float] = []
-    iterations = 0
-    splits = 0
+        def excess(mu: float) -> np.ndarray:
+            return np.cumsum(_clamped_demand(rest, mu, g, t)) - room
 
-    work = [_Range(0, k - 1, list(problem.prefix_budgets))]
-    while work:
-        rng = work.pop()
-        lo, hi, caps = rng.lo, rng.hi, rng.caps
-        sub = BoxProblem(
-            objectives=objs[lo:hi + 1],
-            budget=caps[-1],
-            lower_bounds=gamma[lo:hi + 1],
-            upper_bounds=[None if math.isinf(t) else t for t in tau[lo:hi + 1]])
-        alloc = solve_box(sub, cfg)
-        iterations += alloc.iterations
+        def h(mu: float) -> float:
+            return float(excess(mu).max())
 
-        running = 0.0
-        violated = None
-        for j in range(len(caps) - 1):
-            running += alloc.powers[j]
-            if running > caps[j] * (1.0 + 1e-12):
-                violated = j
+        # The largest excess over the caps falls as the level rises.  At the
+        # largest rate at a lower bound every demand sits there; halve from it.
+        lo = hi = float(_rate_inside(rest, g).max())
+        h_lo = h_hi = h(hi)
+        for _ in range(1100):
+            if h_lo >= 0:
                 break
-        if violated is None:
-            for j, p in enumerate(alloc.powers):
-                powers[lo + j] = p
-            if alloc.water_level is not None:
-                water_levels.append(alloc.water_level)
-            continue
+            hi, h_hi, lo = lo, h_lo, 0.5 * lo
+            h_lo = h(lo)
+        else:
+            raise BracketFailure("could not bracket the block's water level")
+        mu = hi if h_hi >= 0 else illinois_root(h, lo, hi, h_lo, h_hi, tol,
+                                                cfg.mu_tolerance * 1e-4)
+        over = excess(mu)
+        stop = start + int(np.flatnonzero(over >= over.max() - tol)[-1]) + 1
+        budget = room[stop - start - 1]
+        if budget - gamma[start:stop].sum() > cfg.power_tolerance * budget:
+            alloc = solve_box(BoxProblem(problem.objectives[start:stop], budget,
+                                         gamma[start:stop], tau[start:stop]), cfg)
+            powers[start:stop] = alloc.powers
+            iterations += alloc.iterations
+            water_levels += [] if alloc.water_level is None else [alloc.water_level]
+        if stop == k:
+            break
+        splits, start = splits + 1, stop
 
-        splits += 1
-        m = violated
-        budget = caps[-1]
-        # The left budget must leave the right subrange feasible with
-        # respect to its lower bounds, under every surviving right prefix.
-        left_budget = caps[m]
-        gamma_right_running = 0.0
-        for j in range(m + 1, len(caps)):
-            gamma_right_running += gamma[lo + j]
-            left_budget = min(left_budget, caps[j] - gamma_right_running)
-        left_budget = min(left_budget, budget - gamma_right_running)
-        left_caps = [min(c, left_budget) for c in caps[:m]] + [left_budget]
-        right_caps = [c - left_budget for c in caps[m + 1:]]
-        work.append(_Range(lo, lo + m, left_caps))
-        work.append(_Range(lo + m + 1, hi, right_caps))
-
-    full = BoxProblem(
-        objectives=objs,
-        budget=problem.prefix_budgets[-1],
-        lower_bounds=gamma,
-        upper_bounds=[None if math.isinf(t) else t for t in tau])
-    mu = water_levels[0] if (splits == 0 and water_levels) else None
-    result = _finish(full, Channels(objs), powers, mu, max(iterations, 1),
-                     status="optimal" if splits <= 1 else "feasible",
+    mu = water_levels[0] if splits == 0 and water_levels else None
+    result = _finish(problem, channels, powers, mu, max(iterations, 1),
                      water_levels=water_levels)
     result.splits = splits
-
-    running = 0.0
-    for j, cap in enumerate(problem.prefix_budgets):
-        running += result.powers[j]
-        if running > cap * (1.0 + 1e-9):
-            raise InfeasibleBudget(
-                f"prefix constraint through channel {j} violated after solve")
+    over = np.flatnonzero(np.cumsum(result.powers) > caps * (1.0 + 1e-9))
+    if over.size:
+        raise InfeasibleBudget(
+            f"prefix constraint through channel {over[0]} violated after solve")
     return result

@@ -20,7 +20,7 @@ from .core import solve_water_level, water_fill
 from .box import (
     _classify, _rate_conditions, kkt_residual_box, kkt_residual_p1, solve_box)
 from .errors import BracketFailure, DomainError, SizeLimit
-from .objectives import ClusterChannels
+from .objectives import Channels, ClusterChannels
 from .problems import (
     MODE_CLUSTER, Allocation, AscendingProblem, BoxProblem, FairProblem,
     FairSolution, KktReport, SimplexProblem, SolverConfig)
@@ -390,21 +390,41 @@ def _grid_search_fair(problem: FairProblem,
 
 def _ascending_report(problem: AscendingProblem, powers,
                       tolerance: float) -> KktReport:
-    gamma, tau = problem.lower_bounds, problem.upper_bounds
-    caps = problem.prefix_budgets
-    scale = caps[-1]
-    prefix_violation = 0.0
-    running = 0.0
-    for p, cap in zip(powers, caps):
-        running += p
-        prefix_violation = max(prefix_violation, (running - cap) / scale)
-    bounds_violation = 0.0
-    for p, lo, hi in zip(powers, gamma, tau):
-        bounds_violation = max(bounds_violation, lo - p, p - hi)
-    return KktReport(
-        residuals={"prefix_violation": max(0.0, prefix_violation),
-                   "bounds_violation": max(0.0, bounds_violation)},
-        tolerance=tolerance)
+    """Feasibility and the optimality conditions of the level staircase.
+
+    The caps within ``tolerance * P_K`` of their prefix sums split the
+    channels into segments, each a box problem with its own water level.  The
+    levels may not rise from segment to segment, and after the last tight cap
+    the level is 0: ``level_order_violation`` is the most a segment's least
+    admissible level exceeds the largest the segments before it admit.
+    """
+    powers = np.asarray(powers, dtype=float)
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(problem.upper_bounds, dtype=float)
+    caps = np.array(problem.prefix_budgets)
+    slack = caps - np.cumsum(powers)
+    tight = slack <= tolerance * caps[-1]
+    channels = Channels(problem.objectives)
+    residuals = dict.fromkeys(("rate_spread", "lower_rate_violation",
+                               "upper_rate_violation", "level_order_violation"), 0.0)
+    level, start = math.inf, 0
+    for stop in np.union1d(np.flatnonzero(tight) + 1, problem.n).tolist():
+        seg = np.arange(start, stop)
+        p, g, t, sub = powers[seg], gamma[seg], tau[seg], channels.take(seg)
+        mu_lo, mu_hi, lower_v, upper_v = _rate_conditions(sub, p, g, t)
+        spread = 0.0 if mu_lo is None else mu_hi - mu_lo
+        _fixed, lower, _upper, active = _classify(p, g, t)
+        if not active.any():  # only the bounds limit the level
+            lower = np.flatnonzero(lower)
+            mu_lo = float(np.max(sub.take(lower).rate(g[lower]), initial=0.0))
+            mu_hi = math.inf if mu_hi is None else mu_hi
+        level = level if tight[stop - 1] else 0.0
+        for name, value in zip(residuals, (spread, lower_v, upper_v, mu_lo - level)):
+            residuals[name] = max(residuals[name], value)
+        level, start = min(level, mu_hi), stop
+    residuals["prefix_violation"] = max(0.0, float(-slack.min()) / caps[-1])
+    residuals["bounds_violation"] = max(0.0, (gamma - powers).max(), (powers - tau).max())
+    return KktReport(residuals=residuals, tolerance=tolerance)
 
 
 def _marginal_spread(problem: FairProblem, solution: FairSolution,

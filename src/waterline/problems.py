@@ -198,7 +198,10 @@ class Allocation:
     (empty and 1 when the lower bounds use up the budget).  The deactivation
     loop of the other families lists one level per round.  Box strategies
     count their own iterations (``order``: binary-search probes plus the
-    final P1.1 solve's count).
+    final P1.1 solve's count).  An ascending solve is always ``"optimal"``;
+    ``splits`` counts its blocks after the first (each starts past a binding
+    prefix cap), and ``water_levels`` and ``iterations`` collect the blocks'
+    box solves.
     """
 
     powers: list[float]

@@ -1,7 +1,10 @@
 """Shared random-instance factories for the test suite."""
 
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 try:
@@ -14,7 +17,7 @@ else:
 
 from waterline import (
     AfRelay, AscendingProblem, BoxProblem, InverseMse, LogCapacity,
-    SimplexProblem, SumInverseMse, SumLog)
+    SimplexProblem, SumInverseMse, SumLog, solve_box)
 
 FLAT_FAMILIES = ("log_capacity", "inverse_mse", "af_relay",
                  "sum_log", "sum_inverse_mse")
@@ -72,6 +75,35 @@ def random_ascending(family: str, rng: random.Random, k: int) -> AscendingProble
         prefixes.append(running_gamma + slack)
     return AscendingProblem([make_objective(family, rng) for _ in range(k)],
                             prefixes, lower, upper)
+
+
+def enumerate_tight_caps(problem: AscendingProblem) -> float:
+    """Best objective over every pattern of tight prefix caps (small K).
+
+    The caps a pattern marks tight end its blocks, and each block is the box
+    problem under the budget its cap leaves, solved by ``solve_box``; the
+    patterns whose powers keep every cap are compared.  At the optimum the
+    caps it meets with equality end blocks that are box optima, so the best
+    pattern is the optimum.
+    """
+    k, caps = problem.n, problem.prefix_budgets
+    gamma, tau = problem.lower_bounds, problem.upper_bounds
+    best = -math.inf
+    for ends in itertools.product((False, True), repeat=k - 1):
+        powers, start = [], 0
+        for stop in [j + 1 for j, end in enumerate(ends) if end] + [k]:
+            budget = caps[stop - 1] - (caps[start - 1] if start else 0.0)
+            lower = gamma[start:stop]
+            if budget <= sum(lower) * (1.0 + 1e-12):
+                powers += lower
+            else:
+                powers += solve_box(BoxProblem(
+                    problem.objectives[start:stop], budget, lower,
+                    [None if math.isinf(t) else t for t in tau[start:stop]])).powers
+            start = stop
+        if (np.cumsum(powers) <= np.array(caps) * (1.0 + 1e-9)).all():
+            best = max(best, sum(o.eval(p) for o, p in zip(problem.objectives, powers)))
+    return best
 
 
 def pytest_configure(config):

@@ -13,14 +13,13 @@ from click.testing import CliRunner
 from waterline import (
     BOX_STRATEGIES, ClusterLogCapacity, FairProblem, LogCapacity,
     NegativeDemand, SimplexProblem, SolverConfig, check_conditions,
-    enumerate_box, enumerate_p1, grid_search, projected_gradient,
-    solve_ascending, solve_box, solve_cluster, solve_maxmin, solve_p1,
-    solve_p1_lower)
+    enumerate_box, enumerate_p1, grid_search, solve_ascending, solve_box,
+    solve_cluster, solve_maxmin, solve_p1, solve_p1_lower)
 from waterline.cli import main as cli_main
 
 from conftest import (
-    CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective, random_ascending,
-    random_box, random_simplex)
+    CLOSED_FORM_FAMILIES, FLAT_FAMILIES, enumerate_tight_caps, make_objective,
+    random_ascending, random_box, random_simplex)
 
 # Criterion-1 runs are shared with criteria 3 and 4.
 _P1_RUNS = []
@@ -108,7 +107,7 @@ def test_criterion_2_four_way_box_agreement():
 
 def test_criterion_5_ascending_feasibility():
     rng = random.Random(5)
-    one_split_checked = 0
+    enumerated = 0
     for i in range(500):
         family = CLOSED_FORM_FAMILIES[i % len(CLOSED_FORM_FAMILIES)]
         k = rng.randint(2, 6)
@@ -120,16 +119,17 @@ def test_criterion_5_ascending_feasibility():
             running += p
             assert running <= cap * (1.0 + 1e-9)
             assert lo - 1e-9 <= p <= hi + 1e-9
-        if alloc.splits == 1 and k <= 4 and one_split_checked < 40:
-            oracle = projected_gradient(problem)
-            gap = abs(alloc.objective_value - oracle.objective_value)
-            assert gap <= 1e-6 * (1.0 + abs(oracle.objective_value)), \
-                (family, k, alloc.objective_value, oracle.objective_value)
-            one_split_checked += 1
-    assert one_split_checked > 0
-    print(f"\nACCEPTANCE 5 (ascending feasibility on 500 instances; "
-          f"{one_split_checked} one-split instances within 1e-6 of the "
-          f"oracle): PASS")
+        report = check_conditions(problem, alloc, tolerance=1e-8)
+        assert report.passed, (i, report.residuals)
+        if k <= 5:
+            best = enumerate_tight_caps(problem)
+            assert abs(alloc.objective_value - best) <= 1e-8, \
+                (family, k, alloc.objective_value, best)
+            enumerated += 1
+    assert enumerated > 0
+    print(f"\nACCEPTANCE 5 (ascending optimality on 500 instances, every one "
+          f"certified at 1e-8; {enumerated} with K <= 5 within 1e-8 of the "
+          f"tight-cap enumeration): PASS")
 
 
 def test_criterion_6_maxmin_equalization():

@@ -36,7 +36,9 @@ def test_degenerate_box_pins_channel(strategy):
     # bound first; it must not count against the budget twice.  In the third
     # tau exceeds the budget by three ulp, so the slack-budget branch does
     # not apply, yet at tau's own rate the demand rounds below the budget:
-    # every case of order's search under-spends.
+    # every case of order's search under-spends.  In the fourth, bisect's
+    # bracket closes to one ulp while the total's step across it still
+    # exceeds bisect's spend tolerance.
     budget, tau = 1.851135594294659, 1.8511355942946597
     assert tau - budget == 3 * math.ulp(budget)
     cases = [
@@ -46,6 +48,7 @@ def test_degenerate_box_pins_channel(strategy):
                     3.0, [0.0, 0.5, 0.5], [None, 2.0, 0.5]), [1.0, 1.5, 0.5]),
         (BoxProblem([InverseMse(1.670516547120894, 0.10596608169924385,
                                 1.3062240571612649)], budget, None, [tau]), [budget]),
+        (BoxProblem([LogCapacity(1, 1, 1)], 1e-3, None, [1.0]), [1e-3]),
     ]
     for problem, expected in cases:
         alloc = solve_box(problem, SolverConfig(box_strategy=strategy))

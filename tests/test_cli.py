@@ -116,6 +116,35 @@ def test_verify_fails_maxmin_group_with_a_better_channel_at_its_floor(runner, tm
     assert "FAIL  lower_rate_violation" in bad.output
 
 
+def _log_capacity(a):
+    return {"family": "log_capacity", "w": 1.0, "a": a, "b": 1.0}
+
+
+# The last entry is a feasible answer short of the optimum, or None.
+@pytest.mark.parametrize("a,caps,expected,short", [
+    ([1.0, 8.0, 1.0], [1.5, 2.0, 6.0], [0.5625, 1.4375, 4.0], [1.5, 0.5, 4.0]),
+    ([4.0, 1.0, 1.0], [1.0, 1.0, 2.0], [0.875, 0.125, 1.0], None)])
+def test_solve_and_verify_ascending_staircase(runner, tmp_path, a, caps, expected,
+                                               short):
+    doc = {"problem_class": "ascending", "prefix_budgets": caps,
+           "objectives": [_log_capacity(x) for x in a]}
+    inst = _write(tmp_path, "asc.json", doc)
+    out = str(tmp_path / "result.json")
+    solved = runner.invoke(main, ["solve", inst, "--out", out])
+    assert solved.exit_code == 0, solved.output
+    result = json.load(open(out))
+    assert result["powers"] == pytest.approx(expected, abs=1e-9)
+    assert result["status"] == "optimal"
+    good = runner.invoke(main, ["verify", inst, out])
+    assert good.exit_code == 0, good.output
+    if short is not None:
+        result["powers"] = short
+        json.dump(result, open(out, "w"))
+        bad = runner.invoke(main, ["verify", inst, out])
+        assert bad.exit_code == 1, bad.output
+        assert "FAIL  level_order_violation" in bad.output
+
+
 def test_verify_class_mismatch(runner, tmp_path):
     inst_box = _write(tmp_path, "box.json", K3_BOX)
     inst_p1 = _write(tmp_path, "p1.json", K2_P1)

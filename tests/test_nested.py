@@ -5,11 +5,20 @@ import random
 import pytest
 
 from waterline import (
-    AscendingProblem, InfeasibleBudget, LogCapacity, SolverConfig,
+    BOX_STRATEGIES, AscendingProblem, InfeasibleBudget, LogCapacity, SolverConfig,
     check_conditions, enumerate_box, grid_search, projected_gradient,
     solve_ascending, solve_box, BoxProblem)
 
-from conftest import CLOSED_FORM_FAMILIES, random_ascending
+from conftest import CLOSED_FORM_FAMILIES, enumerate_tight_caps, random_ascending
+
+# Two blocks each.  In the first, the strong middle channel pulls channel 0
+# into cap 1's block; in the second, caps 0 and 1 are equal.
+STAIRCASES = [
+    (AscendingProblem([LogCapacity(1, 1, 1), LogCapacity(1, 8, 1), LogCapacity(1, 1, 1)],
+                      [1.5, 2.0, 6.0]), [0.5625, 1.4375, 4.0]),
+    (AscendingProblem([LogCapacity(1, 4, 1), LogCapacity(1, 1, 1), LogCapacity(1, 1, 1)],
+                      [1.0, 1.0, 2.0]), [0.875, 0.125, 1.0]),
+]
 
 
 def test_two_channel_split_example():
@@ -52,6 +61,30 @@ def test_single_split_matches_oracle_k3():
     assert alloc.objective_value >= oracle.objective_value - 1e-8
     assert alloc.objective_value == pytest.approx(
         oracle.objective_value, rel=1e-6)
+
+
+@pytest.mark.parametrize("strategy", BOX_STRATEGIES)
+@pytest.mark.parametrize("problem,expected", STAIRCASES)
+def test_two_block_staircases(problem, expected, strategy):
+    alloc = solve_ascending(problem, SolverConfig(box_strategy=strategy))
+    assert alloc.powers == pytest.approx(expected, abs=1e-9)
+    assert (alloc.status, alloc.splits) == ("optimal", 1)
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
+    assert alloc.objective_value == pytest.approx(enumerate_tight_caps(problem), abs=1e-12)
+
+
+def test_conditions_flag_a_level_that_rises():
+    # Feasible, but 0.446 nats short: across the tight cap 0, channel 1's
+    # rate 1.6 exceeds channel 0's 0.4, so power should move right.
+    report = check_conditions(STAIRCASES[0][0], [1.5, 0.5, 4.0])
+    assert report.residuals["level_order_violation"] == pytest.approx(1.2)
+    assert not report.passed
+    # After the last tight cap every cap is slack, so the level there is 0;
+    # channel 1 could take more power.
+    problem = AscendingProblem([LogCapacity(1, 1, 1)] * 2, [1.0, 3.0])
+    report = check_conditions(problem, [1.0, 1.0])
+    assert report.residuals["level_order_violation"] == pytest.approx(0.5)
+    assert check_conditions(problem, [1.0, 2.0]).passed
 
 
 def test_nonmonotone_prefixes_rejected():

@@ -6,9 +6,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from waterline import (  # noqa: E402
-    BOX_STRATEGIES, FAIR_MODES, AfRelay, BoxProblem, ClusterLogCapacity,
-    FairProblem, InverseMse, LogCapacity, SolverConfig, SumInverseMse, SumLog,
-    check_conditions, solve_box, solve_fair)
+    BOX_STRATEGIES, FAIR_MODES, AfRelay, AscendingProblem, BoxProblem,
+    ClusterLogCapacity, FairProblem, InverseMse, LogCapacity, SolverConfig,
+    SumInverseMse, SumLog, check_conditions, solve_ascending, solve_box, solve_fair)
 
 from conftest import FLAT_FAMILIES  # noqa: E402
 
@@ -63,28 +63,59 @@ def test_every_fair_mode_passes_its_conditions(problem):
     assert report.passed, report.residuals
 
 
-@st.composite
-def box_problems(draw):
-    """Boxes of one flat family; some channels have gamma = tau, some tau = inf."""
-    family = draw(st.sampled_from(FLAT_FAMILIES))
-    k = draw(st.integers(2, 8))
-    budget = k * draw(st.floats(0.5, 3.0))
+def _bounds(draw, k: int, budget: float):
+    """Lower and upper bounds; some channels have gamma = tau, some tau = inf."""
     lower = [draw(st.floats(0.0, 0.6)) * budget / k for _ in range(k)]
     upper = []
     for lo in lower:
         kind = draw(st.sampled_from(["fixed", "open", "box", "box"]))
         upper.append(lo if kind == "fixed" else None if kind == "open"
                      else lo + draw(st.floats(0.2, 2.5)) * budget / k)
-    return BoxProblem([_objective(family, draw) for _ in range(k)],
-                      budget, lower, upper)
+    return lower, upper
 
 
-@given(box_problems())
-def test_every_box_strategy_agrees_and_passes_its_conditions(problem):
-    allocs = [solve_box(problem, SolverConfig(box_strategy=s)) for s in BOX_STRATEGIES]
+def _assert_strategies_agree(problem, solve):
+    allocs = [solve(problem, SolverConfig(box_strategy=s)) for s in BOX_STRATEGIES]
     ref = allocs[0]
     for strategy, alloc in zip(BOX_STRATEGIES, allocs):
         report = check_conditions(problem, alloc, tolerance=1e-8)
         assert report.passed, (strategy, report.residuals)
         assert max(abs(p - q) for p, q in zip(alloc.powers, ref.powers)) <= 1e-6, strategy
         assert abs(alloc.objective_value - ref.objective_value) <= 1e-8, strategy
+
+
+@st.composite
+def box_problems(draw):
+    """Boxes of one flat family; some channels have gamma = tau, some tau = inf."""
+    family = draw(st.sampled_from(FLAT_FAMILIES))
+    k = draw(st.integers(2, 8))
+    budget = k * draw(st.floats(0.5, 3.0))
+    lower, upper = _bounds(draw, k, budget)
+    return BoxProblem([_objective(family, draw) for _ in range(k)],
+                      budget, lower, upper)
+
+
+@given(box_problems())
+def test_every_box_strategy_agrees_and_passes_its_conditions(problem):
+    _assert_strategies_agree(problem, solve_box)
+
+
+@st.composite
+def ascending_problems(draw):
+    """Ascending problems of one flat family.  Some consecutive caps are
+    equal, and some caps equal the lower bounds' prefix sums."""
+    family = draw(st.sampled_from(FLAT_FAMILIES))
+    k = draw(st.integers(2, 6))
+    lower, upper = _bounds(draw, k, 0.5 * k)
+    caps, floor = [], 0.0
+    for lo in lower:
+        floor += lo
+        step = draw(st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.0]))
+        caps.append(max(floor, (caps[-1] if caps else 0.2) + step))
+    return AscendingProblem([_objective(family, draw) for _ in range(k)],
+                            caps, lower, upper)
+
+
+@given(ascending_problems())
+def test_every_ascending_strategy_agrees_and_passes_its_conditions(problem):
+    _assert_strategies_agree(problem, solve_ascending)
