@@ -15,7 +15,7 @@ Strategies (selected through ``SolverConfig.box_strategy``):
   so the test is monotone in the case index.  This is the exact sort-based
   breakpoint search of Palomar & Fonollosa (IEEE TSP 2005), O(K log K).
 
-Each strategy is set logic over index masks of one
+Each strategy is set logic over index masks of the problem's
 :class:`~waterline.objectives.Channels` set and its bound arrays, built once
 by :func:`_box_strategy`; demands, rates and utilities are numpy arrays when
 every channel is ``log_capacity``, ``inverse_mse`` or ``af_relay`` (mixed or
@@ -81,14 +81,14 @@ def _box_strategy(body):
     """The public strategy ``(problem, cfg)`` around
     ``body(problem, cfg, channels, gamma, tau)``.
 
-    Builds the channels and the bound arrays once.  When every upper bound is
-    finite and their sum fits the budget, the all-upper allocation is the
-    answer and ``body`` does not run.
+    Builds the bound arrays once; the channels are the problem's own.  When
+    every upper bound is finite and their sum fits the budget, the all-upper
+    allocation is the answer and ``body`` does not run.
     """
     @functools.wraps(body)
     def strategy(problem: BoxProblem,
                  cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
-        channels = Channels(problem.objectives)
+        channels = problem.channels
         gamma = np.array(problem.lower_bounds, dtype=float)
         tau = np.array(problem.upper_bounds, dtype=float)
         if np.isfinite(tau).all() and float(tau.sum()) <= problem.budget:
@@ -337,7 +337,7 @@ def kkt_residual_box(problem: BoxProblem,
     gamma = np.array(problem.lower_bounds, dtype=float)
     tau = np.array(problem.upper_bounds, dtype=float)
     mu_lo, mu_hi, lower, upper = _rate_conditions(
-        Channels(problem.objectives), powers, gamma, tau)
+        problem.channels, powers, gamma, tau)
     residuals = {"rate_spread": 0.0 if mu_lo is None else mu_hi - mu_lo,
                  "lower_rate_violation": lower, "upper_rate_violation": upper}
     spend = problem.budget
@@ -356,5 +356,5 @@ def kkt_residual_p1(problem: SimplexProblem,
     """Residuals of the P1/P1.1 conditions: P1.1 is the box with no upper
     bounds, so these are :func:`kkt_residual_box`'s."""
     return kkt_residual_box(
-        BoxProblem(problem.objectives, problem.budget, problem.lower_bounds),
+        BoxProblem(problem.channels, problem.budget, problem.lower_bounds),
         allocation, tolerance)

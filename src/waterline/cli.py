@@ -27,7 +27,7 @@ from .objectives import ClusterChannels
 from .oracle import check_conditions, enumerate_box
 from .problems import (BOX_STRATEGIES, AscendingProblem, BoxProblem,
                        FairProblem, FairSolution, SolverConfig)
-from .scenario import ScenarioSpec, build_instance
+from .scenario import ScenarioSpec, build_instance, channel_gains
 
 
 def _fail(code: int, message: str):
@@ -143,7 +143,7 @@ def cmd_verify(instance, result, tol):
         else:
             allocation = doc["powers"]
             if not isinstance(allocation, list) or \
-                    len(allocation) != len(problem.objectives):
+                    len(allocation) != problem.n:
                 _fail(1, "powers: length does not match the instance")
         report = check_conditions(problem, allocation, tolerance=tol)
     except SchemaError as exc:
@@ -236,15 +236,6 @@ def cmd_compare(instance, out):
         click.echo(f"wrote {out}")
 
 
-def _sweep_point(spec: ScenarioSpec, realization: int, cfg: SolverConfig):
-    problem = build_instance(spec, realization)
-    alloc = solve_box(problem, cfg)
-    n = len(alloc.powers)
-    mean_mse = -alloc.objective_value / n
-    at_bound = bool(alloc.lower_set) or bool(alloc.upper_set)
-    return mean_mse, at_bound, alloc, problem
-
-
 @main.command("sweep")
 @click.option("--antennas", type=int, default=4)
 @click.option("--taps", type=int, default=7)
@@ -272,37 +263,42 @@ def cmd_sweep(antennas, taps, decay, subcarriers, snr_list, gamma, tau,
         _fail(1, "snr-list: no SNR points given")
     cfg = SolverConfig(box_strategy=strategy)
     seed = _seed(seed)
-    records = []
-    dump_doc = None
+    specs = []
     for snr in snrs:
         try:
-            spec = ScenarioSpec(antennas=antennas, taps=taps, decay=decay,
-                                subcarriers=subcarriers, snr_db=snr,
-                                gamma=gamma,
-                                tau=tau if tau is not None else math.inf,
-                                realizations=realizations, seed=seed)
+            specs.append(ScenarioSpec(antennas=antennas, taps=taps, decay=decay,
+                                      subcarriers=subcarriers, snr_db=snr,
+                                      gamma=gamma,
+                                      tau=tau if tau is not None else math.inf,
+                                      realizations=realizations, seed=seed))
         except ValueError as exc:
             _fail(1, str(exc))
-        values, bound_hits, errors = [], 0, 0
-        for r in range(realizations):
+    # Per SNR point: summed mean MSE, solves, solves with a bound hit, errors.
+    mse, solved, hits, errors = ([0] * len(snrs) for _ in range(4))
+    dump_doc = None
+    for r in range(realizations):
+        # The gains depend on neither the SNR nor the bounds: one draw serves
+        # every SNR point.
+        gains = channel_gains(specs[0], r)
+        for i, spec in enumerate(specs):
             try:
-                mean_mse, at_bound, alloc, problem = _sweep_point(spec, r, cfg)
+                problem = build_instance(spec, r, gains)
+                alloc = solve_box(problem, cfg)
             except WaterlineError:
-                errors += 1
+                errors[i] += 1
                 continue
-            values.append(mean_mse)
-            bound_hits += at_bound
-            if dump and r == 0 and snr == snrs[-1]:
-                dump_doc = {"snr_db": snr, "gamma": gamma, "tau": tau,
+            mse[i] += -alloc.objective_value / len(alloc.powers)
+            solved[i] += 1
+            hits[i] += bool(alloc.lower_set) or bool(alloc.upper_set)
+            if dump and r == 0 and snrs[i] == snrs[-1]:
+                dump_doc = {"snr_db": snrs[i], "gamma": gamma, "tau": tau,
                             "powers": alloc.powers,
                             "lower_set": alloc.lower_set,
                             "upper_set": alloc.upper_set,
                             "budget": problem.budget}
-        solved = len(values)
-        records.append((snr, gamma, tau if tau is not None else "",
-                        solved, errors,
-                        sum(values) / solved if solved else "",
-                        bound_hits / solved if solved else ""))
+    records = [(snr, gamma, tau if tau is not None else "", n, err,
+                total / n if n else "", hit / n if n else "")
+               for snr, total, n, hit, err in zip(snrs, mse, solved, hits, errors)]
     writer_target = open(out, "w", newline="", encoding="utf-8") if out \
         else sys.stdout
     writer = csv.writer(writer_target)

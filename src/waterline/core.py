@@ -159,7 +159,7 @@ def solve_water_level(objectives: Sequence[Objective], budget: float,
 def solve_p1_lower(problem: SimplexProblem,
                    cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
     """P1.1 (budget plus per-channel lower bounds) for a validated problem."""
-    return water_fill(Channels(problem.objectives),
+    return water_fill(problem.channels,
                       np.array(problem.lower_bounds, dtype=float),
                       problem.budget, cfg)
 

@@ -6,7 +6,16 @@ class WaterlineError(Exception):
 
 
 class DomainError(WaterlineError):
-    """A power value lies outside the admissible domain of an objective."""
+    """A power value lies outside the admissible domain of an objective.
+
+    ``index`` names the channel at fault when a check over a parameter array
+    failed; the message then starts with ``objectives[index]``, and
+    ``detail`` holds the rest of it.
+    """
+
+    def __init__(self, detail: str, index: int | None = None):
+        self.detail, self.index = detail, index
+        super().__init__(detail if index is None else f"objectives[{index}]: {detail}")
 
 
 class InversionFailure(WaterlineError):

@@ -13,8 +13,8 @@ import json
 import math
 from typing import Any
 
-from .errors import SchemaError, WaterlineError
-from .objectives import ClusterLogCapacity, Objective, objective_from_params
+from .errors import DomainError, SchemaError, WaterlineError
+from .objectives import BANK_FAMILIES, Channels, Objective, objective_from_params
 from .problems import (
     FAIR_MODES, Allocation, AscendingProblem, BoxProblem, FairProblem,
     FairSolution, KktReport, SimplexProblem, SolverConfig)
@@ -76,6 +76,36 @@ def _objective_list(value, field: str) -> list:
     return out
 
 
+_BANK_RECORD_KEYS = {"family", "w", "a", "b"}
+
+
+def _flat_objectives(value):
+    """A flat problem's objectives: a bank when every record is a
+    ``log_capacity``, ``inverse_mse`` or ``af_relay`` record of numbers,
+    otherwise the objects of :func:`_objective_list`."""
+    if isinstance(value, list) and value:
+        families, w, a, b = [], [], [], []
+        for record in value:
+            if not (isinstance(record, dict) and record.keys() == _BANK_RECORD_KEYS
+                    and record["family"] in BANK_FAMILIES
+                    and all(type(record[key]) in (int, float) for key in "wab")):
+                break
+            families.append(record["family"])
+            w.append(record["w"])
+            a.append(record["a"])
+            b.append(record["b"])
+        else:
+            try:
+                return Channels.from_arrays(families, w, a, b)
+            except DomainError as exc:
+                raise SchemaError(f"objectives[{exc.index}]", exc.detail) from exc
+    objectives = _objective_list(value, "objectives")
+    if any(not isinstance(o, Objective) for o in objectives):
+        raise SchemaError("objectives",
+                          "cluster-aware families need a fair problem class")
+    return objectives
+
+
 def instance_from_dict(doc: Any):
     """Build a problem object from an instance document."""
     if not isinstance(doc, dict):
@@ -87,10 +117,7 @@ def instance_from_dict(doc: Any):
     try:
         if cls in _FLAT_FIELDS:
             _check_fields(doc, _FLAT_FIELDS[cls])
-            objectives = _objective_list(_require(doc, "objectives"), "objectives")
-            if any(not isinstance(o, Objective) for o in objectives):
-                raise SchemaError("objectives",
-                                  "cluster-aware families need a fair problem class")
+            objectives = _flat_objectives(_require(doc, "objectives"))
             lower = doc.get("lower_bounds")
             if lower is not None:
                 lower = _number_list(lower, "lower_bounds")

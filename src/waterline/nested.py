@@ -17,7 +17,6 @@ import numpy as np
 from .box import _clamped_demand, _finish, _rate_inside, solve_box
 from .core import illinois_root
 from .errors import BracketFailure, InfeasibleBudget
-from .objectives import Channels
 from .problems import Allocation, AscendingProblem, BoxProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
@@ -26,7 +25,7 @@ _DEFAULT_CFG = SolverConfig()
 def solve_ascending(problem: AscendingProblem,
                     cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
     """One left-to-right pass of the rising water level."""
-    k, channels = problem.n, Channels(problem.objectives)
+    k, channels = problem.n, problem.channels
     gamma = np.array(problem.lower_bounds, dtype=float)
     tau = np.array(problem.upper_bounds, dtype=float)
     caps = np.array(problem.prefix_budgets)
@@ -63,7 +62,7 @@ def solve_ascending(problem: AscendingProblem,
         stop = start + int(np.flatnonzero(over >= over.max() - tol)[-1]) + 1
         budget = room[stop - start - 1]
         if budget - gamma[start:stop].sum() > cfg.power_tolerance * budget:
-            alloc = solve_box(BoxProblem(problem.objectives[start:stop], budget,
+            alloc = solve_box(BoxProblem(channels.take(np.arange(start, stop)), budget,
                                          gamma[start:stop], tau[start:stop]), cfg)
             powers[start:stop] = alloc.powers
             iterations += alloc.iterations

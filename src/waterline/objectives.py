@@ -60,6 +60,21 @@ def _check_positive(name: str, value: float) -> float:
     return value
 
 
+# Array forms of the checks above, True where a parameter passes; the bank
+# families' ``_bank_valid`` combine them as their constructors do.
+def _positive(x: np.ndarray) -> np.ndarray:
+    return np.isfinite(x) & (x > 0)
+
+
+def _finite_nonneg(x: np.ndarray) -> np.ndarray:
+    return np.isfinite(x) & (x >= 0)
+
+
+def _valid_wab(w, a, b) -> np.ndarray:
+    """Channels whose w, a > 0 and b >= 0 are finite (log_capacity, inverse_mse)."""
+    return _positive(w) & _positive(a) & _finite_nonneg(b)
+
+
 class Objective(ABC):
     """A real-valued, strictly increasing, strictly concave utility."""
 
@@ -195,9 +210,12 @@ class LogCapacity(Objective):
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         return self.w * np.log(self.b + self.a * p)
 
-    # Array forms of demand, rate and eval over parameter arrays w, a, b,
-    # used by Channels; each repeats the scalar formula operation for
-    # operation, so the results agree to the last bit where no log is taken.
+    # Array forms of the constructor's checks and of demand, rate and eval
+    # over parameter arrays w, a, b, used by Channels; each repeats the
+    # scalar formula operation for operation, so the results agree to the
+    # last bit where no log is taken.
+    _bank_valid = staticmethod(_valid_wab)
+
     @staticmethod
     def _bank_demand(w, a, b, mu):
         return w / mu - b / a
@@ -259,6 +277,8 @@ class InverseMse(Objective):
 
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         return -self.w / (self.b + self.a * p)
+
+    _bank_valid = staticmethod(_valid_wab)
 
     @staticmethod
     def _bank_demand(w, a, b, mu):
@@ -328,6 +348,10 @@ class AfRelay(Objective):
 
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         return self.w * (np.log1p(self.b * p) - np.log1p(self.b * (1.0 - self.a) * p))
+
+    @staticmethod
+    def _bank_valid(w, a, b):
+        return _positive(w) & (0.0 < a) & (a < 1.0) & _positive(b)
 
     @staticmethod
     def _bank_demand(w, a, b, mu):
@@ -519,7 +543,10 @@ class CustomObjective(Objective):
         return (self._rate(p + h) - self._rate(lo)) / (p + h - lo)
 
 
-_BANK_FAMILIES = (LogCapacity, InverseMse, AfRelay)
+_BANK_CLASSES = (LogCapacity, InverseMse, AfRelay)
+#: The closed-form family names a bank holds, each mapped to its class's
+#: position in ``_BANK_CLASSES``.
+BANK_FAMILIES = {cls.family: code for code, cls in enumerate(_BANK_CLASSES)}
 
 
 class Channels:
@@ -539,14 +566,56 @@ class Channels:
         kinds = {type(obj) for obj in self._objects}
         self.w = self.a = self.b = self._codes = self.family = None
         self._groups: list = []
-        if kinds and kinds.issubset(_BANK_FAMILIES):
+        if kinds and kinds.issubset(_BANK_CLASSES):
             n = len(self._objects)
             codes = None if len(kinds) == 1 else np.array(
-                [_BANK_FAMILIES.index(type(o)) for o in self._objects], dtype=np.int8)
+                [_BANK_CLASSES.index(type(o)) for o in self._objects], dtype=np.int8)
             self._set_bank(np.fromiter((o.w for o in self._objects), float, n),
                            np.fromiter((o.a for o in self._objects), float, n),
                            np.fromiter((o.b for o in self._objects), float, n),
                            kinds.pop() if codes is None else None, codes)
+
+    @classmethod
+    def from_arrays(cls, family, w, a, b) -> Channels:
+        """Bank channels from the parameter arrays ``w, a, b``.
+
+        ``family`` is one family name for every channel, or a sequence of
+        names, one per channel; each is ``log_capacity``, ``inverse_mse`` or
+        ``af_relay``.  The parameters get the family constructors' checks as
+        array tests: a value a constructor refuses raises its
+        ``DomainError``, with ``index`` at the first channel at fault.  The
+        objects are built only if ``objectives`` is read.
+        """
+        w, a, b = (np.array(x, dtype=float) for x in (w, a, b))
+        if not (w.ndim == 1 and w.shape == a.shape == b.shape):
+            raise DomainError("w, a and b must be 1-D arrays of one length")
+        n = len(w)
+        try:
+            if isinstance(family, str):
+                single, codes = _BANK_CLASSES[BANK_FAMILIES[family]], None
+            else:
+                single = None
+                codes = np.array([BANK_FAMILIES[f] for f in family], dtype=np.int8)
+        except KeyError as exc:
+            raise DomainError(f"not a closed-form family: {exc.args[0]!r}") from None
+        if codes is not None and len(codes) != n:
+            raise DomainError("family count does not match the parameter arrays")
+        bank = object.__new__(cls)
+        bank._objects = None
+        bank._set_bank(w, a, b, single, codes)
+        bad = np.zeros(n, dtype=bool)
+        for fam, idx, gw, ga, gb in bank._groups:
+            bad[slice(None) if idx is None else idx] = ~fam._bank_valid(gw, ga, gb)
+        if bad.any():
+            i = int(bad.argmax())
+            fam = single if codes is None else _BANK_CLASSES[codes[i]]
+            # The masks are the constructor's tests, so channel i fails one;
+            # the constructor words the message.
+            try:
+                fam(float(w[i]), float(a[i]), float(b[i]))
+            except DomainError as exc:
+                raise DomainError(exc.detail, index=i) from None
+        return bank
 
     def _set_bank(self, w, a, b, single: type | None, codes) -> None:
         """Hold w, a, b with one ``(family, index, w, a, b)`` group per family
@@ -554,7 +623,7 @@ class Channels:
         self.w, self.a, self.b, self._codes = w, a, b, None
         if single is None:
             self._groups = []
-            for code, cls in enumerate(_BANK_FAMILIES):
+            for code, cls in enumerate(_BANK_CLASSES):
                 idx = (codes == code).nonzero()[0]
                 if idx.size:
                     self._groups.append((cls, idx, w[idx], a[idx], b[idx]))

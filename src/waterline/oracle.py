@@ -20,7 +20,7 @@ from .core import solve_water_level, water_fill
 from .box import (
     _classify, _rate_conditions, kkt_residual_box, kkt_residual_p1, solve_box)
 from .errors import BracketFailure, DomainError, SizeLimit
-from .objectives import Channels, ClusterChannels
+from .objectives import ClusterChannels
 from .problems import (
     MODE_CLUSTER, Allocation, AscendingProblem, BoxProblem, FairProblem,
     FairSolution, KktReport, SimplexProblem, SolverConfig)
@@ -404,7 +404,7 @@ def _ascending_report(problem: AscendingProblem, powers,
     caps = np.array(problem.prefix_budgets)
     slack = caps - np.cumsum(powers)
     tight = slack <= tolerance * caps[-1]
-    channels = Channels(problem.objectives)
+    channels = problem.channels
     residuals = dict.fromkeys(("rate_spread", "lower_rate_violation",
                                "upper_rate_violation", "level_order_violation"), 0.0)
     level, start = math.inf, 0

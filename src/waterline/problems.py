@@ -6,8 +6,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DomainError, InfeasibleBudget
-from .objectives import ClusterLogCapacity, Objective
+from .objectives import Channels, ClusterLogCapacity, Objective
 
 BOX_STRATEGIES = ("set_a", "set_b", "bisect", "order")
 
@@ -26,112 +28,130 @@ class SolverConfig:
 
 
 def _validate_bounds(k: int, budget: float, lower, upper):
-    """Checked ``(lower, upper)`` lists for k channels under ``budget``.
+    """Checked ``(lower, upper)`` float lists for k channels under ``budget``.
 
-    Every problem class validates its budget and bounds here.
+    Every problem class validates its budget and bounds here.  ``None`` in
+    ``upper`` (or ``upper`` itself None) means no upper bound.
     """
     if not math.isfinite(budget):
         raise DomainError(f"budget must be finite, got {budget}")
-    lower = [0.0] * k if lower is None else [float(x) for x in lower]
-    if len(lower) != k:
+    lo = np.zeros(k) if lower is None else np.array(lower, dtype=float)
+    if lo.shape != (k,):
         raise DomainError("lower bound count does not match objective count")
-    if any((not math.isfinite(x)) or x < 0 for x in lower):
+    if not np.isfinite(lo).all() or (lo < 0).any():
         raise DomainError("lower bounds must be finite and nonnegative")
     if upper is None:
-        upper = [math.inf] * k
+        hi = np.full(k, math.inf)
     else:
-        upper = [math.inf if x is None else float(x) for x in upper]
-        if len(upper) != k:
+        if not isinstance(upper, np.ndarray):  # float(None) would be NaN
+            upper = [math.inf if x is None else x for x in upper]
+        hi = np.array(upper, dtype=float)
+        if hi.shape != (k,):
             raise DomainError("upper bound count does not match objective count")
-    for lo, hi in zip(lower, upper):
-        if math.isnan(hi):
+    bad = np.isnan(hi) | (hi < lo)
+    if bad.any():
+        i = int(bad.argmax())
+        if math.isnan(hi[i]):
             raise DomainError("upper bounds must be numbers or null, got NaN")
-        if hi < lo:
-            raise DomainError(f"upper bound {hi} below lower bound {lo}")
-    if sum(lower) > budget * (1.0 + 1e-12):
-        raise InfeasibleBudget(
-            f"sum of lower bounds {sum(lower)} exceeds budget {budget}")
-    return lower, upper
+        raise DomainError(f"upper bound {hi[i]} below lower bound {lo[i]}")
+    lower = lo.tolist()
+    total = sum(lower)  # left to right; np.sum's pairwise rounding may differ
+    if total > budget * (1.0 + 1e-12):
+        raise InfeasibleBudget(f"sum of lower bounds {total} exceeds budget {budget}")
+    return lower, hi.tolist()
 
 
+def _channel_bank(cls):
+    """Give a flat problem class its ``channels`` bank.
+
+    The ``objectives`` argument is a :class:`~waterline.objectives.Channels`
+    set or a sequence of objectives; assigning it builds ``channels``, and
+    reading ``objectives`` gives the objects, built from the bank on first
+    read when the problem was built from one.
+    """
+    def get_objectives(self) -> list:
+        return self.channels.objectives
+
+    def set_objectives(self, objectives) -> None:
+        self.channels = objectives if isinstance(objectives, Channels) \
+            else Channels(objectives)
+
+    cls.objectives = property(get_objectives, set_objectives)
+    cls.n = property(lambda self: len(self.channels))
+    return cls
+
+
+def _positive_budget(budget) -> float:
+    budget = float(budget)
+    if not (budget > 0):
+        raise DomainError(f"budget must be positive, got {budget}")
+    return budget
+
+
+@_channel_bank
 @dataclass
 class SimplexProblem:
     """Sum-constrained allocation with optional per-channel lower bounds."""
 
-    objectives: Sequence[Objective]
+    objectives: Channels | Sequence[Objective]
     budget: float
     lower_bounds: Sequence[float] | None = None
 
     def __post_init__(self):
-        if len(self.objectives) < 1:
+        if self.n < 1:
             raise DomainError("need at least one objective")
-        self.budget = float(self.budget)
-        if not (self.budget > 0):
-            raise DomainError(f"budget must be positive, got {self.budget}")
+        self.budget = _positive_budget(self.budget)
         self.lower_bounds, _ = _validate_bounds(
-            len(self.objectives), self.budget, self.lower_bounds, None)
-
-    @property
-    def n(self) -> int:
-        return len(self.objectives)
+            self.n, self.budget, self.lower_bounds, None)
 
 
+@_channel_bank
 @dataclass
 class BoxProblem:
     """Sum-constrained allocation with per-channel box bounds."""
 
-    objectives: Sequence[Objective]
+    objectives: Channels | Sequence[Objective]
     budget: float
     lower_bounds: Sequence[float] | None = None
-    upper_bounds: Sequence[float] | None = None
+    upper_bounds: Sequence[float | None] | None = None
 
     def __post_init__(self):
-        if len(self.objectives) < 1:
+        if self.n < 1:
             raise DomainError("need at least one objective")
-        self.budget = float(self.budget)
-        if not (self.budget > 0):
-            raise DomainError(f"budget must be positive, got {self.budget}")
+        self.budget = _positive_budget(self.budget)
         self.lower_bounds, self.upper_bounds = _validate_bounds(
-            len(self.objectives), self.budget, self.lower_bounds, self.upper_bounds)
-
-    @property
-    def n(self) -> int:
-        return len(self.objectives)
+            self.n, self.budget, self.lower_bounds, self.upper_bounds)
 
 
+@_channel_bank
 @dataclass
 class AscendingProblem:
     """Box-bounded allocation under a chain of nondecreasing prefix budgets."""
 
-    objectives: Sequence[Objective]
+    objectives: Channels | Sequence[Objective]
     prefix_budgets: Sequence[float]
     lower_bounds: Sequence[float] | None = None
-    upper_bounds: Sequence[float] | None = None
+    upper_bounds: Sequence[float | None] | None = None
 
     def __post_init__(self):
-        k = len(self.objectives)
+        k = self.n
         if k < 1:
             raise DomainError("need at least one objective")
-        self.prefix_budgets = [float(x) for x in self.prefix_budgets]
-        if len(self.prefix_budgets) != k:
+        caps = np.array(self.prefix_budgets, dtype=float)
+        if caps.shape != (k,):
             raise DomainError("prefix budget count does not match objective count")
-        if any(not (x > 0) for x in self.prefix_budgets):
+        if not (caps > 0).all():
             raise DomainError("prefix budgets must be positive")
-        for a, b in zip(self.prefix_budgets, self.prefix_budgets[1:]):
-            if b < a:
-                raise DomainError("prefix budgets must be nondecreasing")
+        if (caps[1:] < caps[:-1]).any():
+            raise DomainError("prefix budgets must be nondecreasing")
+        self.prefix_budgets = caps.tolist()
         self.lower_bounds, self.upper_bounds = _validate_bounds(
             k, self.prefix_budgets[-1], self.lower_bounds, self.upper_bounds)
-        running = 0.0
-        for j, (lo, cap) in enumerate(zip(self.lower_bounds, self.prefix_budgets)):
-            running += lo
-            if running > cap * (1.0 + 1e-12):
-                raise InfeasibleBudget(
-                    f"lower bounds through channel {j} exceed prefix budget {cap}")
-
-    @property
-    def n(self) -> int:
-        return len(self.objectives)
+        # cumsum adds left to right, as a running sum does.
+        over = np.flatnonzero(np.cumsum(self.lower_bounds) > caps * (1.0 + 1e-12))
+        if over.size:
+            raise InfeasibleBudget(f"lower bounds through channel {over[0]} exceed "
+                                   f"prefix budget {self.prefix_budgets[over[0]]}")
 
 
 MODE_MAXMIN = "maxmin"
@@ -153,9 +173,7 @@ class FairProblem:
     def __post_init__(self):
         if self.mode not in FAIR_MODES:
             raise DomainError(f"unknown fairness mode: {self.mode!r}")
-        self.budget = float(self.budget)
-        if not (self.budget > 0):
-            raise DomainError(f"budget must be positive, got {self.budget}")
+        self.budget = _positive_budget(self.budget)
         if not self.groups or any(len(g) < 1 for g in self.groups):
             raise DomainError("every group needs at least one objective")
         cluster_mode = self.mode in (MODE_CLUSTER, MODE_CLUSTER_MAXMIN)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import InverseMse
+from .objectives import Channels
 from .problems import BoxProblem
 
 
@@ -87,17 +87,25 @@ def channel_gains(spec: ScenarioSpec, realization: int) -> np.ndarray:
     return np.maximum(gains.real, 0.0)
 
 
-def build_instance(spec: ScenarioSpec, realization: int) -> BoxProblem:
-    """One realization as a box-constrained sum-MSE minimization instance."""
-    gains = channel_gains(spec, realization).ravel()
+def build_instance(spec: ScenarioSpec, realization: int,
+                   gains: np.ndarray | None = None) -> BoxProblem:
+    """One realization as a box-constrained sum-MSE minimization instance.
+
+    Its channels are an ``inverse_mse`` bank with ``a`` the gains and ``w = b``
+    the noise power.  ``gains`` is the realization's :func:`channel_gains`
+    when the caller has drawn them already: they depend on neither the SNR,
+    the bounds nor the noise power, so one draw serves every such spec.
+    """
+    if gains is None:
+        gains = channel_gains(spec, realization)
+    gains = gains.ravel()
+    k = gains.size
     budget = spec.budget
-    uniform = budget / gains.size
-    lower = [spec.gamma * uniform] * gains.size
-    upper = None if math.isinf(spec.tau) else [spec.tau * uniform] * gains.size
-    objectives = [InverseMse(w=spec.noise_power, a=float(g), b=spec.noise_power)
-                  for g in gains]
-    return BoxProblem(objectives=objectives, budget=budget,
-                      lower_bounds=lower, upper_bounds=upper)
+    uniform = budget / k
+    noise = np.full(k, spec.noise_power, dtype=float)
+    upper = None if math.isinf(spec.tau) else np.full(k, spec.tau * uniform)
+    return BoxProblem(Channels.from_arrays("inverse_mse", noise, gains, noise),
+                      budget, np.full(k, spec.gamma * uniform), upper)
 
 
 def generate(spec: ScenarioSpec) -> list[BoxProblem]:

@@ -1,5 +1,7 @@
 """End-to-end CLI tests."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -7,7 +9,10 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from waterline import LogCapacity, SimplexProblem, save_instance
+from waterline import (
+    BoxProblem, InverseMse, LogCapacity, ScenarioSpec, SimplexProblem,
+    SolverConfig, build_instance, channel_gains, instance_to_dict,
+    save_instance, solve_box)
 from waterline.cli import main
 
 from conftest import random_box
@@ -273,3 +278,101 @@ def test_scenario_commands_reject_non_finite_input(runner, tmp_path, command,
                                   str(tmp_path / "out"), option, value])
     assert result.exit_code == 1, result.output
     assert "error:" in result.output
+
+
+def _sweep_reference(snrs, gamma, tau, realizations, seed, strategy, **shape):
+    """The CSV and dump bytes of ``sweep``, from a plain loop of
+    ``build_instance`` and ``solve_box`` over every (SNR, realization)."""
+    cfg = SolverConfig(box_strategy=strategy)
+    rows, dump = [], None
+    for snr in snrs:
+        spec = ScenarioSpec(snr_db=snr, gamma=gamma,
+                            tau=math.inf if tau is None else tau,
+                            realizations=realizations, seed=seed, **shape)
+        values, hits = [], 0
+        for r in range(realizations):
+            problem = build_instance(spec, r)
+            alloc = solve_box(problem, cfg)
+            values.append(-alloc.objective_value / len(alloc.powers))
+            hits += bool(alloc.lower_set or alloc.upper_set)
+            if r == 0 and snr == snrs[-1]:
+                dump = {"snr_db": snr, "gamma": gamma, "tau": tau,
+                        "powers": alloc.powers, "lower_set": alloc.lower_set,
+                        "upper_set": alloc.upper_set, "budget": problem.budget}
+        rows.append([snr, gamma, "" if tau is None else tau, len(values), 0,
+                     sum(values) / len(values), hits / len(values)])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["snr_db", "gamma", "tau", "solved", "errors",
+                     "mean_mse", "bound_active_fraction"])
+    for row in rows:
+        writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    return text.getvalue().encode(), (json.dumps(dump, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("gamma,tau,strategy", [(0.3, 1.7, "order"),
+                                                (0.0, None, "set_b"),
+                                                (1.0, 1.0, "bisect")])
+def test_sweep_matches_a_solve_per_snr_and_realization(runner, tmp_path, gamma,
+                                                       tau, strategy):
+    """Drawing each realization once for every SNR point changes no byte,
+    with an SNR listed twice."""
+    snrs = [10.0, 0.0, 10.0, -5.0, 10.0]
+    out, dump = tmp_path / "sweep.csv", tmp_path / "dump.json"
+    args = ["sweep", "--antennas", "2", "--taps", "3", "--subcarriers", "8",
+            "--snr-list", ",".join(map(str, snrs)), "--gamma", str(gamma),
+            "--realizations", "4", "--seed", "7", "--strategy", strategy,
+            "--out", str(out), "--dump", str(dump)]
+    if tau is not None:
+        args += ["--tau", str(tau)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    expected_csv, expected_dump = _sweep_reference(
+        snrs, gamma, tau, 4, 7, strategy, antennas=2, taps=3, subcarriers=8)
+    assert out.read_bytes() == expected_csv
+    assert dump.read_bytes() == expected_dump
+
+
+@pytest.mark.parametrize("late", ["nan", "1e400", "-1e400"])
+def test_sweep_rejects_a_late_bad_snr_before_writing(runner, tmp_path, late):
+    out, dump = tmp_path / "sweep.csv", tmp_path / "dump.json"
+    result = runner.invoke(main, [
+        "sweep", "--antennas", "2", "--taps", "2", "--subcarriers", "4",
+        "--realizations", "2", "--snr-list", f"0,5,10,{late}",
+        "--out", str(out), "--dump", str(dump)])
+    assert result.exit_code == 1, result.output
+    assert "error:" in result.output
+    assert not out.exists() and not dump.exists()
+
+
+def test_generate_matches_object_built_instances(runner, tmp_path):
+    """Bank-built scenario files are byte for byte the files of instances
+    built from one ``InverseMse`` object per gain."""
+    result = runner.invoke(main, [
+        "generate", "--subcarriers", "16", "--gamma", "0.4", "--tau", "1.6",
+        "--realizations", "2", "--seed", "5", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    spec = ScenarioSpec(subcarriers=16, gamma=0.4, tau=1.6, realizations=2, seed=5)
+    for r in range(2):
+        gains = channel_gains(spec, r).ravel()
+        uniform = spec.budget / gains.size
+        problem = BoxProblem([InverseMse(1.0, float(g), 1.0) for g in gains],
+                             spec.budget, [0.4 * uniform] * gains.size,
+                             [1.6 * uniform] * gains.size)
+        expected = json.dumps(instance_to_dict(problem), indent=2) + "\n"
+        assert (tmp_path / f"instance_{r:04d}.json").read_text() == expected
+
+
+@pytest.mark.parametrize("index,record,message", [
+    (2, {"a": 0.0}, "parameter a must be finite and positive, got 0.0"),
+    (1, {"family": "af_relay", "a": 1.5}, "af_relay requires 0 < a < 1, got 1.5"),
+    (0, {"b": -1}, "parameter b must be finite and nonnegative, got -1.0"),
+])
+def test_solve_names_the_bad_closed_form_record(runner, tmp_path, index, record,
+                                               message):
+    doc = json.loads(json.dumps(K3_BOX))
+    doc["objectives"][index].update(record)
+    inst = _write(tmp_path, "bad.json", doc)
+    result = runner.invoke(main, ["solve", inst])
+    assert result.exit_code == 1, result.output
+    assert f"error: objectives[{index}]: {message}" in result.output

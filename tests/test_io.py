@@ -6,9 +6,10 @@ import math
 import pytest
 
 from waterline import (
-    AscendingProblem, BoxProblem, FairProblem, LogCapacity, SchemaError,
-    SimplexProblem, SolverConfig, instance_from_dict, instance_to_dict,
-    load_instance, problem_class, result_to_dict, save_instance, solve_box)
+    FAMILIES, AscendingProblem, BoxProblem, FairProblem, LogCapacity,
+    ScenarioSpec, SchemaError, SimplexProblem, SolverConfig, build_instance,
+    instance_from_dict, instance_to_dict, load_instance, problem_class,
+    result_to_dict, save_instance, solve_box)
 
 from conftest import random_ascending, random_box, random_simplex
 
@@ -140,3 +141,71 @@ def test_non_finite_input_rejected_on_load(tmp_path, field, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match="finite|NaN"):
         load_instance(str(path))
+
+
+def test_scenario_bank_round_trips_exactly(tmp_path):
+    problem = build_instance(ScenarioSpec(antennas=2, taps=3, subcarriers=8,
+                                          gamma=0.4, tau=1.6, seed=3), 1)
+    path = tmp_path / "instance.json"
+    save_instance(problem, str(path))
+    clone = load_instance(str(path))
+    assert clone.channels.family == "inverse_mse" and clone.channels._objects is None
+    for name in "wab":
+        assert getattr(clone.channels, name).tolist() == \
+            getattr(problem.channels, name).tolist()
+    assert (clone.budget, clone.lower_bounds, clone.upper_bounds) == \
+        (problem.budget, problem.lower_bounds, problem.upper_bounds)
+    assert solve_box(clone) == solve_box(problem)
+    assert instance_to_dict(clone) == instance_to_dict(problem)
+
+
+def _record(family, **params):
+    return dict({"family": family, "w": 1.0, "a": 0.5, "b": 1.0}, **params)
+
+
+def test_closed_form_records_load_as_one_bank():
+    doc = {"problem_class": "ascending", "prefix_budgets": [1.0, 2.0, 3.0],
+           "objectives": [_record("log_capacity"), _record("af_relay", a=0.25),
+                          _record("inverse_mse", w=2)]}
+    problem = instance_from_dict(doc)
+    assert problem.channels.closed_form and problem.channels.family is None
+    assert [o.to_params() for o in problem.objectives] == \
+        [_record("log_capacity"), _record("af_relay", a=0.25),
+         _record("inverse_mse", w=2.0)]
+
+
+@pytest.mark.parametrize("odd", [
+    {"family": "sum_log", "w": [1.0], "a": 1.0, "b": 1.0, "c": [1.0], "d": [1.0]},
+    {"family": "sum_inverse_mse", "w": [1.0, 2.0], "a": 1.0, "b": 1.0,
+     "c": [1.0, 1.0], "d": [1.0, 0.5]},
+    _record("log_capacity", w=True),
+], ids=["sum_log", "sum_inverse_mse", "bool_parameter"])
+def test_other_records_load_through_the_objects(odd):
+    doc = {"problem_class": "box", "budget": 2.0,
+           "objectives": [_record("log_capacity"), odd]}
+    problem = instance_from_dict(doc)
+    assert [type(o) for o in problem.objectives] == \
+        [LogCapacity, FAMILIES[odd["family"]]]
+    assert solve_box(problem).status == "optimal"
+
+
+@pytest.mark.parametrize("record,message", [
+    (_record("inverse_mse", w=float("nan")),
+     "objectives[1]: parameter w must be finite and positive, got nan"),
+    (_record("af_relay", b=0),
+     "objectives[1]: parameter b must be finite and positive, got 0.0"),
+    (_record("log_capacity", a=float("-inf")),
+     "objectives[1]: parameter a must be finite and positive, got -inf"),
+    (_record("log_capacity", c=1.0), "objectives[1]: bad parameters"),
+    (_record("log_capacity", w="1"), None),
+])
+def test_bad_closed_form_record_named(record, message):
+    doc = {"problem_class": "p1", "budget": 1.0,
+           "objectives": [_record("log_capacity"), record, _record("log_capacity")]}
+    if message is None:  # a string the constructor's float() reads, as before
+        assert instance_from_dict(doc).objectives[1].w == 1.0
+        return
+    with pytest.raises(SchemaError) as err:
+        instance_from_dict(doc)
+    assert err.value.field == "objectives[1]"
+    assert str(err.value).startswith(message)

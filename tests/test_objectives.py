@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from waterline import (
-    AfRelay, ClusterLogCapacity, CustomObjective, DomainError, InverseMse,
-    LogCapacity, NegativeDemand, SumInverseMse, SumLog, objective_from_params)
+    FAMILIES, AfRelay, ClusterLogCapacity, CustomObjective, DomainError,
+    InverseMse, LogCapacity, NegativeDemand, SumInverseMse, SumLog,
+    objective_from_params)
 
 from waterline.objectives import Channels
 
@@ -191,3 +192,76 @@ def test_channels_reject_out_of_domain_power():
         channels.eval(np.array([0.0, -1.0]))
     with pytest.raises(DomainError):
         channels.demand(0.0)
+
+
+def _bank_of(objs):
+    """The bank ``Channels.from_arrays`` builds from the objects' parameters."""
+    return Channels.from_arrays([o.family for o in objs], [o.w for o in objs],
+                                [o.a for o in objs], [o.b for o in objs])
+
+
+@pytest.mark.parametrize("families", [("inverse_mse",), ("log_capacity",),
+                                      ("af_relay",), CLOSED_FORM_FAMILIES],
+                         ids=["inverse_mse", "log_capacity", "af_relay", "mixed"])
+def test_bank_from_arrays_matches_channels_of_objects(families):
+    rng = random.Random(12)
+    objs = [make_objective(families[i % len(families)], rng) for i in range(15)]
+    reference = Channels(objs)
+    banks = [_bank_of(objs)]
+    if len(families) == 1:
+        banks.append(Channels.from_arrays(families[0], *(
+            [getattr(o, name) for o in objs] for name in "wab")))
+    powers = np.array([rng.uniform(0.0, 5.0) for _ in objs])
+    for bank in banks:
+        assert bank.closed_form and bank.family == reference.family
+        for mu in (0.05, 0.7, 3.0):
+            assert bank.demand(mu).tolist() == reference.demand(mu).tolist()
+        assert bank.rate(powers).tolist() == reference.rate(powers).tolist()
+        assert bank.eval(powers).tolist() == reference.eval(powers).tolist()
+        index = [9, 2, 4]
+        assert bank.take(index).rate(powers[index]).tolist() == \
+            reference.take(index).rate(powers[index]).tolist()
+        # Built on first read, with the same classes and floats.
+        built = bank.objectives
+        assert [type(o) for o in built] == [type(o) for o in objs]
+        assert [(o.w, o.a, o.b) for o in built] == [(o.w, o.a, o.b) for o in objs]
+        assert bank.objectives is built
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+@pytest.mark.parametrize("name", ["w", "a", "b"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.5])
+def test_bank_checks_match_the_constructor(family, name, value):
+    """Each value the scalar constructor refuses raises its DomainError from
+    the bank, naming the channel; each value it accepts is accepted."""
+    params = {"w": [1.0] * 4, "a": [0.5] * 4, "b": [1.0] * 4}
+    params[name][2] = value
+    try:
+        expected = None
+        FAMILIES[family](*(params[key][2] for key in "wab"))
+    except DomainError as exc:
+        expected = exc
+    families = [family, "log_capacity", family, "inverse_mse"]
+    for fam in (family, families):
+        if expected is None:
+            bank = Channels.from_arrays(fam, params["w"], params["a"], params["b"])
+            assert getattr(bank.objectives[2], name) == value
+            continue
+        with pytest.raises(DomainError) as err:
+            Channels.from_arrays(fam, params["w"], params["a"], params["b"])
+        assert err.value.index == 2
+        assert err.value.detail == str(expected)
+        assert str(err.value) == f"objectives[2]: {expected}"
+
+
+def test_bank_names_the_first_bad_channel():
+    with pytest.raises(DomainError) as err:
+        Channels.from_arrays("inverse_mse", [1.0, 1.0, -1.0, 1.0],
+                             [1.0, 0.0, 1.0, 0.0], [1.0] * 4)
+    assert err.value.index == 1 and "parameter a" in str(err.value)
+    with pytest.raises(DomainError, match="closed-form"):
+        Channels.from_arrays("sum_log", [1.0], [1.0], [1.0])
+    with pytest.raises(DomainError, match="1-D"):
+        Channels.from_arrays("log_capacity", [1.0, 1.0], [1.0], [1.0])
+    with pytest.raises(DomainError, match="family count"):
+        Channels.from_arrays(["log_capacity"], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0])

@@ -87,3 +87,30 @@ def test_spec_validation():
             ScenarioSpec(**{field: value})
     assert math.isinf(ScenarioSpec(tau=math.inf).tau)
 
+
+
+def test_channel_gains_ignore_snr_bounds_and_noise():
+    """The sweep draws each realization's gains once for every SNR point."""
+    base = ScenarioSpec(antennas=3, taps=4, subcarriers=8, seed=11)
+    reference = channel_gains(base, 2)
+    for field, value in [("snr_db", -7.5), ("snr_db", 30.0), ("gamma", 0.9),
+                         ("tau", 1.3), ("noise_power", 0.25), ("realizations", 9)]:
+        spec = ScenarioSpec(**dict(vars(base), **{field: value}))
+        np.testing.assert_array_equal(channel_gains(spec, 2), reference)
+
+
+def test_instance_is_an_inverse_mse_bank():
+    spec = ScenarioSpec(antennas=2, taps=3, subcarriers=4, snr_db=5.0,
+                        gamma=0.4, tau=1.6, seed=5, noise_power=0.5)
+    gains = channel_gains(spec, 1)
+    problem = build_instance(spec, 1)
+    assert problem.channels.family == "inverse_mse"
+    assert problem.channels.a.tolist() == gains.ravel().tolist()
+    again = build_instance(spec, 1, gains)
+    assert again.channels.a.tolist() == problem.channels.a.tolist()
+    # The objects the scenario built before it built banks, read lazily.
+    assert [(o.w, o.a, o.b) for o in problem.objectives] == \
+        [(0.5, float(g), 0.5) for g in gains.ravel()]
+    uniform = spec.budget / gains.size
+    assert problem.lower_bounds == [0.4 * uniform] * gains.size
+    assert problem.upper_bounds == [1.6 * uniform] * gains.size
