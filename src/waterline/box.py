@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _water_level_and_powers, water_fill
+from .core import _classify, _water_level_and_powers, finish, water_fill
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .objectives import Channels
 from .problems import Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig
@@ -41,40 +41,10 @@ from .problems import Allocation, BoxProblem, KktReport, SimplexProblem, SolverC
 _DEFAULT_CFG = SolverConfig()
 
 
-def _classify(powers: np.ndarray, gamma: np.ndarray, tau: np.ndarray):
-    """Masks ``(fixed, lower, upper, active)`` over the channels.
-
-    A channel is fixed when its box has no room (tau - gamma within the
-    1e-12 relative tolerance): it sits at both bounds, so neither rate
-    condition applies to it.
-    """
-    slack = 1e-12 * (1.0 + gamma)
-    fixed = tau - gamma <= slack
-    lower = ~fixed & (powers <= gamma + slack)
-    # tau - 1e-12 * (1 + tau), in a form that keeps an infinite tau infinite.
-    upper = ~fixed & ~lower & (powers >= tau * (1.0 - 1e-12) - 1e-12)
-    return fixed, lower, upper, ~(fixed | lower | upper)
-
-
 def _clamped_demand(channels: Channels, mu: float, gamma: np.ndarray,
                     tau: np.ndarray) -> np.ndarray:
     """Demands at water level ``mu``, clipped into each channel's box."""
     return np.minimum(np.maximum(channels.demand(mu), gamma), tau)
-
-
-def _finish(problem: BoxProblem, channels: Channels, powers, mu, iterations,
-            status="optimal", water_levels=None) -> Allocation:
-    powers = np.asarray(powers, dtype=float)
-    fixed, lower, upper, active = _classify(
-        powers, np.asarray(problem.lower_bounds, dtype=float),
-        np.asarray(problem.upper_bounds, dtype=float))
-    active_set = np.flatnonzero(active).tolist()
-    return Allocation(
-        powers=powers.tolist(), water_level=mu if active_set else None,
-        active_set=active_set, lower_set=np.flatnonzero(fixed | lower).tolist(),
-        upper_set=np.flatnonzero(upper).tolist(), iterations=iterations,
-        objective_value=float(channels.eval(powers).sum()), status=status,
-        water_levels=water_levels or [])
 
 
 def _box_strategy(body):
@@ -92,7 +62,7 @@ def _box_strategy(body):
         gamma = np.array(problem.lower_bounds, dtype=float)
         tau = np.array(problem.upper_bounds, dtype=float)
         if np.isfinite(tau).all() and float(tau.sum()) <= problem.budget:
-            return _finish(problem, channels, tau, None, 1)
+            return finish(channels, tau, gamma, tau, None, 1)
         return body(problem, cfg, channels, gamma, tau)
     return strategy
 
@@ -104,14 +74,12 @@ def solve_box_set_a(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
     remaining = np.arange(problem.n)
     powers = np.zeros(problem.n)
     budget = problem.budget
-    mu = None
     calls = 0
     while remaining.size:
-        sub_alloc = water_fill(channels.take(remaining), gamma[remaining], budget, cfg)
+        sub_powers, mu, _, _ = water_fill(channels.take(remaining), gamma[remaining],
+                                          budget, cfg)
         calls += 1
-        sub_powers = np.array(sub_alloc.powers)
         powers[remaining] = sub_powers
-        mu = sub_alloc.water_level
         hit = sub_powers >= tau[remaining]
         if not hit.any():
             break
@@ -119,7 +87,7 @@ def solve_box_set_a(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
         powers[pinned] = tau[pinned]
         budget -= float(tau[pinned].sum())
         remaining = remaining[~hit]
-    return _finish(problem, channels, powers, mu, calls)
+    return finish(channels, powers, gamma, tau, mu, calls)
 
 
 @_box_strategy
@@ -179,7 +147,7 @@ def solve_box_set_b(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
             powers[upper_viol] = tau[upper_viol]
             at_gamma[:] = False
         recompute()
-    return _finish(problem, channels, powers, mu, max(rounds, 1))
+    return finish(channels, powers, gamma, tau, mu, max(rounds, 1))
 
 
 def _rate_inside(channels: Channels, powers: np.ndarray) -> np.ndarray:
@@ -238,8 +206,8 @@ def solve_box_bisect(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
             break
         best_powers, best_total = clamped_total(best_mu)
     spent = abs(best_total - budget) <= cfg.power_tolerance * budget
-    return _finish(problem, channels, best_powers, best_mu, max(iterations, 1),
-                   status="optimal" if spent else "feasible")
+    return finish(channels, best_powers, gamma, tau, best_mu, max(iterations, 1),
+                  "optimal" if spent else "feasible")
 
 
 @_box_strategy
@@ -277,12 +245,10 @@ def solve_box_ordered(problem: BoxProblem, cfg: SolverConfig, channels: Channels
     fixed, rest = order[:lo], order[lo:]
     powers = np.empty(k)
     powers[fixed] = tau[fixed]
-    sub_alloc = water_fill(channels.take(rest), gamma[rest],
-                           problem.budget - float(tau[fixed].sum()), cfg)
-    powers[rest] = sub_alloc.powers
-    return _finish(problem, channels, powers, sub_alloc.water_level,
-                   probes + sub_alloc.iterations,
-                   water_levels=sub_alloc.water_levels)
+    powers[rest], mu, water_levels, _ = water_fill(
+        channels.take(rest), gamma[rest], problem.budget - float(tau[fixed].sum()), cfg)
+    return finish(channels, powers, gamma, tau, mu, probes + (len(water_levels) or 1),
+                  water_levels=water_levels)
 
 
 _STRATEGIES = {

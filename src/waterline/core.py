@@ -21,7 +21,9 @@ and picks its path from the channels' family:
 
 ``solve_p1_lower`` is the public entry: it takes a validated
 :class:`~waterline.problems.SimplexProblem`.  The box strategies and the fair
-solvers call ``water_fill`` directly on channels they have already checked.
+solvers call ``water_fill`` directly on channels they have already checked
+and read its arrays; :func:`finish` builds the public
+:class:`~waterline.problems.Allocation` of every flat solve.
 """
 
 from __future__ import annotations
@@ -159,17 +161,22 @@ def solve_water_level(objectives: Sequence[Objective], budget: float,
 def solve_p1_lower(problem: SimplexProblem,
                    cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
     """P1.1 (budget plus per-channel lower bounds) for a validated problem."""
-    return water_fill(problem.channels,
-                      np.array(problem.lower_bounds, dtype=float),
-                      problem.budget, cfg)
+    channels = problem.channels
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    powers, mu, water_levels, status = water_fill(channels, gamma, problem.budget, cfg)
+    return finish(channels, powers, gamma, np.full(len(gamma), np.inf), mu,
+                  len(water_levels) or 1, status, water_levels)
 
 
 def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
-               cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
+               cfg: SolverConfig = _DEFAULT_CFG):
     """P1.1 on ``channels`` with lower bounds ``gamma``; inputs unchecked.
 
+    Returns ``(powers, mu, water_levels, status)``: the powers as an array,
+    the final water level (None exactly when ``status`` is ``"feasible"``,
+    the lower bounds using up the budget) and the level of every round.
     Homogeneous ``log_capacity`` and ``inverse_mse`` banks take the exact
-    sorted search, every other family the deactivation loop.
+    sorted search, a single round; every other family the deactivation loop.
     """
     if channels.family not in SORTED_FAMILIES:
         return deactivation_loop(channels, gamma, budget, cfg)
@@ -179,8 +186,7 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
     k = len(channels)
     spare = budget - floor
     if spare <= cfg.power_tolerance * budget:
-        return _allocation(channels, gamma.copy(), np.zeros(k, dtype=bool),
-                           None, [], "feasible")
+        return gamma.copy(), None, [], "feasible"
     # Channel i's demand is u_i/sqrt(mu) - offset_i (inverse_mse) or
     # u_i/mu - offset_i (log_capacity), so its rate at gamma_i is u_i/c_i
     # (squared for inverse_mse) with c_i = gamma_i + offset_i.  The top m
@@ -206,12 +212,13 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
     mu = float(root) if log else float(root * root)
     powers = gamma.copy()
     powers[active] = channels.demand(mu)[active]
-    return _allocation(channels, powers, active, mu, [mu], "optimal")
+    return powers, mu, [mu], "optimal"
 
 
 def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
-                      cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
-    """P1.1 by the deactivation loop (any family); inputs unchecked."""
+                      cfg: SolverConfig = _DEFAULT_CFG):
+    """P1.1 by the deactivation loop (any family); inputs unchecked.  Returns
+    ``(powers, mu, water_levels, status)`` as :func:`water_fill`."""
     if gamma.sum() > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
     k = len(channels)
@@ -219,45 +226,56 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
     act_idx, act = np.arange(k), channels
     powers = gamma.copy()
     water_levels: list[float] = []
-    mu: float | None = None
-    status = "optimal"
 
     while True:
         remaining = budget - float(gamma[~active].sum())
         if not act_idx.size or remaining <= cfg.power_tolerance * budget:
-            active[:] = False
-            powers[:] = gamma
-            mu = None
-            status = "feasible"
-            break
+            return gamma.copy(), None, water_levels, "feasible"
         mu, act_powers = _water_level_and_powers(act, remaining, cfg, scale=budget)
         water_levels.append(mu)
         act_gamma = gamma[act_idx]
         keep = act_powers > act_gamma
         powers[act_idx] = np.where(keep, act_powers, act_gamma)
         if keep.all():
-            break
+            return powers, mu, water_levels, "optimal"
         active[act_idx[~keep]] = False
         keep = keep.nonzero()[0]
         act_idx, act = act_idx[keep], act.take(keep)
-    return _allocation(channels, powers, active, mu, water_levels, status)
 
 
-def _allocation(channels: Channels, powers: np.ndarray, active: np.ndarray,
-                mu: float | None, water_levels: list[float],
-                status: str) -> Allocation:
-    active_set = active.nonzero()[0].tolist()
+def _classify(powers: np.ndarray, gamma: np.ndarray, tau: np.ndarray):
+    """Masks ``(fixed, lower, upper, active)`` over the channels.
+
+    A channel is fixed when its box has no room (tau - gamma within the
+    1e-12 relative tolerance): it sits at both bounds, so neither rate
+    condition applies to it.
+    """
+    slack = 1e-12 * (1.0 + gamma)
+    fixed = tau - gamma <= slack
+    lower = ~fixed & (powers <= gamma + slack)
+    # tau - 1e-12 * (1 + tau), in a form that keeps an infinite tau infinite.
+    upper = ~fixed & ~lower & (powers >= tau * (1.0 - 1e-12) - 1e-12)
+    return fixed, lower, upper, ~(fixed | lower | upper)
+
+
+def finish(channels: Channels, powers: np.ndarray, gamma: np.ndarray, tau: np.ndarray,
+           mu: float | None, iterations: int, status: str = "optimal",
+           water_levels: list[float] | None = None) -> Allocation:
+    """The :class:`~waterline.problems.Allocation` record of a flat solve.
+
+    Its sets are :func:`_classify` of the powers against the bounds ``gamma``
+    and ``tau`` (infinite for P1.1), the classification the condition
+    checkers use; a fixed channel counts as lower.  ``water_level`` is None
+    when no channel is interior.
+    """
+    fixed, lower, upper, active = _classify(powers, gamma, tau)
+    active_set = np.flatnonzero(active).tolist()
     return Allocation(
-        powers=powers.tolist(),
-        water_level=mu if active_set else None,
-        active_set=active_set,
-        lower_set=(~active).nonzero()[0].tolist(),
-        upper_set=[],
-        iterations=len(water_levels) if water_levels else 1,
-        objective_value=float(channels.eval(powers).sum()),
-        status=status,
-        water_levels=water_levels,
-    )
+        powers=powers.tolist(), water_level=mu if active_set else None,
+        active_set=active_set, lower_set=np.flatnonzero(fixed | lower).tolist(),
+        upper_set=np.flatnonzero(upper).tolist(), iterations=iterations,
+        objective_value=float(channels.eval(powers).sum()), status=status,
+        water_levels=water_levels or [])
 
 
 def solve_p1(problem: SimplexProblem,

@@ -44,8 +44,8 @@ from functools import partial
 
 import numpy as np
 
-from .box import _classify, _clamped_demand, solve_box
-from .core import SORTED_FAMILIES, illinois_root, water_fill
+from .box import _clamped_demand, solve_box
+from .core import SORTED_FAMILIES, _classify, illinois_root, water_fill
 from .errors import DomainError, InfeasibleTarget
 from .objectives import Channels, ClusterChannels
 from .problems import (
@@ -243,10 +243,10 @@ def _outer_search(evaluate, budget: float, cfg: SolverConfig, increasing: bool,
     return done(x)
 
 
-def _distribute_surplus(groups, budget, gammas, taus, states, cfg) -> None:
+def _distribute_surplus(chans, budget, gammas, taus, states, cfg) -> None:
     """Hand leftover budget to groups with headroom without lowering anyone."""
     remaining = budget - sum(s[3] for s in states)
-    for j, group in enumerate(groups):
+    for j, channels in enumerate(chans):
         if remaining <= cfg.power_tolerance * budget:
             return
         tau = taus[j]
@@ -255,7 +255,7 @@ def _distribute_surplus(groups, budget, gammas, taus, states, cfg) -> None:
         if give <= cfg.power_tolerance * budget:
             continue
         lower = np.minimum(np.maximum(states[j][1], gammas[j]), tau)
-        sub = BoxProblem(group, states[j][3] + give, lower.tolist(), tau.tolist())
+        sub = BoxProblem(channels, states[j][3] + give, lower.tolist(), tau.tolist())
         alloc = solve_box(sub, cfg)
         states[j] = [alloc.water_level, alloc.powers, alloc.objective_value,
                      sum(alloc.powers)]
@@ -294,8 +294,8 @@ def solve_maxmin(problem: FairProblem,
     """
     if problem.mode != MODE_MAXMIN:
         raise DomainError(f"solve_maxmin requires maxmin mode, got {problem.mode!r}")
-    groups, budget = problem.groups, problem.budget
-    chans = [Channels(group) for group in groups]
+    budget = problem.budget
+    chans = [Channels(group) for group in problem.groups]
     gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
     taus = [np.array(row, dtype=float) for row in problem.upper_bounds]
 
@@ -308,12 +308,13 @@ def solve_maxmin(problem: FairProblem,
     floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
     t_caps = []
-    for j, group in enumerate(groups):
+    for j, channels in enumerate(chans):
         avail = budget - (total_floor - floors[j])
         if avail <= floors[j] * (1.0 + 1e-12):
-            t_caps.append(_group_state(chans[j], gammas[j], taus[j], None)[1])
+            t_caps.append(_group_state(channels, gammas[j], taus[j], None)[1])
         else:
-            sub = BoxProblem(group, avail, problem.lower_bounds[j], problem.upper_bounds[j])
+            sub = BoxProblem(channels, avail, problem.lower_bounds[j],
+                             problem.upper_bounds[j])
             t_caps.append(solve_box(sub, cfg).objective_value)
 
     levels = [_group_level(*group) for group in zip(chans, gammas, taus)]
@@ -323,7 +324,7 @@ def solve_maxmin(problem: FairProblem,
         return sum(s[3] for s in states), states
 
     t, states, iterations = _outer_search(demand, budget, cfg, True, min(t_caps))
-    _distribute_surplus(groups, budget, gammas, taus, states, cfg)
+    _distribute_surplus(chans, budget, gammas, taus, states, cfg)
     return _build_solution(problem, t, states, iterations)
 
 
@@ -382,23 +383,25 @@ class _MonotoneMap:
 def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
     """``(clusters, gammas, solve_group, finish)`` for a cluster-mode problem.
 
-    ``solve_group(j, b)`` solves group j bound to the group budget ``b``;
-    ``finish(totals, iterations, t=None)`` solves every group at its final
-    total and builds the solution, with ``t`` the least group utility unless
-    given.
+    ``solve_group(j, b)`` solves group j bound to the group budget ``b`` and
+    returns ``(channels, powers, mu)``, the bound channels, the powers and
+    the water level (None at the floor); ``finish(totals, iterations,
+    t=None)`` solves every group at its final total and builds the
+    solution, with ``t`` the least group utility unless given.
     """
     clusters = [ClusterChannels(group) for group in problem.groups]
     gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
 
     def solve_group(j: int, group_budget: float):
-        return water_fill(clusters[j].bind(group_budget), gammas[j], group_budget, cfg)
+        channels = clusters[j].bind(group_budget)
+        powers, mu, _, _ = water_fill(channels, gammas[j], group_budget, cfg)
+        return channels, powers, mu
 
     def finish(totals, iterations: int, t: float | None = None) -> FairSolution:
         states = []
         for j, total in enumerate(totals):
-            alloc = solve_group(j, total)
-            states.append([alloc.water_level, alloc.powers,
-                           alloc.objective_value, total])
+            channels, powers, mu = solve_group(j, total)
+            states.append([mu, powers, float(channels.eval(powers).sum()), total])
         if t is None:
             t = min(s[2] for s in states)
         return _build_solution(problem, t, states, iterations)
@@ -424,12 +427,11 @@ def solve_cluster(problem: FairProblem,
     if not any(cluster.coupled for cluster in clusters):
         # No interference coupling: the groups pool into one problem.
         pooled = ClusterChannels([o for group in groups for o in group])
-        alloc = water_fill(pooled.bind(0.0), np.concatenate(gammas), budget, cfg)
-        totals, pos = [], 0
-        for group in groups:
-            totals.append(sum(alloc.powers[pos:pos + len(group)]))
-            pos += len(group)
-        return finish(totals, alloc.iterations)
+        powers, _, water_levels, _ = water_fill(
+            pooled.bind(0.0), np.concatenate(gammas), budget, cfg)
+        ends = np.cumsum([len(group) for group in groups])[:-1]
+        return finish([sum(part.tolist()) for part in np.split(powers, ends)],
+                      len(water_levels) or 1)
 
     floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
@@ -438,11 +440,10 @@ def solve_cluster(problem: FairProblem,
 
     def marginal(j: int, group_budget: float) -> float:
         """d(group utility)/d(group budget): water level + interference drag."""
-        alloc = solve_group(j, group_budget)
-        mu = alloc.water_level
+        channels, powers, mu = solve_group(j, group_budget)
         if mu is None:  # at the floor: the level where the first channel joins
-            mu = float(clusters[j].bind(group_budget).rate(gammas[j]).max())
-        return mu + clusters[j].drag(alloc.powers, group_budget)
+            mu = float(channels.rate(gammas[j]).max())
+        return mu + clusters[j].drag(powers, group_budget)
 
     marginals = [_MonotoneMap(partial(marginal, j), increasing=False)
                  for j in range(n_groups)]
@@ -477,7 +478,8 @@ def solve_cluster_maxmin(problem: FairProblem,
         if group_budget <= floors[j] and \
                 not np.isfinite(channels.rate(gammas[j])).all():
             return -math.inf  # a channel with b = 0 rests at a zero floor
-        return water_fill(channels, gammas[j], group_budget, cfg).objective_value
+        powers = water_fill(channels, gammas[j], group_budget, cfg)[0]
+        return float(channels.eval(powers).sum())
 
     utilities = [_MonotoneMap(partial(utility, j), increasing=True)
                  for j in range(n_groups)]

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .box import _clamped_demand, _finish, _rate_inside, solve_box
-from .core import illinois_root
+from .box import _clamped_demand, _rate_inside, solve_box
+from .core import finish, illinois_root
 from .errors import BracketFailure, InfeasibleBudget
 from .problems import Allocation, AscendingProblem, BoxProblem, SolverConfig
 
@@ -72,8 +72,8 @@ def solve_ascending(problem: AscendingProblem,
         splits, start = splits + 1, stop
 
     mu = water_levels[0] if splits == 0 and water_levels else None
-    result = _finish(problem, channels, powers, mu, max(iterations, 1),
-                     water_levels=water_levels)
+    result = finish(channels, powers, gamma, tau, mu, max(iterations, 1),
+                    water_levels=water_levels)
     result.splits = splits
     over = np.flatnonzero(np.cumsum(result.powers) > caps * (1.0 + 1e-9))
     if over.size:

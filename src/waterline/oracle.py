@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import solve_water_level, water_fill
-from .box import (
-    _classify, _rate_conditions, kkt_residual_box, kkt_residual_p1, solve_box)
+from .core import _classify, solve_water_level, water_fill
+from .box import _rate_conditions, kkt_residual_box, kkt_residual_p1, solve_box
 from .errors import BracketFailure, DomainError, SizeLimit
 from .objectives import ClusterChannels
 from .problems import (
@@ -346,12 +345,11 @@ def _grid_search_fair(problem: FairProblem,
             return -math.inf
         bound = clusters[j].bind(group_budget)
         if any(math.isfinite(x) for x in taus[j]):
-            alloc = solve_box(BoxProblem(bound.objectives, group_budget,
-                                         gammas[j], taus[j]), cfg)
-        else:
-            alloc = water_fill(bound, np.array(gammas[j], dtype=float),
-                               group_budget, cfg)
-        return alloc.objective_value
+            return solve_box(BoxProblem(bound, group_budget, gammas[j], taus[j]),
+                             cfg).objective_value
+        gamma = np.array(gammas[j], dtype=float)
+        powers = water_fill(bound, gamma, group_budget, cfg)[0]
+        return float(bound.eval(powers).sum())
 
     def combined(totals) -> float:
         utils = [group_utility(j, b) for j, b in enumerate(totals)]

@@ -220,6 +220,11 @@ class Allocation:
     ``splits`` counts its blocks after the first (each starts past a binding
     prefix cap), and ``water_levels`` and ``iterations`` collect the blocks'
     box solves.
+
+    Every flat record is built by :func:`waterline.core.finish`, whose sets
+    classify the powers against the bounds as ``check_conditions`` does.
+    ``water_level`` is None when no channel is interior, and for an
+    ascending staircase of more than one block.
     """
 
     powers: list[float]

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from waterline import (
-    DomainError, InfeasibleBudget, LogCapacity, InverseMse, SimplexProblem,
-    SolverConfig, enumerate_p1, kkt_residual_p1, solve_p1, solve_p1_lower,
-    solve_water_level)
-from waterline.core import deactivation_loop, illinois_root, water_fill
+    BOX_STRATEGIES, BoxProblem, DomainError, InfeasibleBudget, LogCapacity,
+    InverseMse, SimplexProblem, SolverConfig, enumerate_p1, kkt_residual_p1,
+    solve_ascending, solve_box, solve_p1, solve_p1_lower, solve_water_level)
+from waterline.core import _classify, deactivation_loop, illinois_root, water_fill
 from waterline.objectives import Channels
 
-from conftest import FLAT_FAMILIES, make_objective, random_simplex
+from conftest import (
+    FLAT_FAMILIES, make_objective, random_ascending, random_box, random_simplex)
 
 
 def test_two_channel_strong_weak():
@@ -165,16 +166,17 @@ def test_sorted_search_matches_deactivation_loop(family, infinite_rates):
     for k in (1, 2, 3, 5, 16, 64, 257, 1024):
         for _ in range(4):
             channels, gamma, budget = _bank_instance(family, rng, k, infinite_rates)
-            exact = water_fill(channels, gamma, budget)
-            loop = deactivation_loop(channels, gamma, budget)
-            assert exact.status == loop.status == "optimal"
+            powers, mu, levels, status = water_fill(channels, gamma, budget)
+            loop_powers, loop_mu, _, loop_status = deactivation_loop(
+                channels, gamma, budget)
+            assert status == loop_status == "optimal"
             # One pass: a single water level, no deactivation rounds.
-            assert exact.iterations == 1
-            assert exact.water_levels == [exact.water_level]
-            assert max(abs(p - q) for p, q in zip(exact.powers, loop.powers)) <= 1e-6
-            assert abs(exact.objective_value - loop.objective_value) <= 1e-8
-            assert exact.water_level == pytest.approx(loop.water_level, rel=1e-12)
-            assert exact.active_set == loop.active_set
+            assert levels == [mu]
+            assert np.abs(powers - loop_powers).max() <= 1e-6
+            assert abs(channels.eval(powers).sum() - channels.eval(loop_powers).sum()) <= 1e-8
+            assert mu == pytest.approx(loop_mu, rel=1e-12)
+            # Both leave an inactive channel exactly at its lower bound.
+            assert np.array_equal(powers > gamma, loop_powers > gamma)
 
 
 @pytest.mark.parametrize("cls", [LogCapacity, InverseMse])
@@ -202,3 +204,36 @@ def test_illinois_root_ends_on_width_for_a_negative_root():
     root = illinois_root(h, lo, hi, h(lo), h(hi), 0.0, rtol)
     assert len(calls) <= 40
     assert root == pytest.approx(math.log(0.1), rel=1e-14)
+
+
+def _assert_record_sets(problem, alloc):
+    """The record's sets are the classification of its powers (a fixed
+    channel counts as lower), and a single-level record has a water level
+    exactly when a channel is interior."""
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(getattr(problem, "upper_bounds", [math.inf] * problem.n), dtype=float)
+    fixed, lower, upper, active = _classify(np.array(alloc.powers), gamma, tau)
+    assert alloc.active_set == np.flatnonzero(active).tolist()
+    assert alloc.lower_set == np.flatnonzero(fixed | lower).tolist()
+    assert alloc.upper_set == np.flatnonzero(upper).tolist()
+    if not alloc.active_set:
+        assert alloc.water_level is None
+    elif not alloc.splits:  # a staircase of several blocks has no one level
+        assert alloc.water_level is not None
+
+
+def test_every_flat_record_classifies_its_powers():
+    rng = random.Random(31)
+    for family in FLAT_FAMILIES:
+        for i in range(12):
+            problem = random_simplex(family, rng, rng.randint(2, 6), with_lower=bool(i % 2))
+            _assert_record_sets(problem, solve_p1_lower(problem))
+            box = random_box(family, rng, rng.randint(2, 6))
+            # A box with no room: the channel sits at both bounds.
+            box = BoxProblem(box.channels, box.budget, box.lower_bounds,
+                             box.upper_bounds[:-1] + box.lower_bounds[-1:])
+            ascending = random_ascending(family, rng, rng.randint(2, 5))
+            for strategy in BOX_STRATEGIES:
+                cfg = SolverConfig(box_strategy=strategy)
+                _assert_record_sets(box, solve_box(box, cfg))
+                _assert_record_sets(ascending, solve_ascending(ascending, cfg))

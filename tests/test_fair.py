@@ -432,10 +432,11 @@ def test_memoised_budget_search_matches_bisection(kind):
     calls = {"bisection": 0, "memo": 0}
 
     def group_map(b):
-        alloc = water_fill(cluster.bind(b), gamma, b)
+        channels = cluster.bind(b)
+        powers, mu, _, _ = water_fill(channels, gamma, b)
         if kind == "utility":
-            return alloc.objective_value
-        return alloc.water_level + cluster.drag(alloc.powers, b)
+            return float(channels.eval(powers).sum())
+        return mu + cluster.drag(powers, b)
 
     def counted(name):
         def f(b):
@@ -574,3 +575,15 @@ def test_conditions_flag_a_channel_held_at_its_upper_bound():
     report = check_conditions(problem, held, tolerance=1e-8)
     assert not report.passed
     assert report.residuals["upper_rate_violation"] > 1e-3
+
+
+def test_maxmin_extends_the_outer_bracket_downward():
+    # Each group alone reaches t = log(1 + 1e-6); at t one below that the
+    # three groups still ask for 3/e > 1, so the search steps down again.
+    groups = [[LogCapacity(1, 1, 1e-6)] for _ in range(3)]
+    problem = FairProblem(groups, 1.0)
+    sol = solve_maxmin(problem)
+    for row in sol.powers:
+        assert row[0] == pytest.approx(1 / 3, rel=1e-9)
+    assert sol.t == pytest.approx(math.log(1 / 3 + 1e-6), rel=1e-9)
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
