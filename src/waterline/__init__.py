@@ -12,9 +12,7 @@ from .problems import (
     MODE_MAXMIN, Allocation, AscendingProblem, BoxProblem, FairProblem,
     FairSolution, KktReport, SimplexProblem, SolverConfig)
 from .core import solve_p1, solve_p1_lower, solve_water_level
-from .box import (
-    kkt_residual_box, kkt_residual_p1, solve_box, solve_box_bisect,
-    solve_box_ordered, solve_box_set_a, solve_box_set_b)
+from .box import kkt_residual_box, kkt_residual_p1, solve_box
 from .nested import solve_ascending
 from .fair import solve_cluster, solve_cluster_maxmin, solve_fair, solve_maxmin
 from .oracle import (

@@ -15,12 +15,14 @@ Strategies (selected through ``SolverConfig.box_strategy``):
   so the test is monotone in the case index.  This is the exact sort-based
   breakpoint search of Palomar & Fonollosa (IEEE TSP 2005), O(K log K).
 
-Each strategy is set logic over index masks of the problem's
-:class:`~waterline.objectives.Channels` set and its bound arrays, built once
-by :func:`_box_strategy`; demands, rates and utilities are numpy arrays when
-every channel is ``log_capacity``, ``inverse_mse`` or ``af_relay`` (mixed or
-not), the objects' own methods for ``sum_log``, ``sum_inverse_mse`` and
-custom objectives.
+Each strategy is a private array function ``(channels, gamma, tau, budget,
+cfg)``: set logic over index masks of a
+:class:`~waterline.objectives.Channels` set and its bound arrays, with
+demands, rates and utilities as numpy arrays when every channel is
+``log_capacity``, ``inverse_mse`` or ``af_relay`` (mixed or not), the
+objects' own methods otherwise.  :func:`box_fill` solves on unchecked arrays
+for every internal caller; :func:`solve_box`, the public entry, runs the
+same solve for a validated problem and builds its record.
 
 All four return identical allocations up to numeric tolerance; the
 cross-strategy agreement is part of the acceptance suite.
@@ -28,7 +30,6 @@ cross-strategy agreement is part of the acceptance suite.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +37,8 @@ import numpy as np
 from .core import _classify, _water_level_and_powers, finish, water_fill
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .objectives import Channels
-from .problems import Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig
+from .problems import (
+    BOX_STRATEGIES, Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig)
 
 _DEFAULT_CFG = SolverConfig()
 
@@ -47,33 +49,11 @@ def _clamped_demand(channels: Channels, mu: float, gamma: np.ndarray,
     return np.minimum(np.maximum(channels.demand(mu), gamma), tau)
 
 
-def _box_strategy(body):
-    """The public strategy ``(problem, cfg)`` around
-    ``body(problem, cfg, channels, gamma, tau)``.
-
-    Builds the bound arrays once; the channels are the problem's own.  When
-    every upper bound is finite and their sum fits the budget, the all-upper
-    allocation is the answer and ``body`` does not run.
-    """
-    @functools.wraps(body)
-    def strategy(problem: BoxProblem,
-                 cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
-        channels = problem.channels
-        gamma = np.array(problem.lower_bounds, dtype=float)
-        tau = np.array(problem.upper_bounds, dtype=float)
-        if np.isfinite(tau).all() and float(tau.sum()) <= problem.budget:
-            return finish(channels, tau, gamma, tau, None, 1)
-        return body(problem, cfg, channels, gamma, tau)
-    return strategy
-
-
-@_box_strategy
-def solve_box_set_a(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
-                    gamma: np.ndarray, tau: np.ndarray) -> Allocation:
+def _set_a(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
+           cfg: SolverConfig):
     """Algorithm built on the lower-bound solver with upper-bound clamping."""
-    remaining = np.arange(problem.n)
-    powers = np.zeros(problem.n)
-    budget = problem.budget
+    remaining = np.arange(len(channels))
+    powers = np.zeros(len(channels))
     calls = 0
     while remaining.size:
         sub_powers, mu, _, _ = water_fill(channels.take(remaining), gamma[remaining],
@@ -87,21 +67,20 @@ def solve_box_set_a(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
         powers[pinned] = tau[pinned]
         budget -= float(tau[pinned].sum())
         remaining = remaining[~hit]
-    return finish(channels, powers, gamma, tau, mu, calls)
+    return powers, mu, calls, "optimal", []
 
 
-@_box_strategy
-def solve_box_set_b(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
-                    gamma: np.ndarray, tau: np.ndarray) -> Allocation:
+def _set_b(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
+           cfg: SolverConfig):
     """Balanced dual-index solver; falls back to set_a on oscillation.
 
     Every channel is free, pinned at gamma or pinned at tau: the masks
     ``at_gamma`` and ``at_tau`` never overlap.  Only free channels can
     violate a bound.
     """
-    budget = problem.budget
-    at_gamma = np.zeros(problem.n, dtype=bool)
-    at_tau = np.zeros(problem.n, dtype=bool)
+    k = len(channels)
+    at_gamma = np.zeros(k, dtype=bool)
+    at_tau = np.zeros(k, dtype=bool)
     powers = gamma.copy()
     near_gamma = gamma + 1e-12 * (1.0 + gamma)
     mu: float | None = None
@@ -126,7 +105,7 @@ def solve_box_set_b(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
 
     recompute()
     rounds = 0
-    cap = 4 * problem.n
+    cap = 4 * k
     while True:
         free = ~(at_gamma | at_tau)
         lower_viol = free & (powers <= near_gamma)
@@ -137,7 +116,7 @@ def solve_box_set_b(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
         if rounds > cap:
             # Oscillation guard: the reset in the upper branch is not proven
             # cycle-free, so hand the instance to the sequential strategy.
-            return solve_box_set_a(problem, cfg)
+            return _set_a(channels, gamma, tau, budget, cfg)
         if lower_viol.any():
             at_gamma |= lower_viol
             powers[lower_viol] = gamma[lower_viol]
@@ -147,7 +126,7 @@ def solve_box_set_b(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
             powers[upper_viol] = tau[upper_viol]
             at_gamma[:] = False
         recompute()
-    return finish(channels, powers, gamma, tau, mu, max(rounds, 1))
+    return powers, mu, max(rounds, 1), "optimal", []
 
 
 def _rate_inside(channels: Channels, powers: np.ndarray) -> np.ndarray:
@@ -162,11 +141,9 @@ def _rate_inside(channels: Channels, powers: np.ndarray) -> np.ndarray:
     return rates
 
 
-@_box_strategy
-def solve_box_bisect(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
-                     gamma: np.ndarray, tau: np.ndarray) -> Allocation:
+def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
+            cfg: SolverConfig):
     """Outer bisection on the water level with per-channel clamping."""
-    budget = problem.budget
     sigma = 1e-4 * cfg.power_tolerance * budget
 
     def clamped_total(mu_val: float):
@@ -178,7 +155,7 @@ def solve_box_bisect(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
     if finite.size:
         mu_min = float(_rate_inside(channels.take(finite), tau[finite]).min())
     else:
-        mu_min = float(_rate_inside(channels, np.full(problem.n, budget)).min())
+        mu_min = float(_rate_inside(channels, np.full(len(channels), budget)).min())
     # Force a valid bracket in case the initial guesses do not straddle P.
     for _ in range(200):
         if clamped_total(mu_min)[1] >= budget:
@@ -206,15 +183,14 @@ def solve_box_bisect(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
             break
         best_powers, best_total = clamped_total(best_mu)
     spent = abs(best_total - budget) <= cfg.power_tolerance * budget
-    return finish(channels, best_powers, gamma, tau, best_mu, max(iterations, 1),
-                  "optimal" if spent else "feasible")
+    return (best_powers, best_mu, max(iterations, 1),
+            "optimal" if spent else "feasible", [])
 
 
-@_box_strategy
-def solve_box_ordered(problem: BoxProblem, cfg: SolverConfig, channels: Channels,
-                      gamma: np.ndarray, tau: np.ndarray) -> Allocation:
+def _order(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
+           cfg: SolverConfig):
     """Order-based search over candidate upper-bound sets."""
-    k = problem.n
+    k = len(channels)
     finite = np.flatnonzero(np.isfinite(tau))
     tau_rate = np.zeros(k)
     tau_rate[finite] = channels.take(finite).rate(tau[finite])
@@ -225,7 +201,7 @@ def solve_box_ordered(problem: BoxProblem, cfg: SolverConfig, channels: Channels
         level, the tau-rate of order[case], spends the whole budget."""
         mu_case = float(tau_rate[order[case]])
         return mu_case <= 0 or \
-            float(_clamped_demand(channels, mu_case, gamma, tau).sum()) >= problem.budget
+            float(_clamped_demand(channels, mu_case, gamma, tau).sum()) >= budget
 
     # The cases run through decreasing tau-rates (infinite-tau channels have
     # rate 0 and come last) and the clamped total does not increase with the
@@ -246,23 +222,45 @@ def solve_box_ordered(problem: BoxProblem, cfg: SolverConfig, channels: Channels
     powers = np.empty(k)
     powers[fixed] = tau[fixed]
     powers[rest], mu, water_levels, _ = water_fill(
-        channels.take(rest), gamma[rest], problem.budget - float(tau[fixed].sum()), cfg)
-    return finish(channels, powers, gamma, tau, mu, probes + (len(water_levels) or 1),
-                  water_levels=water_levels)
+        channels.take(rest), gamma[rest], budget - float(tau[fixed].sum()), cfg)
+    return powers, mu, probes + (len(water_levels) or 1), "optimal", water_levels
 
 
-_STRATEGIES = {
-    "set_a": solve_box_set_a,
-    "set_b": solve_box_set_b,
-    "bisect": solve_box_bisect,
-    "order": solve_box_ordered,
-}
+_STRATEGIES = dict(zip(BOX_STRATEGIES, (_set_a, _set_b, _bisect, _order)))
+
+
+def _fill(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
+          cfg: SolverConfig):
+    """The all-upper allocation when every upper bound is finite and their sum
+    fits the budget, else the configured strategy's result."""
+    if np.isfinite(tau).all() and float(tau.sum()) <= budget:
+        return tau.copy(), None, 1, "optimal", []
+    return _STRATEGIES[cfg.box_strategy](channels, gamma, tau, budget, cfg)
+
+
+def box_fill(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
+             cfg: SolverConfig = _DEFAULT_CFG):
+    """The box problem on bound arrays and a float budget by the configured
+    strategy; inputs unchecked.  Returns ``(powers, mu, iterations, status,
+    water_levels)``, ``mu`` None when no channel is interior, as in the
+    record :func:`solve_box` builds.
+    """
+    powers, mu, iterations, status, water_levels = _fill(channels, gamma, tau, budget, cfg)
+    if mu is not None and not _classify(powers, gamma, tau)[3].any():
+        mu = None
+    return powers, mu, iterations, status, water_levels
 
 
 def solve_box(problem: BoxProblem,
               cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
-    """Dispatch to the configured box strategy."""
-    return _STRATEGIES[cfg.box_strategy](problem, cfg)
+    """The box problem by the configured strategy, for a validated problem;
+    :func:`~waterline.core.finish` classifies the powers once, for the record."""
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(problem.upper_bounds, dtype=float)
+    powers, mu, iterations, status, water_levels = _fill(
+        problem.channels, gamma, tau, problem.budget, cfg)
+    return finish(problem.channels, powers, gamma, tau, mu, iterations, status,
+                  water_levels)
 
 
 def _rate_conditions(channels: Channels, powers: np.ndarray, gamma: np.ndarray,
@@ -294,16 +292,13 @@ def _rate_conditions(channels: Channels, powers: np.ndarray, gamma: np.ndarray,
             float(np.max(mu_hi - upper_rates, initial=0.0)))
 
 
-def kkt_residual_box(problem: BoxProblem,
-                     allocation: Allocation | list[float],
-                     tolerance: float = 1e-8) -> KktReport:
-    """Residuals of the four box optimality conditions."""
+def _box_report(problem, upper, allocation, tolerance: float) -> KktReport:
+    """Residuals of the four box optimality conditions under ``upper``."""
     powers = np.array(allocation.powers if isinstance(allocation, Allocation)
                       else allocation, dtype=float)
     gamma = np.array(problem.lower_bounds, dtype=float)
-    tau = np.array(problem.upper_bounds, dtype=float)
-    mu_lo, mu_hi, lower, upper = _rate_conditions(
-        problem.channels, powers, gamma, tau)
+    tau = np.array(upper, dtype=float)
+    mu_lo, mu_hi, lower, upper = _rate_conditions(problem.channels, powers, gamma, tau)
     residuals = {"rate_spread": 0.0 if mu_lo is None else mu_hi - mu_lo,
                  "lower_rate_violation": lower, "upper_rate_violation": upper}
     spend = problem.budget
@@ -316,11 +311,16 @@ def kkt_residual_box(problem: BoxProblem,
     return KktReport(residuals=residuals, tolerance=tolerance)
 
 
+def kkt_residual_box(problem: BoxProblem,
+                     allocation: Allocation | list[float],
+                     tolerance: float = 1e-8) -> KktReport:
+    """Residuals of the four box optimality conditions."""
+    return _box_report(problem, problem.upper_bounds, allocation, tolerance)
+
+
 def kkt_residual_p1(problem: SimplexProblem,
                     allocation: Allocation | Sequence[float],
                     tolerance: float = 1e-8) -> KktReport:
     """Residuals of the P1/P1.1 conditions: P1.1 is the box with no upper
     bounds, so these are :func:`kkt_residual_box`'s."""
-    return kkt_residual_box(
-        BoxProblem(problem.channels, problem.budget, problem.lower_bounds),
-        allocation, tolerance)
+    return _box_report(problem, [np.inf] * problem.n, allocation, tolerance)

@@ -20,9 +20,9 @@ and picks its path from the channels' family:
   level increases strictly across rounds.
 
 ``solve_p1_lower`` is the public entry: it takes a validated
-:class:`~waterline.problems.SimplexProblem`.  The box strategies and the fair
-solvers call ``water_fill`` directly on channels they have already checked
-and read its arrays; :func:`finish` builds the public
+:class:`~waterline.problems.SimplexProblem`.  The box strategies' array
+functions and the fair solvers call ``water_fill`` directly on channels
+they have already checked; :func:`finish` builds the public
 :class:`~waterline.problems.Allocation` of every flat solve.
 """
 

@@ -44,13 +44,13 @@ from functools import partial
 
 import numpy as np
 
-from .box import _clamped_demand, solve_box
+from .box import _clamped_demand, box_fill
 from .core import SORTED_FAMILIES, _classify, illinois_root, water_fill
 from .errors import DomainError, InfeasibleTarget
 from .objectives import Channels, ClusterChannels
 from .problems import (
     MODE_CLUSTER, MODE_CLUSTER_MAXMIN, MODE_MAXMIN,
-    BoxProblem, FairProblem, FairSolution, SolverConfig)
+    FairProblem, FairSolution, SolverConfig)
 
 _DEFAULT_CFG = SolverConfig()
 # Outer levels and group budgets are searched to a bracket of a few ulp, where
@@ -255,10 +255,8 @@ def _distribute_surplus(chans, budget, gammas, taus, states, cfg) -> None:
         if give <= cfg.power_tolerance * budget:
             continue
         lower = np.minimum(np.maximum(states[j][1], gammas[j]), tau)
-        sub = BoxProblem(channels, states[j][3] + give, lower.tolist(), tau.tolist())
-        alloc = solve_box(sub, cfg)
-        states[j] = [alloc.water_level, alloc.powers, alloc.objective_value,
-                     sum(alloc.powers)]
+        powers, mu, _, _, _ = box_fill(channels, lower, tau, states[j][3] + give, cfg)
+        states[j] = [mu, powers, float(channels.eval(powers).sum()), sum(powers.tolist())]
         remaining = budget - sum(s[3] for s in states)
 
 
@@ -313,9 +311,8 @@ def solve_maxmin(problem: FairProblem,
         if avail <= floors[j] * (1.0 + 1e-12):
             t_caps.append(_group_state(channels, gammas[j], taus[j], None)[1])
         else:
-            sub = BoxProblem(channels, avail, problem.lower_bounds[j],
-                             problem.upper_bounds[j])
-            t_caps.append(solve_box(sub, cfg).objective_value)
+            powers = box_fill(channels, gammas[j], taus[j], avail, cfg)[0]
+            t_caps.append(float(channels.eval(powers).sum()))
 
     levels = [_group_level(*group) for group in zip(chans, gammas, taus)]
 

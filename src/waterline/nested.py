@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .box import _clamped_demand, _rate_inside, solve_box
+from .box import _clamped_demand, _rate_inside, box_fill
 from .core import finish, illinois_root
 from .errors import BracketFailure, InfeasibleBudget
-from .problems import Allocation, AscendingProblem, BoxProblem, SolverConfig
+from .problems import Allocation, AscendingProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
 
@@ -62,11 +62,11 @@ def solve_ascending(problem: AscendingProblem,
         stop = start + int(np.flatnonzero(over >= over.max() - tol)[-1]) + 1
         budget = room[stop - start - 1]
         if budget - gamma[start:stop].sum() > cfg.power_tolerance * budget:
-            alloc = solve_box(BoxProblem(channels.take(np.arange(start, stop)), budget,
-                                         gamma[start:stop], tau[start:stop]), cfg)
-            powers[start:stop] = alloc.powers
-            iterations += alloc.iterations
-            water_levels += [] if alloc.water_level is None else [alloc.water_level]
+            powers[start:stop], level, calls, _, _ = box_fill(
+                channels.take(np.arange(start, stop)), gamma[start:stop],
+                tau[start:stop], float(budget), cfg)
+            iterations += calls
+            water_levels += [] if level is None else [level]
         if stop == k:
             break
         splits, start = splits + 1, stop

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _classify, solve_water_level, water_fill
-from .box import _rate_conditions, kkt_residual_box, kkt_residual_p1, solve_box
+from .box import _rate_conditions, box_fill, kkt_residual_box, kkt_residual_p1
 from .errors import BracketFailure, DomainError, SizeLimit
 from .objectives import ClusterChannels
 from .problems import (
@@ -329,11 +329,10 @@ def _grid_search_fair(problem: FairProblem,
     if d > 3:
         raise SizeLimit("grid search supports at most 4 group totals")
     budget = problem.budget
-    gammas = problem.lower_bounds
-    floors = [sum(row) for row in gammas]
-    taus = problem.upper_bounds
-    heads = [sum(row) if all(math.isfinite(x) for x in row) else math.inf
-             for row in taus]
+    floors = [sum(row) for row in problem.lower_bounds]
+    gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
+    taus = [np.array(row, dtype=float) for row in problem.upper_bounds]
+    heads = [sum(tau.tolist()) if np.isfinite(tau).all() else math.inf for tau in taus]
     is_min = problem.mode != MODE_CLUSTER
     clusters = [ClusterChannels(group) for group in groups]
 
@@ -344,11 +343,10 @@ def _grid_search_fair(problem: FairProblem,
         if group_budget <= 0:
             return -math.inf
         bound = clusters[j].bind(group_budget)
-        if any(math.isfinite(x) for x in taus[j]):
-            return solve_box(BoxProblem(bound, group_budget, gammas[j], taus[j]),
-                             cfg).objective_value
-        gamma = np.array(gammas[j], dtype=float)
-        powers = water_fill(bound, gamma, group_budget, cfg)[0]
+        if np.isfinite(taus[j]).any():
+            powers = box_fill(bound, gammas[j], taus[j], float(group_budget), cfg)[0]
+        else:
+            powers = water_fill(bound, gammas[j], group_budget, cfg)[0]
         return float(bound.eval(powers).sum())
 
     def combined(totals) -> float:

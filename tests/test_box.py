@@ -6,10 +6,10 @@ import random
 import pytest
 
 from waterline import (
-    BOX_STRATEGIES, BoxProblem, DomainError, InfeasibleBudget, InverseMse, LogCapacity,
-    ScenarioSpec, SimplexProblem, SolverConfig, build_instance,
-    check_conditions, enumerate_box, kkt_residual_box, solve_box,
-    solve_p1_lower)
+    BOX_STRATEGIES, AscendingProblem, BoxProblem, DomainError, FairProblem,
+    InfeasibleBudget, InverseMse, LogCapacity, ScenarioSpec, SimplexProblem,
+    SolverConfig, build_instance, check_conditions, enumerate_box, grid_search,
+    kkt_residual_box, solve_ascending, solve_box, solve_fair, solve_p1_lower)
 
 from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective, random_box
 
@@ -216,3 +216,31 @@ def test_order_matches_set_a(families):
         ref = solve_box(problem, SolverConfig(box_strategy="set_a"))
         assert max(abs(p - q) for p, q in zip(order.powers, ref.powers)) <= 1e-6
         assert abs(order.objective_value - ref.objective_value) <= 1e-8
+
+
+def test_internal_solves_build_no_box_problem(monkeypatch):
+    # Ascending blocks, max-min caps and surplus, the grid oracle and the
+    # P1.1 checker run the box solve on arrays they already hold.
+    ascending = AscendingProblem(
+        [LogCapacity(1, 1, 1), LogCapacity(1, 8, 1), LogCapacity(1, 1, 1)],
+        [1.5, 2.0, 6.0])
+    # Group 0 saturates at its cap, so group 1 takes the surplus.
+    fair = FairProblem([[LogCapacity(1, 1, 1)], [LogCapacity(1, 1, 1)]], 6.0,
+                       upper_bounds=[[0.5], [None]])
+    simplex = SimplexProblem([LogCapacity(1, 1, 1), LogCapacity(1, 2, 1)], 2.0)
+    built = []
+    post_init = BoxProblem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BoxProblem, "__post_init__", counting)
+    for strategy in BOX_STRATEGIES:
+        alloc = solve_ascending(ascending, SolverConfig(box_strategy=strategy))
+        assert alloc.splits == 1
+    solution = solve_fair(fair)
+    assert solution.group_totals == pytest.approx([0.5, 5.5], abs=1e-9)
+    grid_search(fair)
+    assert check_conditions(simplex, solve_p1_lower(simplex)).passed
+    assert built == []

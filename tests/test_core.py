@@ -209,13 +209,14 @@ def test_illinois_root_ends_on_width_for_a_negative_root():
 def _assert_record_sets(problem, alloc):
     """The record's sets are the classification of its powers (a fixed
     channel counts as lower), and a single-level record has a water level
-    exactly when a channel is interior."""
+    exactly when a channel is interior.  Its water levels are Python floats."""
     gamma = np.array(problem.lower_bounds, dtype=float)
     tau = np.array(getattr(problem, "upper_bounds", [math.inf] * problem.n), dtype=float)
     fixed, lower, upper, active = _classify(np.array(alloc.powers), gamma, tau)
     assert alloc.active_set == np.flatnonzero(active).tolist()
     assert alloc.lower_set == np.flatnonzero(fixed | lower).tolist()
     assert alloc.upper_set == np.flatnonzero(upper).tolist()
+    assert all(type(level) is float for level in alloc.water_levels)
     if not alloc.active_set:
         assert alloc.water_level is None
     elif not alloc.splits:  # a staircase of several blocks has no one level
