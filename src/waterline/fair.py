@@ -26,14 +26,16 @@ level itself.  The inner solves are exact or bracketed:
 * a cluster group's budget map (to its marginal, or to its utility) keeps
   every point evaluated during the solve, and each new target is solved by
   Illinois regula falsi inside the tightest stored bracket
-  (:class:`_MonotoneMap`).
+  (:class:`_MonotoneMap`); a group of cluster-aware entries with one
+  (sigma_e2, sigma_n2) and zero floors evaluates it from a table sorted once
+  per solve, one binary search and a closed form (:func:`_cluster_table`).
 
 Max-min groups are :class:`~waterline.objectives.Channels` arrays and their
 bound arrays, built once per solve.  Cluster groups are
-:class:`~waterline.objectives.ClusterChannels`, bound to each trial group
-budget by one array expression and solved by
-:func:`~waterline.core.water_fill`.  The inputs were validated once, by
-:class:`~waterline.problems.FairProblem`.
+:class:`~waterline.objectives.ClusterChannels`, bound to a group budget by
+one array expression and solved by :func:`~waterline.core.water_fill` (a
+group with a table only at its final budget).  The inputs were validated
+once, by :class:`~waterline.problems.FairProblem`.
 """
 
 from __future__ import annotations
@@ -377,17 +379,59 @@ class _MonotoneMap:
                              sign * (fs[lo] - y), h_hi, 0.0, _ULP_WIDTH)
 
 
-def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
-    """``(clusters, gammas, solve_group, finish)`` for a cluster-mode problem.
+def _cluster_table(cluster: ClusterChannels, gamma):
+    """``B -> (marginal, utility)`` for one cluster group at group budget B,
+    from a table sorted once; None when the group does not qualify.
 
-    ``solve_group(j, b)`` solves group j bound to the group budget ``b`` and
-    returns ``(channels, powers, mu)``, the bound channels, the powers and
-    the water level (None at the floor); ``finish(totals, iterations,
-    t=None)`` solves every group at its final total and builds the
-    solution, with ``t`` the least group utility unless given.
+    A group qualifies when every entry is cluster-aware, all share one
+    (sigma_e2, sigma_n2) and gamma = 0.  Bound at B, entry i is
+    ``log_capacity`` with a' = a_i/s, s = sigma_e2*B + sigma_n2, so the
+    sorted search of :func:`~waterline.core.water_fill` orders the channels
+    by 1/(a*w) at every B.  With the prefix sums U = sum(w), A = sum(1/a)
+    and L = sum(w*log(a*w)) in that order, the first m channels are active
+    while ``g_m = U_m/(a_m*w_m) - A_m < B/s`` (g is nondecreasing), at the
+    level ``mu = U_m/(B + s*A_m)``.  Their powers spend B, so the marginal
+    (level plus interference drag) is ``mu*sigma_n2/s`` and the utility
+    ``L_m - U_m*log(s*mu)``.  The map returns None at B <= 0 and where mu
+    over- or underflows; the caller then runs ``water_fill``.
+    """
+    if cluster.index.size < len(gamma) or gamma.any() or \
+            np.ptp(cluster.sigma_e2) or np.ptp(cluster.sigma_n2):
+        return None
+    e2, n2 = float(cluster.sigma_e2[0]), float(cluster.sigma_n2[0])
+    aw = cluster.a * cluster.w
+    order = np.argsort(1.0 / aw, kind="stable")
+    w, a, aw = cluster.w[order], cluster.a[order], aw[order]
+    U, A = np.cumsum(w), np.cumsum(1.0 / a)
+    g = np.maximum.accumulate(U / aw - A).tolist()
+    U, A, L = U.tolist(), A.tolist(), np.cumsum(w * np.log(aw)).tolist()
+
+    def at(budget: float):
+        if budget <= 0:
+            return None
+        s = e2 * budget + n2
+        m = max(bisect_left(g, budget / s), 1) - 1
+        mu = U[m] / (budget + s * A[m])
+        if not 0.0 < mu < math.inf:
+            return None
+        return mu * n2 / s, L[m] - U[m] * (math.log(s) + math.log(mu))
+    return at
+
+
+def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
+    """``(clusters, gammas, tables, solve_group, finish)`` for a cluster mode.
+
+    ``tables[j]`` is group j's :func:`_cluster_table` map, or None;
+    ``solve_group(j, b)`` solves group j bound to the group budget ``b`` by
+    ``water_fill`` and returns ``(channels, powers, mu)``, the bound
+    channels, the powers and the water level (None at the floor);
+    ``finish(totals, iterations, t=None)`` solves every group at its final
+    total and builds the solution, with ``t`` the least group utility unless
+    given.
     """
     clusters = [ClusterChannels(group) for group in problem.groups]
     gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
+    tables = [_cluster_table(c, gamma) for c, gamma in zip(clusters, gammas)]
 
     def solve_group(j: int, group_budget: float):
         channels = clusters[j].bind(group_budget)
@@ -402,7 +446,7 @@ def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
         if t is None:
             t = min(s[2] for s in states)
         return _build_solution(problem, t, states, iterations)
-    return clusters, gammas, solve_group, finish
+    return clusters, gammas, tables, solve_group, finish
 
 
 def solve_cluster(problem: FairProblem,
@@ -416,7 +460,7 @@ def solve_cluster(problem: FairProblem,
     if problem.mode != MODE_CLUSTER:
         raise DomainError(f"solve_cluster requires cluster mode, got {problem.mode!r}")
     groups, budget = problem.groups, problem.budget
-    clusters, gammas, solve_group, finish = _cluster_solver(problem, cfg)
+    clusters, gammas, tables, solve_group, finish = _cluster_solver(problem, cfg)
     n_groups = len(groups)
 
     if n_groups == 1:
@@ -437,6 +481,9 @@ def solve_cluster(problem: FairProblem,
 
     def marginal(j: int, group_budget: float) -> float:
         """d(group utility)/d(group budget): water level + interference drag."""
+        fast = tables[j] and tables[j](group_budget)
+        if fast:
+            return fast[0]
         channels, powers, mu = solve_group(j, group_budget)
         if mu is None:  # at the floor: the level where the first channel joins
             mu = float(channels.rate(gammas[j]).max())
@@ -466,11 +513,14 @@ def solve_cluster_maxmin(problem: FairProblem,
         raise DomainError(
             f"solve_cluster_maxmin requires cluster_maxmin mode, got {problem.mode!r}")
     budget, n_groups = problem.budget, problem.n_groups
-    clusters, gammas, _, finish = _cluster_solver(problem, cfg)
+    clusters, gammas, tables, _, finish = _cluster_solver(problem, cfg)
     floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
 
     def utility(j: int, group_budget: float) -> float:
+        fast = tables[j] and tables[j](group_budget)
+        if fast:
+            return fast[1]
         channels = clusters[j].bind(group_budget)
         if group_budget <= floors[j] and \
                 not np.isfinite(channels.rate(gammas[j])).all():

@@ -745,9 +745,11 @@ class ClusterChannels:
     cluster power: each cluster-aware entry becomes the ``log_capacity``
     channel ``w*log(1 + a'*p)`` with ``a' = a/(sigma_e2*P + sigma_n2)``, the
     operations of :meth:`ClusterLogCapacity.bind` run as one array expression
-    over parameter arrays built here, once.  When the ordinary entries are
-    closed-form families too, the result is a bank; otherwise the group
-    binds through the objects and runs on the object path.
+    over parameter arrays built here, once.  When every entry is
+    cluster-aware, the template bank is built from those arrays, with no
+    object per entry.  When the ordinary entries are closed-form families
+    too, the result is a bank; otherwise the group binds through the objects
+    and runs on the object path.
     """
 
     def __init__(self, objectives: Sequence):
@@ -760,8 +762,12 @@ class ClusterChannels:
         self.sigma_e2 = np.array([o.sigma_e2 for o in aware], dtype=float)
         self.sigma_n2 = np.array([o.sigma_n2 for o in aware], dtype=float)
         # Cluster-aware entries enter as log_capacity with b = 1; bind() sets their a.
-        self._template = Channels([o.bind(0.0) if _cluster_aware(o) else o
-                                   for o in self.objectives])
+        if self.index.size == len(self.objectives):
+            self._template = Channels.from_arrays(
+                "log_capacity", self.w, self.a / self.sigma_n2, np.ones(len(self.w)))
+        else:
+            self._template = Channels([o.bind(0.0) if _cluster_aware(o) else o
+                                       for o in self.objectives])
 
     @property
     def coupled(self) -> bool:

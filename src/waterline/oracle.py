@@ -424,7 +424,7 @@ def _ascending_report(problem: AscendingProblem, powers,
 
 
 def _marginal_spread(problem: FairProblem, solution: FairSolution,
-                     tolerance: float) -> float:
+                     clusters: list[ClusterChannels], tolerance: float) -> float:
     """Spread of the groups' marginal values of budget (cluster mode).
 
     A group's marginal is the largest rate of its channels above their lower
@@ -435,10 +435,9 @@ def _marginal_spread(problem: FairProblem, solution: FairSolution,
     rate at them.
     """
     interior, resting = [], []
-    for group, p, gamma, total in zip(problem.groups, solution.powers,
-                                      problem.lower_bounds, solution.group_totals):
+    for cluster, p, gamma, total in zip(clusters, solution.powers,
+                                        problem.lower_bounds, solution.group_totals):
         p, gamma = np.array(p, dtype=float), np.array(gamma, dtype=float)
-        cluster = ClusterChannels(group)
         bound = cluster.bind(total)
         above = p > gamma + 1e-9 * (1.0 + gamma)
         rate = bound.rate(p)[above].max() if above.any() else bound.rate(gamma).max()
@@ -465,14 +464,15 @@ def _fair_report(problem: FairProblem, solution: FairSolution,
     rates = dict.fromkeys(("rate_spread", "lower_rate_violation",
                            "upper_rate_violation"), 0.0)
     saturated = []
-    for j, group in enumerate(groups):
+    clusters = [ClusterChannels(group) for group in groups]
+    for j, cluster in enumerate(clusters):
         p = np.array(solution.powers[j], dtype=float)
         gamma = np.array(gammas[j], dtype=float)
         tau = np.array(taus[j], dtype=float)
         _fixed, lower, _upper, active = _classify(p, gamma, tau)
         saturated.append(not (lower | active).any())
         mu_lo, mu_hi, lower_v, upper_v = _rate_conditions(
-            ClusterChannels(group).bind(totals[j]), p, gamma, tau)
+            cluster.bind(totals[j]), p, gamma, tau)
         if mu_lo is None:
             continue
         scale = max(abs(mu_hi), 1e-30)
@@ -483,7 +483,8 @@ def _fair_report(problem: FairProblem, solution: FairSolution,
     if problem.mode == MODE_CLUSTER:
         not_applicable.append("utility_spread")
         residuals["utility_spread"] = 0.0
-        residuals["marginal_spread"] = _marginal_spread(problem, solution, tolerance)
+        residuals["marginal_spread"] = _marginal_spread(
+            problem, solution, clusters, tolerance)
     else:
         not_applicable.append("marginal_spread")
         residuals["marginal_spread"] = 0.0

@@ -464,6 +464,73 @@ def test_memoised_budget_search_matches_bisection(kind):
     assert calls["memo"] < calls["bisection"] / 5, calls
 
 
+def _table_groups():
+    rng = random.Random(37)
+    return {
+        "single": [ClusterLogCapacity(1.5, 0.8, 0.1, 1.0)],
+        # Equal a*w, with and without equal (w, a): the tied channels join together.
+        "ties": [ClusterLogCapacity(1.0, 2.0, 0.05, 1.0)] * 3 + [
+            ClusterLogCapacity(2.0, 1.0, 0.05, 1.0), ClusterLogCapacity(1.0, 0.5, 0.05, 1.0)],
+        "uncoupled": [ClusterLogCapacity(rng.uniform(0.5, 2), rng.uniform(0.5, 2), 0.0, 1.3)
+                      for _ in range(6)],
+        "wide": [ClusterLogCapacity(10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-2, 2),
+                                    0.2, 0.7) for _ in range(12)],
+    }
+
+
+@pytest.mark.parametrize("name", ["single", "ties", "uncoupled", "wide"])
+def test_cluster_table_matches_water_fill(name):
+    from waterline.core import water_fill
+    from waterline.fair import _cluster_table
+    group = _table_groups()[name]
+    cluster, gamma = ClusterChannels(group), np.zeros(len(group))
+    table = _cluster_table(cluster, gamma)
+    budget = 4.0 * len(group)
+    for b in np.geomspace(1e-9 * budget, budget, 50).tolist():
+        channels = cluster.bind(b)
+        powers, mu, _, _ = water_fill(channels, gamma, b)
+        marginal, utility = table(b)
+        assert marginal == pytest.approx(mu + cluster.drag(powers, b), rel=1e-12)
+        # The table's utility is L_m - U_m*log(s*mu), whose rounding is a few
+        # ulp of L_m: at the smallest budgets the 1e-12 absolute floor holds.
+        assert utility == pytest.approx(float(channels.eval(powers).sum()),
+                                        rel=1e-12, abs=1e-12)
+    assert table(0.0) is None
+
+
+@pytest.mark.parametrize("group,gamma", [
+    ([ClusterLogCapacity(1, 2, 0.1, 1.0), ClusterLogCapacity(1, 1, 0.2, 1.0)], [0, 0]),
+    ([ClusterLogCapacity(1, 2, 0.1, 1.0), ClusterLogCapacity(1, 1, 0.1, 2.0)], [0, 0]),
+    ([ClusterLogCapacity(1, 2, 0.1, 1.0), ClusterLogCapacity(1, 1, 0.1, 1.0)], [0, 0.5]),
+    ([ClusterLogCapacity(1, 2, 0.1, 1.0), LogCapacity(1, 1, 1)], [0, 0]),
+])
+def test_cluster_table_needs_one_noise_pair_zero_floors_and_aware_entries(group, gamma):
+    from waterline.fair import _cluster_table
+    assert _cluster_table(ClusterChannels(group), np.array(gamma, dtype=float)) is None
+
+
+@pytest.mark.parametrize("mode", ["cluster", "cluster_maxmin"])
+def test_cluster_modes_call_water_fill_only_to_finish(mode, monkeypatch):
+    # Four groups of 64 cluster-aware channels sharing one noise pair, as in
+    # the fair benchmark: the group-budget searches read the sorted tables,
+    # and water_fill runs only for the final powers (twice per group at most).
+    import waterline.fair as fair
+    n_groups, k = 4, 64
+    gains = np.random.default_rng(3).exponential(size=(n_groups, k))
+    groups = [[ClusterLogCapacity(1.0, float(a), 0.05, 1.0) for a in row] for row in gains]
+    problem = FairProblem(groups, float(n_groups * k), mode=mode)
+    calls = []
+    kernel = fair.water_fill
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+    monkeypatch.setattr(fair, "water_fill", counted)
+    sol = solve_fair(problem)
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
+    assert len(calls) <= 2 * n_groups, len(calls)
+
+
 def _bisected_maxmin_t(problem: FairProblem, lo: float, hi: float) -> float:
     """The largest t in ``[lo, hi]`` whose least-power group allocations fit
     the budget, by plain bisection on t over :func:`_group_mu_for_t` (no

@@ -63,6 +63,26 @@ def test_every_fair_mode_passes_its_conditions(problem):
     assert report.passed, report.residuals
 
 
+@st.composite
+def homogeneous_cluster_problems(draw):
+    """Cluster-aware groups with one (sigma_e2, sigma_n2) each and zero
+    floors, so every group's budget search reads its sorted table."""
+    mode = draw(st.sampled_from(["cluster", "cluster_maxmin"]))
+    groups = []
+    for _ in range(draw(st.integers(2, 4))):
+        sigma_e2, sigma_n2 = draw(st.floats(0.0, 0.5)), draw(st.floats(0.5, 2.0))
+        groups.append([ClusterLogCapacity(draw(_param), draw(_param), sigma_e2, sigma_n2)
+                       for _ in range(draw(st.integers(1, 12)))])
+    k = sum(len(g) for g in groups)
+    return FairProblem(groups, k * draw(st.floats(0.5, 3.0)), mode=mode)
+
+
+@given(homogeneous_cluster_problems())
+def test_homogeneous_cluster_modes_pass_their_conditions(problem):
+    report = check_conditions(problem, solve_fair(problem), tolerance=1e-8)
+    assert report.passed, report.residuals
+
+
 def _bounds(draw, k: int, budget: float):
     """Lower and upper bounds; some channels have gamma = tau, some tau = inf."""
     lower = [draw(st.floats(0.0, 0.6)) * budget / k for _ in range(k)]
