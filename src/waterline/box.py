@@ -18,9 +18,9 @@ Strategies (selected through ``SolverConfig.box_strategy``):
 Each strategy is a private array function ``(channels, gamma, tau, budget,
 cfg)``: set logic over index masks of a
 :class:`~waterline.objectives.Channels` set and its bound arrays, with
-demands, rates and utilities as numpy arrays when every channel is
-``log_capacity``, ``inverse_mse`` or ``af_relay`` (mixed or not), the
-objects' own methods otherwise.  :func:`box_fill` solves on unchecked arrays
+demands, rates and utilities as numpy arrays when every channel is one of
+the five serializable families (mixed or not), the objects' own methods
+otherwise.  :func:`box_fill` solves on unchecked arrays
 for every internal caller; :func:`solve_box`, the public entry, runs the
 same solve for a validated problem and builds its record.
 
@@ -132,7 +132,7 @@ def _set_b(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float
 def _rate_inside(channels: Channels, powers: np.ndarray) -> np.ndarray:
     """Rates at ``powers`` moved up to each channel's domain edge; where the
     rate there is infinite (a log argument of 0), the rate 1e-12 inside."""
-    if not channels.closed_form:  # the bank families' domains start at 0
+    if not channels.banked:  # the bank families' domains start at 0
         powers = np.maximum(powers, [obj.domain_min() for obj in channels.objectives])
     rates = channels.rate(powers)
     edge = np.isinf(rates).nonzero()[0]

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketFailure, DomainError, InfeasibleBudget
-from .objectives import Channels, Objective
+from .objectives import Channels, InverseMse, LogCapacity, Objective
 from .problems import Allocation, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
@@ -61,24 +61,30 @@ def _water_level_and_powers(channels: Channels, budget: float,
 
     Returns ``(mu, powers)`` with signed powers as an array (negative entries
     mean the channel demands less than its domain edge at this water level).
+    Each level trial warm-starts the numeric inversions at the last powers.
     """
     if not len(channels):
         raise BracketFailure("water level undefined on an empty active set")
-    scale = abs(budget) if scale is None else scale
-    # Drive the residual well below the configured tolerance so that
-    # independently configured strategies agree to much better than it.
-    tol = 1e-4 * cfg.power_tolerance * max(scale, 1e-30)
-
     mu = _closed_form_mu(channels, budget)
     if mu is not None:
         return mu, channels.demand(mu)
-
-    hints: list[float | None] = [None] * len(channels)
+    start = None
 
     def h(mu_val: float) -> float:
-        return float(channels.demand(mu_val, hints).sum()) - budget
+        nonlocal start
+        start = channels.demand(mu_val, start)
+        return float(start.sum()) - budget
 
-    # Bracket the strictly decreasing residual by doubling/halving.
+    mu = _level_search(h, budget if scale is None else scale, cfg)
+    return mu, channels.demand(mu, start)
+
+
+def _level_search(h, scale: float, cfg: SolverConfig) -> float:
+    """Root of the strictly decreasing residual ``h``: bracket it by doubling
+    and halving from 1, then :func:`illinois_root`."""
+    # Drive the residual well below the configured tolerance so that
+    # independently configured strategies agree to much better than it.
+    tol = 1e-4 * cfg.power_tolerance * max(abs(scale), 1e-30)
     mu_lo = mu_hi = 1.0
     h_lo = h(mu_lo)
     if h_lo < 0:
@@ -102,10 +108,8 @@ def _water_level_and_powers(channels: Channels, budget: float,
         if growth > 64:
             raise BracketFailure("could not bracket the water level from above")
     if mu_lo == mu_hi:
-        return mu_lo, channels.demand(mu_lo, hints)
-
-    mu = illinois_root(h, mu_lo, mu_hi, h_lo, h_hi, tol, cfg.mu_tolerance * 1e-4)
-    return mu, channels.demand(mu, hints)
+        return mu_lo
+    return illinois_root(h, mu_lo, mu_hi, h_lo, h_hi, tol, cfg.mu_tolerance * 1e-4)
 
 
 def illinois_root(h, lo: float, hi: float, h_lo: float, h_hi: float,
@@ -149,13 +153,25 @@ def solve_water_level(objectives: Sequence[Objective], budget: float,
                       fixed_consumption: float = 0.0,
                       cfg: SolverConfig = _DEFAULT_CFG,
                       scale: float | None = None) -> float:
-    """Water level mu with sum_k g_k(mu) = budget - fixed_consumption."""
+    """Water level mu with sum_k g_k(mu) = budget - fixed_consumption.
+
+    The level search of the solvers on the objects' own scalar ``demand``,
+    so that the enumeration oracles built on it share no code with the array
+    banks they certify.  A ``log_capacity`` or ``inverse_mse`` set takes its
+    closed-form level."""
     remaining = budget - fixed_consumption
     if remaining <= 0:
         raise BracketFailure("no budget left for the active channels")
-    mu, _ = _water_level_and_powers(Channels(objectives), remaining, cfg,
-                                    scale=scale if scale is not None else budget)
-    return mu
+    objs = list(objectives)
+    if {type(o) for o in objs} in ({LogCapacity}, {InverseMse}):
+        return _closed_form_mu(Channels(objs), remaining)
+    hints: list = [None] * len(objs)
+
+    def h(mu_val: float) -> float:
+        hints[:] = [obj.demand(mu_val, hint) for obj, hint in zip(objs, hints)]
+        return float(np.sum(hints)) - remaining
+
+    return _level_search(h, budget if scale is None else scale, cfg)
 
 
 def solve_p1_lower(problem: SimplexProblem,

@@ -14,6 +14,9 @@ Every family exposes three operations used by the solvers:
 Solvers use the internal ``demand(mu)`` accessor which is always a signed
 float (for numeric families the negative branch is a linear extrapolation of
 the rate below the domain edge; only its sign matters to the algorithms).
+They read one :class:`Channels` set per solve.  A set of the five
+serializable flat families is a bank of arrays, the sum families' demand one
+Newton over all their channels; custom objectives keep the object path.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ class Objective(ABC):
     # Numeric fallback: monotone bisection with a Newton warm start.
     def _demand_numeric(self, mu: float, hint: float | None = None) -> float:
         edge = self.domain_min()
-        rate_edge = self.rate(edge) if edge > 0 else self._rate_at_zero()
+        rate_edge = self.rate(max(edge, 0.0))
         if mu >= rate_edge:
             if mu == rate_edge:
                 return edge
@@ -157,9 +160,6 @@ class Objective(ABC):
                 break
         return 0.5 * (p_lo + p_hi)
 
-    def _rate_at_zero(self) -> float:
-        return self.rate(0.0)
-
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         """Vectorized ``eval`` used by the grid oracle."""
         return np.vectorize(self.eval)(p)
@@ -168,19 +168,26 @@ class Objective(ABC):
         raise NotImplementedError(f"{self.family} objectives do not serialize")
 
 
-class LogCapacity(Objective):
-    """f(p) = w * log(b + a*p): weighted capacity."""
+class _ClosedForm(Objective):
+    """A family of parameters ``w, a, b`` whose inverse rate has a closed form."""
 
     closed_form_inverse = True
-    family = "log_capacity"
 
     def __init__(self, w: float, a: float, b: float):
         self.w = _check_positive("w", w)
         self.a = _check_positive("a", a)
         self.b = _check_finite_nonneg("b", b)
 
-    def domain_min(self) -> float:
-        return 0.0
+    def to_params(self) -> dict:
+        return {"family": self.family, "w": self.w, "a": self.a, "b": self.b}
+
+    _bank_valid = staticmethod(_valid_wab)
+
+
+class LogCapacity(_ClosedForm):
+    """f(p) = w * log(b + a*p): weighted capacity."""
+
+    family = "log_capacity"
 
     def eval(self, p: float) -> float:
         arg = self.b + self.a * p
@@ -210,12 +217,10 @@ class LogCapacity(Objective):
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         return self.w * np.log(self.b + self.a * p)
 
-    # Array forms of the constructor's checks and of demand, rate and eval
-    # over parameter arrays w, a, b, used by Channels; each repeats the
-    # scalar formula operation for operation, so the results agree to the
-    # last bit where no log is taken.
-    _bank_valid = staticmethod(_valid_wab)
-
+    # Array forms of demand, rate and eval (and, from the base, of the
+    # constructor's checks) over parameter arrays w, a, b, used by Channels;
+    # each repeats the scalar formula operation for operation, so the results
+    # agree to the last bit where no log is taken.
     @staticmethod
     def _bank_demand(w, a, b, mu):
         return w / mu - b / a
@@ -235,20 +240,11 @@ class LogCapacity(Objective):
             raise DomainError("log argument <= 0")
         return w * np.log(arg)
 
-    def to_params(self) -> dict:
-        return {"family": self.family, "w": self.w, "a": self.a, "b": self.b}
 
-
-class InverseMse(Objective):
+class InverseMse(_ClosedForm):
     """f(p) = -w / (b + a*p): weighted MSE, negated to a maximization."""
 
-    closed_form_inverse = True
     family = "inverse_mse"
-
-    def __init__(self, w: float, a: float, b: float):
-        self.w = _check_positive("w", w)
-        self.a = _check_positive("a", a)
-        self.b = _check_finite_nonneg("b", b)
 
     def eval(self, p: float) -> float:
         arg = self.b + self.a * p
@@ -278,8 +274,6 @@ class InverseMse(Objective):
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         return -self.w / (self.b + self.a * p)
 
-    _bank_valid = staticmethod(_valid_wab)
-
     @staticmethod
     def _bank_demand(w, a, b, mu):
         return np.sqrt(w / (a * mu)) - b / a
@@ -299,18 +293,14 @@ class InverseMse(Objective):
             raise DomainError("denominator <= 0")
         return -w / arg
 
-    def to_params(self) -> dict:
-        return {"family": self.family, "w": self.w, "a": self.a, "b": self.b}
 
-
-class AfRelay(Objective):
+class AfRelay(_ClosedForm):
     """f(p) = -w * log(1 - a*b*p / (1 + b*p)): dual-hop AF relaying capacity.
 
     Requires 0 < a < 1.  Equivalent increasing form:
     f(p) = w * [log(1 + b*p) - log(1 + b*(1-a)*p)].
     """
 
-    closed_form_inverse = True
     family = "af_relay"
 
     def __init__(self, w: float, a: float, b: float):
@@ -373,14 +363,68 @@ class AfRelay(Objective):
             raise DomainError("power outside admissible domain")
         return w * (np.log1p(b * p) - np.log1p(b * (1.0 - a) * p))
 
-    def to_params(self) -> dict:
-        return {"family": self.family, "w": self.w, "a": self.a, "b": self.b}
+
+class _Ragged:
+    """One sum family's channels in a bank: term j of channel (w, a, b, c, d)
+    as ``w_j``, ``a*c_j`` and ``b*d_j`` in flat arrays, channel after channel.
+    ``owner`` gives each term's channel and ``starts`` each channel's first
+    term, so a per-channel sum is one ``np.add.reduceat``; ``rate0`` and
+    ``slope0`` serve ``demand``'s extrapolated branch."""
+
+    __slots__ = ("cls", "w", "ac", "bd", "owner", "starts", "rate0", "slope0")
+
+    def __init__(self, cls, w, ac, bd, counts):
+        self.cls, self.w, self.ac, self.bd = cls, w, ac, bd
+        self.owner = np.repeat(np.arange(len(counts)), counts)
+        self.starts = np.cumsum(counts) - counts
+        self.rate0, slope0 = self.sums(np.zeros(len(counts)))
+        self.slope0 = np.where(np.isfinite(slope0) & (slope0 < 0), slope0,
+                               -np.maximum(self.rate0, 1.0))
+
+    def sums(self, p):
+        """Per-channel rates and rate slopes at the channels' powers ``p``."""
+        rate, slope = self.cls._terms(self.w, self.ac, self.bd, p[self.owner])
+        return np.add.reduceat(rate, self.starts), np.add.reduceat(slope, self.starts)
+
+    def eval(self, p):
+        p = p[self.owner]
+        if (self.ac + self.bd * p <= 0).any():
+            raise DomainError("utility argument <= 0")
+        return np.add.reduceat(self.cls._term_eval(self.w, self.ac, self.bd, p), self.starts)
+
+    def demand(self, mu, start=None):
+        """Signed demands at ``mu``: one Newton over every channel, step for
+        step as :meth:`Objective._demand_numeric` from ``start`` (1 where it
+        is None or not positive); NaN where 40 steps do not converge."""
+        extrapolate = mu >= self.rate0
+        out = np.where(extrapolate, 0.0 + (mu - self.rate0) / self.slope0, np.nan)
+        live = ~extrapolate
+        p = np.ones(len(out)) if start is None else np.where(start > 0, start, 1.0)
+        for _ in range(40):
+            if not np.count_nonzero(live):
+                break
+            rate, slope = self.sums(p)
+            new = p - (rate - mu) / slope
+            new = np.where(new <= 0, 0.5 * p, new)
+            done = live & (np.abs(new - p) <= 1e-13 * (1.0 + np.abs(new)))
+            np.copyto(out, new, where=done)
+            live ^= done
+            p = new
+        return out
 
 
-class SumLog(Objective):
-    """f(p) = sum_j w_j * log(a*c_j + b*d_j*p): training mutual information."""
+def _take_terms(terms, index):
+    """The flat ``(w, c, d, counts)`` terms, ``counts`` of them per channel,
+    of the channels at ``index`` (None: every channel)."""
+    w, c, d, counts = terms
+    n = counts if index is None else counts[index]
+    first = (np.cumsum(counts) - counts)[slice(None) if index is None else index]
+    pos = np.arange(n.sum()) + np.repeat(first - (np.cumsum(n) - n), n)
+    return w[pos], c[pos], d[pos], n
 
-    family = "sum_log"
+
+class _SumFamily(Objective):
+    """f(p) = sum_j f_j(a*c_j + b*d_j*p), the training-based families."""
 
     def __init__(self, w: Sequence[float], a: float, b: float,
                  c: Sequence[float], d: Sequence[float]):
@@ -389,8 +433,28 @@ class SumLog(Objective):
         self.b = _check_positive("b", b)
         self.c = [_check_positive("c_j", x) for x in c]
         self.d = [_check_positive("d_j", x) for x in d]
-        if not (len(self.w) == len(self.c) == len(self.d)):
-            raise DomainError("w, c, d must have equal lengths")
+        if not (0 < len(self.w) == len(self.c) == len(self.d)):
+            raise DomainError("w, c, d must have equal, nonzero lengths")
+
+    def eval_array(self, p: np.ndarray) -> np.ndarray:
+        total = np.zeros_like(p, dtype=float)
+        for w, c, d in zip(self.w, self.c, self.d):
+            total += self._term_eval(w, self.a * c, self.b * d, p)
+        return total
+
+    # Bank operations on a group's _Ragged terms.
+    _bank_demand, _bank_eval = _Ragged.demand, _Ragged.eval
+    _bank_rate = staticmethod(lambda terms, p: terms.sums(p)[0])
+
+    def to_params(self) -> dict:
+        return {"family": self.family, "w": list(self.w), "a": self.a,
+                "b": self.b, "c": list(self.c), "d": list(self.d)}
+
+
+class SumLog(_SumFamily):
+    """f(p) = sum_j w_j * log(a*c_j + b*d_j*p): training mutual information."""
+
+    family = "sum_log"
 
     def eval(self, p: float) -> float:
         total = 0.0
@@ -414,31 +478,22 @@ class SumLog(Objective):
             total -= w * bd * bd / (self.a * c + bd * p) ** 2
         return total
 
-    def eval_array(self, p: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(p, dtype=float)
-        for w, c, d in zip(self.w, self.c, self.d):
-            total += w * np.log(self.a * c + self.b * d * p)
-        return total
+    # Per-term rate and slope, and utility, over term arrays (_Ragged).
+    @staticmethod
+    def _terms(w, ac, bd, p):
+        u = bd / (ac + bd * p)
+        rate = w * u
+        return rate, -rate * u
 
-    def to_params(self) -> dict:
-        return {"family": self.family, "w": list(self.w), "a": self.a,
-                "b": self.b, "c": list(self.c), "d": list(self.d)}
+    @staticmethod
+    def _term_eval(w, ac, bd, p):
+        return w * np.log(ac + bd * p)
 
 
-class SumInverseMse(Objective):
+class SumInverseMse(_SumFamily):
     """f(p) = -sum_j w_j / (a*c_j + b*d_j*p): training MSE, negated."""
 
     family = "sum_inverse_mse"
-
-    def __init__(self, w: Sequence[float], a: float, b: float,
-                 c: Sequence[float], d: Sequence[float]):
-        self.w = [_check_positive("w_j", x) for x in w]
-        self.a = _check_positive("a", a)
-        self.b = _check_positive("b", b)
-        self.c = [_check_positive("c_j", x) for x in c]
-        self.d = [_check_positive("d_j", x) for x in d]
-        if not (len(self.w) == len(self.c) == len(self.d)):
-            raise DomainError("w, c, d must have equal lengths")
 
     def eval(self, p: float) -> float:
         total = 0.0
@@ -463,15 +518,16 @@ class SumInverseMse(Objective):
             total -= 2.0 * w * bd * bd / (self.a * c + bd * p) ** 3
         return total
 
-    def eval_array(self, p: np.ndarray) -> np.ndarray:
-        total = np.zeros_like(p, dtype=float)
-        for w, c, d in zip(self.w, self.c, self.d):
-            total -= w / (self.a * c + self.b * d * p)
-        return total
+    @staticmethod
+    def _terms(w, ac, bd, p):
+        arg = ac + bd * p
+        u = bd / arg
+        rate = w * u / arg
+        return rate, -2.0 * rate * u
 
-    def to_params(self) -> dict:
-        return {"family": self.family, "w": list(self.w), "a": self.a,
-                "b": self.b, "c": list(self.c), "d": list(self.d)}
+    @staticmethod
+    def _term_eval(w, ac, bd, p):
+        return -w / (ac + bd * p)
 
 
 class ClusterLogCapacity:
@@ -543,37 +599,47 @@ class CustomObjective(Objective):
         return (self._rate(p + h) - self._rate(lo)) / (p + h - lo)
 
 
-_BANK_CLASSES = (LogCapacity, InverseMse, AfRelay)
-#: The closed-form family names a bank holds, each mapped to its class's
-#: position in ``_BANK_CLASSES``.
-BANK_FAMILIES = {cls.family: code for code, cls in enumerate(_BANK_CLASSES)}
+_BANK_CLASSES = (LogCapacity, InverseMse, AfRelay, SumLog, SumInverseMse)
+#: The closed-form family names ``Channels.from_arrays`` takes, each mapped
+#: to its class's position in ``_BANK_CLASSES``.
+BANK_FAMILIES = {cls.family: code for code, cls in enumerate(_BANK_CLASSES)
+                 if cls.closed_form_inverse}
 
 
 class Channels:
     """The objectives of one solve, with array-valued demand, rate and eval.
 
-    When every objective is a ``LogCapacity``, ``InverseMse`` or ``AfRelay``
-    (mixing allowed), their ``w, a, b`` parameters are held as numpy arrays,
-    the closed-form bank, and each operation is a few array expressions per
-    family.  Otherwise every operation calls the objects' own methods; that
-    is the path of the numeric and custom families.
+    When every objective is one of the five serializable flat families
+    (mixing allowed), the set is a bank: one group per family present, each
+    operation a few array expressions per group.  A closed-form group holds
+    its channels' ``w, a, b`` as arrays; a ``sum_log`` or ``sum_inverse_mse``
+    group holds its terms flat (:class:`_Ragged`; ``w`` is NaN there).  A set
+    with a custom objective calls the objects' methods, the object path.
     """
 
-    __slots__ = ("_objects", "family", "w", "a", "b", "_codes", "_groups")
+    __slots__ = ("_objects", "family", "w", "a", "b", "_codes", "_groups", "_terms")
 
     def __init__(self, objectives: Sequence[Objective]):
-        self._objects = list(objectives)
-        kinds = {type(obj) for obj in self._objects}
-        self.w = self.a = self.b = self._codes = self.family = None
+        self._objects = objs = list(objectives)
+        kinds = {type(obj) for obj in objs}
+        self.w = self.a = self.b = self._codes = self.family = self._terms = None
         self._groups: list = []
-        if kinds and kinds.issubset(_BANK_CLASSES):
-            n = len(self._objects)
-            codes = None if len(kinds) == 1 else np.array(
-                [_BANK_CLASSES.index(type(o)) for o in self._objects], dtype=np.int8)
-            self._set_bank(np.fromiter((o.w for o in self._objects), float, n),
-                           np.fromiter((o.a for o in self._objects), float, n),
-                           np.fromiter((o.b for o in self._objects), float, n),
-                           kinds.pop() if codes is None else None, codes)
+        if not (kinds and kinds.issubset(_BANK_CLASSES)):
+            return
+        n = len(objs)
+        codes = None if len(kinds) == 1 else np.array(
+            [_BANK_CLASSES.index(type(o)) for o in objs], dtype=np.int8)
+        if not kinds.isdisjoint((SumLog, SumInverseMse)):
+            sums = [o for o in objs if not o.closed_form_inverse]
+            terms = tuple(np.array([x for o in sums for x in getattr(o, name)], dtype=float)
+                          for name in "wcd") + (np.array(
+                              [0 if o.closed_form_inverse else len(o.w) for o in objs]),)
+            w = np.array([o.w if o.closed_form_inverse else math.nan for o in objs])
+        else:
+            terms, w = None, np.fromiter((o.w for o in objs), float, n)
+        self._set_bank(w, np.fromiter((o.a for o in objs), float, n),
+                       np.fromiter((o.b for o in objs), float, n),
+                       kinds.pop() if codes is None else None, codes, terms)
 
     @classmethod
     def from_arrays(cls, family, w, a, b) -> Channels:
@@ -604,8 +670,8 @@ class Channels:
         bank._objects = None
         bank._set_bank(w, a, b, single, codes)
         bad = np.zeros(n, dtype=bool)
-        for fam, idx, gw, ga, gb in bank._groups:
-            bad[slice(None) if idx is None else idx] = ~fam._bank_valid(gw, ga, gb)
+        for fam, idx, args in bank._groups:
+            bad[slice(None) if idx is None else idx] = ~fam._bank_valid(*args)
         if bad.any():
             i = int(bad.argmax())
             fam = single if codes is None else _BANK_CLASSES[codes[i]]
@@ -617,26 +683,35 @@ class Channels:
                 raise DomainError(exc.detail, index=i) from None
         return bank
 
-    def _set_bank(self, w, a, b, single: type | None, codes) -> None:
-        """Hold w, a, b with one ``(family, index, w, a, b)`` group per family
-        present; ``codes`` gives each channel's family when ``single`` is None."""
-        self.w, self.a, self.b, self._codes = w, a, b, None
+    def _set_bank(self, w, a, b, single: type | None, codes, terms=None) -> None:
+        """Hold w, a, b and the sum families' flat ``terms`` with one
+        ``(family, index, args)`` group per family present; ``codes`` gives
+        each channel's family when ``single`` is None."""
+        self.w, self.a, self.b, self._codes, self._terms = w, a, b, None, terms
         if single is None:
-            self._groups = []
-            for code, cls in enumerate(_BANK_CLASSES):
-                idx = (codes == code).nonzero()[0]
-                if idx.size:
-                    self._groups.append((cls, idx, w[idx], a[idx], b[idx]))
-            if len(self._groups) == 1:
-                single = self._groups[0][0]
+            classes = _BANK_CLASSES if terms else _BANK_CLASSES[:len(BANK_FAMILIES)]
+            present = [(cls, idx) for code, cls in enumerate(classes)
+                       if (idx := (codes == code).nonzero()[0]).size]
+            if len(present) == 1:
+                single = present[0][0]
             else:
                 self._codes = codes
+                self._groups = [self._group(cls, idx) for cls, idx in present]
         if single is not None:
-            self._groups = [(single, None, w, a, b)]
+            self._groups = [self._group(single, None)]
         self.family = single.family if single is not None else None
 
+    def _group(self, cls, idx) -> tuple:
+        """The group of ``cls``'s channels at ``idx`` (None: all channels)."""
+        w, a, b = (self.w, self.a, self.b) if idx is None else \
+            (self.w[idx], self.a[idx], self.b[idx])
+        if cls.closed_form_inverse:
+            return cls, idx, (w, a, b)
+        tw, tc, td, n = _take_terms(self._terms, idx)
+        return cls, idx, (_Ragged(cls, tw, np.repeat(a, n) * tc, np.repeat(b, n) * td, n),)
+
     @property
-    def closed_form(self) -> bool:
+    def banked(self) -> bool:
         """True when the operations run on the bank's arrays."""
         return self.w is not None
 
@@ -645,28 +720,30 @@ class Channels:
         """The objectives, one per channel (built from the bank on first use
         when the channels came from ``with_a``)."""
         if self._objects is None:
-            objects = [None] * len(self)
-            for cls, idx, w, a, b in self._groups:
-                slots = range(len(self)) if idx is None else idx.tolist()
-                for i, wi, ai, bi in zip(slots, w.tolist(), a.tolist(), b.tolist()):
-                    objects[i] = cls(wi, ai, bi)
+            n = len(self)
+            w, a, b = self.w.tolist(), self.a.tolist(), self.b.tolist()
+            if self._terms is not None:
+                cut = np.cumsum(self._terms[3])[:-1]
+                cw, cc, cd = (np.split(x, cut) for x in self._terms[:3])
+            objects = [None] * n
+            for cls, idx, _ in self._groups:
+                for i in range(n) if idx is None else idx.tolist():
+                    objects[i] = cls(w[i], a[i], b[i]) if cls.closed_form_inverse else \
+                        cls(cw[i].tolist(), a[i], b[i], cc[i].tolist(), cd[i].tolist())
             self._objects = objects
         return self._objects
 
     def __len__(self) -> int:
-        return len(self.w) if self.closed_form else len(self._objects)
+        return len(self.w) if self.banked else len(self._objects)
 
     def take(self, index) -> Channels:
         """The channels at ``index`` (an integer array), in that order."""
         index = np.asarray(index, dtype=np.intp)
         objects = None if self._objects is None else \
             [self._objects[i] for i in index.tolist()]
-        if not self.closed_form:
-            sub = object.__new__(Channels)
-            sub.w = sub.a = sub.b = sub._codes = sub.family = None
-            sub._groups = []
-        else:
-            sub = self._rebank(self.w[index], self.a[index], self.b[index], index)
+        if not self.banked:
+            return Channels(objects)
+        sub = self._rebank(self.w[index], self.a[index], self.b[index], index)
         sub._objects = objects
         return sub
 
@@ -680,45 +757,51 @@ class Channels:
         if ``objectives`` is read."""
         sub = object.__new__(Channels)
         sub._objects = None
+        terms = self._terms
+        if terms is not None and index is not None:
+            terms = _take_terms(terms, index)
         if self._codes is None:
-            sub._set_bank(w, a, b, self._groups[0][0], None)
+            sub._set_bank(w, a, b, self._groups[0][0], None, terms)
         else:
             sub._set_bank(w, a, b, None,
-                          self._codes if index is None else self._codes[index])
+                          self._codes if index is None else self._codes[index], terms)
         return sub
 
-    def _apply(self, op: str, x) -> np.ndarray:
+    def _apply(self, op: str, x, start=None) -> np.ndarray:
         if len(self._groups) == 1:
-            cls, _, w, a, b = self._groups[0]
-            return getattr(cls, op)(w, a, b, x)
+            cls, _, args = self._groups[0]
+            extra = () if start is None or cls.closed_form_inverse else (start,)
+            return getattr(cls, op)(*args, x, *extra)
         scalar = np.ndim(x) == 0
         out = np.empty(len(self))
-        for cls, idx, w, a, b in self._groups:
-            out[idx] = getattr(cls, op)(w, a, b, x if scalar else x[idx])
+        for cls, idx, args in self._groups:
+            extra = () if start is None or cls.closed_form_inverse else (start[idx],)
+            out[idx] = getattr(cls, op)(*args, x if scalar else x[idx], *extra)
         return out
 
-    def demand(self, mu: float, hints: list | None = None) -> np.ndarray:
+    def demand(self, mu: float, start: np.ndarray | None = None) -> np.ndarray:
         """Signed demands at water level ``mu``.
 
-        ``hints`` (one entry per channel, updated in place) warm-starts the
-        numeric inversions of the object path; the bank ignores it.
+        ``start`` (one power per channel, such as the previous level's
+        demands) warm-starts the sum families' array Newton, or on the object
+        path each object's ``demand`` as its hint.  A channel the array Newton
+        leaves unconverged takes its object's ``demand`` (bisection rescue).
         """
         if mu <= 0:
             raise DomainError(f"rate target must be positive, got {mu}")
-        if self.closed_form:
-            return self._apply("_bank_demand", mu)
-        if hints is None:
-            return np.array([obj.demand(mu) for obj in self._objects], dtype=float)
-        out = np.empty(len(self))
-        for i, obj in enumerate(self._objects):
-            p = obj.demand(mu, hint=hints[i])
-            hints[i] = p if p > obj.domain_min() else None
-            out[i] = p
+        if not self.banked:
+            hints = [None] * len(self) if start is None else start.tolist()
+            return np.array([obj.demand(mu, h) for obj, h in zip(self._objects, hints)],
+                            dtype=float)
+        out = self._apply("_bank_demand", mu, start)
+        if self._terms is not None:
+            for i in np.isnan(out).nonzero()[0].tolist():
+                out[i] = self.objectives[i].demand(mu, None if start is None else start[i])
         return out
 
     def rate(self, powers) -> np.ndarray:
         """Marginal utilities at ``powers`` (one per channel)."""
-        if self.closed_form:
+        if self.banked:
             return self._apply("_bank_rate", np.asarray(powers, dtype=float))
         return np.array([obj.rate(p) for obj, p in
                          zip(self._objects, np.asarray(powers, dtype=float).tolist())],
@@ -726,7 +809,7 @@ class Channels:
 
     def eval(self, powers) -> np.ndarray:
         """Utilities at ``powers`` (one per channel)."""
-        if self.closed_form:
+        if self.banked:
             return self._apply("_bank_eval", np.asarray(powers, dtype=float))
         return np.array([obj.eval(p) for obj, p in
                          zip(self._objects, np.asarray(powers, dtype=float).tolist())],
@@ -747,9 +830,9 @@ class ClusterChannels:
     operations of :meth:`ClusterLogCapacity.bind` run as one array expression
     over parameter arrays built here, once.  When every entry is
     cluster-aware, the template bank is built from those arrays, with no
-    object per entry.  When the ordinary entries are closed-form families
-    too, the result is a bank; otherwise the group binds through the objects
-    and runs on the object path.
+    object per entry.  When the ordinary entries are flat families too (sum
+    families included), the result is a bank; otherwise the group binds
+    through the objects and runs on the object path.
     """
 
     def __init__(self, objectives: Sequence):
@@ -778,7 +861,7 @@ class ClusterChannels:
         """The group's channels with the cluster power frozen at ``cluster_power``."""
         if not self.index.size:
             return self._template
-        if not self._template.closed_form:
+        if not self._template.banked:
             return Channels([o.bind(cluster_power) if _cluster_aware(o) else o
                              for o in self.objectives])
         a = self._template.a.copy()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import zlib
 
 import pytest
 
@@ -104,7 +105,7 @@ def test_inverted_bounds_rejected():
 
 @pytest.mark.parametrize("family", FLAT_FAMILIES)
 def test_four_way_agreement_random(family):
-    rng = random.Random(hash(family) & 0xFFFF)
+    rng = random.Random(zlib.crc32(family.encode()) & 0xFFFF)
     for _ in range(30):
         problem = random_box(family, rng, rng.randint(2, 8))
         allocs = [solve_box(problem, SolverConfig(box_strategy=s))
@@ -118,7 +119,7 @@ def test_four_way_agreement_random(family):
 
 @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
 def test_matches_enumeration_random(family):
-    rng = random.Random(hash(family) & 0xFFF)
+    rng = random.Random(zlib.crc32(family.encode()) & 0xFFF)
     for _ in range(25):
         problem = random_box(family, rng, rng.randint(2, 6))
         alloc = solve_box(problem)

@@ -203,7 +203,7 @@ def test_cluster_binding_matches_scalar_bind_bit_for_bit():
         clusters = ClusterChannels(group)
         for power in (0.0, 1e-9, 0.37, 4.0, 250.0):
             bound = clusters.bind(power)
-            assert bound.closed_form
+            assert bound.banked
             for i, obj in enumerate(group):
                 ref = obj.bind(power) if hasattr(obj, "bind") else obj
                 assert type(bound.objectives[i]) is type(ref)

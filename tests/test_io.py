@@ -168,7 +168,7 @@ def test_closed_form_records_load_as_one_bank():
            "objectives": [_record("log_capacity"), _record("af_relay", a=0.25),
                           _record("inverse_mse", w=2)]}
     problem = instance_from_dict(doc)
-    assert problem.channels.closed_form and problem.channels.family is None
+    assert problem.channels.banked and problem.channels.family is None
     assert [o.to_params() for o in problem.objectives] == \
         [_record("log_capacity"), _record("af_relay", a=0.25),
          _record("inverse_mse", w=2.0)]

@@ -11,7 +11,7 @@ from waterline import (
     InverseMse, LogCapacity, NegativeDemand, SumInverseMse, SumLog,
     objective_from_params)
 
-from waterline.objectives import Channels
+from waterline.objectives import Channels, ClusterChannels
 
 from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective
 
@@ -162,14 +162,21 @@ def _scalar(objs, method, xs):
     return [getattr(o, method)(x) for o, x in zip(objs, xs)]
 
 
+def _custom(obj):
+    """``obj``'s functions as a custom objective, which keeps the object path."""
+    return CustomObjective(obj.eval, obj.rate, obj.rate_slope)
+
+
 @pytest.mark.parametrize("families", [CLOSED_FORM_FAMILIES, ("inverse_mse",),
-                                      ("sum_log", "log_capacity")],
+                                      ("custom", "log_capacity")],
                          ids=["mixed_bank", "single_bank", "objects"])
 def test_channels_match_scalar_methods(families):
     rng = random.Random(8)
-    objs = [make_objective(families[i % len(families)], rng) for i in range(12)]
+    objs = [_custom(make_objective("sum_log", rng)) if family == "custom"
+            else make_objective(family, rng)
+            for family in (families[i % len(families)] for i in range(12))]
     channels = Channels(objs)
-    assert channels.closed_form == set(families).issubset(CLOSED_FORM_FAMILIES)
+    assert channels.banked == set(families).issubset(CLOSED_FORM_FAMILIES)
     powers = np.array([rng.uniform(0.0, 5.0) for _ in objs])
     for mu in (0.05, 0.7, 3.0):
         # Same operations in the same order: equal to the last bit.
@@ -182,6 +189,103 @@ def test_channels_match_scalar_methods(families):
     assert sub.objectives == [objs[i] for i in index]
     assert sub.rate(powers[index]).tolist() == \
         _scalar(sub.objectives, "rate", powers[index].tolist())
+
+
+def _ragged_mix(rng: random.Random, n: int) -> list:
+    """The five flat families in turn; the sum families with 1 to 5 terms."""
+    objs = []
+    for i in range(n):
+        family = FLAT_FAMILIES[i % len(FLAT_FAMILIES)]
+        if not family.startswith("sum"):
+            objs.append(make_objective(family, rng))
+            continue
+        terms = 1 + (i // len(FLAT_FAMILIES)) % 5
+        w, c, d = ([rng.uniform(0.5, 2) for _ in range(terms)] for _ in range(3))
+        cls = SumLog if family == "sum_log" else SumInverseMse
+        objs.append(cls(w, rng.uniform(0.5, 2), rng.uniform(0.5, 2), c, d))
+    return objs
+
+
+def _assert_demands(channels, objs, mu, start=None):
+    hints = [None] * len(objs) if start is None else start.tolist()
+    expected = np.array([o.demand(mu, h) for o, h in zip(objs, hints)])
+    got = channels.demand(mu, start)
+    assert (np.abs(got - expected) <= 1e-12 * (1.0 + np.abs(expected))).all(), \
+        np.abs(got - expected).max()
+    return expected
+
+
+def _assert_ragged_matches(channels, objs, powers):
+    """Rates, rate slopes and utilities against the objects' scalar methods."""
+    for method in ("rate", "eval"):
+        np.testing.assert_allclose(getattr(channels, method)(powers),
+                                   _scalar(objs, method, powers.tolist()), rtol=1e-12)
+    for cls, idx, args in channels._groups:
+        if not cls.closed_form_inverse:
+            at = np.arange(len(objs)) if idx is None else idx
+            np.testing.assert_allclose(
+                args[0].sums(powers[at])[1],
+                [objs[i].rate_slope(p) for i, p in zip(at.tolist(), powers[at].tolist())],
+                rtol=1e-12)
+
+
+def test_ragged_bank_matches_the_objects():
+    rng = random.Random(21)
+    objs = _ragged_mix(rng, 50)
+    channels = Channels(objs)
+    assert channels.banked and channels.family is None and len(channels._groups) == 5
+    powers = np.array([rng.uniform(0.0, 5.0) for _ in objs])
+    _assert_ragged_matches(channels, objs, powers)
+    numeric = [i for i, o in enumerate(objs) if o.family.startswith("sum")]
+    rate0 = [objs[i].rate(0.0) for i in numeric]
+    # The middle level leaves some numeric channels on the extrapolated
+    # branch; the top one puts them all there.
+    for mu in (0.05, 0.4, float(np.median(rate0)), 1.5 * max(rate0)):
+        cold = _assert_demands(channels, objs, mu)
+        _assert_demands(channels, objs, mu, start=cold * 1.1)
+        _assert_demands(channels, objs, 0.9 * mu, start=cold)
+    assert (cold[numeric] < 0).all()
+    # From 1e30 the halving steps outlast the array Newton's 40, so most
+    # numeric channels fall back to their objects' demand.
+    _assert_demands(channels, objs, 0.4, start=np.full(len(objs), 1e30))
+    index = rng.sample(range(len(objs)), 23)
+    sub = channels.take(index)
+    picked = [objs[i] for i in index]
+    assert sub.objectives == picked
+    _assert_ragged_matches(sub, picked, powers[index])
+    start = _assert_demands(sub, picked, 0.3)
+    _assert_demands(sub, picked, 0.35, start=start)
+    # A bank without its objects rebuilds them, sums included.
+    rebuilt = channels.with_a(channels.a).take(index)
+    assert [o.to_params() for o in rebuilt.objectives] == [o.to_params() for o in picked]
+    _assert_ragged_matches(rebuilt, picked, powers[index])
+
+
+@pytest.mark.parametrize("family", ["sum_log", "sum_inverse_mse"])
+def test_single_family_ragged_bank_matches_the_objects(family):
+    rng = random.Random(22)
+    objs = [make_objective(family, rng) for _ in range(9)]
+    channels = Channels(objs)
+    assert channels.banked and channels.family == family
+    _assert_ragged_matches(channels, objs, np.array([rng.uniform(0, 5) for _ in objs]))
+    start = _assert_demands(channels, objs, 0.5)
+    _assert_demands(channels, objs, 0.6, start=start)
+    assert len(channels.take([])) == 0
+
+
+def test_cluster_group_with_sum_entries_binds_like_the_objects():
+    rng = random.Random(23)
+    group = [ClusterLogCapacity(1.0, 2.0, 0.1, 1.0), make_objective("sum_log", rng),
+             ClusterLogCapacity(0.7, 0.4, 0.3, 0.5), make_objective("sum_inverse_mse", rng),
+             LogCapacity(1.0, 1.5, 1.0), make_objective("sum_log", rng)]
+    clusters = ClusterChannels(group)
+    powers = np.array([rng.uniform(0, 3) for _ in group])
+    for cluster_power in (0.0, 0.8, 6.0):
+        bound = clusters.bind(cluster_power)
+        assert bound.banked
+        refs = [o.bind(cluster_power) if hasattr(o, "bind") else o for o in group]
+        _assert_ragged_matches(bound, refs, powers)
+        _assert_demands(bound, refs, 0.3)
 
 
 def test_channels_reject_out_of_domain_power():
@@ -213,7 +317,7 @@ def test_bank_from_arrays_matches_channels_of_objects(families):
             [getattr(o, name) for o in objs] for name in "wab")))
     powers = np.array([rng.uniform(0.0, 5.0) for _ in objs])
     for bank in banks:
-        assert bank.closed_form and bank.family == reference.family
+        assert bank.banked and bank.family == reference.family
         for mu in (0.05, 0.7, 3.0):
             assert bank.demand(mu).tolist() == reference.demand(mu).tolist()
         assert bank.rate(powers).tolist() == reference.rate(powers).tolist()
