@@ -14,6 +14,10 @@ Strategies (selected through ``SolverConfig.box_strategy``):
   binary search: the clamped total does not increase with the water level,
   so the test is monotone in the case index.  This is the exact sort-based
   breakpoint search of Palomar & Fonollosa (IEEE TSP 2005), O(K log K).
+  It runs on rows: S problems that share one bank and differ in their
+  bounds and budget (a sweep's SNR points) search together, each probe one
+  (S, K) clamped-demand pass with per-row ``lo``/``hi``, and each row ends
+  with its own P1.1 on the chosen set.  A single problem is the S = 1 case.
 
 Each strategy is a private array function ``(channels, gamma, tau, budget,
 cfg)``: set logic over index masks of a
@@ -21,8 +25,9 @@ cfg)``: set logic over index masks of a
 demands, rates and utilities as numpy arrays when every channel is one of
 the five serializable families (mixed or not), the objects' own methods
 otherwise.  :func:`box_fill` solves on unchecked arrays
-for every internal caller; :func:`solve_box`, the public entry, runs the
-same solve for a validated problem and builds its record.
+for every internal caller, and :func:`box_fill_rows` S problems on one bank;
+:func:`solve_box`, the public entry, runs the same solve for a validated
+problem and builds its record.
 
 All four return identical allocations up to numeric tolerance; the
 cross-strategy agreement is part of the acceptance suite.
@@ -36,7 +41,7 @@ import numpy as np
 
 from .core import _classify, _water_level_and_powers, finish, water_fill
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
-from .objectives import Channels
+from .objectives import BANK_FAMILIES, Channels
 from .problems import (
     BOX_STRATEGIES, Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig)
 
@@ -145,9 +150,12 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
             cfg: SolverConfig):
     """Outer bisection on the water level with per-channel clamping."""
     sigma = 1e-4 * cfg.power_tolerance * budget
+    start = None
 
     def clamped_total(mu_val: float):
-        powers = _clamped_demand(channels, mu_val, gamma, tau)
+        nonlocal start  # the last level's demands warm-start the next
+        start = channels.demand(mu_val, start)
+        powers = np.minimum(np.maximum(start, gamma), tau)
         return powers, float(powers.sum())
 
     mu_max = float(_rate_inside(channels, gamma).max())
@@ -187,43 +195,65 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
             "optimal" if spent else "feasible", [])
 
 
-def _order(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
-           cfg: SolverConfig):
-    """Order-based search over candidate upper-bound sets."""
-    k = len(channels)
-    finite = np.flatnonzero(np.isfinite(tau))
-    tau_rate = np.zeros(k)
-    tau_rate[finite] = channels.take(finite).rate(tau[finite])
-    order = np.argsort(-tau_rate, kind="stable")
-
-    def exits(case: int) -> bool:
-        """Case ``case`` pins order[:case] at tau; it exits when its water
-        level, the tau-rate of order[case], spends the whole budget."""
-        mu_case = float(tau_rate[order[case]])
-        return mu_case <= 0 or \
-            float(_clamped_demand(channels, mu_case, gamma, tau).sum()) >= budget
-
-    # The cases run through decreasing tau-rates (infinite-tau channels have
-    # rate 0 and come last) and the clamped total does not increase with the
-    # water level, so exits() is monotone in the case index.
-    lo, hi, probes = 0, k, 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probes += 1
-        if exits(mid):
-            hi = mid
-        else:
-            lo = mid + 1
+def _order_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
+                budget: np.ndarray, cfg: SolverConfig) -> list:
+    """The order search on S rows of bounds (S, K) and budgets (S,) over one
+    bank, one ``_order`` tuple per row.  S > 1 needs a bank of one
+    closed-form family; with S = 1 each probe is warm-started at the last."""
+    s, k = tau.shape
+    finite = np.isfinite(tau)
+    tau_rate = np.zeros((s, k))
+    if channels.family not in BANK_FAMILIES:
+        index = finite[0].nonzero()[0]
+        tau_rate[0, index] = channels.take(index).rate(tau[0, index])
+    elif finite.any():
+        tau_rate[finite] = channels.rate(np.where(finite, tau, 1.0))[finite]
+    order = np.argsort(-tau_rate, axis=1, kind="stable")
+    # Case c of a row pins its order[:c] at tau; it exits when its water
+    # level, the row's c-th largest tau-rate, spends the whole budget.  The
+    # levels fall with c (infinite-tau channels have rate 0 and come last)
+    # and the clamped total does not increase with the level, so the exit
+    # test is monotone in c: a binary search per row, over [lo, hi).
+    lo, hi, probes, budgets = [0] * s, [k] * s, [0] * s, budget.tolist()
+    mid, mu, live, start = [0] * s, [0.0] * s, list(range(s)), None
+    while live:
+        for i in live:
+            mid[i] = (lo[i] + hi[i]) // 2
+            mu[i] = tau_rate.item(i, order.item(i, mid[i]))
+        # One clamped-demand pass over every row; a finished row keeps its
+        # last level, and a level of 0 exits whatever it spends.
+        totals = budgets
+        if max(mu) > 0:
+            demand = start = channels.demand(mu[0], start) if s == 1 else \
+                channels.demand(np.array([[m if m > 0 else 1.0] for m in mu]))
+            totals = np.minimum(np.maximum(demand, gamma), tau).sum(axis=1).tolist()
+        for i in live:
+            probes[i] += 1
+            if mu[i] <= 0 or totals[i] >= budgets[i]:
+                hi[i] = mid[i]
+            else:
+                lo[i] = mid[i] + 1
+        live = [i for i in live if lo[i] < hi[i]]
     # Every case under-spends only when every tau is finite and their sum
     # exceeds the budget by rounding: the last case leaves its channel the
     # budget the others do not take.
-    lo = min(lo, k - 1)
-    fixed, rest = order[:lo], order[lo:]
-    powers = np.empty(k)
-    powers[fixed] = tau[fixed]
-    powers[rest], mu, water_levels, _ = water_fill(
-        channels.take(rest), gamma[rest], budget - float(tau[fixed].sum()), cfg)
-    return powers, mu, probes + (len(water_levels) or 1), "optimal", water_levels
+    out = []
+    for i, case in enumerate(min(c, k - 1) for c in lo):
+        fixed, rest = order[i, :case], order[i, case:]
+        powers = np.empty(k)
+        powers[fixed] = tau[i, fixed]
+        powers[rest], mu, water_levels, _ = water_fill(
+            channels.take(rest), gamma[i, rest],
+            budgets[i] - float(tau[i, fixed].sum()), cfg)
+        out.append((powers, mu, probes[i] + (len(water_levels) or 1), "optimal",
+                    water_levels))
+    return out
+
+
+def _order(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
+           cfg: SolverConfig):
+    """The order search on one box problem: :func:`_order_rows` with S = 1."""
+    return _order_rows(channels, gamma[None], tau[None], np.array([budget]), cfg)[0]
 
 
 _STRATEGIES = dict(zip(BOX_STRATEGIES, (_set_a, _set_b, _bisect, _order)))
@@ -249,6 +279,22 @@ def box_fill(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: flo
     if mu is not None and not _classify(powers, gamma, tau)[3].any():
         mu = None
     return powers, mu, iterations, status, water_levels
+
+
+def box_fill_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
+                  budget: np.ndarray, cfg: SolverConfig = _DEFAULT_CFG) -> list:
+    """S box problems on one bank, bounds (S, K) and budgets (S,); inputs
+    unchecked.  One ``(powers, mu, iterations, status, water_levels)`` per
+    row, the tuple :func:`solve_box` finishes.  On a bank of one closed-form
+    family the ``order`` search runs on every row that does not fit all its
+    upper bounds at once; otherwise each row is solved alone."""
+    if cfg.box_strategy != "order" or channels.family not in BANK_FAMILIES:
+        return [_fill(channels, g, t, float(p), cfg) for g, t, p in zip(gamma, tau, budget)]
+    # A row sum adds as the 1-D sum of _fill's test does.
+    full = np.isfinite(tau).all(axis=1) & (tau.sum(axis=1) <= budget)
+    search = iter(_order_rows(channels, gamma[~full], tau[~full], budget[~full], cfg))
+    return [(t.copy(), None, 1, "optimal", []) if f else next(search)
+            for f, t in zip(full.tolist(), tau)]
 
 
 def solve_box(problem: BoxProblem,

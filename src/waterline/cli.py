@@ -15,9 +15,10 @@ import sys
 import time
 
 import click
+import numpy as np
 
-from .box import solve_box
-from .core import solve_p1_lower
+from .box import box_fill_rows, solve_box
+from .core import _classify, finish, solve_p1_lower
 from .errors import SchemaError, SizeLimit, WaterlineError
 from .fair import solve_fair
 from .io import (instance_to_dict, load_instance, load_result,
@@ -27,7 +28,8 @@ from .objectives import ClusterChannels
 from .oracle import check_conditions, enumerate_box
 from .problems import (BOX_STRATEGIES, AscendingProblem, BoxProblem,
                        FairProblem, FairSolution, SolverConfig)
-from .scenario import ScenarioSpec, build_instance, channel_gains
+from .scenario import (ScenarioSpec, build_instance, channel_gains, instance_bounds,
+                       instance_channels)
 
 
 def _fail(code: int, message: str):
@@ -273,29 +275,53 @@ def cmd_sweep(antennas, taps, decay, subcarriers, snr_list, gamma, tau,
                                       realizations=realizations, seed=seed))
         except ValueError as exc:
             _fail(1, str(exc))
+    budgets = np.array([spec.budget for spec in specs])
     # Per SNR point: summed mean MSE, solves, solves with a bound hit, errors.
     mse, solved, hits, errors = ([0] * len(snrs) for _ in range(4))
     dump_doc = None
     for r in range(realizations):
-        # The gains depend on neither the SNR nor the bounds: one draw serves
-        # every SNR point.
+        # The gains depend on neither the SNR nor the bounds: one draw and one
+        # bank serve every SNR point, and the points are solved as one batch.
         gains = channel_gains(specs[0], r)
+        batch = {}
+        try:
+            bank = instance_channels(specs[0], gains)
+            lower, upper = map(np.array, zip(*(instance_bounds(s, len(bank)) for s in specs)))
+            # BoxProblem's bound checks as arrays; a row that fails one, or
+            # lies near the budget limit, is solved alone below.
+            rows = ((np.isfinite(lower) & (lower >= 0) & (upper >= lower)).all(axis=1)
+                    & (lower.sum(axis=1) <= (1.0 - 1e-9) * budgets)).nonzero()[0]
+            fills = box_fill_rows(bank, lower[rows], upper[rows], budgets[rows], cfg)
+            powers = np.array([fill[0] for fill in fills]).reshape(len(rows), len(bank))
+            values = bank.eval(powers).sum(axis=1).tolist()
+            active = _classify(powers, lower[rows], upper[rows])[3]
+            batch = {i: j for j, i in enumerate(rows.tolist())}
+        except WaterlineError:
+            pass
         for i, spec in enumerate(specs):
-            try:
-                problem = build_instance(spec, r, gains)
-                alloc = solve_box(problem, cfg)
-            except WaterlineError:
-                errors[i] += 1
-                continue
-            mse[i] += -alloc.objective_value / len(alloc.powers)
+            keep = dump and r == 0 and snrs[i] == snrs[-1]
+            if i in batch:
+                j = batch[i]
+                objective, hit = values[j], not active[j].all()
+                alloc = finish(bank, powers[j], lower[i], upper[i], *fills[j][1:]) \
+                    if keep else None
+            else:
+                try:
+                    alloc = solve_box(build_instance(spec, r, gains), cfg)
+                except WaterlineError:
+                    errors[i] += 1
+                    continue
+                objective = alloc.objective_value
+                hit = bool(alloc.lower_set) or bool(alloc.upper_set)
+            mse[i] += -objective / gains.size
             solved[i] += 1
-            hits[i] += bool(alloc.lower_set) or bool(alloc.upper_set)
-            if dump and r == 0 and snrs[i] == snrs[-1]:
+            hits[i] += hit
+            if keep:
                 dump_doc = {"snr_db": snrs[i], "gamma": gamma, "tau": tau,
                             "powers": alloc.powers,
                             "lower_set": alloc.lower_set,
                             "upper_set": alloc.upper_set,
-                            "budget": problem.budget}
+                            "budget": spec.budget}
     records = [(snr, gamma, tau if tau is not None else "", n, err,
                 total / n if n else "", hit / n if n else "")
                for snr, total, n, hit, err in zip(snrs, mse, solved, hits, errors)]

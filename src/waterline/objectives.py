@@ -786,8 +786,10 @@ class Channels:
         demands) warm-starts the sum families' array Newton, or on the object
         path each object's ``demand`` as its hint.  A channel the array Newton
         leaves unconverged takes its object's ``demand`` (bisection rescue).
+        On a bank of one closed-form family ``mu`` may be a column of S
+        levels, shape (S, 1); the demands are then (S, K), a row per level.
         """
-        if mu <= 0:
+        if (mu <= 0).any() if isinstance(mu, np.ndarray) else mu <= 0:
             raise DomainError(f"rate target must be positive, got {mu}")
         if not self.banked:
             hints = [None] * len(self) if start is None else start.tolist()

@@ -87,25 +87,30 @@ def channel_gains(spec: ScenarioSpec, realization: int) -> np.ndarray:
     return np.maximum(gains.real, 0.0)
 
 
+def instance_channels(spec: ScenarioSpec, gains: np.ndarray) -> Channels:
+    """The ``inverse_mse`` bank of one realization's :func:`channel_gains`,
+    ``a`` the gains and ``w = b`` the noise power: one bank for every SNR."""
+    gains = gains.ravel()
+    noise = np.full(gains.size, spec.noise_power, dtype=float)
+    return Channels.from_arrays("inverse_mse", noise, gains, noise)
+
+
+def instance_bounds(spec: ScenarioSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bound arrays of a k-channel instance: ``gamma`` and
+    ``tau`` (which may be infinite) times the uniform share."""
+    uniform = spec.budget / k
+    return (np.full(k, spec.gamma * uniform),
+            np.full(k, math.inf if math.isinf(spec.tau) else spec.tau * uniform))
+
+
 def build_instance(spec: ScenarioSpec, realization: int,
                    gains: np.ndarray | None = None) -> BoxProblem:
-    """One realization as a box-constrained sum-MSE minimization instance.
-
-    Its channels are an ``inverse_mse`` bank with ``a`` the gains and ``w = b``
-    the noise power.  ``gains`` is the realization's :func:`channel_gains`
-    when the caller has drawn them already: they depend on neither the SNR,
-    the bounds nor the noise power, so one draw serves every such spec.
-    """
-    if gains is None:
-        gains = channel_gains(spec, realization)
-    gains = gains.ravel()
-    k = gains.size
-    budget = spec.budget
-    uniform = budget / k
-    noise = np.full(k, spec.noise_power, dtype=float)
-    upper = None if math.isinf(spec.tau) else np.full(k, spec.tau * uniform)
-    return BoxProblem(Channels.from_arrays("inverse_mse", noise, gains, noise),
-                      budget, np.full(k, spec.gamma * uniform), upper)
+    """One realization as a box-constrained sum-MSE minimization instance on
+    :func:`instance_channels`; ``gains`` is the realization's
+    :func:`channel_gains` when the caller has drawn them already."""
+    channels = instance_channels(
+        spec, channel_gains(spec, realization) if gains is None else gains)
+    return BoxProblem(channels, spec.budget, *instance_bounds(spec, len(channels)))
 
 
 def generate(spec: ScenarioSpec) -> list[BoxProblem]:

@@ -310,25 +310,39 @@ def _sweep_reference(snrs, gamma, tau, realizations, seed, strategy, **shape):
     return text.getvalue().encode(), (json.dumps(dump, indent=2) + "\n").encode()
 
 
-@pytest.mark.parametrize("gamma,tau,strategy", [(0.3, 1.7, "order"),
-                                                (0.0, None, "set_b"),
-                                                (1.0, 1.0, "bisect")])
-def test_sweep_matches_a_solve_per_snr_and_realization(runner, tmp_path, gamma,
-                                                       tau, strategy):
-    """Drawing each realization once for every SNR point changes no byte,
-    with an SNR listed twice."""
-    snrs = [10.0, 0.0, 10.0, -5.0, 10.0]
+_SNRS = [10.0, 0.0, 10.0, -5.0, 10.0]  # one SNR listed three times
+_SMALL = dict(antennas=2, taps=3, subcarriers=8)
+
+
+@pytest.mark.parametrize("gamma,tau,strategy,snrs,shape,realizations", [
+    pytest.param(0.3, 1.7, "order", _SNRS, _SMALL, 4, id="0.3-1.7-order"),
+    pytest.param(0.0, None, "set_b", _SNRS, _SMALL, 4, id="0.0-None-set_b"),
+    pytest.param(1.0, 1.0, "bisect", _SNRS, _SMALL, 4, id="1.0-1.0-bisect"),
+    pytest.param(0.0, None, "order", _SNRS, _SMALL, 4, id="0.0-None-order"),
+    pytest.param(1.0, 1.0, "order", _SNRS, _SMALL, 4, id="1.0-1.0-order"),
+    pytest.param(0.3, 1.7, "order", [-10.0, 30.0, 0.0, 20.0, -5.0, 10.0], _SMALL, 4,
+                 id="minus10-to-30dB-order"),
+    pytest.param(0.4, 1.6, "order", [0.0, 5.0, 10.0, 15.0, 20.0],
+                 dict(antennas=4, taps=7, subcarriers=256), 2, id="k1024-order"),
+])
+def test_sweep_matches_a_solve_per_snr_and_realization(runner, tmp_path, gamma, tau,
+                                                       strategy, snrs, shape,
+                                                       realizations):
+    """Solving each realization's SNR points as one batch on a shared bank
+    changes no byte against one ``build_instance`` and ``solve_box`` per
+    (SNR, realization)."""
     out, dump = tmp_path / "sweep.csv", tmp_path / "dump.json"
-    args = ["sweep", "--antennas", "2", "--taps", "3", "--subcarriers", "8",
-            "--snr-list", ",".join(map(str, snrs)), "--gamma", str(gamma),
-            "--realizations", "4", "--seed", "7", "--strategy", strategy,
+    args = ["sweep", "--snr-list", ",".join(map(str, snrs)), "--gamma", str(gamma),
+            "--realizations", str(realizations), "--seed", "7", "--strategy", strategy,
             "--out", str(out), "--dump", str(dump)]
+    for name, value in shape.items():
+        args += [f"--{name}", str(value)]
     if tau is not None:
         args += ["--tau", str(tau)]
     result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     expected_csv, expected_dump = _sweep_reference(
-        snrs, gamma, tau, 4, 7, strategy, antennas=2, taps=3, subcarriers=8)
+        snrs, gamma, tau, realizations, 7, strategy, **shape)
     assert out.read_bytes() == expected_csv
     assert dump.read_bytes() == expected_dump
 

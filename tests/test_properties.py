@@ -3,14 +3,17 @@
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+import numpy as np  # noqa: E402
 from hypothesis import given, strategies as st  # noqa: E402
 
 from waterline import (  # noqa: E402
     BOX_STRATEGIES, FAIR_MODES, AfRelay, AscendingProblem, BoxProblem,
     ClusterLogCapacity, FairProblem, InverseMse, LogCapacity, SolverConfig,
     SumInverseMse, SumLog, check_conditions, solve_ascending, solve_box, solve_fair)
+from waterline.box import box_fill, box_fill_rows  # noqa: E402
+from waterline.objectives import Channels  # noqa: E402
 
-from conftest import FLAT_FAMILIES  # noqa: E402
+from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES  # noqa: E402
 
 _param = st.floats(0.2, 5.0)
 
@@ -139,3 +142,48 @@ def ascending_problems(draw):
 @given(ascending_problems())
 def test_every_ascending_strategy_agrees_and_passes_its_conditions(problem):
     _assert_strategies_agree(problem, solve_ascending)
+
+
+@st.composite
+def box_rows(draw):
+    """S box problems on one closed-form bank: rows with some infinite
+    upper bounds, with none finite, with every upper bound inside the budget,
+    and with lower bounds that use the whole budget."""
+    family = draw(st.sampled_from(CLOSED_FORM_FAMILIES))
+    k = draw(st.integers(1, 12))
+    w, b = ([draw(_param) for _ in range(k)] for _ in range(2))
+    a = [draw(st.floats(0.1, 0.9)) if family == "af_relay" else draw(_param)
+         for _ in range(k)]
+    gammas, taus, budgets = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["box", "open", "all_upper", "floor"]))
+        budget = k * draw(st.floats(0.5, 3.0))
+        gamma = np.array([draw(st.floats(0.0, 0.6)) * budget / k for _ in range(k)])
+        tau = gamma + [draw(st.floats(0.2, 2.5)) * budget / k for _ in range(k)]
+        if kind == "box":
+            tau[[draw(st.booleans()) for _ in range(k)]] = np.inf
+        elif kind == "open":
+            tau[:] = np.inf
+        elif kind == "all_upper":
+            budget = float(tau.sum()) * draw(st.floats(1.0, 1.5))
+        else:
+            budget = float(gamma.sum())
+        gammas.append(gamma)
+        taus.append(tau)
+        budgets.append(budget)
+    return (Channels.from_arrays(family, w, a, b), np.array(gammas), np.array(taus),
+            np.array(budgets))
+
+
+@given(box_rows())
+def test_row_search_matches_one_box_fill_per_row(rows):
+    """box_fill_rows, whose order search runs every row at once, returns
+    each row's box_fill powers bit for bit under every strategy."""
+    bank, gamma, tau, budget = rows
+    for strategy in BOX_STRATEGIES:
+        cfg = SolverConfig(box_strategy=strategy)
+        for i, (powers, _, iterations, status, levels) in enumerate(
+                box_fill_rows(bank, gamma, tau, budget, cfg)):
+            expected = box_fill(bank, gamma[i], tau[i], float(budget[i]), cfg)
+            assert powers.tobytes() == expected[0].tobytes(), (strategy, i)
+            assert (iterations, status, levels) == expected[2:], (strategy, i)
