@@ -21,8 +21,8 @@ from .box import box_fill_rows, solve_box
 from .core import _classify, finish, solve_p1_lower
 from .errors import SchemaError, SizeLimit, WaterlineError
 from .fair import solve_fair
-from .io import (instance_to_dict, load_instance, load_result,
-                 result_to_dict, save_result)
+from .io import (dumps, load_instance, load_result, problem_class,
+                 result_to_dict, save_instance, save_result, write_json)
 from .nested import solve_ascending
 from .objectives import ClusterChannels
 from .oracle import check_conditions, enumerate_box
@@ -101,7 +101,7 @@ def cmd_solve(instance, strategy, tol, out):
         save_result(doc, out)
         click.echo(f"wrote {out} (status {doc['status']})")
     else:
-        click.echo(json.dumps(doc, indent=2))
+        click.echo(dumps(doc))
 
 
 def _rebuild_fair_solution(problem: FairProblem, doc: dict) -> FairSolution:
@@ -135,7 +135,6 @@ def cmd_verify(instance, result, tol):
         doc = load_result(result)
     except (OSError, SchemaError) as exc:
         _fail(1, str(exc))
-    from .io import problem_class
     if doc["problem_class"] != problem_class(problem):
         _fail(1, f"problem_class mismatch: instance is {problem_class(problem)}, "
                  f"result is {doc['problem_class']}")
@@ -186,11 +185,8 @@ def cmd_generate(antennas, taps, decay, subcarriers, snr_db, gamma, tau,
         _fail(1, str(exc))
     os.makedirs(out_dir, exist_ok=True)
     for r in range(spec.realizations):
-        problem = build_instance(spec, r)
-        path = os.path.join(out_dir, f"instance_{r:04d}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(instance_to_dict(problem), fh, indent=2)
-            fh.write("\n")
+        save_instance(build_instance(spec, r),
+                      os.path.join(out_dir, f"instance_{r:04d}.json"))
     click.echo(f"wrote {spec.realizations} instance file(s) to {out_dir}")
 
 
@@ -336,9 +332,7 @@ def cmd_sweep(antennas, taps, decay, subcarriers, snr_list, gamma, tau,
         writer_target.close()
         click.echo(f"wrote {out}")
     if dump and dump_doc is not None:
-        with open(dump, "w", encoding="utf-8") as fh:
-            json.dump(dump_doc, fh, indent=2)
-            fh.write("\n")
+        write_json(dump_doc, dump)
         if out:
             click.echo(f"wrote {dump}")
 

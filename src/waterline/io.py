@@ -4,13 +4,17 @@ Instances carry a ``problem_class`` tag plus the fields of the matching
 problem type; results echo the allocation, certificates, and solver
 configuration.  Unknown fields are rejected, and loading re-runs every
 problem-type invariant, so a loaded instance is always directly solvable.
-Floats round-trip losslessly (shortest-repr serialization).
+A file of closed-form records loads straight into one ``Channels`` bank.
+Every file is written by :func:`dumps`, in the bytes of
+``json.dump(doc, fh, indent=2)``; floats round-trip losslessly
+(shortest-repr serialization).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import DomainError, SchemaError, WaterlineError
@@ -46,9 +50,15 @@ def _check_fields(doc: dict, allowed: set[str]):
             raise SchemaError(key, "unknown field")
 
 
+# The exact types whose values are JSON numbers; bool is an int subclass.
+_NUMBER_TYPES = {int, float}
+
+
 def _number_list(value, field: str, allow_null: bool = False) -> list:
     if not isinstance(value, list) or not value:
         raise SchemaError(field, "expected a non-empty array of numbers")
+    if set(map(type, value)) <= _NUMBER_TYPES:
+        return list(map(float, value))
     out = []
     for i, x in enumerate(value):
         if x is None and allow_null:
@@ -76,27 +86,25 @@ def _objective_list(value, field: str) -> list:
     return out
 
 
-_BANK_RECORD_KEYS = {"family", "w", "a", "b"}
+_BANK_RECORD_KEYS = ("family", "w", "a", "b")
 
 
 def _flat_objectives(value):
     """A flat problem's objectives: a bank when every record is a
     ``log_capacity``, ``inverse_mse`` or ``af_relay`` record of numbers,
     otherwise the objects of :func:`_objective_list`."""
-    if isinstance(value, list) and value:
-        families, w, a, b = [], [], [], []
-        for record in value:
-            if not (isinstance(record, dict) and record.keys() == _BANK_RECORD_KEYS
-                    and record["family"] in BANK_FAMILIES
-                    and all(type(record[key]) in (int, float) for key in "wab")):
-                break
-            families.append(record["family"])
-            w.append(record["w"])
-            a.append(record["a"])
-            b.append(record["b"])
-        else:
+    if isinstance(value, list) and value and set(map(type, value)) == {dict} \
+            and set(map(len, value)) == {len(_BANK_RECORD_KEYS)}:
+        # A record without one of these keys reads None there, which the
+        # type tests refuse.
+        families, w, a, b = ([record.get(key) for record in value]
+                             for key in _BANK_RECORD_KEYS)
+        names = set(families) if set(map(type, families)) == {str} else set()
+        if names and names <= BANK_FAMILIES.keys() \
+                and set(map(type, w + a + b)) <= _NUMBER_TYPES:
             try:
-                return Channels.from_arrays(families, w, a, b)
+                return Channels.from_arrays(
+                    names.pop() if len(names) == 1 else families, w, a, b)
             except DomainError as exc:
                 raise SchemaError(f"objectives[{exc.index}]", exc.detail) from exc
     objectives = _objective_list(value, "objectives")
@@ -231,9 +239,7 @@ def load_instance(path: str):
 
 
 def save_instance(problem, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(problem), fh, indent=2)
-        fh.write("\n")
+    write_json(instance_to_dict(problem), path)
 
 
 def result_to_dict(problem, result, *, solver: str, strategy: str | None,
@@ -303,6 +309,48 @@ def load_result(path: str) -> dict:
 
 
 def save_result(doc: dict, path: str) -> None:
+    write_json(doc, path)
+
+
+def dumps(doc) -> str:
+    """Exactly ``json.dumps(doc, indent=2)``, faster on number arrays: a list
+    of finite exact ints and floats is written as one join of their reprs.
+    Containers, strings and finite numbers are written here; any other value
+    (non-finite floats, bool, None, numpy scalars, tuples, empty containers)
+    goes to ``json.dumps``."""
+    return _encode(doc, "\n")
+
+
+def _encode(value, newline: str) -> str:
+    kind = type(value)
+    if kind is float and math.isfinite(value) or kind is int:
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value and (kind is list or kind is dict and set(map(type, value)) == {str}):
+        inner = newline + "  "
+        if kind is dict:
+            items = (f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+                     for k, v in value.items())
+        elif _finite_numbers(value):
+            items = map(repr, value)
+        else:
+            items = (_encode(v, inner) for v in value)
+        body = inner + f",{inner}".join(items) + newline
+        return f"{{{body}}}" if kind is dict else f"[{body}]"
+    return json.dumps(value, indent=2).replace("\n", newline)
+
+
+def _finite_numbers(items: list) -> bool:
+    if not set(map(type, items)) <= _NUMBER_TYPES:
+        return False
+    try:
+        return all(map(math.isfinite, items))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def write_json(doc, path: str) -> None:
+    """Write ``doc`` to ``path`` as :func:`dumps` text and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(dumps(doc) + "\n")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from waterline import (
     ScenarioSpec, SchemaError, SimplexProblem, SolverConfig, build_instance,
     instance_from_dict, instance_to_dict, load_instance, problem_class,
     result_to_dict, save_instance, solve_box)
+from waterline.io import dumps
 
 from conftest import random_ascending, random_box, random_simplex
 
@@ -209,3 +211,90 @@ def test_bad_closed_form_record_named(record, message):
         instance_from_dict(doc)
     assert err.value.field == "objectives[1]"
     assert str(err.value).startswith(message)
+
+
+def _bank_doc(family="inverse_mse", k=1024):
+    return {"problem_class": "box", "budget": float(k),
+            "objectives": [_record(family, w=1.0 + i / k, a=0.25 + 0.5 * i / k)
+                           for i in range(k)],
+            "lower_bounds": [0.0] * k, "upper_bounds": [2.0] * k}
+
+
+_DELETE = object()
+
+
+def _set(path, value):
+    """Edit a K = 1024 bank document at ``path`` (keys and indices)."""
+    def edit(doc):
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        return doc
+    return edit
+
+
+# Each edit leaves one fault in a bank document.  The bank path falls back to
+# the per-record loader, which names the fault with these fields and messages.
+@pytest.mark.parametrize("edit,family,field,message", [
+    (_set(("objectives", 5, "w"), False), "inverse_mse", "objectives[5]",
+     "parameter w must be finite and positive, got 0.0"),
+    (_set(("objectives", 5, "a"), "-1"), "inverse_mse", "objectives[5]",
+     "parameter a must be finite and positive, got -1.0"),
+    (_set(("objectives", 5, "c"), 1.0), "inverse_mse", "objectives[5]",
+     "bad parameters: .*unexpected keyword argument 'c'"),
+    (_set(("objectives", 9, "b"), _DELETE), "inverse_mse", "objectives[9]",
+     "bad parameters: .*missing 1 required positional argument: 'b'"),
+    (_set(("objectives", 5, "family"), 7), "inverse_mse", "objectives[5]",
+     "unknown objective family: 7"),
+    (_set(("objectives", 5, "family"), "log_capacity_x"), "inverse_mse",
+     "objectives[5]", "unknown objective family: 'log_capacity_x'"),
+    (_set(("objectives", 5, "family"), ["log_capacity"]), "inverse_mse",
+     "objectives[5]", "bad parameters: unhashable type: 'list'"),
+    (_set(("objectives", 700, "a"), 1.5), "af_relay", "objectives[700]",
+     r"af_relay requires 0 < a < 1, got 1\.5"),
+    (_set(("lower_bounds", 3), None), "inverse_mse", "lower_bounds[3]",
+     "expected a number"),
+    (_set(("upper_bounds", 9), True), "inverse_mse", "upper_bounds[9]",
+     "expected a number"),
+    (_set(("lower_bounds",), []), "inverse_mse", "lower_bounds",
+     "expected a non-empty array of numbers"),
+], ids=["bool_w", "string_a", "extra_key", "missing_key", "number_family",
+        "unknown_family", "list_family", "af_relay_a_700", "null_lower",
+        "true_upper", "empty_lower"])
+def test_bank_loader_names_the_fault(edit, family, field, message):
+    with pytest.raises(SchemaError) as err:
+        instance_from_dict(edit(_bank_doc(family)))
+    assert err.value.field == field
+    assert re.fullmatch(re.escape(f"{field}: ") + message, str(err.value))
+
+
+def test_bank_loader_reads_ints_as_floats_and_copies():
+    doc = _bank_doc("af_relay", k=4)
+    doc["objectives"][1].update(w=2, b=3)
+    doc["lower_bounds"][2] = 1
+    problem = instance_from_dict(doc)
+    assert problem.channels.family == "af_relay"
+    assert problem.channels.w.dtype == float and problem.channels.w[1] == 2.0
+    assert problem.channels.b.tolist() == [1.0, 3.0, 1.0, 1.0]
+    assert [type(x) for x in problem.lower_bounds] == [float] * 4
+    before = instance_to_dict(problem)
+    doc["objectives"][0]["w"] = 9.0
+    doc["lower_bounds"][0] = 0.5
+    doc["upper_bounds"][3] = 0.1
+    assert instance_to_dict(problem) == before
+
+
+def test_writer_writes_json_dump_bytes(tmp_path):
+    problem = build_instance(ScenarioSpec(antennas=2, taps=3, subcarriers=8,
+                                          gamma=0.4, tau=1.6, seed=3), 1)
+    path = tmp_path / "instance.json"
+    save_instance(problem, str(path))
+    assert path.read_text() == json.dumps(instance_to_dict(problem), indent=2) + "\n"
+    doc = result_to_dict(problem, solve_box(problem), solver="box:order",
+                         strategy="order", cfg=SolverConfig(), wall_time=0.01)
+    assert dumps(doc) == json.dumps(doc, indent=2)

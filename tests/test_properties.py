@@ -1,16 +1,20 @@
 """Property tests (hypothesis, short profile from conftest.py)."""
 
+import json
+import math
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 import numpy as np  # noqa: E402
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
 from waterline import (  # noqa: E402
     BOX_STRATEGIES, FAIR_MODES, AfRelay, AscendingProblem, BoxProblem,
     ClusterLogCapacity, FairProblem, InverseMse, LogCapacity, SolverConfig,
     SumInverseMse, SumLog, check_conditions, solve_ascending, solve_box, solve_fair)
 from waterline.box import box_fill, box_fill_rows  # noqa: E402
+from waterline.io import dumps  # noqa: E402
 from waterline.objectives import Channels  # noqa: E402
 
 from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES  # noqa: E402
@@ -187,3 +191,27 @@ def test_row_search_matches_one_box_fill_per_row(rows):
             expected = box_fill(bank, gamma[i], tau[i], float(budget[i]), cfg)
             assert powers.tobytes() == expected[0].tobytes(), (strategy, i)
             assert (iterations, status, levels) == expected[2:], (strategy, i)
+
+
+_EDGE_NUMBERS = (-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 10**400, -10**400)
+_numbers = st.one_of(st.floats(), st.integers(), st.sampled_from(_EDGE_NUMBERS),
+                     st.floats(allow_nan=False).map(np.float64))
+_json_leaves = st.one_of(_numbers, st.booleans(), st.none(), st.text(),
+                         st.lists(_numbers), st.lists(st.floats(0.0, 10.0)),
+                         st.lists(st.lists(st.floats(0.0, 10.0), min_size=1), min_size=1))
+json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20)
+
+
+@given(json_values)
+@example([-0.0, 5e-324, 1e308, 1, 2.5])
+@example([1.5, 10**400])
+@example([1.0, math.nan, math.inf, -math.inf])
+@example({1: [2.0], None: {"x": 1}, 2.5: "y"})
+@example({"é\n\"key\"": [True, False, None], "": {}, "x": []})
+@example([np.float64(0.1), 0.1])
+@example([[0.0, 1.25], [3, 1e-7]])
+def test_dumps_matches_json_dumps(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
