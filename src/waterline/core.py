@@ -17,7 +17,10 @@ and picks its path from the channels' family:
   set, and removes (pins at its lower bound) every channel whose
   unconstrained demand falls at or below that bound.  The loop shrinks the
   active set strictly each round, so it runs at most K-1 times and the water
-  level increases strictly across rounds.
+  level increases strictly across rounds.  Each round's level search is an
+  Illinois regula falsi on x = 1/mu (a ``log_capacity`` demand is linear in
+  x); from round 2 its bracket opens at the last level, whose residual on the
+  smaller set, the removed channels' sum of (lower bound - demand), is >= 0.
 
 ``solve_p1_lower`` is the public entry: it takes a validated
 :class:`~waterline.problems.SimplexProblem`.  The box strategies' array
@@ -56,60 +59,65 @@ def _closed_form_mu(channels: Channels, budget: float) -> float | None:
 
 def _water_level_and_powers(channels: Channels, budget: float,
                             cfg: SolverConfig = _DEFAULT_CFG,
-                            scale: float | None = None):
+                            scale: float | None = None, warm=None):
     """Solve sum_k g_k(mu) = budget on the given channels.
 
     Returns ``(mu, powers)`` with signed powers as an array (negative entries
     mean the channel demands less than its domain edge at this water level).
-    Each level trial warm-starts the numeric inversions at the last powers.
+    Each level trial warm-starts the numeric inversions at the last powers,
+    from ``warm = (mu, powers)``, a lower level's demands, when given.
     """
     if not len(channels):
         raise BracketFailure("water level undefined on an empty active set")
     mu = _closed_form_mu(channels, budget)
     if mu is not None:
         return mu, channels.demand(mu)
-    start = None
+    last = (None, None) if warm is None else warm
 
     def h(mu_val: float) -> float:
-        nonlocal start
-        start = channels.demand(mu_val, start)
-        return float(start.sum()) - budget
+        nonlocal last
+        last = mu_val, channels.demand(mu_val, last[1])
+        return float(last[1].sum()) - budget
 
-    mu = _level_search(h, budget if scale is None else scale, cfg)
-    return mu, channels.demand(mu, start)
+    lo = None if warm is None else (warm[0], float(warm[1].sum()) - budget)
+    # Were every demand proportional to 1/mu, lo's excess would give the level.
+    bracket = (1.0,) if lo is None or lo[1] < 0 else (lo[0] * (budget + lo[1]) / budget, lo)
+    mu = _level_search(h, budget if scale is None else scale, cfg, *bracket)
+    return mu, last[1] if last[0] == mu else channels.demand(mu, last[1])
 
 
-def _level_search(h, scale: float, cfg: SolverConfig) -> float:
-    """Root of the strictly decreasing residual ``h``: bracket it by doubling
-    and halving from 1, then :func:`illinois_root`."""
+def _level_search(h, scale: float, cfg: SolverConfig, guess: float = 1.0,
+                  lo: tuple[float, float] | None = None) -> float:
+    """Root of the strictly decreasing residual ``h``: bracket it from
+    ``guess`` and ``lo = (mu, h(mu) >= 0)`` (the warm bracket, when known) by
+    halving and doubling, then :func:`illinois_root` on x = 1/mu, ``h``
+    passed negated: a ``log_capacity`` demand is linear in x."""
     # Drive the residual well below the configured tolerance so that
     # independently configured strategies agree to much better than it.
     tol = 1e-4 * cfg.power_tolerance * max(abs(scale), 1e-30)
-    mu_lo = mu_hi = 1.0
-    h_lo = h(mu_lo)
-    if h_lo < 0:
-        for _ in range(1100):
-            mu_lo *= 0.5
-            h_lo = h(mu_lo)
-            if h_lo >= 0:
-                break
-        else:
-            raise BracketFailure("could not bracket the water level from below")
-        mu_hi = 2.0 * mu_lo
-        h_hi = h(mu_hi)
+    mu_hi, h_hi = guess, h(guess)
+    mu_lo, h_lo = lo if lo is not None and h_hi < 0 else (mu_hi, h_hi)
+    for _ in range(1100):
+        if h_lo >= 0:
+            break
+        mu_hi, h_hi = mu_lo, h_lo
+        mu_lo *= 0.5
+        h_lo = h(mu_lo)
     else:
-        h_hi = h_lo
-        mu_hi = mu_lo
-    growth = 0
-    while h_hi > 0:
+        raise BracketFailure("could not bracket the water level from below")
+    for _ in range(65):
+        if h_hi <= 0:
+            break
+        mu_lo, h_lo = mu_hi, h_hi
         mu_hi *= 2.0
         h_hi = h(mu_hi)
-        growth += 1
-        if growth > 64:
-            raise BracketFailure("could not bracket the water level from above")
-    if mu_lo == mu_hi:
-        return mu_lo
-    return illinois_root(h, mu_lo, mu_hi, h_lo, h_hi, tol, cfg.mu_tolerance * 1e-4)
+    else:
+        raise BracketFailure("could not bracket the water level from above")
+    if h_lo == 0 or h_hi == 0:
+        return mu_lo if h_lo == 0 else mu_hi
+    x = illinois_root(lambda x_val: -h(1.0 / x_val), 1.0 / mu_hi, 1.0 / mu_lo,
+                      -h_hi, -h_lo, tol, cfg.mu_tolerance * 1e-4)
+    return 1.0 / x
 
 
 def illinois_root(h, lo: float, hi: float, h_lo: float, h_hi: float,
@@ -239,7 +247,7 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
     k = len(channels)
     active = np.ones(k, dtype=bool)
-    act_idx, act = np.arange(k), channels
+    act_idx, act, warm = np.arange(k), channels, None
     powers = gamma.copy()
     water_levels: list[float] = []
 
@@ -247,7 +255,7 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
         remaining = budget - float(gamma[~active].sum())
         if not act_idx.size or remaining <= cfg.power_tolerance * budget:
             return gamma.copy(), None, water_levels, "feasible"
-        mu, act_powers = _water_level_and_powers(act, remaining, cfg, scale=budget)
+        mu, act_powers = _water_level_and_powers(act, remaining, cfg, budget, warm)
         water_levels.append(mu)
         act_gamma = gamma[act_idx]
         keep = act_powers > act_gamma
@@ -256,7 +264,8 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
             return powers, mu, water_levels, "optimal"
         active[act_idx[~keep]] = False
         keep = keep.nonzero()[0]
-        act_idx, act = act_idx[keep], act.take(keep)
+        # The level only rises: this one opens the next round's search.
+        act_idx, act, warm = act_idx[keep], act.take(keep), (mu, act_powers[keep])
 
 
 def _classify(powers: np.ndarray, gamma: np.ndarray, tau: np.ndarray):

@@ -4,7 +4,7 @@ Instances carry a ``problem_class`` tag plus the fields of the matching
 problem type; results echo the allocation, certificates, and solver
 configuration.  Unknown fields are rejected, and loading re-runs every
 problem-type invariant, so a loaded instance is always directly solvable.
-A file of closed-form records loads straight into one ``Channels`` bank.
+A file of flat-family records loads straight into one ``Channels`` bank.
 Every file is written by :func:`dumps`, in the bytes of
 ``json.dump(doc, fh, indent=2)``; floats round-trip losslessly
 (shortest-repr serialization).
@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import DomainError, SchemaError, WaterlineError
-from .objectives import BANK_FAMILIES, Channels, Objective, objective_from_params
+from .objectives import Channels, Objective, objective_from_params
 from .problems import (
     FAIR_MODES, Allocation, AscendingProblem, BoxProblem, FairProblem,
     FairSolution, KktReport, SimplexProblem, SolverConfig)
@@ -81,32 +81,45 @@ def _objective_list(value, field: str) -> list:
             out.append(objective_from_params(record))
         except WaterlineError as exc:
             raise SchemaError(f"{field}[{i}]", str(exc)) from exc
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{field}[{i}]", f"bad parameters: {exc}") from exc
     return out
 
 
-_BANK_RECORD_KEYS = ("family", "w", "a", "b")
+def _bank(value):
+    """``value``'s objectives as one bank, loaded straight into columns, when
+    every record is a flat-family record of numbers; otherwise, or when the
+    bank refuses a value, None, so that the objects word the error."""
+    if not (isinstance(value, list) and value and set(map(type, value)) == {dict}):
+        return None
+    # A record without one of its keys reads None there, which the type
+    # tests refuse; the length test then refuses any other key.
+    families, w, a, b, c, d = ([r.get(key) for r in value] for key in ("family", *"wabcd"))
+    is_sum = [f in ("sum_log", "sum_inverse_mse") for f in families]
+    lists = [[x for x, s in zip(col, is_sum) if s] for col in (w, c, d)]
+    if set(map(type, families)) != {str} \
+            or list(map(len, value)) != [4 + 2 * x for x in is_sum] \
+            or not set(map(type, lists[0] + lists[1] + lists[2])) <= {list} \
+            or len({tuple(map(len, col)) for col in lists}) != 1:
+        return None
+    terms = [[x for t in col for x in t] for col in lists]
+    w = [math.nan if s else x for x, s in zip(w, is_sum)]
+    if not set(map(type, w + a + b + terms[0] + terms[1] + terms[2])) <= _NUMBER_TYPES:
+        return None
+    counts = [len(r["w"]) if s else 0 for r, s in zip(value, is_sum)]
+    try:
+        return Channels.from_arrays(families[0] if len(set(families)) == 1 else families,
+                                    w, a, b, (*terms, counts) if lists[0] else None)
+    except (DomainError, OverflowError):
+        return None
 
 
 def _flat_objectives(value):
-    """A flat problem's objectives: a bank when every record is a
-    ``log_capacity``, ``inverse_mse`` or ``af_relay`` record of numbers,
-    otherwise the objects of :func:`_objective_list`."""
-    if isinstance(value, list) and value and set(map(type, value)) == {dict} \
-            and set(map(len, value)) == {len(_BANK_RECORD_KEYS)}:
-        # A record without one of these keys reads None there, which the
-        # type tests refuse.
-        families, w, a, b = ([record.get(key) for record in value]
-                             for key in _BANK_RECORD_KEYS)
-        names = set(families) if set(map(type, families)) == {str} else set()
-        if names and names <= BANK_FAMILIES.keys() \
-                and set(map(type, w + a + b)) <= _NUMBER_TYPES:
-            try:
-                return Channels.from_arrays(
-                    names.pop() if len(names) == 1 else families, w, a, b)
-            except DomainError as exc:
-                raise SchemaError(f"objectives[{exc.index}]", exc.detail) from exc
+    """A flat problem's objectives: :func:`_bank`'s bank, or failing that the
+    objects of :func:`_objective_list`."""
+    bank = _bank(value)
+    if bank is not None:
+        return bank
     objectives = _objective_list(value, "objectives")
     if any(not isinstance(o, Objective) for o in objectives):
         raise SchemaError("objectives",

@@ -365,32 +365,47 @@ class AfRelay(_ClosedForm):
 
 
 class _Ragged:
-    """One sum family's channels in a bank: term j of channel (w, a, b, c, d)
-    as ``w_j``, ``a*c_j`` and ``b*d_j`` in flat arrays, channel after channel.
+    """A bank's sum-family channels: term j of channel (w, a, b, c, d) as
+    ``w_j``, ``a*c_j`` and ``b*d_j`` in flat arrays, channel after channel,
+    ``sum_log`` terms first and ``sum_inverse_mse`` ones from ``cut`` on.
     ``owner`` gives each term's channel and ``starts`` each channel's first
     term, so a per-channel sum is one ``np.add.reduceat``; ``rate0`` and
     ``slope0`` serve ``demand``'s extrapolated branch."""
 
-    __slots__ = ("cls", "w", "ac", "bd", "owner", "starts", "rate0", "slope0")
+    __slots__ = ("w", "ac", "bd", "cut", "owner", "starts", "rate0", "slope0")
 
-    def __init__(self, cls, w, ac, bd, counts):
-        self.cls, self.w, self.ac, self.bd = cls, w, ac, bd
+    def __init__(self, w, ac, bd, counts, cut):
+        self.w, self.ac, self.bd, self.cut = w, ac, bd, cut
         self.owner = np.repeat(np.arange(len(counts)), counts)
         self.starts = np.cumsum(counts) - counts
         self.rate0, slope0 = self.sums(np.zeros(len(counts)))
         self.slope0 = np.where(np.isfinite(slope0) & (slope0 < 0), slope0,
                                -np.maximum(self.rate0, 1.0))
 
+    def _sums(self, p, work):
+        """Rows of per-channel rates and minus rate slopes at powers ``p``.
+        A ``sum_inverse_mse`` term's rate is the ``sum_log`` one over its
+        argument, and its slope term is doubled; ``work`` is (4, T) scratch."""
+        rate, slope, arg, u = work
+        np.multiply(np.take(p, self.owner, out=arg), self.bd, out=arg)
+        arg += self.ac
+        np.multiply(self.w, np.divide(self.bd, arg, out=u), out=rate)
+        rate[self.cut:] /= arg[self.cut:]
+        np.multiply(rate, u, out=slope)[self.cut:] *= 2.0
+        return np.add.reduceat(work[:2], self.starts, axis=1)
+
     def sums(self, p):
         """Per-channel rates and rate slopes at the channels' powers ``p``."""
-        rate, slope = self.cls._terms(self.w, self.ac, self.bd, p[self.owner])
-        return np.add.reduceat(rate, self.starts), np.add.reduceat(slope, self.starts)
+        rate, slope = self._sums(p, np.empty((4, len(self.w))))
+        return rate, -slope
 
     def eval(self, p):
-        p = p[self.owner]
-        if (self.ac + self.bd * p <= 0).any():
+        arg = self.ac + self.bd * p[self.owner]
+        if (arg <= 0).any():
             raise DomainError("utility argument <= 0")
-        return np.add.reduceat(self.cls._term_eval(self.w, self.ac, self.bd, p), self.starts)
+        c, w = self.cut, self.w
+        terms = (SumLog._utility(w[:c], arg[:c]), SumInverseMse._utility(w[c:], arg[c:]))
+        return np.add.reduceat(np.concatenate(terms), self.starts)
 
     def demand(self, mu, start=None):
         """Signed demands at ``mu``: one Newton over every channel, step for
@@ -400,16 +415,20 @@ class _Ragged:
         out = np.where(extrapolate, 0.0 + (mu - self.rate0) / self.slope0, np.nan)
         live = ~extrapolate
         p = np.ones(len(out)) if start is None else np.where(start > 0, start, 1.0)
+        new, work = np.empty_like(p), np.empty((4, len(self.w)))
         for _ in range(40):
             if not np.count_nonzero(live):
                 break
-            rate, slope = self.sums(p)
-            new = p - (rate - mu) / slope
-            new = np.where(new <= 0, 0.5 * p, new)
-            done = live & (np.abs(new - p) <= 1e-13 * (1.0 + np.abs(new)))
+            # The step p - (rate - mu) / slope and its stop test, in place.
+            step, neg_slope = self._sums(p, work)
+            step -= mu
+            np.add(p, np.divide(step, neg_slope, out=step), out=new)
+            np.multiply(p, 0.5, out=new, where=new <= 0)
+            np.abs(np.subtract(new, p, out=step), out=step)
+            done = live & (step <= 1e-13 * (1.0 + np.abs(new)))
             np.copyto(out, new, where=done)
             live ^= done
-            p = new
+            p, new = new, p
         return out
 
 
@@ -439,7 +458,7 @@ class _SumFamily(Objective):
     def eval_array(self, p: np.ndarray) -> np.ndarray:
         total = np.zeros_like(p, dtype=float)
         for w, c, d in zip(self.w, self.c, self.d):
-            total += self._term_eval(w, self.a * c, self.b * d, p)
+            total += self._utility(w, self.a * c + self.b * d * p)
         return total
 
     # Bank operations on a group's _Ragged terms.
@@ -478,16 +497,8 @@ class SumLog(_SumFamily):
             total -= w * bd * bd / (self.a * c + bd * p) ** 2
         return total
 
-    # Per-term rate and slope, and utility, over term arrays (_Ragged).
-    @staticmethod
-    def _terms(w, ac, bd, p):
-        u = bd / (ac + bd * p)
-        rate = w * u
-        return rate, -rate * u
-
-    @staticmethod
-    def _term_eval(w, ac, bd, p):
-        return w * np.log(ac + bd * p)
+    # A term's utility at its argument, over arrays (eval_array, _Ragged).
+    _utility = staticmethod(lambda w, arg: w * np.log(arg))
 
 
 class SumInverseMse(_SumFamily):
@@ -518,16 +529,7 @@ class SumInverseMse(_SumFamily):
             total -= 2.0 * w * bd * bd / (self.a * c + bd * p) ** 3
         return total
 
-    @staticmethod
-    def _terms(w, ac, bd, p):
-        arg = ac + bd * p
-        u = bd / arg
-        rate = w * u / arg
-        return rate, -2.0 * rate * u
-
-    @staticmethod
-    def _term_eval(w, ac, bd, p):
-        return -w / (ac + bd * p)
+    _utility = staticmethod(lambda w, arg: -w / arg)
 
 
 class ClusterLogCapacity:
@@ -600,20 +602,20 @@ class CustomObjective(Objective):
 
 
 _BANK_CLASSES = (LogCapacity, InverseMse, AfRelay, SumLog, SumInverseMse)
-#: The closed-form family names ``Channels.from_arrays`` takes, each mapped
-#: to its class's position in ``_BANK_CLASSES``.
-BANK_FAMILIES = {cls.family: code for code, cls in enumerate(_BANK_CLASSES)
-                 if cls.closed_form_inverse}
+_BANK_CODES = {cls.family: code for code, cls in enumerate(_BANK_CLASSES)}
+#: The closed-form family names and their classes' positions in ``_BANK_CLASSES``.
+BANK_FAMILIES = {f: c for f, c in _BANK_CODES.items() if _BANK_CLASSES[c].closed_form_inverse}
 
 
 class Channels:
     """The objectives of one solve, with array-valued demand, rate and eval.
 
     When every objective is one of the five serializable flat families
-    (mixing allowed), the set is a bank: one group per family present, each
-    operation a few array expressions per group.  A closed-form group holds
-    its channels' ``w, a, b`` as arrays; a ``sum_log`` or ``sum_inverse_mse``
-    group holds its terms flat (:class:`_Ragged`; ``w`` is NaN there).  A set
+    (mixing allowed), the set is a bank: one group per closed-form family
+    present and one for both sum families, each operation a few array
+    expressions per group.  A closed-form group holds its channels' ``w, a,
+    b`` as arrays; the sum group holds the terms of every sum channel flat
+    (:class:`_Ragged`; ``w`` is NaN there), one Newton loop per level.  A set
     with a custom objective calls the objects' methods, the object path.
     """
 
@@ -642,73 +644,90 @@ class Channels:
                        kinds.pop() if codes is None else None, codes, terms)
 
     @classmethod
-    def from_arrays(cls, family, w, a, b) -> Channels:
+    def from_arrays(cls, family, w, a, b, terms=None) -> Channels:
         """Bank channels from the parameter arrays ``w, a, b``.
 
         ``family`` is one family name for every channel, or a sequence of
-        names, one per channel; each is ``log_capacity``, ``inverse_mse`` or
-        ``af_relay``.  The parameters get the family constructors' checks as
-        array tests: a value a constructor refuses raises its
-        ``DomainError``, with ``index`` at the first channel at fault.  The
-        objects are built only if ``objectives`` is read.
+        names, one per channel.  ``terms = (w, c, d, counts)`` holds the sum
+        families' terms flat, channel after channel, with each channel's term
+        count (0 for a closed-form one); a sum channel's ``w`` is not read.
+        The parameters get the family constructors' checks as array tests: a
+        value a constructor refuses raises its ``DomainError``, with ``index``
+        at the first channel at fault.  The objects are built only if
+        ``objectives`` is read.
         """
         w, a, b = (np.array(x, dtype=float) for x in (w, a, b))
         if not (w.ndim == 1 and w.shape == a.shape == b.shape):
             raise DomainError("w, a and b must be 1-D arrays of one length")
         n = len(w)
+        names = BANK_FAMILIES if terms is None else _BANK_CODES
         try:
             if isinstance(family, str):
-                single, codes = _BANK_CLASSES[BANK_FAMILIES[family]], None
+                single, codes = _BANK_CLASSES[names[family]], None
             else:
                 single = None
-                codes = np.array([BANK_FAMILIES[f] for f in family], dtype=np.int8)
+                codes = np.array([names[f] for f in family], dtype=np.int8)
         except KeyError as exc:
-            raise DomainError(f"not a closed-form family: {exc.args[0]!r}") from None
+            raise DomainError(f"not a {'flat' if terms else 'closed-form'} family: "
+                              f"{exc.args[0]!r}") from None
         if codes is not None and len(codes) != n:
             raise DomainError("family count does not match the parameter arrays")
         bank = object.__new__(cls)
         bank._objects = None
-        bank._set_bank(w, a, b, single, codes)
         bad = np.zeros(n, dtype=bool)
+        if terms is None:
+            bank._set_bank(w, a, b, single, codes)
+        else:
+            counts = np.array(terms[3], dtype=np.intp)
+            terms = tuple(np.array(x, dtype=float) for x in terms[:3]) + (counts,)
+            is_sum = codes >= len(BANK_FAMILIES) if codes is not None else \
+                not single.closed_form_inverse
+            if counts.shape != (n,) or ((counts > 0) != is_sum).any() or \
+                    {len(x) for x in terms[:3]} != {counts.sum()}:
+                raise DomainError("term counts do not match the families")
+            bad = is_sum & ~(_positive(a) & _positive(b))
+            bad[np.repeat(np.arange(n), counts)[
+                ~(_positive(terms[0]) & _positive(terms[1]) & _positive(terms[2]))]] = True
+            with np.errstate(all="ignore"):  # a refused value may divide by 0
+                bank._set_bank(w, a, b, single, codes, terms)
         for fam, idx, args in bank._groups:
-            bad[slice(None) if idx is None else idx] = ~fam._bank_valid(*args)
+            if fam.closed_form_inverse:
+                bad[slice(None) if idx is None else idx] = ~fam._bank_valid(*args)
         if bad.any():
             i = int(bad.argmax())
-            fam = single if codes is None else _BANK_CLASSES[codes[i]]
-            # The masks are the constructor's tests, so channel i fails one;
-            # the constructor words the message.
+            # The masks are the constructors' tests, so channel i is the first
+            # whose constructor refuses it, and words the message.
             try:
-                fam(float(w[i]), float(a[i]), float(b[i]))
+                bank.objectives
             except DomainError as exc:
                 raise DomainError(exc.detail, index=i) from None
         return bank
 
     def _set_bank(self, w, a, b, single: type | None, codes, terms=None) -> None:
-        """Hold w, a, b and the sum families' flat ``terms`` with one
-        ``(family, index, args)`` group per family present; ``codes`` gives
-        each channel's family when ``single`` is None."""
+        """Hold w, a, b and the sum families' flat ``terms`` in ``(family, index,
+        args)`` groups, one per closed-form family present and one for the sum
+        families; ``codes`` gives each channel's family when ``single`` is None."""
         self.w, self.a, self.b, self._codes, self._terms = w, a, b, None, terms
+        present = [(single, None)]
         if single is None:
             classes = _BANK_CLASSES if terms else _BANK_CLASSES[:len(BANK_FAMILIES)]
             present = [(cls, idx) for code, cls in enumerate(classes)
                        if (idx := (codes == code).nonzero()[0]).size]
             if len(present) == 1:
-                single = present[0][0]
+                present = [(present[0][0], None)]
             else:
                 self._codes = codes
-                self._groups = [self._group(cls, idx) for cls, idx in present]
-        if single is not None:
-            self._groups = [self._group(single, None)]
-        self.family = single.family if single is not None else None
-
-    def _group(self, cls, idx) -> tuple:
-        """The group of ``cls``'s channels at ``idx`` (None: all channels)."""
-        w, a, b = (self.w, self.a, self.b) if idx is None else \
-            (self.w[idx], self.a[idx], self.b[idx])
-        if cls.closed_form_inverse:
-            return cls, idx, (w, a, b)
-        tw, tc, td, n = _take_terms(self._terms, idx)
-        return cls, idx, (_Ragged(cls, tw, np.repeat(a, n) * tc, np.repeat(b, n) * td, n),)
+        self.family = None if self._codes is not None else present[0][0].family
+        self._groups = [(cls, idx, (w, a, b) if idx is None else (w[idx], a[idx], b[idx]))
+                        for cls, idx in present if cls.closed_form_inverse]
+        sums = present[len(self._groups):]  # the classes run in code order
+        if sums:  # sum_log channels first
+            idx = sums[0][1] if len(sums) == 1 else np.concatenate([i for _, i in sums])
+            tw, tc, td, n = _take_terms(terms, idx)
+            logs = len(n) if sums[-1][0] is SumLog else len(sums[0][1]) if sums[1:] else 0
+            a, b = (a, b) if idx is None else (a[idx], b[idx])
+            self._groups.append((_SumFamily, idx, (_Ragged(
+                tw, np.repeat(a, n) * tc, np.repeat(b, n) * td, n, int(n[:logs].sum())),)))
 
     @property
     def banked(self) -> bool:
@@ -724,13 +743,12 @@ class Channels:
             w, a, b = self.w.tolist(), self.a.tolist(), self.b.tolist()
             if self._terms is not None:
                 cut = np.cumsum(self._terms[3])[:-1]
-                cw, cc, cd = (np.split(x, cut) for x in self._terms[:3])
-            objects = [None] * n
-            for cls, idx, _ in self._groups:
-                for i in range(n) if idx is None else idx.tolist():
-                    objects[i] = cls(w[i], a[i], b[i]) if cls.closed_form_inverse else \
-                        cls(cw[i].tolist(), a[i], b[i], cc[i].tolist(), cd[i].tolist())
-            self._objects = objects
+                cw, cc, cd = ([x.tolist() for x in np.split(t, cut)] for t in self._terms[:3])
+            classes = [FAMILIES[self.family]] * n \
+                if self._codes is None else [_BANK_CLASSES[c] for c in self._codes.tolist()]
+            self._objects = [cls(w[i], a[i], b[i]) if cls.closed_form_inverse else
+                             cls(cw[i], a[i], b[i], cc[i], cd[i])
+                             for i, cls in enumerate(classes)]
         return self._objects
 
     def __len__(self) -> int:
@@ -761,14 +779,14 @@ class Channels:
         if terms is not None and index is not None:
             terms = _take_terms(terms, index)
         if self._codes is None:
-            sub._set_bank(w, a, b, self._groups[0][0], None, terms)
+            sub._set_bank(w, a, b, FAMILIES[self.family], None, terms)
         else:
             sub._set_bank(w, a, b, None,
                           self._codes if index is None else self._codes[index], terms)
         return sub
 
     def _apply(self, op: str, x, start=None) -> np.ndarray:
-        if len(self._groups) == 1:
+        if len(self._groups) == 1 and self._groups[0][1] is None:
             cls, _, args = self._groups[0]
             extra = () if start is None or cls.closed_form_inverse else (start,)
             return getattr(cls, op)(*args, x, *extra)

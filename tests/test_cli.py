@@ -390,3 +390,17 @@ def test_solve_names_the_bad_closed_form_record(runner, tmp_path, index, record,
     result = runner.invoke(main, ["solve", inst])
     assert result.exit_code == 1, result.output
     assert f"error: objectives[{index}]: {message}" in result.output
+
+
+@pytest.mark.parametrize("record,message", [
+    ({"family": "log_capacity", "w": 1.0, "a": "abc", "b": 1.0},
+     "could not convert string to float: 'abc'"),
+    ({"family": "sum_log", "w": [1.0], "a": 1.0, "b": 1.0, "c": ["x"], "d": [1.0]},
+     "could not convert string to float: 'x'"),
+], ids=["string_a", "string_c_j"])
+def test_solve_names_an_unreadable_number(runner, tmp_path, record, message):
+    inst = _write(tmp_path, "bad.json",
+                  {"problem_class": "p1", "budget": 1.0, "objectives": [record]})
+    result = runner.invoke(main, ["solve", inst])
+    assert result.exit_code == 1, result.output
+    assert f"error: objectives[0]: bad parameters: {message}" in result.output

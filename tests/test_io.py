@@ -9,8 +9,8 @@ import pytest
 from waterline import (
     FAMILIES, AscendingProblem, BoxProblem, FairProblem, LogCapacity,
     ScenarioSpec, SchemaError, SimplexProblem, SolverConfig, build_instance,
-    instance_from_dict, instance_to_dict, load_instance, problem_class,
-    result_to_dict, save_instance, solve_box)
+    instance_from_dict, instance_to_dict, load_instance, objective_from_params,
+    problem_class, result_to_dict, save_instance, solve_box, solve_p1_lower)
 from waterline.io import dumps
 
 from conftest import random_ascending, random_box, random_simplex
@@ -211,6 +211,61 @@ def test_bad_closed_form_record_named(record, message):
         instance_from_dict(doc)
     assert err.value.field == "objectives[1]"
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("record,message", [
+    (_record("log_capacity", a="abc"), "could not convert string to float: 'abc'"),
+    ({"family": "sum_log", "w": [1.0], "a": 1.0, "b": 1.0, "c": ["x"], "d": [1.0]},
+     "could not convert string to float: 'x'"),
+], ids=["string_a", "string_c_j"])
+def test_unreadable_number_named(record, message):
+    doc = {"problem_class": "p1", "budget": 1.0, "objectives": [record]}
+    with pytest.raises(SchemaError) as err:
+        instance_from_dict(doc)
+    assert err.value.field == "objectives[0]"
+    assert str(err.value) == f"objectives[0]: bad parameters: {message}"
+
+
+def _sum_record(family, w, c, d, a=0.8, b=1.2):
+    return {"family": family, "w": w, "a": a, "b": b, "c": c, "d": d}
+
+
+def test_sum_records_load_into_the_bank():
+    records = [_sum_record("sum_inverse_mse", [1.0, 2.0], [0.5, 1.0], [1.0, 2]),
+               _record("af_relay", a=0.25),
+               _sum_record("sum_log", [1.5], [2.0], [0.5], a=2, b=0.5),
+               _record("log_capacity"),
+               _sum_record("sum_inverse_mse", [0.5, 1.0, 1.5], [1.0, 1.0, 2.0],
+                           [0.25, 0.5, 1.0])]
+    doc = {"problem_class": "p1_lower", "budget": 6.0, "objectives": records,
+           "lower_bounds": [0.5, 0.0, 0.0, 0.25, 0.0]}
+    problem = instance_from_dict(doc)
+    channels = problem.channels
+    assert channels.banked and channels._objects is None
+    assert len(channels._groups) == 3  # af_relay, log_capacity, the sums
+    assert [o.to_params() for o in problem.objectives] == \
+        [objective_from_params(r).to_params() for r in records]
+    objects = SimplexProblem(problem.objectives, 6.0, problem.lower_bounds)
+    assert objects.channels is not channels
+    assert solve_p1_lower(problem) == solve_p1_lower(objects)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (dict(c=[1.0]), "w, c, d must have equal, nonzero lengths"),
+    (dict(w=[], c=[], d=[]), "w, c, d must have equal, nonzero lengths"),
+    (dict(d=[1.0, -2.0]), "parameter d_j must be finite and positive, got -2.0"),
+    (dict(a=0), "parameter a must be finite and positive, got 0.0"),
+    (dict(c=1.0), "bad parameters: 'float' object is not iterable"),
+    (dict(e=[1.0]), "bad parameters: .*unexpected keyword argument 'e'"),
+], ids=["short_c", "no_terms", "negative_d_j", "zero_a", "scalar_c", "extra_key"])
+def test_bad_sum_record_named(edit, message):
+    record = dict(_sum_record("sum_log", [1.0, 2.0], [1.0, 1.0], [1.0, 0.5]), **edit)
+    doc = {"problem_class": "p1", "budget": 1.0,
+           "objectives": [_record("log_capacity"), record]}
+    with pytest.raises(SchemaError) as err:
+        instance_from_dict(doc)
+    assert err.value.field == "objectives[1]"
+    assert re.fullmatch(re.escape("objectives[1]: ") + message, str(err.value))
 
 
 def _bank_doc(family="inverse_mse", k=1024):

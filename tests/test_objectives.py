@@ -8,8 +8,8 @@ import pytest
 
 from waterline import (
     FAMILIES, AfRelay, ClusterLogCapacity, CustomObjective, DomainError,
-    InverseMse, LogCapacity, NegativeDemand, SumInverseMse, SumLog,
-    objective_from_params)
+    FairProblem, InverseMse, LogCapacity, NegativeDemand, SumInverseMse, SumLog,
+    check_conditions, fair, objective_from_params, solve_cluster)
 
 from waterline.objectives import Channels, ClusterChannels
 
@@ -233,7 +233,7 @@ def test_ragged_bank_matches_the_objects():
     rng = random.Random(21)
     objs = _ragged_mix(rng, 50)
     channels = Channels(objs)
-    assert channels.banked and channels.family is None and len(channels._groups) == 5
+    assert channels.banked and channels.family is None and len(channels._groups) == 4
     powers = np.array([rng.uniform(0.0, 5.0) for _ in objs])
     _assert_ragged_matches(channels, objs, powers)
     numeric = [i for i, o in enumerate(objs) if o.family.startswith("sum")]
@@ -286,6 +286,49 @@ def test_cluster_group_with_sum_entries_binds_like_the_objects():
         refs = [o.bind(cluster_power) if hasattr(o, "bind") else o for o in group]
         _assert_ragged_matches(bound, refs, powers)
         _assert_demands(bound, refs, 0.3)
+
+
+def _assert_bank_matches(channels, objs, rng):
+    """Demand (cold and warm), rate and eval against the objects at 1e-12."""
+    powers = np.array([rng.uniform(0, 4) for _ in objs])
+    _assert_ragged_matches(channels, objs, powers)
+    for mu in (0.2, 0.6, 3.0):
+        _assert_demands(channels, objs, 1.1 * mu, start=_assert_demands(channels, objs, mu))
+
+
+@pytest.mark.parametrize("kinds", [
+    ("sum_inverse_mse", "sum_log", "sum_inverse_mse", "sum_log", "sum_log"),
+    ("sum_log", "sum_log", "sum_inverse_mse", "sum_inverse_mse"),
+    ("sum_inverse_mse",), ("sum_log",)],
+    ids=["inverse_first", "log_first", "one_inverse", "one_log"])
+def test_sum_only_bank_keeps_its_channel_order(kinds, monkeypatch):
+    """Both sum families share one ragged group, log terms first; on a bank
+    of sum channels alone that group is the only one, and its index puts
+    each result back on its own channel."""
+    rng = random.Random(24)
+    objs = [make_objective(kind, rng) for kind in kinds]
+    channels = Channels(objs)
+    assert len(channels._groups) == 1
+    _assert_bank_matches(channels, objs, rng)
+    order = list(range(len(objs)))[::-1]
+    _assert_bank_matches(channels.take(order), [objs[i] for i in order], rng)
+    _assert_bank_matches(channels.with_a(channels.a * 1.5), [
+        type(o)(o.w, 1.5 * o.a, o.b, o.c, o.d) for o in objs], rng)
+    cluster = ClusterChannels(objs).bind(2.0)
+    assert cluster.banked
+    _assert_bank_matches(cluster, objs, rng)
+    # The pooled cluster path runs water_fill once on every group's channels.
+    seen = []
+
+    def recorded(channels, *args, _fill=fair.water_fill):
+        seen.append(channels)
+        return _fill(channels, *args)
+    monkeypatch.setattr(fair, "water_fill", recorded)
+    problem = FairProblem([[o] for o in objs], 2.0 * len(objs), mode="cluster")
+    solution = solve_cluster(problem)
+    assert check_conditions(problem, solution, tolerance=1e-8).passed
+    assert seen[0].banked and len(seen[0]) == len(objs)
+    _assert_bank_matches(seen[0], objs, rng)
 
 
 def test_channels_reject_out_of_domain_power():
