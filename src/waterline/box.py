@@ -5,8 +5,8 @@ Strategies (selected through ``SolverConfig.box_strategy``):
 * ``set_a``  -- repeated lower-bound solves; channels that hit their upper
   bound are clamped there and removed with the budget shrunk accordingly.
 * ``set_b``  -- the balanced dual-index variant that pins lower and upper
-  violations alternately; guarded against oscillation by an iteration cap
-  with a fall back to ``set_a``.
+  violations alternately; each round pins a channel more at the upper
+  bounds, or as many there and one more at the lower bounds, so it ends.
 * ``bisect`` -- outer bisection on the water level with clamped demands.
 * ``order``  -- the default.  Sorts channels by the rate at their upper
   bound, the order in which a falling water level meets them, and finds the
@@ -77,11 +77,13 @@ def _set_a(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float
 
 def _set_b(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
            cfg: SolverConfig):
-    """Balanced dual-index solver; falls back to set_a on oscillation.
+    """Balanced dual-index solver.
 
     Every channel is free, pinned at gamma or pinned at tau: the masks
     ``at_gamma`` and ``at_tau`` never overlap.  Only free channels can
-    violate a bound.
+    violate a bound, so each round pins at least one more channel at tau,
+    or keeps ``at_tau`` and pins at least one more at gamma: the pair
+    (|at_tau|, |at_gamma|) rises in lexicographic order and the loop ends.
     """
     k = len(channels)
     at_gamma = np.zeros(k, dtype=bool)
@@ -110,7 +112,6 @@ def _set_b(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float
 
     recompute()
     rounds = 0
-    cap = 4 * k
     while True:
         free = ~(at_gamma | at_tau)
         lower_viol = free & (powers <= near_gamma)
@@ -118,10 +119,6 @@ def _set_b(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float
         if not (lower_viol.any() or upper_viol.any()):
             break
         rounds += 1
-        if rounds > cap:
-            # Oscillation guard: the reset in the upper branch is not proven
-            # cycle-free, so hand the instance to the sequential strategy.
-            return _set_a(channels, gamma, tau, budget, cfg)
         if lower_viol.any():
             at_gamma |= lower_viol
             powers[lower_viol] = gamma[lower_viol]

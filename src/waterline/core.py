@@ -31,6 +31,7 @@ they have already checked; :func:`finish` builds the public
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -82,41 +83,38 @@ def _water_level_and_powers(channels: Channels, budget: float,
     lo = None if warm is None else (warm[0], float(warm[1].sum()) - budget)
     # Were every demand proportional to 1/mu, lo's excess would give the level.
     bracket = (1.0,) if lo is None or lo[1] < 0 else (lo[0] * (budget + lo[1]) / budget, lo)
-    mu = _level_search(h, budget if scale is None else scale, cfg, *bracket)
+    tol = 1e-4 * cfg.power_tolerance * (budget if scale is None else scale)
+    mu = _level_search(h, tol, 1e-4 * cfg.mu_tolerance, *bracket)
     return mu, last[1] if last[0] == mu else channels.demand(mu, last[1])
 
 
-def _level_search(h, scale: float, cfg: SolverConfig, guess: float = 1.0,
+def _level_search(h, tol: float, rtol: float, guess: float = 1.0,
                   lo: tuple[float, float] | None = None) -> float:
     """Root of the strictly decreasing residual ``h``: bracket it from
     ``guess`` and ``lo = (mu, h(mu) >= 0)`` (the warm bracket, when known) by
     halving and doubling, then :func:`illinois_root` on x = 1/mu, ``h``
-    passed negated: a ``log_capacity`` demand is linear in x."""
-    # Drive the residual well below the configured tolerance so that
-    # independently configured strategies agree to much better than it.
-    tol = 1e-4 * cfg.power_tolerance * max(abs(scale), 1e-30)
+    passed negated (a ``log_capacity`` demand is linear in x), to ``|h| <=
+    tol`` or a bracket of relative width ``rtol``.  The power-balance callers
+    drive the residual to 1e-4 of the configured tolerances, so that
+    independently configured strategies agree to much better than them.
+    Raises :class:`BracketFailure` rather than try a level whose reciprocal
+    is infinite, or an infinite level."""
     mu_hi, h_hi = guess, h(guess)
     mu_lo, h_lo = lo if lo is not None and h_hi < 0 else (mu_hi, h_hi)
-    for _ in range(1100):
-        if h_lo >= 0:
-            break
-        mu_hi, h_hi = mu_lo, h_lo
-        mu_lo *= 0.5
+    while h_lo < 0:
+        mu_hi, h_hi, mu_lo = mu_lo, h_lo, 0.5 * mu_lo
+        if math.isinf(1.0 / mu_lo):
+            raise BracketFailure("could not bracket the water level from below")
         h_lo = h(mu_lo)
-    else:
-        raise BracketFailure("could not bracket the water level from below")
-    for _ in range(65):
-        if h_hi <= 0:
-            break
-        mu_lo, h_lo = mu_hi, h_hi
-        mu_hi *= 2.0
+    while h_hi > 0:
+        mu_lo, h_lo, mu_hi = mu_hi, h_hi, 2.0 * mu_hi
+        if math.isinf(mu_hi):
+            raise BracketFailure("could not bracket the water level from above")
         h_hi = h(mu_hi)
-    else:
-        raise BracketFailure("could not bracket the water level from above")
     if h_lo == 0 or h_hi == 0:
         return mu_lo if h_lo == 0 else mu_hi
     x = illinois_root(lambda x_val: -h(1.0 / x_val), 1.0 / mu_hi, 1.0 / mu_lo,
-                      -h_hi, -h_lo, tol, cfg.mu_tolerance * 1e-4)
+                      -h_hi, -h_lo, tol, rtol)
     return 1.0 / x
 
 
@@ -179,7 +177,8 @@ def solve_water_level(objectives: Sequence[Objective], budget: float,
         hints[:] = [obj.demand(mu_val, hint) for obj, hint in zip(objs, hints)]
         return float(np.sum(hints)) - remaining
 
-    return _level_search(h, budget if scale is None else scale, cfg)
+    tol = 1e-4 * cfg.power_tolerance * (budget if scale is None else scale)
+    return _level_search(h, tol, 1e-4 * cfg.mu_tolerance)
 
 
 def solve_p1_lower(problem: SimplexProblem,

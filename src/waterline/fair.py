@@ -22,7 +22,7 @@ level itself.  The inner solves are exact or bracketed:
   saturate (their rate at a finite upper bound), so for a homogeneous
   ``log_capacity`` or ``inverse_mse`` bank the level that reaches t is one
   table lookup and one formula (:func:`_group_level`); other families
-  bisect on the level (:func:`_group_mu_for_t`);
+  search the level (:func:`_group_mu_for_t`);
 * a cluster group's budget map (to its marginal, or to its utility) keeps
   every point evaluated during the solve, and each new target is solved by
   Illinois regula falsi inside the tightest stored bracket
@@ -47,8 +47,8 @@ from functools import partial
 import numpy as np
 
 from .box import _clamped_demand, box_fill
-from .core import SORTED_FAMILIES, _classify, illinois_root, water_fill
-from .errors import DomainError, InfeasibleTarget
+from .core import SORTED_FAMILIES, _classify, _level_search, illinois_root, water_fill
+from .errors import BracketFailure, DomainError, InfeasibleTarget
 from .objectives import Channels, ClusterChannels
 from .problems import (
     MODE_CLUSTER, MODE_CLUSTER_MAXMIN, MODE_MAXMIN,
@@ -58,6 +58,8 @@ _DEFAULT_CFG = SolverConfig()
 # Outer levels and group budgets are searched to a bracket of a few ulp, where
 # the fixed-step bisections they replaced ended.
 _ULP_WIDTH = 4.0 * np.finfo(float).eps
+# A log table level above the float range takes the largest float level.
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _group_state(channels: Channels, gamma, tau, mu: float | None):
@@ -69,51 +71,33 @@ def _group_state(channels: Channels, gamma, tau, mu: float | None):
 
 def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
     """Water level (and allocation) reaching group utility t at least power,
-    by bracketed bisection on the level.
+    by :func:`~waterline.core._level_search` on the utility minus t.
 
     Returns ``(mu, powers, utility, total)``; ``mu`` is None when the group
-    already meets t resting at its lower bounds.  This is the path of every
-    group that is not a homogeneous ``log_capacity`` or ``inverse_mse`` bank
-    (see :func:`_group_level`), and the reference the breakpoint table is
-    tested against.
+    meets t resting at its lower bounds, or exceeds it at every finite level.
+    This is the path of every group that is not a homogeneous ``log_capacity``
+    or ``inverse_mse`` bank (see :func:`_group_level`), and the reference the
+    breakpoint table is tested against.
     """
-    def phi(mu_val: float) -> float:
-        return _group_state(channels, gamma, tau, mu_val)[1]
-
     if np.isfinite(channels.rate(gamma)).all():
         floor = _group_state(channels, gamma, tau, None)
         if floor[1] >= t:
             return (None, *floor)
+    states = {}
 
-    mu_lo = mu_hi = 1.0
-    if phi(1.0) > t:
-        for _ in range(600):
-            mu_lo = mu_hi
-            mu_hi *= 4.0
-            if phi(mu_hi) <= t:
-                break
-        else:
-            # utility never drops to t: every channel is clamped
+    def h(mu_val: float) -> float:
+        with np.errstate(over="ignore"):  # demands near the float range's end
+            states[mu_val] = _group_state(channels, gamma, tau, mu_val)
+        return states[mu_val][1] - t
+
+    try:
+        mu = _level_search(h, 0.0, _ULP_WIDTH)
+    except BracketFailure:
+        if states[max(states)][1] > t:  # no level brings the utility down to t
             return (None, *_group_state(channels, gamma, tau, None))
-    else:
-        for _ in range(450):
-            mu_hi = mu_lo
-            mu_lo *= 0.25
-            if phi(mu_lo) >= t:
-                break
-        else:
-            raise InfeasibleTarget(
-                f"group utility target {t} unreachable at any power")
-    for _ in range(200):
-        mu = 0.5 * (mu_lo + mu_hi)
-        if phi(mu) >= t:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-        if mu_hi - mu_lo <= 1e-15 * mu_hi:
-            break
-    mu = 0.5 * (mu_lo + mu_hi)
-    return (mu, *_group_state(channels, gamma, tau, mu))
+        raise InfeasibleTarget(
+            f"group utility target {t} unreachable at any power") from None
+    return (mu, *states[mu])  # a level the search evaluated
 
 
 def _group_level(channels: Channels, gamma, tau):
@@ -133,7 +117,9 @@ def _group_level(channels: Channels, gamma, tau):
     ``searchsorted`` and its level one formula.  On a segment with no active
     channel the utility is flat and every level in it gives the same powers.
     A channel with an infinite rate (b = 0, gamma = 0) sorts first and is
-    always active.  Every other group keeps the bisection.
+    always active.  Every other group, and a level outside the float range
+    (above it, a ``log_capacity`` one takes the largest float), takes
+    :func:`_group_mu_for_t`.
     """
     if channels.family not in SORTED_FAMILIES:
         return partial(_group_mu_for_t, channels, gamma, tau)
@@ -182,14 +168,14 @@ def _group_level(channels: Channels, gamma, tau):
                     f"group utility target {t} above the utility {top} at tau")
             mu = float(rate[m - 1])
         elif log:
-            mu = math.exp((F[m] + C[m] - t) / W[m])
+            mu = math.exp(min((F[m] + C[m] - t) / W[m], _LOG_MAX))
         else:
             root = (F[m] - t) / V[m]
             if root <= 0:
                 raise InfeasibleTarget(
                     f"group utility target {t} unreachable at any power")
             mu = root * root
-        if not 0.0 < mu < math.inf:  # the level over- or underflows
+        if not 0.0 < mu < math.inf:  # the level under- or (inverse MSE) overflows
             return _group_mu_for_t(channels, gamma, tau, t)
         return (mu, *_group_state(channels, gamma, tau, mu))
     return level

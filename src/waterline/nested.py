@@ -5,9 +5,10 @@ Under caps ``sum_{k<=J} p_k <= P_J`` (``P_J`` nondecreasing) the optimum is a
 staircase: blocks that end at binding caps, with a level that falls from
 block to block (Padakandla & Sundaresan, SIAM J. Optim. 2009).  A block's
 level is the least at which every later cap holds with the later demands
-clamped into their boxes; the block ends at the last cap that binds there
-and is solved by the configured box strategy.  The result is the optimum,
-so ``status`` is always ``"optimal"``.
+clamped into their boxes, the root of the largest excess over those caps;
+the block ends at the last cap that binds there and is solved by the
+configured box strategy.  The result is the optimum, so ``status`` is always
+``"optimal"``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .box import _clamped_demand, _rate_inside, box_fill
-from .core import finish, illinois_root
-from .errors import BracketFailure, InfeasibleBudget
+from .core import _level_search, finish
+from .errors import InfeasibleBudget
 from .problems import Allocation, AscendingProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
@@ -42,22 +43,13 @@ def solve_ascending(problem: AscendingProblem,
         def excess(mu: float) -> np.ndarray:
             return np.cumsum(_clamped_demand(rest, mu, g, t)) - room
 
-        def h(mu: float) -> float:
-            return float(excess(mu).max())
-
         # The largest excess over the caps falls as the level rises.  At the
-        # largest rate at a lower bound every demand sits there; halve from it.
-        lo = hi = float(_rate_inside(rest, g).max())
-        h_lo = h_hi = h(hi)
-        for _ in range(1100):
-            if h_lo >= 0:
-                break
-            hi, h_hi, lo = lo, h_lo, 0.5 * lo
-            h_lo = h(lo)
-        else:
-            raise BracketFailure("could not bracket the block's water level")
-        mu = hi if h_hi >= 0 else illinois_root(h, lo, hi, h_lo, h_hi, tol,
-                                                cfg.mu_tolerance * 1e-4)
+        # largest rate at a lower bound every demand sits there: unless the
+        # floors alone fill a cap (to rounding), the level lies below.
+        mu = float(_rate_inside(rest, g).max())
+        if (np.cumsum(g) - room).max() < 0:
+            mu = _level_search(lambda mu_val: float(excess(mu_val).max()), tol,
+                               1e-4 * cfg.mu_tolerance, mu)
         over = excess(mu)
         stop = start + int(np.flatnonzero(over >= over.max() - tol)[-1]) + 1
         budget = room[stop - start - 1]

@@ -121,6 +121,24 @@ def test_verify_fails_maxmin_group_with_a_better_channel_at_its_floor(runner, tm
     assert "FAIL  lower_rate_violation" in bad.output
 
 
+def test_solve_and_verify_maxmin_at_a_tiny_budget(runner, tmp_path):
+    # Bracketing t downward asks the b = 0 groups for levels above the float
+    # range (exp of more than 709), which took the solve down with an
+    # OverflowError.
+    def group(a):
+        return [{"family": "log_capacity", "w": 1.0, "a": a, "b": 0.0}]
+    doc = {"problem_class": "maxmin", "budget": 1e-300, "groups": [group(1.0), group(2.0)]}
+    inst = _write(tmp_path, "tiny.json", doc)
+    out = str(tmp_path / "result.json")
+    solved = runner.invoke(main, ["solve", inst, "--out", out])
+    assert solved.exit_code == 0, solved.output
+    result = json.load(open(out))
+    assert result["powers"] == [[pytest.approx(2e-300 / 3, rel=1e-9)],
+                                [pytest.approx(1e-300 / 3, rel=1e-9)]]
+    verified = runner.invoke(main, ["verify", inst, out])
+    assert verified.exit_code == 0, verified.output
+
+
 def _log_capacity(a):
     return {"family": "log_capacity", "w": 1.0, "a": a, "b": 1.0}
 

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from waterline import (
-    BOX_STRATEGIES, AfRelay, BoxProblem, DomainError, InfeasibleBudget, LogCapacity,
-    InverseMse, SimplexProblem, SolverConfig, SumInverseMse, SumLog,
+    BOX_STRATEGIES, AfRelay, BoxProblem, BracketFailure, DomainError, InfeasibleBudget,
+    LogCapacity, InverseMse, SimplexProblem, SolverConfig, SumInverseMse, SumLog,
     check_conditions, enumerate_p1, kkt_residual_p1, solve_ascending,
     solve_box, solve_p1, solve_p1_lower, solve_water_level)
-from waterline.core import _classify, deactivation_loop, illinois_root, water_fill
+from waterline.core import (
+    _classify, _level_search, deactivation_loop, illinois_root, water_fill)
 from waterline.objectives import Channels, Objective
 
 from conftest import (
@@ -206,6 +207,22 @@ def test_illinois_root_ends_on_width_for_a_negative_root():
     root = illinois_root(h, lo, hi, h(lo), h(hi), 0.0, rtol)
     assert len(calls) <= 40
     assert root == pytest.approx(math.log(0.1), rel=1e-14)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_level_search_stops_at_the_float_range(sign):
+    # A residual of one sign everywhere: the bracket halves (negative) or
+    # doubles (positive) until the next level would leave the float range,
+    # and never tries a level of 0, one with an infinite reciprocal or inf.
+    levels = []
+
+    def h(mu):
+        levels.append(mu)
+        return sign
+    with pytest.raises(BracketFailure):
+        _level_search(h, 1e-12, 1e-14)
+    assert all(0.0 < mu < math.inf and 1.0 / mu < math.inf for mu in levels)
+    assert len(levels) > 1000
 
 
 def _assert_record_sets(problem, alloc):

@@ -410,6 +410,45 @@ def test_exact_group_level_matches_bisection():
     assert min(outcomes.values()) > 20, outcomes
 
 
+def test_group_search_ends():
+    """A target above every utility the group reaches is InfeasibleTarget (the
+    search stops before a level of 0), and a group above the target at every
+    finite level rests at its floor with no water level."""
+    from waterline import AfRelay, CustomObjective, InfeasibleTarget
+    from waterline.fair import _group_mu_for_t
+    relay = Channels([AfRelay(1.0, 0.5, 1.0), AfRelay(2.0, 0.3, 0.5)])
+    top = -math.log(0.5) - 2.0 * math.log(0.7)  # sum of -w*log(1 - a), p -> inf
+    with pytest.raises(InfeasibleTarget):
+        _group_mu_for_t(relay, np.zeros(2), np.full(2, np.inf), top + 0.1)
+    root = CustomObjective(math.sqrt, lambda p: 0.5 / math.sqrt(p) if p > 0 else math.inf)
+    mu, powers, utility, total = _group_mu_for_t(
+        Channels([root]), np.zeros(1), np.full(1, np.inf), -1.0)
+    assert mu is None and powers.tolist() == [0.0] and (utility, total) == (0.0, 0.0)
+
+
+def test_group_search_cost_without_a_table(monkeypatch):
+    """An af_relay or sum_log group has no breakpoint table; a fixed target
+    takes at most 20 group evaluations (a x4 bracket and bisection to 1e-15
+    took about 55)."""
+    from waterline import AfRelay, fair
+    groups = [[AfRelay(1.0, 0.5, 1.0), AfRelay(0.8, 0.3, 1.2), AfRelay(1.5, 0.7, 0.5)],
+              [SumLog([1.0, 0.5], 1.0, 1.0, [1.0, 2.0], [1.0, 0.5]),
+               SumLog([0.7, 1.2], 2.0, 0.5, [1.0, 1.0], [1.0, 2.0])]]
+    calls = []
+
+    def counted(*args, _state=fair._group_state):
+        calls.append(args[3])
+        return _state(*args)
+    monkeypatch.setattr(fair, "_group_state", counted)
+    for group in groups:
+        calls.clear()
+        k = len(group)
+        level = fair._group_level(Channels(group), np.zeros(k), np.full(k, np.inf))
+        mu, _, utility, _ = level(2.0)
+        assert mu is not None and len(calls) <= 20, len(calls)
+        assert utility == pytest.approx(2.0, rel=1e-12)
+
+
 def _fixed_step_bisection(f, lo, hi, y, steps, increasing):
     """The group-budget search the memoised one replaced: ``steps`` halvings."""
     for _ in range(steps):

@@ -74,6 +74,20 @@ def test_two_block_staircases(problem, expected, strategy):
     assert alloc.objective_value == pytest.approx(enumerate_tight_caps(problem), abs=1e-12)
 
 
+@pytest.mark.parametrize("strategy", BOX_STRATEGIES)
+def test_block_whose_floors_fill_a_cap_takes_them(strategy):
+    # The first two floors exceed cap 1 by 5e-13, inside the 1e-12 the
+    # validation allows: the block rests at its floors, at the largest rate
+    # there, and the rest of the budget goes to channel 2.
+    objectives = [LogCapacity(1, 1, 1), LogCapacity(1, 2, 1), LogCapacity(1, 1, 1)]
+    problem = AscendingProblem(objectives, [1.0, 1.0, 3.0], [1.0 + 5e-13, 0.0, 0.0])
+    alloc = solve_ascending(problem, SolverConfig(box_strategy=strategy))
+    assert alloc.powers[:2] == [1.0 + 5e-13, 0.0]
+    assert alloc.powers[2] == pytest.approx(2.0, abs=1e-9)
+    assert (alloc.status, alloc.splits) == ("optimal", 1)
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
+
+
 def test_conditions_flag_a_level_that_rises():
     # Feasible, but 0.446 nats short: across the tight cap 0, channel 1's
     # rate 1.6 exceeds channel 0's 0.4, so power should move right.
