@@ -1,18 +1,21 @@
 """Water-level root finding and the simplex solvers (Algorithms for P1/P1.1).
 
 ``water_fill`` solves P1.1 on a :class:`~waterline.objectives.Channels` set
-and picks its path from the channels' family:
+and picks its path from the channels' families:
 
-* Homogeneous ``log_capacity`` and ``inverse_mse`` banks take the exact
-  sorted search.  A falling water level meets the channels in descending
-  order of their rate at the lower bound, so sorting once by that rate and
-  taking cumulative sums of the closed-form numerator and denominator gives
-  the water level of every candidate active set; the last one whose level
-  lies below its own channels' rates is the optimum (the breakpoint search of
-  Palomar & Fonollosa, IEEE TSP 2005, here on lower bounds).  O(K log K),
-  one pass.
-* Every other family (``af_relay``, mixed banks, ``sum_log``,
-  ``sum_inverse_mse``, custom) keeps the deactivation loop.  It initializes
+* A bank of ``log_capacity`` and ``inverse_mse`` channels, in any mix, takes
+  the exact sorted search.  At x = 1/sqrt(mu) channel i demands
+  q_i*x**2 + u_i*x - b_i/a_i (``log_capacity``: q = w, u = 0;
+  ``inverse_mse``: q = 0, u = sqrt(w/a)), which rises with x.  A falling
+  water level (a rising x) meets the channels in ascending order of their
+  join points, the x where each demand reaches its lower bound, so sorting
+  once by join point and taking prefix sums of q, u and the offsets gives
+  the total excess at every join point; the last prefix whose excess stays
+  below the spare budget is the active set, and its level is the positive
+  root of a quadratic in x (the breakpoint search of Palomar & Fonollosa,
+  IEEE TSP 2005, here on lower bounds).  O(K log K), one pass.
+* Every other family (``af_relay``, ``sum_log``, ``sum_inverse_mse``,
+  custom, and banks mixing them) keeps the deactivation loop.  It initializes
   every subchannel as active, solves the common-rate equation on the active
   set, and removes (pins at its lower bound) every channel whose
   unconstrained demand falls at or below that bound.  The loop shrinks the
@@ -41,21 +44,73 @@ from .objectives import Channels, InverseMse, LogCapacity, Objective
 from .problems import Allocation, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
-# Homogeneous families whose P1.1 water_fill solves by the sorted search.
+# Homogeneous families whose max-min groups have a breakpoint table.
 SORTED_FAMILIES = ("log_capacity", "inverse_mse")
 
 
+def _demand_terms(channels: Channels, c: np.ndarray | None = None):
+    """``(q, u, x)`` for a bank of ``log_capacity`` and ``inverse_mse``
+    channels, mixed or not; None for any other set.
+
+    At x = 1/sqrt(mu) channel i demands q_i*x**2 + u_i*x - b_i/a_i: q = w,
+    u = 0 for ``log_capacity`` and q = 0, u = sqrt(w/a) for ``inverse_mse``.
+    ``q`` (``u``) is None when no channel is of that family.  Given ``c``,
+    each channel's lower bound plus b/a, ``x`` holds the join points, where
+    the demands reach the lower bounds: sqrt(c/q) or c/u, taken per family
+    (the unified root 2c/(u + sqrt(u**2 + 4qc)) is 0/0 at c = 0).
+    """
+    groups = channels._groups if channels.banked else ()
+    if not groups or not {g[0] for g in groups} <= {LogCapacity, InverseMse}:
+        return None
+    k = len(channels)
+    terms = {LogCapacity: None, InverseMse: None}
+    x = None if c is None or len(groups) == 1 else np.empty(k)
+    for cls, idx, (w, a, _) in groups:
+        log = cls is LogCapacity
+        v = w if log else np.sqrt(w / a)
+        if c is not None:
+            join = (c if idx is None else c[idx]) / v
+            if log:
+                np.sqrt(join, out=join)
+            if idx is None:
+                x = join
+            else:
+                x[idx] = join
+        if idx is None:
+            terms[cls] = v
+        else:  # zero on the other family's channels
+            terms[cls] = np.zeros(k)
+            terms[cls][idx] = v
+    return terms[LogCapacity], terms[InverseMse], x
+
+
+def _quadratic_level(q, u, total: float, at=slice(None)) -> float:
+    """The level mu at which the channels ``at`` of terms ``q`` and ``u``
+    (:func:`_demand_terms`) demand ``total`` plus their offsets.  With Q and
+    U the sums of their terms, it is the positive root s = sqrt(mu) of
+    total*s**2 - U*s - Q, in a form that does not cancel, squared as
+    (Q + U*s)/total; with Q = 0, as s*s.  So a ``log_capacity`` bank's level
+    is Q/total and an ``inverse_mse`` bank's (U/total)**2, each in the
+    operations of its family's closed form."""
+    q_sum = 0.0 if q is None else float(q[at].sum())
+    u_sum = 0.0 if u is None else float(u[at].sum())
+    total = float(total)
+    s = (u_sum + math.sqrt(u_sum * u_sum + 4.0 * q_sum * total)) / (2.0 * total)
+    return (q_sum + u_sum * s) / total if q_sum else s * s
+
+
 def _closed_form_mu(channels: Channels, budget: float) -> float | None:
-    """Closed-form water level for homogeneous closed-form families."""
-    if channels.family not in SORTED_FAMILIES:
+    """Closed-form water level of a ``log_capacity``/``inverse_mse`` bank,
+    mixed or not (None for any other set): at x = 1/sqrt(mu) the demands sum
+    to Q*x**2 + U*x - sum(b/a), so the level is :func:`_quadratic_level` of
+    the summed terms and the budget plus the offsets."""
+    terms = _demand_terms(channels)
+    if terms is None:
         return None
     denom = budget + (channels.b / channels.a).sum()
     if denom <= 0:
         raise BracketFailure("budget below the reachable demand range")
-    if channels.family == "log_capacity":
-        return float(channels.w.sum() / denom)
-    root = np.sqrt(channels.w / channels.a).sum() / denom
-    return float(root * root)
+    return _quadratic_level(terms[0], terms[1], denom)
 
 
 def _water_level_and_powers(channels: Channels, budget: float,
@@ -163,8 +218,9 @@ def solve_water_level(objectives: Sequence[Objective], budget: float,
 
     The level search of the solvers on the objects' own scalar ``demand``,
     so that the enumeration oracles built on it share no code with the array
-    banks they certify.  A ``log_capacity`` or ``inverse_mse`` set takes its
-    closed-form level."""
+    banks they certify.  A set of ``log_capacity`` channels, or of
+    ``inverse_mse`` ones, takes its closed-form level; a mix of the two runs
+    the search, an independent reference for the banks' quadratic level."""
     remaining = budget - fixed_consumption
     if remaining <= 0:
         raise BracketFailure("no budget left for the active channels")
@@ -198,10 +254,16 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
     Returns ``(powers, mu, water_levels, status)``: the powers as an array,
     the final water level (None exactly when ``status`` is ``"feasible"``,
     the lower bounds using up the budget) and the level of every round.
-    Homogeneous ``log_capacity`` and ``inverse_mse`` banks take the exact
-    sorted search, a single round; every other family the deactivation loop.
+    A bank of ``log_capacity`` and ``inverse_mse`` channels, mixed or not,
+    takes the exact sorted search on x = 1/sqrt(mu), a single round with one
+    ``demand`` call; every other set the deactivation loop.
     """
-    if channels.family not in SORTED_FAMILIES:
+    if not channels.banked:
+        return deactivation_loop(channels, gamma, budget, cfg)
+    offset = channels.b / channels.a
+    c = gamma + offset
+    terms = _demand_terms(channels, c)
+    if terms is None:
         return deactivation_loop(channels, gamma, budget, cfg)
     floor = float(gamma.sum())
     if floor > budget * (1.0 + 1e-12):
@@ -210,29 +272,23 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
     spare = budget - floor
     if spare <= cfg.power_tolerance * budget:
         return gamma.copy(), None, [], "feasible"
-    # Channel i's demand is u_i/sqrt(mu) - offset_i (inverse_mse) or
-    # u_i/mu - offset_i (log_capacity), so its rate at gamma_i is u_i/c_i
-    # (squared for inverse_mse) with c_i = gamma_i + offset_i.  The top m
-    # channels by rate are active at the level whose root is
-    # sum(u)/(spare + sum(c)) over them; that root is a mediant of the
-    # previous one and u_m/c_m, so the prefixes whose root lies below their
-    # own last rate form an initial run, and the last of them is the optimum.
-    offset = channels.b / channels.a
-    log = channels.family == "log_capacity"
-    u = channels.w if log else np.sqrt(channels.w / channels.a)
-    c = gamma + offset
-    order = np.argsort(c / u, kind="stable")
-    c, u_sorted = c[order], u[order]
-    root = np.cumsum(u_sorted) / (spare + np.cumsum(c))
-    below = (root * c < u_sorted).nonzero()[0]
-    if not below.size:  # spare lost to rounding against the strongest channel
-        return deactivation_loop(channels, gamma, budget, cfg)
+    # At its join point x_m the channels before m in join order spend
+    # Q*x_m**2 + U*x_m - C above their bounds (exclusive prefix sums of q, u
+    # and c), which rises with m: the prefixes below the spare budget form an
+    # initial run, the first always among them, and the last is the optimum.
+    q, u, x = terms
+    order = np.argsort(x, kind="stable")
+    xs, before = x[order[1:]], order[:-1]
+    excess = -c[before].cumsum()
+    if q is not None:
+        excess += q[before].cumsum() * (xs * xs)
+    if u is not None:
+        excess += u[before].cumsum() * xs
+    over = np.flatnonzero(excess >= spare)
     active = np.zeros(k, dtype=bool)
-    active[order[:below[-1] + 1]] = True
-    # The level on the final active set, in the operations of the
-    # deactivation loop's last round (_closed_form_mu).
-    root = u[active].sum() / ((budget - float(gamma[~active].sum())) + offset[active].sum())
-    mu = float(root) if log else float(root * root)
+    active[order[:over[0] + 1 if over.size else k]] = True
+    mu = _quadratic_level(
+        q, u, (budget - float(gamma[~active].sum())) + offset[active].sum(), active)
     powers = gamma.copy()
     powers[active] = channels.demand(mu)[active]
     return powers, mu, [mu], "optimal"

@@ -75,14 +75,18 @@ def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
 
     Returns ``(mu, powers, utility, total)``; ``mu`` is None when the group
     meets t resting at its lower bounds, or exceeds it at every finite level.
-    This is the path of every group that is not a homogeneous ``log_capacity``
-    or ``inverse_mse`` bank (see :func:`_group_level`), and the reference the
-    breakpoint table is tested against.
+    A t above the utility at finite upper bounds raises
+    :class:`InfeasibleTarget` before any search.  This is the path of every
+    group that is not a homogeneous ``log_capacity`` or ``inverse_mse`` bank
+    (see :func:`_group_level`), and the reference the breakpoint table is
+    tested against.
     """
     if np.isfinite(channels.rate(gamma)).all():
         floor = _group_state(channels, gamma, tau, None)
         if floor[1] >= t:
             return (None, *floor)
+    if np.isfinite(tau).all() and (top := float(channels.eval(tau).sum())) < t:
+        raise InfeasibleTarget(f"group utility target {t} above the utility {top} at tau")
     states = {}
 
     def h(mu_val: float) -> float:

@@ -211,8 +211,8 @@ class Allocation:
 
     ``water_levels`` lists the water level of every round a P1/P1.1 solve
     ran and ``iterations`` counts those rounds (at least 1).  The exact
-    sorted search of homogeneous ``log_capacity``/``inverse_mse`` solves is a
-    single pass: ``water_levels == [water_level]`` and ``iterations == 1``
+    sorted search of ``log_capacity``/``inverse_mse`` solves, mixed or not, is
+    a single pass: ``water_levels == [water_level]`` and ``iterations == 1``
     (empty and 1 when the lower bounds use up the budget).  The deactivation
     loop of the other families lists one level per round.  Box strategies
     count their own iterations (``order``: binary-search probes plus the

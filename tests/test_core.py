@@ -13,7 +13,7 @@ from waterline import (
     check_conditions, enumerate_p1, kkt_residual_p1, solve_ascending,
     solve_box, solve_p1, solve_p1_lower, solve_water_level)
 from waterline.core import (
-    _classify, _level_search, deactivation_loop, illinois_root, water_fill)
+    _classify, _closed_form_mu, _level_search, deactivation_loop, illinois_root, water_fill)
 from waterline.objectives import Channels, Objective
 
 from conftest import (
@@ -144,26 +144,31 @@ def test_solver_config_validation():
 
 
 def _bank_instance(family, rng, k, infinite_rates=False):
-    """K channels of one closed-form family with positive lower bounds; with
-    ``infinite_rates`` every other channel is log_capacity with b = 0 and a
-    zero lower bound, where the rate at the bound is infinite."""
-    cls = LogCapacity if family == "log_capacity" else InverseMse
+    """K channels of one closed-form family, or of ``"mixed"`` ones that
+    alternate ``log_capacity`` and ``inverse_mse``, with positive lower
+    bounds; with ``infinite_rates`` some channels have b = 0 and a zero lower
+    bound, where the rate at the bound is infinite: every other channel of a
+    homogeneous bank, every third of a mixed one (so both families)."""
+    classes = {"log_capacity": [LogCapacity], "inverse_mse": [InverseMse],
+               "mixed": [LogCapacity, InverseMse]}[family]
     w = rng.uniform(0.5, 2.0, k)
     a = 10.0 ** rng.uniform(-2.0, 2.0, k)
     b = rng.uniform(0.05, 2.0, k)
     budget = k * rng.uniform(0.5, 3.0)
     gamma = rng.uniform(0.01, 0.8, k) * budget / k
     if infinite_rates:
-        b[::2] = 0.0
-        gamma[::2] = 0.0
-    channels = Channels([cls(*p) for p in zip(w, a, b)])
+        step = 3 if family == "mixed" else 2
+        b[::step] = 0.0
+        gamma[::step] = 0.0
+    channels = Channels([classes[i % len(classes)](*p) for i, p in enumerate(zip(w, a, b))])
     return channels, gamma, budget
 
 
 @pytest.mark.parametrize("family,infinite_rates",
                          [("log_capacity", False), ("log_capacity", True),
-                          ("inverse_mse", False)],
-                         ids=["log_capacity", "log_capacity_b0", "inverse_mse"])
+                          ("inverse_mse", False), ("mixed", False), ("mixed", True)],
+                         ids=["log_capacity", "log_capacity_b0", "inverse_mse",
+                              "mixed", "mixed_b0"])
 def test_sorted_search_matches_deactivation_loop(family, infinite_rates):
     rng = np.random.default_rng(7)
     for k in (1, 2, 3, 5, 16, 64, 257, 1024):
@@ -180,6 +185,39 @@ def test_sorted_search_matches_deactivation_loop(family, infinite_rates):
             assert mu == pytest.approx(loop_mu, rel=1e-12)
             # Both leave an inactive channel exactly at its lower bound.
             assert np.array_equal(powers > gamma, loop_powers > gamma)
+
+
+@pytest.mark.parametrize("infinite_rates", [False, True], ids=["mixed", "mixed_b0"])
+def test_mixed_closed_form_level_matches_the_object_search(infinite_rates):
+    """The quadratic level of a mixed log/inverse bank is the root that the
+    objects' Illinois search finds."""
+    rng = np.random.default_rng(11)
+    cfg = SolverConfig(mu_tolerance=1e-14, power_tolerance=1e-14)
+    for k in (2, 3, 8, 64):
+        for _ in range(5):
+            channels, _, budget = _bank_instance("mixed", rng, k, infinite_rates)
+            mu = _closed_form_mu(channels, budget)
+            assert type(mu) is float
+            assert mu == pytest.approx(solve_water_level(channels.objectives, budget, cfg=cfg),
+                                       rel=1e-12, abs=0)
+
+
+def test_mixed_sorted_search_calls_demand_once(monkeypatch):
+    """A mixed log/inverse P1.1 runs no level search: one demand call."""
+    rng = np.random.default_rng(5)
+    channels, gamma, budget = _bank_instance("mixed", rng, 64, True)
+    calls = []
+
+    def counted(self, *args, _demand=Channels.demand):
+        calls.append(len(self))
+        return _demand(self, *args)
+    monkeypatch.setattr(Channels, "demand", counted)
+    powers, mu, levels, status = water_fill(channels, gamma, budget)
+    monkeypatch.undo()
+    assert calls == [64]
+    assert status == "optimal" and levels == [mu] and type(mu) is float
+    problem = SimplexProblem(channels.objectives, budget, gamma.tolist())
+    assert check_conditions(problem, powers.tolist(), tolerance=1e-8).passed
 
 
 @pytest.mark.parametrize("cls", [LogCapacity, InverseMse])

@@ -426,6 +426,31 @@ def test_group_search_ends():
     assert mu is None and powers.tolist() == [0.0] and (utility, total) == (0.0, 0.0)
 
 
+def test_group_search_rejects_a_target_above_tau_at_once(monkeypatch):
+    """When every upper bound is finite, a target above the utility there
+    raises InfeasibleTarget after one group evaluation (the floor), not after
+    a search that halves to the end of the float range."""
+    from waterline import AfRelay, InfeasibleTarget, fair
+    group = Channels([AfRelay(1.0, 0.5, 1.0), AfRelay(0.8, 0.3, 1.2),
+                      SumLog([1.0, 0.5], 1.0, 1.0, [1.0, 2.0], [1.0, 0.5])])
+    gamma, tau = np.array([0.0, 0.2, 0.0]), np.array([1.0, 2.0, 1.5])
+    top = float(group.eval(tau).sum())
+    calls = []
+
+    def counted(*args, _state=fair._group_state):
+        calls.append(args[3])
+        return _state(*args)
+    monkeypatch.setattr(fair, "_group_state", counted)
+    for t in (top + 1e-9, top + 1.0, 1e300):
+        calls.clear()
+        with pytest.raises(InfeasibleTarget):
+            fair._group_mu_for_t(group, gamma, tau, t)
+        assert calls == [None], calls
+    # At the utility at tau the target is reached, every channel saturated.
+    mu, powers, utility, _ = fair._group_mu_for_t(group, gamma, tau, top)
+    assert mu is not None and utility >= top and powers.tolist() == tau.tolist()
+
+
 def test_group_search_cost_without_a_table(monkeypatch):
     """An af_relay or sum_log group has no breakpoint table; a fixed target
     takes at most 20 group evaluations (a x4 bracket and bisection to 1e-15

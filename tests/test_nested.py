@@ -3,10 +3,11 @@
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from waterline import (
-    BOX_STRATEGIES, AscendingProblem, InfeasibleBudget, LogCapacity, SolverConfig,
+    BOX_STRATEGIES, AscendingProblem, InfeasibleBudget, InverseMse, LogCapacity, SolverConfig,
     check_conditions, enumerate_box, grid_search, projected_gradient,
     solve_ascending, solve_box, BoxProblem)
 
@@ -86,6 +87,27 @@ def test_block_whose_floors_fill_a_cap_takes_them(strategy):
     assert alloc.powers[2] == pytest.approx(2.0, abs=1e-9)
     assert (alloc.status, alloc.splits) == ("optimal", 1)
     assert check_conditions(problem, alloc, tolerance=1e-8).passed
+
+
+def test_mixed_bank_blocks_agree_across_strategies():
+    # Alternating log_capacity and inverse_mse channels (one log channel with
+    # b = 0) under tight caps, as the benchmark's ascending files draw them:
+    # every block is a mixed bank, solved by the sorted search (set_a,
+    # order), the closed-form level (set_b) or bisection.
+    rng = np.random.default_rng(18)
+    k = 24
+    objectives = [(LogCapacity if i % 2 == 0 else InverseMse)(
+        float(rng.uniform(0.5, 2.0)), 1e-3 + float(rng.exponential(1.0)),
+        0.0 if i == 4 else 1.0) for i in range(k)]
+    problem = AscendingProblem(objectives, np.cumsum(rng.uniform(0.5, 1.5, k)).tolist(),
+                               None, rng.uniform(1.5, 4.0, k).tolist())
+    allocs = [solve_ascending(problem, SolverConfig(box_strategy=s)) for s in BOX_STRATEGIES]
+    assert allocs[0].splits > 1
+    for strategy, alloc in zip(BOX_STRATEGIES, allocs):
+        assert alloc.status == "optimal"
+        assert check_conditions(problem, alloc, tolerance=1e-8).passed, strategy
+        assert alloc.powers == pytest.approx(allocs[0].powers, abs=1e-9), strategy
+        assert alloc.objective_value == pytest.approx(allocs[0].objective_value, abs=1e-10)
 
 
 def test_conditions_flag_a_level_that_rises():

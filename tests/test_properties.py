@@ -11,9 +11,10 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from waterline import (  # noqa: E402
     BOX_STRATEGIES, FAIR_MODES, AfRelay, AscendingProblem, BoxProblem,
-    ClusterLogCapacity, FairProblem, InverseMse, LogCapacity, SolverConfig,
+    ClusterLogCapacity, FairProblem, InverseMse, LogCapacity, SimplexProblem, SolverConfig,
     SumInverseMse, SumLog, check_conditions, solve_ascending, solve_box, solve_fair)
 from waterline.box import box_fill, box_fill_rows  # noqa: E402
+from waterline.core import deactivation_loop, water_fill  # noqa: E402
 from waterline.io import dumps  # noqa: E402
 from waterline.objectives import Channels  # noqa: E402
 
@@ -87,6 +88,39 @@ def homogeneous_cluster_problems(draw):
 @given(homogeneous_cluster_problems())
 def test_homogeneous_cluster_modes_pass_their_conditions(problem):
     report = check_conditions(problem, solve_fair(problem), tolerance=1e-8)
+    assert report.passed, report.residuals
+
+
+@st.composite
+def sorted_search_banks(draw):
+    """P1.1 on a bank of log_capacity channels, of inverse_mse ones, or of
+    both mixed; some channels have b = 0 and a zero lower bound, an
+    infinite rate there."""
+    kinds = draw(st.sampled_from([["log_capacity"], ["inverse_mse"],
+                                  ["log_capacity", "inverse_mse"]]))
+    k = draw(st.integers(1, 12))
+    objs = [_objective(draw(st.sampled_from(kinds)), draw) for _ in range(k)]
+    budget = k * draw(st.floats(0.5, 3.0))
+    gamma = [draw(st.floats(0.0, 0.6)) * budget / k for _ in range(k)]
+    for i in range(k):
+        if draw(st.integers(0, 3)) == 0:
+            objs[i] = type(objs[i])(objs[i].w, objs[i].a, 0.0)
+            gamma[i] = 0.0
+    return Channels(objs), np.array(gamma), budget
+
+
+@given(sorted_search_banks())
+def test_sorted_search_matches_the_deactivation_loop(bank):
+    """water_fill's one sorted pass, on homogeneous and mixed banks alike,
+    agrees with the deactivation loop and passes the P1.1 conditions."""
+    channels, gamma, budget = bank
+    powers, mu, levels, status = water_fill(channels, gamma, budget)
+    loop_powers, loop_mu, _, loop_status = deactivation_loop(channels, gamma, budget)
+    assert status == loop_status == "optimal" and levels == [mu]
+    assert mu == pytest.approx(loop_mu, rel=1e-12)
+    assert np.abs(powers - loop_powers).max() <= 1e-12 * budget
+    problem = SimplexProblem(channels.objectives, budget, gamma.tolist())
+    report = check_conditions(problem, powers.tolist(), tolerance=1e-8)
     assert report.passed, report.residuals
 
 
