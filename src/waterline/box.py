@@ -8,16 +8,14 @@ Strategies (selected through ``SolverConfig.box_strategy``):
   violations alternately; each round pins a channel more at the upper
   bounds, or as many there and one more at the lower bounds, so it ends.
 * ``bisect`` -- outer bisection on the water level with clamped demands.
-* ``order``  -- the default.  Sorts channels by the rate at their upper
-  bound, the order in which a falling water level meets them, and finds the
-  first candidate upper-bound set whose water level spends the budget by
-  binary search: the clamped total does not increase with the water level,
-  so the test is monotone in the case index.  This is the exact sort-based
-  breakpoint search of Palomar & Fonollosa (IEEE TSP 2005), O(K log K).
-  It runs on rows: S problems that share one bank and differ in their
-  bounds and budget (a sweep's SNR points) search together, each probe one
-  (S, K) clamped-demand pass with per-row ``lo``/``hi``, and each row ends
-  with its own P1.1 on the chosen set.  A single problem is the S = 1 case.
+* ``order``  -- the default.  On a ``log_capacity``/``inverse_mse`` bank,
+  mixed or not, one sort of the points where each channel's demand reaches
+  its lower and its upper bound gives the level's segment and the level in
+  closed form (:func:`~waterline.core._breakpoint_level`, the breakpoint
+  search of Palomar & Fonollosa, IEEE TSP 2005); S problems on one bank (a
+  sweep's SNR points) share one demand pass.  Other families sort the
+  channels by the rate at their upper bound and binary-search the first
+  upper-bound set whose level spends the budget, then solve P1.1 on the rest.
 
 Each strategy is a private array function ``(channels, gamma, tau, budget,
 cfg)``: set logic over index masks of a
@@ -39,9 +37,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _classify, _water_level_and_powers, finish, water_fill
+from .core import (
+    _breakpoint_level, _classify, _water_level_and_powers, finish, water_fill)
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
-from .objectives import BANK_FAMILIES, Channels
+from .objectives import Channels
 from .problems import (
     BOX_STRATEGIES, Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig)
 
@@ -193,64 +192,53 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
 
 
 def _order_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
-                budget: np.ndarray, cfg: SolverConfig) -> list:
-    """The order search on S rows of bounds (S, K) and budgets (S,) over one
-    bank, one ``_order`` tuple per row.  S > 1 needs a bank of one
-    closed-form family; with S = 1 each probe is warm-started at the last."""
-    s, k = tau.shape
-    finite = np.isfinite(tau)
-    tau_rate = np.zeros((s, k))
-    if channels.family not in BANK_FAMILIES:
-        index = finite[0].nonzero()[0]
-        tau_rate[0, index] = channels.take(index).rate(tau[0, index])
-    elif finite.any():
-        tau_rate[finite] = channels.rate(np.where(finite, tau, 1.0))[finite]
-    order = np.argsort(-tau_rate, axis=1, kind="stable")
-    # Case c of a row pins its order[:c] at tau; it exits when its water
-    # level, the row's c-th largest tau-rate, spends the whole budget.  The
-    # levels fall with c (infinite-tau channels have rate 0 and come last)
-    # and the clamped total does not increase with the level, so the exit
-    # test is monotone in c: a binary search per row, over [lo, hi).
-    lo, hi, probes, budgets = [0] * s, [k] * s, [0] * s, budget.tolist()
-    mid, mu, live, start = [0] * s, [0.0] * s, list(range(s)), None
-    while live:
-        for i in live:
-            mid[i] = (lo[i] + hi[i]) // 2
-            mu[i] = tau_rate.item(i, order.item(i, mid[i]))
-        # One clamped-demand pass over every row; a finished row keeps its
-        # last level, and a level of 0 exits whatever it spends.
-        totals = budgets
-        if max(mu) > 0:
-            demand = start = channels.demand(mu[0], start) if s == 1 else \
-                channels.demand(np.array([[m if m > 0 else 1.0] for m in mu]))
-            totals = np.minimum(np.maximum(demand, gamma), tau).sum(axis=1).tolist()
-        for i in live:
-            probes[i] += 1
-            if mu[i] <= 0 or totals[i] >= budgets[i]:
-                hi[i] = mid[i]
-            else:
-                lo[i] = mid[i] + 1
-        live = [i for i in live if lo[i] < hi[i]]
-    # Every case under-spends only when every tau is finite and their sum
-    # exceeds the budget by rounding: the last case leaves its channel the
-    # budget the others do not take.
-    out = []
-    for i, case in enumerate(min(c, k - 1) for c in lo):
-        fixed, rest = order[i, :case], order[i, case:]
-        powers = np.empty(k)
-        powers[fixed] = tau[i, fixed]
-        powers[rest], mu, water_levels, _ = water_fill(
-            channels.take(rest), gamma[i, rest],
-            budgets[i] - float(tau[i, fixed].sum()), cfg)
-        out.append((powers, mu, probes[i] + (len(water_levels) or 1), "optimal",
-                    water_levels))
-    return out
+                budget: np.ndarray, cfg: SolverConfig) -> list | None:
+    """The order search on S rows (bounds (S, K), budgets (S,)) over a log/inverse
+    bank, None for any other set: each row's :func:`~waterline.core._breakpoint_level`
+    (an (S, 2K) table of the points costs more in fresh memory pages), then
+    one ``demand`` pass at every level, clipped into the boxes."""
+    searches = [_breakpoint_level(channels, g, p, t, cfg)
+                for g, t, p in zip(gamma, tau, budget.tolist())]
+    if None in searches:
+        return None
+    mus = [search[0] for search in searches]
+    rows = [i for i, mu in enumerate(mus) if mu is not None]
+    powers = np.where([search[2] for search in searches], tau, gamma)
+    if rows:  # a one-family bank takes a column of levels, a mixed one a level at a time
+        levels = [mus[i] for i in rows]
+        demand = channels.demand(np.array(levels)[:, None]) if channels.family else \
+            np.array([channels.demand(mu) for mu in levels])
+        powers[rows] = np.minimum(np.maximum(demand, gamma[rows]), tau[rows])
+    return [(p, mu, 1, "optimal", [] if mu is None else [mu])
+            for p, mu in zip(powers, mus)]
 
 
 def _order(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
            cfg: SolverConfig):
-    """The order search on one box problem: :func:`_order_rows` with S = 1."""
-    return _order_rows(channels, gamma[None], tau[None], np.array([budget]), cfg)[0]
+    """The order search on one box problem: :func:`_order_rows` where it
+    applies, else a binary search on the channels by their rate at tau."""
+    rows = _order_rows(channels, gamma[None], tau[None], np.array([budget]), cfg)
+    if rows is not None:
+        return rows[0]
+    k, finite = len(channels), np.isfinite(tau).nonzero()[0]
+    tau_rate = np.zeros(k)
+    tau_rate[finite] = channels.take(finite).rate(tau[finite])
+    order = np.argsort(-tau_rate, kind="stable")
+    # Case c pins order[:c] at tau at the c-th largest tau-rate (infinite taus
+    # last, at 0); its clamped total rises with c: bisect for the first to spend.
+    lo, hi, probes, start = 0, k, 0, None
+    while lo < hi:
+        mid, probes = (lo + hi) // 2, probes + 1
+        mu = tau_rate[order[mid]]
+        start = channels.demand(mu, start) if mu > 0 else start
+        spends = mu <= 0 or np.minimum(np.maximum(start, gamma), tau).sum() >= budget
+        lo, hi = (lo, mid) if spends else (mid + 1, hi)
+    # Should rounding leave every case short, the last takes what is left.
+    fixed, rest = order[:min(lo, k - 1)], order[min(lo, k - 1):]
+    powers = tau.copy()
+    powers[rest], mu, water_levels, _ = water_fill(
+        channels.take(rest), gamma[rest], budget - float(tau[fixed].sum()), cfg)
+    return powers, mu, probes + (len(water_levels) or 1), "optimal", water_levels
 
 
 _STRATEGIES = dict(zip(BOX_STRATEGIES, (_set_a, _set_b, _bisect, _order)))
@@ -282,15 +270,17 @@ def box_fill_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
                   budget: np.ndarray, cfg: SolverConfig = _DEFAULT_CFG) -> list:
     """S box problems on one bank, bounds (S, K) and budgets (S,); inputs
     unchecked.  One ``(powers, mu, iterations, status, water_levels)`` per
-    row, the tuple :func:`solve_box` finishes.  On a bank of one closed-form
-    family the ``order`` search runs on every row that does not fit all its
-    upper bounds at once; otherwise each row is solved alone."""
-    if cfg.box_strategy != "order" or channels.family not in BANK_FAMILIES:
-        return [_fill(channels, g, t, float(p), cfg) for g, t, p in zip(gamma, tau, budget)]
+    row, the tuple :func:`solve_box` finishes.  On a ``log_capacity``/
+    ``inverse_mse`` bank the ``order`` search runs at once on every row that
+    does not fit all its upper bounds; otherwise each row is solved alone."""
     # A row sum adds as the 1-D sum of _fill's test does.
     full = np.isfinite(tau).all(axis=1) & (tau.sum(axis=1) <= budget)
-    search = iter(_order_rows(channels, gamma[~full], tau[~full], budget[~full], cfg))
-    return [(t.copy(), None, 1, "optimal", []) if f else next(search)
+    search = _order_rows(channels, gamma[~full], tau[~full], budget[~full], cfg) \
+        if cfg.box_strategy == "order" and not full.all() else None
+    if search is None:
+        return [_fill(channels, g, t, float(p), cfg) for g, t, p in zip(gamma, tau, budget)]
+    rows = iter(search)
+    return [(t.copy(), None, 1, "optimal", []) if f else next(rows)
             for f, t in zip(full.tolist(), tau)]
 
 

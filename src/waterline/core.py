@@ -6,14 +6,12 @@ and picks its path from the channels' families:
 * A bank of ``log_capacity`` and ``inverse_mse`` channels, in any mix, takes
   the exact sorted search.  At x = 1/sqrt(mu) channel i demands
   q_i*x**2 + u_i*x - b_i/a_i (``log_capacity``: q = w, u = 0;
-  ``inverse_mse``: q = 0, u = sqrt(w/a)), which rises with x.  A falling
-  water level (a rising x) meets the channels in ascending order of their
-  join points, the x where each demand reaches its lower bound, so sorting
-  once by join point and taking prefix sums of q, u and the offsets gives
-  the total excess at every join point; the last prefix whose excess stays
-  below the spare budget is the active set, and its level is the positive
-  root of a quadratic in x (the breakpoint search of Palomar & Fonollosa,
-  IEEE TSP 2005, here on lower bounds).  O(K log K), one pass.
+  ``inverse_mse``: q = 0, u = sqrt(w/a)), which rises with x, so one sort
+  of the points where the demands reach their bounds, and running sums of
+  q, u and the offsets, give the clamped total at every point; the level is
+  the positive root of a quadratic in x on the segment that spends the
+  budget (:func:`_breakpoint_level`, which the box strategy ``order``
+  shares with upper bounds).  O(K log K), one pass.
 * Every other family (``af_relay``, ``sum_log``, ``sum_inverse_mse``,
   custom, and banks mixing them) keeps the deactivation loop.  It initializes
   every subchannel as active, solves the common-rate equation on the active
@@ -255,43 +253,75 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
     the final water level (None exactly when ``status`` is ``"feasible"``,
     the lower bounds using up the budget) and the level of every round.
     A bank of ``log_capacity`` and ``inverse_mse`` channels, mixed or not,
-    takes the exact sorted search on x = 1/sqrt(mu), a single round with one
-    ``demand`` call; every other set the deactivation loop.
+    takes :func:`_breakpoint_level` with no upper bounds, a single round
+    with one ``demand`` call; every other set the deactivation loop.
+    """
+    search = _breakpoint_level(channels, gamma, budget, None, cfg)
+    if search is None:
+        return deactivation_loop(channels, gamma, budget, cfg)
+    mu, active, _ = search
+    if mu is None:
+        return gamma.copy(), None, [], "feasible"
+    powers = gamma.copy()
+    powers[active] = channels.demand(mu)[active]
+    return powers, mu, [mu], "optimal"
+
+
+def _breakpoint_level(channels: Channels, gamma: np.ndarray, budget: float,
+                      tau: np.ndarray | None = None, cfg: SolverConfig = _DEFAULT_CFG):
+    """The water level of one problem on a bank of ``log_capacity`` and
+    ``inverse_mse`` channels, mixed or not (None for any other set); inputs
+    unchecked, ``tau`` None for P1.1.  Returns ``(mu, active, upper)``: the
+    level (None with no interior channel) and the masks of the interior
+    channels and of those at tau (None for P1.1).  A channel joins where it
+    demands its lower bound and saturates where it demands tau; one sort of
+    these 2K points and running sums of q, u and the bounds plus b/a give
+    the clamped total at each, the first over the budget ends the level's
+    segment, and the level is :func:`_quadratic_level` on sums masked to
+    the segment's interior channels, free of the running sums' rounding.
     """
     if not channels.banked:
-        return deactivation_loop(channels, gamma, budget, cfg)
+        return None
     offset = channels.b / channels.a
     c = gamma + offset
     terms = _demand_terms(channels, c)
     if terms is None:
-        return deactivation_loop(channels, gamma, budget, cfg)
+        return None
     floor = float(gamma.sum())
     if floor > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
-    k = len(channels)
-    spare = budget - floor
+    k, spare, (q, u, x) = len(gamma), budget - floor, terms
     if spare <= cfg.power_tolerance * budget:
-        return gamma.copy(), None, [], "feasible"
-    # At its join point x_m the channels before m in join order spend
-    # Q*x_m**2 + U*x_m - C above their bounds (exclusive prefix sums of q, u
-    # and c), which rises with m: the prefixes below the spare budget form an
-    # initial run, the first always among them, and the last is the optimum.
-    q, u, x = terms
-    order = np.argsort(x, kind="stable")
-    xs, before = x[order[1:]], order[:-1]
+        return None, np.zeros(k, dtype=bool), None if tau is None else np.zeros(k, dtype=bool)
+    qe, ue = q, u
+    if tau is not None:  # a saturation takes its channel's terms away
+        x = np.concatenate((x, _demand_terms(channels, tau + offset)[2]))
+        c = np.concatenate((c, -(tau + offset)))
+        qe, ue = (None if v is None else np.concatenate((v, -v)) for v in (q, u))
+    # P1.1 keeps its stable order of equal join points, bit for bit.
+    order = np.argsort(x, kind="stable" if tau is None else "quicksort")
+    xs = x[order]
+    # The points of an infinite tau come last; each over-spends.
+    n = len(x) if tau is None else int(np.searchsorted(xs, np.inf))
+    before = order[:n - 1]
+    # The total above the lower bounds at each finite point after the first.
     excess = -c[before].cumsum()
-    if q is not None:
-        excess += q[before].cumsum() * (xs * xs)
-    if u is not None:
-        excess += u[before].cumsum() * xs
-    over = np.flatnonzero(excess >= spare)
-    active = np.zeros(k, dtype=bool)
-    active[order[:over[0] + 1 if over.size else k]] = True
-    mu = _quadratic_level(
-        q, u, (budget - float(gamma[~active].sum())) + offset[active].sum(), active)
-    powers = gamma.copy()
-    powers[active] = channels.demand(mu)[active]
-    return powers, mu, [mu], "optimal"
+    if qe is not None:
+        excess += qe[before].cumsum() * (xs[1:n] * xs[1:n])
+    if ue is not None:
+        excess += ue[before].cumsum() * xs[1:n]
+    over = (excess >= spare).nonzero()[0]
+    # The points before the first over-spending one have passed; all of them,
+    # every channel at a bound, when only rounding puts sum(tau) over budget.
+    point = xs[over[0] if over.size else n - 1]
+    joined = x[:k] <= point
+    upper = None if tau is None else x[k:] <= point
+    active = joined if tau is None else joined & ~upper
+    if not active.any():
+        return None, active, upper
+    pinned = gamma[~joined].sum() + (0.0 if tau is None else tau[upper].sum())
+    mu = _quadratic_level(q, u, (budget - float(pinned)) + offset[active].sum(), active)
+    return mu, active, upper
 
 
 def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,

@@ -48,7 +48,7 @@ import numpy as np
 
 from .box import _clamped_demand, box_fill
 from .core import SORTED_FAMILIES, _classify, _level_search, illinois_root, water_fill
-from .errors import BracketFailure, DomainError, InfeasibleTarget
+from .errors import BracketFailure, DomainError, InfeasibleTarget, InversionFailure
 from .objectives import Channels, ClusterChannels
 from .problems import (
     MODE_CLUSTER, MODE_CLUSTER_MAXMIN, MODE_MAXMIN,
@@ -96,8 +96,8 @@ def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
 
     try:
         mu = _level_search(h, 0.0, _ULP_WIDTH)
-    except BracketFailure:
-        if states[max(states)][1] > t:  # no level brings the utility down to t
+    except (BracketFailure, InversionFailure):  # the level or a demand gave up
+        if states and states[max(states)][1] > t:  # no level brings it down to t
             return (None, *_group_state(channels, gamma, tau, None))
         raise InfeasibleTarget(
             f"group utility target {t} unreachable at any power") from None

@@ -215,11 +215,11 @@ class Allocation:
     a single pass: ``water_levels == [water_level]`` and ``iterations == 1``
     (empty and 1 when the lower bounds use up the budget).  The deactivation
     loop of the other families lists one level per round.  Box strategies
-    count their own iterations (``order``: binary-search probes plus the
-    final P1.1 solve's count).  An ascending solve is always ``"optimal"``;
-    ``splits`` counts its blocks after the first (each starts past a binding
-    prefix cap), and ``water_levels`` and ``iterations`` collect the blocks'
-    box solves.
+    count their own iterations (``order``: 1 on such a bank, as one pass,
+    else binary-search probes plus the final P1.1 solve's count).  An
+    ascending solve is always ``"optimal"``; ``splits`` counts its blocks
+    after the first (each starts past a binding prefix cap), and
+    ``water_levels`` and ``iterations`` collect the blocks' box solves.
 
     Every flat record is built by :func:`waterline.core.finish`, whose sets
     classify the powers against the bounds as ``check_conditions`` does.

@@ -4,13 +4,17 @@ import math
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from waterline import (
-    BOX_STRATEGIES, AscendingProblem, BoxProblem, DomainError, FairProblem,
+    BOX_STRATEGIES, AscendingProblem, BoxProblem, CustomObjective, DomainError, FairProblem,
     InfeasibleBudget, InverseMse, LogCapacity, ScenarioSpec, SimplexProblem,
     SolverConfig, build_instance, check_conditions, enumerate_box, grid_search,
     kkt_residual_box, solve_ascending, solve_box, solve_fair, solve_p1_lower)
+from waterline import box
+from waterline.box import box_fill_rows
+from waterline.objectives import Channels
 
 from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective, random_box
 
@@ -36,10 +40,9 @@ def test_degenerate_box_pins_channel(strategy):
     # In the second input the gamma = tau channel 2 is pinned at its lower
     # bound first; it must not count against the budget twice.  In the third
     # tau exceeds the budget by three ulp, so the slack-budget branch does
-    # not apply, yet at tau's own rate the demand rounds below the budget:
-    # every case of order's search under-spends.  In the fourth, bisect's
-    # bracket closes to one ulp while the total's step across it still
-    # exceeds bisect's spend tolerance.
+    # not apply, yet at tau's own rate the demand rounds below the budget.
+    # In the fourth, bisect's bracket closes to one ulp while the total's
+    # step across it still exceeds bisect's spend tolerance.
     budget, tau = 1.851135594294659, 1.8511355942946597
     assert tau - budget == 3 * math.ulp(budget)
     cases = [
@@ -245,3 +248,155 @@ def test_internal_solves_build_no_box_problem(monkeypatch):
     grid_search(fair)
     assert check_conditions(simplex, solve_p1_lower(simplex)).passed
     assert built == []
+
+
+def _assert_order_matches_set_a(problem):
+    """``order`` passes the box conditions at 1e-8 and agrees with
+    ``set_a`` to 1e-12 of the budget."""
+    alloc = solve_box(problem, SolverConfig(box_strategy="order"))
+    ref = solve_box(problem, SolverConfig(box_strategy="set_a"))
+    assert alloc.status == "optimal"
+    report = check_conditions(problem, alloc, tolerance=1e-8)
+    assert report.passed, report.residuals
+    gap = max(abs(p - q) for p, q in zip(alloc.powers, ref.powers))
+    assert gap <= 1e-12 * problem.budget, gap
+    return alloc
+
+
+def _mixed(params):
+    return [(LogCapacity if i % 2 else InverseMse)(*p) for i, p in enumerate(params)]
+
+
+_PARAMS = [(1.0, 2.0, 0.5), (0.7, 1.3, 1.1), (1.6, 0.6, 0.3), (0.9, 0.8, 1.7),
+           (1.2, 1.5, 0.9), (0.5, 1.1, 0.6)]
+
+# Each case runs through the event search of order on a log/inverse bank.
+_EVENT_CASES = {
+    # gamma = tau: the join and saturation points coincide.
+    "zero_width": BoxProblem(_mixed(_PARAMS), 6.0, [0.2, 0.5, 0.0, 0.4, 0.1, 0.3],
+                             [0.2, 2.0, 0.0, 0.4, 3.0, None]),
+    "all_open": BoxProblem(_mixed(_PARAMS), 5.0, [0.1, 0.0, 0.3, 0.2, 0.0, 0.1]),
+    # Duplicated channels: every breakpoint is tied with another.
+    "tied": BoxProblem([LogCapacity(1.0, 1.0, 0.5)] * 3 + [InverseMse(1.0, 2.0, 0.5)] * 3,
+                       4.0, [0.1] * 6, [0.9] * 3 + [0.6] * 3),
+    # b = 0 with gamma = 0: a demand that starts at the lower bound at mu = inf.
+    "b0_gamma0": BoxProblem([LogCapacity(1.0, 2.0, 0.0), InverseMse(0.8, 1.5, 0.0),
+                             LogCapacity(1.3, 0.7, 0.6), InverseMse(1.1, 0.9, 0.4)],
+                            3.0, [0.0, 0.0, 0.2, 0.1], [1.0, None, 2.0, 0.3]),
+    "mixed": BoxProblem(_mixed(_PARAMS), 3.0, [0.0, 0.1, 0.2, 0.0, 0.1, 0.0],
+                        [0.5, 1.0, None, 0.8, 0.4, None]),
+    # The running sum of w rounds to 0 before the infinite-tau events
+    # (1e-20 + 1e-20 + 1 - 1): the first of them must still end the search.
+    "cancelled_running_sum": BoxProblem(
+        [LogCapacity(1e-20, 1.0, 0.0), LogCapacity(1.0, 1.0, 1.0), LogCapacity(1e-20, 1.0, 0.0)],
+        3.0, None, [None, 1.0, None]),
+    # The budget is an ulp below sum(tau), and no point's total reaches it
+    # after rounding: every channel ends at a bound.
+    "ulp_below_sum_tau": BoxProblem(
+        [LogCapacity(1.7308641835916074, 0.8145564644119183, 1.8169037471088212),
+         InverseMse(1.7118002178520817, 1.7031209227083848, 1.8661253420673234),
+         LogCapacity(1.248220175514521, 1.414406093567778, 1.3415461209294817)],
+        4.277987722769551, [0.09515133861681585, 0.25076085009195537, 0.46330960376731134],
+        [1.9311685435941566, 0.4894690026523777, 1.8573501765230174]),
+    # As above with tied saturation points.
+    "tied_ulp_below_sum_tau": BoxProblem(
+        [LogCapacity(1.9918804549972156, 1.8203197869945464, 1.7763008725866425)] * 2,
+        0.9999999999999999, [0.1, 0.2], [0.5, 0.5]),
+    "ulp_below_tau": BoxProblem(
+        [LogCapacity(0.6848672795683585, 0.863815295797183, 1.40693007457764)],
+        1.098113663835375, [0.3654981764892732], [1.0981136638353752]),
+}
+
+
+@pytest.mark.parametrize("name", _EVENT_CASES)
+def test_order_event_search_edge_cases(name):
+    problem = _EVENT_CASES[name]
+    alloc = _assert_order_matches_set_a(problem)
+    assert alloc.iterations == 1 and len(alloc.water_levels) <= 1
+
+
+@pytest.mark.parametrize("family", ["log_capacity", "inverse_mse", "mixed"])
+def test_order_event_search_passes_its_certificate_across_wide_ranges(family):
+    """The paper's dynamic range: w in 1e-2..1e2, a in 1e-4..1e4, b in
+    1e-4..1e2 (log-uniform), budgets K*(1e-3..1e3), K from 2 to 200."""
+    rng = np.random.default_rng(zlib.crc32(family.encode()))
+    for _ in range(40):
+        k = int(rng.integers(2, 201))
+        names = [family] * k if family != "mixed" else \
+            rng.choice(["log_capacity", "inverse_mse"], k).tolist()
+        w, a, b = (10 ** rng.uniform(lo, hi, k) for lo, hi in ((-2, 2), (-4, 4), (-4, 2)))
+        budget = k * 10 ** rng.uniform(-3, 3)
+        gamma = rng.uniform(0, 0.6, k) * budget / k
+        tau = gamma + rng.uniform(0.2, 2.5, k) * budget / k
+        tau[rng.random(k) < 0.2] = np.inf
+        channels = Channels.from_arrays(names, w, a, b)
+        _assert_order_matches_set_a(BoxProblem(
+            channels.objectives, float(budget), gamma.tolist(),
+            [None if math.isinf(t) else t for t in tau.tolist()]))
+
+
+@pytest.mark.parametrize("families", [["inverse_mse"], ["log_capacity", "inverse_mse"]],
+                         ids=["inverse_mse", "mixed"])
+def test_order_on_a_log_inverse_bank_calls_no_water_fill(monkeypatch, families):
+    """order on a log/inverse bank takes each row's level from one sort of
+    its breakpoints: no water_fill and no probes, only the demands at the
+    levels (one call for every row of a one-family bank, one per row of a
+    mixed bank)."""
+    rng = np.random.default_rng(3)
+    k = 40
+    channels = Channels.from_arrays(families * (k // len(families)),
+                                    *rng.uniform(0.5, 2.0, (3, k)))
+    gamma = rng.uniform(0.0, 0.05, (4, k))
+    tau = gamma + rng.uniform(0.1, 1.0, (4, k))
+    tau[1, ::3] = np.inf
+    budget = np.array([5.0, 8.0, 3.0, 12.0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("water_fill called")
+    calls = []
+
+    def counted(self, mu, start=None, _demand=Channels.demand):
+        calls.append(np.shape(mu))
+        return _demand(self, mu, start)
+    monkeypatch.setattr(box, "water_fill", refuse)
+    monkeypatch.setattr(Channels, "demand", counted)
+    rows = box_fill_rows(channels, gamma, tau, budget)
+    assert calls == ([(4, 1)] if len(families) == 1 else [()] * 4)
+    for i, (powers, mu, iterations, status, levels) in enumerate(rows):
+        assert (iterations, status, levels) == (1, "optimal", [mu])
+        problem = BoxProblem(channels.objectives, float(budget[i]), gamma[i].tolist(),
+                             [None if math.isinf(t) else t for t in tau[i].tolist()])
+        assert check_conditions(problem, powers.tolist(), tolerance=1e-8).passed
+
+
+def _root_from_half():
+    """2*sqrt(p - 0.5): a custom utility whose domain starts at 0.5, with an
+    infinite rate there and no rate below it."""
+    return CustomObjective(lambda p: 2.0 * math.sqrt(p - 0.5),
+                           lambda p: 1.0 / math.sqrt(p - 0.5) if p != 0.5 else math.inf,
+                           lambda p: -0.5 * (p - 0.5) ** -1.5, domain_min=0.5)
+
+
+@pytest.mark.parametrize("strategy", BOX_STRATEGIES)
+def test_box_with_a_domain_above_the_lower_bound(strategy):
+    # bisect's highest level is the largest rate at the lower bounds, read at
+    # the custom channel's domain edge (its rate is undefined at 0) and then
+    # 1e-12 inside it, where the rate is finite.
+    problem = BoxProblem([_root_from_half(), LogCapacity(1.0, 2.0, 1.0)], 3.0,
+                         [0.0, 0.0], [None, 1.0])
+    alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
+    assert alloc.status == "optimal"
+    report = check_conditions(problem, alloc, tolerance=1e-8)
+    assert report.passed, report.residuals
+
+
+def test_bisect_with_an_infinite_rate_at_the_lower_bound():
+    # log(a*p) with b = 0 has an infinite rate at p = 0 = gamma: bisect reads
+    # the rate 1e-12 inside its domain for its highest level.
+    problem = BoxProblem([LogCapacity(1.0, 2.0, 0.0), LogCapacity(1.0, 1.0, 1.0)],
+                         2.0, None, [None, 1.5])
+    alloc = solve_box(problem, SolverConfig(box_strategy="bisect"))
+    assert alloc.status == "optimal"
+    assert alloc.powers == pytest.approx([1.5, 0.5], abs=1e-9)
+    report = check_conditions(problem, alloc, tolerance=1e-8)
+    assert report.passed, report.residuals

@@ -451,6 +451,22 @@ def test_group_search_rejects_a_target_above_tau_at_once(monkeypatch):
     assert mu is not None and utility >= top and powers.tolist() == tau.tolist()
 
 
+def test_group_search_with_an_open_box_rejects_an_unreachable_target():
+    """With an infinite upper bound no utility at tau caps the target, and
+    the sum family's inversion gives up as the level halves: that is an
+    InfeasibleTarget, not an InversionFailure.  A reachable target solves."""
+    from waterline import AfRelay, InfeasibleTarget, fair
+    group = Channels([AfRelay(1.0, 0.5, 1.0),
+                      SumLog([1.0, 0.5], 1.0, 1.0, [1.0, 2.0], [1.0, 0.5])])
+    gamma, tau = np.zeros(2), np.array([1.0, np.inf])
+    for t in (1e3, 1e300):
+        with pytest.raises(InfeasibleTarget):
+            fair._group_mu_for_t(group, gamma, tau, t)
+    mu, powers, utility, _ = fair._group_mu_for_t(group, gamma, tau, 50.0)
+    assert mu is not None and utility >= 50.0
+    assert powers[0] <= tau[0] and utility == pytest.approx(50.0, rel=1e-9)
+
+
 def test_group_search_cost_without_a_table(monkeypatch):
     """An af_relay or sum_log group has no breakpoint table; a fixed target
     takes at most 20 group evaluations (a x4 bracket and bisection to 1e-15

@@ -7,7 +7,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 import numpy as np  # noqa: E402
-from hypothesis import example, given, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, strategies as st  # noqa: E402
 
 from waterline import (  # noqa: E402
     BOX_STRATEGIES, FAIR_MODES, AfRelay, AscendingProblem, BoxProblem,
@@ -184,14 +184,17 @@ def test_every_ascending_strategy_agrees_and_passes_its_conditions(problem):
 
 @st.composite
 def box_rows(draw):
-    """S box problems on one closed-form bank: rows with some infinite
+    """S box problems on one closed-form bank, of one family or of
+    log_capacity and inverse_mse channels mixed: rows with some infinite
     upper bounds, with none finite, with every upper bound inside the budget,
     and with lower bounds that use the whole budget."""
-    family = draw(st.sampled_from(CLOSED_FORM_FAMILIES))
+    family = draw(st.sampled_from(CLOSED_FORM_FAMILIES + ("mixed",)))
     k = draw(st.integers(1, 12))
     w, b = ([draw(_param) for _ in range(k)] for _ in range(2))
     a = [draw(st.floats(0.1, 0.9)) if family == "af_relay" else draw(_param)
          for _ in range(k)]
+    if family == "mixed":
+        family = [draw(st.sampled_from(["log_capacity", "inverse_mse"])) for _ in range(k)]
     gammas, taus, budgets = [], [], []
     for _ in range(draw(st.integers(1, 6))):
         kind = draw(st.sampled_from(["box", "open", "all_upper", "floor"]))
@@ -225,6 +228,25 @@ def test_row_search_matches_one_box_fill_per_row(rows):
             expected = box_fill(bank, gamma[i], tau[i], float(budget[i]), cfg)
             assert powers.tobytes() == expected[0].tobytes(), (strategy, i)
             assert (iterations, status, levels) == expected[2:], (strategy, i)
+
+
+@given(box_rows())
+def test_event_search_rows_pass_their_conditions(rows):
+    """On a log_capacity/inverse_mse bank, mixed or not, every row of the
+    order batch passes the box conditions at 1e-8 and agrees with set_a to
+    1e-12 of its budget."""
+    bank, gamma, tau, budget = rows
+    assume(bank.family != "af_relay")
+    set_a = SolverConfig(box_strategy="set_a")
+    for i, (powers, *_) in enumerate(box_fill_rows(bank, gamma, tau, budget)):
+        if budget[i] <= 0:  # a floor row of zero lower bounds is no problem
+            continue
+        problem = BoxProblem(bank.objectives, float(budget[i]), gamma[i].tolist(),
+                             [None if math.isinf(t) else t for t in tau[i].tolist()])
+        report = check_conditions(problem, powers.tolist(), tolerance=1e-8)
+        assert report.passed, (i, report.residuals)
+        reference = box_fill(bank, gamma[i], tau[i], float(budget[i]), set_a)[0]
+        assert np.abs(powers - reference).max() <= 1e-12 * budget[i], i
 
 
 _EDGE_NUMBERS = (-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 10**400, -10**400)
