@@ -2,11 +2,12 @@
 
 Strategies (selected through ``SolverConfig.box_strategy``):
 
-* ``set_a``  -- repeated lower-bound solves; channels that hit their upper
-  bound are clamped there and removed with the budget shrunk accordingly.
-* ``set_b``  -- the balanced dual-index variant that pins lower and upper
-  violations alternately; each round pins a channel more at the upper
-  bounds, or as many there and one more at the lower bounds, so it ends.
+* ``set_a``  -- repeated lower-bound (P1.1) solves by
+  :func:`~waterline.core.water_fill`; channels that hit their upper bound
+  are clamped there and removed with the budget shrunk accordingly.
+* ``set_b``  -- the same loop over :func:`~waterline.core.deactivation_loop`,
+  which pins lower-bound violations round by round (one closed-form level
+  per round on a ``log_capacity``/``inverse_mse`` bank).
 * ``bisect`` -- outer bisection on the water level with clamped demands.
 * ``order``  -- the default.  On a ``log_capacity``/``inverse_mse`` bank,
   mixed or not, one sort of the points where each channel's demand reaches
@@ -33,12 +34,12 @@ cross-strategy agreement is part of the acceptance suite.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    _breakpoint_level, _classify, _water_level_and_powers, finish, water_fill)
+from .core import _breakpoint_level, _classify, deactivation_loop, finish, water_fill
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .objectives import Channels
 from .problems import (
@@ -54,14 +55,16 @@ def _clamped_demand(channels: Channels, mu: float, gamma: np.ndarray,
 
 
 def _set_a(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
-           cfg: SolverConfig):
-    """Algorithm built on the lower-bound solver with upper-bound clamping."""
+           cfg: SolverConfig, p1=water_fill):
+    """Repeated P1.1 solves by ``p1`` on the channels not pinned at tau: each
+    round pins those that reach tau there and shrinks the budget by their
+    tau.  Once the budget left exceeds the other channels' floors by no more
+    than ``cfg.power_tolerance`` of the original, they sit at gamma."""
     remaining = np.arange(len(channels))
-    powers = np.zeros(len(channels))
-    calls = 0
-    while remaining.size:
-        sub_powers, mu, _, _ = water_fill(channels.take(remaining), gamma[remaining],
-                                          budget, cfg)
+    powers = gamma.copy()
+    mu, calls, slack = None, 0, cfg.power_tolerance * budget
+    while remaining.size and budget - float(gamma[remaining].sum()) > slack:
+        sub_powers, mu, _, _ = p1(channels.take(remaining), gamma[remaining], budget, cfg)
         calls += 1
         powers[remaining] = sub_powers
         hit = sub_powers >= tau[remaining]
@@ -71,63 +74,7 @@ def _set_a(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float
         powers[pinned] = tau[pinned]
         budget -= float(tau[pinned].sum())
         remaining = remaining[~hit]
-    return powers, mu, calls, "optimal", []
-
-
-def _set_b(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
-           cfg: SolverConfig):
-    """Balanced dual-index solver.
-
-    Every channel is free, pinned at gamma or pinned at tau: the masks
-    ``at_gamma`` and ``at_tau`` never overlap.  Only free channels can
-    violate a bound, so each round pins at least one more channel at tau,
-    or keeps ``at_tau`` and pins at least one more at gamma: the pair
-    (|at_tau|, |at_gamma|) rises in lexicographic order and the loop ends.
-    """
-    k = len(channels)
-    at_gamma = np.zeros(k, dtype=bool)
-    at_tau = np.zeros(k, dtype=bool)
-    powers = gamma.copy()
-    near_gamma = gamma + 1e-12 * (1.0 + gamma)
-    mu: float | None = None
-
-    def recompute():
-        """Water-fill the free channels with the budget the pinned ones leave."""
-        nonlocal mu
-        free = ~(at_gamma | at_tau)
-        if not free.any():
-            return
-        # Summed left to right: the violation tests compare powers with the
-        # bounds to the last bit, so the rounding of this sum can change
-        # which channels pin next.
-        remaining = budget - (sum(gamma[at_gamma].tolist()) + sum(tau[at_tau].tolist()))
-        if remaining <= cfg.power_tolerance * budget:
-            powers[free] = gamma[free]
-            at_gamma[free] = True
-            return
-        index = free.nonzero()[0]
-        mu, powers[index] = _water_level_and_powers(
-            channels.take(index), remaining, cfg, scale=budget)
-
-    recompute()
-    rounds = 0
-    while True:
-        free = ~(at_gamma | at_tau)
-        lower_viol = free & (powers <= near_gamma)
-        upper_viol = free & (powers >= tau)
-        if not (lower_viol.any() or upper_viol.any()):
-            break
-        rounds += 1
-        if lower_viol.any():
-            at_gamma |= lower_viol
-            powers[lower_viol] = gamma[lower_viol]
-        else:
-            # Pin the upper violations and release every lower pin.
-            at_tau |= upper_viol
-            powers[upper_viol] = tau[upper_viol]
-            at_gamma[:] = False
-        recompute()
-    return powers, mu, max(rounds, 1), "optimal", []
+    return powers, mu, max(calls, 1), "optimal", []
 
 
 def _rate_inside(channels: Channels, powers: np.ndarray) -> np.ndarray:
@@ -241,7 +188,8 @@ def _order(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float
     return powers, mu, probes + (len(water_levels) or 1), "optimal", water_levels
 
 
-_STRATEGIES = dict(zip(BOX_STRATEGIES, (_set_a, _set_b, _bisect, _order)))
+_STRATEGIES = dict(zip(BOX_STRATEGIES,
+                       (_set_a, partial(_set_a, p1=deactivation_loop), _bisect, _order)))
 
 
 def _fill(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,

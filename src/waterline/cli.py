@@ -105,6 +105,8 @@ def cmd_solve(instance, strategy, tol, out):
 
 
 def _rebuild_fair_solution(problem: FairProblem, doc: dict) -> FairSolution:
+    """A fair result's powers, group totals and utilities, and t: the fields
+    :func:`~waterline.oracle.check_conditions` reads; the rest stay empty."""
     powers = doc["powers"]
     if not isinstance(powers, list) or len(powers) != len(problem.groups) or \
             any(len(row) != len(g) for row, g in zip(powers, problem.groups)):
@@ -112,16 +114,9 @@ def _rebuild_fair_solution(problem: FairProblem, doc: dict) -> FairSolution:
     totals = [sum(row) for row in powers]
     utilities = [float(ClusterChannels(g).bind(total).eval(row).sum())
                  for g, row, total in zip(problem.groups, powers, totals)]
-    active_sets = doc.get("active_sets") or [
-        [i for i, p in enumerate(row)
-         if p > problem.lower_bounds[j][i] + 1e-12 * (1 + problem.lower_bounds[j][i])]
-        for j, row in enumerate(powers)]
-    return FairSolution(
-        powers=[list(r) for r in powers],
-        water_levels=doc.get("water_levels") or [None] * len(powers),
-        group_totals=totals, group_utilities=utilities,
-        t=doc.get("t", min(utilities)), active_sets=active_sets,
-        iterations=doc.get("iterations", 0), status=doc.get("status", "unknown"))
+    return FairSolution(powers=powers, water_levels=[], group_totals=totals,
+                        group_utilities=utilities, t=doc.get("t", min(utilities)),
+                        active_sets=[], iterations=0, status="")
 
 
 @main.command("verify")

@@ -230,8 +230,9 @@ def _outer_search(evaluate, budget: float, cfg: SolverConfig, increasing: bool,
     if h_lo <= tol:
         return done(lo)
     x = illinois_root(h, lo, hi, h_lo, h_hi, tol, _ULP_WIDTH)
-    if abs(h(x)) > tol:  # stopped on width: the end within the budget
-        x = min((sign * hp, p) for p, (hp, _) in probes.items() if sign * hp >= 0)[1]
+    if abs(h(x)) > tol:  # stopped on width: the end within the budget, ties to the root
+        x = min((p for p, (hp, _) in probes.items() if sign * hp >= 0),
+                key=lambda p: (sign * probes[p][0], -sign * p))
     return done(x)
 
 

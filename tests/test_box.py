@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from waterline import (
-    BOX_STRATEGIES, AscendingProblem, BoxProblem, CustomObjective, DomainError, FairProblem,
-    InfeasibleBudget, InverseMse, LogCapacity, ScenarioSpec, SimplexProblem,
-    SolverConfig, build_instance, check_conditions, enumerate_box, grid_search,
-    kkt_residual_box, solve_ascending, solve_box, solve_fair, solve_p1_lower)
+    BOX_STRATEGIES, AfRelay, AscendingProblem, BoxProblem, CustomObjective, DomainError,
+    FairProblem, InfeasibleBudget, InverseMse, LogCapacity, ScenarioSpec, SimplexProblem,
+    SolverConfig, SumInverseMse, SumLog, build_instance, check_conditions, enumerate_box,
+    grid_search, kkt_residual_box, solve_ascending, solve_box, solve_fair, solve_p1_lower)
 from waterline import box
 from waterline.box import box_fill_rows
 from waterline.objectives import Channels
@@ -367,6 +367,37 @@ def test_order_on_a_log_inverse_bank_calls_no_water_fill(monkeypatch, families):
         problem = BoxProblem(channels.objectives, float(budget[i]), gamma[i].tolist(),
                              [None if math.isinf(t) else t for t in tau[i].tolist()])
         assert check_conditions(problem, powers.tolist(), tolerance=1e-8).passed
+
+
+def test_set_b_on_a_p1_warm_starts_like_solve_p1_lower(monkeypatch):
+    """A P1 posed as a box with no upper bounds: ``set_b`` runs one
+    deactivation loop, whose rounds warm-start each other, so it makes as
+    many ``demand`` calls as ``solve_p1_lower`` and gives the same powers."""
+    rng = np.random.default_rng(81)
+    k, objs = 256, []
+    for i in range(k):  # the benchmark's five-family P1 draw
+        w, a, b = (float(x) for x in rng.uniform(0.5, 2.0, 3))
+        if i % 5 < 2:
+            objs.append((LogCapacity, InverseMse)[i % 5](w, a, b))
+        elif i % 5 == 2:
+            objs.append(AfRelay(w, float(rng.uniform(0.1, 0.9)), b))
+        else:
+            terms = [[float(x) for x in rng.uniform(0.5, 2.0, 3)] for _ in range(3)]
+            objs.append((SumLog if i % 5 == 3 else SumInverseMse)(
+                terms[0], a, b, terms[1], terms[2]))
+    problem = SimplexProblem(objs, k * float(rng.uniform(1.0, 2.0)))
+    calls = []
+
+    def counted(self, mu, start=None, _demand=Channels.demand):
+        calls.append(mu)
+        return _demand(self, mu, start)
+    monkeypatch.setattr(Channels, "demand", counted)
+    ref = solve_p1_lower(problem)
+    ref_calls, calls[:] = len(calls), []
+    alloc = solve_box(BoxProblem(objs, problem.budget),
+                      SolverConfig(box_strategy="set_b"))
+    assert len(calls) == ref_calls
+    assert alloc.powers == ref.powers
 
 
 def _root_from_half():

@@ -262,6 +262,20 @@ def test_sweep_uniform_when_bounds_equal(runner, tmp_path):
     assert doc["powers"] == pytest.approx([uniform] * len(doc["powers"]))
 
 
+def test_sweep_counts_instances_it_cannot_solve_as_errors(runner):
+    # gamma = 1.5 puts each lower bound at 1.5 times the uniform share, so
+    # the floors exceed the budget: every instance is refused, and each row
+    # counts its refusals.
+    result = runner.invoke(main, [
+        "sweep", "--subcarriers", "16", "--realizations", "3",
+        "--snr-list=0,10", "--gamma", "1.5"])
+    assert result.exit_code == 0 and result.exception is None, result.output
+    assert "Traceback" not in result.output
+    rows = list(csv.DictReader(io.StringIO(result.output)))
+    assert [(r["snr_db"], r["solved"], r["errors"]) for r in rows] == [
+        ("0.0", "0", "3"), ("10.0", "0", "3")]
+
+
 def test_solve_rejects_cluster_upper_bounds(runner, tmp_path):
     cluster = {"family": "cluster_log_capacity", "w": 1.0, "a": 1.0,
                "sigma_e2": 0.1, "sigma_n2": 1.0}

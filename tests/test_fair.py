@@ -426,6 +426,31 @@ def test_group_search_ends():
     assert mu is None and powers.tolist() == [0.0] and (utility, total) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("increasing", [True, False], ids=["increasing", "decreasing"])
+def test_outer_search_width_stop_keeps_the_fitting_probe_next_to_the_step(increasing):
+    """A total that steps over the budget at x = 0.5 leaves no probe within
+    the tolerance, so the search stops on width.  Every fitting probe leaves
+    the same budget over, and the tie goes to the one next to the step: the
+    largest probe below 0.5 for a rising total, 0.5 itself for a falling one."""
+    from waterline import SolverConfig
+    from waterline.fair import _outer_search
+    probed = []
+
+    def evaluate(x):
+        probed.append(x)
+        return (2.0 if (x >= 0.5) == increasing else 0.0), x
+
+    x, payload, evaluations = _outer_search(evaluate, 1.0, SolverConfig(), increasing,
+                                            hi=1.0, lo=0.0)
+    assert payload == x and evaluations == len(set(probed))
+    assert evaluate(x)[0] <= 1.0
+    if increasing:
+        assert x == max(p for p in probed if p < 0.5)
+        assert x > 0.5 - 1e-12
+    else:
+        assert x == 0.5
+
+
 def test_group_search_rejects_a_target_above_tau_at_once(monkeypatch):
     """When every upper bound is finite, a target above the utility there
     raises InfeasibleTarget after one group evaluation (the floor), not after

@@ -89,6 +89,22 @@ def test_block_whose_floors_fill_a_cap_takes_them(strategy):
     assert check_conditions(problem, alloc, tolerance=1e-8).passed
 
 
+@pytest.mark.parametrize("strategy", BOX_STRATEGIES)
+def test_block_whose_tau_pins_spend_it_above_a_subnormal_floor(strategy):
+    # Channel 1 pins at tau and spends the first block's whole budget, which
+    # leaves 0 for channel 0 against its subnormal floor: within rounding,
+    # the floor spends what is left.
+    params = [(1, 0.2, 0.05), (2.8123299750907003, 1, 0.05), (1, 0.2, 0.05),
+              (3.06312762859778, 0.2, 0.557259845727554),
+              (2.4570375742313826, 1.0132381092678449, 0.05), (0.2, 1, 0.05)]
+    problem = AscendingProblem([LogCapacity(*p) for p in params], [0.2] + [0.5] * 5,
+                               [5.562684646268003e-309] + [0.0] * 5,
+                               [None, 0.5, 0.0, 0.0, 0.0, 0.0])
+    alloc = solve_ascending(problem, SolverConfig(box_strategy=strategy))
+    assert alloc.status == "optimal"
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
+
+
 def test_mixed_bank_blocks_agree_across_strategies():
     # Alternating log_capacity and inverse_mse channels (one log channel with
     # b = 0) under tight caps, as the benchmark's ascending files draw them:
