@@ -8,7 +8,9 @@ Strategies (selected through ``SolverConfig.box_strategy``):
 * ``set_b``  -- the same loop over :func:`~waterline.core.deactivation_loop`,
   which pins lower-bound violations round by round (one closed-form level
   per round on a ``log_capacity``/``inverse_mse`` bank).
-* ``bisect`` -- outer bisection on the water level with clamped demands.
+* ``bisect`` -- the shared level search
+  (:func:`~waterline.core._level_search`) on the total of the demands
+  clamped into the boxes; the name is kept for files and the CLI.
 * ``order``  -- the default.  On a ``log_capacity``/``inverse_mse`` bank,
   mixed or not, one sort of the points where each channel's demand reaches
   its lower and its upper bound gives the level's segment and the level in
@@ -39,19 +41,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _breakpoint_level, _classify, deactivation_loop, finish, water_fill
+from .core import (
+    _breakpoint_level, _classify, _level_search, deactivation_loop, finish, water_fill)
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .objectives import Channels
 from .problems import (
     BOX_STRATEGIES, Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig)
 
 _DEFAULT_CFG = SolverConfig()
-
-
-def _clamped_demand(channels: Channels, mu: float, gamma: np.ndarray,
-                    tau: np.ndarray) -> np.ndarray:
-    """Demands at water level ``mu``, clipped into each channel's box."""
-    return np.minimum(np.maximum(channels.demand(mu), gamma), tau)
 
 
 def _set_a(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
@@ -91,51 +88,31 @@ def _rate_inside(channels: Channels, powers: np.ndarray) -> np.ndarray:
 
 def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
             cfg: SolverConfig):
-    """Outer bisection on the water level with per-channel clamping."""
+    """The floors, if they fill the budget to ``cfg.power_tolerance``; else
+    :func:`~waterline.core._level_search` on the clamped total minus the budget
+    from the largest rate at the lower bounds, each level's demands
+    warm-starting the next; iterations count its evaluations.  A stop on
+    bracket width that over-spends beyond the search's tolerance takes the
+    evaluation that under-spends least, which the bracket holds."""
+    if budget - float(gamma.sum()) <= cfg.power_tolerance * budget:
+        return gamma.copy(), None, 1, "optimal", []
     sigma = 1e-4 * cfg.power_tolerance * budget
-    start = None
+    start, evals, last, under = None, 0, None, None
 
-    def clamped_total(mu_val: float):
-        nonlocal start  # the last level's demands warm-start the next
+    def excess(mu_val: float) -> float:
+        nonlocal start, evals, last, under
         start = channels.demand(mu_val, start)
         powers = np.minimum(np.maximum(start, gamma), tau)
-        return powers, float(powers.sum())
+        evals, last = evals + 1, (powers, mu_val, float(powers.sum()) - budget)
+        if last[2] <= 0 and (under is None or last[2] > under[2]):
+            under = last
+        return last[2]
 
-    mu_max = float(_rate_inside(channels, gamma).max())
-    finite = np.isfinite(tau).nonzero()[0]
-    if finite.size:
-        mu_min = float(_rate_inside(channels.take(finite), tau[finite]).min())
-    else:
-        mu_min = float(_rate_inside(channels, np.full(len(channels), budget)).min())
-    # Force a valid bracket in case the initial guesses do not straddle P.
-    for _ in range(200):
-        if clamped_total(mu_min)[1] >= budget:
-            break
-        mu_min *= 0.5
-    for _ in range(200):
-        if clamped_total(mu_max)[1] <= budget:
-            break
-        mu_max *= 2.0
-
-    best_powers, best_total = clamped_total(0.5 * (mu_min + mu_max))
-    best_mu = 0.5 * (mu_min + mu_max)
-    iterations = 0
-    while abs(best_total - budget) > sigma:
-        iterations += 1
-        if best_total > budget:
-            mu_min = best_mu
-        else:
-            mu_max = best_mu
-        best_mu = 0.5 * (mu_min + mu_max)
-        if not mu_min < best_mu < mu_max:
-            # One ulp apart, still off by sigma: take the end that under-spends.
-            best_mu = mu_max
-            best_powers, best_total = clamped_total(best_mu)
-            break
-        best_powers, best_total = clamped_total(best_mu)
-    spent = abs(best_total - budget) <= cfg.power_tolerance * budget
-    return (best_powers, best_mu, max(iterations, 1),
-            "optimal" if spent else "feasible", [])
+    _level_search(excess, sigma, 1e-4 * cfg.mu_tolerance,
+                  float(_rate_inside(channels, gamma).max()))
+    powers, mu, gap = last if last[2] <= sigma else under
+    return (powers, mu, evals,
+            "optimal" if abs(gap) <= cfg.power_tolerance * budget else "feasible", [])
 
 
 def _order_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,

@@ -104,13 +104,22 @@ def cmd_solve(instance, strategy, tol, out):
         click.echo(dumps(doc))
 
 
+def _check_powers(powers, n: int) -> None:
+    """Raise :class:`SchemaError` unless ``powers`` lists ``n`` finite numbers."""
+    if not isinstance(powers, list) or len(powers) != n:
+        raise SchemaError("powers", "shape does not match the instance")
+    if not all(type(p) in (int, float) and abs(p) <= sys.float_info.max for p in powers):
+        raise SchemaError("powers", "every power must be a finite number")
+
+
 def _rebuild_fair_solution(problem: FairProblem, doc: dict) -> FairSolution:
     """A fair result's powers, group totals and utilities, and t: the fields
     :func:`~waterline.oracle.check_conditions` reads; the rest stay empty."""
     powers = doc["powers"]
-    if not isinstance(powers, list) or len(powers) != len(problem.groups) or \
-            any(len(row) != len(g) for row, g in zip(powers, problem.groups)):
-        raise SchemaError("powers", "group shapes do not match the instance")
+    if not isinstance(powers, list) or len(powers) != len(problem.groups):
+        raise SchemaError("powers", "group count does not match the instance")
+    for row, group in zip(powers, problem.groups):
+        _check_powers(row, len(group))
     totals = [sum(row) for row in powers]
     utilities = [float(ClusterChannels(g).bind(total).eval(row).sum())
                  for g, row, total in zip(problem.groups, powers, totals)]
@@ -138,9 +147,7 @@ def cmd_verify(instance, result, tol):
             allocation = _rebuild_fair_solution(problem, doc)
         else:
             allocation = doc["powers"]
-            if not isinstance(allocation, list) or \
-                    len(allocation) != problem.n:
-                _fail(1, "powers: length does not match the instance")
+            _check_powers(allocation, problem.n)
         report = check_conditions(problem, allocation, tolerance=tol)
     except SchemaError as exc:
         _fail(1, str(exc))

@@ -82,19 +82,39 @@ def _demand_terms(channels: Channels, c: np.ndarray | None = None):
     return terms[LogCapacity], terms[InverseMse], x
 
 
-def _quadratic_level(q, u, total: float, at=slice(None)) -> float:
-    """The level mu at which the channels ``at`` of terms ``q`` and ``u``
-    (:func:`_demand_terms`) demand ``total`` plus their offsets.  With Q and
-    U the sums of their terms, it is the positive root s = sqrt(mu) of
-    total*s**2 - U*s - Q, in a form that does not cancel, squared as
-    (Q + U*s)/total; with Q = 0, as s*s.  So a ``log_capacity`` bank's level
-    is Q/total and an ``inverse_mse`` bank's (U/total)**2, each in the
-    operations of its family's closed form."""
-    q_sum = 0.0 if q is None else float(q[at].sum())
-    u_sum = 0.0 if u is None else float(u[at].sum())
-    total = float(total)
-    s = (u_sum + math.sqrt(u_sum * u_sum + 4.0 * q_sum * total)) / (2.0 * total)
-    return (q_sum + u_sum * s) / total if q_sum else s * s
+def _quadratic_level(q_sum, u_sum, total):
+    """The level mu at which channels whose terms (:func:`_demand_terms`) sum
+    to Q = ``q_sum`` and U = ``u_sum`` demand ``total`` plus their offsets:
+    the positive root s = sqrt(mu) of total*s**2 - U*s - Q, in a form that
+    does not cancel, squared as (Q + U*s)/total; with Q = 0, as s*s.  So a
+    ``log_capacity`` bank's level is Q/total and an ``inverse_mse`` bank's
+    (U/total)**2, each in the operations of its family's closed form.
+    Floats give a float; arrays of equal shape, one level per entry."""
+    sqrt = np.sqrt if isinstance(total, np.ndarray) else math.sqrt
+    s = (u_sum + sqrt(u_sum * u_sum + 4.0 * q_sum * total)) / (2.0 * total)
+    level = (q_sum + u_sum * s) / total
+    if sqrt is np.sqrt:
+        return np.where(q_sum != 0, level, s * s)
+    return level if q_sum else s * s
+
+
+def _bank_points(channels: Channels, gamma: np.ndarray, tau: np.ndarray | None = None):
+    """``(q, u, offset, c, x, order)`` of a ``log_capacity``/``inverse_mse``
+    bank (None for any other set): :func:`_demand_terms`' terms, b/a, the
+    bounds plus b/a, the points x where the channels join (demand ``gamma``)
+    then, given ``tau``, saturate, and their sorting order, stable without
+    ``tau`` for P1.1's equal joins."""
+    if not channels.banked:
+        return None
+    k, offset = len(gamma), channels.b / channels.a
+    c = gamma + offset if tau is None else np.concatenate((gamma + offset, tau + offset))
+    terms = _demand_terms(channels, c[:k])
+    if terms is None:
+        return None
+    q, u, x = terms
+    if tau is not None:
+        x = np.concatenate((x, _demand_terms(channels, c[k:])[2]))
+    return q, u, offset, c, x, np.argsort(x, kind="stable" if tau is None else "quicksort")
 
 
 def _closed_form_mu(channels: Channels, budget: float) -> float | None:
@@ -108,7 +128,8 @@ def _closed_form_mu(channels: Channels, budget: float) -> float | None:
     denom = budget + (channels.b / channels.a).sum()
     if denom <= 0:
         raise BracketFailure("budget below the reachable demand range")
-    return _quadratic_level(terms[0], terms[1], denom)
+    q_sum, u_sum = (0.0 if v is None else float(v.sum()) for v in terms[:2])
+    return _quadratic_level(q_sum, u_sum, float(denom))
 
 
 def _water_level_and_powers(channels: Channels, budget: float,
@@ -269,37 +290,28 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
 
 def _breakpoint_level(channels: Channels, gamma: np.ndarray, budget: float,
                       tau: np.ndarray | None = None, cfg: SolverConfig = _DEFAULT_CFG):
-    """The water level of one problem on a bank of ``log_capacity`` and
-    ``inverse_mse`` channels, mixed or not (None for any other set); inputs
-    unchecked, ``tau`` None for P1.1.  Returns ``(mu, active, upper)``: the
-    level (None with no interior channel) and the masks of the interior
-    channels and of those at tau (None for P1.1).  A channel joins where it
-    demands its lower bound and saturates where it demands tau; one sort of
-    these 2K points and running sums of q, u and the bounds plus b/a give
-    the clamped total at each, the first over the budget ends the level's
-    segment, and the level is :func:`_quadratic_level` on sums masked to
-    the segment's interior channels, free of the running sums' rounding.
-    """
-    if not channels.banked:
-        return None
-    offset = channels.b / channels.a
-    c = gamma + offset
-    terms = _demand_terms(channels, c)
-    if terms is None:
+    """The water level of one problem on a ``log_capacity``/``inverse_mse``
+    bank, mixed or not (None for any other set); inputs unchecked, ``tau``
+    None for P1.1.  Returns ``(mu, active, upper)``: the level (None with no
+    interior channel) and the masks of the interior channels and of those at
+    tau (None for P1.1).  Running sums of q, u and the bounds plus b/a over
+    the sorted :func:`_bank_points` give the clamped total at each; the first
+    over the budget ends the level's segment, and the level is
+    :func:`_quadratic_level` of the sums over the segment's interior
+    channels, free of the running sums' rounding."""
+    bank = _bank_points(channels, gamma, tau)
+    if bank is None:
         return None
     floor = float(gamma.sum())
     if floor > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
-    k, spare, (q, u, x) = len(gamma), budget - floor, terms
+    k, spare, (q, u, offset, c, x, order) = len(gamma), budget - floor, bank
     if spare <= cfg.power_tolerance * budget:
         return None, np.zeros(k, dtype=bool), None if tau is None else np.zeros(k, dtype=bool)
     qe, ue = q, u
     if tau is not None:  # a saturation takes its channel's terms away
-        x = np.concatenate((x, _demand_terms(channels, tau + offset)[2]))
-        c = np.concatenate((c, -(tau + offset)))
+        np.negative(c[k:], out=c[k:])
         qe, ue = (None if v is None else np.concatenate((v, -v)) for v in (q, u))
-    # P1.1 keeps its stable order of equal join points, bit for bit.
-    order = np.argsort(x, kind="stable" if tau is None else "quicksort")
     xs = x[order]
     # The points of an infinite tau come last; each over-spends.
     n = len(x) if tau is None else int(np.searchsorted(xs, np.inf))
@@ -320,7 +332,9 @@ def _breakpoint_level(channels: Channels, gamma: np.ndarray, budget: float,
     if not active.any():
         return None, active, upper
     pinned = gamma[~joined].sum() + (0.0 if tau is None else tau[upper].sum())
-    mu = _quadratic_level(q, u, (budget - float(pinned)) + offset[active].sum(), active)
+    q_sum = 0.0 if q is None else float(q[active].sum())
+    u_sum = 0.0 if u is None else float(u[active].sum())
+    mu = _quadratic_level(q_sum, u_sum, float((budget - float(pinned)) + offset[active].sum()))
     return mu, active, upper
 
 

@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .box import _clamped_demand, box_fill
+from .box import box_fill
 from .core import SORTED_FAMILIES, _classify, _level_search, illinois_root, water_fill
 from .errors import BracketFailure, DomainError, InfeasibleTarget, InversionFailure
 from .objectives import Channels, ClusterChannels
@@ -65,7 +65,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 def _group_state(channels: Channels, gamma, tau, mu: float | None):
     """Powers/utility/total at water level mu, each channel's demand clamped
     into its box (None = rest at lower bounds)."""
-    powers = gamma if mu is None else _clamped_demand(channels, mu, gamma, tau)
+    powers = gamma if mu is None else np.minimum(np.maximum(channels.demand(mu), gamma), tau)
     return powers, float(channels.eval(powers).sum()), float(powers.sum())
 
 

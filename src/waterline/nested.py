@@ -7,20 +7,63 @@ block to block (Padakandla & Sundaresan, SIAM J. Optim. 2009).  A block's
 level is the least at which every later cap holds with the later demands
 clamped into their boxes, the root of the largest excess over those caps;
 the block ends at the last cap that binds there and is solved by the
-configured box strategy.  The result is the optimum, so ``status`` is always
-``"optimal"``.
+configured box strategy.  The level is exact on a ``log_capacity``/
+``inverse_mse`` bank (:func:`_block_levels`) and searched on other families.
+The result is the optimum, so ``status`` is always ``"optimal"``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
-from .box import _clamped_demand, _rate_inside, box_fill
-from .core import _level_search, finish
+from .box import _rate_inside, box_fill
+from .core import _bank_points, _level_search, _quadratic_level, finish
 from .errors import InfeasibleBudget
+from .objectives import Channels
 from .problems import Allocation, AscendingProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
+
+
+def _block_levels(channels: Channels, gamma: np.ndarray, tau: np.ndarray):
+    """A block's exact level from its first channel and its caps' room on a
+    ``log_capacity``/``inverse_mse`` bank (None for any other set).  The largest
+    prefix excess rises with x = 1/sqrt(mu): a binary search finds the first
+    point of :func:`~waterline.core._bank_points` that binds a cap, before which
+    each prefix's excess is Q*x**2 + U*x - C; the level is the largest root."""
+    bank = _bank_points(channels, gamma, tau)
+    if bank is None:
+        return None
+    (q, u, offset, _, x, order), k = bank, len(gamma)
+    keep = np.isfinite(x[order])  # an infinite tau never saturates
+    points, owner = x[order][keep], order[keep] % k
+    coef = np.array([np.zeros(k) if v is None else v for v in (q, u)] + [offset])
+
+    def level(start: int, room: np.ndarray) -> float:
+        g, t, j, st = gamma[start:], tau[start:], x[start:k], x[k + start:]
+        qb, ub, off = coef[:, start:]
+        xs = points[owner >= start].tolist()
+
+        def binds(x_val: float) -> bool:
+            clamped = np.minimum(np.maximum((qb * x_val + ub) * x_val - off, g), t)
+            return bool((np.cumsum(clamped) >= room).any())
+
+        lo = bisect_left(xs, True, key=binds)
+        # The segment before the first point that binds; x >= 0 before any.
+        x_lo, x_hi = xs[lo - 1] if lo else 0.0, xs[lo] if lo < len(xs) else np.inf
+        inside = (j <= x_lo) & (st >= x_hi)
+        run = np.where(inside, coef[:, start:], 0.0)
+        run[2] = np.where(inside, off, -np.where(st <= x_lo, t, g))
+        run = run.cumsum(axis=1)
+        run[2] += room  # each prefix's Q, U and C
+        levels = _quadratic_level(*run[:, (run[0] + run[1] > 0) & (run[2] > 0)])
+        # At or above the segment end's level, where with no root (rounding) a
+        # cap binds; past the last point, only with every channel at a finite tau.
+        return float(levels.max(initial=x_hi ** -2.0)) or x_lo ** -2.0
+
+    return level
 
 
 def solve_ascending(problem: AscendingProblem,
@@ -33,23 +76,29 @@ def solve_ascending(problem: AscendingProblem,
     tol = 1e-4 * cfg.power_tolerance * caps[-1]
     powers, water_levels = gamma.copy(), []
     iterations = splits = start = 0
+    block_level = _block_levels(channels, gamma, tau)
     while True:
         g, t, rest = gamma[start:], tau[start:], channels.take(np.arange(start, k))
         room = caps[start:] - (caps[start - 1] if start else 0.0)
         if np.isfinite(t).all() and (np.cumsum(t) <= room).all():
             powers[start:] = t
             break
+        demand = None
 
         def excess(mu: float) -> np.ndarray:
-            return np.cumsum(_clamped_demand(rest, mu, g, t)) - room
+            nonlocal demand  # the last level's demands warm-start the next
+            demand = rest.demand(mu, demand)
+            return np.cumsum(np.minimum(np.maximum(demand, g), t)) - room
 
         # The largest excess over the caps falls as the level rises.  At the
         # largest rate at a lower bound every demand sits there: unless the
         # floors alone fill a cap (to rounding), the level lies below.
-        mu = float(_rate_inside(rest, g).max())
-        if (np.cumsum(g) - room).max() < 0:
-            mu = _level_search(lambda mu_val: float(excess(mu_val).max()), tol,
-                               1e-4 * cfg.mu_tolerance, mu)
+        if (np.cumsum(g) - room).max() >= 0:
+            mu = float(_rate_inside(rest, g).max())
+        else:
+            mu = block_level(start, room) if block_level else _level_search(
+                lambda mu_val: float(excess(mu_val).max()), tol, 1e-4 * cfg.mu_tolerance,
+                float(_rate_inside(rest, g).max()))
         over = excess(mu)
         stop = start + int(np.flatnonzero(over >= over.max() - tol)[-1]) + 1
         budget = room[stop - start - 1]

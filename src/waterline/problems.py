@@ -217,8 +217,8 @@ class Allocation:
     loop of the other families lists one level per round.  Box strategies
     count their own iterations (``order``: 1 on such a bank, as one pass,
     else binary-search probes plus the final P1.1 solve's count; ``set_a``
-    and ``set_b``: their P1.1 solves, at least 1; ``bisect``: its halvings,
-    at least 1).  An
+    and ``set_b``: their P1.1 solves, at least 1; ``bisect``: its level
+    evaluations, one clamped ``demand`` pass each, at least 1).  An
     ascending solve is always ``"optimal"``; ``splits`` counts its blocks
     after the first (each starts past a binding prefix cap), and
     ``water_levels`` and ``iterations`` collect the blocks' box solves.

@@ -41,10 +41,15 @@ def test_degenerate_box_pins_channel(strategy):
     # bound first; it must not count against the budget twice.  In the third
     # tau exceeds the budget by three ulp, so the slack-budget branch does
     # not apply, yet at tau's own rate the demand rounds below the budget.
-    # In the fourth, bisect's bracket closes to one ulp while the total's
-    # step across it still exceeds bisect's spend tolerance.
+    # In the fourth 1/mu - 1 = 1e-3 cancels: across bisect's last bracket, one
+    # ulp wide at the default tolerance, the total steps by more than the
+    # search's tolerance of 1e-16, and its last level over-spends by 7e-15 (by
+    # 6e-8 at mu_tolerance 1e-3); the result is the closest level that
+    # under-spends.  In the last two the floors fill the budget to rounding:
+    # 0.1 + 0.2 is one ulp above 0.3, and then 5e-13 of it above.
     budget, tau = 1.851135594294659, 1.8511355942946597
     assert tau - budget == 3 * math.ulp(budget)
+    over = [0.1 * (1 + 5e-13), 0.2 * (1 + 5e-13)]
     cases = [
         (BoxProblem([LogCapacity(1, 1, 1), LogCapacity(1, 1, 1)],
                     3.0, [0.7, 0.0], [0.7, None]), [0.7, 2.3]),
@@ -53,12 +58,23 @@ def test_degenerate_box_pins_channel(strategy):
         (BoxProblem([InverseMse(1.670516547120894, 0.10596608169924385,
                                 1.3062240571612649)], budget, None, [tau]), [budget]),
         (BoxProblem([LogCapacity(1, 1, 1)], 1e-3, None, [1.0]), [1e-3]),
+        (BoxProblem([LogCapacity(1, 1, 1)] * 2, 0.3, [0.1, 0.2], [1.0, 1.0]), [0.1, 0.2]),
+        (BoxProblem([LogCapacity(1, 1, 1)] * 2, 0.3, over, [1.0, 1.0]), over),
     ]
+    assert sum(over) / 0.3 - 1 == pytest.approx(5e-13, rel=1e-2)
+    configs = [SolverConfig(box_strategy=strategy)]
+    if strategy == "bisect":
+        configs.append(SolverConfig(box_strategy=strategy, mu_tolerance=1e-3))
     for problem, expected in cases:
-        alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
-        assert alloc.status == "optimal"
-        assert alloc.powers == pytest.approx(expected, abs=1e-9)
-        assert check_conditions(problem, alloc, tolerance=1e-8).passed
+        for cfg in configs:
+            alloc = solve_box(problem, cfg)
+            assert alloc.status == "optimal"
+            assert alloc.powers == pytest.approx(expected, abs=1e-9)
+            assert check_conditions(problem, alloc, tolerance=1e-8).passed
+            # Nothing over-spends beyond the level search's tolerance, bar
+            # floors that already do.
+            spend = max(problem.budget, sum(problem.lower_bounds))
+            assert sum(alloc.powers) <= spend + 1e-4 * cfg.power_tolerance * problem.budget
 
 
 def test_conditions_flag_a_split_with_every_channel_at_a_bound():

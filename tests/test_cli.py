@@ -87,6 +87,37 @@ def test_verify_pass_and_fail(runner, tmp_path):
     assert "FAIL" in bad.output
 
 
+@pytest.mark.parametrize("powers", [["1.0", "2.5", "2.5"], [1.0, None, 2.5],
+                                    [1.0, True, 2.5], [1.0, 2.5, math.inf],
+                                    [1.0, 2.5, 10 ** 400]],
+                         ids=["strings", "null", "bool", "infinite", "huge-int"])
+def test_verify_rejects_a_power_that_is_not_a_finite_number(runner, tmp_path, powers):
+    # Strings passed (check_conditions called float() on each entry), and a
+    # null printed a TypeError traceback.
+    inst = _write(tmp_path, "box.json", K3_BOX)
+    out = _write(tmp_path, "result.json", {"problem_class": "box", "powers": powers})
+    result = runner.invoke(main, ["verify", inst, out])
+    assert result.exit_code == 1, result.output
+    assert "error: powers: every power must be a finite number" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_verify_rejects_fair_power_rows_of_strings(runner, tmp_path):
+    # A traceback from the group totals' sum(row) before.
+    one = {"family": "log_capacity", "w": 1.0, "a": 1.0, "b": 1.0}
+    inst = _write(tmp_path, "maxmin.json",
+                  {"problem_class": "maxmin", "budget": 4.0, "groups": [[one, one], [one]]})
+    out = str(tmp_path / "result.json")
+    assert runner.invoke(main, ["solve", inst, "--out", out]).exit_code == 0
+    result = json.load(open(out))
+    result["powers"] = [["1", "1"], [2.0]]
+    json.dump(result, open(out, "w"))
+    bad = runner.invoke(main, ["verify", inst, out])
+    assert bad.exit_code == 1, bad.output
+    assert "error: powers: every power must be a finite number" in bad.output
+    assert isinstance(bad.exception, SystemExit)
+
+
 def test_verify_fails_p1_below_lower_bound(runner, tmp_path):
     doc = {"problem_class": "p1_lower", "budget": 2.0,
            "objectives": [{"family": "log_capacity", "w": 1.0, "a": 0.1, "b": 1.0},

@@ -1,15 +1,19 @@
 """Tests for the ascending prefix-budget solver."""
 
+import math
 import random
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 
+import waterline.nested
 from waterline import (
     BOX_STRATEGIES, AscendingProblem, InfeasibleBudget, InverseMse, LogCapacity, SolverConfig,
     check_conditions, enumerate_box, grid_search, projected_gradient,
     solve_ascending, solve_box, BoxProblem)
+from waterline.objectives import Channels
 
 from conftest import CLOSED_FORM_FAMILIES, enumerate_tight_caps, random_ascending
 
@@ -124,6 +128,88 @@ def test_mixed_bank_blocks_agree_across_strategies():
         assert check_conditions(problem, alloc, tolerance=1e-8).passed, strategy
         assert alloc.powers == pytest.approx(allocs[0].powers, abs=1e-9), strategy
         assert alloc.objective_value == pytest.approx(allocs[0].objective_value, abs=1e-10)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a bank block searched for its level")
+
+
+# Bank staircases for the exact block level: each edge case, on
+# log_capacity/inverse_mse channels, as (objectives, caps, lower, upper).
+_EXACT_LEVEL_CASES = {
+    # b = 0 and gamma = 0: the channel joins at x = 0, with an infinite rate.
+    "join-at-zero": ([LogCapacity(1, 2, 0), LogCapacity(1, 1, 1), InverseMse(1, 1, 1),
+                      LogCapacity(2, 0.5, 0)], [0.3, 0.6, 2.5, 4.0], None, None),
+    "infinite-tau": ([LogCapacity(1, 4, 1), InverseMse(2, 1, 0.5), LogCapacity(1, 1, 1)],
+                     [0.5, 1.5, 4.0], [0.1, 0.0, 0.0], [None, 0.8, None]),
+    # Channel 1 has gamma = tau; channels 2 and 3 are the same channel.
+    "zero-width-and-tied": ([LogCapacity(1, 3, 1), LogCapacity(1, 1, 1), InverseMse(1, 2, 1),
+                             InverseMse(1, 2, 1), LogCapacity(1, 1, 1)],
+                            [0.8, 1.4, 1.9, 2.4, 5.0], [0.0, 0.4, 0.1, 0.1, 0.0],
+                            [None, 0.4, 2.0, 2.0, None]),
+    # The floors of channels 0 and 1 sum to cap 1 in rounding, not exactly;
+    # then to one ulp below it, so that the first block's level lies where
+    # channel 1 has risen above its floor by rounding.
+    "floors-fill-a-cap": ([LogCapacity(1, 1, 1), LogCapacity(1, 2, 1), InverseMse(1, 1, 1)],
+                          [1.0, 1.0, 3.0], [0.6, math.nextafter(0.4, 0.0), 0.0], None),
+    "floors-short-of-a-cap": ([LogCapacity(1, 1, 1), LogCapacity(1, 2, 1), InverseMse(1, 1, 1)],
+                              [1.0, 1.0, 3.0],
+                              [0.6, math.nextafter(math.nextafter(0.4, 0.0), 0.0), 0.0], None),
+    # Every cap binds: each block is one channel.
+    "one-channel-blocks": ([LogCapacity(1, 8, 1), InverseMse(2, 5, 1), LogCapacity(1, 4, 1),
+                            InverseMse(1, 5, 1)], [0.2, 0.4, 0.6, 0.8], None, None),
+    # Cap 0 lies one ulp below tau, and the demand at the saturation point
+    # rounds below both: no point binds, and the block ends there.
+    "cap-between-tau-and-its-rounding": (
+        [LogCapacity(1.1340308317964878, 1, 0.15380737517637963)],
+        [0.9691644825584156], None, [0.9691644825584158]),
+    "mixed-bank": ([(LogCapacity if i % 2 else InverseMse)(1.0 + 0.1 * i, 0.5 + 0.3 * i,
+                                                           0.2 * (i % 3)) for i in range(8)],
+                   [0.4, 0.9, 1.1, 1.6, 2.6, 2.7, 3.5, 6.0], [0.05] * 8,
+                   [None, 1.0, 0.5, None, 0.8, 2.0, None, 1.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_LEVEL_CASES))
+def test_exact_block_levels_on_bank_edge_cases(case, monkeypatch):
+    objectives, caps, lower, upper = _EXACT_LEVEL_CASES[case]
+    problem = AscendingProblem(objectives, caps, lower, upper)
+    monkeypatch.setattr(waterline.nested, "_level_search", _refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        allocs = [solve_ascending(problem, SolverConfig(box_strategy=s))
+                  for s in BOX_STRATEGIES]
+    for strategy, alloc in zip(BOX_STRATEGIES, allocs):
+        assert alloc.status == "optimal"
+        report = check_conditions(problem, alloc, tolerance=1e-8)
+        assert report.passed, (strategy, report.residuals)
+        assert alloc.powers == pytest.approx(allocs[0].powers, abs=1e-9), strategy
+    if case == "one-channel-blocks":
+        assert allocs[0].splits == problem.n - 1
+    if problem.n <= 5:
+        assert allocs[0].objective_value == pytest.approx(
+            enumerate_tight_caps(problem), abs=1e-10)
+
+
+def test_non_bank_blocks_warm_start_every_demand_after_the_first(monkeypatch):
+    # A sum_log staircase searches each block's level; every demand call on
+    # one channel set after its first starts from the last level's demands.
+    rng = random.Random(31)
+    problem = random_ascending("sum_log", rng, 6)
+    calls = {}
+    demand = Channels.demand
+
+    def recorded(self, mu, start=None):
+        calls.setdefault(id(self), (self, []))[1].append(start is not None)
+        return demand(self, mu, start)
+
+    monkeypatch.setattr(Channels, "demand", recorded)
+    alloc = solve_ascending(problem, SolverConfig(box_strategy="set_a"))
+    assert alloc.splits > 0
+    assert sum(len(c) for _, c in calls.values()) > 2 * len(calls)
+    for _, started in calls.values():
+        assert all(started[1:]), started
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
 
 
 def test_conditions_flag_a_level_that_rises():

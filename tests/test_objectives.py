@@ -63,6 +63,21 @@ def test_rate_matches_finite_difference(family):
         assert abs(obj.rate(p) - fd) <= 1e-5 * abs(fd)
 
 
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+def test_rate_slope_matches_finite_difference(family):
+    rng = random.Random(7)
+    for _ in range(30):
+        obj = make_objective(family, rng)
+        p = rng.uniform(0.05, 20)
+        h = 1e-6 * (1.0 + p)
+        fd = (obj.rate(p + h) - obj.rate(p - h)) / (2 * h)
+        assert obj.rate_slope(p) < 0
+        assert abs(obj.rate_slope(p) - fd) <= 1e-5 * abs(fd)
+    # At the edge of the log families' domain the slope is -inf.
+    if family != "af_relay":
+        assert type(obj)(1.0, 2.0, 0.0).rate_slope(0.0) == -math.inf
+
+
 def test_log_capacity_known_values():
     obj = LogCapacity(w=2.0, a=3.0, b=1.0)
     assert obj.eval(1.0) == pytest.approx(2.0 * math.log(4.0))

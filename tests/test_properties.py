@@ -15,6 +15,7 @@ from waterline import (  # noqa: E402
     SumInverseMse, SumLog, check_conditions, solve_ascending, solve_box, solve_fair)
 from waterline.box import box_fill, box_fill_rows  # noqa: E402
 from waterline.core import deactivation_loop, water_fill  # noqa: E402
+from waterline.nested import _block_levels  # noqa: E402
 from waterline.io import dumps  # noqa: E402
 from waterline.objectives import Channels  # noqa: E402
 
@@ -180,6 +181,86 @@ def ascending_problems(draw):
 @given(ascending_problems())
 def test_every_ascending_strategy_agrees_and_passes_its_conditions(problem):
     _assert_strategies_agree(problem, solve_ascending)
+
+
+@st.composite
+def bank_staircases(draw):
+    """Ascending problems on a log_capacity/inverse_mse bank, mixed or not,
+    bounded as :func:`box_problems`; some channels have b = 0 and a zero
+    lower bound, a join point at x = 0."""
+    kinds = draw(st.sampled_from([["log_capacity"], ["inverse_mse"],
+                                  ["log_capacity", "inverse_mse"]]))
+    k = draw(st.integers(1, 10))
+    objs = [_objective(draw(st.sampled_from(kinds)), draw) for _ in range(k)]
+    lower, upper = _bounds(draw, k, 0.5 * k)
+    for i in range(k):
+        if draw(st.integers(0, 3)) == 0:
+            objs[i] = type(objs[i])(objs[i].w, objs[i].a, 0.0)
+            lower[i] = 0.0
+            upper[i] = None if upper[i] is None else max(upper[i], 0.1)
+    caps, floor = [], 0.0
+    for lo in lower:
+        floor += lo
+        caps.append(max(floor, (caps[-1] if caps else 0.0) + draw(st.floats(0.05, 1.5))))
+    return AscendingProblem(objs, caps, lower, upper)
+
+
+def _first_binding_level(binds) -> float:
+    """1/x**2 at the least x > 0 with ``binds(x)``, for a ``binds`` that
+    holds from some x on, by bisection to one ulp; infinite should it hold
+    from x = 1e-150, 0 should it not hold below 1e150."""
+    lo, hi = 1e-150, 1.0
+    if binds(lo):
+        return math.inf
+    while not binds(hi):
+        if hi > 1e150:
+            return 0.0
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if binds(mid) else (mid, hi)
+    return hi ** -2.0
+
+
+@given(bank_staircases())
+@example(AscendingProblem([LogCapacity(1, 1, 1)] + [LogCapacity(1, 1, 0)] * 2,
+                          [0.05, 0.1, 1.1], [5e-16, 0.0, 0.0], [5e-16, 0.1, 0.1]))
+@example(AscendingProblem([LogCapacity(1, 1, 1), LogCapacity(2, 1, 0), LogCapacity(1, 1, 0)],
+                          [0.05, 0.1, 1.1], None, [0.0, 0.1, 0.1]))
+@example(AscendingProblem([LogCapacity(1.1340308317964878, 1, 0.15380737517637963)],
+                          [0.9691644825584156], None, [0.9691644825584158]))
+def test_exact_block_levels_match_a_bisection(problem):
+    """Every suffix of the channels, taken as a block under the room its
+    caps leave, has the level at which a bisection on x = 1/sqrt(mu) finds
+    the first cap to bind, to 1e-12 relative.  Where a cap is met exactly
+    over a range of levels (in the second example, channel 1 at tau fills
+    cap 1 at every level up to 20), any level on that range will do; the
+    bisection marks its ends, a cap reached or exceeded to rounding, and a
+    cap is reached at the level.  (In the first example the excess over
+    cap 1 reaches 0 only 5e-16 before it stays flat, where Illinois on the
+    level stops 2.5e-4 off.  In the third, the cap lies between tau and the
+    demand at tau's level, which rounds below both.)"""
+    gamma, tau = np.array(problem.lower_bounds), np.array(problem.upper_bounds)
+    caps, k = np.array(problem.prefix_budgets), problem.n
+    level = _block_levels(problem.channels, gamma, tau)
+    for start in range(k):
+        g, t = gamma[start:], tau[start:]
+        room = caps[start:] - (caps[start - 1] if start else 0.0)
+        if (np.cumsum(g) - room).max() >= 0 or \
+                (np.isfinite(t).all() and (np.cumsum(t) <= room).all()):
+            continue
+        rest = problem.channels.take(np.arange(start, k))
+
+        def binds(x, slack):
+            clamped = np.minimum(np.maximum(rest.demand(1.0 / (x * x)), g), t)
+            return (np.cumsum(clamped) - room >= slack).any()
+
+        tie = 1e-14 * room[-1]
+        reached = _first_binding_level(lambda x: binds(x, -tie))
+        exceeded = _first_binding_level(lambda x: binds(x, tie))
+        mu = level(start, room)
+        assert exceeded * (1 - 1e-12) <= mu <= reached * (1 + 1e-12), start
+        assert binds(mu ** -0.5, -tie), start
 
 
 @st.composite
