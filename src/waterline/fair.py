@@ -15,20 +15,23 @@ adding one outer level over group budgets that are monotone in it:
 
 One search, :func:`_outer_search`, finds every outer level: Illinois regula
 falsi on the summed group budgets, the single-level root find of the water
-level itself.  The inner solves are exact or bracketed:
+level itself.  A group with a breakpoint table answers each outer level
+with one scalar, from one bisect and one formula:
 
-* a max-min group's utility is closed form in its water level between the
-  levels where its channels join (their rate at the lower bound) and
-  saturate (their rate at a finite upper bound), so for a homogeneous
-  ``log_capacity`` or ``inverse_mse`` bank the level that reaches t is one
-  table lookup and one formula (:func:`_group_level`); other families
-  search the level (:func:`_group_mu_for_t`);
-* a cluster group's budget map (to its marginal, or to its utility) keeps
-  every point evaluated during the solve, and each new target is solved by
-  Illinois regula falsi inside the tightest stored bracket
-  (:class:`_MonotoneMap`); a group of cluster-aware entries with one
-  (sigma_e2, sigma_n2) and zero floors evaluates it from a table sorted once
-  per solve, one binary search and a closed form (:func:`_cluster_table`).
+* a max-min group's utility and total are closed form in its water level
+  between the levels where its channels join (their rate at the lower
+  bound) and saturate (their rate at a finite upper bound), so for a
+  homogeneous ``log_capacity`` or ``inverse_mse`` bank the group total at
+  t, and the utility a total reaches (its t cap), are one table lookup and
+  one formula each, the powers built once at the final t
+  (:func:`_group_level`); other families search the level
+  (:func:`_group_mu_for_t`);
+* a cluster group of cluster-aware entries with one (sigma_e2, sigma_n2)
+  and zero floors inverts its budget map (to its marginal, or to its
+  utility) in closed form between the budgets where its channels join
+  (:func:`_cluster_table`); other cluster groups keep every point evaluated
+  during the solve, and each new price or target is solved by Illinois
+  regula falsi inside the tightest stored bracket (:class:`_MonotoneMap`).
 
 Max-min groups are :class:`~waterline.objectives.Channels` arrays and their
 bound arrays, built once per solve.  Cluster groups are
@@ -62,10 +65,11 @@ _ULP_WIDTH = 4.0 * np.finfo(float).eps
 _LOG_MAX = math.log(np.finfo(float).max)
 
 
-def _group_state(channels: Channels, gamma, tau, mu: float | None):
-    """Powers/utility/total at water level mu, each channel's demand clamped
-    into its box (None = rest at lower bounds)."""
-    powers = gamma if mu is None else np.minimum(np.maximum(channels.demand(mu), gamma), tau)
+def _group_state(channels: Channels, gamma, tau, mu: float | None, demand=None):
+    """Powers/utility/total at water level mu, each channel's demand (given,
+    or computed) clamped into its box (None = rest at lower bounds)."""
+    powers = gamma if mu is None else np.minimum(np.maximum(
+        channels.demand(mu) if demand is None else demand, gamma), tau)
     return powers, float(channels.eval(powers).sum()), float(powers.sum())
 
 
@@ -87,11 +91,15 @@ def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
             return (None, *floor)
     if np.isfinite(tau).all() and (top := float(channels.eval(tau).sum())) < t:
         raise InfeasibleTarget(f"group utility target {t} above the utility {top} at tau")
-    states = {}
+    states, demand = {}, None
 
     def h(mu_val: float) -> float:
-        with np.errstate(over="ignore"):  # demands near the float range's end
-            states[mu_val] = _group_state(channels, gamma, tau, mu_val)
+        nonlocal demand  # the last level's demands warm-start the next
+        # Demands near the float range's end overflow; a search past them
+        # gives up (InversionFailure) or ends on an infinite total.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            demand = channels.demand(mu_val, demand)
+            states[mu_val] = _group_state(channels, gamma, tau, mu_val, demand)
         return states[mu_val][1] - t
 
     try:
@@ -101,32 +109,41 @@ def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
             return (None, *_group_state(channels, gamma, tau, None))
         raise InfeasibleTarget(
             f"group utility target {t} unreachable at any power") from None
+    if math.isinf(states[mu][2]):  # reached only by a demand beyond the float range
+        raise InfeasibleTarget(f"group utility target {t} unreachable at a finite power")
     return (mu, *states[mu])  # a level the search evaluated
 
 
 def _group_level(channels: Channels, gamma, tau):
-    """``t -> (mu, powers, utility, total)`` for one max-min group, as
-    :func:`_group_mu_for_t`.
+    """``(level, cap)`` for one max-min group.
+
+    ``level(t)`` is the group's state at target t as :func:`_group_mu_for_t`
+    returns it, ``(mu, powers, utility, total)``; ``cap(total)`` is the
+    utility the group reaches spending ``total`` above its floor, or NaN
+    where the table does not give it (None: no table).
 
     A homogeneous ``log_capacity`` or ``inverse_mse`` bank gets a breakpoint
     table.  As the level falls, a channel joins at its rate at gamma and
     saturates at its rate at a finite tau; the events are sorted once by
-    rate.  Between two events the utility is closed form in the level: with
-    the channels in between active it is ``F + C - W*log(mu)`` (log: ``W``
-    and ``C`` are signed prefix sums of w and w*log(a*w), + at a join and -
-    at a saturation) or ``F - V*sqrt(mu)`` (inverse MSE: ``V`` the signed
-    prefix sum of sqrt(w/a)), where ``F`` sums the floor utilities of the
-    channels not yet joined and the tau utilities of those saturated.  The
-    utilities at the events are increasing, so a target's segment is one
-    ``searchsorted`` and its level one formula.  On a segment with no active
-    channel the utility is flat and every level in it gives the same powers.
-    A channel with an infinite rate (b = 0, gamma = 0) sorts first and is
-    always active.  Every other group, and a level outside the float range
-    (above it, a ``log_capacity`` one takes the largest float), takes
+    rate.  Between two events, with the channels in between active and x =
+    1/mu (log) or 1/sqrt(mu) (inverse MSE), the group total is ``P0 + S*x -
+    BA`` and the utility ``F + C + S*log(x)`` (log) or ``F - S/x``.  ``S``,
+    ``C`` and ``BA`` are signed prefix sums, + at a join and - at a
+    saturation, of w, w*log(a*w) and b/a (log) or of sqrt(w/a), 0 and b/a;
+    ``F`` and ``P0`` sum the floor utilities and powers of the channels not
+    yet joined and the tau utilities and powers of those saturated.  Both
+    rise from event to event, so a target's or a total's segment is one
+    ``searchsorted`` and its level one formula: a table group's ``level``
+    returns ``(mu, None, None, total)``, its powers left to
+    :func:`_group_state`.  On a segment with no active channel the utility is
+    flat and every level in it gives the same powers.  A channel with an
+    infinite rate (b = 0, gamma = 0) sorts first and is always active.  Every
+    other group, and a level outside the float range (above it, a
+    ``log_capacity`` one takes the largest float), takes
     :func:`_group_mu_for_t`.
     """
     if channels.family not in SORTED_FAMILIES:
-        return partial(_group_mu_for_t, channels, gamma, tau)
+        return partial(_group_mu_for_t, channels, gamma, tau), None
     k = len(channels)
     capped = np.flatnonzero(np.isfinite(tau))
     who = np.concatenate((np.arange(k), capped))
@@ -137,52 +154,59 @@ def _group_level(channels: Channels, gamma, tau):
     joins = by_rate < k
     sign = np.where(joins, 1.0, -1.0)
     n_inf = int(np.count_nonzero(~np.isfinite(rate)))
-    # The utility of each event's channel at that event's bound.
-    f_event = np.zeros(len(who))
-    f_event[n_inf:] = channels.take(who[n_inf:]).eval(
-        np.where(joins, gamma[who], tau[who])[n_inf:])
-    f_join, f_sat = np.where(joins, f_event, 0.0), np.where(joins, 0.0, f_event)
-    # F[s] sums the floor utilities of the channels joining from event s on
-    # and the tau utilities of those saturated before it.
-    F = np.append(np.cumsum(f_join[::-1])[::-1], 0.0) + \
-        np.concatenate(([0.0], np.cumsum(f_sat)))
-    count = np.concatenate(([0.0], np.cumsum(sign)))  # channels active
+    # The utility and the power of each event's channel at that event's bound.
+    ends = np.zeros((2, len(who)))
+    ends[1] = np.where(joins, gamma[who], tau[who])
+    ends[0, n_inf:] = channels.take(who[n_inf:]).eval(ends[1, n_inf:])
+    on_join = np.where(joins, ends, 0.0)
+    # F[s] and P0[s] sum the floor utilities and powers of the channels
+    # joining from event s on and the tau ones of those saturated before it.
+    F, P0 = np.append(np.cumsum(on_join[:, ::-1], axis=1)[:, ::-1], np.zeros((2, 1)), 1) + \
+        np.append(np.zeros((2, 1)), np.cumsum(ends - on_join, axis=1), 1)
     log = channels.family == "log_capacity"
     w, a = channels.w[who], channels.a[who]
     with np.errstate(invalid="ignore"):  # 0 * inf on the infinite rates
-        if log:
-            W = np.concatenate(([0.0], np.cumsum(sign * w)))
-            C = np.concatenate(([0.0], np.cumsum(sign * (w * np.log(a * w)))))
-            events = F[:-1] + C[:-1] - W[:-1] * np.log(rate)
-        else:
-            V = np.concatenate(([0.0], np.cumsum(sign * np.sqrt(w / a))))
-            events = F[:-1] - V[:-1] * np.sqrt(rate)
-    events[:n_inf] = -math.inf
+        terms = (w, w * np.log(a * w)) if log else (np.sqrt(w / a), np.zeros(len(who)))
+        count, S, C, BA = np.append(np.zeros((4, 1)), np.cumsum(
+            sign * np.stack((np.ones(len(who)), *terms, channels.b[who] / a)), axis=1), 1)
+        events = F[:-1] + C[:-1] - S[:-1] * np.log(rate) if log else \
+            F[:-1] - S[:-1] * np.sqrt(rate)
+        totals = P0[:-1] + S[:-1] / (rate if log else np.sqrt(rate)) - BA[:-1]
+    events[:n_inf] = totals[:n_inf] = -math.inf
+    F, C, S, P0, BA, count, events, totals = (
+        v.tolist() for v in (F, C, S, P0, BA, count, events, totals))
     first = max(n_inf, 1)
-    floor = None if n_inf else float(channels.eval(gamma).sum())
+    floor = None if n_inf else _group_state(channels, gamma, tau, None)
     top = float(channels.eval(tau).sum()) if capped.size == k else math.inf
 
     def level(t: float):
-        if floor is not None and floor >= t:
-            return (None, *_group_state(channels, gamma, tau, None))
-        m = max(int(np.searchsorted(events, t)), first)
+        if floor is not None and floor[1] >= t:
+            return (None, *floor)
+        m = max(bisect_left(events, t), first)
         if not count[m]:  # flat: every channel that joined is saturated
             if t > top:
                 raise InfeasibleTarget(
                     f"group utility target {t} above the utility {top} at tau")
             mu = float(rate[m - 1])
         elif log:
-            mu = math.exp(min((F[m] + C[m] - t) / W[m], _LOG_MAX))
+            mu = math.exp(min((F[m] + C[m] - t) / S[m], _LOG_MAX))
         else:
-            root = (F[m] - t) / V[m]
+            root = (F[m] - t) / S[m]
             if root <= 0:
                 raise InfeasibleTarget(
                     f"group utility target {t} unreachable at any power")
             mu = root * root
         if not 0.0 < mu < math.inf:  # the level under- or (inverse MSE) overflows
             return _group_mu_for_t(channels, gamma, tau, t)
-        return (mu, *_group_state(channels, gamma, tau, mu))
-    return level
+        return mu, None, None, P0[m] + S[m] / (mu if log else math.sqrt(mu)) - BA[m]
+
+    def cap(total: float) -> float:
+        m = max(bisect_left(totals, total), first)
+        x_m = (total - P0[m] + BA[m]) / S[m] if count[m] else 1.0  # flat: any x
+        if not 0.0 < x_m < math.inf:
+            return math.nan
+        return min(F[m] + C[m] + S[m] * math.log(x_m) if log else F[m] - S[m] / x_m, top)
+    return level, cap
 
 
 def _outer_search(evaluate, budget: float, cfg: SolverConfig, increasing: bool,
@@ -280,8 +304,8 @@ def solve_maxmin(problem: FairProblem,
     upper bound is finite and they fit the budget together, all channels sit
     at them.  Otherwise t is found by :func:`_outer_search` on the summed
     group demands, from the least utility a group reaches with the others at
-    their floors (its box optimum), and budget
-    left over at that cap goes to the groups with headroom.
+    their floors (its box optimum, or its table's t cap), and budget left
+    over at that cap goes to the groups with headroom.
     """
     if problem.mode != MODE_MAXMIN:
         raise DomainError(f"solve_maxmin requires maxmin mode, got {problem.mode!r}")
@@ -296,24 +320,30 @@ def solve_maxmin(problem: FairProblem,
                   for channels, tau in zip(chans, taus)]
         return _build_solution(problem, min(s[2] for s in states), states, 1)
 
+    groups = list(zip(chans, gammas, taus))
+    levels = [_group_level(*group) for group in groups]
     floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
     t_caps = []
-    for j, channels in enumerate(chans):
+    for j, (channels, gamma, tau) in enumerate(groups):
         avail = budget - (total_floor - floors[j])
         if avail <= floors[j] * (1.0 + 1e-12):
-            t_caps.append(_group_state(channels, gammas[j], taus[j], None)[1])
-        else:
-            powers = box_fill(channels, gammas[j], taus[j], avail, cfg)[0]
-            t_caps.append(float(channels.eval(powers).sum()))
-
-    levels = [_group_level(*group) for group in zip(chans, gammas, taus)]
+            t_caps.append(_group_state(channels, gamma, tau, None)[1])
+            continue
+        cap = levels[j][1](avail) if levels[j][1] else math.nan
+        if math.isnan(cap):  # no table, or none at this total
+            powers = box_fill(channels, gamma, tau, avail, cfg)[0]
+            cap = float(channels.eval(powers).sum())
+        t_caps.append(cap)
 
     def demand(t_val: float):
-        states = [list(level(t_val)) for level in levels]
+        states = [level(t_val) for level, _ in levels]
         return sum(s[3] for s in states), states
 
     t, states, iterations = _outer_search(demand, budget, cfg, True, min(t_caps))
+    # A table group's powers are built once, at the final level.
+    states = [list(s if s[1] is not None else (s[0], *_group_state(*group, s[0])))
+              for s, group in zip(states, groups)]
     _distribute_surplus(chans, budget, gammas, taus, states, cfg)
     return _build_solution(problem, t, states, iterations)
 
@@ -371,8 +401,8 @@ class _MonotoneMap:
 
 
 def _cluster_table(cluster: ClusterChannels, gamma):
-    """``B -> (marginal, utility)`` for one cluster group at group budget B,
-    from a table sorted once; None when the group does not qualify.
+    """``(at, at_price, at_target)`` for one cluster group, from a table
+    sorted once; None when the group does not qualify.
 
     A group qualifies when every entry is cluster-aware, all share one
     (sigma_e2, sigma_n2) and gamma = 0.  Bound at B, entry i is
@@ -383,8 +413,18 @@ def _cluster_table(cluster: ClusterChannels, gamma):
     while ``g_m = U_m/(a_m*w_m) - A_m < B/s`` (g is nondecreasing), at the
     level ``mu = U_m/(B + s*A_m)``.  Their powers spend B, so the marginal
     (level plus interference drag) is ``mu*sigma_n2/s`` and the utility
-    ``L_m - U_m*log(s*mu)``.  The map returns None at B <= 0 and where mu
-    over- or underflows; the caller then runs ``water_fill``.
+    ``L_m - U_m*log(s*mu)``: ``at(B)`` returns the two, or None at B <= 0 and
+    where mu over- or underflows (the caller then runs ``water_fill``).
+
+    ``at_price(nu)`` and ``at_target(t)`` return the group budget at which
+    the marginal falls to nu or the utility reaches t.  B/s rises with B, so
+    segment m ends where B/s reaches g_{m+1}, at B = sigma_n2*g/(1 -
+    sigma_e2*g), or never once sigma_e2*g >= 1 (those channels never join).
+    One bisect over the values at the segment ends, tabled once, finds the
+    segment; there B is the positive root of the quadratic ``(B + s*A)*s =
+    U*sigma_n2/nu``, or ``sigma_n2*y/(1 - sigma_e2*y)`` with the B/s ``y =
+    U*exp((t - L)/U) - A``.  A value beyond the map's reach gives a budget
+    <= 0 below it and math.inf (NaN on overflow) above it.
     """
     if cluster.index.size < len(gamma) or gamma.any() or \
             np.ptp(cluster.sigma_e2) or np.ptp(cluster.sigma_n2):
@@ -393,9 +433,18 @@ def _cluster_table(cluster: ClusterChannels, gamma):
     aw = cluster.a * cluster.w
     order = np.argsort(1.0 / aw, kind="stable")
     w, a, aw = cluster.w[order], cluster.a[order], aw[order]
-    U, A = np.cumsum(w), np.cumsum(1.0 / a)
-    g = np.maximum.accumulate(U / aw - A).tolist()
-    U, A, L = U.tolist(), A.tolist(), np.cumsum(w * np.log(aw)).tolist()
+    U, A, L = np.cumsum(w), np.cumsum(1.0 / a), np.cumsum(w * np.log(aw))
+    g = np.maximum.accumulate(U / aw - A)
+    # The n segments up to the first join no budget reaches; the last runs on
+    # to B = inf, where B/s tends to 1/sigma_e2 and the marginal to 0.
+    n = int(np.argmax(np.append(e2 * g[1:] >= 1.0, True))) + 1
+    y = np.append(g[1:n], 1.0 / e2 if e2 else math.inf)
+    with np.errstate(over="ignore", divide="ignore"):  # log(0): an unbounded utility
+        end = n2 * y[:-1] / (1.0 - e2 * y[:-1])
+        s_end = e2 * end + n2
+        neg_margin = (-U[:n - 1] * n2 / ((end + s_end * A[:n - 1]) * s_end)).tolist() + [0.0]
+        utility_end = (L[:n] - U[:n] * np.log(U[:n] / (y + A[:n]))).tolist()
+    g, U, A, L = g.tolist(), U.tolist(), A.tolist(), L.tolist()
 
     def at(budget: float):
         if budget <= 0:
@@ -406,13 +455,34 @@ def _cluster_table(cluster: ClusterChannels, gamma):
         if not 0.0 < mu < math.inf:
             return None
         return mu * n2 / s, L[m] - U[m] * (math.log(s) + math.log(mu))
-    return at
+
+    def at_price(nu: float) -> float:
+        if not nu > 0.0:  # the marginal stays above it at every budget
+            return math.inf
+        m = bisect_left(neg_margin, -nu)
+        quad, lin, c = e2 * (1.0 + e2 * A[m]), n2 * (1.0 + 2.0 * e2 * A[m]), \
+            n2 * (U[m] / nu - n2 * A[m])
+        return 2.0 * c / (lin + math.sqrt(max(lin * lin + 4.0 * quad * c, 0.0)))
+
+    def at_target(t: float) -> float:
+        m = min(bisect_left(utility_end, t), n - 1)
+        y = U[m] * math.exp(min((t - L[m]) / U[m], _LOG_MAX)) - A[m]
+        return n2 * y / (1.0 - e2 * y) if e2 * y < 1.0 else math.inf
+    return at, at_price, at_target
+
+
+def _group_budget(inverse, memo: _MonotoneMap, y: float, low: float, high: float) -> float:
+    """The group budget in ``[low, high]`` at which the group's map meets y:
+    its table's closed-form ``inverse`` clamped into the range, or, with no
+    table or a non-finite inverse, ``memo.root``."""
+    budget = inverse(y) if inverse else math.nan
+    return min(max(budget, low), high) if math.isfinite(budget) else memo.root(y, low, high)
 
 
 def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
     """``(clusters, gammas, tables, solve_group, finish)`` for a cluster mode.
 
-    ``tables[j]`` is group j's :func:`_cluster_table` map, or None;
+    ``tables[j]`` is group j's :func:`_cluster_table` maps, or None;
     ``solve_group(j, b)`` solves group j bound to the group budget ``b`` by
     ``water_fill`` and returns ``(channels, powers, mu)``, the bound
     channels, the powers and the water level (None at the floor);
@@ -472,7 +542,7 @@ def solve_cluster(problem: FairProblem,
 
     def marginal(j: int, group_budget: float) -> float:
         """d(group utility)/d(group budget): water level + interference drag."""
-        fast = tables[j] and tables[j](group_budget)
+        fast = tables[j] and tables[j][0](group_budget)
         if fast:
             return fast[0]
         channels, powers, mu = solve_group(j, group_budget)
@@ -484,7 +554,8 @@ def solve_cluster(problem: FairProblem,
                  for j in range(n_groups)]
 
     def spend(nu: float):
-        totals = [m.root(nu, low, budget) for m, low in zip(marginals, lows)]
+        totals = [_group_budget(table and table[1], m, nu, low, budget)
+                  for table, m, low in zip(tables, marginals, lows)]
         return sum(totals), totals
 
     nu_lo = min(marginals[j](budget) for j in range(n_groups))
@@ -509,7 +580,7 @@ def solve_cluster_maxmin(problem: FairProblem,
     total_floor = sum(floors)
 
     def utility(j: int, group_budget: float) -> float:
-        fast = tables[j] and tables[j](group_budget)
+        fast = tables[j] and tables[j][0](group_budget)
         if fast:
             return fast[1]
         channels = clusters[j].bind(group_budget)
@@ -523,7 +594,8 @@ def solve_cluster_maxmin(problem: FairProblem,
                  for j in range(n_groups)]
 
     def spend(t_val: float):
-        totals = [u.root(t_val, floor, budget) for u, floor in zip(utilities, floors)]
+        totals = [_group_budget(table and table[2], u, t_val, floor, budget)
+                  for table, u, floor in zip(tables, utilities, floors)]
         return sum(totals), totals
 
     t_hi = min(utilities[j](budget - (total_floor - floors[j]))

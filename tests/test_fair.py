@@ -362,7 +362,12 @@ def test_exact_group_level_matches_bisection():
     outcomes = {"level": 0, "flat": 0, "floor": 0, "unreachable": 0}
     for _ in range(120):
         channels, gamma, tau = _random_maxmin_group(rng)
-        level = _group_level(channels, gamma, tau)
+        table = _group_level(channels, gamma, tau)[0]
+
+        def level(t):  # a table state leaves its powers to _group_state
+            state = table(t)
+            return state if state[1] is not None else \
+                (state[0], *_group_state(channels, gamma, tau, state[0]))
         capped = np.isfinite(tau)
         rates = np.concatenate((channels.rate(gamma),
                                 channels.rate(np.where(capped, tau, gamma))[capped]))
@@ -509,7 +514,8 @@ def test_group_search_cost_without_a_table(monkeypatch):
     for group in groups:
         calls.clear()
         k = len(group)
-        level = fair._group_level(Channels(group), np.zeros(k), np.full(k, np.inf))
+        level, cap = fair._group_level(Channels(group), np.zeros(k), np.full(k, np.inf))
+        assert cap is None
         mu, _, utility, _ = level(2.0)
         assert mu is not None and len(calls) <= 20, len(calls)
         assert utility == pytest.approx(2.0, rel=1e-12)
@@ -589,7 +595,7 @@ def test_cluster_table_matches_water_fill(name):
     from waterline.fair import _cluster_table
     group = _table_groups()[name]
     cluster, gamma = ClusterChannels(group), np.zeros(len(group))
-    table = _cluster_table(cluster, gamma)
+    table = _cluster_table(cluster, gamma)[0]
     budget = 4.0 * len(group)
     for b in np.geomspace(1e-9 * budget, budget, 50).tolist():
         channels = cluster.bind(b)
@@ -614,17 +620,26 @@ def test_cluster_table_needs_one_noise_pair_zero_floors_and_aware_entries(group,
     assert _cluster_table(ClusterChannels(group), np.array(gamma, dtype=float)) is None
 
 
+def _table_problem(mode: str, n_groups: int = 4, k: int = 64, seed: int = 3) -> FairProblem:
+    """The fair benchmark's draw: groups of log_capacity channels (upper
+    bounds of 2 in ``maxmin_boxed``) or of cluster-aware channels sharing
+    one noise pair, a budget of one per channel."""
+    gains = np.random.default_rng(seed).exponential(size=(n_groups, k)).tolist()
+    if mode.startswith("cluster"):
+        groups = [[ClusterLogCapacity(1.0, a, 0.05, 1.0) for a in row] for row in gains]
+        return FairProblem(groups, float(n_groups * k), mode=mode)
+    groups = [[LogCapacity(1.0, a, 1.0) for a in row] for row in gains]
+    upper = [[2.0] * k] * n_groups if mode == "maxmin_boxed" else None
+    return FairProblem(groups, float(n_groups * k), upper_bounds=upper)
+
+
 @pytest.mark.parametrize("mode", ["cluster", "cluster_maxmin"])
 def test_cluster_modes_call_water_fill_only_to_finish(mode, monkeypatch):
     # Four groups of 64 cluster-aware channels sharing one noise pair, as in
     # the fair benchmark: the group-budget searches read the sorted tables,
     # and water_fill runs only for the final powers (twice per group at most).
     import waterline.fair as fair
-    n_groups, k = 4, 64
-    gains = np.random.default_rng(3).exponential(size=(n_groups, k))
-    groups = [[ClusterLogCapacity(1.0, float(a), 0.05, 1.0) for a in row] for row in gains]
-    problem = FairProblem(groups, float(n_groups * k), mode=mode)
-    calls = []
+    problem, calls = _table_problem(mode), []
     kernel = fair.water_fill
 
     def counted(*args, **kwargs):
@@ -633,7 +648,80 @@ def test_cluster_modes_call_water_fill_only_to_finish(mode, monkeypatch):
     monkeypatch.setattr(fair, "water_fill", counted)
     sol = solve_fair(problem)
     assert check_conditions(problem, sol, tolerance=1e-8).passed
-    assert len(calls) <= 2 * n_groups, len(calls)
+    assert len(calls) <= 2 * problem.n_groups, len(calls)
+
+
+@pytest.mark.parametrize("mode", ["maxmin", "maxmin_boxed", "cluster", "cluster_maxmin"])
+def test_table_groups_run_no_memoised_search_and_no_box_fill(mode, monkeypatch):
+    # On 4 x 64 table groups every outer evaluation reads the closed-form
+    # inverses: no _MonotoneMap point is evaluated inside the outer search,
+    # and max-min takes its t caps from the tables, with no box_fill.
+    import waterline.fair as fair
+    inside, evaluations, fills = [False], [], []
+    call, search, fill = fair._MonotoneMap.__call__, fair._outer_search, fair.box_fill
+
+    def counted_call(self, x):
+        if inside[0]:
+            evaluations.append(x)
+        return call(self, x)
+
+    def watched_search(*args, **kwargs):
+        inside[0] = True
+        try:
+            return search(*args, **kwargs)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(fair._MonotoneMap, "__call__", counted_call)
+    monkeypatch.setattr(fair, "_outer_search", watched_search)
+    monkeypatch.setattr(fair, "box_fill", lambda *a: fills.append(1) or fill(*a))
+    problem = _table_problem(mode)
+    sol = solve_fair(problem)
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
+    assert sol.iterations > 1 and evaluations == [] and fills == []
+
+
+def _tables_off(monkeypatch) -> None:
+    """Send every group down the searches it takes without a table."""
+    import waterline.fair as fair
+    monkeypatch.setattr(fair, "_cluster_table", lambda *args: None)
+    monkeypatch.setattr(fair, "SORTED_FAMILIES", ())
+
+
+def _agreement_problems():
+    rng = random.Random(43)
+    for mode in ("maxmin", "maxmin_boxed", "cluster", "cluster_maxmin"):
+        for seed in range(3):
+            yield _table_problem(mode, n_groups=rng.randint(2, 4), k=rng.randint(1, 24),
+                                 seed=seed)
+    for cls in (LogCapacity, InverseMse):  # b = 0 channels at zero floors, lower bounds
+        for _ in range(4):
+            groups, lower, upper = [], [], []
+            for _ in range(rng.randint(2, 4)):
+                k = rng.randint(1, 8)
+                b = [0.0 if rng.random() < 0.2 else rng.uniform(0.05, 2) for _ in range(k)]
+                groups.append([cls(rng.uniform(0.2, 5), rng.uniform(0.2, 5), x) for x in b])
+                lower.append([0.0 if x == 0 else rng.uniform(0, 0.3) for x in b])
+                upper.append([lo + rng.uniform(0.1, 2) if rng.random() < 0.5 else None
+                              for lo in lower[-1]])
+            budget = sum(map(sum, lower)) + rng.uniform(0.5, 3) * sum(map(len, groups))
+            yield FairProblem(groups, budget, lower_bounds=lower, upper_bounds=upper)
+
+
+def test_fair_modes_agree_with_the_tables_turned_off(monkeypatch):
+    # The closed-form table inverses against the searches every group takes
+    # without a table: _group_mu_for_t for max-min, _MonotoneMap over
+    # water_fill for the cluster modes.
+    problems = list(_agreement_problems())
+    shipped = [solve_fair(problem) for problem in problems]
+    _tables_off(monkeypatch)
+    for problem, sol in zip(problems, shipped):
+        reference = solve_fair(problem)
+        assert sol.status == reference.status
+        assert sol.t == pytest.approx(reference.t, rel=1e-12, abs=0)
+        gap = max(abs(p - q) for row, ref in zip(sol.powers, reference.powers)
+                  for p, q in zip(row, ref))
+        assert gap <= 1e-12 * problem.budget, (problem.mode, gap)
+        assert check_conditions(problem, sol, tolerance=1e-8).passed
 
 
 def _bisected_maxmin_t(problem: FairProblem, lo: float, hi: float) -> float:
@@ -759,3 +847,171 @@ def test_maxmin_extends_the_outer_bracket_downward():
         assert row[0] == pytest.approx(1 / 3, rel=1e-9)
     assert sol.t == pytest.approx(math.log(1 / 3 + 1e-6), rel=1e-9)
     assert check_conditions(problem, sol, tolerance=1e-8).passed
+
+
+@pytest.mark.parametrize("name", ["single", "ties", "uncoupled", "wide"])
+def test_cluster_table_inverses_map_back_to_the_budget(name):
+    # Below about 1e-3 of the budget the maps are flat to rounding: a one-ulp
+    # change of the marginal moves B by more than 1e-12 of it, and the
+    # utility's rounding is a few ulp of L_m.  There the table, read at the
+    # budget an inverse returns, must give the value back.
+    from waterline.fair import _cluster_table
+    group = _table_groups()[name]
+    at, at_price, at_target = _cluster_table(ClusterChannels(group), np.zeros(len(group)))
+    budget = 4.0 * len(group)
+    for b in np.geomspace(1e-3 * budget, budget, 50).tolist():
+        marginal, utility = at(b)
+        assert at_price(marginal) == pytest.approx(b, rel=1e-12, abs=0)
+        assert at_target(utility) == pytest.approx(b, rel=1e-12, abs=0)
+    for b in np.geomspace(1e-9 * budget, budget, 50).tolist():
+        marginal, utility = at(b)
+        assert at(at_price(marginal))[0] == pytest.approx(marginal, rel=1e-12, abs=0)
+        assert at(at_target(utility))[1] == pytest.approx(utility, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("cls", [LogCapacity, InverseMse], ids=["log_capacity", "inverse_mse"])
+@pytest.mark.parametrize("capped", [True, False], ids=["finite_tau", "infinite_tau"])
+def test_scalar_maxmin_total_matches_the_group_state(cls, capped):
+    # At every event's utility and midway between two, the table's scalar
+    # total is the clamped demands' sum, and the t cap maps it back to the
+    # utility there.
+    from waterline.fair import _group_level, _group_state
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(8):
+        objs = [cls(rng.uniform(0.2, 5), rng.uniform(0.2, 5),
+                    0.0 if rng.random() < 0.15 else rng.uniform(0.05, 2))
+                for _ in range(rng.randint(1, 30))]
+        channels = Channels(objs)
+        gamma = np.array([0.0 if o.b == 0 or rng.random() < 0.4 else rng.uniform(0, 1)
+                          for o in objs])
+        tau = gamma + (np.array([rng.uniform(0.1, 2) for _ in objs]) if capped else np.inf)
+        level, cap = _group_level(channels, gamma, tau)
+        rates = np.concatenate((channels.rate(gamma), channels.rate(tau)))
+        rates = np.unique(rates[np.isfinite(rates) & (rates > 0)])[::-1]
+        events = [_group_state(channels, gamma, tau, r)[1] for r in rates.tolist()]
+        for t in events + [0.5 * (x + y) for x, y in zip(events, events[1:])]:
+            mu, powers, _, total = level(t)
+            assert powers is None or mu is None  # a table group's powers come later
+            powers, utility, reference = _group_state(channels, gamma, tau, mu)
+            scale = max(1.0, float(np.abs(powers).sum()))
+            assert total == pytest.approx(reference, rel=0, abs=1e-12 * scale)
+            if mu is not None and total > gamma.sum():
+                assert cap(total) == pytest.approx(utility, rel=1e-12, abs=1e-12)
+                checked += 1
+        if capped:  # spending more than tau: the utility at tau, not an ulp above it
+            top = float(channels.eval(tau).sum())
+            assert cap(float(tau.sum()) + 1.0) <= top
+            assert level(cap(float(tau.sum()) + 1.0))[3] == pytest.approx(tau.sum(), rel=1e-12)
+    assert checked > 100, checked
+
+
+def test_group_search_warm_starts_every_demand_after_the_first(monkeypatch):
+    # A sum_log group has no table: each level the search tries starts the
+    # ragged Newton from the last level's demands.  Cold starts give the same
+    # t and powers.
+    from waterline import fair
+    groups = [[SumLog([1.0, 0.5], 1.0, 1.0, [1.0, 2.0], [1.0, 0.5]),
+               SumLog([0.7, 1.2], 2.0, 0.5, [1.0, 1.0], [1.0, 2.0])],
+              [SumLog([2.0], 0.5, 1.0, [1.5], [0.5]),
+               SumLog([1.0, 1.0, 0.5], 1.5, 2.0, [0.5, 1.0, 2.0], [2.0, 1.0, 0.5])]]
+    problem = FairProblem(groups, 5.0, upper_bounds=[[None, 1.5], [None, None]])
+    demand, starts = Channels.demand, []
+
+    def recorded(self, mu, start=None):
+        starts.append(start)
+        return demand(self, mu, start)
+    monkeypatch.setattr(Channels, "demand", recorded)
+    channels = Channels(groups[0])
+    mu, _, utility, _ = fair._group_mu_for_t(channels, np.zeros(2), np.array([np.inf, 1.5]), 2.0)
+    assert mu is not None and utility == pytest.approx(2.0, rel=1e-12)
+    assert len(starts) > 2 and starts[0] is None
+    assert all(start is not None for start in starts[1:])
+    warm = solve_maxmin(problem)
+    monkeypatch.setattr(Channels, "demand", lambda self, mu, start=None: demand(self, mu))
+    cold = solve_maxmin(problem)
+    assert warm.t == pytest.approx(cold.t, rel=1e-12, abs=0)
+    for row, ref in zip(warm.powers, cold.powers):
+        np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12 * problem.budget)
+    assert check_conditions(problem, warm, tolerance=1e-8).passed
+
+
+@pytest.mark.parametrize("mode", ["cluster", "cluster_maxmin"])
+def test_cluster_channel_that_never_joins(mode):
+    # Sorted by a*w, the second channel of group 0 has g = 9.9, and
+    # sigma_e2*g >= 1: no finite group budget makes room for it, so the table
+    # ends after the first segment, which runs on to B = inf.
+    from waterline.fair import _cluster_table
+    group = [ClusterLogCapacity(1, 10, 0.5, 1), ClusterLogCapacity(1, 0.1, 0.5, 1)]
+    problem = FairProblem([group, [ClusterLogCapacity(1, 1, 0.5, 1)]], 4.0, mode=mode)
+    sol = solve_fair(problem)
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
+    assert sol.powers[0][1] == 0.0 and sol.powers[0][0] > 0.1
+    at, at_price, at_target = _cluster_table(ClusterChannels(group), np.zeros(2))
+    # As B grows, B/s tends to 1/sigma_e2 and the utility to log(a*w*(1/sigma_e2
+    # + 1/a)) from below: no finite budget reaches a target above that, or a
+    # price of 0.
+    top = math.log(10 * (1 / 0.5 + 0.1))
+    assert at(1e12)[1] == pytest.approx(top, rel=1e-9) and at(1e12)[1] < top
+    assert at_target(top) > 1e12 and at_target(top + 1e-9) == math.inf
+    assert at_price(0.0) == math.inf
+    for b in (0.5, 4.0, 1e6):
+        assert at_target(at(b)[1]) == pytest.approx(b, rel=1e-9)
+        assert at_price(at(b)[0]) == pytest.approx(b, rel=1e-9)
+    # Below the least marginal and utility, the inverses give budgets <= 0.
+    assert at_price(2 * at(1e-300)[0]) < 0 and at_target(-1.0) < 0
+
+
+def test_cluster_table_gives_up_where_the_level_leaves_the_float_range():
+    # mu = U/(B + s*A) underflows to 0 when s*A overflows, and overflows when
+    # B and s*A are subnormal; the map then returns None, and its caller runs
+    # water_fill.  No instance reaching these budgets passes its certificate
+    # (the rates leave the float range too), so the exit is checked here.
+    from waterline.fair import _cluster_table
+    at = _cluster_table(ClusterChannels([ClusterLogCapacity(1, 1e-10, 0.5, 1.0)]),
+                        np.zeros(1))[0]
+    assert at(1e300) is None and at(1.0) is not None
+    at = _cluster_table(ClusterChannels([ClusterLogCapacity(1e8, 1e300, 0.5, 0.1)]),
+                        np.zeros(1))[0]
+    assert at(1e-305) is None and at(1e-290) is not None
+
+
+def test_memoised_search_exact_hit_and_ulp_midpoint_without_a_table(monkeypatch):
+    # Groups with lower bounds have no table.  The first target is a group's
+    # utility at a stored budget (the exact hit), and at a power tolerance of
+    # 1e-16 the outer search runs to a few ulp, where consecutive targets fall
+    # inside a stored bracket already a few ulp wide (its midpoint).
+    from waterline import SolverConfig
+    import waterline.fair as fair
+    outcomes, calls = [], []
+    root, illinois = fair._MonotoneMap.root, fair.illinois_root
+
+    def spied(self, y, low, high):
+        before = len(calls)
+        x = root(self, y, low, high)
+        if len(calls) == before and low < x < high:
+            outcomes.append("exact" if x in self.xs else "midpoint")
+        return x
+    monkeypatch.setattr(fair._MonotoneMap, "root", spied)
+    monkeypatch.setattr(fair, "illinois_root", lambda *a: calls.append(1) or illinois(*a))
+    groups = [[ClusterLogCapacity(1, 2, 0.1, 1), ClusterLogCapacity(1, 0.5, 0.1, 1)],
+              [ClusterLogCapacity(1, 1, 0.2, 0.5)], [ClusterLogCapacity(2, 0.7, 0.1, 1)]]
+    for mode, outcome in (("cluster_maxmin", "exact"), ("cluster", "midpoint")):
+        outcomes.clear()
+        problem = FairProblem(groups, 6.0, lower_bounds=[[0.2, 0.1], [0.3], [0.1]],
+                              mode=mode)
+        sol = solve_fair(problem, SolverConfig(power_tolerance=1e-16))
+        assert check_conditions(problem, sol, tolerance=1e-8).passed
+        assert outcome in outcomes, (mode, outcomes)
+
+
+def test_maxmin_t_cap_of_groups_with_no_budget_above_their_floors():
+    # The floors spend the budget: every group's t cap is its utility at its
+    # floor, and the solution rests there.
+    for cls in (LogCapacity, InverseMse):
+        problem = FairProblem([[cls(1, 1, 1), cls(1, 2, 1)], [cls(1, 1, 1)]], 2.0,
+                              lower_bounds=[[0.5, 0.5], [1.0]])
+        sol = solve_maxmin(problem)
+        assert sol.powers == [[0.5, 0.5], [1.0]]
+        assert sol.t == pytest.approx(min(sol.group_utilities), rel=1e-15)
+        assert check_conditions(problem, sol, tolerance=1e-8).passed
