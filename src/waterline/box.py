@@ -36,8 +36,9 @@ cross-strategy agreement is part of the acceptance suite.
 
 from __future__ import annotations
 
+import math
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -221,33 +222,81 @@ def solve_box(problem: BoxProblem,
                   water_levels)
 
 
+_WHOLE = np.zeros(1, dtype=np.intp)  # one segment: every channel
+
+
+class _RateConditions(NamedTuple):
+    """:func:`_rate_conditions` of each segment, one array entry per segment."""
+
+    mu_lo: np.ndarray
+    mu_hi: np.ndarray
+    lower_violation: np.ndarray
+    upper_violation: np.ndarray
+    interior: np.ndarray  # some channel interior
+    spread: np.ndarray    # mu_hi - mu_lo, 0 where no channel is interior
+
+    def residuals(self, scale=1.0) -> dict[str, float]:
+        """``rate_spread``, ``lower_rate_violation`` and
+        ``upper_rate_violation``: the largest over the segments of each
+        value divided by ``scale`` (one per segment, or one for all)."""
+        return {name: float((value / scale).max()) for name, value in (
+            ("rate_spread", self.spread), ("lower_rate_violation", self.lower_violation),
+            ("upper_rate_violation", self.upper_violation))}
+
+
 def _rate_conditions(channels: Channels, powers: np.ndarray, gamma: np.ndarray,
-                    tau: np.ndarray):
-    """``(mu_lo, mu_hi, lower_violation, upper_violation)`` of the box rate
-    conditions, from the :func:`_classify` masks.
+                     tau: np.ndarray, starts: np.ndarray = _WHOLE) -> _RateConditions:
+    """The box rate conditions on each segment of the channels, whose first
+    channels are ``starts``, in one pass: every problem class's certificate
+    (one box, the blocks of an ascending staircase, the groups of a fair
+    problem) reads its rate residuals from here.
 
-    ``mu_lo``/``mu_hi`` are the least and largest rate of the interior
-    channels.  A channel at its lower bound may not have a rate there above
-    ``mu_lo``, nor one at its upper bound a rate there below ``mu_hi``.  With
-    no interior channel the lower-bound rates are held to the least
-    upper-bound rate; with neither, nothing is checked and ``mu_lo`` and
-    ``mu_hi`` are None.
+    The channels are classified once, by :func:`~waterline.core._classify`,
+    and each one's rate is evaluated once, at the one point its set reads:
+    its power if interior, tau at its upper bound, gamma at its lower bound,
+    and at no point if fixed (a b = 0 channel or a custom objective's domain
+    edge may not bear a rate there).  In a segment with an ``interior``
+    channel, ``mu_lo``/``mu_hi`` are the least and largest interior rate; a
+    channel at its lower bound may not have a rate above ``mu_lo``, nor one
+    at its upper bound a rate below ``mu_hi``.  With none interior,
+    ``mu_lo`` is the largest rate at a lower bound (-inf with none) and
+    ``mu_hi`` the least at an upper bound (inf with none), the levels the
+    bounds admit, and the lower-bound rates are held to ``mu_hi``; with
+    neither bound in use, nothing is checked.  Each segment is reduced by
+    ``np.minimum.reduceat``/``np.maximum.reduceat``.
     """
-    _fixed, lower, upper, active = _classify(powers, gamma, tau)
-
-    def rates(mask: np.ndarray, at: np.ndarray) -> np.ndarray:
-        index = np.flatnonzero(mask)
-        return channels.take(index).rate(at[index])
-
-    active_rates, upper_rates = rates(active, powers), rates(upper, tau)
-    if active_rates.size:
-        mu_lo, mu_hi = float(active_rates.min()), float(active_rates.max())
-    elif upper_rates.size:
-        mu_lo = mu_hi = float(upper_rates.min())
+    fixed, lower, upper, active = _classify(powers, gamma, tau)
+    at = np.where(active, powers, np.where(upper, tau, gamma))
+    if fixed.any():
+        rates = np.zeros(len(at))
+        read = np.flatnonzero(~fixed)
+        rates[read] = channels.take(read).rate(at[read])
     else:
-        return None, None, 0.0, 0.0
-    return (mu_lo, mu_hi, float(np.max(rates(lower, gamma) - mu_lo, initial=0.0)),
-            float(np.max(mu_hi - upper_rates, initial=0.0)))
+        rates = channels.rate(at)
+
+    def reduce(op, mask, fill):
+        return op.reduceat(np.where(mask, rates, fill), starts)
+
+    interior = np.logical_or.reduceat(active, starts)
+    floor = reduce(np.maximum, lower, -np.inf)
+    ceiling = reduce(np.minimum, upper, np.inf)
+    mu_lo = np.where(interior, reduce(np.minimum, active, np.inf), floor)
+    mu_hi = np.where(interior, reduce(np.maximum, active, -np.inf), ceiling)
+    held = np.where(interior, mu_lo, ceiling)  # what the lower-bound rates are held to
+    with np.errstate(invalid="ignore"):  # inf - inf where a bound is not in use
+        return _RateConditions(
+            mu_lo, mu_hi,
+            np.where(held < np.inf, np.maximum(floor - held, 0.0), 0.0),
+            np.where(interior, np.maximum(mu_hi - ceiling, 0.0), 0.0),
+            interior, np.where(interior, mu_hi - mu_lo, 0.0))
+
+
+def _bounds_violation(powers: np.ndarray, gamma: np.ndarray, tau: np.ndarray) -> float:
+    """The most a power lies outside its box, in power units; inf when a
+    power is not finite (a NaN compares as lying inside every box)."""
+    if not np.isfinite(powers).all():
+        return math.inf
+    return float(max(0.0, (gamma - powers).max(), (powers - tau).max()))
 
 
 def _box_report(problem, upper, allocation, tolerance: float) -> KktReport:
@@ -256,16 +305,13 @@ def _box_report(problem, upper, allocation, tolerance: float) -> KktReport:
                       else allocation, dtype=float)
     gamma = np.array(problem.lower_bounds, dtype=float)
     tau = np.array(upper, dtype=float)
-    mu_lo, mu_hi, lower, upper = _rate_conditions(problem.channels, powers, gamma, tau)
-    residuals = {"rate_spread": 0.0 if mu_lo is None else mu_hi - mu_lo,
-                 "lower_rate_violation": lower, "upper_rate_violation": upper}
+    residuals = _rate_conditions(problem.channels, powers, gamma, tau).residuals()
     spend = problem.budget
     if np.isfinite(tau).all():
         # When every channel fits at its upper bound, that is the optimum.
         spend = min(spend, float(tau.sum()))
     residuals["power_residual"] = abs(float(powers.sum()) - spend) / problem.budget
-    residuals["bounds_violation"] = float(max(
-        0.0, (gamma - powers).max(), (powers - tau).max()))
+    residuals["bounds_violation"] = _bounds_violation(powers, gamma, tau)
     return KktReport(residuals=residuals, tolerance=tolerance)
 
 

@@ -24,7 +24,6 @@ from .fair import solve_fair
 from .io import (dumps, load_instance, load_result, problem_class,
                  result_to_dict, save_instance, save_result, write_json)
 from .nested import solve_ascending
-from .objectives import ClusterChannels
 from .oracle import check_conditions, enumerate_box
 from .problems import (BOX_STRATEGIES, AscendingProblem, BoxProblem,
                        FairProblem, FairSolution, SolverConfig)
@@ -121,8 +120,8 @@ def _rebuild_fair_solution(problem: FairProblem, doc: dict) -> FairSolution:
     for row, group in zip(powers, problem.groups):
         _check_powers(row, len(group))
     totals = [sum(row) for row in powers]
-    utilities = [float(ClusterChannels(g).bind(total).eval(row).sum())
-                 for g, row, total in zip(problem.groups, powers, totals)]
+    utilities = [float(group.bind(total).eval(row).sum())
+                 for group, row, total in zip(problem.group_banks, powers, totals)]
     return FairSolution(powers=powers, water_levels=[], group_totals=totals,
                         group_utilities=utilities, t=doc.get("t", min(utilities)),
                         active_sets=[], iterations=0, status="")

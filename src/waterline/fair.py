@@ -33,8 +33,11 @@ with one scalar, from one bisect and one formula:
   during the solve, and each new price or target is solved by Illinois
   regula falsi inside the tightest stored bracket (:class:`_MonotoneMap`).
 
-Max-min groups are :class:`~waterline.objectives.Channels` arrays and their
-bound arrays, built once per solve.  Cluster groups are
+Every group is a segment of the problem's one channel bank
+(:attr:`~waterline.problems.FairProblem.group_banks`), built on the
+problem's first read and shared with ``check_conditions``; only the bound
+arrays are built per solve.  Max-min groups are its
+:class:`~waterline.objectives.Channels`.  Cluster groups are
 :class:`~waterline.objectives.ClusterChannels`, bound to a group budget by
 one array expression and solved by :func:`~waterline.core.water_fill` (a
 group with a table only at its final budget).  The inputs were validated
@@ -310,7 +313,8 @@ def solve_maxmin(problem: FairProblem,
     if problem.mode != MODE_MAXMIN:
         raise DomainError(f"solve_maxmin requires maxmin mode, got {problem.mode!r}")
     budget = problem.budget
-    chans = [Channels(group) for group in problem.groups]
+    # A max-min group holds no cluster-aware entry: bound, it is its channels.
+    chans = [group.bind(0.0) for group in problem.group_banks]
     gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
     taus = [np.array(row, dtype=float) for row in problem.upper_bounds]
 
@@ -490,7 +494,7 @@ def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
     total and builds the solution, with ``t`` the least group utility unless
     given.
     """
-    clusters = [ClusterChannels(group) for group in problem.groups]
+    clusters = problem.group_banks
     gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
     tables = [_cluster_table(c, gamma) for c, gamma in zip(clusters, gammas)]
 
@@ -526,14 +530,12 @@ def solve_cluster(problem: FairProblem,
 
     if n_groups == 1:
         return finish([budget], 1)
-    if not any(cluster.coupled for cluster in clusters):
+    if not problem.bank.coupled:
         # No interference coupling: the groups pool into one problem.
-        pooled = ClusterChannels([o for group in groups for o in group])
         powers, _, water_levels, _ = water_fill(
-            pooled.bind(0.0), np.concatenate(gammas), budget, cfg)
-        ends = np.cumsum([len(group) for group in groups])[:-1]
-        return finish([sum(part.tolist()) for part in np.split(powers, ends)],
-                      len(water_levels) or 1)
+            problem.bank.bind(0.0), np.concatenate(gammas), budget, cfg)
+        parts = np.split(powers, problem.offsets[1:-1])
+        return finish([sum(part.tolist()) for part in parts], len(water_levels) or 1)
 
     floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)

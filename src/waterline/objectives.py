@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -623,7 +624,7 @@ class Channels:
 
     def __init__(self, objectives: Sequence[Objective]):
         self._objects = objs = list(objectives)
-        kinds = {type(obj) for obj in objs}
+        kinds = set(map(type, objs))
         self.w = self.a = self.b = self._codes = self.family = self._terms = None
         self._groups: list = []
         if not (kinds and kinds.issubset(_BANK_CLASSES)):
@@ -638,9 +639,9 @@ class Channels:
                               [0 if o.closed_form_inverse else len(o.w) for o in objs]),)
             w = np.array([o.w if o.closed_form_inverse else math.nan for o in objs])
         else:
-            terms, w = None, np.fromiter((o.w for o in objs), float, n)
-        self._set_bank(w, np.fromiter((o.a for o in objs), float, n),
-                       np.fromiter((o.b for o in objs), float, n),
+            terms, w = None, np.fromiter(map(attrgetter("w"), objs), float, n)
+        self._set_bank(w, np.fromiter(map(attrgetter("a"), objs), float, n),
+                       np.fromiter(map(attrgetter("b"), objs), float, n),
                        kinds.pop() if codes is None else None, codes, terms)
 
     @classmethod
@@ -841,60 +842,92 @@ def _cluster_aware(obj) -> bool:
 
 
 class ClusterChannels:
-    """One group of a fair problem, bound to its cluster power by arrays.
+    """Entries of a fair problem, bound to their cluster power by arrays.
 
     Entries are :class:`ClusterLogCapacity` or ordinary objectives.
-    ``bind(cluster_power)`` gives the group's :class:`Channels` at that
-    cluster power: each cluster-aware entry becomes the ``log_capacity``
+    ``bind(cluster_power)`` gives their :class:`Channels` at that cluster
+    power: each cluster-aware entry becomes the ``log_capacity``
     channel ``w*log(1 + a'*p)`` with ``a' = a/(sigma_e2*P + sigma_n2)``, the
     operations of :meth:`ClusterLogCapacity.bind` run as one array expression
     over parameter arrays built here, once.  When every entry is
     cluster-aware, the template bank is built from those arrays, with no
     object per entry.  When the ordinary entries are flat families too (sum
-    families included), the result is a bank; otherwise the group binds
-    through the objects and runs on the object path.
+    families included), the result is a bank; otherwise the entries bind
+    through the objects and run on the object path.
+
+    A :class:`~waterline.problems.FairProblem` holds one such bank over
+    every group's entries, in order (:attr:`~waterline.problems.FairProblem.bank`),
+    and reads each group as a :meth:`segment` of it.
     """
 
     def __init__(self, objectives: Sequence):
         self.objectives = list(objectives)
-        self.index = np.array([i for i, o in enumerate(self.objectives)
-                               if _cluster_aware(o)], dtype=np.intp)
-        aware = [self.objectives[i] for i in self.index.tolist()]
-        self.w = np.array([o.w for o in aware], dtype=float)
-        self.a = np.array([o.a for o in aware], dtype=float)
-        self.sigma_e2 = np.array([o.sigma_e2 for o in aware], dtype=float)
-        self.sigma_n2 = np.array([o.sigma_n2 for o in aware], dtype=float)
+        flags = [_cluster_aware(o) for o in self.objectives]
+        self.index = np.flatnonzero(np.array(flags, dtype=bool))
+        aware = self.objectives if all(flags) else \
+            [self.objectives[i] for i in self.index.tolist()]
+        self.w, self.a, self.sigma_e2, self.sigma_n2 = (
+            np.fromiter(map(attrgetter(name), aware), float, len(aware))
+            for name in ("w", "a", "sigma_e2", "sigma_n2"))
         # Cluster-aware entries enter as log_capacity with b = 1; bind() sets their a.
         if self.index.size == len(self.objectives):
             self._template = Channels.from_arrays(
                 "log_capacity", self.w, self.a / self.sigma_n2, np.ones(len(self.w)))
         else:
-            self._template = Channels([o.bind(0.0) if _cluster_aware(o) else o
-                                       for o in self.objectives])
+            self._template = Channels([o.bind(0.0) if aware else o
+                                       for o, aware in zip(self.objectives, flags)]
+                                      if self.index.size else self.objectives)
 
     @property
     def coupled(self) -> bool:
         """True when some entry's utility depends on the cluster power."""
         return bool((self.sigma_e2 > 0).any())
 
-    def bind(self, cluster_power: float) -> Channels:
-        """The group's channels with the cluster power frozen at ``cluster_power``."""
+    def segment(self, start: int, stop: int) -> ClusterChannels:
+        """Entries ``start:stop`` as a bank of their own, taken from this
+        one's arrays and template, not rebuilt from the objects.  Its template
+        is a bank whenever one built from those entries alone would be, even
+        when this one's is not (a custom entry elsewhere)."""
+        view = object.__new__(ClusterChannels)
+        view.objectives = self.objectives[start:stop]
+        lo, hi = np.searchsorted(self.index, (start, stop)).tolist()
+        view.index = self.index[lo:hi] - start
+        view.w, view.a, view.sigma_e2, view.sigma_n2 = (
+            x[lo:hi] for x in (self.w, self.a, self.sigma_e2, self.sigma_n2))
+        view._template = self._template.take(np.arange(start, stop))
+        return view
+
+    def bind(self, cluster_power) -> Channels:
+        """The channels with the cluster power frozen at ``cluster_power``: one
+        float for every entry, or an array of one per entry (each entry bound
+        at its own group's total, when the bank spans several groups)."""
         if not self.index.size:
             return self._template
         if not self._template.banked:
-            return Channels([o.bind(cluster_power) if _cluster_aware(o) else o
-                             for o in self.objectives])
+            powers = np.broadcast_to(cluster_power, len(self.objectives)).tolist()
+            return Channels([o.bind(p) if _cluster_aware(o) else o
+                             for o, p in zip(self.objectives, powers)])
         a = self._template.a.copy()
-        a[self.index] = self.a / (self.sigma_e2 * cluster_power + self.sigma_n2)
+        a[self.index] = self.a / (self.sigma_e2 * self._aware(cluster_power) + self.sigma_n2)
         return self._template.with_a(a)
 
-    def drag(self, powers, cluster_power: float) -> float:
-        """Sum of :meth:`ClusterLogCapacity.cluster_partial` over the
-        cluster-aware entries at ``powers``."""
+    def _aware(self, cluster_power):
+        """``cluster_power`` as the cluster-aware entries read it: a float as
+        it is, one power per entry taken at ``index``."""
+        return np.asarray(cluster_power)[self.index] if np.ndim(cluster_power) \
+            else cluster_power
+
+    def partials(self, powers, cluster_power) -> np.ndarray:
+        """:meth:`ClusterLogCapacity.cluster_partial` of each cluster-aware
+        entry, in ``index`` order, at ``powers`` (one per entry) and
+        ``cluster_power`` (as :meth:`bind` takes it)."""
         p = np.asarray(powers, dtype=float)[self.index]
-        denom = self.sigma_e2 * cluster_power + self.sigma_n2
-        return float((-self.w * self.a * p * self.sigma_e2 /
-                      (denom * (denom + self.a * p))).sum())
+        denom = self.sigma_e2 * self._aware(cluster_power) + self.sigma_n2
+        return -self.w * self.a * p * self.sigma_e2 / (denom * (denom + self.a * p))
+
+    def drag(self, powers, cluster_power: float) -> float:
+        """The group's interference drag: the sum of its :meth:`partials`."""
+        return float(self.partials(powers, cluster_power).sum())
 
 
 FAMILIES = {

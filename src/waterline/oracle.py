@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _classify, solve_water_level, water_fill
-from .box import _rate_conditions, box_fill, kkt_residual_box, kkt_residual_p1
+from .core import solve_water_level, water_fill
+from .box import (
+    _bounds_violation, _rate_conditions, box_fill, kkt_residual_box, kkt_residual_p1)
 from .errors import BracketFailure, DomainError, SizeLimit
-from .objectives import ClusterChannels
 from .problems import (
     MODE_CLUSTER, Allocation, AscendingProblem, BoxProblem, FairProblem,
     FairSolution, KktReport, SimplexProblem, SolverConfig)
@@ -334,7 +334,7 @@ def _grid_search_fair(problem: FairProblem,
     taus = [np.array(row, dtype=float) for row in problem.upper_bounds]
     heads = [sum(tau.tolist()) if np.isfinite(tau).all() else math.inf for tau in taus]
     is_min = problem.mode != MODE_CLUSTER
-    clusters = [ClusterChannels(group) for group in groups]
+    clusters = problem.group_banks
 
     def group_utility(j: int, group_budget: float) -> float:
         if group_budget < floors[j]:
@@ -389,10 +389,12 @@ def _ascending_report(problem: AscendingProblem, powers,
     """Feasibility and the optimality conditions of the level staircase.
 
     The caps within ``tolerance * P_K`` of their prefix sums split the
-    channels into segments, each a box problem with its own water level.  The
-    levels may not rise from segment to segment, and after the last tight cap
-    the level is 0: ``level_order_violation`` is the most a segment's least
-    admissible level exceeds the largest the segments before it admit.
+    channels into segments, each a box problem with its own water level,
+    whose rate conditions are checked in one :func:`~waterline.box._rate_conditions`
+    pass.  The levels may not rise from segment to segment, and after the
+    last tight cap the level is 0: ``level_order_violation`` is the most a
+    segment's least admissible level exceeds the largest the segments before
+    it admit.
     """
     powers = np.asarray(powers, dtype=float)
     gamma = np.array(problem.lower_bounds, dtype=float)
@@ -400,91 +402,88 @@ def _ascending_report(problem: AscendingProblem, powers,
     caps = np.array(problem.prefix_budgets)
     slack = caps - np.cumsum(powers)
     tight = slack <= tolerance * caps[-1]
-    channels = problem.channels
-    residuals = dict.fromkeys(("rate_spread", "lower_rate_violation",
-                               "upper_rate_violation", "level_order_violation"), 0.0)
-    level, start = math.inf, 0
-    for stop in np.union1d(np.flatnonzero(tight) + 1, problem.n).tolist():
-        seg = np.arange(start, stop)
-        p, g, t, sub = powers[seg], gamma[seg], tau[seg], channels.take(seg)
-        mu_lo, mu_hi, lower_v, upper_v = _rate_conditions(sub, p, g, t)
-        spread = 0.0 if mu_lo is None else mu_hi - mu_lo
-        _fixed, lower, _upper, active = _classify(p, g, t)
-        if not active.any():  # only the bounds limit the level
-            lower = np.flatnonzero(lower)
-            mu_lo = float(np.max(sub.take(lower).rate(g[lower]), initial=0.0))
-            mu_hi = math.inf if mu_hi is None else mu_hi
+    stops = np.union1d(np.flatnonzero(tight) + 1, problem.n)
+    rates = _rate_conditions(problem.channels, powers, gamma, tau,
+                             np.append(0, stops[:-1]))
+    residuals = rates.residuals()
+    residuals["level_order_violation"] = 0.0
+    # With no interior channel, only the bounds limit the level: it is at
+    # least the largest rate at a lower bound and at least 0.
+    least = np.where(rates.interior, rates.mu_lo, np.maximum(rates.mu_lo, 0.0))
+    level = math.inf
+    for lo, hi, stop in zip(least.tolist(), rates.mu_hi.tolist(), stops.tolist()):
         level = level if tight[stop - 1] else 0.0
-        for name, value in zip(residuals, (spread, lower_v, upper_v, mu_lo - level)):
-            residuals[name] = max(residuals[name], value)
-        level, start = min(level, mu_hi), stop
+        residuals["level_order_violation"] = max(residuals["level_order_violation"],
+                                                 lo - level)
+        level = min(level, hi)
     residuals["prefix_violation"] = max(0.0, float(-slack.min()) / caps[-1])
-    residuals["bounds_violation"] = max(0.0, (gamma - powers).max(), (powers - tau).max())
+    residuals["bounds_violation"] = _bounds_violation(powers, gamma, tau)
     return KktReport(residuals=residuals, tolerance=tolerance)
 
 
-def _marginal_spread(problem: FairProblem, solution: FairSolution,
-                     clusters: list[ClusterChannels], tolerance: float) -> float:
+def _marginal_spread(problem: FairProblem, powers: np.ndarray, gamma: np.ndarray,
+                     bound_at: np.ndarray, at_floor: np.ndarray) -> float:
     """Spread of the groups' marginal values of budget (cluster mode).
 
     A group's marginal is the largest rate of its channels above their lower
-    bounds, bound at the group total, plus the interference drag.  Groups
-    above their floors must share it.  A group within ``tolerance`` of its
-    floor (read from its total) may lie below the least of theirs but not
-    above it; with no channel above its lower bounds it uses its largest
-    rate at them.
+    bounds, bound at the group total, plus the interference drag; with no
+    channel above its lower bounds, its largest rate at them.  Every group's
+    rates come from one ``rate`` pass over the problem's bank, each channel
+    bound at its group's total (``bound_at``, one per channel).  Groups above
+    their floors must share the marginal.  A group within tolerance of its
+    floor (``at_floor``, read from its total) may lie below the least of
+    theirs but not above it.
     """
-    interior, resting = [], []
-    for cluster, p, gamma, total in zip(clusters, solution.powers,
-                                        problem.lower_bounds, solution.group_totals):
-        p, gamma = np.array(p, dtype=float), np.array(gamma, dtype=float)
-        bound = cluster.bind(total)
-        above = p > gamma + 1e-9 * (1.0 + gamma)
-        rate = bound.rate(p)[above].max() if above.any() else bound.rate(gamma).max()
-        marginal = float(rate) + cluster.drag(p, total)
-        at_floor = total - float(gamma.sum()) <= tolerance * problem.budget
-        (resting if at_floor else interior).append(marginal)
-    if not interior:
+    bank, starts = problem.bank, problem.offsets[:-1]
+    above = powers > gamma + 1e-9 * (1.0 + gamma)
+    # A group with no channel above its lower bounds reads every rate at them.
+    resting = ~np.logical_or.reduceat(above, starts)
+    read = above | np.repeat(resting, np.diff(problem.offsets))
+    rates = bank.bind(bound_at).rate(np.where(above, powers, gamma))
+    drag = np.zeros(len(powers))
+    drag[bank.index] = bank.partials(powers, bound_at)
+    marginal = np.maximum.reduceat(np.where(read, rates, -np.inf), starts) + \
+        np.add.reduceat(drag, starts)
+    interior = marginal[~at_floor]
+    if not interior.size:
         return 0.0
-    finite = [abs(m) for m in interior + resting if math.isfinite(m)]
-    return (max(interior + resting) - min(interior)) / max(finite + [1e-30])
+    finite = np.abs(marginal[np.isfinite(marginal)])
+    return float((marginal.max() - interior.min()) / max(finite.max(initial=0.0), 1e-30))
 
 
 def _fair_report(problem: FairProblem, solution: FairSolution,
                  tolerance: float) -> KktReport:
-    groups = problem.groups
-    gammas, taus = problem.lower_bounds, problem.upper_bounds
+    """Residuals of the fair optimality conditions, checked in one pass over
+    the problem's bank (:attr:`~waterline.problems.FairProblem.bank`): every
+    group's entries bound at its total, and the box rate conditions of
+    every group from one segmented
+    :func:`~waterline.box._rate_conditions` call."""
+    starts, sizes = problem.offsets[:-1], np.diff(problem.offsets)
+    if [len(row) for row in solution.powers] != sizes.tolist():
+        raise DomainError("power rows do not match the groups")
+    flat = itertools.chain.from_iterable
+    powers = np.fromiter(flat(solution.powers), float, int(problem.offsets[-1]))
+    gamma = np.fromiter(flat(problem.lower_bounds), float, len(powers))
+    tau = np.fromiter(flat(problem.upper_bounds), float, len(powers))
     totals = solution.group_totals
-    residuals: dict[str, float] = {}
+    bound_at = np.repeat(np.asarray(totals, dtype=float), sizes)
     not_applicable: list[str] = []
 
     # The box rate conditions within each group (its channels bound at the
     # group total), normalised by the group's largest interior rate or, when
     # no channel is interior, by its least rate at an upper bound.
-    rates = dict.fromkeys(("rate_spread", "lower_rate_violation",
-                           "upper_rate_violation"), 0.0)
-    saturated = []
-    clusters = [ClusterChannels(group) for group in groups]
-    for j, cluster in enumerate(clusters):
-        p = np.array(solution.powers[j], dtype=float)
-        gamma = np.array(gammas[j], dtype=float)
-        tau = np.array(taus[j], dtype=float)
-        _fixed, lower, _upper, active = _classify(p, gamma, tau)
-        saturated.append(not (lower | active).any())
-        mu_lo, mu_hi, lower_v, upper_v = _rate_conditions(
-            cluster.bind(totals[j]), p, gamma, tau)
-        if mu_lo is None:
-            continue
-        scale = max(abs(mu_hi), 1e-30)
-        for name, value in zip(rates, (mu_hi - mu_lo, lower_v, upper_v)):
-            rates[name] = max(rates[name], value / scale)
-    residuals.update(rates)
+    rates = _rate_conditions(problem.bank.bind(bound_at), powers, gamma, tau, starts)
+    residuals = rates.residuals(np.maximum(np.abs(rates.mu_hi), 1e-30))
+    # A saturated group has no channel interior or at its lower bound.
+    saturated = (~rates.interior & (rates.mu_lo == -np.inf)).tolist()
+    at_floor = np.asarray(totals) - np.add.reduceat(gamma, starts) <= \
+        tolerance * problem.budget
 
     if problem.mode == MODE_CLUSTER:
         not_applicable.append("utility_spread")
         residuals["utility_spread"] = 0.0
         residuals["marginal_spread"] = _marginal_spread(
-            problem, solution, clusters, tolerance)
+            problem, powers, gamma, bound_at, at_floor)
     else:
         not_applicable.append("marginal_spread")
         residuals["marginal_spread"] = 0.0
@@ -497,22 +496,16 @@ def _fair_report(problem: FairProblem, solution: FairSolution,
         gaps = [(util - solution.t) / denom for util in solution.group_utilities]
         capped = any(sat and abs(gap) <= tolerance for sat, gap in zip(saturated, gaps))
         spread = 0.0
-        for j, gap in enumerate(gaps):
-            at_floor = totals[j] - sum(gammas[j]) <= tolerance * problem.budget
-            spread = max(spread, -gap if capped or at_floor else abs(gap))
+        for gap, floor in zip(gaps, at_floor.tolist()):
+            spread = max(spread, -gap if capped or floor else abs(gap))
         residuals["utility_spread"] = max(0.0, spread)
 
     spend = problem.budget
-    if all(math.isfinite(x) for row in taus for x in row):
+    if np.isfinite(tau).all():
         # When every channel fits at its upper bound, that is the optimum.
-        spend = min(spend, sum(sum(row) for row in taus))
+        spend = min(spend, float(tau.sum()))
     residuals["power_residual"] = abs(sum(totals) - spend) / problem.budget
-    bounds_violation = 0.0
-    for j in range(len(groups)):
-        for i, p in enumerate(solution.powers[j]):
-            bounds_violation = max(bounds_violation,
-                                   gammas[j][i] - p, p - taus[j][i])
-    residuals["bounds_violation"] = max(0.0, bounds_violation)
+    residuals["bounds_violation"] = _bounds_violation(powers, gamma, tau)
     return KktReport(residuals=residuals, tolerance=tolerance,
                      not_applicable=not_applicable)
 

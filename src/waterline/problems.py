@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleBudget
-from .objectives import Channels, ClusterLogCapacity, Objective
+from .objectives import Channels, ClusterChannels, ClusterLogCapacity, Objective
 
 BOX_STRATEGIES = ("set_a", "set_b", "bisect", "order")
 
@@ -162,7 +163,15 @@ FAIR_MODES = (MODE_MAXMIN, MODE_CLUSTER, MODE_CLUSTER_MAXMIN)
 
 @dataclass
 class FairProblem:
-    """Grouped allocation: max-min fair, clustered, or both combined."""
+    """Grouped allocation: max-min fair, clustered, or both combined.
+
+    ``bank`` holds every group's entries, in order, as one
+    :class:`~waterline.objectives.ClusterChannels`; group j is entries
+    ``offsets[j]:offsets[j + 1]`` of it, and ``group_banks[j]`` is that
+    group as a segment of the bank.  Each is built on first read, once per
+    problem, and shared by the solvers and the condition checks; a change
+    to ``groups`` after that does not reach them.
+    """
 
     groups: Sequence[Sequence[Objective | ClusterLogCapacity]]
     budget: float
@@ -203,6 +212,19 @@ class FairProblem:
     @property
     def n_groups(self) -> int:
         return len(self.groups)
+
+    @cached_property
+    def bank(self) -> ClusterChannels:
+        return ClusterChannels([obj for group in self.groups for obj in group])
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.cumsum([0] + [len(group) for group in self.groups])
+
+    @cached_property
+    def group_banks(self) -> list[ClusterChannels]:
+        ends = self.offsets.tolist()
+        return [self.bank.segment(lo, hi) for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 @dataclass

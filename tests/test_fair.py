@@ -1015,3 +1015,52 @@ def test_maxmin_t_cap_of_groups_with_no_budget_above_their_floors():
         assert sol.powers == [[0.5, 0.5], [1.0]]
         assert sol.t == pytest.approx(min(sol.group_utilities), rel=1e-15)
         assert check_conditions(problem, sol, tolerance=1e-8).passed
+
+
+def test_outer_search_returns_the_low_end_when_the_budget_is_spent_there():
+    """``_outer_search``'s early return at the low end: a given ``lo`` that
+    spends the budget exactly, or spends more (the budget is met only beyond
+    the bracket), a downward bracket whose first probe lands on the spending
+    level, and a falling total (a price) whose ``lo`` spends the budget; each
+    is returned after the two end probes."""
+    from waterline import SolverConfig
+    from waterline.fair import _outer_search
+
+    def evaluate(x):  # the total rises with x and spends 1 at x = 1
+        return x, -x
+    for lo in (1.0, 1.5):
+        assert _outer_search(evaluate, 1.0, SolverConfig(), True, hi=2.0, lo=lo) == \
+            (lo, -lo, 2)
+    assert _outer_search(evaluate, 1.0, SolverConfig(), True, hi=2.0) == (1.0, -1.0, 2)
+
+    def falling(x):  # a price: the total falls with x and spends 1 at x = 3
+        return 4.0 - x, x
+    assert _outer_search(falling, 1.0, SolverConfig(), False, hi=3.5, lo=3.0) == (3.0, 3.0, 2)
+
+
+def test_outer_search_raises_when_no_level_brings_the_total_down_to_the_budget():
+    """With no ``lo``, the downward bracket doubles its step 200 times; a
+    total above the budget at every level raises ``InfeasibleTarget``."""
+    from waterline import InfeasibleTarget, SolverConfig
+    from waterline.fair import _outer_search
+    probed = []
+
+    def evaluate(x):
+        probed.append(x)
+        return 2.0, None
+    with pytest.raises(InfeasibleTarget, match="could not bracket"):
+        _outer_search(evaluate, 1.0, SolverConfig(), True, hi=0.0)
+    assert len(probed) == 201 and probed[-1] == -(2.0 ** 200 - 1.0)
+
+
+def test_nan_power_fails_the_fair_certificate():
+    """At a budget near the float range's end the cluster max-min solver
+    returns a NaN power with status ``optimal`` (still open); the
+    certificate must not pass it: ``bounds_violation`` is inf."""
+    problem = FairProblem([[ClusterLogCapacity(1, 1, 0.5, 1), ClusterLogCapacity(1, 2, 0.5, 1)],
+                           [ClusterLogCapacity(1, 1.5, 0.5, 1)]], 1e308, mode="cluster_maxmin")
+    solution = solve_cluster_maxmin(problem)
+    assert math.isnan(solution.powers[1][0])
+    report = check_conditions(problem, solution, tolerance=1e-8)
+    assert not report.passed
+    assert report.residuals["bounds_violation"] == math.inf

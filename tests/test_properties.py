@@ -14,12 +14,14 @@ from waterline import (  # noqa: E402
     ClusterLogCapacity, FairProblem, InverseMse, LogCapacity, SimplexProblem, SolverConfig,
     SumInverseMse, SumLog, check_conditions, solve_ascending, solve_box, solve_fair)
 from waterline.box import box_fill, box_fill_rows  # noqa: E402
+from waterline.cli import _rebuild_fair_solution  # noqa: E402
 from waterline.core import deactivation_loop, water_fill  # noqa: E402
 from waterline.nested import _block_levels  # noqa: E402
 from waterline.io import dumps  # noqa: E402
 from waterline.objectives import Channels  # noqa: E402
 
 from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES  # noqa: E402
+from reference_reports import assert_matches_reference  # noqa: E402
 
 _param = st.floats(0.2, 5.0)
 
@@ -70,6 +72,94 @@ def test_every_fair_mode_passes_its_conditions(problem):
     solution = solve_fair(problem)
     report = check_conditions(problem, solution, tolerance=1e-8)
     assert report.passed, report.residuals
+
+
+@given(fair_problems(), st.randoms(use_true_random=False))
+def test_fair_reports_match_the_per_group_reference(problem, rng):
+    """The one-pass fair report against the per-group reference, on the
+    solved allocation and on one perturbed off it."""
+    solution = solve_fair(problem)
+    assert_matches_reference(problem, solution)
+    rows = [[min(max(p * (1.0 + rng.uniform(-0.05, 0.05)), lo), hi)
+             for p, lo, hi in zip(row, lows, highs)]
+            for row, lows, highs in zip(solution.powers, problem.lower_bounds,
+                                        problem.upper_bounds)]
+    assert_matches_reference(problem, _rebuild_fair_solution(problem, {"powers": rows}))
+
+
+def _transfer(problem: FairProblem, rows, source: tuple, sink: tuple):
+    """Rows with delta moved from channel ``source`` to channel ``sink``
+    (``(group, channel)`` each), delta half the room of the tighter one, so
+    both end strictly inside their boxes; and delta."""
+    (g, i), (h, j) = source, sink
+    delta = 0.5 * min(rows[g][i] - problem.lower_bounds[g][i],
+                      problem.upper_bounds[h][j] - rows[h][j])
+    moved = [list(row) for row in rows]
+    moved[g][i] -= delta
+    moved[h][j] += delta
+    return moved, delta
+
+
+def _roomiest(problem: FairProblem, rows, groups, down: bool):
+    """The channel of ``groups`` with the most room below (``down``) or above
+    its power, as ``(room, (group, channel))``."""
+    bounds = problem.lower_bounds if down else problem.upper_bounds
+    return max(((p - b if down else b - p), (g, i)) for g in groups
+               for i, (p, b) in enumerate(zip(rows[g], bounds[g])))
+
+
+@given(fair_problems())
+def test_fair_certificate_fails_an_optimum_with_power_moved(problem):
+    """Soundness: move delta of power off a solved optimum and the check fails.
+
+    Within a group (every mode), from the channel with the most room above
+    its floor to the one with the most room below its cap: the group total
+    and so its binding stay, and by concavity the utility lost, L, is at most
+    delta times the gap between the two channels' new rates, both interior.
+    Once L exceeds 4 * tol * delta * R, R the largest rate of a channel above
+    its floor, that gap normalised by the group's largest interior rate
+    exceeds tol.  Between groups (``maxmin``), from a group at the least
+    utility t to another: once t drops by more than 10 * tol * (1 + |t| +
+    |t'|), the receiving group, off its floor and not saturated, sits above
+    the new least utility t' by more than tol, and no saturated group is
+    within tol of t'."""
+    tol = 1e-8
+    solution = solve_fair(problem)
+    assert check_conditions(problem, solution, tol).passed
+    rows, totals = solution.powers, solution.group_totals
+    for g, total in enumerate(totals):
+        if len(rows[g]) < 2:
+            continue
+        down, source = _roomiest(problem, rows, [g], down=True)
+        up, sink = max((problem.upper_bounds[g][i] - p, (g, i))
+                       for i, p in enumerate(rows[g]) if i != source[1])
+        moved, delta = _transfer(problem, rows, source, sink)
+        if not delta > 1e-6 * problem.budget:
+            continue
+        channels = problem.group_banks[g].bind(total)
+        before, after = channels.eval(rows[g]), channels.eval(moved[g])
+        lost = float((before - after).sum())
+        above = np.array(moved[g]) > np.array(problem.lower_bounds[g])
+        largest = float(channels.rate(moved[g])[above].max())
+        if lost > 4.0 * tol * delta * largest:
+            report = check_conditions(problem, _rebuild_fair_solution(
+                problem, {"powers": moved}), tol)
+            assert not report.passed, (g, delta, lost, report.residuals)
+    if problem.mode != "maxmin":
+        return
+    base = _rebuild_fair_solution(problem, {"powers": rows})
+    least = int(np.argmin(base.group_utilities))
+    _, source = _roomiest(problem, rows, [least], down=True)
+    _, sink = _roomiest(problem, rows, [h for h in range(len(rows)) if h != least],
+                        down=False)
+    moved, delta = _transfer(problem, rows, source, sink)
+    if not delta > 10.0 * tol * problem.budget:
+        return
+    after = _rebuild_fair_solution(problem, {"powers": moved})
+    drop = base.t - after.group_utilities[least]
+    if drop > 10.0 * tol * (1.0 + abs(base.t) + abs(after.t)):
+        report = check_conditions(problem, after, tol)
+        assert not report.passed, (drop, report.residuals)
 
 
 @st.composite
