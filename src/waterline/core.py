@@ -42,8 +42,6 @@ from .objectives import Channels, InverseMse, LogCapacity, Objective
 from .problems import Allocation, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
-# Homogeneous families whose max-min groups have a breakpoint table.
-SORTED_FAMILIES = ("log_capacity", "inverse_mse")
 
 
 def _demand_terms(channels: Channels, c: np.ndarray | None = None):
@@ -196,21 +194,18 @@ def illinois_root(h, lo: float, hi: float, h_lo: float, h_hi: float,
                   tol: float, rtol: float) -> float:
     """Root of a decreasing residual ``h`` by Illinois-damped regula falsi.
 
-    ``[lo, hi]`` brackets the root with ``h_lo = h(lo) >= 0 >= h(hi) = h_hi``.
+    ``[lo, hi]`` brackets the root with ``h_lo = h(lo) > 0 > h(hi) = h_hi``.
     Stops at the first iterate with ``|h| <= tol`` or once the bracket is no
     wider than ``rtol * max(|lo|, |hi|)``, and returns the last iterate.  An increasing
     map is passed negated, which leaves every iterate the same.
     """
     side = 0
-    mid = 0.5 * (lo + hi)
     for _ in range(200):
-        denom = h_hi - h_lo
-        if denom == 0:
+        # h_hi - h_lo is never 0: each step stores a nonzero residual on its
+        # own side, and the Illinois halving takes only the other end to 0.
+        mid = hi - h_hi * (hi - lo) / (h_hi - h_lo)
+        if not (lo < mid < hi):  # also a NaN residual
             mid = 0.5 * (lo + hi)
-        else:
-            mid = hi - h_hi * (hi - lo) / denom
-            if not (lo < mid < hi):
-                mid = 0.5 * (lo + hi)
         h_mid = h(mid)
         if abs(h_mid) <= tol:
             break

@@ -19,13 +19,13 @@ level itself.  A group with a breakpoint table answers each outer level
 with one scalar, from one bisect and one formula:
 
 * a max-min group's utility and total are closed form in its water level
-  between the levels where its channels join (their rate at the lower
-  bound) and saturate (their rate at a finite upper bound), so for a
-  homogeneous ``log_capacity`` or ``inverse_mse`` bank the group total at
-  t, and the utility a total reaches (its t cap), are one table lookup and
-  one formula each, the powers built once at the final t
-  (:func:`_group_level`); other families search the level
-  (:func:`_group_mu_for_t`);
+  between the levels where its channels join (demand the lower bound) and
+  saturate (a finite upper bound), so for a ``log_capacity``/
+  ``inverse_mse`` bank, in any mix, the group total at t and the utility a
+  total reaches (its t cap) are one table lookup and one formula each (a
+  scalar search for t where both families are active), the powers built
+  once at the final t (:func:`_group_level`); other families search the
+  level (:func:`_group_mu_for_t`);
 * a cluster group of cluster-aware entries with one (sigma_e2, sigma_n2)
   and zero floors inverts its budget map (to its marginal, or to its
   utility) in closed form between the budgets where its channels join
@@ -53,7 +53,8 @@ from functools import partial
 import numpy as np
 
 from .box import box_fill
-from .core import SORTED_FAMILIES, _classify, _level_search, illinois_root, water_fill
+from .core import (
+    _bank_points, _classify, _level_search, _quadratic_level, illinois_root, water_fill)
 from .errors import BracketFailure, DomainError, InfeasibleTarget, InversionFailure
 from .objectives import Channels, ClusterChannels
 from .problems import (
@@ -84,9 +85,8 @@ def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
     meets t resting at its lower bounds, or exceeds it at every finite level.
     A t above the utility at finite upper bounds raises
     :class:`InfeasibleTarget` before any search.  This is the path of every
-    group that is not a homogeneous ``log_capacity`` or ``inverse_mse`` bank
-    (see :func:`_group_level`), and the reference the breakpoint table is
-    tested against.
+    group with no breakpoint table (not a ``log_capacity``/``inverse_mse``
+    bank, see :func:`_group_level`), and the reference the table is tested against.
     """
     if np.isfinite(channels.rate(gamma)).all():
         floor = _group_state(channels, gamma, tau, None)
@@ -125,90 +125,92 @@ def _group_level(channels: Channels, gamma, tau):
     utility the group reaches spending ``total`` above its floor, or NaN
     where the table does not give it (None: no table).
 
-    A homogeneous ``log_capacity`` or ``inverse_mse`` bank gets a breakpoint
-    table.  As the level falls, a channel joins at its rate at gamma and
-    saturates at its rate at a finite tau; the events are sorted once by
-    rate.  Between two events, with the channels in between active and x =
-    1/mu (log) or 1/sqrt(mu) (inverse MSE), the group total is ``P0 + S*x -
-    BA`` and the utility ``F + C + S*log(x)`` (log) or ``F - S/x``.  ``S``,
-    ``C`` and ``BA`` are signed prefix sums, + at a join and - at a
-    saturation, of w, w*log(a*w) and b/a (log) or of sqrt(w/a), 0 and b/a;
-    ``F`` and ``P0`` sum the floor utilities and powers of the channels not
-    yet joined and the tau utilities and powers of those saturated.  Both
-    rise from event to event, so a target's or a total's segment is one
-    ``searchsorted`` and its level one formula: a table group's ``level``
-    returns ``(mu, None, None, total)``, its powers left to
-    :func:`_group_state`.  On a segment with no active channel the utility is
-    flat and every level in it gives the same powers.  A channel with an
-    infinite rate (b = 0, gamma = 0) sorts first and is always active.  Every
-    other group, and a level outside the float range (above it, a
-    ``log_capacity`` one takes the largest float), takes
-    :func:`_group_mu_for_t`.
+    A ``log_capacity``/``inverse_mse`` bank, in any mix, gets a table on the
+    points of :func:`~waterline.core._bank_points`, where, as the level
+    falls, a channel joins (demands gamma) and saturates (demands a finite
+    tau).  Between two points the group total is ``P + Q/mu + U/sqrt(mu)``
+    and the utility ``F + C - Q*log(mu) - U*sqrt(mu)``: ``Q``, ``U`` and
+    ``C`` are signed prefix sums (+ at a join, - at a saturation) of q, u
+    and q*log(a*w), ``P`` is sum(gamma) less those of the bounds plus b/a,
+    and ``F`` sums the floor utilities of the channels not yet joined and the
+    tau ones of those saturated.  Both rise from point to point (a tie reads
+    the segment before it), so one bisect finds a target's or a total's
+    segment.  There a total's level is
+    :func:`~waterline.core._quadratic_level`, and a target's one formula, or
+    :func:`~waterline.core._level_search` where both families are active; a
+    table ``level`` returns ``(mu, None, None, total)``, its powers left to
+    :func:`_group_state`.  A segment with no active channel is flat: every
+    level in it gives the same powers.  A channel with an infinite rate (b =
+    0, gamma = 0) sits at x = 0, always active.  Other groups, and a level
+    outside the float range (above it, a ``log_capacity`` one takes the
+    largest float), take :func:`_group_mu_for_t`.
     """
-    if channels.family not in SORTED_FAMILIES:
+    bank = _bank_points(channels, gamma, tau)
+    if bank is None:
         return partial(_group_mu_for_t, channels, gamma, tau), None
-    k = len(channels)
-    capped = np.flatnonzero(np.isfinite(tau))
-    who = np.concatenate((np.arange(k), capped))
-    rate = np.concatenate((channels.rate(gamma),
-                           channels.take(capped).rate(tau[capped])))
-    by_rate = np.argsort(-rate, kind="stable")  # a tie puts the join first
-    who, rate = who[by_rate], rate[by_rate]
-    joins = by_rate < k
-    sign = np.where(joins, 1.0, -1.0)
-    n_inf = int(np.count_nonzero(~np.isfinite(rate)))
-    # The utility and the power of each event's channel at that event's bound.
-    ends = np.zeros((2, len(who)))
-    ends[1] = np.where(joins, gamma[who], tau[who])
-    ends[0, n_inf:] = channels.take(who[n_inf:]).eval(ends[1, n_inf:])
-    on_join = np.where(joins, ends, 0.0)
-    # F[s] and P0[s] sum the floor utilities and powers of the channels
-    # joining from event s on and the tau ones of those saturated before it.
-    F, P0 = np.append(np.cumsum(on_join[:, ::-1], axis=1)[:, ::-1], np.zeros((2, 1)), 1) + \
-        np.append(np.zeros((2, 1)), np.cumsum(ends - on_join, axis=1), 1)
-    log = channels.family == "log_capacity"
-    w, a = channels.w[who], channels.a[who]
-    with np.errstate(invalid="ignore"):  # 0 * inf on the infinite rates
-        terms = (w, w * np.log(a * w)) if log else (np.sqrt(w / a), np.zeros(len(who)))
-        count, S, C, BA = np.append(np.zeros((4, 1)), np.cumsum(
-            sign * np.stack((np.ones(len(who)), *terms, channels.b[who] / a)), axis=1), 1)
-        events = F[:-1] + C[:-1] - S[:-1] * np.log(rate) if log else \
-            F[:-1] - S[:-1] * np.sqrt(rate)
-        totals = P0[:-1] + S[:-1] / (rate if log else np.sqrt(rate)) - BA[:-1]
-    events[:n_inf] = totals[:n_inf] = -math.inf
-    F, C, S, P0, BA, count, events, totals = (
-        v.tolist() for v in (F, C, S, P0, BA, count, events, totals))
-    first = max(n_inf, 1)
-    floor = None if n_inf else _group_state(channels, gamma, tau, None)
-    top = float(channels.eval(tau).sum()) if capped.size == k else math.inf
+    (q, u, _, c, x, order), k = bank, len(gamma)
+    zero = x == 0  # b = 0 at a zero bound: an infinite rate, a utility of -inf
+    utils = np.concatenate((channels.eval(np.where(zero[:k], 1.0, gamma)),
+                            channels.eval(np.where(zero[k:], 1.0, tau))))
+    utils[zero] = -math.inf
+    order = order[:int(np.isfinite(x).sum())]  # an infinite tau never saturates
+    xs, who, joins, n0 = x[order], order % k, order < k, int(np.count_nonzero(zero))
+    sign, ends = np.where(joins, 1.0, -1.0), utils[order]
+    F = np.append(np.where(joins, ends, 0.0)[::-1].cumsum()[::-1], 0.0) + \
+        np.append(0.0, np.where(joins, 0.0, ends).cumsum())
+    qk, uk = (np.zeros(k) if v is None else v for v in (q, u))
+    n_q, n_u, Q, U, C = np.append(np.zeros((5, 1)), np.cumsum(sign * np.stack(
+        (qk > 0, uk > 0, qk, uk, qk * np.log(channels.a * channels.w)))[:, who], axis=1), 1)
+    # Where no channel of a family is active its sums are 0, not a rounding residue.
+    Q, FC, U = np.where(n_q > 0, Q, 0.0), F + np.where(n_q > 0, C, 0.0), np.where(n_u > 0, U, 0.0)
+    P = float(gamma.sum()) - np.append(0.0, np.cumsum(sign * c[order]))
+    at = np.searchsorted(xs, xs)  # a tied point reads the segment before the tie
+    with np.errstate(all="ignore"):  # x = 0, and x**2 beyond the float range
+        events = FC[at] + 2.0 * Q[at] * np.log(xs) - U[at] / xs
+        totals = P[at] + (Q[at] * xs + U[at]) * xs
+        mus = 1.0 / (xs * xs)
+    events[:n0] = totals[:n0] = -math.inf
+    FC, Q, U, P, events, totals, mus = (v.tolist() for v in (FC, Q, U, P, events, totals, mus))
+    n, first = len(xs), int(np.searchsorted(xs, xs[0], side="right"))
+    floor = None if n0 else (gamma, float(utils[:k].sum()), float(gamma.sum()))
+    top = float(utils[k:].sum()) if np.isfinite(tau).all() else math.inf
 
     def level(t: float):
         if floor is not None and floor[1] >= t:
             return (None, *floor)
         m = max(bisect_left(events, t), first)
-        if not count[m]:  # flat: every channel that joined is saturated
+        fc, q_m, u_m = FC[m], Q[m], U[m]
+        if not (q_m or u_m):  # flat: every channel that joined is saturated
             if t > top:
-                raise InfeasibleTarget(
-                    f"group utility target {t} above the utility {top} at tau")
-            mu = float(rate[m - 1])
-        elif log:
-            mu = math.exp(min((F[m] + C[m] - t) / S[m], _LOG_MAX))
-        else:
-            root = (F[m] - t) / S[m]
+                raise InfeasibleTarget(f"group utility target {t} above the utility {top} at tau")
+            mu = mus[m - 1]
+        elif not u_m:
+            mu = math.exp(min((fc - t) / q_m, _LOG_MAX))
+        elif not q_m:
+            root = (fc - t) / u_m
             if root <= 0:
-                raise InfeasibleTarget(
-                    f"group utility target {t} unreachable at any power")
+                raise InfeasibleTarget(f"group utility target {t} unreachable at any power")
             mu = root * root
-        if not 0.0 < mu < math.inf:  # the level under- or (inverse MSE) overflows
+        else:  # both families: the utility falls with the level, from a finite guess
+            guess = mus[min(m, n - 1)]
+            try:
+                mu = _level_search(lambda v: fc - q_m * math.log(v) - u_m * math.sqrt(v) - t,
+                                   0.0, _ULP_WIDTH, guess if 0.0 < guess < math.inf else 1.0)
+            except BracketFailure:
+                mu = math.inf
+        if not 0.0 < mu < math.inf:  # the level leaves the float range
             return _group_mu_for_t(channels, gamma, tau, t)
-        return mu, None, None, P0[m] + S[m] / (mu if log else math.sqrt(mu)) - BA[m]
+        return mu, None, None, P[m] + q_m / mu + u_m / math.sqrt(mu)
 
     def cap(total: float) -> float:
         m = max(bisect_left(totals, total), first)
-        x_m = (total - P0[m] + BA[m]) / S[m] if count[m] else 1.0  # flat: any x
-        if not 0.0 < x_m < math.inf:
+        fc, q_m, u_m, spare = FC[m], Q[m], U[m], total - P[m]
+        if not (q_m or u_m):  # flat: any level
+            return min(fc, top)
+        mu = _quadratic_level(q_m, u_m, spare) if spare > 0 else math.nan
+        if not 0.0 < mu < math.inf:  # the level leaves the float range
             return math.nan
-        return min(F[m] + C[m] + S[m] * math.log(x_m) if log else F[m] - S[m] / x_m, top)
+        return min(fc - q_m * math.log(mu) - u_m * math.sqrt(mu), top)
     return level, cap
 
 
@@ -305,7 +307,9 @@ def solve_maxmin(problem: FairProblem,
     Each group's channels are clamped into their boxes, so one map takes a
     target t to every group's least-power allocation reaching it.  When every
     upper bound is finite and they fit the budget together, all channels sit
-    at them.  Otherwise t is found by :func:`_outer_search` on the summed
+    at them; when the floors spend the budget (to ``cfg.power_tolerance``),
+    at their floors, where a group with an infinite rate has utility -inf.
+    Otherwise t is found by :func:`_outer_search` on the summed
     group demands, from the least utility a group reaches with the others at
     their floors (its box optimum, or its table's t cap), and budget left
     over at that cap goes to the groups with headroom.
@@ -318,27 +322,27 @@ def solve_maxmin(problem: FairProblem,
     gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
     taus = [np.array(row, dtype=float) for row in problem.upper_bounds]
 
-    if all(np.isfinite(tau).all() for tau in taus) and \
-            sum(float(tau.sum()) for tau in taus) <= budget:
-        states = [[None, tau, float(channels.eval(tau).sum()), float(tau.sum())]
-                  for channels, tau in zip(chans, taus)]
+    floors = [float(gamma.sum()) for gamma in gammas]
+    total_floor = sum(floors)
+    at_tau = all(np.isfinite(tau).all() for tau in taus) and \
+        sum(float(tau.sum()) for tau in taus) <= budget
+    if at_tau or budget - total_floor <= cfg.power_tolerance * budget:
+        # At tau, or at the floors; an infinite rate (b = 0 at 0) is utility -inf.
+        states = [[None, p, float(channels.eval(p).sum())
+                   if np.isfinite(channels.rate(p)).all() else -math.inf, float(p.sum())]
+                  for channels, p in zip(chans, taus if at_tau else gammas)]
         return _build_solution(problem, min(s[2] for s in states), states, 1)
 
     groups = list(zip(chans, gammas, taus))
     levels = [_group_level(*group) for group in groups]
-    floors = [float(gamma.sum()) for gamma in gammas]
-    total_floor = sum(floors)
     t_caps = []
-    for j, (channels, gamma, tau) in enumerate(groups):
-        avail = budget - (total_floor - floors[j])
-        if avail <= floors[j] * (1.0 + 1e-12):
-            t_caps.append(_group_state(channels, gamma, tau, None)[1])
-            continue
-        cap = levels[j][1](avail) if levels[j][1] else math.nan
-        if math.isnan(cap):  # no table, or none at this total
+    for (channels, gamma, tau), (_, cap), floor in zip(groups, levels, floors):
+        avail = budget - (total_floor - floor)
+        t_cap = cap(avail) if cap else math.nan
+        if math.isnan(t_cap):  # no table, or none at this total
             powers = box_fill(channels, gamma, tau, avail, cfg)[0]
-            cap = float(channels.eval(powers).sum())
-        t_caps.append(cap)
+            t_cap = float(channels.eval(powers).sum())
+        t_caps.append(t_cap)
 
     def demand(t_val: float):
         states = [level(t_val) for level, _ in levels]

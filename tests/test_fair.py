@@ -340,15 +340,15 @@ def test_cluster_group_resting_at_its_floor_stays_feasible():
 
 
 def _random_maxmin_group(rng: random.Random):
-    """A log_capacity or inverse_mse group with zero-b channels at zero
-    floors, lower bounds and finite upper bounds on some channels."""
-    cls = rng.choice([LogCapacity, InverseMse])
+    """A log_capacity, inverse_mse or mixed group with zero-b channels at
+    zero floors, lower bounds and finite upper bounds on some channels."""
+    classes = rng.choice([[LogCapacity], [InverseMse], [LogCapacity, InverseMse]])
     capped = rng.choice([0.3, 1.0])  # the share of channels with a finite tau
     objs, gamma, tau = [], [], []
     for _ in range(rng.randint(1, 40)):
         b = 0.0 if rng.random() < 0.15 else rng.uniform(0.05, 2)
         g = 0.0 if b == 0.0 or rng.random() < 0.4 else rng.uniform(0, 1)
-        objs.append(cls(rng.uniform(0.2, 5), rng.uniform(0.2, 5), b))
+        objs.append(rng.choice(classes)(rng.uniform(0.2, 5), rng.uniform(0.2, 5), b))
         gamma.append(g)
         tau.append(g + rng.uniform(0.1, 2) if rng.random() < capped else math.inf)
     return Channels(objs), np.array(gamma), np.array(tau)
@@ -386,10 +386,11 @@ def test_exact_group_level_matches_bisection():
             targets.append(utility(None) - rng.uniform(0, 1))
         if capped.all():  # every channel at tau, and nothing above it
             targets += [utility(1e-300), utility(1e-300) + rng.uniform(0.01, 1)]
-        elif channels.family == "log_capacity":
-            targets.append(1e6)
-        else:  # the utility stays below its value at mu -> 0
-            targets.append(utility(1e-300) + rng.uniform(0.01, 1))
+        else:
+            if channels.family != "log_capacity":  # inverse_mse: bounded as mu -> 0
+                targets.append(utility(1e-300) + rng.uniform(0.01, 1))
+            if channels.family != "inverse_mse":  # log_capacity: beyond any float level
+                targets.append(1e6)
         for t in targets:
             results = []
             for solve in (level, partial(_group_mu_for_t, channels, gamma, tau)):
@@ -413,6 +414,35 @@ def test_exact_group_level_matches_bisection():
             else:  # no interior channel: the utility is flat in the level
                 outcomes["flat"] += 1
     assert min(outcomes.values()) > 20, outcomes
+
+
+@pytest.mark.parametrize("classes", [[LogCapacity], [InverseMse], [LogCapacity, InverseMse]],
+                         ids=["log_capacity", "inverse_mse", "mixed"])
+def test_group_level_on_tied_points(classes):
+    # Zero-width boxes put a channel's join and saturation at one point, and
+    # copies of a channel put their joins at one point: whatever the order of
+    # a tie, the table's allocation is the level search's.
+    from waterline.fair import _group_level, _group_mu_for_t, _group_state
+    rng = random.Random(53)
+    for _ in range(40):
+        objs, gamma, tau = [], [], []
+        for _ in range(rng.randint(1, 8)):
+            b = rng.choice([0.0, 0.5, 1.0])
+            g = 0.0 if b == 0 else rng.choice([0.0, 0.25, 0.5])
+            t = rng.choice([g, g + 0.5, math.inf]) if g or b else rng.choice([0.5, math.inf])
+            for _ in range(rng.choice([1, 1, 2])):
+                objs.append(rng.choice(classes)(rng.choice([1.0, 2.0]), rng.choice([1.0, 2.0]), b))
+                gamma.append(g)
+                tau.append(t)
+        channels, gamma, tau = Channels(objs), np.array(gamma), np.array(tau)
+        level = _group_level(channels, gamma, tau)[0]
+        for mu in np.geomspace(1e-2, 1e2, 9).tolist():
+            t = _group_state(channels, gamma, tau, mu)[1]
+            state = level(t)
+            powers = state[1] if state[1] is not None else \
+                _group_state(channels, gamma, tau, state[0])[0]
+            reference = _group_mu_for_t(channels, gamma, tau, t)[1]
+            np.testing.assert_allclose(powers, reference, rtol=1e-10, atol=1e-12)
 
 
 def test_group_search_ends():
@@ -684,7 +714,7 @@ def _tables_off(monkeypatch) -> None:
     """Send every group down the searches it takes without a table."""
     import waterline.fair as fair
     monkeypatch.setattr(fair, "_cluster_table", lambda *args: None)
-    monkeypatch.setattr(fair, "SORTED_FAMILIES", ())
+    monkeypatch.setattr(fair, "_bank_points", lambda *args: None)
 
 
 def _agreement_problems():
@@ -693,13 +723,15 @@ def _agreement_problems():
         for seed in range(3):
             yield _table_problem(mode, n_groups=rng.randint(2, 4), k=rng.randint(1, 24),
                                  seed=seed)
-    for cls in (LogCapacity, InverseMse):  # b = 0 channels at zero floors, lower bounds
+    # b = 0 channels at zero floors, lower bounds, and groups of either family or both
+    for classes in ([LogCapacity], [InverseMse], [LogCapacity, InverseMse]):
         for _ in range(4):
             groups, lower, upper = [], [], []
             for _ in range(rng.randint(2, 4)):
                 k = rng.randint(1, 8)
                 b = [0.0 if rng.random() < 0.2 else rng.uniform(0.05, 2) for _ in range(k)]
-                groups.append([cls(rng.uniform(0.2, 5), rng.uniform(0.2, 5), x) for x in b])
+                groups.append([rng.choice(classes)(rng.uniform(0.2, 5), rng.uniform(0.2, 5), x)
+                               for x in b])
                 lower.append([0.0 if x == 0 else rng.uniform(0, 0.3) for x in b])
                 upper.append([lo + rng.uniform(0.1, 2) if rng.random() < 0.5 else None
                               for lo in lower[-1]])
@@ -869,9 +901,10 @@ def test_cluster_table_inverses_map_back_to_the_budget(name):
         assert at(at_target(utility))[1] == pytest.approx(utility, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("cls", [LogCapacity, InverseMse], ids=["log_capacity", "inverse_mse"])
+@pytest.mark.parametrize("classes", [[LogCapacity], [InverseMse], [LogCapacity, InverseMse]],
+                         ids=["log_capacity", "inverse_mse", "mixed"])
 @pytest.mark.parametrize("capped", [True, False], ids=["finite_tau", "infinite_tau"])
-def test_scalar_maxmin_total_matches_the_group_state(cls, capped):
+def test_scalar_maxmin_total_matches_the_group_state(classes, capped):
     # At every event's utility and midway between two, the table's scalar
     # total is the clamped demands' sum, and the t cap maps it back to the
     # utility there.
@@ -879,14 +912,15 @@ def test_scalar_maxmin_total_matches_the_group_state(cls, capped):
     rng = random.Random(47)
     checked = 0
     for _ in range(8):
-        objs = [cls(rng.uniform(0.2, 5), rng.uniform(0.2, 5),
-                    0.0 if rng.random() < 0.15 else rng.uniform(0.05, 2))
+        objs = [rng.choice(classes)(rng.uniform(0.2, 5), rng.uniform(0.2, 5),
+                                    0.0 if rng.random() < 0.15 else rng.uniform(0.05, 2))
                 for _ in range(rng.randint(1, 30))]
         channels = Channels(objs)
         gamma = np.array([0.0 if o.b == 0 or rng.random() < 0.4 else rng.uniform(0, 1)
                           for o in objs])
         tau = gamma + (np.array([rng.uniform(0.1, 2) for _ in objs]) if capped else np.inf)
         level, cap = _group_level(channels, gamma, tau)
+        assert cap is not None
         rates = np.concatenate((channels.rate(gamma), channels.rate(tau)))
         rates = np.unique(rates[np.isfinite(rates) & (rates > 0)])[::-1]
         events = [_group_state(channels, gamma, tau, r)[1] for r in rates.tolist()]
@@ -1015,6 +1049,13 @@ def test_maxmin_t_cap_of_groups_with_no_budget_above_their_floors():
         assert sol.powers == [[0.5, 0.5], [1.0]]
         assert sol.t == pytest.approx(min(sol.group_utilities), rel=1e-15)
         assert check_conditions(problem, sol, tolerance=1e-8).passed
+    # A b = 0 channel at a zero floor: its group's utility there is -inf.
+    problem = FairProblem([[LogCapacity(1, 1, 1), LogCapacity(1, 2, 0)], [LogCapacity(1, 1, 1)]],
+                          2.0, lower_bounds=[[0.5, 0.0], [1.5]])
+    sol = solve_maxmin(problem)
+    assert sol.powers == [[0.5, 0.0], [1.5]]
+    assert sol.t == -math.inf
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
 
 
 def test_outer_search_returns_the_low_end_when_the_budget_is_spent_there():
