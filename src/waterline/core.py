@@ -42,6 +42,17 @@ from .objectives import Channels, InverseMse, LogCapacity, Objective
 from .problems import Allocation, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
+_TERM_FAMILIES = frozenset((LogCapacity, InverseMse))  # with demand terms: sorted, tabled
+
+
+def _term_mask(channels: Channels) -> np.ndarray:
+    """Per channel, whether its family is one of :func:`_demand_terms`'."""
+    if not channels.banked:
+        return np.array([type(o) in _TERM_FAMILIES for o in channels.objectives], dtype=bool)
+    mask = np.zeros(len(channels), dtype=bool)
+    for cls, idx, _ in channels._groups:
+        mask[slice(None) if idx is None else idx] = cls in _TERM_FAMILIES
+    return mask
 
 
 def _demand_terms(channels: Channels, c: np.ndarray | None = None):
@@ -56,7 +67,7 @@ def _demand_terms(channels: Channels, c: np.ndarray | None = None):
     (the unified root 2c/(u + sqrt(u**2 + 4qc)) is 0/0 at c = 0).
     """
     groups = channels._groups if channels.banked else ()
-    if not groups or not {g[0] for g in groups} <= {LogCapacity, InverseMse}:
+    if not groups or not {g[0] for g in groups} <= _TERM_FAMILIES:
         return None
     k = len(channels)
     terms = {LogCapacity: None, InverseMse: None}

@@ -1,60 +1,39 @@
 """Solvers for grouped fairness problems.
 
 Three couplings over groups of subchannels sharing one total budget, each
-adding one outer level over group budgets that are monotone in it:
+one outer level over group budgets monotone in it: max-min fairness (the
+common utility target t, each group at the least power reaching it, every
+demand clamped into its box), clustered allocation (utilities that feel
+the group total through interference; the level is the price of group
+budget, met by each group's marginal value) and both combined (max-min
+over clustered groups).
 
-* max-min fairness -- the common utility target t; each group takes the
-  water level that attains t at minimum power, every channel's demand
-  clamped into its box.
-* clustered allocation -- each group's utilities depend on the group total
-  through an interference term; the level is the price of group budget, and
-  each group takes the budget at which its marginal value (water level plus
-  the interference partials) falls to that price.
-* combined -- max-min over clustered groups; each group takes the budget
-  that attains t.
-
-One search, :func:`_outer_search`, finds every outer level: Illinois regula
-falsi on the summed group budgets, the single-level root find of the water
-level itself.  A group with a breakpoint table answers each outer level
-with one scalar, from one bisect and one formula:
-
-* a max-min group's utility and total are closed form in its water level
-  between the levels where its channels join (demand the lower bound) and
-  saturate (a finite upper bound), so for a ``log_capacity``/
-  ``inverse_mse`` bank, in any mix, the group total at t and the utility a
-  total reaches (its t cap) are one table lookup and one formula each (a
-  scalar search for t where both families are active), the powers built
-  once at the final t (:func:`_group_level`); other families search the
-  level (:func:`_group_mu_for_t`);
-* a cluster group of cluster-aware entries with one (sigma_e2, sigma_n2)
-  and zero floors inverts its budget map (to its marginal, or to its
-  utility) in closed form between the budgets where its channels join
-  (:func:`_cluster_table`); other cluster groups keep every point evaluated
-  during the solve, and each new price or target is solved by Illinois
-  regula falsi inside the tightest stored bracket (:class:`_MonotoneMap`).
-
-Every group is a segment of the problem's one channel bank
-(:attr:`~waterline.problems.FairProblem.group_banks`), built on the
-problem's first read and shared with ``check_conditions``; only the bound
-arrays are built per solve.  Max-min groups are its
-:class:`~waterline.objectives.Channels`.  Cluster groups are
-:class:`~waterline.objectives.ClusterChannels`, bound to a group budget by
-one array expression and solved by :func:`~waterline.core.water_fill` (a
-group with a table only at its final budget).  The inputs were validated
-once, by :class:`~waterline.problems.FairProblem`.
+One search, :func:`_outer_search`, finds every outer level; a table group
+answers it from one bisect and one formula: max-min groups of
+``log_capacity``/``inverse_mse`` channels (:func:`_group_levels`), cluster
+groups of cluster-aware entries with one noise pair and zero floors
+(:func:`_cluster_tables`).  A problem's tables come from one sort of its
+points on :func:`~waterline.core._bank_points` over its bank
+(:attr:`~waterline.problems.FairProblem.bank`), keyed by group, with running
+sums restarting at each group; final powers from one ``demand`` pass, and
+utilities from one ``eval`` (:func:`_build_solution`).  Other groups, their
+channels taken alone, search their level (:func:`_group_mu_for_t`) or keep
+the points they evaluate (:class:`_MonotoneMap`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from .box import box_fill
 from .core import (
-    _bank_points, _classify, _level_search, _quadratic_level, illinois_root, water_fill)
+    _bank_points, _classify, _level_search, _quadratic_level, _term_mask, illinois_root,
+    water_fill)
 from .errors import BracketFailure, DomainError, InfeasibleTarget, InversionFailure
 from .objectives import Channels, ClusterChannels
 from .problems import (
@@ -62,11 +41,39 @@ from .problems import (
     FairProblem, FairSolution, SolverConfig)
 
 _DEFAULT_CFG = SolverConfig()
-# Outer levels and group budgets are searched to a bracket of a few ulp, where
-# the fixed-step bisections they replaced ended.
+# Outer levels and group budgets are searched to a bracket of a few ulp.
 _ULP_WIDTH = 4.0 * np.finfo(float).eps
 # A log table level above the float range takes the largest float level.
 _LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _bounds(problem: FairProblem):
+    """``(gamma, tau)``: every group's lower and upper bounds, flat."""
+    n = int(problem.offsets[-1])
+    return tuple(np.fromiter(itertools.chain.from_iterable(rows), float, n)
+                 for rows in (problem.lower_bounds, problem.upper_bounds))
+
+
+def _grouped(order: np.ndarray, group: np.ndarray, n_groups: int):
+    """``(order, row, col, counts, cuts)``: ``order`` stably sorted by
+    ``group[order]`` (a radix sort, in the least type), each point's group and
+    place in it, each group's count, and its first point (the end last)."""
+    group = group.astype(np.min_scalar_type(n_groups))
+    order = order[np.argsort(group[order], kind="stable")]
+    row = group[order]
+    counts = np.bincount(row, minlength=n_groups)
+    first = np.cumsum(counts) - counts
+    return order, row, np.arange(len(order)) - first[row], counts, first.tolist() + [len(order)]
+
+
+def _running(ufunc, values: np.ndarray, cuts):
+    """``ufunc.accumulate`` along the last axis of ``values`` (group r's points
+    at ``cuts[r]:cuts[r + 1]``), one group's slice at a time: no group's sums
+    take another's rounding, and nothing is larger than ``values``."""
+    out = np.empty_like(values)
+    for lo, hi in zip(cuts, cuts[1:]):
+        ufunc.accumulate(values[..., lo:hi], -1, out=out[..., lo:hi])
+    return out
 
 
 def _group_state(channels: Channels, gamma, tau, mu: float | None, demand=None):
@@ -78,16 +85,10 @@ def _group_state(channels: Channels, gamma, tau, mu: float | None, demand=None):
 
 
 def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
-    """Water level (and allocation) reaching group utility t at least power,
-    by :func:`~waterline.core._level_search` on the utility minus t.
-
-    Returns ``(mu, powers, utility, total)``; ``mu`` is None when the group
-    meets t resting at its lower bounds, or exceeds it at every finite level.
-    A t above the utility at finite upper bounds raises
-    :class:`InfeasibleTarget` before any search.  This is the path of every
-    group with no breakpoint table (not a ``log_capacity``/``inverse_mse``
-    bank, see :func:`_group_level`), and the reference the table is tested against.
-    """
+    """``(mu, powers, utility, total)`` reaching group utility t at least
+    power, by :func:`~waterline.core._level_search` on the utility minus t;
+    ``mu`` None at the lower bounds (t met there, or exceeded at every finite
+    level).  A t above the utility at finite upper bounds raises at once."""
     if np.isfinite(channels.rate(gamma)).all():
         floor = _group_state(channels, gamma, tau, None)
         if floor[1] >= t:
@@ -98,8 +99,7 @@ def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
 
     def h(mu_val: float) -> float:
         nonlocal demand  # the last level's demands warm-start the next
-        # Demands near the float range's end overflow; a search past them
-        # gives up (InversionFailure) or ends on an infinite total.
+        # Demands overflow near the float range's end: the search gives up there.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             demand = channels.demand(mu_val, demand)
             states[mu_val] = _group_state(channels, gamma, tau, mu_val, demand)
@@ -117,118 +117,145 @@ def _group_mu_for_t(channels: Channels, gamma, tau, t: float):
     return (mu, *states[mu])  # a level the search evaluated
 
 
-def _group_level(channels: Channels, gamma, tau):
-    """``(level, cap)`` for one max-min group.
+def _group_levels(channels: Channels, gamma, tau, offsets):
+    """``(level, cap)`` for every max-min group (flat channels and bounds,
+    group j at ``offsets[j]:offsets[j + 1]``): ``level(t)``, the state at t as
+    :func:`_group_mu_for_t` gives it (a table's powers None), and ``cap(total)``,
+    the utility spending ``total`` (NaN off the table; None: no table).
 
-    ``level(t)`` is the group's state at target t as :func:`_group_mu_for_t`
-    returns it, ``(mu, powers, utility, total)``; ``cap(total)`` is the
-    utility the group reaches spending ``total`` above its floor, or NaN
-    where the table does not give it (None: no table).
-
-    A ``log_capacity``/``inverse_mse`` bank, in any mix, gets a table on the
-    points of :func:`~waterline.core._bank_points`, where, as the level
-    falls, a channel joins (demands gamma) and saturates (demands a finite
-    tau).  Between two points the group total is ``P + Q/mu + U/sqrt(mu)``
-    and the utility ``F + C - Q*log(mu) - U*sqrt(mu)``: ``Q``, ``U`` and
-    ``C`` are signed prefix sums (+ at a join, - at a saturation) of q, u
-    and q*log(a*w), ``P`` is sum(gamma) less those of the bounds plus b/a,
-    and ``F`` sums the floor utilities of the channels not yet joined and the
-    tau ones of those saturated.  Both rise from point to point (a tie reads
-    the segment before it), so one bisect finds a target's or a total's
-    segment.  There a total's level is
-    :func:`~waterline.core._quadratic_level`, and a target's one formula, or
-    :func:`~waterline.core._level_search` where both families are active; a
-    table ``level`` returns ``(mu, None, None, total)``, its powers left to
-    :func:`_group_state`.  A segment with no active channel is flat: every
-    level in it gives the same powers.  A channel with an infinite rate (b =
-    0, gamma = 0) sits at x = 0, always active.  Other groups, and a level
-    outside the float range (above it, a ``log_capacity`` one takes the
-    largest float), take :func:`_group_mu_for_t`.
+    ``log_capacity``/``inverse_mse`` groups share one table on the
+    :func:`~waterline.core._bank_points`, where, as the level falls, a channel
+    joins (demands gamma) or saturates (a finite tau).  Between two points the
+    total is ``P + Q/mu + U/sqrt(mu)`` and the utility ``F + C - Q*log(mu) -
+    U*sqrt(mu)``, from signed running sums restarting at each group: Q, U and
+    C of q, u and q*log(a*w), P of the bounds plus b/a, F of the utilities at
+    the bounds.  Both rise along a group's points (a tie reads the segment
+    before it): one bisect finds the segment, one formula the level (a scalar
+    search for a target where both families are active).  Levels outside the
+    float range, and other groups, take :func:`_group_mu_for_t`.
     """
-    bank = _bank_points(channels, gamma, tau)
+    ends = np.asarray(offsets).tolist()
+    spans, sizes = list(zip(ends[:-1], ends[1:])), np.subtract(ends[1:], ends[:-1])
+    table = np.logical_and.reduceat(_term_mask(channels), ends[:-1])
+    idx = np.flatnonzero(np.repeat(table, sizes))
+    sub, gamma_t, tau_t = (channels, gamma, tau) if idx.size == len(gamma) else \
+        (channels.take(idx), gamma[idx], tau[idx])
+    bank = _bank_points(sub, gamma_t, tau_t) if idx.size else None
+
+    search = cache(lambda lo, hi: partial(  # a group's channels taken once a solve
+        _group_mu_for_t, channels.take(np.arange(lo, hi)), gamma[lo:hi], tau[lo:hi]))
     if bank is None:
-        return partial(_group_mu_for_t, channels, gamma, tau), None
-    (q, u, _, c, x, order), k = bank, len(gamma)
+        return [(search(lo, hi), None) for lo, hi in spans]
+    (q, u, _, c, x, order), k, width = bank, len(idx), sizes[table]
+    bounds = np.append(0, np.cumsum(width)).tolist()  # each table group's channels in sub
     zero = x == 0  # b = 0 at a zero bound: an infinite rate, a utility of -inf
-    utils = np.concatenate((channels.eval(np.where(zero[:k], 1.0, gamma)),
-                            channels.eval(np.where(zero[k:], 1.0, tau))))
+    utils = np.concatenate((sub.eval(np.where(zero[:k], 1.0, gamma_t)),
+                            sub.eval(np.where(zero[k:], 1.0, tau_t))))
     utils[zero] = -math.inf
-    order = order[:int(np.isfinite(x).sum())]  # an infinite tau never saturates
-    xs, who, joins, n0 = x[order], order % k, order < k, int(np.count_nonzero(zero))
-    sign, ends = np.where(joins, 1.0, -1.0), utils[order]
-    F = np.append(np.where(joins, ends, 0.0)[::-1].cumsum()[::-1], 0.0) + \
-        np.append(0.0, np.where(joins, 0.0, ends).cumsum())
+    capped = np.isfinite(tau_t)
+    # Each group's floor total and utility and tau utility, as its own array sums them.
+    ends_sum = np.stack((gamma_t, utils[:k], np.where(capped, utils[k:], 0.0)))
+    floor_total, floor_util, tops = np.stack(
+        [ends_sum[:, lo:hi].sum(-1) for lo, hi in zip(bounds, bounds[1:])], -1)
+    tops[~np.logical_and.reduceat(capped, bounds[:-1])] = math.inf
+    order, row, col, counts, cuts = _grouped(  # an infinite tau never saturates
+        order[:int(np.isfinite(x).sum())], np.tile(np.repeat(np.arange(len(width)), width), 2),
+        len(width))
+    who, joins, xs = order % k, order < k, x[order]
+    # Group r's running sums before point m (segment m) sit at first point + r + m.
+    slot = np.arange(len(xs)) + row
+    sign, ends_u = np.where(joins, 1.0, -1.0), utils[order]
     qk, uk = (np.zeros(k) if v is None else v for v in (q, u))
-    n_q, n_u, Q, U, C = np.append(np.zeros((5, 1)), np.cumsum(sign * np.stack(
-        (qk > 0, uk > 0, qk, uk, qk * np.log(channels.a * channels.w)))[:, who], axis=1), 1)
+    sums = np.zeros((7, len(xs) + len(width)))
+    sums[:, slot + 1] = _running(np.add, np.vstack((
+        sign * np.stack((qk > 0, uk > 0, qk, uk, qk * np.log(sub.a * sub.w)))[:, who],
+        sign * c[order], np.where(joins, 0.0, ends_u))), cuts)
+    n_q, n_u, Q, U, C, spent, F = sums
+    F[slot] += _running(np.add, np.where(joins, ends_u, 0.0)[::-1],  # joins still to come
+                        [len(xs) - cut for cut in cuts[::-1]])[::-1]
     # Where no channel of a family is active its sums are 0, not a rounding residue.
     Q, FC, U = np.where(n_q > 0, Q, 0.0), F + np.where(n_q > 0, C, 0.0), np.where(n_u > 0, U, 0.0)
-    P = float(gamma.sum()) - np.append(0.0, np.cumsum(sign * c[order]))
-    at = np.searchsorted(xs, xs)  # a tied point reads the segment before the tie
+    P = np.repeat(floor_total, counts + 1) - spent
+    tie = np.append(True, (xs[1:] != xs[:-1]) | (col[1:] == 0))
+    at = np.maximum.accumulate(np.where(tie, np.arange(len(xs)), 0)) + row  # before the tie
+    Q_at, U_at = Q[at], U[at]
     with np.errstate(all="ignore"):  # x = 0, and x**2 beyond the float range
-        events = FC[at] + 2.0 * Q[at] * np.log(xs) - U[at] / xs
-        totals = P[at] + (Q[at] * xs + U[at]) * xs
+        events = FC[at] + 2.0 * Q_at * np.log(xs) - U_at / xs
+        totals = P[at] + (Q_at * xs + U_at) * xs
         mus = 1.0 / (xs * xs)
-    events[:n0] = totals[:n0] = -math.inf
+    events[xs == 0] = totals[xs == 0] = -math.inf
+    n0, first = (np.bincount(row, weights=v, minlength=len(width)) for v in (
+        xs == 0, xs == xs[cuts[:-1]][row]))  # zero points, and the first point's ties
     FC, Q, U, P, events, totals, mus = (v.tolist() for v in (FC, Q, U, P, events, totals, mus))
-    n, first = len(xs), int(np.searchsorted(xs, xs[0], side="right"))
-    floor = None if n0 else (gamma, float(utils[:k].sum()), float(gamma.sum()))
-    top = float(utils[k:].sum()) if np.isfinite(tau).all() else math.inf
 
-    def level(t: float):
-        if floor is not None and floor[1] >= t:
-            return (None, *floor)
-        m = max(bisect_left(events, t), first)
-        fc, q_m, u_m = FC[m], Q[m], U[m]
-        if not (q_m or u_m):  # flat: every channel that joined is saturated
-            if t > top:
-                raise InfeasibleTarget(f"group utility target {t} above the utility {top} at tau")
-            mu = mus[m - 1]
-        elif not u_m:
-            mu = math.exp(min((fc - t) / q_m, _LOG_MAX))
-        elif not q_m:
-            root = (fc - t) / u_m
-            if root <= 0:
-                raise InfeasibleTarget(f"group utility target {t} unreachable at any power")
-            mu = root * root
-        else:  # both families: the utility falls with the level, from a finite guess
-            guess = mus[min(m, n - 1)]
-            try:
-                mu = _level_search(lambda v: fc - q_m * math.log(v) - u_m * math.sqrt(v) - t,
-                                   0.0, _ULP_WIDTH, guess if 0.0 < guess < math.inf else 1.0)
-            except BracketFailure:
-                mu = math.inf
-        if not 0.0 < mu < math.inf:  # the level leaves the float range
-            return _group_mu_for_t(channels, gamma, tau, t)
-        return mu, None, None, P[m] + q_m / mu + u_m / math.sqrt(mu)
+    def group_table(r: int, lo: int, hi: int):
+        p0, n, first_r, top = cuts[r], int(counts[r]), int(first[r]), float(tops[r])
+        base = p0 + r  # segment 0 of the group's running sums
+        floor = None if n0[r] else (gamma[lo:hi], float(floor_util[r]), float(floor_total[r]))
 
-    def cap(total: float) -> float:
-        m = max(bisect_left(totals, total), first)
-        fc, q_m, u_m, spare = FC[m], Q[m], U[m], total - P[m]
-        if not (q_m or u_m):  # flat: any level
-            return min(fc, top)
-        mu = _quadratic_level(q_m, u_m, spare) if spare > 0 else math.nan
-        if not 0.0 < mu < math.inf:  # the level leaves the float range
-            return math.nan
-        return min(fc - q_m * math.log(mu) - u_m * math.sqrt(mu), top)
-    return level, cap
+        def level(t: float):
+            if floor is not None and floor[1] >= t:
+                return (None, *floor)
+            m = max(bisect_left(events, t, p0, p0 + n) - p0, first_r)
+            fc, q_m, u_m = FC[base + m], Q[base + m], U[base + m]
+            if not (q_m or u_m):  # flat: every channel that joined is saturated
+                if t > top:
+                    raise InfeasibleTarget(
+                        f"group utility target {t} above the utility {top} at tau")
+                mu = mus[p0 + m - 1]
+            elif not u_m:
+                mu = math.exp(min((fc - t) / q_m, _LOG_MAX))
+            elif not q_m:
+                root = (fc - t) / u_m
+                if root <= 0:
+                    raise InfeasibleTarget(f"group utility target {t} unreachable at any power")
+                mu = root * root
+            else:  # both families: the utility falls with the level, from a finite guess
+                guess = mus[p0 + min(m, n - 1)]
+                try:
+                    mu = _level_search(lambda v: fc - q_m * math.log(v) - u_m * math.sqrt(v) - t,
+                                       0.0, _ULP_WIDTH, guess if 0.0 < guess < math.inf else 1.0)
+                except BracketFailure:
+                    mu = math.inf
+            if not 0.0 < mu < math.inf:  # the level leaves the float range
+                return search(lo, hi)(t)
+            return mu, None, None, P[base + m] + q_m / mu + u_m / math.sqrt(mu)
+
+        def cap(total: float) -> float:
+            m = max(bisect_left(totals, total, p0, p0 + n) - p0, first_r)
+            fc, q_m, u_m, spare = FC[base + m], Q[base + m], U[base + m], total - P[base + m]
+            if not (q_m or u_m):  # flat: any level
+                return min(fc, top)
+            mu = _quadratic_level(q_m, u_m, spare) if spare > 0 else math.nan
+            if not 0.0 < mu < math.inf:  # the level leaves the float range
+                return math.nan
+            return min(fc - q_m * math.log(mu) - u_m * math.sqrt(mu), top)
+        return level, cap
+    rows = itertools.count()  # the table groups' rows, in group order
+    return [group_table(next(rows), lo, hi) if on else (search(lo, hi), None)
+            for on, (lo, hi) in zip(table.tolist(), spans)]
+
+
+def _demanded(channels: Channels, gamma, tau, offsets, levels) -> np.ndarray:
+    """Flat powers: each group j with a level ``levels[j]`` demands it, clamped
+    into the boxes (one ``demand`` pass); the others rest at gamma."""
+    has, powers = np.array([mu is not None for mu in levels]), gamma.copy()
+    if has.any():
+        idx = np.flatnonzero(np.repeat(has, sizes := np.diff(offsets)))
+        mu = np.repeat([mu for mu in levels if mu is not None], sizes[has])
+        some = channels if idx.size == len(gamma) else channels.take(idx)
+        powers[idx] = np.minimum(np.maximum(some.demand(mu), gamma[idx]), tau[idx])
+    return powers
 
 
 def _outer_search(evaluate, budget: float, cfg: SolverConfig, increasing: bool,
                   hi: float, lo: float | None = None):
-    """The outer level x at which the summed group budgets spend ``budget``.
-
-    ``evaluate(x)`` returns ``(total, payload)``, the total monotone in x
-    (``increasing`` for a target t, decreasing for a price).  Without ``lo``
-    the bracket is found downward from ``hi``, doubling the gap and moving
-    ``hi`` to each probe whose total exceeds the budget.  When the budget is
-    spent at an end of the bracket, to within ``cfg.power_tolerance *
-    budget``, or only beyond it, that end is returned.  Otherwise Illinois
-    regula falsi (:func:`~waterline.core.illinois_root`) stops at the first
-    probe within that tolerance, or on a bracket a few ulp wide, returning
-    its end that fits the budget.  Returns ``(x, payload, evaluations)``,
-    counting the calls of ``evaluate``.
-    """
+    """``(x, payload, evaluations)``: the outer level x where the group
+    budgets, ``evaluate(x) = (total, payload)`` monotone in x, spend
+    ``budget``.  The bracket grows down from ``hi`` unless ``lo`` is given.
+    An end that spends the budget to ``cfg.power_tolerance``, or past which
+    it is spent, is returned; else Illinois regula falsi runs to that
+    tolerance or a few ulp, returning the end that fits the budget."""
     tol = cfg.power_tolerance * budget
     sign = 1.0 if increasing else -1.0
     probes = {}  # x -> (h(x), payload)
@@ -265,83 +292,88 @@ def _outer_search(evaluate, budget: float, cfg: SolverConfig, increasing: bool,
     return done(x)
 
 
-def _distribute_surplus(chans, budget, gammas, taus, states, cfg) -> None:
-    """Hand leftover budget to groups with headroom without lowering anyone."""
-    remaining = budget - sum(s[3] for s in states)
-    for j, channels in enumerate(chans):
-        if remaining <= cfg.power_tolerance * budget:
+def _distribute_surplus(channels: Channels, budget, gamma, tau, powers, levels,
+                        offsets, cfg) -> None:
+    """Hand leftover budget to groups with headroom, in group order, without
+    lowering anyone: ``powers`` (flat) and ``levels`` change in place."""
+    ends, tol = np.asarray(offsets).tolist(), cfg.power_tolerance * budget
+    totals = np.add.reduceat(powers, ends[:-1]).tolist()
+    for j, (lo, hi) in enumerate(zip(ends[:-1], ends[1:])):
+        if (remaining := budget - sum(totals)) <= tol:
             return
-        tau = taus[j]
-        head = float(tau.sum()) - states[j][3] if np.isfinite(tau).all() else math.inf
-        give = min(remaining, head)
-        if give <= cfg.power_tolerance * budget:
+        head = tau[lo:hi].sum() - totals[j]  # inf with an infinite upper bound
+        if (give := min(remaining, float(head))) <= tol:
             continue
-        lower = np.minimum(np.maximum(states[j][1], gammas[j]), tau)
-        powers, mu, _, _, _ = box_fill(channels, lower, tau, states[j][3] + give, cfg)
-        states[j] = [mu, powers, float(channels.eval(powers).sum()), sum(powers.tolist())]
-        remaining = budget - sum(s[3] for s in states)
+        lower = np.minimum(np.maximum(powers[lo:hi], gamma[lo:hi]), tau[lo:hi])
+        powers[lo:hi], levels[j], _, _, _ = box_fill(
+            channels.take(np.arange(lo, hi)), lower, tau[lo:hi], totals[j] + give, cfg)
+        totals[j] = sum(powers[lo:hi].tolist())
 
 
-def _build_solution(problem: FairProblem, t, states, iterations) -> FairSolution:
-    """``states[j]`` is group j's ``(mu, powers, utility, total)``."""
-    powers, water_levels, totals, utilities, active_sets = [], [], [], [], []
-    for j, (mu, pw, util, total) in enumerate(states):
-        pw = np.asarray(pw, dtype=float)
-        active = _classify(pw, np.asarray(problem.lower_bounds[j], dtype=float),
-                           np.asarray(problem.upper_bounds[j], dtype=float))[3]
-        powers.append(pw.tolist())
-        water_levels.append(None if mu is None else float(mu))
-        totals.append(float(total))
-        utilities.append(float(util))
-        active_sets.append(np.flatnonzero(active).tolist())
-    return FairSolution(powers=powers, water_levels=water_levels,
-                        group_totals=totals, group_utilities=utilities,
-                        t=t, active_sets=active_sets,
-                        iterations=iterations, status="optimal")
+def _build_solution(problem: FairProblem, channels: Channels, gamma, tau, powers,
+                    water_levels, iterations: int, t: float | None = None,
+                    totals=None, resting: bool = False) -> FairSolution:
+    """The solution of the flat ``powers``: utilities from one ``eval`` (-inf
+    where ``resting`` puts a channel at an infinite rate), t the least
+    unless given, active sets from one :func:`_classify`, totals the powers'
+    sums unless given.  A power not finite or a NaN utility raises."""
+    starts, ends = problem.offsets[:-1], problem.offsets.tolist()
+    infinite = ~np.isfinite(channels.rate(powers)) if resting else None
+    utilities = np.add.reduceat(channels.eval(
+        powers if infinite is None else np.where(infinite, 1.0, powers)), starts)
+    if resting:
+        utilities[np.logical_or.reduceat(infinite, starts)] = -math.inf
+    t = float(utilities.min()) if t is None else t
+    if not np.isfinite(powers).all() or np.isnan(utilities).any() or math.isnan(t):
+        raise BracketFailure("a group's water level leaves the float range")
+    active = np.flatnonzero(_classify(powers, gamma, tau)[3])
+    cuts, flat = np.searchsorted(active, ends).tolist(), powers.tolist()
+    return FairSolution(
+        powers=[flat[lo:hi] for lo, hi in zip(ends, ends[1:])],
+        water_levels=[None if mu is None else float(mu) for mu in water_levels],
+        group_totals=list(map(float, np.add.reduceat(powers, starts) if totals is None
+                              else totals)),
+        group_utilities=utilities.tolist(), t=t, iterations=iterations, status="optimal",
+        active_sets=[(active[a:b] - lo).tolist() for a, b, lo in zip(cuts, cuts[1:], ends)])
 
 
 def solve_maxmin(problem: FairProblem,
                  cfg: SolverConfig = _DEFAULT_CFG) -> FairSolution:
     """Maximize the minimum group utility under the total budget.
 
-    Each group's channels are clamped into their boxes, so one map takes a
-    target t to every group's least-power allocation reaching it.  When every
-    upper bound is finite and they fit the budget together, all channels sit
-    at them; when the floors spend the budget (to ``cfg.power_tolerance``),
-    at their floors, where a group with an infinite rate has utility -inf.
-    Otherwise t is found by :func:`_outer_search` on the summed
-    group demands, from the least utility a group reaches with the others at
-    their floors (its box optimum, or its table's t cap), and budget left
-    over at that cap goes to the groups with headroom.
+    All channels sit at finite upper bounds that fit the budget, or at floors
+    that spend it (a group with an infinite rate there has utility -inf).  A
+    channel fixed at an infinite rate (b = 0 boxed at [0, 0]) makes t -inf at
+    every allocation: the surplus over the floors goes to groups with
+    headroom, in group order.  Else :func:`_outer_search` finds t on the
+    summed least-power demands, from the least t cap (a group's utility with
+    the others at their floors); leftover budget goes to groups with headroom.
     """
     if problem.mode != MODE_MAXMIN:
         raise DomainError(f"solve_maxmin requires maxmin mode, got {problem.mode!r}")
-    budget = problem.budget
+    budget, offsets, ends = problem.budget, problem.offsets, problem.offsets.tolist()
     # A max-min group holds no cluster-aware entry: bound, it is its channels.
-    chans = [group.bind(0.0) for group in problem.group_banks]
-    gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
-    taus = [np.array(row, dtype=float) for row in problem.upper_bounds]
+    channels = problem.bank.bind(0.0)
+    gamma, tau = _bounds(problem)
+    floors = np.add.reduceat(gamma, ends[:-1]).tolist()
+    total_floor, fixed = sum(floors), tau <= gamma
+    at_tau = np.isfinite(tau).all() and float(tau.sum()) <= budget
+    if at_tau or budget - total_floor <= cfg.power_tolerance * budget or \
+            fixed.any() and not np.isfinite(channels.rate(gamma)[fixed]).all():
+        powers, water_levels = (tau if at_tau else gamma).copy(), [None] * problem.n_groups
+        _distribute_surplus(channels, budget, gamma, tau, powers, water_levels, offsets, cfg)
+        return _build_solution(problem, channels, gamma, tau, powers, water_levels, 1,
+                               resting=True)
 
-    floors = [float(gamma.sum()) for gamma in gammas]
-    total_floor = sum(floors)
-    at_tau = all(np.isfinite(tau).all() for tau in taus) and \
-        sum(float(tau.sum()) for tau in taus) <= budget
-    if at_tau or budget - total_floor <= cfg.power_tolerance * budget:
-        # At tau, or at the floors; an infinite rate (b = 0 at 0) is utility -inf.
-        states = [[None, p, float(channels.eval(p).sum())
-                   if np.isfinite(channels.rate(p)).all() else -math.inf, float(p.sum())]
-                  for channels, p in zip(chans, taus if at_tau else gammas)]
-        return _build_solution(problem, min(s[2] for s in states), states, 1)
-
-    groups = list(zip(chans, gammas, taus))
-    levels = [_group_level(*group) for group in groups]
+    levels = _group_levels(channels, gamma, tau, offsets)
     t_caps = []
-    for (channels, gamma, tau), (_, cap), floor in zip(groups, levels, floors):
+    for (_, cap), lo, hi, floor in zip(levels, ends, ends[1:], floors):
         avail = budget - (total_floor - floor)
         t_cap = cap(avail) if cap else math.nan
         if math.isnan(t_cap):  # no table, or none at this total
-            powers = box_fill(channels, gamma, tau, avail, cfg)[0]
-            t_cap = float(channels.eval(powers).sum())
+            group = channels.take(np.arange(lo, hi))
+            powers = box_fill(group, gamma[lo:hi], tau[lo:hi], avail, cfg)[0]
+            t_cap = float(group.eval(powers).sum())
         t_caps.append(t_cap)
 
     def demand(t_val: float):
@@ -349,22 +381,22 @@ def solve_maxmin(problem: FairProblem,
         return sum(s[3] for s in states), states
 
     t, states, iterations = _outer_search(demand, budget, cfg, True, min(t_caps))
-    # A table group's powers are built once, at the final level.
-    states = [list(s if s[1] is not None else (s[0], *_group_state(*group, s[0])))
-              for s, group in zip(states, groups)]
-    _distribute_surplus(chans, budget, gammas, taus, states, cfg)
-    return _build_solution(problem, t, states, iterations)
+    # The table groups' powers are built once, at the final levels.
+    powers = _demanded(channels, gamma, tau, offsets,
+                       [s[0] if s[1] is None else None for s in states])
+    for s, lo, hi in zip(states, ends, ends[1:]):
+        if s[1] is not None:
+            powers[lo:hi] = s[1]
+    water_levels = [s[0] for s in states]
+    _distribute_surplus(channels, budget, gamma, tau, powers, water_levels, offsets, cfg)
+    return _build_solution(problem, channels, gamma, tau, powers, water_levels, iterations, t)
 
 
 class _MonotoneMap:
-    """One group's monotone map ``x -> f(x)``, with every point evaluated
-    during a solve kept, sorted by x.
-
-    :meth:`root` finds ``f(x) = y`` by Illinois regula falsi inside the
-    tightest bracket among the stored points, to a bracket of a few ulp or an
-    exact hit.  The bracket is chosen by the sign of ``f - y``, so
-    rounding-level non-monotonicity cannot break it.
-    """
+    """One group's monotone map ``x -> f(x)``, every point evaluated kept,
+    sorted by x.  :meth:`root` finds ``f(x) = y`` by Illinois regula falsi
+    in the tightest stored bracket (by the sign of ``f - y``, so rounding
+    cannot break it), to a few ulp or an exact hit."""
 
     __slots__ = ("fn", "sign", "xs", "fs")
 
@@ -408,162 +440,168 @@ class _MonotoneMap:
                              sign * (fs[lo] - y), h_hi, 0.0, _ULP_WIDTH)
 
 
-def _cluster_table(cluster: ClusterChannels, gamma):
-    """``(at, at_price, at_target)`` for one cluster group, from a table
-    sorted once; None when the group does not qualify.
+def _cluster_tables(cluster: ClusterChannels, gamma, offsets):
+    """``(tables, levels)`` for the cluster groups (bank and floors flat,
+    group j at ``offsets[j]:offsets[j + 1]``): ``tables[j]`` is ``(at,
+    at_price, at_target)``, None unless all entries are cluster-aware with
+    one (sigma_e2, sigma_n2) and gamma = 0.
 
-    A group qualifies when every entry is cluster-aware, all share one
-    (sigma_e2, sigma_n2) and gamma = 0.  Bound at B, entry i is
-    ``log_capacity`` with a' = a_i/s, s = sigma_e2*B + sigma_n2, so the
-    sorted search of :func:`~waterline.core.water_fill` orders the channels
-    by 1/(a*w) at every B.  With the prefix sums U = sum(w), A = sum(1/a)
-    and L = sum(w*log(a*w)) in that order, the first m channels are active
-    while ``g_m = U_m/(a_m*w_m) - A_m < B/s`` (g is nondecreasing), at the
-    level ``mu = U_m/(B + s*A_m)``.  Their powers spend B, so the marginal
-    (level plus interference drag) is ``mu*sigma_n2/s`` and the utility
-    ``L_m - U_m*log(s*mu)``: ``at(B)`` returns the two, or None at B <= 0 and
-    where mu over- or underflows (the caller then runs ``water_fill``).
-
-    ``at_price(nu)`` and ``at_target(t)`` return the group budget at which
-    the marginal falls to nu or the utility reaches t.  B/s rises with B, so
-    segment m ends where B/s reaches g_{m+1}, at B = sigma_n2*g/(1 -
-    sigma_e2*g), or never once sigma_e2*g >= 1 (those channels never join).
-    One bisect over the values at the segment ends, tabled once, finds the
-    segment; there B is the positive root of the quadratic ``(B + s*A)*s =
-    U*sigma_n2/nu``, or ``sigma_n2*y/(1 - sigma_e2*y)`` with the B/s ``y =
-    U*exp((t - L)/U) - A``.  A value beyond the map's reach gives a budget
-    <= 0 below it and math.inf (NaN on overflow) above it.
+    Bound at B, such a group is ``log_capacity`` with a' = a/s, s =
+    sigma_e2*B + sigma_n2, ordered by 1/(a*w) at every B: the join points of
+    :func:`~waterline.core._bank_points` at B = 0.  With U = sum(w), A =
+    sum(1/a), L = sum(w*log(a*w)) running in that order, the first m
+    channels are active while ``g_m = U_m/(a_m*w_m) - A_m < B/s``, at ``mu =
+    U_m/(B + s*A_m)``: ``at(B)`` gives the marginal ``mu*sigma_n2/s``, the
+    utility ``L_m - U_m*log(s*mu)`` and the segment (None at B <= 0 or mu
+    out of the float range).  Segment m ends at B = sigma_n2*g/(1 -
+    sigma_e2*g), g = g_{m+1} (never once sigma_e2*g >= 1): ``at_price(nu)``
+    and ``at_target(t)`` bisect the ends and solve ``(B + s*A)*s =
+    U*sigma_n2/nu`` or take ``sigma_n2*y/(1 - sigma_e2*y)``, ``y =
+    U*exp((t - L)/U) - A``.  ``levels(bound, totals)`` gives the final levels
+    as ``water_fill`` does, ``sum(w)/(B + sum(b/a))`` on ``bound``, since far
+    below b/a the powers cancel w/mu against b/a.
     """
-    if cluster.index.size < len(gamma) or gamma.any() or \
-            np.ptp(cluster.sigma_e2) or np.ptp(cluster.sigma_n2):
-        return None
-    e2, n2 = float(cluster.sigma_e2[0]), float(cluster.sigma_n2[0])
-    aw = cluster.a * cluster.w
-    order = np.argsort(1.0 / aw, kind="stable")
-    w, a, aw = cluster.w[order], cluster.a[order], aw[order]
-    U, A, L = np.cumsum(w), np.cumsum(1.0 / a), np.cumsum(w * np.log(aw))
-    g = np.maximum.accumulate(U / aw - A)
-    # The n segments up to the first join no budget reaches; the last runs on
-    # to B = inf, where B/s tends to 1/sigma_e2 and the marginal to 0.
-    n = int(np.argmax(np.append(e2 * g[1:] >= 1.0, True))) + 1
-    y = np.append(g[1:n], 1.0 / e2 if e2 else math.inf)
-    with np.errstate(over="ignore", divide="ignore"):  # log(0): an unbounded utility
-        end = n2 * y[:-1] / (1.0 - e2 * y[:-1])
+    ends = np.asarray(offsets).tolist()
+    sizes, n_entries = np.subtract(ends[1:], ends[:-1]), len(gamma)
+    noise = np.full((2, n_entries), np.nan)  # NaN for an entry that is not cluster-aware
+    noise[:, cluster.index] = cluster.sigma_e2, cluster.sigma_n2
+    table = ~np.logical_or.reduceat(gamma != 0, ends[:-1]) & (np.minimum.reduceat(
+        noise, ends[:-1], 1) == np.maximum.reduceat(noise, ends[:-1], 1)).all(0)
+    idx = np.flatnonzero(np.repeat(table, sizes))
+    bound = cluster.bind(0.0) if idx.size else None
+    bank = idx.size and _bank_points(bound if idx.size == n_entries else bound.take(idx),
+                                     np.zeros(idx.size))
+    if not bank:
+        return [None] * len(sizes), lambda bound, totals: [None] * len(sizes)
+    width = sizes[table]
+    order, row, col, _, cuts = _grouped(
+        bank[5], np.repeat(np.arange(len(width)), width), len(width))
+    pos = idx[order] if cluster.index.size == n_entries else \
+        np.searchsorted(cluster.index, idx[order])  # the places among the aware entries
+    w, a, e2, n2 = (v[pos] for v in (cluster.w, cluster.a, cluster.sigma_e2, cluster.sigma_n2))
+    U, A, L = _running(np.add, np.stack((w, 1.0 / a, w * np.log(a * w))), cuts)
+    g = _running(np.maximum, U / (a * w) - A, cuts)
+    # n segments up to a join no budget reaches; the last runs on to B = inf.
+    last, after = col == width[row] - 1, np.append(g[1:], 0.0)  # g of the next point
+    n = np.minimum.reduceat(np.where(last | (e2 * after >= 1.0), col, len(order)), cuts[:-1]) + 1
+    mid = col < n[row] - 1
+    with np.errstate(all="ignore"):  # 1/0, log(0), and past the last segment, never read
+        y = np.where(mid, after, 1.0 / e2)
+        end = n2 * y / (1.0 - e2 * y)
         s_end = e2 * end + n2
-        neg_margin = (-U[:n - 1] * n2 / ((end + s_end * A[:n - 1]) * s_end)).tolist() + [0.0]
-        utility_end = (L[:n] - U[:n] * np.log(U[:n] / (y + A[:n]))).tolist()
+        neg_margin = np.where(mid, -U * n2 / ((end + s_end * A) * s_end), 0.0).tolist()
+        utility_end = (L - U * np.log(U / (y + A))).tolist()
     g, U, A, L = g.tolist(), U.tolist(), A.tolist(), L.tolist()
 
-    def at(budget: float):
-        if budget <= 0:
-            return None
-        s = e2 * budget + n2
-        m = max(bisect_left(g, budget / s), 1) - 1
-        mu = U[m] / (budget + s * A[m])
-        if not 0.0 < mu < math.inf:
-            return None
-        return mu * n2 / s, L[m] - U[m] * (math.log(s) + math.log(mu))
+    def group_table(r: int):
+        p0, k, n_r = cuts[r], int(width[r]), int(n[r])
+        e2_r, n2_r = float(e2[p0]), float(n2[p0])
 
-    def at_price(nu: float) -> float:
-        if not nu > 0.0:  # the marginal stays above it at every budget
-            return math.inf
-        m = bisect_left(neg_margin, -nu)
-        quad, lin, c = e2 * (1.0 + e2 * A[m]), n2 * (1.0 + 2.0 * e2 * A[m]), \
-            n2 * (U[m] / nu - n2 * A[m])
-        return 2.0 * c / (lin + math.sqrt(max(lin * lin + 4.0 * quad * c, 0.0)))
+        def at(budget: float):
+            if budget <= 0:
+                return None
+            s = e2_r * budget + n2_r
+            m = max(bisect_left(g, budget / s, p0, p0 + k), p0 + 1) - 1
+            mu = U[m] / (budget + s * A[m])
+            if not 0.0 < mu < math.inf:
+                return None
+            return mu * n2_r / s, L[m] - U[m] * (math.log(s) + math.log(mu)), m
 
-    def at_target(t: float) -> float:
-        m = min(bisect_left(utility_end, t), n - 1)
-        y = U[m] * math.exp(min((t - L[m]) / U[m], _LOG_MAX)) - A[m]
-        return n2 * y / (1.0 - e2 * y) if e2 * y < 1.0 else math.inf
-    return at, at_price, at_target
+        def at_price(nu: float) -> float:
+            if not nu > 0.0:  # the marginal stays above it at every budget
+                return math.inf
+            m = bisect_left(neg_margin, -nu, p0, p0 + n_r)
+            quad, lin, c = e2_r * (1.0 + e2_r * A[m]), n2_r * (1.0 + 2.0 * e2_r * A[m]), \
+                n2_r * (U[m] / nu - n2_r * A[m])
+            return 2.0 * c / (lin + math.sqrt(max(lin * lin + 4.0 * quad * c, 0.0)))
+
+        def at_target(t: float) -> float:
+            m = min(bisect_left(utility_end, t, p0, p0 + n_r), p0 + n_r - 1)
+            y = U[m] * math.exp(min((t - L[m]) / U[m], _LOG_MAX)) - A[m]
+            return n2_r * y / (1.0 - e2_r * y) if e2_r * y < 1.0 else math.inf
+        return at, at_price, at_target
+    rows = itertools.count()  # the table groups' rows, in group order
+    tables = [group_table(next(rows)) if on else None for on in table.tolist()]
+
+    def levels(bound: Channels, totals):
+        some = bound if idx.size == n_entries else bound.take(idx)
+        offset = _running(np.add, (some.b / some.a)[order], cuts).tolist()
+        return [(state := table and table[0](total)) and U[state[2]] / (total + offset[state[2]])
+                for table, total in zip(tables, totals)]
+    return tables, levels
 
 
-def _group_budget(inverse, memo: _MonotoneMap, y: float, low: float, high: float) -> float:
-    """The group budget in ``[low, high]`` at which the group's map meets y:
-    its table's closed-form ``inverse`` clamped into the range, or, with no
-    table or a non-finite inverse, ``memo.root``."""
-    budget = inverse(y) if inverse else math.nan
-    return min(max(budget, low), high) if math.isfinite(budget) else memo.root(y, low, high)
+def _spender(tables, inverse: int, maps, lows, budget: float):
+    """``spend(y)``: ``(sum, totals)`` of each group's budget in ``[lows[j],
+    budget]`` where its map meets y, by ``tables[j][inverse]`` or ``maps[j].root``."""
+    def spend(y: float):
+        totals = []
+        for table, memo, low in zip(tables, maps, lows):
+            b = table[inverse](y) if table else math.nan
+            totals.append(min(max(b, low), budget) if math.isfinite(b) else
+                          memo.root(y, low, budget))
+        return sum(totals), totals
+    return spend
 
 
 def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
-    """``(clusters, gammas, tables, solve_group, finish)`` for a cluster mode.
-
-    ``tables[j]`` is group j's :func:`_cluster_table` maps, or None;
-    ``solve_group(j, b)`` solves group j bound to the group budget ``b`` by
-    ``water_fill`` and returns ``(channels, powers, mu)``, the bound
-    channels, the powers and the water level (None at the floor);
-    ``finish(totals, iterations, t=None)`` solves every group at its final
-    total and builds the solution, with ``t`` the least group utility unless
-    given.
-    """
-    clusters = problem.group_banks
-    gammas = [np.array(row, dtype=float) for row in problem.lower_bounds]
-    tables = [_cluster_table(c, gamma) for c, gamma in zip(clusters, gammas)]
+    """``(gamma, floors, tables, solve_group, finish)``: floors (flat, and each
+    group's sum), the :func:`_cluster_tables` maps, ``solve_group(j, b)``
+    (group j's :attr:`~waterline.problems.FairProblem.group_banks` entry bound
+    at ``b`` and its ``water_fill`` powers and level), the solution ``finish``."""
+    offsets, ends, sizes = problem.offsets, problem.offsets.tolist(), np.diff(problem.offsets)
+    gamma, tau = _bounds(problem)
+    floors = np.add.reduceat(gamma, ends[:-1]).tolist()
+    tables, table_levels = _cluster_tables(problem.bank, gamma, offsets)
 
     def solve_group(j: int, group_budget: float):
-        channels = clusters[j].bind(group_budget)
-        powers, mu, _, _ = water_fill(channels, gammas[j], group_budget, cfg)
-        return channels, powers, mu
+        channels = problem.group_banks[j].bind(group_budget)
+        return (problem.group_banks[j], channels,
+                *water_fill(channels, gamma[ends[j]:ends[j + 1]], group_budget, cfg)[:2])
 
     def finish(totals, iterations: int, t: float | None = None) -> FairSolution:
-        states = []
+        bound = problem.bank.bind(np.repeat(np.asarray(totals, dtype=float), sizes))
+        levels = table_levels(bound, totals)
+        powers = _demanded(bound, gamma, tau, offsets, levels)
         for j, total in enumerate(totals):
-            channels, powers, mu = solve_group(j, total)
-            states.append([mu, powers, float(channels.eval(powers).sum()), total])
-        if t is None:
-            t = min(s[2] for s in states)
-        return _build_solution(problem, t, states, iterations)
-    return clusters, gammas, tables, solve_group, finish
+            if levels[j] is None:
+                _, _, powers[ends[j]:ends[j + 1]], levels[j] = solve_group(j, total)
+        return _build_solution(problem, bound, gamma, tau, powers, levels, iterations, t, totals)
+    return gamma, floors, tables, solve_group, finish
 
 
 def solve_cluster(problem: FairProblem,
                   cfg: SolverConfig = _DEFAULT_CFG) -> FairSolution:
-    """Split the budget across clusters whose utilities feel the group total.
-
-    The price ν of group budget is found by :func:`_outer_search` on the
-    summed group budgets, each the budget at which the group's marginal
-    value (water level plus interference drag) falls to ν.
-    """
+    """Split the budget across clusters whose utilities feel the group total:
+    :func:`_outer_search` on the price ν of group budget, each group at the
+    budget where its marginal value (level plus interference drag) is ν."""
     if problem.mode != MODE_CLUSTER:
         raise DomainError(f"solve_cluster requires cluster mode, got {problem.mode!r}")
-    groups, budget = problem.groups, problem.budget
-    clusters, gammas, tables, solve_group, finish = _cluster_solver(problem, cfg)
-    n_groups = len(groups)
+    budget, n_groups, ends = problem.budget, problem.n_groups, problem.offsets.tolist()
+    gamma, floors, tables, solve_group, finish = _cluster_solver(problem, cfg)
 
     if n_groups == 1:
         return finish([budget], 1)
     if not problem.bank.coupled:
         # No interference coupling: the groups pool into one problem.
-        powers, _, water_levels, _ = water_fill(
-            problem.bank.bind(0.0), np.concatenate(gammas), budget, cfg)
-        parts = np.split(powers, problem.offsets[1:-1])
-        return finish([sum(part.tolist()) for part in parts], len(water_levels) or 1)
+        powers, _, water_levels, _ = water_fill(problem.bank.bind(0.0), gamma, budget, cfg)
+        return finish(np.add.reduceat(powers, ends[:-1]).tolist(), len(water_levels) or 1)
 
-    floors = [float(gamma.sum()) for gamma in gammas]
     total_floor = sum(floors)
-    b_min = 1e-9 * budget / n_groups
-    lows = [floor + b_min for floor in floors]
+    lows = [floor + 1e-9 * budget / n_groups for floor in floors]
 
     def marginal(j: int, group_budget: float) -> float:
         """d(group utility)/d(group budget): water level + interference drag."""
         fast = tables[j] and tables[j][0](group_budget)
         if fast:
             return fast[0]
-        channels, powers, mu = solve_group(j, group_budget)
+        group, channels, powers, mu = solve_group(j, group_budget)
         if mu is None:  # at the floor: the level where the first channel joins
-            mu = float(channels.rate(gammas[j]).max())
-        return mu + clusters[j].drag(powers, group_budget)
+            mu = float(channels.rate(gamma[ends[j]:ends[j + 1]]).max())
+        return mu + group.drag(powers, group_budget)
 
-    marginals = [_MonotoneMap(partial(marginal, j), increasing=False)
-                 for j in range(n_groups)]
-
-    def spend(nu: float):
-        totals = [_group_budget(table and table[1], m, nu, low, budget)
-                  for table, m, low in zip(tables, marginals, lows)]
-        return sum(totals), totals
-
+    marginals = [_MonotoneMap(partial(marginal, j), increasing=False) for j in range(n_groups)]
+    spend = _spender(tables, 1, marginals, lows, budget)
     nu_lo = min(marginals[j](budget) for j in range(n_groups))
     nu_hi = max(marginals[j](lows[j]) for j in range(n_groups))
     _, totals, iterations = _outer_search(spend, budget, cfg, False, nu_hi, nu_lo)
@@ -580,32 +618,23 @@ def solve_cluster_maxmin(problem: FairProblem,
     if problem.mode != MODE_CLUSTER_MAXMIN:
         raise DomainError(
             f"solve_cluster_maxmin requires cluster_maxmin mode, got {problem.mode!r}")
-    budget, n_groups = problem.budget, problem.n_groups
-    clusters, gammas, tables, _, finish = _cluster_solver(problem, cfg)
-    floors = [float(gamma.sum()) for gamma in gammas]
+    budget, n_groups, ends = problem.budget, problem.n_groups, problem.offsets.tolist()
+    gamma, floors, tables, _, finish = _cluster_solver(problem, cfg)
     total_floor = sum(floors)
 
     def utility(j: int, group_budget: float) -> float:
         fast = tables[j] and tables[j][0](group_budget)
         if fast:
             return fast[1]
-        channels = clusters[j].bind(group_budget)
-        if group_budget <= floors[j] and \
-                not np.isfinite(channels.rate(gammas[j])).all():
+        channels, gamma_j = problem.group_banks[j].bind(group_budget), gamma[ends[j]:ends[j + 1]]
+        if group_budget <= floors[j] and not np.isfinite(channels.rate(gamma_j)).all():
             return -math.inf  # a channel with b = 0 rests at a zero floor
-        powers = water_fill(channels, gammas[j], group_budget, cfg)[0]
+        powers = water_fill(channels, gamma_j, group_budget, cfg)[0]
         return float(channels.eval(powers).sum())
 
-    utilities = [_MonotoneMap(partial(utility, j), increasing=True)
-                 for j in range(n_groups)]
-
-    def spend(t_val: float):
-        totals = [_group_budget(table and table[2], u, t_val, floor, budget)
-                  for table, u, floor in zip(tables, utilities, floors)]
-        return sum(totals), totals
-
-    t_hi = min(utilities[j](budget - (total_floor - floors[j]))
-               for j in range(n_groups))
+    utilities = [_MonotoneMap(partial(utility, j), increasing=True) for j in range(n_groups)]
+    spend = _spender(tables, 2, utilities, floors, budget)
+    t_hi = min(utilities[j](budget - (total_floor - floors[j])) for j in range(n_groups))
     t, totals, iterations = _outer_search(spend, budget, cfg, True, t_hi)
     return finish(totals, iterations, t)
 

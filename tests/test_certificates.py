@@ -138,15 +138,14 @@ def test_groups_beside_a_custom_objective_keep_their_bank_and_table():
     """The problem's bank runs on the objects when one entry is custom; its
     group views bank every other group again, so their max-min tables and
     their rates run on arrays."""
-    from waterline.fair import _group_level
+    from waterline.fair import _bounds, _group_levels
     problem = FairProblem(**HAND_BUILT["custom"])
     assert not problem.bank.bind(0.0).banked
     views = [group.bind(0.0) for group in problem.group_banks]
     assert [v.banked for v in views] == [True, False, True]
     assert [v.family for v in views] == ["log_capacity", None, "log_capacity"]
-    gammas = [np.array(row) for row in problem.lower_bounds]
-    taus = [np.array(row) for row in problem.upper_bounds]
-    caps = [_group_level(v, g, t)[1] for v, g, t in zip(views, gammas, taus)]
+    caps = [cap for _, cap in _group_levels(problem.bank.bind(0.0), *_bounds(problem),
+                                            problem.offsets)]
     assert [cap is not None for cap in caps] == [True, False, True]
     cluster = FairProblem(**HAND_BUILT["cluster_custom"])
     assert [g.bind(1.0).banked for g in cluster.group_banks] == [False, True]

@@ -410,6 +410,31 @@ def test_sweep_matches_a_solve_per_snr_and_realization(runner, tmp_path, gamma, 
     assert dump.read_bytes() == expected_dump
 
 
+@pytest.mark.parametrize("strategy", ["order", "set_a"])
+def test_sweep_rescues_a_failed_batch_with_a_solve_per_snr(runner, tmp_path, monkeypatch,
+                                                           strategy):
+    """When the batch of a realization's SNR points fails, every point is
+    solved alone by ``solve_box``: the bytes are the per-point reference's."""
+    import waterline.cli as cli
+    from waterline import BracketFailure
+
+    def fail(*args, **kwargs):
+        calls.append(1)
+        raise BracketFailure("batch refused")
+    calls = []
+    monkeypatch.setattr(cli, "box_fill_rows", fail)
+    out, dump = tmp_path / "sweep.csv", tmp_path / "dump.json"
+    result = runner.invoke(main, [
+        "sweep", "--snr-list", ",".join(map(str, _SNRS)), "--gamma", "0.3", "--tau", "1.7",
+        "--realizations", "3", "--seed", "7", "--strategy", strategy, "--out", str(out),
+        "--dump", str(dump), *(f"--{k}={v}" for k, v in _SMALL.items())])
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 3  # one batch per realization, each rescued
+    expected_csv, expected_dump = _sweep_reference(_SNRS, 0.3, 1.7, 3, 7, strategy, **_SMALL)
+    assert out.read_bytes() == expected_csv
+    assert dump.read_bytes() == expected_dump
+
+
 @pytest.mark.parametrize("late", ["nan", "1e400", "-1e400"])
 def test_sweep_rejects_a_late_bad_snr_before_writing(runner, tmp_path, late):
     out, dump = tmp_path / "sweep.csv", tmp_path / "dump.json"

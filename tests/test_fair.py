@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -354,10 +355,23 @@ def _random_maxmin_group(rng: random.Random):
     return Channels(objs), np.array(gamma), np.array(tau)
 
 
+def _group_level(channels: Channels, gamma, tau):
+    """One group's ``(level, cap)``, from the problem-wide table builder."""
+    from waterline.fair import _group_levels
+    return _group_levels(channels, gamma, tau, [0, len(gamma)])[0]
+
+
+def _cluster_table(cluster: ClusterChannels, gamma):
+    """One group's ``(at, at_price, at_target)``, or None, from the
+    problem-wide table builder."""
+    from waterline.fair import _cluster_tables
+    return _cluster_tables(cluster, gamma, [0, len(gamma)])[0][0]
+
+
 def test_exact_group_level_matches_bisection():
     from waterline import InfeasibleTarget
     from waterline.box import _classify
-    from waterline.fair import _group_level, _group_mu_for_t, _group_state
+    from waterline.fair import _group_mu_for_t, _group_state
     rng = random.Random(23)
     outcomes = {"level": 0, "flat": 0, "floor": 0, "unreachable": 0}
     for _ in range(120):
@@ -422,7 +436,7 @@ def test_group_level_on_tied_points(classes):
     # Zero-width boxes put a channel's join and saturation at one point, and
     # copies of a channel put their joins at one point: whatever the order of
     # a tie, the table's allocation is the level search's.
-    from waterline.fair import _group_level, _group_mu_for_t, _group_state
+    from waterline.fair import _group_mu_for_t, _group_state
     rng = random.Random(53)
     for _ in range(40):
         objs, gamma, tau = [], [], []
@@ -544,7 +558,7 @@ def test_group_search_cost_without_a_table(monkeypatch):
     for group in groups:
         calls.clear()
         k = len(group)
-        level, cap = fair._group_level(Channels(group), np.zeros(k), np.full(k, np.inf))
+        level, cap = _group_level(Channels(group), np.zeros(k), np.full(k, np.inf))
         assert cap is None
         mu, _, utility, _ = level(2.0)
         assert mu is not None and len(calls) <= 20, len(calls)
@@ -622,7 +636,6 @@ def _table_groups():
 @pytest.mark.parametrize("name", ["single", "ties", "uncoupled", "wide"])
 def test_cluster_table_matches_water_fill(name):
     from waterline.core import water_fill
-    from waterline.fair import _cluster_table
     group = _table_groups()[name]
     cluster, gamma = ClusterChannels(group), np.zeros(len(group))
     table = _cluster_table(cluster, gamma)[0]
@@ -630,7 +643,7 @@ def test_cluster_table_matches_water_fill(name):
     for b in np.geomspace(1e-9 * budget, budget, 50).tolist():
         channels = cluster.bind(b)
         powers, mu, _, _ = water_fill(channels, gamma, b)
-        marginal, utility = table(b)
+        marginal, utility, _ = table(b)
         assert marginal == pytest.approx(mu + cluster.drag(powers, b), rel=1e-12)
         # The table's utility is L_m - U_m*log(s*mu), whose rounding is a few
         # ulp of L_m: at the smallest budgets the 1e-12 absolute floor holds.
@@ -646,7 +659,6 @@ def test_cluster_table_matches_water_fill(name):
     ([ClusterLogCapacity(1, 2, 0.1, 1.0), LogCapacity(1, 1, 1)], [0, 0]),
 ])
 def test_cluster_table_needs_one_noise_pair_zero_floors_and_aware_entries(group, gamma):
-    from waterline.fair import _cluster_table
     assert _cluster_table(ClusterChannels(group), np.array(gamma, dtype=float)) is None
 
 
@@ -713,7 +725,6 @@ def test_table_groups_run_no_memoised_search_and_no_box_fill(mode, monkeypatch):
 def _tables_off(monkeypatch) -> None:
     """Send every group down the searches it takes without a table."""
     import waterline.fair as fair
-    monkeypatch.setattr(fair, "_cluster_table", lambda *args: None)
     monkeypatch.setattr(fair, "_bank_points", lambda *args: None)
 
 
@@ -887,16 +898,15 @@ def test_cluster_table_inverses_map_back_to_the_budget(name):
     # change of the marginal moves B by more than 1e-12 of it, and the
     # utility's rounding is a few ulp of L_m.  There the table, read at the
     # budget an inverse returns, must give the value back.
-    from waterline.fair import _cluster_table
     group = _table_groups()[name]
     at, at_price, at_target = _cluster_table(ClusterChannels(group), np.zeros(len(group)))
     budget = 4.0 * len(group)
     for b in np.geomspace(1e-3 * budget, budget, 50).tolist():
-        marginal, utility = at(b)
+        marginal, utility, _ = at(b)
         assert at_price(marginal) == pytest.approx(b, rel=1e-12, abs=0)
         assert at_target(utility) == pytest.approx(b, rel=1e-12, abs=0)
     for b in np.geomspace(1e-9 * budget, budget, 50).tolist():
-        marginal, utility = at(b)
+        marginal, utility, _ = at(b)
         assert at(at_price(marginal))[0] == pytest.approx(marginal, rel=1e-12, abs=0)
         assert at(at_target(utility))[1] == pytest.approx(utility, rel=1e-12, abs=1e-12)
 
@@ -908,7 +918,7 @@ def test_scalar_maxmin_total_matches_the_group_state(classes, capped):
     # At every event's utility and midway between two, the table's scalar
     # total is the clamped demands' sum, and the t cap maps it back to the
     # utility there.
-    from waterline.fair import _group_level, _group_state
+    from waterline.fair import _group_state
     rng = random.Random(47)
     checked = 0
     for _ in range(8):
@@ -975,7 +985,6 @@ def test_cluster_channel_that_never_joins(mode):
     # Sorted by a*w, the second channel of group 0 has g = 9.9, and
     # sigma_e2*g >= 1: no finite group budget makes room for it, so the table
     # ends after the first segment, which runs on to B = inf.
-    from waterline.fair import _cluster_table
     group = [ClusterLogCapacity(1, 10, 0.5, 1), ClusterLogCapacity(1, 0.1, 0.5, 1)]
     problem = FairProblem([group, [ClusterLogCapacity(1, 1, 0.5, 1)]], 4.0, mode=mode)
     sol = solve_fair(problem)
@@ -1001,7 +1010,6 @@ def test_cluster_table_gives_up_where_the_level_leaves_the_float_range():
     # B and s*A are subnormal; the map then returns None, and its caller runs
     # water_fill.  No instance reaching these budgets passes its certificate
     # (the rates leave the float range too), so the exit is checked here.
-    from waterline.fair import _cluster_table
     at = _cluster_table(ClusterChannels([ClusterLogCapacity(1, 1e-10, 0.5, 1.0)]),
                         np.zeros(1))[0]
     assert at(1e300) is None and at(1.0) is not None
@@ -1095,13 +1103,268 @@ def test_outer_search_raises_when_no_level_brings_the_total_down_to_the_budget()
 
 
 def test_nan_power_fails_the_fair_certificate():
-    """At a budget near the float range's end the cluster max-min solver
-    returns a NaN power with status ``optimal`` (still open); the
-    certificate must not pass it: ``bounds_violation`` is inf."""
+    """A NaN power must not pass the fair certificate: ``bounds_violation``
+    is inf.  (The cluster max-min solver returned one at a budget of 1e308;
+    see the float-range tests below.)"""
     problem = FairProblem([[ClusterLogCapacity(1, 1, 0.5, 1), ClusterLogCapacity(1, 2, 0.5, 1)],
-                           [ClusterLogCapacity(1, 1.5, 0.5, 1)]], 1e308, mode="cluster_maxmin")
+                           [ClusterLogCapacity(1, 1.5, 0.5, 1)]], 4.0, mode="cluster_maxmin")
     solution = solve_cluster_maxmin(problem)
-    assert math.isnan(solution.powers[1][0])
+    assert check_conditions(problem, solution, tolerance=1e-8).passed
+    solution.powers[1][0] = math.nan
     report = check_conditions(problem, solution, tolerance=1e-8)
     assert not report.passed
     assert report.residuals["bounds_violation"] == math.inf
+
+
+def _scaled_groups(rng: random.Random):
+    """Group sizes 1, 2 and 64 (and two more), each group's utilities scaled
+    by 1e-6, 1 or 1e6, both ends in every problem."""
+    sizes = [1, 2, 64, rng.randint(1, 8), rng.randint(1, 30)]
+    scales = [1e-6, 1e6] + [rng.choice([1e-6, 1.0, 1e6]) for _ in sizes[2:]]
+    order = list(range(len(sizes)))
+    rng.shuffle(order)
+    return [(sizes[i], scales[i]) for i in order]
+
+
+def _batched_maxmin_problem(rng: random.Random):
+    """Max-min groups side by side: ``log_capacity``, ``inverse_mse`` or
+    mixed groups (b = 0 channels at zero floors, copied channels, zero-width
+    boxes, finite and infinite upper bounds) and groups off the table
+    (``af_relay`` or ``sum_log`` entries)."""
+    from waterline import AfRelay
+    groups = []
+    for size, scale in _scaled_groups(rng):
+        kind = rng.choice(["log", "inverse", "mixed", "mixed", "off"])
+        classes = {"log": [LogCapacity], "inverse": [InverseMse]}.get(
+            kind, [LogCapacity, InverseMse])
+        objs, gamma, tau = [], [], []
+        while len(objs) < size:
+            if objs and rng.random() < 0.15:  # a copy of the last channel and its box
+                objs.append(objs[-1])
+                gamma.append(gamma[-1])
+                tau.append(tau[-1])
+                continue
+            if kind == "off" and rng.random() < 0.5:
+                objs.append(rng.choice([
+                    AfRelay(scale * rng.uniform(0.5, 2), rng.uniform(0.1, 0.9), 1.0),
+                    SumLog([scale], 1.0, 1.0, [rng.uniform(0.5, 2)], [1.0])]))
+                b = 1.0
+            else:
+                b = 0.0 if rng.random() < 0.15 else rng.uniform(0.05, 2)
+                objs.append(rng.choice(classes)(scale * rng.uniform(0.2, 5),
+                                                rng.uniform(0.2, 5), b))
+            g = 0.0 if b == 0 or rng.random() < 0.5 else rng.uniform(0, 0.5)
+            gamma.append(g)
+            tau.append(rng.choice([g, g + rng.uniform(0.1, 2), math.inf])
+                       if g or b else rng.choice([0.5, math.inf]))
+        groups.append((objs, np.array(gamma), np.array(tau), scale))
+    return groups
+
+
+def _near(got, want, scale: float) -> bool:
+    """Within 1e-12 relative, or 1e-12 of the group's scale near zero."""
+    return got == want or abs(got - want) <= 1e-12 * max(abs(want), scale)
+
+
+def test_batched_maxmin_tables_match_the_per_group_reference():
+    # One table over every group of a problem against the per-group tables
+    # it replaced (tests/reference_reports.py), at many targets and totals.
+    # A running sum taken over the whole problem, less each group's base,
+    # would carry a 1e6 group's rounding into a 1e-6 group's sums.
+    from waterline import InfeasibleTarget
+    from waterline.fair import _group_levels, _group_state
+    import reference_reports
+    rng, checked = random.Random(61), {"level": 0, "cap": 0, "off": 0}
+    for _ in range(12):
+        groups = _batched_maxmin_problem(rng)
+        offsets = np.cumsum([0] + [len(objs) for objs, *_ in groups])
+        batched = _group_levels(Channels([o for objs, *_ in groups for o in objs]),
+                                np.concatenate([g[1] for g in groups]),
+                                np.concatenate([g[2] for g in groups]), offsets)
+        for (objs, gamma, tau, scale), (level, cap) in zip(groups, batched):
+            channels = Channels(objs)
+            ref_level, ref_cap = reference_reports._group_level(channels, gamma, tau)
+            assert (cap is None) == (ref_cap is None)
+            if cap is None:
+                checked["off"] += 1
+                continue
+            rates = np.concatenate((channels.rate(gamma), channels.rate(np.minimum(tau, 1e3))))
+            rates = rates[np.isfinite(rates) & (rates > 0)]
+            lo, hi = (rates.min() / 4, rates.max() * 4) if rates.size else (0.1, 10.0)
+            targets = [_group_state(channels, gamma, tau, mu)[1]
+                       for mu in np.geomspace(lo, hi, 15).tolist()]
+            targets += [0.5 * (x + y) for x, y in zip(targets, targets[1:])]
+            for t in targets:
+                try:
+                    want = ref_level(t)
+                except InfeasibleTarget:
+                    with pytest.raises(InfeasibleTarget):
+                        level(t)
+                    continue
+                got = level(t)
+                assert (got[0] is None) == (want[0] is None)
+                if want[0] is not None:
+                    assert _near(got[0], want[0], 0.0)
+                assert _near(got[3], want[3], 1.0)
+                checked["level"] += 1
+            top = float(tau.sum()) if np.isfinite(tau).all() else gamma.sum() + 10.0 * len(objs)
+            for total in np.linspace(gamma.sum(), top + 1.0, 25).tolist():
+                got, want = cap(total), ref_cap(total)
+                assert (math.isnan(got) and math.isnan(want)) or _near(got, want, scale)
+                checked["cap"] += 1
+    assert checked["off"] > 5 and min(checked["level"], checked["cap"]) > 500, checked
+
+
+def _batched_cluster_groups(rng: random.Random):
+    """Cluster groups side by side: one noise pair per group, copied entries,
+    and groups off the table (two noise pairs, a ``log_capacity`` entry, or a
+    floor)."""
+    groups = []
+    for size, scale in _scaled_groups(rng):
+        e2, n2 = rng.choice([0.0, 0.05, 0.3]), rng.uniform(0.5, 2.0)
+        objs = []
+        while len(objs) < size:
+            objs.append(objs[-1] if objs and rng.random() < 0.15 else ClusterLogCapacity(
+                scale * rng.uniform(0.2, 5), rng.uniform(0.05, 5), e2, n2))
+        gamma = np.zeros(size)
+        off = rng.choice([None] * 4 + ["pair", "entry", "floor"])
+        if off == "pair":
+            objs[-1] = ClusterLogCapacity(scale, 1.0, e2 + 0.1, n2)
+        elif off == "entry":
+            objs[-1] = LogCapacity(scale, 1.0, 1.0)
+        elif off == "floor":
+            gamma[-1] = 0.1
+        groups.append((objs, gamma, scale))
+    return groups
+
+
+def test_batched_cluster_tables_match_the_per_group_reference():
+    from waterline.fair import _cluster_tables
+    import reference_reports
+    rng, checked = random.Random(67), {"at": 0, "off": 0}
+    for _ in range(12):
+        groups = _batched_cluster_groups(rng)
+        offsets = np.cumsum([0] + [len(objs) for objs, *_ in groups])
+        tables, _ = _cluster_tables(ClusterChannels([o for objs, *_ in groups for o in objs]),
+                                    np.concatenate([g[1] for g in groups]), offsets)
+        for (objs, gamma, scale), table in zip(groups, tables):
+            reference = reference_reports._cluster_table(ClusterChannels(objs), gamma)
+            assert (table is None) == (reference is None)
+            if table is None:
+                checked["off"] += 1
+                continue
+            for b in np.geomspace(1e-6, 1e3, 30).tolist():
+                got, want = table[0](b), reference[0](b)
+                assert (got is None) == (want is None)
+                if want is None:
+                    continue
+                marginal, utility = want
+                assert _near(got[0], marginal, 0.0) and _near(got[1], utility, scale)
+                assert _near(table[1](marginal), reference[1](marginal), 0.0)
+                assert _near(table[2](utility), reference[2](utility), 0.0)
+                checked["at"] += 1
+    assert checked["off"] > 5 and checked["at"] > 500, checked
+
+
+@pytest.mark.parametrize("groups,upper,budget,expected", [
+    ([[LogCapacity(1, 1, 0), LogCapacity(1, 1, 1)], [LogCapacity(1, 2, 1)]],
+     [[0.0, None], [None]], 2.0, [[0.0, 2.0], [0.0]]),  # the repro
+    ([[LogCapacity(1, 2, 1)], [LogCapacity(1, 1, 0), LogCapacity(1, 1, 1)]],
+     [[1.0], [0.0, None]], 5.0, [[1.0], [0.0, 4.0]]),  # the first group saturates
+    ([[LogCapacity(1, 1, 0), LogCapacity(1, 1, 1)], [LogCapacity(1, 2, 0), LogCapacity(1, 1, 1)]],
+     [[0.0, None], [0.0, None]], 5.0, [[0.0, 5.0], [0.0, 0.0]]),  # no live group
+], ids=["repro", "live_saturated", "all_dead"])
+def test_maxmin_with_a_b0_channel_boxed_at_zero(groups, upper, budget, expected):
+    # A b = 0 channel boxed at [0, 0] has utility -inf at its only power, so
+    # t is -inf at every allocation: the budget above the floors goes to the
+    # groups with headroom, in group order.  It had raised DomainError (log
+    # argument <= 0).
+    problem = FairProblem(groups, budget, upper_bounds=upper)
+    sol = solve_maxmin(problem)
+    assert sol.status == "optimal" and sol.t == -math.inf
+    assert -math.inf in sol.group_utilities
+    assert sum(sol.group_totals) == pytest.approx(budget, rel=1e-12)
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
+    for row, ref in zip(sol.powers, expected):
+        np.testing.assert_allclose(row, ref, rtol=1e-12, atol=1e-12)
+
+
+def _finite_or_float_range(problem: FairProblem):
+    """The solution when its powers are finite and pass at 1e-8; else the
+    solve must raise a WaterlineError naming the float range."""
+    from waterline import WaterlineError
+    try:
+        sol = solve_fair(problem)
+    except WaterlineError as exc:
+        assert "float range" in str(exc)
+        return None
+    assert all(math.isfinite(p) for row in sol.powers for p in row), sol.powers
+    assert sol.status == "optimal" and not math.isnan(sol.t)
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
+    return sol
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the drag's
+@pytest.mark.parametrize("mode", ["cluster", "cluster_maxmin"])
+def test_cluster_solvers_at_a_budget_near_the_float_range_end(mode):
+    # Bound at 1e308, a group's level is subnormal and water_fill's level
+    # overflowed to NaN (its quadratic's 4*Q*total); both modes had returned
+    # NaN powers with status optimal.  The table's level stays finite.
+    problem = FairProblem([[ClusterLogCapacity(1, 1, 0.5, 1), ClusterLogCapacity(1, 2, 0.5, 1)],
+                           [ClusterLogCapacity(1, 1.5, 0.5, 1)]], 1e308, mode=mode)
+    sol = _finite_or_float_range(problem)
+    assert sol is not None and sum(sol.group_totals) == pytest.approx(1e308, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # on the way
+@pytest.mark.parametrize("mode", ["cluster", "cluster_maxmin"])
+def test_cluster_solvers_where_b_over_a_leaves_the_float_range(mode):
+    # Bound at 5e299, a = 1e-10 gives b/a = s/a = 2.5e309: no level is
+    # representable.  Both modes had returned optimal (NaN powers, or a NaN
+    # t that did not spend the budget); they raise instead.
+    group = [ClusterLogCapacity(1, 1e-10, 0.5, 1)]
+    assert _finite_or_float_range(FairProblem([group, group], 1e300, mode=mode)) is None
+
+
+@pytest.mark.parametrize("mode", ["maxmin", "cluster"])
+def test_skewed_group_sizes_keep_the_tables_in_proportion_to_the_points(mode):
+    # One group of 2,000 entries (boxed in max-min: 4,000 points) beside 300
+    # one-entry groups.  Running sums in a layout padded to groups x the
+    # longest group would hold 7 x 301 x 4,000 floats (67 MB) for max-min and
+    # 3 x 301 x 2,000 (14 MB) for cluster; per point they take well under 8 MB.
+    rng = np.random.default_rng(5)
+    params = rng.uniform(0.5, 2.0, (2000, 2)).tolist()
+    smalls = rng.uniform(0.5, 2.0, 300).tolist()
+    if mode == "maxmin":
+        groups = [[LogCapacity(w, a, 1.0) for w, a in params]]
+        groups += [[LogCapacity(1.0, a, 1.0)] for a in smalls]
+        problem = FairProblem(groups, 300.0, upper_bounds=[
+            rng.uniform(0.5, 2.0, 2000).tolist()] + [[None]] * 300)
+    else:
+        groups = [[ClusterLogCapacity(w, a, 0.1, 1.0) for w, a in params]]
+        groups += [[ClusterLogCapacity(1.0, a, 0.1, 1.0)] for a in smalls]
+        problem = FairProblem(groups, 300.0, mode=mode)
+    problem.bank  # built before the trace: the tables are what is measured
+    tracemalloc.start()
+    try:
+        sol = solve_fair(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    assert sol.status == "optimal" and check_conditions(problem, sol, tolerance=1e-8).passed
+
+
+@pytest.mark.parametrize("mode", ["maxmin", "maxmin_boxed", "cluster", "cluster_maxmin"])
+def test_a_fair_op_sorts_once_and_builds_no_group_segment(mode, monkeypatch):
+    # On the fair benchmark's 4 x 64 draw every group is a table group: one
+    # _bank_points call builds the problem's table, and neither the solve nor
+    # check_conditions builds a per-group segment of the bank.
+    import waterline.fair as fair
+    calls, points = [], fair._bank_points
+    monkeypatch.setattr(fair, "_bank_points", lambda *a: calls.append(1) or points(*a))
+    problem = _table_problem(mode)
+    sol = solve_fair(problem)
+    assert check_conditions(problem, sol, tolerance=1e-8).passed
+    assert calls == [1]
+    assert "group_banks" not in problem.__dict__ and "bank" in problem.__dict__
