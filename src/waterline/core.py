@@ -46,9 +46,7 @@ _TERM_FAMILIES = frozenset((LogCapacity, InverseMse))  # with demand terms: sort
 
 
 def _term_mask(channels: Channels) -> np.ndarray:
-    """Per channel, whether its family is one of :func:`_demand_terms`'."""
-    if not channels.banked:
-        return np.array([type(o) in _TERM_FAMILIES for o in channels.objectives], dtype=bool)
+    """Per channel, whether its group's family is one of :func:`_demand_terms`'."""
     mask = np.zeros(len(channels), dtype=bool)
     for cls, idx, _ in channels._groups:
         mask[slice(None) if idx is None else idx] = cls in _TERM_FAMILIES
@@ -66,7 +64,7 @@ def _demand_terms(channels: Channels, c: np.ndarray | None = None):
     the demands reach the lower bounds: sqrt(c/q) or c/u, taken per family
     (the unified root 2c/(u + sqrt(u**2 + 4qc)) is 0/0 at c = 0).
     """
-    groups = channels._groups if channels.banked else ()
+    groups = channels._groups
     if not groups or not {g[0] for g in groups} <= _TERM_FAMILIES:
         return None
     k = len(channels)
@@ -113,9 +111,8 @@ def _bank_points(channels: Channels, gamma: np.ndarray, tau: np.ndarray | None =
     bounds plus b/a, the points x where the channels join (demand ``gamma``)
     then, given ``tau``, saturate, and their sorting order, stable without
     ``tau`` for P1.1's equal joins."""
-    if not channels.banked:
-        return None
-    k, offset = len(gamma), channels.b / channels.a
+    with np.errstate(over="ignore"):  # past the float range: the solvers raise
+        k, offset = len(gamma), channels.b / channels.a
     c = gamma + offset if tau is None else np.concatenate((gamma + offset, tau + offset))
     terms = _demand_terms(channels, c[:k])
     if terms is None:
@@ -134,25 +131,20 @@ def _closed_form_mu(channels: Channels, budget: float) -> float | None:
     terms = _demand_terms(channels)
     if terms is None:
         return None
-    denom = budget + (channels.b / channels.a).sum()
-    if denom <= 0:
-        raise BracketFailure("budget below the reachable demand range")
     q_sum, u_sum = (0.0 if v is None else float(v.sum()) for v in terms[:2])
-    return _quadratic_level(q_sum, u_sum, float(denom))
+    return _quadratic_level(q_sum, u_sum, float(budget + (channels.b / channels.a).sum()))
 
 
 def _water_level_and_powers(channels: Channels, budget: float,
                             cfg: SolverConfig = _DEFAULT_CFG,
                             scale: float | None = None, warm=None):
-    """Solve sum_k g_k(mu) = budget on the given channels.
+    """Solve sum_k g_k(mu) = budget on the given (nonempty) channels.
 
     Returns ``(mu, powers)`` with signed powers as an array (negative entries
     mean the channel demands less than its domain edge at this water level).
     Each level trial warm-starts the numeric inversions at the last powers,
     from ``warm = (mu, powers)``, a lower level's demands, when given.
     """
-    if not len(channels):
-        raise BracketFailure("water level undefined on an empty active set")
     mu = _closed_form_mu(channels, budget)
     if mu is not None:
         return mu, channels.demand(mu)

@@ -525,7 +525,8 @@ def _cluster_tables(cluster: ClusterChannels, gamma, offsets):
 
     def levels(bound: Channels, totals):
         some = bound if idx.size == n_entries else bound.take(idx)
-        offset = _running(np.add, (some.b / some.a)[order], cuts).tolist()
+        with np.errstate(over="ignore"):  # past the float range: _build_solution raises
+            offset = _running(np.add, (some.b / some.a)[order], cuts).tolist()
         return [(state := table and table[0](total)) and U[state[2]] / (total + offset[state[2]])
                 for table, total in zip(tables, totals)]
     return tables, levels

@@ -14,9 +14,9 @@ Every family exposes three operations used by the solvers:
 Solvers use the internal ``demand(mu)`` accessor which is always a signed
 float (for numeric families the negative branch is a linear extrapolation of
 the rate below the domain edge; only its sign matters to the algorithms).
-They read one :class:`Channels` set per solve.  A set of the five
-serializable flat families is a bank of arrays, the sum families' demand one
-Newton over all their channels; custom objectives keep the object path.
+They read one :class:`Channels` set per solve: a bank of arrays for the five
+serializable flat families, the sum families' demand one Newton over all
+their channels, and one group calling its objects for any other class.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -168,6 +169,23 @@ class Objective(ABC):
     def to_params(self) -> dict:
         raise NotImplementedError(f"{self.family} objectives do not serialize")
 
+    # The object group of a Channels set, its entries outside the five bank
+    # families: each channel calls its own object, ``mu`` one level for all
+    # or one per channel, ``start`` the hints.
+    @staticmethod
+    def _bank_demand(objs, mu, start=None):
+        hints = [None] * len(objs) if start is None else start.tolist()
+        return np.array([o.demand(m, h) for o, m, h in zip(
+            objs, np.broadcast_to(mu, len(objs)).tolist(), hints)], dtype=float)
+
+    @staticmethod
+    def _bank_rate(objs, p):
+        return np.array([o.rate(x) for o, x in zip(objs, p.tolist())], dtype=float)
+
+    @staticmethod
+    def _bank_eval(objs, p):
+        return np.array([o.eval(x) for o, x in zip(objs, p.tolist())], dtype=float)
+
 
 class _ClosedForm(Objective):
     """A family of parameters ``w, a, b`` whose inverse rate has a closed form."""
@@ -224,7 +242,8 @@ class LogCapacity(_ClosedForm):
     # agree to the last bit where no log is taken.
     @staticmethod
     def _bank_demand(w, a, b, mu):
-        return w / mu - b / a
+        with np.errstate(over="ignore"):  # past the float range: the solvers raise
+            return w / mu - b / a
 
     @staticmethod
     def _bank_rate(w, a, b, p):
@@ -606,32 +625,36 @@ _BANK_CLASSES = (LogCapacity, InverseMse, AfRelay, SumLog, SumInverseMse)
 _BANK_CODES = {cls.family: code for code, cls in enumerate(_BANK_CLASSES)}
 #: The closed-form family names and their classes' positions in ``_BANK_CLASSES``.
 BANK_FAMILIES = {f: c for f, c in _BANK_CODES.items() if _BANK_CLASSES[c].closed_form_inverse}
+# A channel's code is its class's position, or _OBJECTS for any other class,
+# which stands on the parameter arrays as _NO_PARAMS: NaN.
+_CLASSES, _OBJECTS = _BANK_CLASSES + (Objective,), len(_BANK_CLASSES)
+_CODES = {cls: code for code, cls in enumerate(_BANK_CLASSES)}
+_NO_PARAMS = SimpleNamespace(closed_form_inverse=True, w=math.nan, a=math.nan, b=math.nan)
 
 
 class Channels:
     """The objectives of one solve, with array-valued demand, rate and eval.
 
-    When every objective is one of the five serializable flat families
-    (mixing allowed), the set is a bank: one group per closed-form family
-    present and one for both sum families, each operation a few array
-    expressions per group.  A closed-form group holds its channels' ``w, a,
-    b`` as arrays; the sum group holds the terms of every sum channel flat
-    (:class:`_Ragged`; ``w`` is NaN there), one Newton loop per level.  A set
-    with a custom objective calls the objects' methods, the object path.
+    Every set is a bank of ``(family, index, args)`` groups, each operation
+    one call per group (mixing allowed): one group per closed-form family
+    present, each holding its channels' ``w, a, b`` as arrays; one for both
+    sum families, holding the terms of every sum channel flat
+    (:class:`_Ragged`; ``w`` is NaN there), one Newton loop per level; and
+    one, of family :class:`Objective`, for every other class (a custom
+    objective), whose channels call their own objects' methods.
     """
 
     __slots__ = ("_objects", "family", "w", "a", "b", "_codes", "_groups", "_terms")
 
     def __init__(self, objectives: Sequence[Objective]):
         self._objects = objs = list(objectives)
-        kinds = set(map(type, objs))
-        self.w = self.a = self.b = self._codes = self.family = self._terms = None
-        self._groups: list = []
-        if not (kinds and kinds.issubset(_BANK_CLASSES)):
-            return
-        n = len(objs)
+        kinds = {kind if kind in _CODES else Objective for kind in set(map(type, objs))}
+        n, custom = len(objs), None
         codes = None if len(kinds) == 1 else np.array(
-            [_BANK_CLASSES.index(type(o)) for o in objs], dtype=np.int8)
+            [_CODES.get(type(o), _OBJECTS) for o in objs], dtype=np.int8)
+        if Objective in kinds:
+            custom = [o for o in objs if type(o) not in _CODES]
+            objs = [o if type(o) in _CODES else _NO_PARAMS for o in objs]
         if not kinds.isdisjoint((SumLog, SumInverseMse)):
             sums = [o for o in objs if not o.closed_form_inverse]
             terms = tuple(np.array([x for o in sums for x in getattr(o, name)], dtype=float)
@@ -642,7 +665,7 @@ class Channels:
             terms, w = None, np.fromiter(map(attrgetter("w"), objs), float, n)
         self._set_bank(w, np.fromiter(map(attrgetter("a"), objs), float, n),
                        np.fromiter(map(attrgetter("b"), objs), float, n),
-                       kinds.pop() if codes is None else None, codes, terms)
+                       kinds.pop() if codes is None else None, codes, terms, custom)
 
     @classmethod
     def from_arrays(cls, family, w, a, b, terms=None) -> Channels:
@@ -704,14 +727,15 @@ class Channels:
                 raise DomainError(exc.detail, index=i) from None
         return bank
 
-    def _set_bank(self, w, a, b, single: type | None, codes, terms=None) -> None:
-        """Hold w, a, b and the sum families' flat ``terms`` in ``(family, index,
-        args)`` groups, one per closed-form family present and one for the sum
-        families; ``codes`` gives each channel's family when ``single`` is None."""
+    def _set_bank(self, w, a, b, single: type | None, codes, terms=None, custom=None) -> None:
+        """Hold w, a, b, the sum families' flat ``terms`` and the ``custom``
+        objects in ``(family, index, args)`` groups, one per closed-form family
+        present, one for the sum families and one for the objects; ``codes``
+        gives each channel's family when ``single`` is None."""
         self.w, self.a, self.b, self._codes, self._terms = w, a, b, None, terms
         present = [(single, None)]
         if single is None:
-            classes = _BANK_CLASSES if terms else _BANK_CLASSES[:len(BANK_FAMILIES)]
+            classes = _CLASSES if terms or custom else _CLASSES[:len(BANK_FAMILIES)]
             present = [(cls, idx) for code, cls in enumerate(classes)
                        if (idx := (codes == code).nonzero()[0]).size]
             if len(present) == 1:
@@ -719,6 +743,7 @@ class Channels:
             else:
                 self._codes = codes
         self.family = None if self._codes is not None else present[0][0].family
+        objects = present.pop() if present and present[-1][0] is Objective else None
         self._groups = [(cls, idx, (w, a, b) if idx is None else (w[idx], a[idx], b[idx]))
                         for cls, idx in present if cls.closed_form_inverse]
         sums = present[len(self._groups):]  # the classes run in code order
@@ -729,61 +754,66 @@ class Channels:
             a, b = (a, b) if idx is None else (a[idx], b[idx])
             self._groups.append((_SumFamily, idx, (_Ragged(
                 tw, np.repeat(a, n) * tc, np.repeat(b, n) * td, n, int(n[:logs].sum())),)))
+        if objects:
+            self._groups.append((Objective, objects[1], (custom,)))
 
-    @property
-    def banked(self) -> bool:
-        """True when the operations run on the bank's arrays."""
-        return self.w is not None
+    def _custom(self, index=None) -> list | None:
+        """The object group's objects (None without one), or those of the
+        channels at ``index``, in channel order."""
+        if not self._groups or self._groups[-1][0] is not Objective:
+            return None
+        _, idx, (objs,) = self._groups[-1]
+        if index is not None and idx is not None:
+            index = np.searchsorted(idx, index[self._codes[index] == _OBJECTS])
+        return objs if index is None else [objs[i] for i in index.tolist()]
 
     @property
     def objectives(self) -> list:
         """The objectives, one per channel (built from the bank on first use
-        when the channels came from ``with_a``)."""
+        when the channels came from ``with_a``; an object group keeps its own)."""
         if self._objects is None:
             n = len(self)
             w, a, b = self.w.tolist(), self.a.tolist(), self.b.tolist()
             if self._terms is not None:
                 cut = np.cumsum(self._terms[3])[:-1]
                 cw, cc, cd = ([x.tolist() for x in np.split(t, cut)] for t in self._terms[:3])
-            classes = [FAMILIES[self.family]] * n \
-                if self._codes is None else [_BANK_CLASSES[c] for c in self._codes.tolist()]
+            classes = [FAMILIES.get(self.family, Objective)] * n \
+                if self._codes is None else [_CLASSES[c] for c in self._codes.tolist()]
+            custom = iter(self._custom() or ())
             self._objects = [cls(w[i], a[i], b[i]) if cls.closed_form_inverse else
+                             next(custom) if cls is Objective else
                              cls(cw[i], a[i], b[i], cc[i], cd[i])
                              for i, cls in enumerate(classes)]
         return self._objects
 
     def __len__(self) -> int:
-        return len(self.w) if self.banked else len(self._objects)
+        return len(self.w)
 
     def take(self, index) -> Channels:
         """The channels at ``index`` (an integer array), in that order."""
         index = np.asarray(index, dtype=np.intp)
-        objects = None if self._objects is None else \
-            [self._objects[i] for i in index.tolist()]
-        if not self.banked:
-            return Channels(objects)
         sub = self._rebank(self.w[index], self.a[index], self.b[index], index)
-        sub._objects = objects
+        if self._objects is not None:
+            sub._objects = [self._objects[i] for i in index.tolist()]
         return sub
 
     def with_a(self, a: np.ndarray) -> Channels:
-        """The same bank channels with the parameter ``a`` replaced."""
+        """The same channels with the parameter ``a`` replaced."""
         return self._rebank(self.w, a, self.b)
 
     def _rebank(self, w, a, b, index=None) -> Channels:
-        """Bank channels of this bank's families (at ``index``, when given)
-        with the parameter arrays ``w, a, b``; their objects are built only
-        if ``objectives`` is read."""
+        """Channels of this set's families and objects (at ``index``, when
+        given) with the parameter arrays ``w, a, b``; the bank families'
+        objects are built only if ``objectives`` is read."""
         sub = object.__new__(Channels)
         sub._objects = None
         terms = self._terms
         if terms is not None and index is not None:
             terms = _take_terms(terms, index)
-        if self._codes is None:
-            sub._set_bank(w, a, b, FAMILIES[self.family], None, terms)
-        else:
-            sub._set_bank(w, a, b, None,
-                          self._codes if index is None else self._codes[index], terms)
+        codes = self._codes
+        sub._set_bank(w, a, b, FAMILIES.get(self.family, Objective) if codes is None else None,
+                      codes if codes is None or index is None else codes[index],
+                      terms, self._custom(index))
         return sub
 
     def _apply(self, op: str, x, start=None) -> np.ndarray:
@@ -799,21 +829,17 @@ class Channels:
         return out
 
     def demand(self, mu: float, start: np.ndarray | None = None) -> np.ndarray:
-        """Signed demands at water level ``mu``.
+        """Signed demands at water level ``mu`` (one level, or one per channel).
 
         ``start`` (one power per channel, such as the previous level's
-        demands) warm-starts the sum families' array Newton, or on the object
-        path each object's ``demand`` as its hint.  A channel the array Newton
+        demands) warm-starts the sum families' array Newton, and each object
+        group channel's ``demand`` as its hint.  A channel the array Newton
         leaves unconverged takes its object's ``demand`` (bisection rescue).
         On a bank of one closed-form family ``mu`` may be a column of S
         levels, shape (S, 1); the demands are then (S, K), a row per level.
         """
         if (mu <= 0).any() if isinstance(mu, np.ndarray) else mu <= 0:
             raise DomainError(f"rate target must be positive, got {mu}")
-        if not self.banked:
-            hints = [None] * len(self) if start is None else start.tolist()
-            return np.array([obj.demand(mu, h) for obj, h in zip(self._objects, hints)],
-                            dtype=float)
         out = self._apply("_bank_demand", mu, start)
         if self._terms is not None:
             for i in np.isnan(out).nonzero()[0].tolist():
@@ -822,23 +848,11 @@ class Channels:
 
     def rate(self, powers) -> np.ndarray:
         """Marginal utilities at ``powers`` (one per channel)."""
-        if self.banked:
-            return self._apply("_bank_rate", np.asarray(powers, dtype=float))
-        return np.array([obj.rate(p) for obj, p in
-                         zip(self._objects, np.asarray(powers, dtype=float).tolist())],
-                        dtype=float)
+        return self._apply("_bank_rate", np.asarray(powers, dtype=float))
 
     def eval(self, powers) -> np.ndarray:
         """Utilities at ``powers`` (one per channel)."""
-        if self.banked:
-            return self._apply("_bank_eval", np.asarray(powers, dtype=float))
-        return np.array([obj.eval(p) for obj, p in
-                         zip(self._objects, np.asarray(powers, dtype=float).tolist())],
-                        dtype=float)
-
-
-def _cluster_aware(obj) -> bool:
-    return getattr(obj, "cluster_aware", False)
+        return self._apply("_bank_eval", np.asarray(powers, dtype=float))
 
 
 class ClusterChannels:
@@ -851,9 +865,7 @@ class ClusterChannels:
     operations of :meth:`ClusterLogCapacity.bind` run as one array expression
     over parameter arrays built here, once.  When every entry is
     cluster-aware, the template bank is built from those arrays, with no
-    object per entry.  When the ordinary entries are flat families too (sum
-    families included), the result is a bank; otherwise the entries bind
-    through the objects and run on the object path.
+    object per entry; else from the entries, each aware one bound at 0.
 
     A :class:`~waterline.problems.FairProblem` holds one such bank over
     every group's entries, in order (:attr:`~waterline.problems.FairProblem.bank`),
@@ -862,7 +874,7 @@ class ClusterChannels:
 
     def __init__(self, objectives: Sequence):
         self.objectives = list(objectives)
-        flags = [_cluster_aware(o) for o in self.objectives]
+        flags = [getattr(o, "cluster_aware", False) for o in self.objectives]
         self.index = np.flatnonzero(np.array(flags, dtype=bool))
         aware = self.objectives if all(flags) else \
             [self.objectives[i] for i in self.index.tolist()]
@@ -885,9 +897,7 @@ class ClusterChannels:
 
     def segment(self, start: int, stop: int) -> ClusterChannels:
         """Entries ``start:stop`` as a bank of their own, taken from this
-        one's arrays and template, not rebuilt from the objects.  Its template
-        is a bank whenever one built from those entries alone would be, even
-        when this one's is not (a custom entry elsewhere)."""
+        one's arrays and template, not rebuilt from the objects."""
         view = object.__new__(ClusterChannels)
         view.objectives = self.objectives[start:stop]
         lo, hi = np.searchsorted(self.index, (start, stop)).tolist()
@@ -903,10 +913,6 @@ class ClusterChannels:
         at its own group's total, when the bank spans several groups)."""
         if not self.index.size:
             return self._template
-        if not self._template.banked:
-            powers = np.broadcast_to(cluster_power, len(self.objectives)).tolist()
-            return Channels([o.bind(p) if _cluster_aware(o) else o
-                             for o, p in zip(self.objectives, powers)])
         a = self._template.a.copy()
         a[self.index] = self.a / (self.sigma_e2 * self._aware(cluster_power) + self.sigma_n2)
         return self._template.with_a(a)

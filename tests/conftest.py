@@ -24,6 +24,11 @@ FLAT_FAMILIES = ("log_capacity", "inverse_mse", "af_relay",
 CLOSED_FORM_FAMILIES = ("log_capacity", "inverse_mse", "af_relay")
 
 
+def layout(channels) -> list:
+    """The family of each of a ``Channels`` set's groups, in group order."""
+    return [group[0] for group in channels._groups]
+
+
 def make_objective(family: str, rng: random.Random):
     if family == "log_capacity":
         return LogCapacity(rng.uniform(0.5, 2), rng.uniform(0.5, 2),

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 
 from waterline import (
-    CustomObjective, FairProblem, FairSolution, InverseMse, LogCapacity, check_conditions,
-    solve_ascending, solve_box, solve_fair, solve_p1_lower)
+    CustomObjective, FairProblem, FairSolution, InverseMse, LogCapacity, Objective,
+    check_conditions, solve_ascending, solve_box, solve_fair, solve_p1_lower)
 from waterline.cli import _rebuild_fair_solution
 from waterline.objectives import ClusterLogCapacity
 
 from conftest import (
-    CLOSED_FORM_FAMILIES, FLAT_FAMILIES, random_ascending, random_box, random_simplex)
+    CLOSED_FORM_FAMILIES, FLAT_FAMILIES, layout, random_ascending, random_box, random_simplex)
 from reference_reports import assert_matches_reference
 
 
@@ -71,7 +71,7 @@ def test_fair_reports_match_the_reference_on_the_benchmark_shape(mode):
 
 
 def _sqrt_objective(w: float, c: float) -> CustomObjective:
-    """w*sqrt(p + c), through the object path."""
+    """w*sqrt(p + c), in the object group."""
     return CustomObjective(lambda p: w * math.sqrt(p + c),
                            lambda p: 0.5 * w / math.sqrt(p + c) if p + c > 0 else math.inf,
                            domain_min=-c)
@@ -135,20 +135,22 @@ def test_fair_reports_match_the_reference_on_hand_built_groups(name):
 
 
 def test_groups_beside_a_custom_objective_keep_their_bank_and_table():
-    """The problem's bank runs on the objects when one entry is custom; its
-    group views bank every other group again, so their max-min tables and
-    their rates run on arrays."""
+    """The problem's bank holds its custom entry in an object group beside
+    the log_capacity group; its group views hold that group in the one view
+    with the custom entry, so the other groups' max-min tables and their
+    rates run on arrays."""
     from waterline.fair import _bounds, _group_levels
     problem = FairProblem(**HAND_BUILT["custom"])
-    assert not problem.bank.bind(0.0).banked
+    assert layout(problem.bank.bind(0.0)) == [LogCapacity, Objective]
     views = [group.bind(0.0) for group in problem.group_banks]
-    assert [v.banked for v in views] == [True, False, True]
+    assert [layout(v) for v in views] == [[LogCapacity], [LogCapacity, Objective], [LogCapacity]]
     assert [v.family for v in views] == ["log_capacity", None, "log_capacity"]
     caps = [cap for _, cap in _group_levels(problem.bank.bind(0.0), *_bounds(problem),
                                             problem.offsets)]
     assert [cap is not None for cap in caps] == [True, False, True]
     cluster = FairProblem(**HAND_BUILT["cluster_custom"])
-    assert [g.bind(1.0).banked for g in cluster.group_banks] == [False, True]
+    assert [layout(g.bind(1.0)) for g in cluster.group_banks] == \
+        [[LogCapacity, Objective], [LogCapacity]]
 
 
 def _at(rows) -> FairSolution:

@@ -492,3 +492,17 @@ def test_solve_names_an_unreadable_number(runner, tmp_path, record, message):
     result = runner.invoke(main, ["solve", inst])
     assert result.exit_code == 1, result.output
     assert f"error: objectives[0]: bad parameters: {message}" in result.output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", ["cluster", "cluster_maxmin"])
+def test_solve_where_a_level_leaves_the_float_range_warns_nothing(runner, tmp_path, mode):
+    # Bound at 1e300, a = 1e-10 puts b/a past the float range: the solve ends
+    # in its own error, not in an overflow warning raised on the way there.
+    entry = {"family": "cluster_log_capacity", "w": 1, "a": 1e-10,
+             "sigma_e2": 0.5, "sigma_n2": 1}
+    inst = _write(tmp_path, "far.json", {"problem_class": mode, "budget": 1e300,
+                                         "groups": [[entry], [entry]]})
+    result = runner.invoke(main, ["solve", inst])
+    assert result.exit_code == 2, (result.output, result.exception)
+    assert "error: a group's water level leaves the float range" in result.output

@@ -365,7 +365,7 @@ def test_five_family_p1_level_search_cost(seed, monkeypatch):
     assert len(calls) <= 22, len(calls)
     assert all(a < b for a, b in zip(alloc.water_levels, alloc.water_levels[1:]))
     assert check_conditions(problem, alloc, tolerance=1e-8).passed
-    # The object path's level on the final active set.
+    # The objects' own scalar level search on the final active set.
     active = [problem.objectives[i] for i in alloc.active_set]
     idle = sum(p for i, p in enumerate(alloc.powers) if i not in set(alloc.active_set))
     mu = solve_water_level(active, problem.budget, idle, scale=problem.budget)

@@ -14,6 +14,8 @@ from waterline import (
     solve_cluster, solve_cluster_maxmin, solve_fair, solve_maxmin, solve_p1)
 from waterline.objectives import Channels, ClusterChannels
 
+from conftest import layout
+
 
 def test_maxmin_symmetric_split():
     problem = FairProblem([[LogCapacity(1, 1, 1)], [LogCapacity(1, 1, 1)]], 2.0)
@@ -204,7 +206,8 @@ def test_cluster_binding_matches_scalar_bind_bit_for_bit():
         clusters = ClusterChannels(group)
         for power in (0.0, 1e-9, 0.37, 4.0, 250.0):
             bound = clusters.bind(power)
-            assert bound.banked
+            assert layout(bound) == ([LogCapacity] if group is aware else
+                                     [LogCapacity, InverseMse])
             for i, obj in enumerate(group):
                 ref = obj.bind(power) if hasattr(obj, "bind") else obj
                 assert type(bound.objectives[i]) is type(ref)

@@ -7,13 +7,14 @@ import re
 import pytest
 
 from waterline import (
-    FAMILIES, AscendingProblem, BoxProblem, FairProblem, LogCapacity,
+    FAMILIES, AfRelay, AscendingProblem, BoxProblem, FairProblem, InverseMse, LogCapacity,
     ScenarioSpec, SchemaError, SimplexProblem, SolverConfig, build_instance,
     instance_from_dict, instance_to_dict, load_instance, objective_from_params,
     problem_class, result_to_dict, save_instance, solve_box, solve_p1_lower)
 from waterline.io import dumps
+from waterline.objectives import _SumFamily
 
-from conftest import random_ascending, random_box, random_simplex
+from conftest import layout, random_ascending, random_box, random_simplex
 
 
 def _round_trip(problem):
@@ -170,7 +171,8 @@ def test_closed_form_records_load_as_one_bank():
            "objectives": [_record("log_capacity"), _record("af_relay", a=0.25),
                           _record("inverse_mse", w=2)]}
     problem = instance_from_dict(doc)
-    assert problem.channels.banked and problem.channels.family is None
+    assert layout(problem.channels) == [LogCapacity, InverseMse, AfRelay]
+    assert problem.channels.family is None
     assert [o.to_params() for o in problem.objectives] == \
         [_record("log_capacity"), _record("af_relay", a=0.25),
          _record("inverse_mse", w=2.0)]
@@ -241,8 +243,8 @@ def test_sum_records_load_into_the_bank():
            "lower_bounds": [0.5, 0.0, 0.0, 0.25, 0.0]}
     problem = instance_from_dict(doc)
     channels = problem.channels
-    assert channels.banked and channels._objects is None
-    assert len(channels._groups) == 3  # af_relay, log_capacity, the sums
+    assert layout(channels) == [LogCapacity, AfRelay, _SumFamily]  # the sums in one group
+    assert channels._objects is None
     assert [o.to_params() for o in problem.objectives] == \
         [objective_from_params(r).to_params() for r in records]
     objects = SimplexProblem(problem.objectives, 6.0, problem.lower_bounds)

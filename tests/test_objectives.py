@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from waterline import (
-    FAMILIES, AfRelay, ClusterLogCapacity, CustomObjective, DomainError,
-    FairProblem, InverseMse, LogCapacity, NegativeDemand, SumInverseMse, SumLog,
-    check_conditions, fair, objective_from_params, solve_cluster)
+    BOX_STRATEGIES, FAMILIES, AfRelay, AscendingProblem, BoxProblem, ClusterLogCapacity,
+    CustomObjective, DomainError, FairProblem, InverseMse, LogCapacity, NegativeDemand,
+    Objective, SimplexProblem, SolverConfig, SumInverseMse, SumLog, check_conditions, fair,
+    objective_from_params, solve_ascending, solve_box, solve_cluster, solve_maxmin,
+    solve_p1_lower)
 
-from waterline.objectives import Channels, ClusterChannels
+from waterline.objectives import Channels, ClusterChannels, _SumFamily
 
-from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective
+from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, layout, make_objective
 
 
 @pytest.mark.parametrize("family", FLAT_FAMILIES)
@@ -178,7 +180,7 @@ def _scalar(objs, method, xs):
 
 
 def _custom(obj):
-    """``obj``'s functions as a custom objective, which keeps the object path."""
+    """``obj``'s functions as a custom objective, which joins the object group."""
     return CustomObjective(obj.eval, obj.rate, obj.rate_slope)
 
 
@@ -191,11 +193,13 @@ def test_channels_match_scalar_methods(families):
             else make_objective(family, rng)
             for family in (families[i % len(families)] for i in range(12))]
     channels = Channels(objs)
-    assert channels.banked == set(families).issubset(CLOSED_FORM_FAMILIES)
+    assert (layout(channels)[-1] is Objective) == ("custom" in families)
     powers = np.array([rng.uniform(0.0, 5.0) for _ in objs])
     for mu in (0.05, 0.7, 3.0):
         # Same operations in the same order: equal to the last bit.
         assert channels.demand(mu).tolist() == [o.demand(mu) for o in objs]
+    mus = [rng.uniform(0.05, 3.0) for _ in objs]  # a level per channel
+    assert channels.demand(np.array(mus)).tolist() == _scalar(objs, "demand", mus)
     assert channels.rate(powers).tolist() == _scalar(objs, "rate", powers.tolist())
     assert channels.eval(powers) == pytest.approx(
         _scalar(objs, "eval", powers.tolist()), rel=1e-14, abs=1e-14)
@@ -248,7 +252,8 @@ def test_ragged_bank_matches_the_objects():
     rng = random.Random(21)
     objs = _ragged_mix(rng, 50)
     channels = Channels(objs)
-    assert channels.banked and channels.family is None and len(channels._groups) == 4
+    assert layout(channels) == [LogCapacity, InverseMse, AfRelay, _SumFamily]
+    assert channels.family is None
     powers = np.array([rng.uniform(0.0, 5.0) for _ in objs])
     _assert_ragged_matches(channels, objs, powers)
     numeric = [i for i, o in enumerate(objs) if o.family.startswith("sum")]
@@ -281,7 +286,7 @@ def test_single_family_ragged_bank_matches_the_objects(family):
     rng = random.Random(22)
     objs = [make_objective(family, rng) for _ in range(9)]
     channels = Channels(objs)
-    assert channels.banked and channels.family == family
+    assert layout(channels) == [_SumFamily] and channels.family == family
     _assert_ragged_matches(channels, objs, np.array([rng.uniform(0, 5) for _ in objs]))
     start = _assert_demands(channels, objs, 0.5)
     _assert_demands(channels, objs, 0.6, start=start)
@@ -297,7 +302,7 @@ def test_cluster_group_with_sum_entries_binds_like_the_objects():
     powers = np.array([rng.uniform(0, 3) for _ in group])
     for cluster_power in (0.0, 0.8, 6.0):
         bound = clusters.bind(cluster_power)
-        assert bound.banked
+        assert layout(bound) == [LogCapacity, _SumFamily]
         refs = [o.bind(cluster_power) if hasattr(o, "bind") else o for o in group]
         _assert_ragged_matches(bound, refs, powers)
         _assert_demands(bound, refs, 0.3)
@@ -330,7 +335,7 @@ def test_sum_only_bank_keeps_its_channel_order(kinds, monkeypatch):
     _assert_bank_matches(channels.with_a(channels.a * 1.5), [
         type(o)(o.w, 1.5 * o.a, o.b, o.c, o.d) for o in objs], rng)
     cluster = ClusterChannels(objs).bind(2.0)
-    assert cluster.banked
+    assert layout(cluster) == [_SumFamily]
     _assert_bank_matches(cluster, objs, rng)
     # The pooled cluster path runs water_fill once on every group's channels.
     seen = []
@@ -342,8 +347,88 @@ def test_sum_only_bank_keeps_its_channel_order(kinds, monkeypatch):
     problem = FairProblem([[o] for o in objs], 2.0 * len(objs), mode="cluster")
     solution = solve_cluster(problem)
     assert check_conditions(problem, solution, tolerance=1e-8).passed
-    assert seen[0].banked and len(seen[0]) == len(objs)
+    assert layout(seen[0]) == [_SumFamily] and len(seen[0]) == len(objs)
     _assert_bank_matches(seen[0], objs, rng)
+
+
+def _beside_custom(rng: random.Random, k: int) -> list:
+    """The five flat families in turn, with custom objectives (one wrapping a
+    ``sum_log``, one a ``log_capacity``) at two places among them."""
+    objs = [make_objective(FLAT_FAMILIES[i % len(FLAT_FAMILIES)], rng) for i in range(k)]
+    objs[1], objs[k // 2] = (_custom(make_objective(family, rng))
+                             for family in ("sum_log", "log_capacity"))
+    return objs
+
+
+def _unified_solve(kind: str, objs: list, rng: random.Random):
+    """``(problem, solution, budget)`` of one problem kind on ``objs``, the
+    bounds drawn from ``rng``."""
+    k, budget = len(objs), 2.0 * len(objs)
+    lower = [rng.uniform(0.0, 0.3) for _ in range(k)]
+    if kind == "p1_lower":
+        problem = SimplexProblem(objs, budget, lower)
+        return problem, solve_p1_lower(problem), budget
+    if kind == "ascending":
+        caps = np.cumsum([2.0 + rng.uniform(-0.5, 0.5) for _ in range(k)]).tolist()
+        problem = AscendingProblem(objs, caps, lower, [None] * (k - 2) + [1.5, None])
+        return problem, solve_ascending(problem), caps[-1]
+    if kind == "maxmin":
+        problem = FairProblem([objs[:3], objs[3:5], objs[5:]], budget)
+        return problem, solve_maxmin(problem), budget
+    upper = [None] + [lo + rng.uniform(0.2, 2.0) for lo in lower[1:]]
+    problem = BoxProblem(objs, k, lower, upper)
+    return problem, solve_box(problem, SolverConfig(box_strategy=kind)), k
+
+
+@pytest.mark.parametrize("kind", ("p1_lower",) + BOX_STRATEGIES + ("ascending", "maxmin"))
+def test_a_custom_objective_beside_bank_families_solves_as_all_objects(kind):
+    """Custom objectives join their own group beside the bank families: the
+    solve passes its certificate and gives the powers of the same problem
+    with every objective custom, on the objects alone."""
+    objs = _beside_custom(random.Random(kind), 9)
+    problem, solution, budget = _unified_solve(kind, objs, random.Random(1))
+    channels = problem.bank.bind(0.0) if kind == "maxmin" else problem.channels
+    assert layout(channels) == [LogCapacity, InverseMse, AfRelay, _SumFamily, Objective]
+    assert check_conditions(problem, solution, tolerance=1e-8).passed
+    wrapped = [_custom(o) for o in objs]
+    reference, expected, _ = _unified_solve(kind, wrapped, random.Random(1))
+    assert layout(reference.bank.bind(0.0) if kind == "maxmin" else reference.channels) == \
+        [Objective]
+    got, want = (np.ravel(np.concatenate(s.powers) if kind == "maxmin" else s.powers)
+                 for s in (solution, expected))
+    assert np.abs(got - want).max() <= 1e-12 * budget
+
+
+def test_a_rebound_set_rebuilds_its_bank_objectives_and_keeps_the_custom_ones():
+    """``bind`` rebanks the template with new ``a``: ``objectives`` then
+    builds the bank entries from the arrays, at the bound ``a``, and hands
+    back each custom entry's own object, also on a view taken from it."""
+    rng = random.Random(25)
+    custom = [_custom(make_objective("sum_log", rng)), _custom(make_objective("af_relay", rng))]
+    group = [ClusterLogCapacity(1.0, 2.0, 0.1, 1.0), custom[0], LogCapacity(1.0, 1.5, 1.0),
+             ClusterLogCapacity(0.7, 0.4, 0.3, 0.5), custom[1], make_objective("sum_log", rng)]
+    clusters = ClusterChannels(group)
+    for power in (0.0, 0.8, 6.0, np.linspace(0.5, 3.0, len(group))):
+        bound = clusters.bind(power)
+        assert layout(bound) == [LogCapacity, _SumFamily, Objective]
+        at = np.broadcast_to(power, len(group)).tolist()
+        refs = [o.bind(p) if hasattr(o, "bind") else o for o, p in zip(group, at)]
+        objs = bound.objectives
+        assert objs[1] is custom[0] and objs[4] is custom[1]
+        for i in (0, 2, 3, 5):
+            assert type(objs[i]) is type(refs[i])
+            assert objs[i].to_params() == refs[i].to_params()
+        assert objs[0].a == group[0].a / (group[0].sigma_e2 * at[0] + group[0].sigma_n2)
+        index = [4, 0, 1, 5]
+        view = bound.take(index)
+        assert view.objectives == [objs[i] for i in index]
+        rebuilt = clusters.bind(power).take(index).objectives  # no objects to take
+        assert rebuilt[0] is custom[1] and rebuilt[2] is custom[0]
+        assert [o.to_params() for o in (rebuilt[1], rebuilt[3])] == \
+            [refs[0].to_params(), refs[5].to_params()]
+        powers = np.array([rng.uniform(0.0, 3.0) for _ in index])
+        np.testing.assert_allclose(view.rate(powers), [
+            refs[i].rate(p) for i, p in zip(index, powers.tolist())], rtol=1e-12)
 
 
 def test_channels_reject_out_of_domain_power():
@@ -375,7 +460,7 @@ def test_bank_from_arrays_matches_channels_of_objects(families):
             [getattr(o, name) for o in objs] for name in "wab")))
     powers = np.array([rng.uniform(0.0, 5.0) for _ in objs])
     for bank in banks:
-        assert bank.banked and bank.family == reference.family
+        assert layout(bank) == layout(reference) and bank.family == reference.family
         for mu in (0.05, 0.7, 3.0):
             assert bank.demand(mu).tolist() == reference.demand(mu).tolist()
         assert bank.rate(powers).tolist() == reference.rate(powers).tolist()

@@ -13,7 +13,7 @@ from waterline import (
 from waterline.objectives import Channels
 
 from conftest import (
-    CLOSED_FORM_FAMILIES, make_objective, random_ascending, random_box,
+    CLOSED_FORM_FAMILIES, layout, make_objective, random_ascending, random_box,
     random_simplex)
 
 OBJS = [LogCapacity(1, 1, 1), LogCapacity(1, 1, 1)]
@@ -111,7 +111,7 @@ def test_problem_holds_one_bank():
     assert [(o.family, o.w, o.a, o.b) for o in problem.objectives] == \
         [("inverse_mse", 1.0, 0.5, 1.0), ("inverse_mse", 2.0, 3.0, 1.0)]
     listed = BoxProblem(OBJS, 3.0)
-    assert listed.objectives == OBJS and listed.channels.banked
+    assert listed.objectives == OBJS and layout(listed.channels) == [LogCapacity]
 
 
 @pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES + ("mixed",))
