@@ -21,7 +21,7 @@ from .box import box_fill_rows, solve_box
 from .core import _classify, finish, solve_p1_lower
 from .errors import SchemaError, SizeLimit, WaterlineError
 from .fair import solve_fair
-from .io import (dumps, load_instance, load_result, problem_class,
+from .io import (_finite_numbers, dumps, load_instance, load_result, problem_class,
                  result_to_dict, save_instance, save_result, write_json)
 from .nested import solve_ascending
 from .oracle import check_conditions, enumerate_box
@@ -107,7 +107,7 @@ def _check_powers(powers, n: int) -> None:
     """Raise :class:`SchemaError` unless ``powers`` lists ``n`` finite numbers."""
     if not isinstance(powers, list) or len(powers) != n:
         raise SchemaError("powers", "shape does not match the instance")
-    if not all(type(p) in (int, float) and abs(p) <= sys.float_info.max for p in powers):
+    if not _finite_numbers(powers):
         raise SchemaError("powers", "every power must be a finite number")
 
 
@@ -176,7 +176,11 @@ def cmd_verify(instance, result, tol):
 @click.option("--out-dir", type=click.Path(), default=".")
 def cmd_generate(antennas, taps, decay, subcarriers, snr_db, gamma, tau,
                  realizations, seed, out_dir):
-    """Generate MIMO-OFDM instance files (one per channel realization)."""
+    """Generate MIMO-OFDM instance files (one per channel realization).
+
+    Each file holds a box problem in the columnar layout: its objectives are
+    one family name, inverse_mse, and one array each of w, a and b (see
+    README, "Instance format")."""
     try:
         spec = ScenarioSpec(antennas=antennas, taps=taps, decay=decay,
                             subcarriers=subcarriers, snr_db=snr_db,

@@ -10,11 +10,13 @@ class DomainError(WaterlineError):
 
     ``index`` names the channel at fault when a check over a parameter array
     failed; the message then starts with ``objectives[index]``, and
-    ``detail`` holds the rest of it.
+    ``detail`` holds the rest of it.  ``parameter`` names the refused
+    parameter (``"a"``, ``"c_j"``, ...) when a constructor check failed.
     """
 
-    def __init__(self, detail: str, index: int | None = None):
-        self.detail, self.index = detail, index
+    def __init__(self, detail: str, index: int | None = None,
+                 parameter: str | None = None):
+        self.detail, self.index, self.parameter = detail, index, parameter
         super().__init__(detail if index is None else f"objectives[{index}]: {detail}")
 
 

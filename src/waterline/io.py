@@ -4,7 +4,21 @@ Instances carry a ``problem_class`` tag plus the fields of the matching
 problem type; results echo the allocation, certificates, and solver
 configuration.  Unknown fields are rejected, and loading re-runs every
 problem-type invariant, so a loaded instance is always directly solvable.
-A file of flat-family records loads straight into one ``Channels`` bank.
+
+A flat problem's ``objectives`` come in one of two layouts (README,
+"Instance format"):
+
+* columns, which :func:`save_instance` writes whenever every channel is of
+  the five serializable families: ``{"family": name or [one per channel],
+  "w": [...], "a": [...], "b": [...]}``, plus ``"terms": {"w", "c", "d",
+  "count"}`` with a sum-family channel, the ``Channels.from_arrays`` layout
+  (a sum channel's ``w`` entry is the placeholder 0).  They load straight
+  into one bank, and a fault names its column and index, ``objectives.a[3]``;
+* records, one object per channel, which the writer keeps for fair
+  problems' ``groups`` (and tries for a problem holding an objective of
+  another class, which does not serialize).  Flat-family records still load
+  straight into one bank, the same bank as their columns.
+
 Every file is written by :func:`dumps`, in the bytes of
 ``json.dump(doc, fh, indent=2)``; floats round-trip losslessly
 (shortest-repr serialization).
@@ -18,7 +32,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import DomainError, SchemaError, WaterlineError
-from .objectives import Channels, Objective, objective_from_params
+import numpy as np
+
+from .objectives import _BANK_CLASSES, _BANK_CODES, Channels, Objective, objective_from_params
 from .problems import (
     FAIR_MODES, Allocation, AscendingProblem, BoxProblem, FairProblem,
     FairSolution, KktReport, SimplexProblem, SolverConfig)
@@ -38,16 +54,16 @@ _FAIR_FIELDS = {"problem_class", "budget", "groups",
                 "lower_bounds", "upper_bounds"}
 
 
-def _require(doc: dict, field: str):
+def _require(doc: dict, field: str, prefix: str = ""):
     if field not in doc:
-        raise SchemaError(field, "required field is missing")
+        raise SchemaError(prefix + field, "required field is missing")
     return doc[field]
 
 
-def _check_fields(doc: dict, allowed: set[str]):
+def _check_fields(doc: dict, allowed: set[str], prefix: str = ""):
     for key in doc:
         if key not in allowed:
-            raise SchemaError(key, "unknown field")
+            raise SchemaError(prefix + key, "unknown field")
 
 
 # The exact types whose values are JSON numbers; bool is an int subclass.
@@ -58,16 +74,37 @@ def _number_list(value, field: str, allow_null: bool = False) -> list:
     if not isinstance(value, list) or not value:
         raise SchemaError(field, "expected a non-empty array of numbers")
     if set(map(type, value)) <= _NUMBER_TYPES:
-        return list(map(float, value))
+        try:
+            return list(map(float, value))
+        except OverflowError:  # an int beyond the float range, named below
+            pass
     out = []
     for i, x in enumerate(value):
         if x is None and allow_null:
             out.append(None)
-        elif isinstance(x, (int, float)) and not isinstance(x, bool):
-            out.append(float(x))
         else:
-            raise SchemaError(f"{field}[{i}]", "expected a number")
+            out.append(_number(x, f"{field}[{i}]"))
     return out
+
+
+def _column(value, field: str) -> np.ndarray:
+    """:func:`_number_list` of ``value`` as a float array, with no list of
+    floats in between."""
+    if isinstance(value, list) and value and set(map(type, value)) <= _NUMBER_TYPES:
+        try:
+            return np.array(value, dtype=float)
+        except OverflowError:
+            pass
+    return np.array(_number_list(value, field))
+
+
+def _number(value, field: str) -> float:
+    if type(value) not in _NUMBER_TYPES:
+        raise SchemaError(field, "expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(field, "number outside the float range") from None
 
 
 def _objective_list(value, field: str) -> list:
@@ -114,9 +151,106 @@ def _bank(value):
         return None
 
 
+_SUM_FAMILIES = {cls.family for cls in _BANK_CLASSES if not cls.closed_form_inverse}
+
+
+def _same_length(column, field: str, n: int, reference: str) -> None:
+    if len(column) != n:
+        raise SchemaError(f"{field}[{min(len(column), n)}]",
+                          f"length {len(column)}, but {reference} {n}")
+
+
+def _columns(value: dict) -> Channels:
+    """A columnar ``objectives`` block as one bank, each column checked here
+    or by ``Channels.from_arrays``; a fault names its column and the index
+    of its channel (of its term, in ``terms``)."""
+    _check_fields(value, {"family", "w", "a", "b", "terms"}, "objectives.")
+    family = _require(value, "family", "objectives.")
+    w, a, b = (_column(_require(value, key, "objectives."), f"objectives.{key}")
+               for key in "wab")
+    n = len(w)
+    for key, column in (("a", a), ("b", b)):
+        _same_length(column, f"objectives.{key}", n, "objectives.w has length")
+    if isinstance(family, list):
+        _same_length(family, "objectives.family", n, "objectives.w has length")
+        if set(map(type, family)) != {str} or not set(family) <= _BANK_CODES.keys():
+            i, name = next((i, f) for i, f in enumerate(family)
+                           if type(f) is not str or f not in _BANK_CODES)
+            raise SchemaError(f"objectives.family[{i}]", f"unknown objective family: {name!r}")
+        sums = [f in _SUM_FAMILIES for f in family]
+    elif isinstance(family, str):
+        if family not in _BANK_CODES:
+            raise SchemaError("objectives.family", f"unknown objective family: {family!r}")
+        sums = [family in _SUM_FAMILIES] * n
+    else:
+        raise SchemaError("objectives.family",
+                          "expected a family name, or an array of one per channel")
+    terms = value.get("terms")
+    if terms is None:
+        if any(sums):
+            raise SchemaError("objectives.terms", "required field is missing: channel "
+                              f"{sums.index(True)} is of a sum family")
+    else:
+        if not any(sums):
+            raise SchemaError("objectives.terms", "unknown field: no channel is of a sum family")
+        terms = _term_columns(terms, sums)
+        at_sums = terms[3] > 0
+        slots = w[at_sums]
+        if slots.any():
+            i = int(at_sums.nonzero()[0][(slots != 0).argmax()])
+            raise SchemaError(f"objectives.w[{i}]", "a sum channel's entry must be the "
+                              f"placeholder 0 (its weights are in terms.w), got {w[i]}")
+        w[at_sums] = math.nan
+    try:
+        return Channels.from_arrays(family, w, a, b, terms)
+    except DomainError as exc:
+        # With the shapes, families and counts checked above, what is left to
+        # refuse is a constructor's: a parameter of channel ``exc.index``.
+        name, i = exc.parameter, exc.index
+        if name not in ("w_j", "c_j", "d_j"):
+            raise SchemaError(f"objectives.{name}[{i}]", exc.detail) from None
+        # A term parameter: the channel's first refused term.
+        counts = terms[3]
+        start = int(counts[:i].sum())
+        column = terms["wcd".index(name[0])][start:start + int(counts[i])]
+        j = start + int((~(np.isfinite(column) & (column > 0))).argmax())
+        raise SchemaError(f"objectives.terms.{name[0]}[{j}]",
+                          f"{exc.detail} (channel {i})") from None
+
+
+def _term_columns(value, sums: list) -> tuple:
+    """The ``terms`` block of a columnar bank as ``from_arrays`` takes it,
+    ``(w, c, d, counts)``, checked against the channels' families ``sums``
+    (True at a sum-family channel)."""
+    if not isinstance(value, dict):
+        raise SchemaError("objectives.terms", "expected an object of term columns")
+    _check_fields(value, {"w", "c", "d", "count"}, "objectives.terms.")
+    counts = _require(value, "count", "objectives.terms.")
+    if not isinstance(counts, list):
+        raise SchemaError("objectives.terms.count", "expected an array of term counts")
+    _same_length(counts, "objectives.terms.count", len(sums), "objectives.w has length")
+    if set(map(type, counts)) != {int} or min(counts) < 0 or [c > 0 for c in counts] != sums:
+        i, count, is_sum = next((i, c, s) for i, (c, s) in enumerate(zip(counts, sums))
+                                if type(c) is not int or c < 0 or (c > 0) != s)
+        raise SchemaError(f"objectives.terms.count[{i}]", "expected a whole number of terms, "
+                          f"{'at least 1 for a sum' if is_sum else '0 for a closed-form'} "
+                          f"family, got {count!r}")
+    total = sum(counts)
+    columns = []
+    for key in "wcd":
+        field = f"objectives.terms.{key}"
+        column = _column(_require(value, key, "objectives.terms."), field)
+        _same_length(column, field, total, "objectives.terms.count totals")
+        columns.append(column)
+    return (*columns, np.array(counts))
+
+
 def _flat_objectives(value):
-    """A flat problem's objectives: :func:`_bank`'s bank, or failing that the
-    objects of :func:`_objective_list`."""
+    """A flat problem's objectives: the bank of a columnar block
+    (:func:`_columns`) or of flat-family records (:func:`_bank`), or failing
+    that the objects of :func:`_objective_list`."""
+    if isinstance(value, dict):
+        return _columns(value)
     bank = _bank(value)
     if bank is not None:
         return bank
@@ -150,15 +284,13 @@ def instance_from_dict(doc: Any):
                 if upper is not None:
                     upper = _number_list(upper, "upper_bounds", allow_null=True)
                 return AscendingProblem(objectives, prefix, lower, upper)
-            budget = _require(doc, "budget")
-            if not isinstance(budget, (int, float)) or isinstance(budget, bool):
-                raise SchemaError("budget", "expected a number")
+            budget = _number(_require(doc, "budget"), "budget")
             if cls == "box":
                 upper = doc.get("upper_bounds")
                 if upper is not None:
                     upper = _number_list(upper, "upper_bounds", allow_null=True)
-                return BoxProblem(objectives, float(budget), lower, upper)
-            return SimplexProblem(objectives, float(budget), lower)
+                return BoxProblem(objectives, budget, lower, upper)
+            return SimplexProblem(objectives, budget, lower)
 
         _check_fields(doc, _FAIR_FIELDS)
         raw_groups = _require(doc, "groups")
@@ -166,9 +298,7 @@ def instance_from_dict(doc: Any):
             raise SchemaError("groups", "expected a non-empty array of groups")
         groups = [_objective_list(g, f"groups[{j}]")
                   for j, g in enumerate(raw_groups)]
-        budget = _require(doc, "budget")
-        if not isinstance(budget, (int, float)) or isinstance(budget, bool):
-            raise SchemaError("budget", "expected a number")
+        budget = _number(_require(doc, "budget"), "budget")
 
         def bound_rows(field):
             value = doc.get(field)
@@ -179,7 +309,7 @@ def instance_from_dict(doc: Any):
             return [_number_list(row, f"{field}[{j}]", allow_null=(field == "upper_bounds"))
                     for j, row in enumerate(value)]
 
-        return FairProblem(groups, float(budget), mode=cls,
+        return FairProblem(groups, budget, mode=cls,
                            lower_bounds=bound_rows("lower_bounds"),
                            upper_bounds=bound_rows("upper_bounds"))
     except SchemaError:
@@ -202,9 +332,29 @@ def problem_class(problem) -> str:
 
 def _params(obj) -> dict:
     to_params = getattr(obj, "to_params", None)
-    if to_params is None:
-        raise SchemaError("objectives", "objective is not serializable")
-    return to_params()
+    if to_params is not None:
+        try:
+            return to_params()
+        except NotImplementedError:  # a custom objective's
+            pass
+    raise SchemaError("objectives", "objective is not serializable")
+
+
+def _columns_out(channels: Channels):
+    """``channels`` as a columnar ``objectives`` block, read from the bank's
+    arrays (None when it holds an object of another class, which keeps the
+    record layout)."""
+    if channels._custom() is not None:
+        return None
+    codes, terms = channels._codes, channels._terms
+    family = channels.family if codes is None else \
+        [_BANK_CLASSES[c].family for c in codes.tolist()]
+    w = channels.w if terms is None else np.where(terms[3] > 0, 0.0, channels.w)
+    doc = {"family": family, "w": w.tolist(), "a": channels.a.tolist(),
+           "b": channels.b.tolist()}
+    if terms is not None and terms[3].any():
+        doc["terms"] = dict(zip(("w", "c", "d", "count"), (t.tolist() for t in terms)))
+    return doc
 
 
 def _upper_out(upper):
@@ -228,7 +378,8 @@ def instance_to_dict(problem) -> dict:
                 for j, u in enumerate(uppers)]
         return doc
     doc = {"problem_class": cls,
-           "objectives": [_params(o) for o in problem.objectives]}
+           "objectives": _columns_out(problem.channels)
+           or [_params(o) for o in problem.objectives]}
     if isinstance(problem, AscendingProblem):
         doc["prefix_budgets"] = list(problem.prefix_budgets)
     else:

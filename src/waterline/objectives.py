@@ -54,14 +54,16 @@ class NegativeDemand:
 def _check_finite_nonneg(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value) or value < 0:
-        raise DomainError(f"parameter {name} must be finite and nonnegative, got {value}")
+        raise DomainError(f"parameter {name} must be finite and nonnegative, got {value}",
+                          parameter=name)
     return value
 
 
 def _check_positive(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0:
-        raise DomainError(f"parameter {name} must be finite and positive, got {value}")
+        raise DomainError(f"parameter {name} must be finite and positive, got {value}",
+                          parameter=name)
     return value
 
 
@@ -327,7 +329,7 @@ class AfRelay(_ClosedForm):
         self.w = _check_positive("w", w)
         a = float(a)
         if not (0.0 < a < 1.0):
-            raise DomainError(f"af_relay requires 0 < a < 1, got {a}")
+            raise DomainError(f"af_relay requires 0 < a < 1, got {a}", parameter="a")
         self.a = a
         self.b = _check_positive("b", b)
 
@@ -724,7 +726,7 @@ class Channels:
             try:
                 bank.objectives
             except DomainError as exc:
-                raise DomainError(exc.detail, index=i) from None
+                raise DomainError(exc.detail, index=i, parameter=exc.parameter) from None
         return bank
 
     def _set_bank(self, w, a, b, single: type | None, codes, terms=None, custom=None) -> None:

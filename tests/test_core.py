@@ -13,7 +13,8 @@ from waterline import (
     check_conditions, enumerate_p1, kkt_residual_p1, solve_ascending,
     solve_box, solve_p1, solve_p1_lower, solve_water_level)
 from waterline.core import (
-    _classify, _closed_form_mu, _level_search, deactivation_loop, illinois_root, water_fill)
+    _breakpoint_level, _classify, _closed_form_mu, _level_search, deactivation_loop,
+    illinois_root, water_fill)
 from waterline.objectives import Channels, Objective
 
 from conftest import (
@@ -370,3 +371,23 @@ def test_five_family_p1_level_search_cost(seed, monkeypatch):
     idle = sum(p for i, p in enumerate(alloc.powers) if i not in set(alloc.active_set))
     mu = solve_water_level(active, problem.budget, idle, scale=problem.budget)
     assert abs(alloc.water_level - mu) <= 1e-12 * mu
+
+
+def test_water_level_without_budget_left_raises():
+    with pytest.raises(BracketFailure, match="no budget left"):
+        solve_water_level([LogCapacity(1, 1, 1), InverseMse(1, 1, 1)], 2.0,
+                          fixed_consumption=2.0)
+
+
+@pytest.mark.parametrize("solve", [
+    _breakpoint_level,
+    lambda channels, gamma, budget: _breakpoint_level(channels, gamma, budget,
+                                                      tau=gamma + 1.0),
+    deactivation_loop,
+], ids=["breakpoint_p1_lower", "breakpoint_box", "deactivation_loop"])
+def test_floor_over_budget_raises_when_called_directly(solve):
+    # The problem classes refuse such floors first; the kernels check again.
+    channels = Channels([LogCapacity(1, 1, 1), InverseMse(1, 0.5, 1)])
+    gamma = np.array([1.0, 1.5])
+    with pytest.raises(InfeasibleBudget, match="exceeds budget"):
+        solve(channels, gamma, 2.0)

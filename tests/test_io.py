@@ -4,15 +4,19 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from waterline import (
-    FAMILIES, AfRelay, AscendingProblem, BoxProblem, FairProblem, InverseMse, LogCapacity,
-    ScenarioSpec, SchemaError, SimplexProblem, SolverConfig, build_instance,
-    instance_from_dict, instance_to_dict, load_instance, objective_from_params,
-    problem_class, result_to_dict, save_instance, solve_box, solve_p1_lower)
+    FAMILIES, AfRelay, AscendingProblem, BoxProblem, CustomObjective, FairProblem,
+    InverseMse, LogCapacity, ScenarioSpec, SchemaError, SimplexProblem, SolverConfig,
+    SumInverseMse, SumLog, build_instance, instance_from_dict, instance_to_dict,
+    load_instance, objective_from_params, problem_class, result_to_dict, save_instance,
+    solve_box, solve_p1_lower)
+from waterline.cli import main
 from waterline.io import dumps
-from waterline.objectives import _SumFamily
+from waterline.objectives import Channels, _SumFamily
 
 from conftest import layout, random_ascending, random_box, random_simplex
 
@@ -166,11 +170,13 @@ def _record(family, **params):
     return dict({"family": family, "w": 1.0, "a": 0.5, "b": 1.0}, **params)
 
 
+CLOSED_FORM_RECORDS = {"problem_class": "ascending", "prefix_budgets": [1.0, 2.0, 3.0],
+                       "objectives": [_record("log_capacity"), _record("af_relay", a=0.25),
+                                      _record("inverse_mse", w=2)]}
+
+
 def test_closed_form_records_load_as_one_bank():
-    doc = {"problem_class": "ascending", "prefix_budgets": [1.0, 2.0, 3.0],
-           "objectives": [_record("log_capacity"), _record("af_relay", a=0.25),
-                          _record("inverse_mse", w=2)]}
-    problem = instance_from_dict(doc)
+    problem = instance_from_dict(CLOSED_FORM_RECORDS)
     assert layout(problem.channels) == [LogCapacity, InverseMse, AfRelay]
     assert problem.channels.family is None
     assert [o.to_params() for o in problem.objectives] == \
@@ -232,16 +238,18 @@ def _sum_record(family, w, c, d, a=0.8, b=1.2):
     return {"family": family, "w": w, "a": a, "b": b, "c": c, "d": d}
 
 
+SUM_RECORDS = {"problem_class": "p1_lower", "budget": 6.0, "objectives": [
+    _sum_record("sum_inverse_mse", [1.0, 2.0], [0.5, 1.0], [1.0, 2]),
+    _record("af_relay", a=0.25),
+    _sum_record("sum_log", [1.5], [2.0], [0.5], a=2, b=0.5),
+    _record("log_capacity"),
+    _sum_record("sum_inverse_mse", [0.5, 1.0, 1.5], [1.0, 1.0, 2.0], [0.25, 0.5, 1.0])],
+    "lower_bounds": [0.5, 0.0, 0.0, 0.25, 0.0]}
+
+
 def test_sum_records_load_into_the_bank():
-    records = [_sum_record("sum_inverse_mse", [1.0, 2.0], [0.5, 1.0], [1.0, 2]),
-               _record("af_relay", a=0.25),
-               _sum_record("sum_log", [1.5], [2.0], [0.5], a=2, b=0.5),
-               _record("log_capacity"),
-               _sum_record("sum_inverse_mse", [0.5, 1.0, 1.5], [1.0, 1.0, 2.0],
-                           [0.25, 0.5, 1.0])]
-    doc = {"problem_class": "p1_lower", "budget": 6.0, "objectives": records,
-           "lower_bounds": [0.5, 0.0, 0.0, 0.25, 0.0]}
-    problem = instance_from_dict(doc)
+    records = SUM_RECORDS["objectives"]
+    problem = instance_from_dict(SUM_RECORDS)
     channels = problem.channels
     assert layout(channels) == [LogCapacity, AfRelay, _SumFamily]  # the sums in one group
     assert channels._objects is None
@@ -355,3 +363,221 @@ def test_writer_writes_json_dump_bytes(tmp_path):
     doc = result_to_dict(problem, solve_box(problem), solver="box:order",
                          strategy="order", cfg=SolverConfig(), wall_time=0.01)
     assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+# The columnar layout: one column per parameter.
+
+def _columnar(doc):
+    """``doc`` with its objective records rewritten by hand as columns."""
+    records = doc["objectives"]
+    families = [r["family"] for r in records]
+    sums = [f.startswith("sum_") for f in families]
+    columns = {"family": families[0] if len(set(families)) == 1 else families,
+               "w": [0 if s else r["w"] for r, s in zip(records, sums)],
+               "a": [r["a"] for r in records], "b": [r["b"] for r in records]}
+    if any(sums):
+        columns["terms"] = {key: [x for r, s in zip(records, sums) if s for x in r[key]]
+                            for key in "wcd"}
+        columns["terms"]["count"] = [len(r["w"]) if s else 0 for r, s in zip(records, sums)]
+    return dict(doc, objectives=columns)
+
+
+def _bits(values):
+    return None if values is None else np.array(values, dtype=float).tobytes()
+
+
+def _assert_identical(clone, problem):
+    """The same problem class and bounds, and the same bank, bit for bit."""
+    assert type(clone) is type(problem)
+    for name in ("budget", "prefix_budgets", "lower_bounds", "upper_bounds"):
+        assert _bits(getattr(clone, name, None)) == _bits(getattr(problem, name, None))
+    ours, theirs = clone.channels, problem.channels
+    assert ours.family == theirs.family and layout(ours) == layout(theirs)
+    assert (ours._codes is None) == (theirs._codes is None)
+    if ours._codes is not None:
+        assert ours._codes.tobytes() == theirs._codes.tobytes()
+    for name in "wab":
+        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+    # A bank whose sum channels were taken away may keep empty terms.
+    ours, theirs = ((None if c._terms is None or not c._terms[3].any() else c._terms)
+                    for c in (ours, theirs))
+    assert (ours is None) == (theirs is None)
+    for mine, other in zip(ours or (), theirs or ()):
+        assert mine.dtype == other.dtype and mine.tobytes() == other.tobytes()
+
+
+_FIVE = [SumInverseMse([1.0, 2.0, 0.5], 0.8, 1.5, [1.0, 0.5, 2.0], [0.7, 1.0, 1.2]),
+         LogCapacity(1.0, 2.0, 1.0),
+         SumLog([1.0, 0.5], 1.0, 1.0, [1.0, 2.0], [1.0, 0.5]),
+         AfRelay(0.05, 0.5, 1.0), InverseMse(1.0, 0.5, 2.0),
+         SumInverseMse([0.8, 1.2], 1.2, 0.6, [0.5, 1.0], [2.0, 1.0]),
+         SumLog([0.1], 4.0, 0.2, [1.0], [1.0])]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BoxProblem(Channels.from_arrays("inverse_mse", [1.0, 2.0, 0.5], [0.3, 1.7, 0.9],
+                                            [1.0, 1.0, 0.0]), 3.0, [0.0, 0.5, 0.0],
+                       [None, 2.0, 1.0 / 3.0]),
+    lambda: AscendingProblem([LogCapacity(1.0, 0.1 + 0.2, 0.5), AfRelay(2.0, 0.75, 1.0),
+                              InverseMse(0.5, 3.0, 0.0), LogCapacity(1e-300, 1e300, 0.0)],
+                             [1.0, 2.0, 2.5, 4.0], None, [0.75, None, None, 2.0]),
+    lambda: BoxProblem([SumLog([1.0, 0.5], 1.0, 1.0, [1.0, 2.0], [1.0, 0.5]),
+                        SumInverseMse([1.0, 2.0, 0.5], 0.8, 1.5, [1.0, 0.5, 2.0], [0.7, 1.0, 1.2]),
+                        SumLog([2.0], 0.5, 2.0, [1.5], [1.0])], 5.0, None, [None, 1.2, None]),
+    lambda: SimplexProblem(_FIVE, 7.0, [0.0, 0.5, 0.0, 0.0, 0.25, 0.0, 0.0]),
+    lambda: BoxProblem(Channels(_FIVE).take(np.array([4, 1, 3])), 2.0, None, [1.0, None, 1.0]),
+], ids=["single_family", "mixed_closed_form", "sum_only", "five_families_out_of_order",
+        "sums_taken_away"])
+def test_columnar_round_trip_is_bit_identical(tmp_path, make):
+    problem = make()
+    path = tmp_path / "instance.json"
+    save_instance(problem, str(path))
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    columns = doc["objectives"]
+    assert list(columns)[:4] == ["family", "w", "a", "b"]
+    assert ("terms" in columns) == any(f.startswith("sum_") for f in
+                                       [o.family for o in problem.objectives])
+    clone = load_instance(str(path))
+    _assert_identical(clone, problem)
+    assert [o.to_params() for o in clone.objectives] == \
+        [o.to_params() for o in problem.objectives]
+    assert instance_to_dict(clone) == doc
+
+
+def test_columnar_layout_of_a_sum_channel():
+    doc = instance_to_dict(SimplexProblem(_FIVE[:4], 4.0))
+    assert doc["objectives"] == {
+        "family": ["sum_inverse_mse", "log_capacity", "sum_log", "af_relay"],
+        "w": [0.0, 1.0, 0.0, 0.05], "a": [0.8, 2.0, 1.0, 0.5], "b": [1.5, 1.0, 1.0, 1.0],
+        "terms": {"w": [1.0, 2.0, 0.5, 1.0, 0.5], "c": [1.0, 0.5, 2.0, 1.0, 2.0],
+                  "d": [0.7, 1.0, 1.2, 1.0, 0.5], "count": [3, 0, 2, 0]}}
+
+
+_FIVE_RECORDS = {"problem_class": "p1", "budget": 7.0,
+                 "objectives": [o.to_params() for o in _FIVE]}
+
+
+@pytest.mark.parametrize("doc", [
+    _bank_doc("inverse_mse"), _bank_doc("af_relay", k=4), CLOSED_FORM_RECORDS,
+    SUM_RECORDS, _FIVE_RECORDS,
+    {"problem_class": "box", "budget": 2.0, "objectives": [
+        _record("log_capacity"),
+        {"family": "sum_log", "w": [1.0], "a": 1.0, "b": 1.0, "c": [1.0], "d": [1.0]}]},
+    {"problem_class": "box", "budget": 2.0, "objectives": [
+        _record("log_capacity"),
+        {"family": "sum_inverse_mse", "w": [1.0, 2.0], "a": 1.0, "b": 1.0,
+         "c": [1.0, 1.0], "d": [1.0, 0.5]}]},
+    {"problem_class": "box", "budget": 2.0, "objectives": [
+        _sum_record("sum_log", [1.0, 2.0], [1.0, 1.0], [1.0, 0.5])] * 3,
+     "upper_bounds": [None, 1.0, None]},
+], ids=["inverse_mse_1024", "af_relay_4", "closed_form", "sums_and_closed_form",
+        "five_families", "sum_log", "sum_inverse_mse", "sum_log_only"])
+def test_records_and_their_columns_load_identically(doc):
+    problem = instance_from_dict(doc)
+    columns = _columnar(doc)
+    _assert_identical(instance_from_dict(columns), problem)
+    assert instance_to_dict(problem)["objectives"] == \
+        json.loads(json.dumps(columns["objectives"]))
+
+
+def test_custom_objective_is_not_serializable():
+    custom = CustomObjective(lambda p: math.log1p(p), lambda p: 1.0 / (1.0 + p))
+    for problem in (SimplexProblem([LogCapacity(1, 1, 1), custom], 2.0),
+                    BoxProblem([custom], 1.0),
+                    FairProblem([[LogCapacity(1, 1, 1)], [custom]], 2.0)):
+        with pytest.raises(SchemaError, match="objective is not serializable"):
+            instance_to_dict(problem)
+
+
+def _columnar_doc():
+    return {"problem_class": "box", "budget": 8.0, "objectives": {
+        "family": ["log_capacity", "sum_log", "inverse_mse", "af_relay", "sum_inverse_mse"],
+        "w": [1.0, 0, 2.0, 1.0, 0], "a": [1.0, 0.8, 0.5, 0.25, 1.2],
+        "b": [1.0, 1.2, 1.0, 2.0, 0.6],
+        "terms": {"w": [1.0, 0.5, 0.8, 1.2], "c": [1.0, 2.0, 0.5, 1.0],
+                  "d": [1.0, 0.5, 2.0, 1.0], "count": [0, 2, 0, 0, 2]}},
+        "upper_bounds": [None, 2.0, None, 3.0, None]}
+
+
+def _set_column(*path, value=_DELETE):
+    return _set(("objectives", *path), value)
+
+
+# Each edit leaves one fault in a columnar document, named by its column and
+# the index of its channel (of its term, in terms).  NaN and inf are written as
+# the NaN and Infinity literals that json.load accepts.
+@pytest.mark.parametrize("edit,field,message", [
+    (_set_column("a", 2, value=0), "objectives.a[2]",
+     "parameter a must be finite and positive, got 0.0"),
+    (_set_column("a", 3, value=1.5), "objectives.a[3]", r"af_relay requires 0 < a < 1, got 1\.5"),
+    (_set_column("b", 0, value=-1), "objectives.b[0]",
+     "parameter b must be finite and nonnegative, got -1.0"),
+    (_set_column("a", 4, value=0.0), "objectives.a[4]",
+     "parameter a must be finite and positive, got 0.0"),
+    (_set_column("terms", "d", 3, value=-2.0), "objectives.terms.d[3]",
+     r"parameter d_j must be finite and positive, got -2\.0 \(channel 4\)"),
+    (_set_column("w", 0, value=float("nan")), "objectives.w[0]",
+     "parameter w must be finite and positive, got nan"),
+    (_set_column("b", 4, value=float("inf")), "objectives.b[4]",
+     "parameter b must be finite and positive, got inf"),
+    (_set_column("terms", "c", 1, value=float("-inf")), "objectives.terms.c[1]",
+     r"parameter c_j must be finite and positive, got -inf \(channel 1\)"),
+    (_set_column("w", 1, value=float("nan")), "objectives.w[1]",
+     r"a sum channel's entry must be the placeholder 0 \(its weights are in terms.w\), got nan"),
+    (_set_column("b", 4), "objectives.b[4]", "length 4, but objectives.w has length 5"),
+    (_set_column("family", value=["log_capacity"] * 6), "objectives.family[5]",
+     "length 6, but objectives.w has length 5"),
+    (_set_column("a", 1, value="0.8"), "objectives.a[1]", "expected a number"),
+    (_set_column("w", 2, value=True), "objectives.w[2]", "expected a number"),
+    (_set_column("b", 0, value=None), "objectives.b[0]", "expected a number"),
+    (_set_column("a", 3, value=10 ** 400), "objectives.a[3]",
+     "number outside the float range"),
+    (_set_column("family", 2, value="bogus"), "objectives.family[2]",
+     "unknown objective family: 'bogus'"),
+    (_set_column("family", value="cluster_log_capacity"), "objectives.family",
+     "unknown objective family: 'cluster_log_capacity'"),
+    (_set_column("terms", "count", 4, value=3), "objectives.terms.w[4]",
+     "length 4, but objectives.terms.count totals 5"),
+    (_set_column("terms", "c", value=[1.0] * 5), "objectives.terms.c[4]",
+     "length 5, but objectives.terms.count totals 4"),
+    (_set_column("terms", "count", 0, value=1), "objectives.terms.count[0]",
+     "expected a whole number of terms, 0 for a closed-form family, got 1"),
+    (_set_column("terms", "count", 1, value=2.0), "objectives.terms.count[1]",
+     r"expected a whole number of terms, at least 1 for a sum family, got 2\.0"),
+    (_set_column("terms"), "objectives.terms",
+     "required field is missing: channel 1 is of a sum family"),
+    (_set_column("c", value=[1.0]), "objectives.c", "unknown field"),
+    (_set_column("a"), "objectives.a", "required field is missing"),
+], ids=["zero_a", "af_relay_a", "negative_b", "sum_zero_a", "negative_d_j", "nan_w",
+        "infinite_sum_b", "infinite_c_j", "nan_sum_w_slot", "short_b", "long_family",
+        "string_a", "bool_w", "null_b", "huge_int_a", "unknown_family",
+        "cluster_family", "count_total_over", "term_column_over",
+        "closed_form_count", "float_count", "missing_terms", "extra_column",
+        "missing_column"])
+def test_columnar_loader_names_the_fault(tmp_path, edit, field, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(_columnar_doc())))
+    with pytest.raises(SchemaError) as err:
+        load_instance(str(path))
+    assert err.value.field == field
+    assert re.fullmatch(re.escape(f"{field}: ") + message, str(err.value))
+    result = CliRunner().invoke(main, ["solve", str(path)])
+    assert result.exit_code == 1
+    assert result.output == f"error: {err.value}\n"
+
+
+def test_columnar_doc_solves():
+    problem = instance_from_dict(_columnar_doc())
+    assert problem.upper_bounds == [math.inf, 2.0, math.inf, 3.0, math.inf]
+    assert solve_box(problem).status == "optimal"
+
+
+@pytest.mark.parametrize("field,path", [("budget", ("budget",)),
+                                        ("lower_bounds[1]", ("lower_bounds", 1))])
+def test_int_beyond_the_float_range_named(field, path):
+    doc = _set(path, 10 ** 400)(dict(_columnar_doc(), lower_bounds=[0.0] * 5))
+    with pytest.raises(SchemaError) as err:
+        instance_from_dict(doc)
+    assert str(err.value) == f"{field}: number outside the float range"

@@ -7,7 +7,7 @@ import pytest
 
 from waterline import (
     BoxProblem, LogCapacity, SimplexProblem, SizeLimit, enumerate_box,
-    enumerate_p1, grid_search, projected_gradient)
+    check_conditions, enumerate_p1, grid_search, projected_gradient)
 
 from conftest import CLOSED_FORM_FAMILIES, random_box, random_simplex
 
@@ -96,3 +96,14 @@ def test_three_way_agreement_on_box(rng):
         assert abs(pg.objective_value - en.objective_value) <= 1e-5 * scale
         assert abs(gr.objective_value - en.objective_value) <= 1e-4 * scale
         assert gr.objective_value <= en.objective_value + 1e-9 * scale
+
+
+@pytest.mark.parametrize("tau,power", [(None, 2.0), (1.5, 1.5)])
+def test_grid_search_single_channel(tau, power):
+    # One channel leaves no free grid coordinate: its power is the budget,
+    # clipped at tau.
+    problem = BoxProblem([LogCapacity(1, 1, 1)], 2.0, upper_bounds=[tau])
+    res = grid_search(problem)
+    assert res.powers == [power]
+    assert res.candidates == 1
+    assert check_conditions(problem, res.powers).passed
