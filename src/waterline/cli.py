@@ -179,8 +179,9 @@ def cmd_generate(antennas, taps, decay, subcarriers, snr_db, gamma, tau,
     """Generate MIMO-OFDM instance files (one per channel realization).
 
     Each file holds a box problem in the columnar layout: its objectives are
-    one family name, inverse_mse, and one array each of w, a and b (see
-    README, "Instance format")."""
+    one family name, inverse_mse, one array of a, and w and b as one number
+    each (every subchannel has the same noise power); the bounds, when
+    given, are one number each too (see README, "Instance format")."""
     try:
         spec = ScenarioSpec(antennas=antennas, taps=taps, decay=decay,
                             subcarriers=subcarriers, snr_db=snr_db,

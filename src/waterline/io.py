@@ -19,6 +19,15 @@ A flat problem's ``objectives`` come in one of two layouts (README,
   another class, which does not serialize).  Flat-family records still load
   straight into one bank, the same bank as their columns.
 
+Like ``family``, the columns ``w``, ``a``, ``b`` and a flat problem's
+``lower_bounds`` and ``upper_bounds`` may each be one number for every
+channel.  The writer uses it for a field of more than one entry that repeats
+one float, bit for bit (keeping ``a`` a list when all three columns would
+collapse); the loader takes the channel count from the first of ``w``,
+``a``, ``b`` that is a list, expands each number to one entry per channel,
+and names a number's fault without an index, ``objectives.b``.  ``terms``,
+``prefix_budgets`` and fair problems' ``groups`` and bound rows stay lists.
+
 Every file is written by :func:`dumps`, in the bytes of
 ``json.dump(doc, fh, indent=2)``; floats round-trip losslessly
 (shortest-repr serialization).
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -98,6 +108,15 @@ def _column(value, field: str) -> np.ndarray:
     return np.array(_number_list(value, field))
 
 
+def _column_or_number(value, field: str, column=_column):
+    """A field of one entry per channel that may instead be one number for
+    every channel: ``column(value, field)`` of an array, else the number as
+    a float (a fault named ``field``, without an index)."""
+    if isinstance(value, list):
+        return column(value, field)
+    return _number(value, field)
+
+
 def _number(value, field: str) -> float:
     if type(value) not in _NUMBER_TYPES:
         raise SchemaError(field, "expected a number")
@@ -166,13 +185,26 @@ def _columns(value: dict) -> Channels:
     of its channel (of its term, in ``terms``)."""
     _check_fields(value, {"family", "w", "a", "b", "terms"}, "objectives.")
     family = _require(value, "family", "objectives.")
-    w, a, b = (_column(_require(value, key, "objectives."), f"objectives.{key}")
-               for key in "wab")
-    n = len(w)
-    for key, column in (("a", a), ("b", b)):
-        _same_length(column, f"objectives.{key}", n, "objectives.w has length")
+    columns = {key: _column_or_number(_require(value, key, "objectives."),
+                                      f"objectives.{key}") for key in "wab"}
+    numbers = {key for key, column in columns.items() if type(column) is float}
+    if len(numbers) == 3:
+        raise SchemaError("objectives", "w, a and b are all numbers: one of them must be "
+                          "an array, one entry per channel")
+    first = next(key for key in "wab" if key not in numbers)
+    n, reference = len(columns[first]), f"objectives.{first} has length"
+    for key, column in columns.items():
+        if key in numbers:
+            columns[key] = np.full(n, column)
+        elif key != first:
+            _same_length(column, f"objectives.{key}", n, reference)
+    w, a, b = columns.values()
+
+    def at(key: str, i: int) -> str:
+        return f"objectives.{key}" if key in numbers else f"objectives.{key}[{i}]"
+
     if isinstance(family, list):
-        _same_length(family, "objectives.family", n, "objectives.w has length")
+        _same_length(family, "objectives.family", n, reference)
         if set(map(type, family)) != {str} or not set(family) <= _BANK_CODES.keys():
             i, name = next((i, f) for i, f in enumerate(family)
                            if type(f) is not str or f not in _BANK_CODES)
@@ -193,12 +225,12 @@ def _columns(value: dict) -> Channels:
     else:
         if not any(sums):
             raise SchemaError("objectives.terms", "unknown field: no channel is of a sum family")
-        terms = _term_columns(terms, sums)
+        terms = _term_columns(terms, sums, reference)
         at_sums = terms[3] > 0
         slots = w[at_sums]
         if slots.any():
             i = int(at_sums.nonzero()[0][(slots != 0).argmax()])
-            raise SchemaError(f"objectives.w[{i}]", "a sum channel's entry must be the "
+            raise SchemaError(at("w", i), "a sum channel's entry must be the "
                               f"placeholder 0 (its weights are in terms.w), got {w[i]}")
         w[at_sums] = math.nan
     try:
@@ -208,7 +240,7 @@ def _columns(value: dict) -> Channels:
         # refuse is a constructor's: a parameter of channel ``exc.index``.
         name, i = exc.parameter, exc.index
         if name not in ("w_j", "c_j", "d_j"):
-            raise SchemaError(f"objectives.{name}[{i}]", exc.detail) from None
+            raise SchemaError(at(name, i), exc.detail) from None
         # A term parameter: the channel's first refused term.
         counts = terms[3]
         start = int(counts[:i].sum())
@@ -218,17 +250,17 @@ def _columns(value: dict) -> Channels:
                           f"{exc.detail} (channel {i})") from None
 
 
-def _term_columns(value, sums: list) -> tuple:
+def _term_columns(value, sums: list, reference: str) -> tuple:
     """The ``terms`` block of a columnar bank as ``from_arrays`` takes it,
     ``(w, c, d, counts)``, checked against the channels' families ``sums``
-    (True at a sum-family channel)."""
+    (True at a sum-family channel); ``reference`` names the channel count."""
     if not isinstance(value, dict):
         raise SchemaError("objectives.terms", "expected an object of term columns")
     _check_fields(value, {"w", "c", "d", "count"}, "objectives.terms.")
     counts = _require(value, "count", "objectives.terms.")
     if not isinstance(counts, list):
         raise SchemaError("objectives.terms.count", "expected an array of term counts")
-    _same_length(counts, "objectives.terms.count", len(sums), "objectives.w has length")
+    _same_length(counts, "objectives.terms.count", len(sums), reference)
     if set(map(type, counts)) != {int} or min(counts) < 0 or [c > 0 for c in counts] != sums:
         i, count, is_sum = next((i, c, s) for i, (c, s) in enumerate(zip(counts, sums))
                                 if type(c) is not int or c < 0 or (c > 0) != s)
@@ -261,6 +293,28 @@ def _flat_objectives(value):
     return objectives
 
 
+def _flat_bounds(doc: dict, n: int) -> tuple:
+    """A flat problem's ``(lower_bounds, upper_bounds)``, each None when
+    absent, a list of one per channel (null: no upper bound), or one number
+    for every channel, given as ``n`` of it.  A number's faults are named
+    here, without an index; a list's are the problem's checks."""
+    lower, upper = doc.get("lower_bounds"), doc.get("upper_bounds")
+    if lower is not None:
+        lower = _column_or_number(lower, "lower_bounds", _number_list)
+    if upper is not None:
+        upper = _column_or_number(upper, "upper_bounds",
+                                  partial(_number_list, allow_null=True))
+    if type(lower) is float and not 0.0 <= lower < math.inf:
+        raise SchemaError("lower_bounds", f"expected a finite, nonnegative number, got {lower}")
+    if type(upper) is float:
+        floor = lower if type(lower) is float else 0.0
+        if math.isnan(upper):
+            raise SchemaError("upper_bounds", "expected a number or null, got NaN")
+        if upper < floor:
+            raise SchemaError("upper_bounds", f"{upper} is below the lower bound {floor}")
+    return tuple(np.full(n, x) if type(x) is float else x for x in (lower, upper))
+
+
 def instance_from_dict(doc: Any):
     """Build a problem object from an instance document."""
     if not isinstance(doc, dict):
@@ -273,22 +327,14 @@ def instance_from_dict(doc: Any):
         if cls in _FLAT_FIELDS:
             _check_fields(doc, _FLAT_FIELDS[cls])
             objectives = _flat_objectives(_require(doc, "objectives"))
-            lower = doc.get("lower_bounds")
-            if lower is not None:
-                lower = _number_list(lower, "lower_bounds")
-            if cls == "p1" and lower is not None and any(x != 0.0 for x in lower):
+            lower, upper = _flat_bounds(doc, len(objectives))
+            if cls == "p1" and lower is not None and np.any(lower):
                 raise SchemaError("lower_bounds", "class p1 requires zero lower bounds")
             if cls == "ascending":
                 prefix = _number_list(_require(doc, "prefix_budgets"), "prefix_budgets")
-                upper = doc.get("upper_bounds")
-                if upper is not None:
-                    upper = _number_list(upper, "upper_bounds", allow_null=True)
                 return AscendingProblem(objectives, prefix, lower, upper)
             budget = _number(_require(doc, "budget"), "budget")
             if cls == "box":
-                upper = doc.get("upper_bounds")
-                if upper is not None:
-                    upper = _number_list(upper, "upper_bounds", allow_null=True)
                 return BoxProblem(objectives, budget, lower, upper)
             return SimplexProblem(objectives, budget, lower)
 
@@ -350,11 +396,23 @@ def _columns_out(channels: Channels):
     family = channels.family if codes is None else \
         [_BANK_CLASSES[c].family for c in codes.tolist()]
     w = channels.w if terms is None else np.where(terms[3] > 0, 0.0, channels.w)
-    doc = {"family": family, "w": w.tolist(), "a": channels.a.tolist(),
-           "b": channels.b.tolist()}
-    if terms is not None and terms[3].any():
+    columns = [_one_value(x) for x in (w, channels.a, channels.b)]
+    if all(type(x) is float for x in columns):  # a keeps the channel count
+        columns[1] = channels.a.tolist()
+    doc = dict(zip(("family", "w", "a", "b"), [family, *columns]))
+    if terms is not None:
         doc["terms"] = dict(zip(("w", "c", "d", "count"), (t.tolist() for t in terms)))
     return doc
+
+
+def _one_value(values):
+    """``values`` as one float when it has more than one entry and all are
+    the same float, bit for bit; else as a list."""
+    values = np.asarray(values, dtype=float)
+    bits = values.view(np.uint64)
+    if len(bits) > 1 and (bits == bits[0]).all():
+        return float(values[0])
+    return values.tolist()
 
 
 def _upper_out(upper):
@@ -385,11 +443,11 @@ def instance_to_dict(problem) -> dict:
     else:
         doc["budget"] = problem.budget
     if any(x != 0.0 for x in problem.lower_bounds):
-        doc["lower_bounds"] = list(problem.lower_bounds)
+        doc["lower_bounds"] = _one_value(problem.lower_bounds)
     if isinstance(problem, (BoxProblem, AscendingProblem)):
         upper = _upper_out(problem.upper_bounds)
         if upper is not None:
-            doc["upper_bounds"] = upper
+            doc["upper_bounds"] = upper if None in upper else _one_value(upper)
     return doc
 
 

@@ -730,10 +730,11 @@ class Channels:
         return bank
 
     def _set_bank(self, w, a, b, single: type | None, codes, terms=None, custom=None) -> None:
-        """Hold w, a, b, the sum families' flat ``terms`` and the ``custom``
-        objects in ``(family, index, args)`` groups, one per closed-form family
-        present, one for the sum families and one for the objects; ``codes``
-        gives each channel's family when ``single`` is None."""
+        """Hold w, a, b, the sum families' flat ``terms`` (None without a sum
+        channel) and the ``custom`` objects in ``(family, index, args)``
+        groups, one per closed-form family present, one for the sum families
+        and one for the objects; ``codes`` gives each channel's family when
+        ``single`` is None."""
         self.w, self.a, self.b, self._codes, self._terms = w, a, b, None, terms
         present = [(single, None)]
         if single is None:
@@ -756,6 +757,8 @@ class Channels:
             a, b = (a, b) if idx is None else (a[idx], b[idx])
             self._groups.append((_SumFamily, idx, (_Ragged(
                 tw, np.repeat(a, n) * tc, np.repeat(b, n) * td, n, int(n[:logs].sum())),)))
+        else:  # no sum channel, such as after take: no terms to hold
+            self._terms = None
         if objects:
             self._groups.append((Objective, objects[1], (custom,)))
 

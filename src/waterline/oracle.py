@@ -402,7 +402,9 @@ def _ascending_report(problem: AscendingProblem, powers,
     caps = np.array(problem.prefix_budgets)
     slack = caps - np.cumsum(powers)
     tight = slack <= tolerance * caps[-1]
-    stops = np.union1d(np.flatnonzero(tight) + 1, problem.n)
+    stops = np.flatnonzero(tight) + 1  # sorted and unique
+    if not tight[-1]:
+        stops = np.append(stops, problem.n)
     rates = _rate_conditions(problem.channels, powers, gamma, tau,
                              np.append(0, stops[:-1]))
     residuals = rates.residuals()

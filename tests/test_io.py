@@ -382,6 +382,15 @@ def _columnar(doc):
     return dict(doc, objectives=columns)
 
 
+def _collapsed(columns):
+    """A hand-made columnar block with each of ``w``, ``a`` and ``b`` that
+    repeats one value written as that value (``a`` kept a list when all three
+    would be), as the writer writes it."""
+    same = [key for key in "wab" if len(columns[key]) > 1 and len(set(columns[key])) == 1]
+    return dict(columns, **{key: columns[key][0] for key in same
+                            if len(same) < 3 or key != "a"})
+
+
 def _bits(values):
     return None if values is None else np.array(values, dtype=float).tobytes()
 
@@ -398,9 +407,7 @@ def _assert_identical(clone, problem):
         assert ours._codes.tobytes() == theirs._codes.tobytes()
     for name in "wab":
         assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
-    # A bank whose sum channels were taken away may keep empty terms.
-    ours, theirs = ((None if c._terms is None or not c._terms[3].any() else c._terms)
-                    for c in (ours, theirs))
+    ours, theirs = ours._terms, theirs._terms
     assert (ours is None) == (theirs is None)
     for mine, other in zip(ours or (), theirs or ()):
         assert mine.dtype == other.dtype and mine.tobytes() == other.tobytes()
@@ -478,8 +485,10 @@ def test_records_and_their_columns_load_identically(doc):
     problem = instance_from_dict(doc)
     columns = _columnar(doc)
     _assert_identical(instance_from_dict(columns), problem)
+    collapsed = dict(columns, objectives=_collapsed(columns["objectives"]))
+    _assert_identical(instance_from_dict(collapsed), problem)
     assert instance_to_dict(problem)["objectives"] == \
-        json.loads(json.dumps(columns["objectives"]))
+        json.loads(json.dumps(collapsed["objectives"]))
 
 
 def test_custom_objective_is_not_serializable():
@@ -581,3 +590,139 @@ def test_int_beyond_the_float_range_named(field, path):
     with pytest.raises(SchemaError) as err:
         instance_from_dict(doc)
     assert str(err.value) == f"{field}: number outside the float range"
+
+
+def test_taking_no_sum_channel_drops_the_terms():
+    taken = Channels(_FIVE).take([4, 1, 3])
+    assert taken._terms is None
+    assert taken.demand(0.5).tolist() == \
+        Channels([_FIVE[i] for i in (4, 1, 3)]).demand(0.5).tolist()
+    none = Channels(_FIVE[:1]).take([])  # a sum family's bank keeps its (empty) terms
+    assert none._terms is not None and none.rate(np.array([])).size == 0
+
+
+# A column or flat bound field that repeats one value is written as that number.
+
+def test_generated_scenario_writes_repeats_as_numbers(tmp_path):
+    result = CliRunner().invoke(main, ["generate", "--subcarriers", "256", "--gamma", "0.4",
+                                       "--tau", "1.6", "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    path = tmp_path / "instance_0000.json"
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    assert len(text.encode()) <= 28_000
+    columns = doc["objectives"]
+    assert [type(x) for x in (columns["w"], columns["b"], doc["lower_bounds"],
+                              doc["upper_bounds"])] == [float] * 4
+    assert type(columns["a"]) is list and len(columns["a"]) == 1024
+    lists = dict(doc, objectives=dict(columns, w=[columns["w"]] * 1024,
+                                      b=[columns["b"]] * 1024),
+                 lower_bounds=[doc["lower_bounds"]] * 1024,
+                 upper_bounds=[doc["upper_bounds"]] * 1024)
+    clone = load_instance(str(path))
+    _assert_identical(clone, instance_from_dict(lists))
+    _assert_identical(clone, build_instance(ScenarioSpec(subcarriers=256, gamma=0.4, tau=1.6), 0))
+
+
+@pytest.mark.parametrize("make,numbers", [
+    (lambda: SimplexProblem(Channels.from_arrays(
+        ["log_capacity", "inverse_mse", "af_relay"], [1.0] * 3, [0.3, 0.5, 0.7],
+        [1.0, 2.0, 1.0]), 3.0), {"w"}),
+    (lambda: BoxProblem([SumLog([1.0, 0.5], 1.0, 1.0, [1.0, 2.0], [1.0, 0.5]),
+                         SumInverseMse([1.0, 2.0], 0.8, 1.5, [1.0, 0.5], [0.7, 1.0])],
+                        3.0, [0.5, 0.5], [2.0, 2.0]), {"w", "lower_bounds", "upper_bounds"}),
+    (lambda: AscendingProblem(Channels.from_arrays("log_capacity", [2.0] * 3, [1.5] * 3,
+                                                   [0.5] * 3), [1.0, 2.0, 3.0], [0.25] * 3,
+                              [1.0, None, 1.0]), {"w", "b", "lower_bounds"}),
+    (lambda: BoxProblem(Channels.from_arrays("inverse_mse", [1.0, 2.0], [0.5, 0.5],
+                                             [0.0, -0.0]), 2.0, None, [1.5, 1.5]),
+     {"a", "upper_bounds"}),
+    (lambda: BoxProblem([LogCapacity(1.0, 2.0, 1.0)], 1.0, [0.5], [1.0]), set()),
+], ids=["mixed_families", "sum_only", "all_three_repeat", "signed_zeros", "one_channel"])
+def test_a_repeated_value_is_written_once(tmp_path, make, numbers):
+    problem = make()
+    path = tmp_path / "instance.json"
+    save_instance(problem, str(path))
+    text = path.read_text()
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    fields = dict(doc["objectives"], **doc)
+    assert {key for key in ("w", "a", "b", "lower_bounds", "upper_bounds")
+            if type(fields.get(key)) is float} == numbers
+    if "terms" in doc["objectives"]:
+        assert doc["objectives"]["w"] == 0.0  # the sum channels' placeholders
+    clone = load_instance(str(path))
+    _assert_identical(clone, problem)
+    assert instance_to_dict(clone) == doc
+
+
+def _numbers_doc():
+    return {"problem_class": "box", "budget": 4.0,
+            "objectives": {"family": "log_capacity", "w": 1.0, "a": [1.0, 0.5, 2.0, 0.25],
+                           "b": 1.0},
+            "lower_bounds": 0.25, "upper_bounds": 2.0}
+
+
+def _edit(**fields):
+    def edit(doc):
+        for key, value in fields.items():
+            target = doc["objectives"] if key in ("family", "w", "a", "b", "terms") else doc
+            if value is _DELETE:
+                del target[key]
+            else:
+                target[key] = value
+        return doc
+    return edit
+
+
+# Each edit leaves one fault in a document whose columns and bounds are
+# numbers; a number's fault is named by its field alone.
+@pytest.mark.parametrize("edit,field,message", [
+    (_edit(b=-1.0), "objectives.b", "parameter b must be finite and nonnegative, got -1.0"),
+    (_edit(w="1.0"), "objectives.w", "expected a number"),
+    (_edit(b=10 ** 400), "objectives.b", "number outside the float range"),
+    (_edit(w=float("nan")), "objectives.w", "parameter w must be finite and positive, got nan"),
+    (_edit(family="af_relay", a=1.5, w=[1.0, 2.0]), "objectives.a",
+     r"af_relay requires 0 < a < 1, got 1\.5"),
+    (_edit(a=0.5), "objectives",
+     "w, a and b are all numbers: one of them must be an array, one entry per channel"),
+    (_edit(b=[1.0, 1.0, 1.0]), "objectives.b[3]", "length 3, but objectives.a has length 4"),
+    (_edit(family=["sum_log"] * 4, terms={"w": [1.0] * 4, "c": [1.0] * 4, "d": [1.0] * 4,
+                                          "count": [1] * 4}),
+     "objectives.w", r"a sum channel's entry must be the placeholder 0 \(its weights are "
+     r"in terms.w\), got 1\.0"),
+    (_edit(problem_class="p1", upper_bounds=_DELETE), "lower_bounds",
+     "class p1 requires zero lower bounds"),
+    (_edit(upper_bounds=0.125), "upper_bounds", "0.125 is below the lower bound 0.25"),
+    (_edit(lower_bounds=_DELETE, upper_bounds=-1.0), "upper_bounds",
+     r"-1\.0 is below the lower bound 0\.0"),
+    (_edit(upper_bounds=float("nan")), "upper_bounds", "expected a number or null, got NaN"),
+    (_edit(lower_bounds=-0.5), "lower_bounds",
+     r"expected a finite, nonnegative number, got -0\.5"),
+    (_edit(lower_bounds=float("inf")), "lower_bounds",
+     "expected a finite, nonnegative number, got inf"),
+    (_edit(upper_bounds=True), "upper_bounds", "expected a number"),
+    (_edit(lower_bounds="0.25"), "lower_bounds", "expected a number"),
+], ids=["negative_b", "string_w", "huge_int_b", "nan_w", "af_relay_a", "all_numbers",
+        "short_b_after_a", "sum_w_placeholder", "p1_lower", "upper_below_lower",
+        "negative_upper", "nan_upper", "negative_lower", "infinite_lower", "bool_upper",
+        "string_lower"])
+def test_a_number_fault_is_named_without_an_index(tmp_path, edit, field, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(_numbers_doc())))
+    with pytest.raises(SchemaError) as err:
+        load_instance(str(path))
+    assert err.value.field == field
+    assert re.fullmatch(re.escape(f"{field}: ") + message, str(err.value))
+    result = CliRunner().invoke(main, ["solve", str(path)])
+    assert result.exit_code == 1
+    assert result.output == f"error: {err.value}\n"
+
+
+def test_numbers_doc_solves():
+    problem = instance_from_dict(_numbers_doc())
+    assert problem.channels.w.tolist() == [1.0] * 4
+    assert (problem.lower_bounds, problem.upper_bounds) == ([0.25] * 4, [2.0] * 4)
+    assert solve_box(problem).status == "optimal"
+    assert instance_to_dict(problem) == _numbers_doc()

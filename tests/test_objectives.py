@@ -8,10 +8,10 @@ import pytest
 
 from waterline import (
     BOX_STRATEGIES, FAMILIES, AfRelay, AscendingProblem, BoxProblem, ClusterLogCapacity,
-    CustomObjective, DomainError, FairProblem, InverseMse, LogCapacity, NegativeDemand,
-    Objective, SimplexProblem, SolverConfig, SumInverseMse, SumLog, check_conditions, fair,
-    objective_from_params, solve_ascending, solve_box, solve_cluster, solve_maxmin,
-    solve_p1_lower)
+    CustomObjective, DomainError, FairProblem, InverseMse, InversionFailure, LogCapacity,
+    NegativeDemand, Objective, SimplexProblem, SolverConfig, SumInverseMse, SumLog,
+    check_conditions, fair, objective_from_params, solve_ascending, solve_box, solve_cluster,
+    solve_maxmin, solve_p1_lower)
 
 from waterline.objectives import Channels, ClusterChannels, _SumFamily
 
@@ -163,6 +163,33 @@ def test_custom_objective_numeric_inverse():
     assert obj.inverse_rate(obj.rate(4.0)) == pytest.approx(4.0, rel=1e-10)
     res = obj.inverse_rate(2.0)
     assert isinstance(res, NegativeDemand)
+
+
+def _reciprocal(floor: float = 0.0, calls: list | None = None) -> CustomObjective:
+    """Rate ``1/(1 + p) + floor``: Newton from p = 1 doubles p at each step."""
+    def rate(p):
+        if calls is not None:
+            calls.append(p)
+        return 1.0 / (1.0 + p) + floor
+    return CustomObjective(lambda p: math.log1p(p) + floor * p, rate,
+                           lambda p: -1.0 / (1.0 + p) ** 2)
+
+
+def test_numeric_inverse_grows_its_bracket_past_newton():
+    # Newton's 40 doublings stop near 2^41, short of the root near 1e15, so
+    # the bisection rescue grows its bracket before it bisects.
+    calls, mu = [], 1e-15
+    obj = _reciprocal(calls=calls)
+    p = obj.demand(mu)
+    assert max(calls) > 2.0 ** 45
+    assert abs(obj.rate(p) - mu) <= 1e-12 * mu
+
+
+def test_numeric_inverse_gives_up_past_the_bracket_cap():
+    # The rate stays above its floor, so the bracket never holds the root.
+    obj = _reciprocal(floor=1e-300)
+    with pytest.raises(InversionFailure, match=r"grew past 2\^60"):
+        obj.demand(1e-300)
 
 
 def test_eval_array_matches_scalar():

@@ -1,6 +1,9 @@
 """Cross-checks among the reference solvers."""
 
+import os
 import random
+import subprocess
+import sys
 import zlib
 
 import pytest
@@ -107,3 +110,23 @@ def test_grid_search_single_channel(tau, power):
     assert res.powers == [power]
     assert res.candidates == 1
     assert check_conditions(problem, res.powers).passed
+
+
+def test_ascending_check_leaves_numpy_ma_unimported():
+    # Residuals on criterion 5's generator: test_certificates.py compares
+    # them with the reference checker, on solved and perturbed powers.
+    script = """
+import sys
+from waterline import AscendingProblem, LogCapacity, check_conditions, solve_ascending
+problem = AscendingProblem([LogCapacity(1, 2, 1), LogCapacity(1, 0.5, 1)], [1.0, 3.0])
+powers = solve_ascending(problem).powers
+assert check_conditions(problem, powers).passed  # the last cap tight
+assert check_conditions(problem, [0.5, 0.5]).residuals["prefix_violation"] == 0.0
+assert "numpy.ma" not in sys.modules
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
