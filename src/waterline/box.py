@@ -16,9 +16,10 @@ Strategies (selected through ``SolverConfig.box_strategy``):
   its lower and its upper bound gives the level's segment and the level in
   closed form (:func:`~waterline.core._breakpoint_level`, the breakpoint
   search of Palomar & Fonollosa, IEEE TSP 2005); S problems on one bank (a
-  sweep's SNR points) share one demand pass.  Other families sort the
-  channels by the rate at their upper bound and binary-search the first
-  upper-bound set whose level spends the budget, then solve P1.1 on the rest.
+  sweep's SNR points) share the bank's terms and one demand pass.  Other
+  families sort the channels by the rate at their upper bound and
+  binary-search the first upper-bound set whose level spends the budget,
+  then solve P1.1 on the rest.
 
 Each strategy is a private array function ``(channels, gamma, tau, budget,
 cfg)``: set logic over index masks of a
@@ -41,7 +42,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    _breakpoint_level, _classify, _level_search, deactivation_loop, finish, water_fill)
+    _bank_terms, _breakpoint_level, _classify, _level_search, deactivation_loop, finish,
+    water_fill)
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .objectives import Channels
 from .problems import (
@@ -117,13 +119,15 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
 def _order_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
                 budget: np.ndarray, cfg: SolverConfig) -> list | None:
     """The order search on S rows (bounds (S, K), budgets (S,)) over a log/inverse
-    bank, None for any other set: each row's :func:`~waterline.core._breakpoint_level`
-    (an (S, 2K) table of the points costs more in fresh memory pages), then
-    one ``demand`` pass at every level, clipped into the boxes."""
-    searches = [_breakpoint_level(channels, g, p, t, cfg)
-                for g, t, p in zip(gamma, tau, budget.tolist())]
-    if None in searches:
+    bank, None for any other set: the bank's :func:`~waterline.core._bank_terms`
+    once, then each row's :func:`~waterline.core._breakpoint_level` on them (an
+    (S, 2K) table of the points costs more in fresh memory pages), then one
+    ``demand`` pass at every level, clipped into the boxes."""
+    terms = _bank_terms(channels, upper=True)
+    if terms is None:
         return None
+    searches = [_breakpoint_level(terms, g, p, t, cfg)
+                for g, t, p in zip(gamma, tau, budget.tolist())]
     mus = [search[0] for search in searches]
     rows = [i for i, mu in enumerate(mus) if mu is not None]
     powers = np.where([search[2] for search in searches], tau, gamma)
@@ -196,7 +200,8 @@ def box_fill_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
     unchecked.  One ``(powers, mu, iterations, status, water_levels)`` per
     row, the tuple :func:`solve_box` finishes.  On a ``log_capacity``/
     ``inverse_mse`` bank the ``order`` search runs at once on every row that
-    does not fit all its upper bounds; otherwise each row is solved alone."""
+    does not fit all its upper bounds (:func:`_order_rows`: the bank's terms
+    built once, then one sort per row); otherwise each row is solved alone."""
     # A row sum adds as the 1-D sum of _fill's test does.
     full = np.isfinite(tau).all(axis=1) & (tau.sum(axis=1) <= budget)
     search = _order_rows(channels, gamma[~full], tau[~full], budget[~full], cfg) \

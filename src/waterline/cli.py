@@ -278,6 +278,16 @@ def cmd_sweep(antennas, taps, decay, subcarriers, snr_list, gamma, tau,
         except ValueError as exc:
             _fail(1, str(exc))
     budgets = np.array([spec.budget for spec in specs])
+    # The bounds depend only on the SNR points, gamma, tau and the channel
+    # count: one (S, K) row each serves every realization.
+    k = subcarriers * antennas
+    lower, upper = map(np.array, zip(*(instance_bounds(s, k) for s in specs)))
+    # BoxProblem's bound checks as arrays; a row that fails one, or lies near
+    # the budget limit, is solved alone below.
+    rows = ((np.isfinite(lower) & (lower >= 0) & (upper >= lower)).all(axis=1)
+            & (lower.sum(axis=1) <= (1.0 - 1e-9) * budgets)).nonzero()[0]
+    row_bounds = lower[rows], upper[rows], budgets[rows]
+    row_of = {i: j for j, i in enumerate(rows.tolist())}  # SNR point -> batch row
     # Per SNR point: summed mean MSE, solves, solves with a bound hit, errors.
     mse, solved, hits, errors = ([0] * len(snrs) for _ in range(4))
     dump_doc = None
@@ -288,16 +298,11 @@ def cmd_sweep(antennas, taps, decay, subcarriers, snr_list, gamma, tau,
         batch = {}
         try:
             bank = instance_channels(specs[0], gains)
-            lower, upper = map(np.array, zip(*(instance_bounds(s, len(bank)) for s in specs)))
-            # BoxProblem's bound checks as arrays; a row that fails one, or
-            # lies near the budget limit, is solved alone below.
-            rows = ((np.isfinite(lower) & (lower >= 0) & (upper >= lower)).all(axis=1)
-                    & (lower.sum(axis=1) <= (1.0 - 1e-9) * budgets)).nonzero()[0]
-            fills = box_fill_rows(bank, lower[rows], upper[rows], budgets[rows], cfg)
-            powers = np.array([fill[0] for fill in fills]).reshape(len(rows), len(bank))
+            fills = box_fill_rows(bank, *row_bounds, cfg)
+            powers = np.array([fill[0] for fill in fills]).reshape(len(rows), k)
             values = bank.eval(powers).sum(axis=1).tolist()
-            active = _classify(powers, lower[rows], upper[rows])[3]
-            batch = {i: j for j, i in enumerate(rows.tolist())}
+            active = _classify(powers, *row_bounds[:2])[3]
+            batch = row_of
         except WaterlineError:
             pass
         for i, spec in enumerate(specs):

@@ -10,8 +10,12 @@ and picks its path from the channels' families:
   of the points where the demands reach their bounds, and running sums of
   q, u and the offsets, give the clamped total at every point; the level is
   the positive root of a quadratic in x on the segment that spends the
-  budget (:func:`_breakpoint_level`, which the box strategy ``order``
-  shares with upper bounds).  O(K log K), one pass.
+  budget.  The bank's terms, which no bound or budget changes, are built
+  once (:func:`_bank_terms`); each row of bounds then runs the search on
+  them (:func:`_breakpoint_level`, which the box strategy ``order`` shares
+  with upper bounds, one bank's terms for a batch of rows, and whose points
+  :func:`_bank_points` gives the fair tables and the ascending blocks).
+  O(K log K), one pass per row.
 * Every other family (``af_relay``, ``sum_log``, ``sum_inverse_mse``,
   custom, and banks mixing them) keeps the deactivation loop.  It initializes
   every subchannel as active, solves the common-rate equation on the active
@@ -33,7 +37,7 @@ they have already checked; :func:`finish` builds the public
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,51 +50,73 @@ _TERM_FAMILIES = frozenset((LogCapacity, InverseMse))  # with demand terms: sort
 
 
 def _term_mask(channels: Channels) -> np.ndarray:
-    """Per channel, whether its group's family is one of :func:`_demand_terms`'."""
+    """Per channel, whether its group's family is one of :func:`_family_terms`'."""
     mask = np.zeros(len(channels), dtype=bool)
     for cls, idx, _ in channels._groups:
         mask[slice(None) if idx is None else idx] = cls in _TERM_FAMILIES
     return mask
 
 
-def _demand_terms(channels: Channels, c: np.ndarray | None = None):
-    """``(q, u, x)`` for a bank of ``log_capacity`` and ``inverse_mse``
+def _family_terms(channels: Channels):
+    """``(q, u, root)`` for a bank of ``log_capacity`` and ``inverse_mse``
     channels, mixed or not; None for any other set.
 
     At x = 1/sqrt(mu) channel i demands q_i*x**2 + u_i*x - b_i/a_i: q = w,
     u = 0 for ``log_capacity`` and q = 0, u = sqrt(w/a) for ``inverse_mse``.
-    ``q`` (``u``) is None when no channel is of that family.  Given ``c``,
-    each channel's lower bound plus b/a, ``x`` holds the join points, where
-    the demands reach the lower bounds: sqrt(c/q) or c/u, taken per family
-    (the unified root 2c/(u + sqrt(u**2 + 4qc)) is 0/0 at c = 0).
+    ``q`` (``u``) is None when no channel is of that family; ``root``, None
+    unless the bank is mixed, indexes its ``log_capacity`` channels.
     """
     groups = channels._groups
     if not groups or not {g[0] for g in groups} <= _TERM_FAMILIES:
         return None
-    k = len(channels)
+    k, root = len(channels), None
     terms = {LogCapacity: None, InverseMse: None}
-    x = None if c is None or len(groups) == 1 else np.empty(k)
     for cls, idx, (w, a, _) in groups:
-        log = cls is LogCapacity
-        v = w if log else np.sqrt(w / a)
-        if c is not None:
-            join = (c if idx is None else c[idx]) / v
-            if log:
-                np.sqrt(join, out=join)
-            if idx is None:
-                x = join
-            else:
-                x[idx] = join
+        v = w if cls is LogCapacity else np.sqrt(w / a)
         if idx is None:
             terms[cls] = v
         else:  # zero on the other family's channels
             terms[cls] = np.zeros(k)
             terms[cls][idx] = v
-    return terms[LogCapacity], terms[InverseMse], x
+            root = idx if cls is LogCapacity else root
+    return terms[LogCapacity], terms[InverseMse], root
+
+
+class _Terms(NamedTuple):
+    """What the breakpoint search reads of a ``log_capacity``/``inverse_mse``
+    bank, mixed or not, and no bound or budget changes: :func:`_bank_terms`
+    builds it once per bank, and each row's :func:`_points` and
+    :func:`_breakpoint_level` read it."""
+
+    q: np.ndarray | None       # q, u and root as _family_terms gives them
+    u: np.ndarray | None
+    root: np.ndarray | None
+    offset: np.ndarray         # b/a
+    divisor: np.ndarray        # w or sqrt(w/a), per channel
+    # (q, u) over the 2K points of a search with upper bounds, joins then
+    # saturations, signed: a saturation takes its channel's term away.
+    signed: tuple | None
+
+
+def _bank_terms(channels: Channels, upper: bool = False) -> _Terms | None:
+    """The :class:`_Terms` of a ``log_capacity``/``inverse_mse`` bank, mixed
+    or not, with the ``signed`` terms for searches with upper bounds when
+    ``upper``; None for any other set."""
+    terms = _family_terms(channels)
+    if terms is None:
+        return None
+    q, u, _ = terms
+    with np.errstate(over="ignore"):  # past the float range: the solvers raise
+        offset = channels.b / channels.a
+    # q and u are 0 on the other family's channels: q + u adds exact zeros.
+    divisor = u if q is None else q if u is None else q + u
+    signed = tuple(None if v is None else np.concatenate((v, -v)) for v in (q, u)) \
+        if upper else None
+    return _Terms(*terms, offset, divisor, signed)
 
 
 def _quadratic_level(q_sum, u_sum, total):
-    """The level mu at which channels whose terms (:func:`_demand_terms`) sum
+    """The level mu at which channels whose terms (:func:`_family_terms`) sum
     to Q = ``q_sum`` and U = ``u_sum`` demand ``total`` plus their offsets:
     the positive root s = sqrt(mu) of total*s**2 - U*s - Q, in a form that
     does not cancel, squared as (Q + U*s)/total; with Q = 0, as s*s.  So a
@@ -107,20 +133,29 @@ def _quadratic_level(q_sum, u_sum, total):
 
 def _bank_points(channels: Channels, gamma: np.ndarray, tau: np.ndarray | None = None):
     """``(q, u, offset, c, x, order)`` of a ``log_capacity``/``inverse_mse``
-    bank (None for any other set): :func:`_demand_terms`' terms, b/a, the
-    bounds plus b/a, the points x where the channels join (demand ``gamma``)
-    then, given ``tau``, saturate, and their sorting order, stable without
-    ``tau`` for P1.1's equal joins."""
-    with np.errstate(over="ignore"):  # past the float range: the solvers raise
-        k, offset = len(gamma), channels.b / channels.a
-    c = gamma + offset if tau is None else np.concatenate((gamma + offset, tau + offset))
-    terms = _demand_terms(channels, c[:k])
+    bank (None for any other set): its :func:`_bank_terms`' q, u and b/a,
+    then :func:`_points` of the bounds."""
+    terms = _bank_terms(channels)
     if terms is None:
         return None
-    q, u, x = terms
-    if tau is not None:
-        x = np.concatenate((x, _demand_terms(channels, c[k:])[2]))
-    return q, u, offset, c, x, np.argsort(x, kind="stable" if tau is None else "quicksort")
+    return (terms.q, terms.u, terms.offset, *_points(terms, gamma, tau))
+
+
+def _points(terms: _Terms, gamma: np.ndarray, tau: np.ndarray | None = None):
+    """``(c, x, order)`` of one row of bounds on a bank of ``terms``: the
+    bounds plus b/a, the points x where the channels join (demand ``gamma``)
+    then, given ``tau``, saturate, and their sorting order, stable without
+    ``tau`` for P1.1's equal joins.  A join point is sqrt(c/q) or c/u, taken
+    per family (the unified root 2c/(u + sqrt(u**2 + 4qc)) is 0/0 at c = 0)."""
+    offset = terms.offset
+    c = gamma + offset if tau is None else np.concatenate((gamma + offset, tau + offset))
+    x = c / terms.divisor if tau is None else (c.reshape(2, -1) / terms.divisor).ravel()
+    if terms.u is None:
+        np.sqrt(x, out=x)
+    elif terms.root is not None:  # a mixed bank: the joins, then any saturations
+        for points in (x,) if tau is None else x.reshape(2, -1):
+            points[terms.root] = np.sqrt(points[terms.root])
+    return c, x, x.argsort(kind="stable" if tau is None else "quicksort")
 
 
 def _closed_form_mu(channels: Channels, budget: float) -> float | None:
@@ -128,7 +163,7 @@ def _closed_form_mu(channels: Channels, budget: float) -> float | None:
     mixed or not (None for any other set): at x = 1/sqrt(mu) the demands sum
     to Q*x**2 + U*x - sum(b/a), so the level is :func:`_quadratic_level` of
     the summed terms and the budget plus the offsets."""
-    terms = _demand_terms(channels)
+    terms = _family_terms(channels)
     if terms is None:
         return None
     q_sum, u_sum = (0.0 if v is None else float(v.sum()) for v in terms[:2])
@@ -272,13 +307,14 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
     the final water level (None exactly when ``status`` is ``"feasible"``,
     the lower bounds using up the budget) and the level of every round.
     A bank of ``log_capacity`` and ``inverse_mse`` channels, mixed or not,
-    takes :func:`_breakpoint_level` with no upper bounds, a single round
-    with one ``demand`` call; every other set the deactivation loop.
+    takes :func:`_breakpoint_level` on its :func:`_bank_terms` with no upper
+    bounds, a single round with one ``demand`` call; every other set the
+    deactivation loop.
     """
-    search = _breakpoint_level(channels, gamma, budget, None, cfg)
-    if search is None:
+    terms = _bank_terms(channels)
+    if terms is None:
         return deactivation_loop(channels, gamma, budget, cfg)
-    mu, active, _ = search
+    mu, active, _ = _breakpoint_level(terms, gamma, budget, None, cfg)
     if mu is None:
         return gamma.copy(), None, [], "feasible"
     powers = gamma.copy()
@@ -286,40 +322,40 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
     return powers, mu, [mu], "optimal"
 
 
-def _breakpoint_level(channels: Channels, gamma: np.ndarray, budget: float,
+def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,
                       tau: np.ndarray | None = None, cfg: SolverConfig = _DEFAULT_CFG):
-    """The water level of one problem on a ``log_capacity``/``inverse_mse``
-    bank, mixed or not (None for any other set); inputs unchecked, ``tau``
-    None for P1.1.  Returns ``(mu, active, upper)``: the level (None with no
-    interior channel) and the masks of the interior channels and of those at
-    tau (None for P1.1).  Running sums of q, u and the bounds plus b/a over
-    the sorted :func:`_bank_points` give the clamped total at each; the first
-    over the budget ends the level's segment, and the level is
-    :func:`_quadratic_level` of the sums over the segment's interior
-    channels, free of the running sums' rounding."""
-    bank = _bank_points(channels, gamma, tau)
-    if bank is None:
-        return None
+    """The water level of one problem (one row of bounds and its budget) on
+    a ``log_capacity``/``inverse_mse`` bank, mixed or not, given the bank's
+    :func:`_bank_terms` (built with ``upper`` for a ``tau``); inputs
+    unchecked, ``tau`` None for P1.1.  Returns ``(mu, active, upper)``: the
+    level (None with no interior channel) and the masks of the interior
+    channels and of those at tau (None for P1.1).  Running sums of q, u and the bounds plus b/a over the row's sorted
+    :func:`_points` give the clamped total at each, a saturation adding its
+    channel's terms negated; the first over the budget ends the level's
+    segment, and the level is :func:`_quadratic_level` of the sums over the
+    segment's interior channels, free of the running sums' rounding.  Only
+    the points, their sort and the sums are the row's own work: a batch of
+    rows on one bank (``box._order_rows``) shares its terms."""
     floor = float(gamma.sum())
     if floor > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
-    k, spare, (q, u, offset, c, x, order) = len(gamma), budget - floor, bank
+    k, spare = len(gamma), budget - floor
     if spare <= cfg.power_tolerance * budget:
         return None, np.zeros(k, dtype=bool), None if tau is None else np.zeros(k, dtype=bool)
-    qe, ue = q, u
+    c, x, order = _points(terms, gamma, tau)
+    q, u = (terms.q, terms.u) if tau is None else terms.signed
     if tau is not None:  # a saturation takes its channel's terms away
         np.negative(c[k:], out=c[k:])
-        qe, ue = (None if v is None else np.concatenate((v, -v)) for v in (q, u))
     xs = x[order]
     # The points of an infinite tau come last; each over-spends.
-    n = len(x) if tau is None else int(np.searchsorted(xs, np.inf))
+    n = len(x) if tau is None else int(xs.searchsorted(np.inf))
     before = order[:n - 1]
     # The total above the lower bounds at each finite point after the first.
     excess = -c[before].cumsum()
-    if qe is not None:
-        excess += qe[before].cumsum() * (xs[1:n] * xs[1:n])
-    if ue is not None:
-        excess += ue[before].cumsum() * xs[1:n]
+    if q is not None:
+        excess += q[before].cumsum() * (xs[1:n] * xs[1:n])
+    if u is not None:
+        excess += u[before].cumsum() * xs[1:n]
     over = (excess >= spare).nonzero()[0]
     # The points before the first over-spending one have passed; all of them,
     # every channel at a bound, when only rounding puts sum(tau) over budget.
@@ -330,10 +366,10 @@ def _breakpoint_level(channels: Channels, gamma: np.ndarray, budget: float,
     if not active.any():
         return None, active, upper
     pinned = gamma[~joined].sum() + (0.0 if tau is None else tau[upper].sum())
-    q_sum = 0.0 if q is None else float(q[active].sum())
-    u_sum = 0.0 if u is None else float(u[active].sum())
-    mu = _quadratic_level(q_sum, u_sum, float((budget - float(pinned)) + offset[active].sum()))
-    return mu, active, upper
+    q_sum = 0.0 if terms.q is None else float(terms.q[active].sum())
+    u_sum = 0.0 if terms.u is None else float(terms.u[active].sum())
+    total = float((budget - float(pinned)) + terms.offset[active].sum())
+    return _quadratic_level(q_sum, u_sum, total), active, upper
 
 
 def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,

@@ -296,8 +296,10 @@ def _flat_objectives(value):
 def _flat_bounds(doc: dict, n: int) -> tuple:
     """A flat problem's ``(lower_bounds, upper_bounds)``, each None when
     absent, a list of one per channel (null: no upper bound), or one number
-    for every channel, given as ``n`` of it.  A number's faults are named
-    here, without an index; a list's are the problem's checks."""
+    for every channel, given as ``n`` of it.  A fault is named here: a
+    number's by its field alone, a list's by its field and the index of the
+    first channel at fault (``upper_bounds[1]``), in the words of the
+    problem's checks.  A list of the wrong length is left to those checks."""
     lower, upper = doc.get("lower_bounds"), doc.get("upper_bounds")
     if lower is not None:
         lower = _column_or_number(lower, "lower_bounds", _number_list)
@@ -306,13 +308,32 @@ def _flat_bounds(doc: dict, n: int) -> tuple:
                                   partial(_number_list, allow_null=True))
     if type(lower) is float and not 0.0 <= lower < math.inf:
         raise SchemaError("lower_bounds", f"expected a finite, nonnegative number, got {lower}")
-    if type(upper) is float:
+    if type(upper) is float and math.isnan(upper):
+        raise SchemaError("upper_bounds", "expected a number or null, got NaN")
+    if not (isinstance(lower, list) or isinstance(upper, list)):
         floor = lower if type(lower) is float else 0.0
-        if math.isnan(upper):
-            raise SchemaError("upper_bounds", "expected a number or null, got NaN")
-        if upper < floor:
+        if type(upper) is float and upper < floor:
             raise SchemaError("upper_bounds", f"{upper} is below the lower bound {floor}")
-    return tuple(np.full(n, x) if type(x) is float else x for x in (lower, upper))
+        return tuple(None if x is None else np.full(n, x) for x in (lower, upper))
+    lo = np.zeros(n) if lower is None else np.full(n, lower) if type(lower) is float else \
+        np.array(lower)
+    hi = None if upper is None else np.full(n, upper) if type(upper) is float else \
+        np.array([math.inf if x is None else x for x in upper])
+    if isinstance(lower, list) and lo.shape == (n,):
+        bad = ~np.isfinite(lo) | (lo < 0)
+        if bad.any():
+            raise SchemaError(f"lower_bounds[{bad.argmax()}]",
+                              "lower bounds must be finite and nonnegative")
+    if hi is not None and lo.shape == hi.shape == (n,):
+        bad = np.isnan(hi) | (hi < lo)
+        if bad.any():
+            i = int(bad.argmax())
+            if type(upper) is float:
+                raise SchemaError("upper_bounds", f"{upper} is below the lower bound {lo[i]}")
+            raise SchemaError(f"upper_bounds[{i}]", "upper bounds must be numbers or null, "
+                              "got NaN" if math.isnan(hi[i]) else
+                              f"upper bound {hi[i]} below lower bound {lo[i]}")
+    return (None if lower is None else lo), hi
 
 
 def instance_from_dict(doc: Any):

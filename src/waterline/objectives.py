@@ -131,11 +131,14 @@ class Objective(ABC):
                 slope = -max(rate_edge, 1.0)
             return edge + (mu - rate_edge) / slope
 
-        # Newton from the warm start; falls back to bracketed bisection.
+        # Newton from the warm start; falls back to bracketed bisection, also
+        # at a slope that is 0 or not finite (a rate flat to rounding).
         p = hint if hint is not None and hint > edge else edge + 1.0
         for _ in range(40):
             r = self.rate(p)
             s = self.rate_slope(p)
+            if s == 0 or not math.isfinite(s):
+                break
             step = (r - mu) / s
             p_new = p - step
             if p_new <= edge:

@@ -385,6 +385,31 @@ def test_order_on_a_log_inverse_bank_calls_no_water_fill(monkeypatch, families):
         assert check_conditions(problem, powers.tolist(), tolerance=1e-8).passed
 
 
+def test_row_search_builds_the_bank_terms_once_per_batch(monkeypatch):
+    """S rows on one mixed log/inverse bank read one set of bank terms: the
+    divisors, b/a and the signed terms are built once, not once per row, and
+    each row's powers are those of its own box_fill."""
+    rng = np.random.default_rng(29)
+    k, s = 48, 5
+    channels = Channels.from_arrays(["log_capacity", "inverse_mse"] * (k // 2),
+                                    *rng.uniform(0.5, 2.0, (3, k)))
+    gamma = rng.uniform(0.0, 0.05, (s, k))
+    tau = gamma + rng.uniform(0.1, 1.0, (s, k))
+    tau[2, ::4] = np.inf
+    budget = np.array([2.0, 4.0, 8.0, 16.0, 6.0])
+    calls = []
+
+    def counted(*args, _terms=box._bank_terms, **kwargs):
+        calls.append(1)
+        return _terms(*args, **kwargs)
+    monkeypatch.setattr(box, "_bank_terms", counted)
+    rows = box_fill_rows(channels, gamma, tau, budget)
+    assert len(calls) == 1
+    for i, (powers, *_) in enumerate(rows):
+        assert powers.tobytes() == box.box_fill(
+            channels, gamma[i], tau[i], float(budget[i]))[0].tobytes()
+
+
 def test_set_b_on_a_p1_warm_starts_like_solve_p1_lower(monkeypatch):
     """A P1 posed as a box with no upper bounds: ``set_b`` runs one
     deactivation loop, whose rounds warm-start each other, so it makes as

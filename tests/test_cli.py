@@ -410,6 +410,28 @@ def test_sweep_matches_a_solve_per_snr_and_realization(runner, tmp_path, gamma, 
     assert dump.read_bytes() == expected_dump
 
 
+def test_sweep_builds_the_bound_rows_once_per_snr_point(runner, tmp_path, monkeypatch):
+    """The bound rows depend only on the SNR points, gamma, tau and the
+    channel count: ``instance_bounds`` runs once per SNR point, not once per
+    (point, realization), and the bytes are the per-point reference's."""
+    import waterline.cli as cli
+
+    def counted(*args, _bounds=cli.instance_bounds):
+        calls.append(args[0].snr_db)
+        return _bounds(*args)
+    calls = []
+    monkeypatch.setattr(cli, "instance_bounds", counted)
+    out, dump = tmp_path / "sweep.csv", tmp_path / "dump.json"
+    result = runner.invoke(main, [
+        "sweep", "--snr-list", ",".join(map(str, _SNRS)), "--gamma", "0.3", "--tau", "1.7",
+        "--realizations", "3", "--seed", "7", "--out", str(out), "--dump", str(dump),
+        *(f"--{k}={v}" for k, v in _SMALL.items())])
+    assert result.exit_code == 0, result.output
+    assert calls == _SNRS
+    expected_csv, expected_dump = _sweep_reference(_SNRS, 0.3, 1.7, 3, 7, "order", **_SMALL)
+    assert (out.read_bytes(), dump.read_bytes()) == (expected_csv, expected_dump)
+
+
 @pytest.mark.parametrize("strategy", ["order", "set_a"])
 def test_sweep_rescues_a_failed_batch_with_a_solve_per_snr(runner, tmp_path, monkeypatch,
                                                            strategy):

@@ -13,7 +13,7 @@ from waterline import (
     check_conditions, enumerate_p1, kkt_residual_p1, solve_ascending,
     solve_box, solve_p1, solve_p1_lower, solve_water_level)
 from waterline.core import (
-    _breakpoint_level, _classify, _closed_form_mu, _level_search, deactivation_loop,
+    _bank_terms, _breakpoint_level, _classify, _closed_form_mu, _level_search, deactivation_loop,
     illinois_root, water_fill)
 from waterline.objectives import Channels, Objective
 
@@ -380,9 +380,9 @@ def test_water_level_without_budget_left_raises():
 
 
 @pytest.mark.parametrize("solve", [
-    _breakpoint_level,
-    lambda channels, gamma, budget: _breakpoint_level(channels, gamma, budget,
-                                                      tau=gamma + 1.0),
+    lambda channels, gamma, budget: _breakpoint_level(_bank_terms(channels), gamma, budget),
+    lambda channels, gamma, budget: _breakpoint_level(_bank_terms(channels, upper=True),
+                                                      gamma, budget, tau=gamma + 1.0),
     deactivation_loop,
 ], ids=["breakpoint_p1_lower", "breakpoint_box", "deactivation_loop"])
 def test_floor_over_budget_raises_when_called_directly(solve):

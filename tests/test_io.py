@@ -720,6 +720,33 @@ def test_a_number_fault_is_named_without_an_index(tmp_path, edit, field, message
     assert result.output == f"error: {err.value}\n"
 
 
+# A list bound's fault is named by its field and its first channel at fault,
+# in the problem checks' words; a number upper bound over a list of lower
+# bounds by its field alone.
+@pytest.mark.parametrize("bounds,field,message", [
+    ({"lower_bounds": [0.25, 0.5, 0.5, 0.5], "upper_bounds": [1.0, 0.1, 2.0, 0.2]},
+     "upper_bounds[1]", r"upper bound 0\.1 below lower bound 0\.5"),
+    ({"lower_bounds": [0.25, -0.5, 0.0, -1.0]}, "lower_bounds[1]",
+     "lower bounds must be finite and nonnegative"),
+    ({"lower_bounds": 0.5, "upper_bounds": [1.0, None, 0.25, 2.0]}, "upper_bounds[2]",
+     r"upper bound 0\.25 below lower bound 0\.5"),
+    ({"lower_bounds": [0.25, 0.5, 0.5, 3.0], "upper_bounds": 2.0}, "upper_bounds",
+     r"2\.0 is below the lower bound 3\.0"),
+], ids=["upper_below_lower", "negative_lower", "upper_below_number_lower",
+        "number_upper_below_lower"])
+def test_a_list_bound_fault_is_named_with_its_index(tmp_path, bounds, field, message):
+    path = tmp_path / "bad.json"
+    doc = {key: value for key, value in _numbers_doc().items() if "bounds" not in key}
+    path.write_text(json.dumps(dict(doc, **bounds)))
+    with pytest.raises(SchemaError) as err:
+        load_instance(str(path))
+    assert err.value.field == field
+    assert re.fullmatch(re.escape(f"{field}: ") + message, str(err.value))
+    result = CliRunner().invoke(main, ["solve", str(path)])
+    assert result.exit_code == 1
+    assert result.output == f"error: {err.value}\n"
+
+
 def test_numbers_doc_solves():
     problem = instance_from_dict(_numbers_doc())
     assert problem.channels.w.tolist() == [1.0] * 4

@@ -212,6 +212,38 @@ def test_non_bank_blocks_warm_start_every_demand_after_the_first(monkeypatch):
     assert check_conditions(problem, alloc, tolerance=1e-8).passed
 
 
+@pytest.mark.parametrize("excess", [1e-6, 1e-12], ids=["over_the_slack", "within_it"])
+def test_post_solve_prefix_check_refuses_an_over_spent_block(monkeypatch, excess):
+    # Each block's box solve spends ``excess`` more than its cap's room: past
+    # the check's 1e-9 relative slack, solve_ascending names the first cap
+    # exceeded, and the certificate refuses the same powers; within it, the
+    # solve returns and the certificate passes.
+    problem, expected = STAIRCASES[0]
+    box_fill = waterline.nested.box_fill
+    spent = []
+
+    def over_spent(*args, **kwargs):
+        powers, *rest = box_fill(*args, **kwargs)
+        powers = powers.copy()
+        powers[0] += excess
+        spent.extend(powers.tolist())
+        return (powers, *rest)
+    monkeypatch.setattr(waterline.nested, "box_fill", over_spent)
+    if excess > 1e-9:
+        with pytest.raises(InfeasibleBudget, match="prefix constraint through channel 1 "
+                                                   "violated after solve"):
+            solve_ascending(problem)
+        report = check_conditions(problem, spent, tolerance=1e-8)
+        assert report.residuals["prefix_violation"] == pytest.approx(2 * excess / 6.0)
+        assert not report.passed
+    else:
+        alloc = solve_ascending(problem)
+        assert alloc.powers == spent
+        assert check_conditions(problem, alloc, tolerance=1e-8).passed
+    assert spent == pytest.approx([expected[0] + excess, expected[1], expected[2] + excess],
+                                  abs=1e-12)
+
+
 def test_conditions_flag_a_level_that_rises():
     # Feasible, but 0.446 nats short: across the tight cap 0, channel 1's
     # rate 1.6 exceeds channel 0's 0.4, so power should move right.

@@ -192,6 +192,29 @@ def test_numeric_inverse_gives_up_past_the_bracket_cap():
         obj.demand(1e-300)
 
 
+@pytest.mark.parametrize("slope", [
+    None,                   # finite differences: 0.0 once the rate is flat to rounding
+    lambda p: 0.0,
+    lambda p: math.nan,
+    lambda p: -math.inf,
+], ids=["finite_difference", "zero", "nan", "infinite"])
+def test_numeric_inverse_hands_a_degenerate_slope_to_the_bisection(slope):
+    # The rate 0.5 + 1/(1 + p) falls to 0.5 only in the limit: Newton at
+    # mu = 0.5 meets a slope it cannot divide by, and the bisection rescue
+    # returns a power or gives up with InversionFailure, never a bare
+    # ZeroDivisionError.
+    obj = CustomObjective(lambda p: 0.5 * p + math.log1p(p),
+                          lambda p: 0.5 + 1.0 / (1.0 + p), slope)
+    try:
+        p = obj.demand(0.5)
+    except InversionFailure:
+        return
+    assert math.isfinite(p) and p > 0
+    assert obj.rate(p) == pytest.approx(0.5, rel=1e-12)
+    # Where the rate is not flat, the same objective still inverts.
+    assert obj.rate(obj.demand(0.6)) == pytest.approx(0.6, rel=1e-12)
+
+
 def test_eval_array_matches_scalar():
     rng = random.Random(6)
     for family in FLAT_FAMILIES:
