@@ -162,12 +162,20 @@ def _closed_form_mu(channels: Channels, budget: float) -> float | None:
     """Closed-form water level of a ``log_capacity``/``inverse_mse`` bank,
     mixed or not (None for any other set): at x = 1/sqrt(mu) the demands sum
     to Q*x**2 + U*x - sum(b/a), so the level is :func:`_quadratic_level` of
-    the summed terms and the budget plus the offsets."""
+    the summed terms and the budget plus the offsets.  A channel whose b/a
+    leaves the float range demands -inf at every level: it is left out of
+    the sums, and the deactivation loop pins it."""
     terms = _family_terms(channels)
     if terms is None:
         return None
-    q_sum, u_sum = (0.0 if v is None else float(v.sum()) for v in terms[:2])
-    return _quadratic_level(q_sum, u_sum, float(budget + (channels.b / channels.a).sum()))
+    with np.errstate(over="ignore"):
+        offset = channels.b / channels.a
+    terms, total = terms[:2], offset.sum()
+    if math.isinf(total):
+        keep = np.isfinite(offset)
+        terms, total = [None if v is None else v[keep] for v in terms], offset[keep].sum()
+    q_sum, u_sum = (0.0 if v is None else float(v.sum()) for v in terms)
+    return _quadratic_level(q_sum, u_sum, float(budget + total))
 
 
 def _water_level_and_powers(channels: Channels, budget: float,

@@ -6,10 +6,11 @@ staircase: blocks that end at binding caps, with a level that falls from
 block to block (Padakandla & Sundaresan, SIAM J. Optim. 2009).  A block's
 level is the least at which every later cap holds with the later demands
 clamped into their boxes, the root of the largest excess over those caps;
-the block ends at the last cap that binds there and is solved by the
-configured box strategy.  The level is exact on a ``log_capacity``/
-``inverse_mse`` bank (:func:`_block_levels`) and searched on other families.
-The result is the optimum, so ``status`` is always ``"optimal"``.
+the block ends at the last cap that binds there.  On a ``log_capacity``/
+``inverse_mse`` bank the level is exact (:func:`_block_levels`) and the
+block takes the bank's demands there, sliced and clamped into the boxes;
+other families search the level and solve the block by the configured box
+strategy.  The result is the optimum, so ``status`` is always ``"optimal"``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_left
 import numpy as np
 
 from .box import _rate_inside, box_fill
-from .core import _bank_points, _level_search, _quadratic_level, finish
+from .core import _bank_points, _classify, _level_search, _quadratic_level, finish
 from .errors import InfeasibleBudget
 from .objectives import Channels
 from .problems import Allocation, AscendingProblem, SolverConfig
@@ -66,9 +67,15 @@ def _block_levels(channels: Channels, gamma: np.ndarray, tau: np.ndarray):
     return level
 
 
+def _bank_block(clamped: np.ndarray, mu: float, gamma: np.ndarray, tau: np.ndarray):
+    """A bank block's ``(powers, level, iterations)``: its clamped demands at its
+    exact level, the level only if a channel is interior (as ``box_fill``), one pass."""
+    return clamped, mu if _classify(clamped, gamma, tau)[3].any() else None, 1
+
+
 def solve_ascending(problem: AscendingProblem,
                     cfg: SolverConfig = _DEFAULT_CFG) -> Allocation:
-    """One left-to-right pass of the rising water level."""
+    """One left-to-right pass of the rising level; a bank's blocks need no box solve."""
     k, channels = problem.n, problem.channels
     gamma = np.array(problem.lower_bounds, dtype=float)
     tau = np.array(problem.upper_bounds, dtype=float)
@@ -78,34 +85,37 @@ def solve_ascending(problem: AscendingProblem,
     iterations = splits = start = 0
     block_level = _block_levels(channels, gamma, tau)
     while True:
-        g, t, rest = gamma[start:], tau[start:], channels.take(np.arange(start, k))
+        g, t, suffix = gamma[start:], tau[start:], np.arange(start, k)
         room = caps[start:] - (caps[start - 1] if start else 0.0)
         if np.isfinite(t).all() and (np.cumsum(t) <= room).all():
             powers[start:] = t
             break
-        demand = None
+        rest, demand = None if block_level else channels.take(suffix), None
 
         def excess(mu: float) -> np.ndarray:
             nonlocal demand  # the last level's demands warm-start the next
-            demand = rest.demand(mu, demand)
+            demand = channels.demand(mu)[start:] if rest is None else rest.demand(mu, demand)
             return np.cumsum(np.minimum(np.maximum(demand, g), t)) - room
 
         # The largest excess over the caps falls as the level rises.  At the
         # largest rate at a lower bound every demand sits there: unless the
         # floors alone fill a cap (to rounding), the level lies below.
         if (np.cumsum(g) - room).max() >= 0:
-            mu = float(_rate_inside(rest, g).max())
+            mu = float(_rate_inside(channels.take(suffix) if rest is None else rest, g).max())
         else:
             mu = block_level(start, room) if block_level else _level_search(
                 lambda mu_val: float(excess(mu_val).max()), tol, 1e-4 * cfg.mu_tolerance,
                 float(_rate_inside(rest, g).max()))
         over = excess(mu)
         stop = start + int(np.flatnonzero(over >= over.max() - tol)[-1]) + 1
-        budget = room[stop - start - 1]
-        if budget - gamma[start:stop].sum() > cfg.power_tolerance * budget:
-            powers[start:stop], level, calls, _, _ = box_fill(
-                channels.take(np.arange(start, stop)), gamma[start:stop],
-                tau[start:stop], float(budget), cfg)
+        budget, block = room[stop - start - 1], (gamma[start:stop], tau[start:stop])
+        if budget - block[0].sum() > cfg.power_tolerance * budget:
+            if rest is None:
+                clamped = np.minimum(np.maximum(demand[:stop - start], block[0]), block[1])
+                powers[start:stop], level, calls = _bank_block(clamped, mu, *block)
+            else:
+                powers[start:stop], level, calls, _, _ = box_fill(
+                    channels.take(suffix[:stop - start]), *block, float(budget), cfg)
             iterations += calls
             water_levels += [] if level is None else [level]
         if stop == k:

@@ -243,7 +243,9 @@ class Allocation:
     evaluations, one clamped ``demand`` pass each, at least 1).  An
     ascending solve is always ``"optimal"``; ``splits`` counts its blocks
     after the first (each starts past a binding prefix cap), and
-    ``water_levels`` and ``iterations`` collect the blocks' box solves.
+    ``water_levels`` and ``iterations`` collect the blocks' box solves.  A
+    block on a ``log_capacity``/``inverse_mse`` bank runs none: it counts one
+    iteration, and lists its exact level when some channel is interior.
 
     Every flat record is built by :func:`waterline.core.finish`, whose sets
     classify the powers against the bounds as ``check_conditions`` does.

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 import zlib
 
 import numpy as np
@@ -33,6 +34,20 @@ def test_k3_example_matches_enumeration():
     oracle = enumerate_box(K3_EXAMPLE)
     assert oracle.powers == pytest.approx([1.0, 2.5, 2.5], abs=1e-9)
     assert oracle.certified
+
+
+@pytest.mark.parametrize("strategy", BOX_STRATEGIES)
+def test_channel_whose_offset_leaves_the_float_range_is_pinned(strategy):
+    # Channel 0's b/a overflows to inf: it demands -inf at every level, so
+    # the closed-form level leaves it out of its sums and every strategy pins
+    # it at 0, with no overflow warning, and spends the budget on channel 1.
+    problem = BoxProblem([LogCapacity(1, 1e-310, 1.0), LogCapacity(1, 1, 1)], 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
+    assert alloc.status == "optimal"
+    assert alloc.powers == [0.0, 2.0]
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
 
 
 @pytest.mark.parametrize("strategy", BOX_STRATEGIES)

@@ -15,7 +15,7 @@ from waterline import (
     solve_ascending, solve_box, BoxProblem)
 from waterline.objectives import Channels
 
-from conftest import CLOSED_FORM_FAMILIES, enumerate_tight_caps, random_ascending
+from conftest import CLOSED_FORM_FAMILIES, enumerate_tight_caps, make_objective, random_ascending
 
 # Two blocks each.  In the first, the strong middle channel pulls channel 0
 # into cap 1's block; in the second, caps 0 and 1 are equal.
@@ -112,8 +112,8 @@ def test_block_whose_tau_pins_spend_it_above_a_subnormal_floor(strategy):
 def test_mixed_bank_blocks_agree_across_strategies():
     # Alternating log_capacity and inverse_mse channels (one log channel with
     # b = 0) under tight caps, as the benchmark's ascending files draw them:
-    # every block is a mixed bank, solved by the sorted search (set_a,
-    # order), the closed-form level (set_b) or bisection.
+    # every block is a mixed bank and takes its clamped demands at its exact
+    # level, whatever the strategy.
     rng = np.random.default_rng(18)
     k = 24
     objectives = [(LogCapacity if i % 2 == 0 else InverseMse)(
@@ -214,21 +214,21 @@ def test_non_bank_blocks_warm_start_every_demand_after_the_first(monkeypatch):
 
 @pytest.mark.parametrize("excess", [1e-6, 1e-12], ids=["over_the_slack", "within_it"])
 def test_post_solve_prefix_check_refuses_an_over_spent_block(monkeypatch, excess):
-    # Each block's box solve spends ``excess`` more than its cap's room: past
-    # the check's 1e-9 relative slack, solve_ascending names the first cap
-    # exceeded, and the certificate refuses the same powers; within it, the
-    # solve returns and the certificate passes.
+    # Each block of this log_capacity bank spends ``excess`` more than its
+    # cap's room: past the check's 1e-9 relative slack, solve_ascending names
+    # the first cap exceeded, and the certificate refuses the same powers;
+    # within it, the solve returns and the certificate passes.
     problem, expected = STAIRCASES[0]
-    box_fill = waterline.nested.box_fill
+    bank_block = waterline.nested._bank_block
     spent = []
 
     def over_spent(*args, **kwargs):
-        powers, *rest = box_fill(*args, **kwargs)
+        powers, *rest = bank_block(*args, **kwargs)
         powers = powers.copy()
         powers[0] += excess
         spent.extend(powers.tolist())
         return (powers, *rest)
-    monkeypatch.setattr(waterline.nested, "box_fill", over_spent)
+    monkeypatch.setattr(waterline.nested, "_bank_block", over_spent)
     if excess > 1e-9:
         with pytest.raises(InfeasibleBudget, match="prefix constraint through channel 1 "
                                                    "violated after solve"):
@@ -242,6 +242,108 @@ def test_post_solve_prefix_check_refuses_an_over_spent_block(monkeypatch, excess
         assert check_conditions(problem, alloc, tolerance=1e-8).passed
     assert spent == pytest.approx([expected[0] + excess, expected[1], expected[2] + excess],
                                   abs=1e-12)
+
+
+def _files_ascending(rng, k=64):
+    """An ascending problem of the benchmark's file shape: alternating
+    log_capacity and inverse_mse channels under tight caps, no floors."""
+    objectives = [(LogCapacity if i % 2 == 0 else InverseMse)(
+        float(rng.uniform(0.5, 2.0)), 1e-3 + float(rng.exponential(1.0)), 1.0)
+        for i in range(k)]
+    return AscendingProblem(objectives, np.cumsum(rng.uniform(0.5, 1.5, k)).tolist(),
+                            None, rng.uniform(1.5, 4.0, k).tolist())
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to count its calls; returns the list of counts."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["log_capacity", "inverse_mse", "mixed"])
+def test_bank_staircase_runs_no_box_solve_and_at_most_one_take(family, monkeypatch):
+    # Every block of a bank takes its demands at its exact level: no box
+    # solve, and no per-block subset of the channels.
+    fills = _count_calls(monkeypatch, waterline.nested, "box_fill")
+    takes = _count_calls(monkeypatch, Channels, "take")
+    rng = random.Random(zlib.crc32(family.encode()))
+    solved = 0
+    for seed in range(20):
+        problem = _files_ascending(np.random.default_rng(seed), 16) if family == "mixed" \
+            else random_ascending(family, rng, 6)
+        del takes[:]
+        alloc = solve_ascending(problem, SolverConfig(box_strategy=BOX_STRATEGIES[seed % 4]))
+        assert len(takes) <= 1, (seed, len(takes))
+        solved += alloc.splits > 0
+    assert fills == []
+    assert solved >= 5
+
+
+@pytest.mark.parametrize("family", ["af_relay", "sum_log"])
+def test_non_bank_staircase_runs_one_box_solve_per_block(family, monkeypatch):
+    # With no bounds, no block rests at its floors or fits its upper bounds,
+    # so each of the splits + 1 blocks is one box solve.
+    fills = _count_calls(monkeypatch, waterline.nested, "box_fill")
+    rng = random.Random(zlib.crc32(family.encode()))
+    split = 0
+    for _ in range(10):
+        objectives = [make_objective(family, rng) for _ in range(5)]
+        caps = np.cumsum([rng.uniform(0.1, 1.0) for _ in range(5)]).tolist()
+        del fills[:]
+        alloc = solve_ascending(AscendingProblem(objectives, caps))
+        assert len(fills) == alloc.splits + 1
+        split += alloc.splits > 0
+    assert split >= 5
+
+
+def _blocks_match_their_box_solves(problem, alloc):
+    """Each block, cut at the caps the powers meet, holds the powers of its
+    own box solve under ``order`` within 1e-9 times the last cap."""
+    caps = np.array(problem.prefix_budgets)
+    gamma = np.array(problem.lower_bounds)
+    tau = np.array(problem.upper_bounds)
+    powers = np.array(alloc.powers)
+    ends = np.flatnonzero(np.cumsum(powers) >= caps - 1e-12 * caps[-1]) + 1
+    start = 0
+    for stop in sorted(set(ends.tolist()) | {problem.n}):
+        budget = caps[stop - 1] - (caps[start - 1] if start else 0.0)
+        expected = waterline.nested.box_fill(
+            problem.channels.take(np.arange(start, stop)), gamma[start:stop],
+            tau[start:stop], float(budget), SolverConfig(box_strategy="order"))[0]
+        gap = np.abs(powers[start:stop] - expected).max()
+        assert gap <= 1e-9 * caps[-1], (start, stop, gap)
+        start = stop
+
+
+def _bank_problems():
+    # Criterion 5's generator, its bank families, then the benchmark's shape.
+    rng = random.Random(5)
+    for i in range(500):
+        family = CLOSED_FORM_FAMILIES[i % len(CLOSED_FORM_FAMILIES)]
+        problem = random_ascending(family, rng, rng.randint(2, 6))
+        if family != "af_relay":
+            yield problem
+    for seed in range(50):
+        yield _files_ascending(np.random.default_rng([30, seed]))
+
+
+def test_bank_staircases_are_bit_identical_across_strategies():
+    splits = 0
+    for problem in _bank_problems():
+        allocs = [solve_ascending(problem, SolverConfig(box_strategy=s))
+                  for s in BOX_STRATEGIES]
+        for alloc in allocs:
+            assert alloc.powers == allocs[0].powers
+            assert alloc.status == "optimal"
+            assert check_conditions(problem, alloc, tolerance=1e-8).passed
+        _blocks_match_their_box_solves(problem, allocs[0])
+        splits += allocs[0].splits
+    assert splits > 500
 
 
 def test_conditions_flag_a_level_that_rises():
