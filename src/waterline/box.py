@@ -45,6 +45,7 @@ from .core import (
     _bank_terms, _breakpoint_level, _classify, _level_search, deactivation_loop, finish,
     water_fill)
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
+from .errors import BracketFailure
 from .objectives import Channels
 from .problems import (
     BOX_STRATEGIES, Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig)
@@ -94,7 +95,8 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
     from the largest rate at the lower bounds, each level's demands
     warm-starting the next; iterations count its evaluations.  A stop on
     bracket width that over-spends beyond the search's tolerance takes the
-    evaluation that under-spends least, which the bracket holds."""
+    evaluation that under-spends least, which the bracket holds; with none,
+    it raises :class:`~waterline.errors.BracketFailure`."""
     if budget - float(gamma.sum()) <= cfg.power_tolerance * budget:
         return gamma.copy(), None, 1, "optimal", []
     sigma = 1e-4 * cfg.power_tolerance * budget
@@ -111,6 +113,8 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
 
     _level_search(excess, sigma, 1e-4 * cfg.mu_tolerance,
                   float(_rate_inside(channels, gamma).max()))
+    if not last[2] <= sigma and under is None:  # also where the excess is NaN
+        raise BracketFailure("no water level spends at most the budget")
     powers, mu, gap = last if last[2] <= sigma else under
     return (powers, mu, evals,
             "optimal" if abs(gap) <= cfg.power_tolerance * budget else "feasible", [])

@@ -16,8 +16,10 @@ and picks its path from the channels' families:
   with upper bounds, one bank's terms for a batch of rows, and whose points
   :func:`_bank_points` gives the fair tables and the ascending blocks).
   O(K log K), one pass per row.
-* Every other family (``af_relay``, ``sum_log``, ``sum_inverse_mse``,
-  custom, and banks mixing them) keeps the deactivation loop.  It initializes
+* Every other set of the five flat families takes the paper's dynamic-rate
+  steps, each the breakpoint search on tangent demands (:func:`tangent_fill`).
+* A set holding a custom objective, whose rate need not be convex, keeps the
+  deactivation loop, as ``set_b`` does on every family.  It initializes
   every subchannel as active, solves the common-rate equation on the active
   set, and removes (pins at its lower bound) every channel whose
   unconstrained demand falls at or below that bound.  The loop shrinks the
@@ -47,6 +49,7 @@ from .problems import Allocation, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
 _TERM_FAMILIES = frozenset((LogCapacity, InverseMse))  # with demand terms: sorted, tabled
+_TANGENT_STEPS = 64  # past this, tangent_fill hands the set to the deactivation loop
 
 
 def _term_mask(channels: Channels) -> np.ndarray:
@@ -302,9 +305,9 @@ def solve_p1_lower(problem: SimplexProblem,
     """P1.1 (budget plus per-channel lower bounds) for a validated problem."""
     channels = problem.channels
     gamma = np.array(problem.lower_bounds, dtype=float)
-    powers, mu, water_levels, status = water_fill(channels, gamma, problem.budget, cfg)
+    powers, mu, water_levels, status, steps = _p1_fill(channels, gamma, problem.budget, cfg)
     return finish(channels, powers, gamma, np.full(len(gamma), np.inf), mu,
-                  len(water_levels) or 1, status, water_levels)
+                  steps, status, water_levels)
 
 
 def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
@@ -313,21 +316,76 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
 
     Returns ``(powers, mu, water_levels, status)``: the powers as an array,
     the final water level (None exactly when ``status`` is ``"feasible"``,
-    the lower bounds using up the budget) and the level of every round.
-    A bank of ``log_capacity`` and ``inverse_mse`` channels, mixed or not,
-    takes :func:`_breakpoint_level` on its :func:`_bank_terms` with no upper
-    bounds, a single round with one ``demand`` call; every other set the
-    deactivation loop.
-    """
+    the lower bounds using up the budget) and its one level (the loop's, one
+    per round): by :func:`_breakpoint_level` on a ``log_capacity``/
+    ``inverse_mse`` bank, the deactivation loop on a set holding a custom
+    objective, and :func:`tangent_fill` on every other set."""
+    return _p1_fill(channels, gamma, budget, cfg)[:4]
+
+
+def _p1_fill(channels: Channels, gamma: np.ndarray, budget: float, cfg: SolverConfig):
+    """:func:`water_fill`'s result and its iteration count: tangent steps,
+    deactivation rounds, or 1 on the bank."""
     terms = _bank_terms(channels)
     if terms is None:
-        return deactivation_loop(channels, gamma, budget, cfg)
+        if channels._custom() is None:
+            return tangent_fill(channels, gamma, budget, cfg)
+        result = deactivation_loop(channels, gamma, budget, cfg)
+        return (*result, len(result[2]) or 1)
     mu, active, _ = _breakpoint_level(terms, gamma, budget, None, cfg)
     if mu is None:
-        return gamma.copy(), None, [], "feasible"
+        return gamma.copy(), None, [], "feasible", 1
     powers = gamma.copy()
     powers[active] = channels.demand(mu)[active]
-    return powers, mu, [mu], "optimal"
+    return powers, mu, [mu], "optimal", 1
+
+
+def tangent_fill(channels: Channels, gamma: np.ndarray, budget: float,
+                 cfg: SolverConfig = _DEFAULT_CFG):
+    """P1.1 by the paper's dynamic rate on the five flat families; inputs
+    unchecked.  Returns ``(powers, mu, water_levels, status, steps)``.
+
+    Near p, channel i's demand is linear in the level: p_i + (r_i - mu)/s_i,
+    r_i its rate and s_i minus its slope.  Each step is ``order``'s search on
+    these tangent demands, which join at J_i = r_i + s_i*(p_i - gamma_i).
+    The rates are convex, so the level rises to mu*, as corrections to the
+    last one: b/a does not cancel the budget.  A b = 0 channel at a zero
+    floor halves its power where its tangent falls below it.  Stops once no
+    power moves by 4 ulp of the budget or the level stops rising; after
+    :data:`_TANGENT_STEPS`, or at a level not finite, the loop takes over."""
+    floor = float(gamma.sum())
+    if floor > budget * (1.0 + 1e-12):
+        raise InfeasibleBudget("sum of lower bounds exceeds budget")
+    k, spare = len(gamma), budget - floor
+    if not k or spare <= cfg.power_tolerance * budget:
+        return gamma.copy(), None, [], "feasible", 1
+    edge = (gamma == 0) & (channels.b == 0)
+    p, mu, halved, settled = gamma + spare / k, None, False, 4.0 * math.ulp(budget)
+    with np.errstate(all="ignore"):  # a slope that underflows: the loop takes over
+        for step in range(1, _TANGENT_STEPS + 1):
+            rate, slope = channels.rate_slope(p)
+            inv = 1.0 / slope
+            ref = float((rate * inv).sum() / inv.sum()) if mu is None else mu
+            gap = (rate - ref) * inv                   # tangent demand at ref, minus p
+            join = (rate - ref) + slope * (p - gamma)  # J - ref
+            order = join.argsort()[::-1]
+            excess, weight = (gap + (p - gamma))[order].cumsum(), inv[order].cumsum()
+            # The clamped tangent total above gamma at each join after the first.
+            over = (excess[:-1] - join[order[1:]] * weight[:-1] >= spare).nonzero()[0]
+            m = over[0] if over.size else k - 1
+            delta = float((excess[m] - spare) / weight[m])
+            new = np.maximum(gamma, p + (gap - delta * inv))
+            last, mu = mu, ref + delta
+            if not (math.isfinite(mu) and mu > 0 and np.isfinite(new).all()):
+                break
+            low = edge & (new <= gamma)
+            new[low] = 0.5 * p[low]
+            rising, halved = halved or last is None or mu > last, bool(low.any())
+            moved, p = float(np.abs(new - p).max()), new
+            if moved <= settled or not rising:
+                return p, mu, [mu], "optimal", step
+    powers, mu, levels, status = deactivation_loop(channels, gamma, budget, cfg)
+    return powers, mu, levels, status, step + (len(levels) or 1)
 
 
 def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,

@@ -244,7 +244,8 @@ class LogCapacity(_ClosedForm):
     # Array forms of demand, rate and eval (and, from the base, of the
     # constructor's checks) over parameter arrays w, a, b, used by Channels;
     # each repeats the scalar formula operation for operation, so the results
-    # agree to the last bit where no log is taken.
+    # agree to the last bit where no log is taken.  ``_bank_slope`` gives the
+    # rate and minus its slope.
     @staticmethod
     def _bank_demand(w, a, b, mu):
         with np.errstate(over="ignore"):  # past the float range: the solvers raise
@@ -264,6 +265,9 @@ class LogCapacity(_ClosedForm):
         if (arg <= 0).any():
             raise DomainError("log argument <= 0")
         return w * np.log(arg)
+
+    _bank_slope = staticmethod(lambda w, a, b, p: (
+        w * a / (b + a * p), w * a * a / (b + a * p) ** 2))
 
 
 class InverseMse(_ClosedForm):
@@ -317,6 +321,9 @@ class InverseMse(_ClosedForm):
         if (arg <= 0).any():
             raise DomainError("denominator <= 0")
         return -w / arg
+
+    _bank_slope = staticmethod(lambda w, a, b, p: (
+        w * a / (b + a * p) ** 2, 2.0 * w * a * a / (b + a * p) ** 3))
 
 
 class AfRelay(_ClosedForm):
@@ -388,6 +395,12 @@ class AfRelay(_ClosedForm):
             raise DomainError("power outside admissible domain")
         return w * (np.log1p(b * p) - np.log1p(b * (1.0 - a) * p))
 
+    @staticmethod
+    def _bank_slope(w, a, b, p):
+        d1, d2 = 1.0 + b * p, 1.0 + b * (1.0 - a) * p
+        rate = w * a * b / (d1 * d2)
+        return rate, rate * (b * d2 + b * (1.0 - a) * d1) / (d1 * d2)
+
 
 class _Ragged:
     """A bank's sum-family channels: term j of channel (w, a, b, c, d) as
@@ -403,8 +416,8 @@ class _Ragged:
         self.w, self.ac, self.bd, self.cut = w, ac, bd, cut
         self.owner = np.repeat(np.arange(len(counts)), counts)
         self.starts = np.cumsum(counts) - counts
-        self.rate0, slope0 = self.sums(np.zeros(len(counts)))
-        self.slope0 = np.where(np.isfinite(slope0) & (slope0 < 0), slope0,
+        self.rate0, minus = self.sums(np.zeros(len(counts)))
+        self.slope0 = np.where(np.isfinite(minus) & (minus > 0), -minus,
                                -np.maximum(self.rate0, 1.0))
 
     def _sums(self, p, work):
@@ -420,9 +433,8 @@ class _Ragged:
         return np.add.reduceat(work[:2], self.starts, axis=1)
 
     def sums(self, p):
-        """Per-channel rates and rate slopes at the channels' powers ``p``."""
-        rate, slope = self._sums(p, np.empty((4, len(self.w))))
-        return rate, -slope
+        """Per-channel rates and minus rate slopes at the channels' powers ``p``."""
+        return self._sums(p, np.empty((4, len(self.w))))
 
     def eval(self, p):
         arg = self.ac + self.bd * p[self.owner]
@@ -487,7 +499,7 @@ class _SumFamily(Objective):
         return total
 
     # Bank operations on a group's _Ragged terms.
-    _bank_demand, _bank_eval = _Ragged.demand, _Ragged.eval
+    _bank_demand, _bank_eval, _bank_slope = _Ragged.demand, _Ragged.eval, _Ragged.sums
     _bank_rate = staticmethod(lambda terms, p: terms.sums(p)[0])
 
     def to_params(self) -> dict:
@@ -830,10 +842,10 @@ class Channels:
             extra = () if start is None or cls.closed_form_inverse else (start,)
             return getattr(cls, op)(*args, x, *extra)
         scalar = np.ndim(x) == 0
-        out = np.empty(len(self))
+        out = np.empty((2, len(self)) if op == "_bank_slope" else len(self))
         for cls, idx, args in self._groups:
             extra = () if start is None or cls.closed_form_inverse else (start[idx],)
-            out[idx] = getattr(cls, op)(*args, x if scalar else x[idx], *extra)
+            out[..., idx] = getattr(cls, op)(*args, x if scalar else x[idx], *extra)
         return out
 
     def demand(self, mu: float, start: np.ndarray | None = None) -> np.ndarray:
@@ -861,6 +873,10 @@ class Channels:
     def eval(self, powers) -> np.ndarray:
         """Utilities at ``powers`` (one per channel)."""
         return self._apply("_bank_eval", np.asarray(powers, dtype=float))
+
+    def rate_slope(self, powers):
+        """Rates and minus rate slopes at ``powers`` (bank families only)."""
+        return self._apply("_bank_slope", np.asarray(powers, dtype=float))
 
 
 class ClusterChannels:

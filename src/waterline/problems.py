@@ -231,14 +231,14 @@ class FairProblem:
 class Allocation:
     """Solved powers plus the certificates the solvers emit alongside them.
 
-    ``water_levels`` lists the water level of every round a P1/P1.1 solve
-    ran and ``iterations`` counts those rounds (at least 1).  The exact
-    sorted search of ``log_capacity``/``inverse_mse`` solves, mixed or not, is
-    a single pass: ``water_levels == [water_level]`` and ``iterations == 1``
-    (empty and 1 when the lower bounds use up the budget).  The deactivation
-    loop of the other families lists one level per round.  Box strategies
-    count their own iterations (``order``: 1 on such a bank, as one pass,
-    else binary-search probes plus the final P1.1 solve's count; ``set_a``
+    A P1/P1.1 solve's ``water_levels`` is ``[water_level]`` (empty when the
+    lower bounds use up the budget) and ``iterations`` counts its passes: 1
+    for the sorted search of ``log_capacity``/``inverse_mse`` sets, mixed or
+    not, one per tangent step on the other flat families.  The deactivation
+    loop (a set holding a custom objective, or steps past their cap) lists
+    one level per round and adds its rounds.  Box strategies count their own
+    iterations (``order``: 1 on such a bank, as one pass, else binary-search
+    probes plus the levels the final P1.1 solve lists; ``set_a``
     and ``set_b``: their P1.1 solves, at least 1; ``bisect``: its level
     evaluations, one clamped ``demand`` pass each, at least 1).  An
     ascending solve is always ``"optimal"``; ``splits`` counts its blocks

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from waterline import (
-    BOX_STRATEGIES, AfRelay, AscendingProblem, BoxProblem, CustomObjective, DomainError,
-    FairProblem, InfeasibleBudget, InverseMse, LogCapacity, ScenarioSpec, SimplexProblem,
-    SolverConfig, SumInverseMse, SumLog, build_instance, check_conditions, enumerate_box,
-    grid_search, kkt_residual_box, solve_ascending, solve_box, solve_fair, solve_p1_lower)
+    BOX_STRATEGIES, AfRelay, AscendingProblem, BoxProblem, BracketFailure, CustomObjective,
+    DomainError, FairProblem, InfeasibleBudget, InverseMse, LogCapacity, ScenarioSpec,
+    SimplexProblem, SolverConfig, SumInverseMse, SumLog, build_instance, check_conditions,
+    enumerate_box, grid_search, kkt_residual_box, solve_ascending, solve_box, solve_fair,
+    solve_p1_lower)
 from waterline import box
 from waterline.box import box_fill_rows
+from waterline.core import deactivation_loop
 from waterline.objectives import Channels
 
 from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective, random_box
@@ -428,7 +430,8 @@ def test_row_search_builds_the_bank_terms_once_per_batch(monkeypatch):
 def test_set_b_on_a_p1_warm_starts_like_solve_p1_lower(monkeypatch):
     """A P1 posed as a box with no upper bounds: ``set_b`` runs one
     deactivation loop, whose rounds warm-start each other, so it makes as
-    many ``demand`` calls as ``solve_p1_lower`` and gives the same powers."""
+    many ``demand`` calls as ``deactivation_loop`` on the same channels and
+    gives the same powers; ``solve_p1_lower``'s tangent steps agree."""
     rng = np.random.default_rng(81)
     k, objs = 256, []
     for i in range(k):  # the benchmark's five-family P1 draw
@@ -448,12 +451,26 @@ def test_set_b_on_a_p1_warm_starts_like_solve_p1_lower(monkeypatch):
         calls.append(mu)
         return _demand(self, mu, start)
     monkeypatch.setattr(Channels, "demand", counted)
-    ref = solve_p1_lower(problem)
+    ref = deactivation_loop(problem.channels, np.zeros(k), problem.budget)[0]
     ref_calls, calls[:] = len(calls), []
     alloc = solve_box(BoxProblem(objs, problem.budget),
                       SolverConfig(box_strategy="set_b"))
     assert len(calls) == ref_calls
-    assert alloc.powers == ref.powers
+    assert alloc.powers == ref.tolist()
+    tangent = solve_p1_lower(problem).powers
+    assert max(abs(p - q) for p, q in zip(tangent, alloc.powers)) <= 1e-12 * problem.budget
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["inverse_mse_first", "log_capacity_first"])
+def test_bisect_with_no_level_that_spends_at_most_the_budget(first):
+    # a = 1e-310 puts the inverse_mse channel's b/a past the float range: its
+    # demand is NaN at every level, so no evaluation under-spends.
+    objs = [InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1)]
+    problem = BoxProblem(objs if first == 0 else objs[::-1], 2.0, None, [1.5, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(BracketFailure, match="no water level spends at most the budget"):
+            solve_box(problem, SolverConfig(box_strategy="bisect"))
 
 
 def _root_from_half():

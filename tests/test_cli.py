@@ -528,3 +528,17 @@ def test_solve_where_a_level_leaves_the_float_range_warns_nothing(runner, tmp_pa
     result = runner.invoke(main, ["solve", inst])
     assert result.exit_code == 2, (result.output, result.exception)
     assert "error: a group's water level leaves the float range" in result.output
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["inverse_mse_first", "log_capacity_first"])
+def test_bisect_with_no_level_that_spends_at_most_the_budget(runner, tmp_path, first):
+    # The bisect strategy's BracketFailure is one error line and exit 2, not
+    # a traceback.
+    objs = [InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1)]
+    inst = str(tmp_path / "far.json")
+    save_instance(BoxProblem(objs if first == 0 else objs[::-1], 2.0, None, [1.5, 1.5]), inst)
+    result = runner.invoke(main, ["solve", inst, "--strategy", "bisect"])
+    assert result.exit_code == 2, (result.output, result.exception)
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert errors == ["error: no water level spends at most the budget"]
+    assert "Traceback" not in result.output

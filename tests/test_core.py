@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import warnings
 import zlib
 
 import numpy as np
@@ -14,7 +16,7 @@ from waterline import (
     solve_box, solve_p1, solve_p1_lower, solve_water_level)
 from waterline.core import (
     _bank_terms, _breakpoint_level, _classify, _closed_form_mu, _level_search, deactivation_loop,
-    illinois_root, water_fill)
+    finish, illinois_root, tangent_fill, water_fill)
 from waterline.objectives import Channels, Objective
 
 from conftest import (
@@ -311,14 +313,45 @@ def _count_numeric_object_calls(monkeypatch) -> list:
     return calls
 
 
+def _loop_allocation(problem: SimplexProblem):
+    """``deactivation_loop`` on a P1.1, the loop ``set_b`` runs, as the
+    record ``solve_p1_lower`` would build of it."""
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    powers, mu, levels, status = deactivation_loop(problem.channels, gamma, problem.budget)
+    return finish(problem.channels, powers, gamma, np.full(problem.n, np.inf), mu,
+                  len(levels) or 1, status, levels)
+
+
+def _count_passes(monkeypatch) -> dict:
+    """Count the ``Channels`` ``demand`` and ``rate_slope`` calls."""
+    calls = {"demand": 0, "rate_slope": 0}
+    for name in calls:
+        def counted(self, *args, _original=getattr(Channels, name), _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+        monkeypatch.setattr(Channels, name, counted)
+    return calls
+
+
+def _level_on_the_active_set(problem: SimplexProblem, alloc) -> float:
+    """The objects' own scalar level search on the final active set."""
+    active = [problem.objectives[i] for i in alloc.active_set]
+    idle = sum(p for i, p in enumerate(alloc.powers) if i not in set(alloc.active_set))
+    return solve_water_level(active, problem.budget, idle, scale=problem.budget)
+
+
+def _sum_family_p1(rng: random.Random) -> SimplexProblem:
+    return SimplexProblem([make_objective(FLAT_FAMILIES[i % 5], rng) for i in range(60)],
+                          90.0, [rng.uniform(0, 0.5) for _ in range(60)])
+
+
 def test_sum_families_solve_and_check_on_the_bank(monkeypatch):
-    """The solver and checker evaluate sum families as arrays; the oracle
-    still reads the objects."""
+    """The deactivation loop and the checker evaluate sum families as
+    arrays; the oracle still reads the objects."""
     rng = random.Random(31)
-    problem = SimplexProblem([make_objective(FLAT_FAMILIES[i % 5], rng) for i in range(60)],
-                             90.0, [rng.uniform(0, 0.5) for _ in range(60)])
+    problem = _sum_family_p1(rng)
     calls = _count_numeric_object_calls(monkeypatch)
-    alloc = solve_p1_lower(problem)
+    alloc = _loop_allocation(problem)
     assert check_conditions(problem, alloc, tolerance=1e-8).passed
     assert alloc.status == "optimal" and len(alloc.water_levels) > 1
     assert calls == []
@@ -326,6 +359,22 @@ def test_sum_families_solve_and_check_on_the_bank(monkeypatch):
                             ("sum_log", "sum_inverse_mse", "sum_log", "sum_inverse_mse")], 3.0)
     enumerate_p1(small)
     assert calls
+
+
+def test_sum_families_take_tangent_steps_on_the_bank(monkeypatch):
+    """``solve_p1_lower`` on the same five-family P1.1 with floors: tangent
+    steps on the bank, no object call and no ``demand``."""
+    problem = _sum_family_p1(random.Random(31))
+    calls = _count_numeric_object_calls(monkeypatch)
+    passes = _count_passes(monkeypatch)
+    alloc = solve_p1_lower(problem)
+    monkeypatch.undo()
+    assert calls == [] and passes["demand"] == 0
+    assert 1 <= passes["rate_slope"] <= 12 and alloc.iterations == passes["rate_slope"]
+    assert alloc.status == "optimal" and alloc.water_levels == [alloc.water_level]
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
+    mu = _level_on_the_active_set(problem, alloc)
+    assert abs(alloc.water_level - mu) <= 1e-12 * mu
 
 
 def _five_family_p1(seed: int, k: int = 256) -> SimplexProblem:
@@ -350,9 +399,9 @@ def _five_family_p1(seed: int, k: int = 256) -> SimplexProblem:
 @pytest.mark.parametrize("seed", [1601, 1611, 1612])
 def test_five_family_p1_level_search_cost(seed, monkeypatch):
     """Each deactivation round after the first opens its search at the last
-    level, and the search runs on 1/mu: a K = 256 five-family P1 takes at
-    most 22 bank demand evaluations, down from 31 to 36 for a cold doubling
-    bracket and Illinois on mu."""
+    level, and the search runs on 1/mu: on a K = 256 five-family P1 the
+    loop takes at most 22 bank demand evaluations, down from 31 to 36 for a
+    cold doubling bracket and Illinois on mu."""
     problem = _five_family_p1(seed)
     calls = []
 
@@ -360,17 +409,168 @@ def test_five_family_p1_level_search_cost(seed, monkeypatch):
         calls.append(len(self))
         return _demand(self, *args)
     monkeypatch.setattr(Channels, "demand", counted)
-    alloc = solve_p1_lower(problem)
+    alloc = _loop_allocation(problem)
     monkeypatch.undo()
     assert alloc.status == "optimal" and len(alloc.water_levels) > 1
     assert len(calls) <= 22, len(calls)
     assert all(a < b for a, b in zip(alloc.water_levels, alloc.water_levels[1:]))
     assert check_conditions(problem, alloc, tolerance=1e-8).passed
-    # The objects' own scalar level search on the final active set.
-    active = [problem.objectives[i] for i in alloc.active_set]
-    idle = sum(p for i, p in enumerate(alloc.powers) if i not in set(alloc.active_set))
-    mu = solve_water_level(active, problem.budget, idle, scale=problem.budget)
+    mu = _level_on_the_active_set(problem, alloc)
     assert abs(alloc.water_level - mu) <= 1e-12 * mu
+
+
+@pytest.mark.parametrize("seed", [1601, 1611, 1612])
+def test_five_family_p1_tangent_step_cost(seed, monkeypatch):
+    """``solve_p1_lower`` on the same K = 256 five-family P1: no ``demand``
+    call and at most 12 rate-and-slope passes, one per step, and the level
+    of the objects' own search on the final active set."""
+    problem = _five_family_p1(seed)
+    passes = _count_passes(monkeypatch)
+    alloc = solve_p1_lower(problem)
+    monkeypatch.undo()
+    assert passes["demand"] == 0
+    assert passes["rate_slope"] <= 12 and alloc.iterations == passes["rate_slope"]
+    assert alloc.status == "optimal" and alloc.water_levels == [alloc.water_level]
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
+    mu = _level_on_the_active_set(problem, alloc)
+    assert abs(alloc.water_level - mu) <= 1e-12 * mu
+
+
+def _assert_tangent_matches_the_loop(channels, gamma, budget):
+    """``tangent_fill`` against ``deactivation_loop``: powers within
+    1e-12 of the budget, the level within 1e-12 relative, the same status."""
+    powers, mu, levels, status, steps = tangent_fill(channels, gamma, budget)
+    loop_powers, loop_mu, _, loop_status = deactivation_loop(channels, gamma, budget)
+    assert status == loop_status and steps >= 1
+    assert np.abs(powers - loop_powers).max() <= 1e-12 * budget
+    if loop_mu is None:
+        assert mu is None and levels == []
+    else:
+        assert abs(mu - loop_mu) <= 1e-12 * loop_mu and levels == [mu]
+
+
+def test_tangent_steps_match_the_deactivation_loop_on_criterion_1():
+    """Criterion 1's draw: every flat family, K 2 to 6, floors on every
+    other problem (the two closed-form banks run the steps here too)."""
+    for family in FLAT_FAMILIES:
+        rng = random.Random(zlib.crc32(family.encode()) & 0xFFFF)
+        for i in range(500):
+            problem = random_simplex(family, rng, rng.randint(2, 6), with_lower=bool(i % 2))
+            _assert_tangent_matches_the_loop(
+                problem.channels, np.array(problem.lower_bounds), problem.budget)
+
+
+def test_tangent_steps_match_the_deactivation_loop_on_the_files_shape():
+    for seed in range(50):
+        problem = _five_family_p1(seed)
+        _assert_tangent_matches_the_loop(problem.channels, np.zeros(problem.n), problem.budget)
+
+
+def _wide_p1(rng: np.random.Generator) -> SimplexProblem | None:
+    """A P1.1 over ROADMAP item 3's ranges, or None when it holds no
+    ``af_relay`` or sum channel: K 1 to 8, each channel's family drawn from
+    the five; w in 1e-2..1e2, a in 1e-4..1e4, b in 1e-4..1e2, ``af_relay``'s a
+    in 0.01..0.99, a sum channel's 1 to 3 terms with w, c, d in 1e-2..1e2 and
+    a = b = 1; the budget in 1e-6..1e6, floors on half the problems (all
+    log-uniform but ``af_relay``'s a and the floors)."""
+    def draw(lo, hi):
+        return float(10 ** rng.uniform(lo, hi))
+    k = int(rng.integers(1, 9))
+    families = rng.integers(0, 5, k).tolist()
+    objs = []
+    for family in families:
+        if family == 0:
+            objs.append(LogCapacity(draw(-2, 2), draw(-4, 4), draw(-4, 2)))
+        elif family == 1:
+            objs.append(InverseMse(draw(-2, 2), draw(-4, 4), draw(-4, 2)))
+        elif family == 2:
+            objs.append(AfRelay(draw(-2, 2), float(rng.uniform(0.01, 0.99)), draw(-4, 2)))
+        else:
+            n = int(rng.integers(1, 4))
+            w, c, d = ([draw(-2, 2) for _ in range(n)] for _ in range(3))
+            objs.append((SumLog if family == 3 else SumInverseMse)(w, 1, 1, c, d))
+    budget = draw(-6, 6)
+    lower = (rng.uniform(0, 0.5, k) * budget / k).tolist() if rng.random() < 0.5 else None
+    return SimplexProblem(objs, budget, lower) if max(families) >= 2 else None
+
+
+def test_tangent_steps_fail_no_more_certificates_than_the_loop_across_the_wide_range():
+    """On 1,500 draws of :func:`_wide_p1` (seed 3), count the ``optimal``
+    results that fail ``check_conditions`` at 1e-8: the tangent steps may
+    not fail more of them than the deactivation loop."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(3)
+    problems = [p for p in (_wide_p1(rng) for _ in range(1500)) if p is not None]
+    failed = {"tangent": 0, "loop": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the loop's, past the float range
+        for problem in problems:
+            for name, alloc in (("tangent", solve_p1_lower(problem)),
+                                ("loop", _loop_allocation(problem))):
+                if alloc.status == "optimal" and \
+                        not check_conditions(problem, alloc, tolerance=1e-8).passed:
+                    failed[name] += 1
+    elapsed = time.perf_counter() - start
+    assert len(problems) > 1300
+    assert failed["tangent"] <= failed["loop"], failed
+    assert elapsed < 30.0, f"the wide draw took {elapsed:.1f}s"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("problem", [
+    SimplexProblem([AfRelay(0.021372450937020546, 0.35375011953097313, 0.0013230669795866582),
+                    LogCapacity(2.186928050504054, 0.0007104914863655294, 2.125971489338299)],
+                   9.000202601614993e-06, [6.429503312683149e-07, 2.0973741030893122e-06]),
+    SimplexProblem([LogCapacity(19.27116763491112, 0.08067072273122448, 59.31077594272831),
+                    SumInverseMse([0.5139388839963113, 0.3036531873705704], 1, 1,
+                                  [15.557184888470482, 22.907126914847357],
+                                  [0.1312033639996562, 0.24012799681489425])],
+                   1.7326496683845304e-06),
+], ids=["af_relay_with_floors", "sum_inverse_mse"])
+def test_tangent_steps_where_b_over_a_dwarfs_the_budget(problem):
+    # b/a near 3e3 against budgets of 9e-6 and 1.7e-6: a level summed from
+    # p + r/|r'| loses the budget's digits to b/a (power_residual 1.5e-8 and
+    # 2.8e-8); kept as a correction to the last level, it does not.
+    alloc = solve_p1_lower(problem)
+    assert alloc.status == "optimal"
+    report = check_conditions(problem, alloc, tolerance=1e-8)
+    assert report.passed, report.residuals
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cls", [LogCapacity, InverseMse])
+def test_tangent_steps_with_an_infinite_rate_at_the_floor(cls):
+    # b = 0 at a zero floor: the first channel's rate is infinite at 0.  It
+    # starts far above its demand, so its tangent falls below 0, and it
+    # halves its power instead of stopping where its join level is NaN.
+    problem = SimplexProblem([cls(1e-3, 1, 0), AfRelay(100, 0.5, 1),
+                              SumLog([1], 1, 1, [1], [1])], 1e4)
+    alloc = solve_p1_lower(problem)
+    assert alloc.status == "optimal" and all(p > 0 for p in alloc.powers)
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
+    _assert_tangent_matches_the_loop(problem.channels, np.zeros(3), problem.budget)
+
+
+def test_tangent_steps_hand_over_to_the_loop_at_the_step_cap(monkeypatch):
+    problem = _five_family_p1(1601)
+    monkeypatch.setattr("waterline.core._TANGENT_STEPS", 2)
+    alloc = solve_p1_lower(problem)
+    loop = _loop_allocation(problem)
+    assert alloc.powers == loop.powers and alloc.water_levels == loop.water_levels
+    assert alloc.iterations == 2 + loop.iterations
+
+
+def test_tangent_steps_hand_over_to_the_loop_where_a_slope_underflows():
+    # At the start point 5e199 the log_capacity slope -1/(1 + p)**2 is 0.
+    problem = SimplexProblem([LogCapacity(1, 1, 1), AfRelay(1, 0.5, 1)], 1e200)
+    alloc = solve_p1_lower(problem)
+    loop = _loop_allocation(problem)
+    assert alloc.powers == loop.powers and alloc.iterations == 1 + loop.iterations
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
+
+
+def test_tangent_steps_on_no_channels():
+    assert tangent_fill(Channels([]), np.zeros(0), 1.0)[1:] == (None, [], "feasible", 1)
 
 
 def test_water_level_without_budget_left_raises():

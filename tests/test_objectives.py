@@ -284,18 +284,34 @@ def _assert_demands(channels, objs, mu, start=None):
     return expected
 
 
+def _assert_rate_slope(channels, objs, powers):
+    """``Channels.rate_slope`` against the objects' ``rate`` and ``rate_slope``."""
+    rate, minus_slope = channels.rate_slope(powers)
+    np.testing.assert_allclose(rate, _scalar(objs, "rate", powers.tolist()), rtol=1e-14)
+    np.testing.assert_allclose(minus_slope, [-x for x in _scalar(
+        objs, "rate_slope", powers.tolist())], rtol=1e-14)
+
+
 def _assert_ragged_matches(channels, objs, powers):
     """Rates, rate slopes and utilities against the objects' scalar methods."""
     for method in ("rate", "eval"):
         np.testing.assert_allclose(getattr(channels, method)(powers),
                                    _scalar(objs, method, powers.tolist()), rtol=1e-12)
+    _assert_rate_slope(channels, objs, powers)
     for cls, idx, args in channels._groups:
         if not cls.closed_form_inverse:
             at = np.arange(len(objs)) if idx is None else idx
             np.testing.assert_allclose(
                 args[0].sums(powers[at])[1],
-                [objs[i].rate_slope(p) for i, p in zip(at.tolist(), powers[at].tolist())],
+                [-objs[i].rate_slope(p) for i, p in zip(at.tolist(), powers[at].tolist())],
                 rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+def test_closed_form_bank_rate_slope_matches_the_objects(family):
+    rng = random.Random(23)
+    objs = [make_objective(family, rng) for _ in range(9)]
+    _assert_rate_slope(Channels(objs), objs, np.array([rng.uniform(0, 5) for _ in objs]))
 
 
 def test_ragged_bank_matches_the_objects():
