@@ -11,15 +11,15 @@ Strategies (selected through ``SolverConfig.box_strategy``):
 * ``bisect`` -- the shared level search
   (:func:`~waterline.core._level_search`) on the total of the demands
   clamped into the boxes; the name is kept for files and the CLI.
-* ``order``  -- the default.  On a ``log_capacity``/``inverse_mse`` bank,
-  mixed or not, one sort of the points where each channel's demand reaches
-  its lower and its upper bound gives the level's segment and the level in
-  closed form (:func:`~waterline.core._breakpoint_level`, the breakpoint
-  search of Palomar & Fonollosa, IEEE TSP 2005); S problems on one bank (a
-  sweep's SNR points) share the bank's terms and one demand pass.  Other
-  families sort the channels by the rate at their upper bound and
-  binary-search the first upper-bound set whose level spends the budget,
-  then solve P1.1 on the rest.
+* ``order``  -- the default: one sort of the points where each channel's
+  demand reaches its lower and its upper bound gives the level's segment
+  (the breakpoint search of Palomar & Fonollosa, IEEE TSP 2005).  On a
+  ``log_capacity``/``inverse_mse`` bank, mixed or not, on exact demands,
+  with the level in closed form (:func:`~waterline.core._breakpoint_level`);
+  S problems on one bank (a sweep's SNR points) share the bank's terms and
+  one demand pass.  On the other flat families, P1.1's tangent steps run it
+  on tangent demands (:func:`~waterline.core.tangent_fill`); where they give
+  up, and on a custom objective, ``bisect`` solves.
 
 Each strategy is a private array function ``(channels, gamma, tau, budget,
 cfg)``: set logic over index masks of a
@@ -43,7 +43,7 @@ import numpy as np
 
 from .core import (
     _bank_terms, _breakpoint_level, _classify, _level_search, deactivation_loop, finish,
-    water_fill)
+    tangent_fill, water_fill)
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .errors import BracketFailure
 from .objectives import Channels
@@ -104,7 +104,8 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
 
     def excess(mu_val: float) -> float:
         nonlocal start, evals, last, under
-        start = channels.demand(mu_val, start)
+        with np.errstate(over="ignore"):  # a demand past the float range: inf, which tau clamps
+            start = channels.demand(mu_val, start)
         powers = np.minimum(np.maximum(start, gamma), tau)
         evals, last = evals + 1, (powers, mu_val, float(powers.sum()) - budget)
         if last[2] <= 0 and (under is None or last[2] > under[2]):
@@ -146,30 +147,17 @@ def _order_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
 
 def _order(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float,
            cfg: SolverConfig):
-    """The order search on one box problem: :func:`_order_rows` where it
-    applies, else a binary search on the channels by their rate at tau."""
+    """The order search on one box problem: :func:`_order_rows` on a log/inverse
+    bank, else P1.1's :func:`~waterline.core.tangent_fill` steps with the upper
+    bounds, and :func:`_bisect`'s evaluations after them where they give up."""
     rows = _order_rows(channels, gamma[None], tau[None], np.array([budget]), cfg)
     if rows is not None:
         return rows[0]
-    k, finite = len(channels), np.isfinite(tau).nonzero()[0]
-    tau_rate = np.zeros(k)
-    tau_rate[finite] = channels.take(finite).rate(tau[finite])
-    order = np.argsort(-tau_rate, kind="stable")
-    # Case c pins order[:c] at tau at the c-th largest tau-rate (infinite taus
-    # last, at 0); its clamped total rises with c: bisect for the first to spend.
-    lo, hi, probes, start = 0, k, 0, None
-    while lo < hi:
-        mid, probes = (lo + hi) // 2, probes + 1
-        mu = tau_rate[order[mid]]
-        start = channels.demand(mu, start) if mu > 0 else start
-        spends = mu <= 0 or np.minimum(np.maximum(start, gamma), tau).sum() >= budget
-        lo, hi = (lo, mid) if spends else (mid + 1, hi)
-    # Should rounding leave every case short, the last takes what is left.
-    fixed, rest = order[:min(lo, k - 1)], order[min(lo, k - 1):]
-    powers = tau.copy()
-    powers[rest], mu, water_levels, _ = water_fill(
-        channels.take(rest), gamma[rest], budget - float(tau[fixed].sum()), cfg)
-    return powers, mu, probes + (len(water_levels) or 1), "optimal", water_levels
+    powers, mu, steps = tangent_fill(channels, gamma, budget, cfg, tau)
+    if powers is not None:
+        return powers, mu, steps, "optimal", [mu] if mu else []
+    powers, mu, evals, status, water_levels = _bisect(channels, gamma, tau, budget, cfg)
+    return powers, mu, steps + evals, status, water_levels
 
 
 _STRATEGIES = dict(zip(BOX_STRATEGIES,

@@ -17,17 +17,19 @@ and picks its path from the channels' families:
   :func:`_bank_points` gives the fair tables and the ascending blocks).
   O(K log K), one pass per row.
 * Every other set of the five flat families takes the paper's dynamic-rate
-  steps, each the breakpoint search on tangent demands (:func:`tangent_fill`).
-* A set holding a custom objective, whose rate need not be convex, keeps the
-  deactivation loop, as ``set_b`` does on every family.  It initializes
-  every subchannel as active, solves the common-rate equation on the active
-  set, and removes (pins at its lower bound) every channel whose
-  unconstrained demand falls at or below that bound.  The loop shrinks the
-  active set strictly each round, so it runs at most K-1 times and the water
-  level increases strictly across rounds.  Each round's level search is an
-  Illinois regula falsi on x = 1/mu (a ``log_capacity`` demand is linear in
-  x); from round 2 its bracket opens at the last level, whose residual on the
-  smaller set, the removed channels' sum of (lower bound - demand), is >= 0.
+  steps, each the breakpoint search on tangent demands (:func:`tangent_fill`,
+  which ``order`` runs with upper bounds off the bank).
+* A set holding a custom objective, whose rate need not be convex, or whose
+  steps give up, takes the deactivation loop, as ``set_b`` does on every
+  family.  It initializes every subchannel as active, solves the common-rate
+  equation on the active set, and removes (pins at its lower bound) every
+  channel whose unconstrained demand falls at or below that bound.  The loop
+  shrinks the active set strictly each round, so it runs at most K-1 times
+  and the water level increases strictly across rounds.  Each round's level
+  search is an Illinois regula falsi on x = 1/mu (a ``log_capacity`` demand
+  is linear in x); from round 2 its bracket opens at the last level, whose
+  residual on the smaller set, the removed channels' sum of (lower bound -
+  demand), is >= 0.
 
 ``solve_p1_lower`` is the public entry: it takes a validated
 :class:`~waterline.problems.SimplexProblem`.  The box strategies' array
@@ -49,20 +51,37 @@ from .problems import Allocation, SimplexProblem, SolverConfig
 
 _DEFAULT_CFG = SolverConfig()
 _TERM_FAMILIES = frozenset((LogCapacity, InverseMse))  # with demand terms: sorted, tabled
-_TANGENT_STEPS = 64  # past this, tangent_fill hands the set to the deactivation loop
+_TANGENT_STEPS = 64  # past this, tangent_fill gives up: P1.1 runs the loop, order bisect
 
 
 def _term_mask(channels: Channels) -> np.ndarray:
-    """Per channel, whether its group's family is one of :func:`_family_terms`'."""
+    """Per channel, whether its group's family is one of :func:`_bank_terms`'."""
     mask = np.zeros(len(channels), dtype=bool)
     for cls, idx, _ in channels._groups:
         mask[slice(None) if idx is None else idx] = cls in _TERM_FAMILIES
     return mask
 
 
-def _family_terms(channels: Channels):
-    """``(q, u, root)`` for a bank of ``log_capacity`` and ``inverse_mse``
-    channels, mixed or not; None for any other set.
+class _Terms(NamedTuple):
+    """What the breakpoint search reads of a ``log_capacity``/``inverse_mse``
+    bank, mixed or not, and no bound or budget changes: :func:`_bank_terms`
+    builds it once per bank, and each row's :func:`_points` and
+    :func:`_breakpoint_level` read it."""
+
+    q: np.ndarray | None       # q, u and root as _bank_terms describes them
+    u: np.ndarray | None
+    root: np.ndarray | None
+    offset: np.ndarray         # b/a
+    divisor: np.ndarray        # w or sqrt(w/a), per channel
+    # (q, u) over the 2K points of a search with upper bounds, joins then
+    # saturations, signed: a saturation takes its channel's term away.
+    signed: tuple | None
+
+
+def _bank_terms(channels: Channels, upper: bool = False) -> _Terms | None:
+    """The :class:`_Terms` of a bank of ``log_capacity`` and ``inverse_mse``
+    channels, mixed or not, with the ``signed`` terms for searches with upper
+    bounds when ``upper``; None for any other set.
 
     At x = 1/sqrt(mu) channel i demands q_i*x**2 + u_i*x - b_i/a_i: q = w,
     u = 0 for ``log_capacity`` and q = 0, u = sqrt(w/a) for ``inverse_mse``.
@@ -82,44 +101,18 @@ def _family_terms(channels: Channels):
             terms[cls] = np.zeros(k)
             terms[cls][idx] = v
             root = idx if cls is LogCapacity else root
-    return terms[LogCapacity], terms[InverseMse], root
-
-
-class _Terms(NamedTuple):
-    """What the breakpoint search reads of a ``log_capacity``/``inverse_mse``
-    bank, mixed or not, and no bound or budget changes: :func:`_bank_terms`
-    builds it once per bank, and each row's :func:`_points` and
-    :func:`_breakpoint_level` read it."""
-
-    q: np.ndarray | None       # q, u and root as _family_terms gives them
-    u: np.ndarray | None
-    root: np.ndarray | None
-    offset: np.ndarray         # b/a
-    divisor: np.ndarray        # w or sqrt(w/a), per channel
-    # (q, u) over the 2K points of a search with upper bounds, joins then
-    # saturations, signed: a saturation takes its channel's term away.
-    signed: tuple | None
-
-
-def _bank_terms(channels: Channels, upper: bool = False) -> _Terms | None:
-    """The :class:`_Terms` of a ``log_capacity``/``inverse_mse`` bank, mixed
-    or not, with the ``signed`` terms for searches with upper bounds when
-    ``upper``; None for any other set."""
-    terms = _family_terms(channels)
-    if terms is None:
-        return None
-    q, u, _ = terms
+    q, u = terms[LogCapacity], terms[InverseMse]
     with np.errstate(over="ignore"):  # past the float range: the solvers raise
         offset = channels.b / channels.a
     # q and u are 0 on the other family's channels: q + u adds exact zeros.
     divisor = u if q is None else q if u is None else q + u
     signed = tuple(None if v is None else np.concatenate((v, -v)) for v in (q, u)) \
         if upper else None
-    return _Terms(*terms, offset, divisor, signed)
+    return _Terms(q, u, root, offset, divisor, signed)
 
 
 def _quadratic_level(q_sum, u_sum, total):
-    """The level mu at which channels whose terms (:func:`_family_terms`) sum
+    """The level mu at which channels whose terms (:func:`_bank_terms`) sum
     to Q = ``q_sum`` and U = ``u_sum`` demand ``total`` plus their offsets:
     the positive root s = sqrt(mu) of total*s**2 - U*s - Q, in a form that
     does not cancel, squared as (Q + U*s)/total; with Q = 0, as s*s.  So a
@@ -168,15 +161,13 @@ def _closed_form_mu(channels: Channels, budget: float) -> float | None:
     the summed terms and the budget plus the offsets.  A channel whose b/a
     leaves the float range demands -inf at every level: it is left out of
     the sums, and the deactivation loop pins it."""
-    terms = _family_terms(channels)
-    if terms is None:
+    bank = _bank_terms(channels)
+    if bank is None:
         return None
-    with np.errstate(over="ignore"):
-        offset = channels.b / channels.a
-    terms, total = terms[:2], offset.sum()
+    terms, total = (bank.q, bank.u), bank.offset.sum()
     if math.isinf(total):
-        keep = np.isfinite(offset)
-        terms, total = [None if v is None else v[keep] for v in terms], offset[keep].sum()
+        keep = np.isfinite(bank.offset)
+        terms, total = [None if v is None else v[keep] for v in terms], bank.offset[keep].sum()
     q_sum, u_sum = (0.0 if v is None else float(v.sum()) for v in terms)
     return _quadratic_level(q_sum, u_sum, float(budget + total))
 
@@ -318,74 +309,95 @@ def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
     the final water level (None exactly when ``status`` is ``"feasible"``,
     the lower bounds using up the budget) and its one level (the loop's, one
     per round): by :func:`_breakpoint_level` on a ``log_capacity``/
-    ``inverse_mse`` bank, the deactivation loop on a set holding a custom
-    objective, and :func:`tangent_fill` on every other set."""
+    ``inverse_mse`` bank, else :func:`tangent_fill`, and the deactivation
+    loop on a custom objective or where the steps give up."""
     return _p1_fill(channels, gamma, budget, cfg)[:4]
 
 
 def _p1_fill(channels: Channels, gamma: np.ndarray, budget: float, cfg: SolverConfig):
-    """:func:`water_fill`'s result and its iteration count: tangent steps,
-    deactivation rounds, or 1 on the bank."""
+    """:func:`water_fill`'s result and its iteration count: 1 on the bank,
+    else the tangent steps, and the loop's rounds after them where they give up."""
     terms = _bank_terms(channels)
-    if terms is None:
-        if channels._custom() is None:
-            return tangent_fill(channels, gamma, budget, cfg)
-        result = deactivation_loop(channels, gamma, budget, cfg)
-        return (*result, len(result[2]) or 1)
-    mu, active, _ = _breakpoint_level(terms, gamma, budget, None, cfg)
-    if mu is None:
-        return gamma.copy(), None, [], "feasible", 1
-    powers = gamma.copy()
-    powers[active] = channels.demand(mu)[active]
-    return powers, mu, [mu], "optimal", 1
+    if terms is not None:
+        mu, active, _ = _breakpoint_level(terms, gamma, budget, None, cfg)
+        powers, steps = gamma.copy(), 1
+        if mu is not None:
+            powers[active] = channels.demand(mu)[active]
+    else:
+        powers, mu, steps = tangent_fill(channels, gamma, budget, cfg)
+        if powers is None:
+            result = deactivation_loop(channels, gamma, budget, cfg)
+            return (*result, steps + (len(result[2]) or 1))
+    return powers, mu, [mu] if mu else [], "optimal" if mu else "feasible", steps
 
 
 def tangent_fill(channels: Channels, gamma: np.ndarray, budget: float,
-                 cfg: SolverConfig = _DEFAULT_CFG):
-    """P1.1 by the paper's dynamic rate on the five flat families; inputs
-    unchecked.  Returns ``(powers, mu, water_levels, status, steps)``.
+                 cfg: SolverConfig = _DEFAULT_CFG, tau: np.ndarray | None = None):
+    """P1.1, or with ``tau`` the box, by the paper's dynamic rate on the five
+    flat families: the step that P1.1 and ``order`` share; inputs unchecked.
+    Returns ``(powers, mu, steps)``, mu None when the floors fill the budget
+    and powers None where the steps give up: on a custom objective, after
+    :data:`_TANGENT_STEPS`, at a level or powers not finite, or at a last
+    level not positive.
 
     Near p, channel i's demand is linear in the level: p_i + (r_i - mu)/s_i,
     r_i its rate and s_i minus its slope.  Each step is ``order``'s search on
-    these tangent demands, which join at J_i = r_i + s_i*(p_i - gamma_i).
+    these tangent demands, which join at J_i = r_i + s_i*(p_i - gamma_i) and
+    saturate at J_i - s_i*(tau_i - gamma_i), a signed entry of the sums.  The
+    sums find the segment; its level is taken anew from its interior channels
+    and its saturated ones' tau - gamma, which the signed entries cancel.
     The rates are convex, so the level rises to mu*, as corrections to the
     last one: b/a does not cancel the budget.  A b = 0 channel at a zero
     floor halves its power where its tangent falls below it.  Stops once no
-    power moves by 4 ulp of the budget or the level stops rising; after
-    :data:`_TANGENT_STEPS`, or at a level not finite, the loop takes over."""
+    power moves by 4 ulp of the budget or the level stops rising."""
+    if channels._custom() is not None:  # a custom rate need not be convex
+        return None, None, 0
     floor = float(gamma.sum())
     if floor > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
     k, spare = len(gamma), budget - floor
     if not k or spare <= cfg.power_tolerance * budget:
-        return gamma.copy(), None, [], "feasible", 1
+        return gamma.copy(), None, 1
     edge = (gamma == 0) & (channels.b == 0)
     p, mu, halved, settled = gamma + spare / k, None, False, 4.0 * math.ulp(budget)
-    with np.errstate(all="ignore"):  # a slope that underflows: the loop takes over
+    n = k if tau is None else k + int(np.isfinite(tau).sum())  # an infinite tau's point sorts last
+    room = tau - gamma if n > k else None
+    with np.errstate(all="ignore"):  # a slope that underflows: the steps give up
         for step in range(1, _TANGENT_STEPS + 1):
             rate, slope = channels.rate_slope(p)
             inv = 1.0 / slope
             ref = float((rate * inv).sum() / inv.sum()) if mu is None else mu
             gap = (rate - ref) * inv                   # tangent demand at ref, minus p
             join = (rate - ref) + slope * (p - gamma)  # J - ref
-            order = join.argsort()[::-1]
-            excess, weight = (gap + (p - gamma))[order].cumsum(), inv[order].cumsum()
-            # The clamped tangent total above gamma at each join after the first.
-            over = (excess[:-1] - join[order[1:]] * weight[:-1] >= spare).nonzero()[0]
-            m = over[0] if over.size else k - 1
-            delta = float((excess[m] - spare) / weight[m])
-            new = np.maximum(gamma, p + (gap - delta * inv))
+            rise = gap + (p - gamma)
+            points, entries, weights = join, rise, inv
+            if n > k:
+                points = np.concatenate((join, join - slope * room))
+                entries, weights = np.concatenate((rise, room - rise)), np.concatenate((inv, -inv))
+            order = points.argsort()[::-1][:n]
+            excess, weight = entries[order].cumsum(), weights[order].cumsum()
+            # The clamped tangent total above gamma at each point after the first.
+            over = (excess[:-1] - points[order[1:]] * weight[:-1] >= spare).nonzero()[0]
+            m = over[0] if over.size else n - 1
+            if n == k:  # no saturation: the running sums' level, as without bounds
+                delta = float((excess[m] - spare) / weight[m])
+                new = np.maximum(gamma, p + (gap - delta * inv))
+            else:  # the level from the segment's channels, free of the sums' cancelling
+                passed = np.zeros(2 * k, dtype=bool)
+                passed[order[:m + 1]] = True
+                full, inner = passed[k:], passed[:k] & ~passed[k:]
+                delta = float((rise[inner].sum() + room[full].sum() - spare) / inv[inner].sum())
+                new = np.minimum(np.maximum(gamma, p + (gap - delta * inv)), tau)
             last, mu = mu, ref + delta
-            if not (math.isfinite(mu) and mu > 0 and np.isfinite(new).all()):
+            if not (math.isfinite(mu) and np.isfinite(new).all()):  # a level <= 0 may rise yet
                 break
             low = edge & (new <= gamma)
             new[low] = 0.5 * p[low]
             rising, halved = halved or last is None or mu > last, bool(low.any())
             moved, p = float(np.abs(new - p).max()), new
             if moved <= settled or not rising:
-                return p, mu, [mu], "optimal", step
-    powers, mu, levels, status = deactivation_loop(channels, gamma, budget, cfg)
-    return powers, mu, levels, status, step + (len(levels) or 1)
+                return (p, mu, step) if mu > 0 else (None, None, step)
+    return None, None, step
 
 
 def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,

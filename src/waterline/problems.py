@@ -235,10 +235,10 @@ class Allocation:
     lower bounds use up the budget) and ``iterations`` counts its passes: 1
     for the sorted search of ``log_capacity``/``inverse_mse`` sets, mixed or
     not, one per tangent step on the other flat families.  The deactivation
-    loop (a set holding a custom objective, or steps past their cap) lists
+    loop (a set holding a custom objective, or steps that give up) lists
     one level per round and adds its rounds.  Box strategies count their own
-    iterations (``order``: 1 on such a bank, as one pass, else binary-search
-    probes plus the levels the final P1.1 solve lists; ``set_a``
+    iterations (``order``: 1 on such a bank, as one pass, else its tangent
+    steps, plus ``bisect``'s evaluations where they give up; ``set_a``
     and ``set_b``: their P1.1 solves, at least 1; ``bisect``: its level
     evaluations, one clamped ``demand`` pass each, at least 1).  An
     ascending solve is always ``"optimal"``; ``splits`` counts its blocks

@@ -82,6 +82,46 @@ def random_ascending(family: str, rng: random.Random, k: int) -> AscendingProble
                             prefixes, lower, upper)
 
 
+def wide_p1(rng: np.random.Generator) -> SimplexProblem | None:
+    """A P1.1 over ROADMAP item 3's ranges, or None when it holds no
+    ``af_relay`` or sum channel: K 1 to 8, each channel's family drawn from
+    the five; w in 1e-2..1e2, a in 1e-4..1e4, b in 1e-4..1e2, ``af_relay``'s a
+    in 0.01..0.99, a sum channel's 1 to 3 terms with w, c, d in 1e-2..1e2 and
+    a = b = 1; the budget in 1e-6..1e6, floors on half the problems (all
+    log-uniform but ``af_relay``'s a and the floors)."""
+    def draw(lo, hi):
+        return float(10 ** rng.uniform(lo, hi))
+    k = int(rng.integers(1, 9))
+    families = rng.integers(0, 5, k).tolist()
+    objs = []
+    for family in families:
+        if family == 0:
+            objs.append(LogCapacity(draw(-2, 2), draw(-4, 4), draw(-4, 2)))
+        elif family == 1:
+            objs.append(InverseMse(draw(-2, 2), draw(-4, 4), draw(-4, 2)))
+        elif family == 2:
+            objs.append(AfRelay(draw(-2, 2), float(rng.uniform(0.01, 0.99)), draw(-4, 2)))
+        else:
+            n = int(rng.integers(1, 4))
+            w, c, d = ([draw(-2, 2) for _ in range(n)] for _ in range(3))
+            objs.append((SumLog if family == 3 else SumInverseMse)(w, 1, 1, c, d))
+    budget = draw(-6, 6)
+    lower = (rng.uniform(0, 0.5, k) * budget / k).tolist() if rng.random() < 0.5 else None
+    return SimplexProblem(objs, budget, lower) if max(families) >= 2 else None
+
+
+def wide_box(rng: np.random.Generator) -> BoxProblem | None:
+    """A box over ROADMAP item 3's ranges, or None as :func:`wide_p1` gives:
+    its channels, budget and floors, each upper bound the floor plus the
+    per-channel share of the budget times 0.01..3."""
+    problem = wide_p1(rng)
+    if problem is None:
+        return None
+    share = problem.budget / problem.n
+    tau = np.array(problem.lower_bounds) + share * rng.uniform(0.01, 3, problem.n)
+    return BoxProblem(problem.objectives, problem.budget, problem.lower_bounds, tau.tolist())
+
+
 def enumerate_tight_caps(problem: AscendingProblem) -> float:
     """Best objective over every pattern of tight prefix caps (small K).
 

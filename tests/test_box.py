@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import warnings
 import zlib
 
@@ -19,7 +20,7 @@ from waterline.box import box_fill_rows
 from waterline.core import deactivation_loop
 from waterline.objectives import Channels
 
-from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective, random_box
+from conftest import CLOSED_FORM_FAMILIES, FLAT_FAMILIES, make_objective, random_box, wide_box
 
 K3_EXAMPLE = BoxProblem(
     [LogCapacity(1, 1, 1), LogCapacity(1, 1, 0.5), LogCapacity(1, 1, 0.5)],
@@ -504,3 +505,113 @@ def test_bisect_with_an_infinite_rate_at_the_lower_bound():
     assert alloc.powers == pytest.approx([1.5, 0.5], abs=1e-9)
     report = check_conditions(problem, alloc, tolerance=1e-8)
     assert report.passed, report.residuals
+
+
+_STEP_FAMILIES = ("af_relay", "sum_log", "sum_inverse_mse")
+
+
+def test_order_off_the_bank_takes_the_tangent_steps_of_p1(monkeypatch):
+    """Off a log/inverse bank, ``order`` runs P1.1's tangent steps with the
+    upper bounds: no ``water_fill``, no ``demand``, and one rate-and-slope
+    pass per step, counted as its iterations."""
+    problem = random_box("af_relay", random.Random(5), 12)
+    passes = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("water_fill called")
+
+    def counted(self, powers, _rate_slope=Channels.rate_slope):
+        passes.append(len(self))
+        return _rate_slope(self, powers)
+    monkeypatch.setattr(box, "water_fill", refuse)
+    monkeypatch.setattr(Channels, "demand", refuse)
+    monkeypatch.setattr(Channels, "rate_slope", counted)
+    alloc = solve_box(problem, SolverConfig(box_strategy="order"))
+    monkeypatch.undo()
+    assert alloc.status == "optimal" and alloc.iterations == len(passes) >= 1
+    assert alloc.water_levels == [alloc.water_level]
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
+
+
+def test_order_tangent_steps_match_set_a():
+    """600 boxes of af_relay and sum-family channels, K 2 to 16, with floors
+    and finite and infinite upper bounds: ``order``'s tangent steps give
+    ``set_a``'s powers to 1e-12 of the budget and its status."""
+    rng = random.Random(7)
+    for i in range(600):
+        problem = random_box(_STEP_FAMILIES[i % 3], rng, rng.randint(2, 16))
+        alloc = solve_box(problem, SolverConfig(box_strategy="order"))
+        ref = solve_box(problem, SolverConfig(box_strategy="set_a"))
+        assert alloc.status == ref.status
+        gap = max(abs(p - q) for p, q in zip(alloc.powers, ref.powers))
+        assert gap <= 1e-12 * problem.budget, (i, gap)
+
+
+# The slope of the first channel, 1e-400/(1 + 1e-200*p)**2, underflows to 0.
+_UNDERFLOW = BoxProblem([LogCapacity(1, 1e-200, 1), AfRelay(1, 0.5, 1)], 2.0, None, [1.5, None])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_order_hands_over_to_bisect_where_a_slope_underflows():
+    # A level taken off the underflowing channel spends about 1e185 of the
+    # budget of 2; bisect checks what it spends.
+    alloc = solve_box(_UNDERFLOW, SolverConfig(box_strategy="order"))
+    ref = solve_box(_UNDERFLOW, SolverConfig(box_strategy="bisect"))
+    assert alloc.status == "optimal" and alloc.powers == ref.powers
+    assert alloc.iterations == 1 + ref.iterations
+    report = check_conditions(_UNDERFLOW, alloc, tolerance=1e-8)
+    assert report.passed, report.residuals
+
+
+def test_order_hands_over_to_bisect_at_the_step_cap(monkeypatch):
+    problem = random_box("sum_log", random.Random(5), 12)
+    assert solve_box(problem, SolverConfig(box_strategy="order")).iterations > 2
+    monkeypatch.setattr("waterline.core._TANGENT_STEPS", 2)
+    alloc = solve_box(problem, SolverConfig(box_strategy="order"))
+    ref = solve_box(problem, SolverConfig(box_strategy="bisect"))
+    assert alloc.powers == ref.powers and alloc.status == ref.status
+    assert alloc.iterations == 2 + ref.iterations
+
+
+def test_order_on_a_custom_objective_is_bisect():
+    problem = BoxProblem([_root_from_half(), AfRelay(1.0, 0.5, 1.0)], 3.0,
+                         [0.0, 0.0], [None, 1.0])
+    alloc = solve_box(problem, SolverConfig(box_strategy="order"))
+    ref = solve_box(problem, SolverConfig(box_strategy="bisect"))
+    assert alloc.powers == ref.powers and alloc.iterations == ref.iterations
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_order_past_the_float_range_reports_no_optimum():
+    # Powers near 1e154 under a 1e170 budget: no level in the float range
+    # spends it, so the result is feasible, not optimal.
+    problem = BoxProblem([AfRelay(1, 0.5, 1), AfRelay(1, 0.5, 2)], 1e170, None,
+                         [1e170, None])
+    alloc = solve_box(problem, SolverConfig(box_strategy="order"))
+    ref = solve_box(problem, SolverConfig(box_strategy="bisect"))
+    assert alloc.status == ref.status == "feasible"
+    assert alloc.powers == ref.powers
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_order_fails_no_more_certificates_than_bisect_across_the_wide_range():
+    """On 600 boxes of :func:`conftest.wide_box` (seed 3), count the
+    ``optimal`` results that fail ``check_conditions`` at 1e-8: ``order``
+    may not fail more of them than ``bisect``."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(3)
+    problems = []
+    while len(problems) < 600:
+        problem = wide_box(rng)
+        if problem is not None:
+            problems.append(problem)
+    failed = {"order": 0, "bisect": 0}
+    for problem in problems:
+        for strategy in failed:
+            alloc = solve_box(problem, SolverConfig(box_strategy=strategy))
+            if alloc.status == "optimal" and \
+                    not check_conditions(problem, alloc, tolerance=1e-8).passed:
+                failed[strategy] += 1
+    elapsed = time.perf_counter() - start
+    assert failed["order"] <= failed["bisect"], failed
+    assert elapsed < 30.0, f"the wide draw took {elapsed:.1f}s"

@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from waterline import (
-    BoxProblem, InverseMse, LogCapacity, ScenarioSpec, SimplexProblem,
+    AfRelay, BoxProblem, InverseMse, LogCapacity, ScenarioSpec, SimplexProblem,
     SolverConfig, build_instance, channel_gains, instance_to_dict,
     save_instance, solve_box)
 from waterline.cli import main
@@ -542,3 +542,20 @@ def test_bisect_with_no_level_that_spends_at_most_the_budget(runner, tmp_path, f
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
     assert errors == ["error: no water level spends at most the budget"]
     assert "Traceback" not in result.output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_order_where_a_slope_underflows_solves_and_verifies(runner, tmp_path):
+    # Off the log/inverse bank with the first channel's rate slope below the
+    # float range: order's tangent steps hand the box to bisect, whose
+    # result passes verify.
+    inst, out = str(tmp_path / "underflow.json"), str(tmp_path / "underflow_result.json")
+    save_instance(BoxProblem([LogCapacity(1, 1e-200, 1), AfRelay(1, 0.5, 1)], 2.0, None,
+                             [1.5, None]), inst)
+    solved = runner.invoke(main, ["solve", inst, "--strategy", "order", "--out", out])
+    assert solved.exit_code == 0, (solved.output, solved.exception)
+    verified = runner.invoke(main, ["verify", inst, out])
+    assert verified.exit_code == 0, (verified.output, verified.exception)
+    with open(out) as handle:
+        result = json.load(handle)
+    assert result["status"] == "optimal" and result["powers"] == [0.0, 2.0]

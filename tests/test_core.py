@@ -20,7 +20,7 @@ from waterline.core import (
 from waterline.objectives import Channels, Objective
 
 from conftest import (
-    FLAT_FAMILIES, make_objective, random_ascending, random_box, random_simplex)
+    FLAT_FAMILIES, make_objective, random_ascending, random_box, random_simplex, wide_p1)
 
 
 def test_two_channel_strong_weak():
@@ -437,16 +437,17 @@ def test_five_family_p1_tangent_step_cost(seed, monkeypatch):
 
 
 def _assert_tangent_matches_the_loop(channels, gamma, budget):
-    """``tangent_fill`` against ``deactivation_loop``: powers within
-    1e-12 of the budget, the level within 1e-12 relative, the same status."""
-    powers, mu, levels, status, steps = tangent_fill(channels, gamma, budget)
+    """``tangent_fill`` against ``deactivation_loop``: the steps do not give
+    up, the powers agree within 1e-12 of the budget and the level within
+    1e-12 relative, and the floors fill the budget for both or neither."""
+    powers, mu, steps = tangent_fill(channels, gamma, budget)
     loop_powers, loop_mu, _, loop_status = deactivation_loop(channels, gamma, budget)
-    assert status == loop_status and steps >= 1
+    assert powers is not None and steps >= 1
     assert np.abs(powers - loop_powers).max() <= 1e-12 * budget
     if loop_mu is None:
-        assert mu is None and levels == []
+        assert mu is None and loop_status == "feasible"
     else:
-        assert abs(mu - loop_mu) <= 1e-12 * loop_mu and levels == [mu]
+        assert abs(mu - loop_mu) <= 1e-12 * loop_mu
 
 
 def test_tangent_steps_match_the_deactivation_loop_on_criterion_1():
@@ -466,41 +467,13 @@ def test_tangent_steps_match_the_deactivation_loop_on_the_files_shape():
         _assert_tangent_matches_the_loop(problem.channels, np.zeros(problem.n), problem.budget)
 
 
-def _wide_p1(rng: np.random.Generator) -> SimplexProblem | None:
-    """A P1.1 over ROADMAP item 3's ranges, or None when it holds no
-    ``af_relay`` or sum channel: K 1 to 8, each channel's family drawn from
-    the five; w in 1e-2..1e2, a in 1e-4..1e4, b in 1e-4..1e2, ``af_relay``'s a
-    in 0.01..0.99, a sum channel's 1 to 3 terms with w, c, d in 1e-2..1e2 and
-    a = b = 1; the budget in 1e-6..1e6, floors on half the problems (all
-    log-uniform but ``af_relay``'s a and the floors)."""
-    def draw(lo, hi):
-        return float(10 ** rng.uniform(lo, hi))
-    k = int(rng.integers(1, 9))
-    families = rng.integers(0, 5, k).tolist()
-    objs = []
-    for family in families:
-        if family == 0:
-            objs.append(LogCapacity(draw(-2, 2), draw(-4, 4), draw(-4, 2)))
-        elif family == 1:
-            objs.append(InverseMse(draw(-2, 2), draw(-4, 4), draw(-4, 2)))
-        elif family == 2:
-            objs.append(AfRelay(draw(-2, 2), float(rng.uniform(0.01, 0.99)), draw(-4, 2)))
-        else:
-            n = int(rng.integers(1, 4))
-            w, c, d = ([draw(-2, 2) for _ in range(n)] for _ in range(3))
-            objs.append((SumLog if family == 3 else SumInverseMse)(w, 1, 1, c, d))
-    budget = draw(-6, 6)
-    lower = (rng.uniform(0, 0.5, k) * budget / k).tolist() if rng.random() < 0.5 else None
-    return SimplexProblem(objs, budget, lower) if max(families) >= 2 else None
-
-
 def test_tangent_steps_fail_no_more_certificates_than_the_loop_across_the_wide_range():
-    """On 1,500 draws of :func:`_wide_p1` (seed 3), count the ``optimal``
+    """On 1,500 draws of :func:`wide_p1` (seed 3), count the ``optimal``
     results that fail ``check_conditions`` at 1e-8: the tangent steps may
     not fail more of them than the deactivation loop."""
     start = time.perf_counter()
     rng = np.random.default_rng(3)
-    problems = [p for p in (_wide_p1(rng) for _ in range(1500)) if p is not None]
+    problems = [p for p in (wide_p1(rng) for _ in range(1500)) if p is not None]
     failed = {"tangent": 0, "loop": 0}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the loop's, past the float range
@@ -570,7 +543,8 @@ def test_tangent_steps_hand_over_to_the_loop_where_a_slope_underflows():
 
 
 def test_tangent_steps_on_no_channels():
-    assert tangent_fill(Channels([]), np.zeros(0), 1.0)[1:] == (None, [], "feasible", 1)
+    assert tangent_fill(Channels([]), np.zeros(0), 1.0)[1:] == (None, 1)
+    assert water_fill(Channels([]), np.zeros(0), 1.0)[1:] == (None, [], "feasible")
 
 
 def test_water_level_without_budget_left_raises():

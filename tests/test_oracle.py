@@ -1,5 +1,6 @@
 """Cross-checks among the reference solvers."""
 
+import math
 import os
 import random
 import subprocess
@@ -9,8 +10,9 @@ import zlib
 import pytest
 
 from waterline import (
-    BoxProblem, LogCapacity, SimplexProblem, SizeLimit, enumerate_box,
-    check_conditions, enumerate_p1, grid_search, projected_gradient)
+    BoxProblem, FairProblem, LogCapacity, SimplexProblem, SizeLimit, enumerate_box,
+    check_conditions, enumerate_p1, grid_search, projected_gradient, solve_p1_lower)
+from waterline import oracle
 
 from conftest import CLOSED_FORM_FAMILIES, random_box, random_simplex
 
@@ -87,6 +89,28 @@ def test_grid_size_limit():
     objs = [LogCapacity(1, 1, 1) for _ in range(6)]
     with pytest.raises(SizeLimit):
         grid_search(SimplexProblem(objs, 1.0))
+
+
+def test_grid_size_limit_on_five_fair_groups():
+    problem = FairProblem([[LogCapacity(1, 1, 1)]] * 5, 5.0)
+    with pytest.raises(SizeLimit, match="at most 4 group totals"):
+        grid_search(problem)
+
+
+def test_enumeration_scores_a_channel_outside_its_domain_as_minus_inf(monkeypatch):
+    # A b = 0 log channel left at its zero floor has log(0) utility: the
+    # active set without it scores -inf, and the set with both channels wins.
+    problem = SimplexProblem([LogCapacity(1, 2, 0), LogCapacity(1, 1, 1)], 2.0)
+    scores = []
+
+    def recorded(obj, p, _safe_eval=oracle._safe_eval):
+        scores.append(_safe_eval(obj, p))
+        return scores[-1]
+    monkeypatch.setattr(oracle, "_safe_eval", recorded)
+    res = enumerate_p1(problem)
+    assert -math.inf in scores
+    assert res.powers == pytest.approx(solve_p1_lower(problem).powers, abs=1e-12)
+    assert check_conditions(problem, res.powers, tolerance=1e-8).passed
 
 
 def test_three_way_agreement_on_box(rng):
