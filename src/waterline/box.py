@@ -6,8 +6,8 @@ Strategies (selected through ``SolverConfig.box_strategy``):
   :func:`~waterline.core.water_fill`; channels that hit their upper bound
   are clamped there and removed with the budget shrunk accordingly.
 * ``set_b``  -- the same loop over :func:`~waterline.core.deactivation_loop`,
-  which pins lower-bound violations round by round (one closed-form level
-  per round on a ``log_capacity``/``inverse_mse`` bank).
+  which pins lower-bound violations round by round (on a log/inverse bank, a
+  closed-form level per round against the join levels, one ``demand`` pass).
 * ``bisect`` -- the shared level search
   (:func:`~waterline.core._level_search`) on the total of the demands
   clamped into the boxes; the name is kept for files and the CLI.

@@ -25,11 +25,14 @@ and picks its path from the channels' families:
   equation on the active set, and removes (pins at its lower bound) every
   channel whose unconstrained demand falls at or below that bound.  The loop
   shrinks the active set strictly each round, so it runs at most K-1 times
-  and the water level increases strictly across rounds.  Each round's level
-  search is an Illinois regula falsi on x = 1/mu (a ``log_capacity`` demand
-  is linear in x); from round 2 its bracket opens at the last level, whose
-  residual on the smaller set, the removed channels' sum of (lower bound -
-  demand), is >= 0.
+  and the water level increases strictly across rounds.  On a bank a channel
+  is active while the level lies below its join level (its rate at its lower
+  bound): a round is a closed-form level and one comparison with the join
+  points, and one ``demand`` pass gives the powers.  Elsewhere each round's
+  level search is an Illinois regula falsi on x = 1/mu (a ``log_capacity``
+  demand is linear in x); from round 2 its bracket opens at the last level,
+  whose residual on the smaller set, the removed channels' sum of (lower
+  bound - demand), is >= 0.
 
 ``solve_p1_lower`` is the public entry: it takes a validated
 :class:`~waterline.problems.SimplexProblem`.  The box strategies' array
@@ -137,11 +140,12 @@ def _bank_points(channels: Channels, gamma: np.ndarray, tau: np.ndarray | None =
     return (terms.q, terms.u, terms.offset, *_points(terms, gamma, tau))
 
 
-def _points(terms: _Terms, gamma: np.ndarray, tau: np.ndarray | None = None):
+def _points(terms: _Terms, gamma: np.ndarray, tau: np.ndarray | None = None,
+            sort: bool = True):
     """``(c, x, order)`` of one row of bounds on a bank of ``terms``: the
     bounds plus b/a, the points x where the channels join (demand ``gamma``)
-    then, given ``tau``, saturate, and their sorting order, stable without
-    ``tau`` for P1.1's equal joins.  A join point is sqrt(c/q) or c/u, taken
+    then, given ``tau``, saturate, and, with ``sort``, their sorting order,
+    stable without ``tau`` for P1.1's equal joins.  A join point is sqrt(c/q) or c/u, taken
     per family (the unified root 2c/(u + sqrt(u**2 + 4qc)) is 0/0 at c = 0)."""
     offset = terms.offset
     c = gamma + offset if tau is None else np.concatenate((gamma + offset, tau + offset))
@@ -151,23 +155,25 @@ def _points(terms: _Terms, gamma: np.ndarray, tau: np.ndarray | None = None):
     elif terms.root is not None:  # a mixed bank: the joins, then any saturations
         for points in (x,) if tau is None else x.reshape(2, -1):
             points[terms.root] = np.sqrt(points[terms.root])
-    return c, x, x.argsort(kind="stable" if tau is None else "quicksort")
+    return c, x, x.argsort(kind="stable" if tau is None else "quicksort") if sort else None
 
 
 def _closed_form_mu(channels: Channels, budget: float) -> float | None:
-    """Closed-form water level of a ``log_capacity``/``inverse_mse`` bank,
-    mixed or not (None for any other set): at x = 1/sqrt(mu) the demands sum
-    to Q*x**2 + U*x - sum(b/a), so the level is :func:`_quadratic_level` of
-    the summed terms and the budget plus the offsets.  A channel whose b/a
+    """:func:`_terms_level` of a log/inverse bank, mixed or not; None for any other set."""
+    bank = _bank_terms(channels)
+    return None if bank is None else _terms_level(bank.q, bank.u, bank.offset, budget)
+
+
+def _terms_level(q, u, offset, budget: float) -> float:
+    """The closed-form level at which bank channels (:func:`_bank_terms`' q,
+    u and b/a ``offset``) spend ``budget``: their demands sum to Q*x**2 + U*x
+    - sum(b/a), so :func:`_quadratic_level` of the sums.  A channel whose b/a
     leaves the float range demands -inf at every level: it is left out of
     the sums, and the deactivation loop pins it."""
-    bank = _bank_terms(channels)
-    if bank is None:
-        return None
-    terms, total = (bank.q, bank.u), bank.offset.sum()
+    terms, total = (q, u), offset.sum()
     if math.isinf(total):
-        keep = np.isfinite(bank.offset)
-        terms, total = [None if v is None else v[keep] for v in terms], bank.offset[keep].sum()
+        keep = np.isfinite(offset)
+        terms, total = [None if v is None else v[keep] for v in terms], offset[keep].sum()
     q_sum, u_sum = (0.0 if v is None else float(v.sum()) for v in terms)
     return _quadratic_level(q_sum, u_sum, float(budget + total))
 
@@ -175,7 +181,7 @@ def _closed_form_mu(channels: Channels, budget: float) -> float | None:
 def _water_level_and_powers(channels: Channels, budget: float,
                             cfg: SolverConfig = _DEFAULT_CFG,
                             scale: float | None = None, warm=None):
-    """Solve sum_k g_k(mu) = budget on the given (nonempty) channels.
+    """Solve sum_k g_k(mu) = budget on the given (nonempty) channels (a bank in closed form).
 
     Returns ``(mu, powers)`` with signed powers as an array (negative entries
     mean the channel demands less than its domain edge at this water level).
@@ -453,7 +459,10 @@ def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,
 def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
                       cfg: SolverConfig = _DEFAULT_CFG):
     """P1.1 by the deactivation loop (any family); inputs unchecked.  Returns
-    ``(powers, mu, water_levels, status)`` as :func:`water_fill`."""
+    ``(powers, mu, water_levels, status)`` as :func:`water_fill`.  A bank's
+    round keeps the channels whose join point (:func:`_points`) lies below
+    x = 1/sqrt(mu); :class:`BracketFailure` for its level not positive and
+    finite, and for other powers off the budget by over its tolerance."""
     if gamma.sum() > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
     k = len(channels)
@@ -461,17 +470,37 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
     act_idx, act, warm = np.arange(k), channels, None
     powers = gamma.copy()
     water_levels: list[float] = []
+    with np.errstate(over="ignore", invalid="ignore"):  # w/a, b/a past the float range:
+        terms = _bank_terms(channels)                   # an inf or NaN point never joins
+        if terms is not None:
+            q, u, offset, joins = *terms[:2], terms.offset, _points(terms, gamma, sort=False)[1]
 
     while True:
         remaining = budget - float(gamma[~active].sum())
         if not act_idx.size or remaining <= cfg.power_tolerance * budget:
             return gamma.copy(), None, water_levels, "feasible"
+        if terms is not None:
+            mu = _terms_level(q, u, offset, remaining)
+            if not 0.0 < mu < math.inf:
+                raise BracketFailure("the water level leaves the float range")
+            water_levels.append(mu)
+            keep = joins < 1.0 / math.sqrt(mu)
+            if keep.all():
+                with np.errstate(over="ignore", invalid="ignore"):
+                    powers[act_idx] = channels.demand(mu)[act_idx]
+                return powers, mu, water_levels, "optimal"
+            active[act_idx[~keep]] = False
+            act_idx, joins, offset = act_idx[keep], joins[keep], offset[keep]
+            q, u = (None if v is None else v[keep] for v in (q, u))
+            continue
         mu, act_powers = _water_level_and_powers(act, remaining, cfg, budget, warm)
         water_levels.append(mu)
         act_gamma = gamma[act_idx]
         keep = act_powers > act_gamma
         powers[act_idx] = np.where(keep, act_powers, act_gamma)
         if keep.all():
+            if not abs(float(powers.sum()) - budget) <= cfg.power_tolerance * budget:
+                raise BracketFailure("no water level spends the budget")
             return powers, mu, water_levels, "optimal"
         active[act_idx[~keep]] = False
         keep = keep.nonzero()[0]

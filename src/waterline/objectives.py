@@ -114,14 +114,15 @@ class Objective(ABC):
     def inverse_rate(self, mu: float) -> float | NegativeDemand:
         """Public inverse of ``rate``; see module docstring for semantics."""
         value = self.demand(mu)
-        if not self.closed_form_inverse and value < self.domain_min():
+        if not self.closed_form_inverse and value < max(self.domain_min(), 0.0):
             return NegativeDemand(value)
         return value
 
     # Numeric fallback: monotone bisection with a Newton warm start.
     def _demand_numeric(self, mu: float, hint: float | None = None) -> float:
-        edge = self.domain_min()
-        rate_edge = self.rate(max(edge, 0.0))
+        # Powers start at 0 even where the domain reaches below it; so does the extrapolation.
+        edge = max(self.domain_min(), 0.0)
+        rate_edge = self.rate(edge)
         if mu >= rate_edge:
             if mu == rate_edge:
                 return edge

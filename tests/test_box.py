@@ -474,6 +474,19 @@ def test_bisect_with_no_level_that_spends_at_most_the_budget(first):
             solve_box(problem, SolverConfig(box_strategy="bisect"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cls", [LogCapacity, InverseMse])
+@pytest.mark.parametrize("first", [0, 1])
+def test_set_b_where_the_budget_left_falls_to_a_channel_past_the_float_range(cls, first):
+    # Once the log channel is pinned at tau, the budget left goes to a channel
+    # whose b/a (and, for inverse_mse, w/a) leaves the float range: it demands
+    # -inf at every level, so no positive level spends it.
+    objs = [cls(1, 1e-310, 1.0), LogCapacity(1, 1, 1)]
+    problem = BoxProblem(objs if first == 0 else objs[::-1], 2.0, None, [1.5, 1.5])
+    with pytest.raises(BracketFailure, match="the water level leaves the float range"):
+        solve_box(problem, SolverConfig(box_strategy="set_b"))
+
+
 def _root_from_half():
     """2*sqrt(p - 0.5): a custom utility whose domain starts at 0.5, with an
     infinite rate there and no rate below it."""
@@ -561,6 +574,14 @@ def test_order_hands_over_to_bisect_where_a_slope_underflows():
     assert alloc.iterations == 1 + ref.iterations
     report = check_conditions(_UNDERFLOW, alloc, tolerance=1e-8)
     assert report.passed, report.residuals
+
+
+@pytest.mark.parametrize("strategy", ["set_a", "set_b"])
+def test_set_a_and_set_b_raise_where_a_slope_underflows(strategy):
+    # Their P1.1 solve of both channels falls to the deactivation loop, whose
+    # level spends about 1e185 of the budget of 2.
+    with pytest.raises(BracketFailure, match="no water level spends the budget"):
+        solve_box(_UNDERFLOW, SolverConfig(box_strategy=strategy))
 
 
 def test_order_hands_over_to_bisect_at_the_step_cap(monkeypatch):

@@ -545,6 +545,35 @@ def test_bisect_with_no_level_that_spends_at_most_the_budget(runner, tmp_path, f
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cls", [LogCapacity, InverseMse])
+@pytest.mark.parametrize("first", [0, 1])
+def test_set_b_past_the_float_range_is_one_error_line(runner, tmp_path, cls, first):
+    # The budget left after the log channel's tau goes to a channel whose b/a
+    # leaves the float range: exit 2 with one error line, no warning raised.
+    objs = [cls(1, 1e-310, 1.0), LogCapacity(1, 1, 1)]
+    inst = str(tmp_path / "far.json")
+    save_instance(BoxProblem(objs if first == 0 else objs[::-1], 2.0, None, [1.5, 1.5]), inst)
+    result = runner.invoke(main, ["solve", inst, "--strategy", "set_b"])
+    assert result.exit_code == 2, (result.output, result.exception)
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert errors == ["error: the water level leaves the float range"]
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("strategy", ["set_a", "set_b"])
+def test_set_a_and_set_b_where_a_slope_underflows_are_one_error_line(runner, tmp_path, strategy):
+    # Their deactivation loop's level misses the budget by orders of magnitude.
+    inst = str(tmp_path / "underflow.json")
+    save_instance(BoxProblem([LogCapacity(1, 1e-200, 1), AfRelay(1, 0.5, 1)], 2.0, None,
+                             [1.5, None]), inst)
+    result = runner.invoke(main, ["solve", inst, "--strategy", strategy])
+    assert result.exit_code == 2, (result.output, result.exception)
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert errors == ["error: no water level spends the budget"]
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_order_where_a_slope_underflows_solves_and_verifies(runner, tmp_path):
     # Off the log/inverse bank with the first channel's rate slope below the
     # float range: order's tangent steps hand the box to bisect, whose

@@ -11,12 +11,13 @@ import pytest
 
 from waterline import (
     BOX_STRATEGIES, AfRelay, BoxProblem, BracketFailure, DomainError, InfeasibleBudget,
-    LogCapacity, InverseMse, SimplexProblem, SolverConfig, SumInverseMse, SumLog,
+    LogCapacity, InverseMse, ScenarioSpec, SimplexProblem, SolverConfig, SumInverseMse, SumLog,
     check_conditions, enumerate_p1, kkt_residual_p1, solve_ascending,
     solve_box, solve_p1, solve_p1_lower, solve_water_level)
+from waterline import box, scenario
 from waterline.core import (
-    _bank_terms, _breakpoint_level, _classify, _closed_form_mu, _level_search, deactivation_loop,
-    finish, illinois_root, tangent_fill, water_fill)
+    _bank_terms, _breakpoint_level, _classify, _closed_form_mu, _level_search,
+    _water_level_and_powers, deactivation_loop, finish, illinois_root, tangent_fill, water_fill)
 from waterline.objectives import Channels, Objective
 
 from conftest import (
@@ -470,21 +471,27 @@ def test_tangent_steps_match_the_deactivation_loop_on_the_files_shape():
 def test_tangent_steps_fail_no_more_certificates_than_the_loop_across_the_wide_range():
     """On 1,500 draws of :func:`wide_p1` (seed 3), count the ``optimal``
     results that fail ``check_conditions`` at 1e-8: the tangent steps may
-    not fail more of them than the deactivation loop."""
+    not fail more of them than the deactivation loop.  The loop raises
+    :class:`BracketFailure` where its last round misses the budget, which
+    is no ``optimal`` result; the tangent steps may raise nowhere."""
     start = time.perf_counter()
     rng = np.random.default_rng(3)
     problems = [p for p in (wide_p1(rng) for _ in range(1500)) if p is not None]
     failed = {"tangent": 0, "loop": 0}
+    raised = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the loop's, past the float range
         for problem in problems:
-            for name, alloc in (("tangent", solve_p1_lower(problem)),
-                                ("loop", _loop_allocation(problem))):
-                if alloc.status == "optimal" and \
+            try:
+                loop = _loop_allocation(problem)
+            except BracketFailure:
+                loop, raised = None, raised + 1
+            for name, alloc in (("tangent", solve_p1_lower(problem)), ("loop", loop)):
+                if alloc is not None and alloc.status == "optimal" and \
                         not check_conditions(problem, alloc, tolerance=1e-8).passed:
                     failed[name] += 1
     elapsed = time.perf_counter() - start
-    assert len(problems) > 1300
+    assert len(problems) > 1300 and raised < 30
     assert failed["tangent"] <= failed["loop"], failed
     assert elapsed < 30.0, f"the wide draw took {elapsed:.1f}s"
 
@@ -540,6 +547,107 @@ def test_tangent_steps_hand_over_to_the_loop_where_a_slope_underflows():
     loop = _loop_allocation(problem)
     assert alloc.powers == loop.powers and alloc.iterations == 1 + loop.iterations
     assert check_conditions(problem, alloc, tolerance=1e-8).passed
+
+
+def _reference_loop(channels, gamma, budget, cfg=SolverConfig()):
+    """The deactivation loop's rounds before the join levels, kept as the
+    reference for the bank rounds: each round takes the active channels,
+    solves their level and keeps those whose demand there exceeds the floor."""
+    active = np.ones(len(channels), dtype=bool)
+    act_idx, act, warm = np.arange(len(channels)), channels, None
+    powers, water_levels = gamma.copy(), []
+    while True:
+        remaining = budget - float(gamma[~active].sum())
+        if not act_idx.size or remaining <= cfg.power_tolerance * budget:
+            return gamma.copy(), None, water_levels, "feasible"
+        mu, act_powers = _water_level_and_powers(act, remaining, cfg, budget, warm)
+        water_levels.append(mu)
+        act_gamma = gamma[act_idx]
+        keep = act_powers > act_gamma
+        powers[act_idx] = np.where(keep, act_powers, act_gamma)
+        if keep.all():
+            return powers, mu, water_levels, "optimal"
+        active[act_idx[~keep]] = False
+        keep = keep.nonzero()[0]
+        act_idx, act, warm = act_idx[keep], act.take(keep), (mu, act_powers[keep])
+
+
+def _assert_loop_matches_the_reference(channels, gamma, budget):
+    powers, mu, levels, status = deactivation_loop(channels, gamma, budget)
+    ref_powers, ref_mu, ref_levels, ref_status = _reference_loop(channels, gamma, budget)
+    assert powers.tobytes() == ref_powers.tobytes()
+    assert (mu, levels, status) == (ref_mu, ref_levels, ref_status)
+    return levels
+
+
+def test_bank_rounds_match_the_reference_on_the_scenario_shape():
+    """K = 1,024 scenario boxes: P1.1 on their floors, and ``set_b`` with
+    their upper bounds, bit for bit as the reference loop gives them."""
+    spec = ScenarioSpec(antennas=4, subcarriers=256, gamma=0.4, tau=1.6, realizations=3, seed=7)
+    for problem in scenario.generate(spec):
+        channels = problem.channels
+        gamma = np.array(problem.lower_bounds, dtype=float)
+        tau = np.array(problem.upper_bounds, dtype=float)
+        assert len(_assert_loop_matches_the_reference(channels, gamma, problem.budget)) > 1
+        set_b = box._STRATEGIES["set_b"](channels, gamma, tau, problem.budget, SolverConfig())
+        ref = box._set_a(channels, gamma, tau, problem.budget, SolverConfig(), p1=_reference_loop)
+        assert set_b[0].tobytes() == ref[0].tobytes() and set_b[1:] == ref[1:]
+
+
+def test_bank_rounds_match_the_reference_on_mixed_banks():
+    """300 mixed log/inverse banks, K 1 to 64, with b = 0 channels at zero
+    floors."""
+    rng = np.random.default_rng(33)
+    rounds = 0
+    for _ in range(300):
+        channels, gamma, budget = _bank_instance("mixed", rng, int(rng.integers(1, 65)), True)
+        rounds = max(rounds, len(_assert_loop_matches_the_reference(channels, gamma, budget)))
+    assert rounds > 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("first", [0, 1])
+def test_bank_rounds_match_the_reference_with_an_infinite_offset(first):
+    # a = 1e-310 puts channel 0's b/a past the float range: it never joins.
+    objs = [LogCapacity(1, 1e-310, 1), InverseMse(1, 0.5, 1), LogCapacity(2, 1, 0.5)]
+    channels = Channels(objs if first == 0 else objs[::-1])
+    gamma = np.array([0.0, 0.3, 0.1] if first == 0 else [0.1, 0.3, 0.0])
+    levels = _assert_loop_matches_the_reference(channels, gamma, 2.0)
+    powers = deactivation_loop(channels, gamma, 2.0)[0]
+    assert len(levels) == 2 and powers[2 * first] == 0.0
+
+
+def test_bank_rounds_call_demand_once(monkeypatch):
+    """The rounds on a bank compare join points with the level: one
+    ``demand`` call, at the last level."""
+    rng = np.random.default_rng(5)
+    channels, gamma, budget = _bank_instance("mixed", rng, 64, True)
+    gamma *= 3.0  # floors that pin channels over several rounds
+    calls = []
+
+    def counted(self, *args, _demand=Channels.demand):
+        calls.append(len(self))
+        return _demand(self, *args)
+    monkeypatch.setattr(Channels, "demand", counted)
+    powers, mu, levels, status = deactivation_loop(channels, gamma, budget)
+    monkeypatch.undo()
+    assert calls == [64]
+    assert status == "optimal" and len(levels) > 2 and levels[-1] == mu
+    problem = SimplexProblem(channels.objectives, budget, gamma.tolist())
+    assert check_conditions(problem, powers.tolist(), tolerance=1e-8).passed
+
+
+@pytest.mark.parametrize("problem", [
+    SimplexProblem([AfRelay(1, 0.5, 1), AfRelay(1, 0.5, 2)], 1e170),
+    SimplexProblem([LogCapacity(1, 1e-200, 1), AfRelay(1, 0.5, 1)], 2.0),
+], ids=["level_below_the_float_range", "b_over_a_past_1e200"])
+def test_loop_whose_last_round_misses_the_budget_raises(problem):
+    # The tangent steps give up on a slope that underflows, and the loop's
+    # level spends about 1e154 of 1e170, or 1e185 of 2: no optimum.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the af_relay demand past the float range
+        with pytest.raises(BracketFailure, match="no water level spends the budget"):
+            solve_p1_lower(problem)
 
 
 def test_tangent_steps_on_no_channels():

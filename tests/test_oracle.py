@@ -10,8 +10,9 @@ import zlib
 import pytest
 
 from waterline import (
-    BoxProblem, FairProblem, LogCapacity, SimplexProblem, SizeLimit, enumerate_box,
-    check_conditions, enumerate_p1, grid_search, projected_gradient, solve_p1_lower)
+    AfRelay, BoxProblem, BracketFailure, FairProblem, InverseMse, LogCapacity, SimplexProblem,
+    SizeLimit, enumerate_box, check_conditions, enumerate_p1, grid_search, projected_gradient,
+    solve_p1_lower)
 from waterline import oracle
 
 from conftest import CLOSED_FORM_FAMILIES, random_box, random_simplex
@@ -110,6 +111,47 @@ def test_enumeration_scores_a_channel_outside_its_domain_as_minus_inf(monkeypatc
     res = enumerate_p1(problem)
     assert -math.inf in scores
     assert res.powers == pytest.approx(solve_p1_lower(problem).powers, abs=1e-12)
+    assert check_conditions(problem, res.powers, tolerance=1e-8).passed
+
+
+def test_enumerate_p1_skips_an_active_set_the_floors_leave_no_budget(monkeypatch):
+    # The floors of channels 0 and 1 fill the budget: the set {2} alone has
+    # none left, and is skipped before its level search.
+    problem = SimplexProblem([LogCapacity(1, 1, 1), LogCapacity(1, 2, 1), InverseMse(1, 1, 1)],
+                             1.0, [0.5, 0.5, 0.0])
+    searched = []
+
+    def recorded(objs, remaining, *args, _solve=oracle.solve_water_level, **kwargs):
+        searched.append(len(objs))
+        return _solve(objs, remaining, *args, **kwargs)
+    monkeypatch.setattr(oracle, "solve_water_level", recorded)
+    res = enumerate_p1(problem)
+    assert res.candidates == len(searched) == 6
+    assert res.powers == [0.5, 0.5, 0.0]
+    assert check_conditions(problem, res.powers, tolerance=1e-8).passed
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_p1, enumerate_box])
+def test_enumeration_skips_an_active_set_with_no_level(monkeypatch, enumerate_):
+    # a = 1e-310 puts channel 0's b/a past the float range: with both
+    # channels active the demands sum to -inf at every level, and the level
+    # search cannot bracket it.  With channel 1 at its floor (or cap) no
+    # budget is left for channel 0 alone.
+    objs, gamma = [LogCapacity(1, 1e-310, 1), AfRelay(1, 0.5, 1)], [0.0, 2.0]
+    problem = SimplexProblem(objs, 2.0, gamma) if enumerate_ is enumerate_p1 else \
+        BoxProblem(objs, 2.0, gamma, [None, 3.0])
+    failures = []
+
+    def recorded(*args, _solve=oracle.solve_water_level, **kwargs):
+        try:
+            return _solve(*args, **kwargs)
+        except BracketFailure as exc:
+            failures.append(str(exc))
+            raise
+    monkeypatch.setattr(oracle, "solve_water_level", recorded)
+    res = enumerate_(problem)
+    assert failures == ["could not bracket the water level from below"]
+    assert res.powers == [0.0, 2.0]
     assert check_conditions(problem, res.powers, tolerance=1e-8).passed
 
 
