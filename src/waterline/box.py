@@ -4,10 +4,12 @@ Strategies (selected through ``SolverConfig.box_strategy``):
 
 * ``set_a``  -- repeated lower-bound (P1.1) solves by
   :func:`~waterline.core.water_fill`; channels that hit their upper bound
-  are clamped there and removed with the budget shrunk accordingly.
+  are clamped there and removed with the budget shrunk accordingly.  A
+  log/inverse bank's join points and their order are built once per solve,
+  and read at the unpinned channels (:func:`~waterline.core._take_bank`).
 * ``set_b``  -- the same loop over :func:`~waterline.core.deactivation_loop`,
   which pins lower-bound violations round by round (on a log/inverse bank, a
-  closed-form level per round against the join levels, one ``demand`` pass).
+  closed-form level per round against those join points, one ``demand`` pass).
 * ``bisect`` -- the shared level search
   (:func:`~waterline.core._level_search`) on the total of the demands
   clamped into the boxes; the name is kept for files and the CLI.
@@ -42,8 +44,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    _bank_terms, _breakpoint_level, _classify, _level_search, deactivation_loop, finish,
-    tangent_fill, water_fill)
+    _bank_terms, _breakpoint_level, _classify, _floor_points, _level_search,
+    _take_bank, deactivation_loop, finish, tangent_fill, water_fill)
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .errors import BracketFailure
 from .objectives import Channels
@@ -58,12 +60,17 @@ def _set_a(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float
     """Repeated P1.1 solves by ``p1`` on the channels not pinned at tau: each
     round pins those that reach tau there and shrinks the budget by their
     tau.  Once the budget left exceeds the other channels' floors by no more
-    than ``cfg.power_tolerance`` of the original, they sit at gamma."""
+    than ``cfg.power_tolerance`` of the original, they sit at gamma.  Under
+    ``water_fill`` or ``deactivation_loop`` a bank's join points are built once."""
     remaining = np.arange(len(channels))
     powers = gamma.copy()
     mu, calls, slack = None, 0, cfg.power_tolerance * budget
+    bank = _floor_points(channels, gamma, p1 is water_fill) \
+        if p1 in (water_fill, deactivation_loop) else None
     while remaining.size and budget - float(gamma[remaining].sum()) > slack:
-        sub_powers, mu, _, _ = p1(channels.take(remaining), gamma[remaining], budget, cfg)
+        sub_powers, mu, _, _ = p1(channels.take(remaining), gamma[remaining], budget, cfg) \
+            if bank is None else p1(channels, gamma[remaining], budget, cfg,
+                                    _take_bank(bank, remaining))
         calls += 1
         powers[remaining] = sub_powers
         hit = sub_powers >= tau[remaining]

@@ -308,27 +308,28 @@ def solve_p1_lower(problem: SimplexProblem,
 
 
 def water_fill(channels: Channels, gamma: np.ndarray, budget: float,
-               cfg: SolverConfig = _DEFAULT_CFG):
+               cfg: SolverConfig = _DEFAULT_CFG, bank=None):
     """P1.1 on ``channels`` with lower bounds ``gamma``; inputs unchecked.
 
     Returns ``(powers, mu, water_levels, status)``: the powers as an array,
     the final water level (None exactly when ``status`` is ``"feasible"``,
     the lower bounds using up the budget) and its one level (the loop's, one
     per round): by :func:`_breakpoint_level` on a ``log_capacity``/
-    ``inverse_mse`` bank, else :func:`tangent_fill`, and the deactivation
-    loop on a custom objective or where the steps give up."""
-    return _p1_fill(channels, gamma, budget, cfg)[:4]
+    ``inverse_mse`` bank (or the ``bank`` :func:`_p1_fill` reads), else :func:`tangent_fill`,
+    and the deactivation loop on a custom objective or where the steps give up."""
+    return _p1_fill(channels, gamma, budget, cfg, bank)[:4]
 
 
-def _p1_fill(channels: Channels, gamma: np.ndarray, budget: float, cfg: SolverConfig):
+def _p1_fill(channels: Channels, gamma: np.ndarray, budget: float, cfg: SolverConfig, bank=None):
     """:func:`water_fill`'s result and its iteration count: 1 on the bank,
-    else the tangent steps, and the loop's rounds after them where they give up."""
-    terms = _bank_terms(channels)
+    else the tangent steps, and the loop's rounds after them where they give
+    up.  A ``bank`` (:func:`_take_bank`) gives the terms and sorted points."""
+    terms, points, index = (_bank_terms(channels), None, None) if bank is None else bank
     if terms is not None:
-        mu, active, _ = _breakpoint_level(terms, gamma, budget, None, cfg)
+        mu, active, _ = _breakpoint_level(terms, gamma, budget, None, cfg, points)
         powers, steps = gamma.copy(), 1
         if mu is not None:
-            powers[active] = channels.demand(mu)[active]
+            powers[active] = channels.demand(mu)[active if index is None else index[active]]
     else:
         powers, mu, steps = tangent_fill(channels, gamma, budget, cfg)
         if powers is None:
@@ -407,7 +408,8 @@ def tangent_fill(channels: Channels, gamma: np.ndarray, budget: float,
 
 
 def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,
-                      tau: np.ndarray | None = None, cfg: SolverConfig = _DEFAULT_CFG):
+                      tau: np.ndarray | None = None, cfg: SolverConfig = _DEFAULT_CFG,
+                      points=None):
     """The water level of one problem (one row of bounds and its budget) on
     a ``log_capacity``/``inverse_mse`` bank, mixed or not, given the bank's
     :func:`_bank_terms` (built with ``upper`` for a ``tau``); inputs
@@ -418,15 +420,15 @@ def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,
     channel's terms negated; the first over the budget ends the level's
     segment, and the level is :func:`_quadratic_level` of the sums over the
     segment's interior channels, free of the running sums' rounding.  Only
-    the points, their sort and the sums are the row's own work: a batch of
-    rows on one bank (``box._order_rows``) shares its terms."""
+    the points, their sort and the sums are the row's own work: rows on one
+    bank (``box._order_rows``) share its terms, ``set_a``'s rounds ``points``."""
     floor = float(gamma.sum())
     if floor > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
     k, spare = len(gamma), budget - floor
     if spare <= cfg.power_tolerance * budget:
         return None, np.zeros(k, dtype=bool), None if tau is None else np.zeros(k, dtype=bool)
-    c, x, order = _points(terms, gamma, tau)
+    c, x, order = _points(terms, gamma, tau) if points is None else points
     q, u = (terms.q, terms.u) if tau is None else terms.signed
     if tau is not None:  # a saturation takes its channel's terms away
         np.negative(c[k:], out=c[k:])
@@ -456,24 +458,45 @@ def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,
     return _quadratic_level(q_sum, u_sum, total), active, upper
 
 
+def _floor_points(channels: Channels, gamma: np.ndarray, sort: bool = True):
+    """``(terms, points, index)`` of a log/inverse bank's every channel (None
+    for any other set); a w/a or b/a past the float range never joins."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _bank_terms(channels)
+        return terms and (terms, _points(terms, gamma, sort=sort), np.arange(gamma.size))
+
+
+def _take_bank(bank, index: np.ndarray):
+    """:func:`_floor_points`' ``bank`` at the sorted ``index``, as the channels taken
+    there give it, with no take; ``root`` and ``divisor``, for :func:`_points`, are None."""
+    terms, (c, x, order), _ = bank
+    q, u = (None if v is None else v[index] for v in terms[:2])
+    if terms.root is not None:  # a family none holds is None; q is 0 off log_capacity
+        q, u = (None, u) if not q.any() else (q, None) if q.all() else (q, u)
+    if order is not None:  # a stable order filtered to a subset is the subset's own
+        rank = np.full(len(x), -1)
+        rank[index] = np.arange(index.size)
+        order = (order := rank[order])[order >= 0]
+    return _Terms(q, u, None, terms.offset[index], None, None), (c[index], x[index], order), index
+
+
 def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
-                      cfg: SolverConfig = _DEFAULT_CFG):
+                      cfg: SolverConfig = _DEFAULT_CFG, bank=None):
     """P1.1 by the deactivation loop (any family); inputs unchecked.  Returns
     ``(powers, mu, water_levels, status)`` as :func:`water_fill`.  A bank's
-    round keeps the channels whose join point (:func:`_points`) lies below
-    x = 1/sqrt(mu); :class:`BracketFailure` for its level not positive and
-    finite, and for other powers off the budget by over its tolerance."""
+    round keeps the channels whose join point (``bank``, or :func:`_floor_points`)
+    lies below x = 1/sqrt(mu); :class:`BracketFailure` for its level not positive
+    and finite, and for other powers off the budget by over its tolerance."""
     if gamma.sum() > budget * (1.0 + 1e-12):
         raise InfeasibleBudget("sum of lower bounds exceeds budget")
-    k = len(channels)
+    k = len(gamma)
     active = np.ones(k, dtype=bool)
     act_idx, act, warm = np.arange(k), channels, None
     powers = gamma.copy()
     water_levels: list[float] = []
-    with np.errstate(over="ignore", invalid="ignore"):  # w/a, b/a past the float range:
-        terms = _bank_terms(channels)                   # an inf or NaN point never joins
-        if terms is not None:
-            q, u, offset, joins = *terms[:2], terms.offset, _points(terms, gamma, sort=False)[1]
+    terms, points, index = bank or _floor_points(channels, gamma, sort=False) or (None,) * 3
+    if terms is not None:
+        q, u, offset, joins = *terms[:2], terms.offset, points[1]
 
     while True:
         remaining = budget - float(gamma[~active].sum())
@@ -487,9 +510,9 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
             keep = joins < 1.0 / math.sqrt(mu)
             if keep.all():
                 with np.errstate(over="ignore", invalid="ignore"):
-                    powers[act_idx] = channels.demand(mu)[act_idx]
+                    powers[act_idx] = channels.demand(mu)[index[act_idx]]
                 return powers, mu, water_levels, "optimal"
-            active[act_idx[~keep]] = False
+            active[act_idx] = keep
             act_idx, joins, offset = act_idx[keep], joins[keep], offset[keep]
             q, u = (None if v is None else v[keep] for v in (q, u))
             continue
@@ -502,7 +525,7 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
             if not abs(float(powers.sum()) - budget) <= cfg.power_tolerance * budget:
                 raise BracketFailure("no water level spends the budget")
             return powers, mu, water_levels, "optimal"
-        active[act_idx[~keep]] = False
+        active[act_idx] = keep
         keep = keep.nonzero()[0]
         # The level only rises: this one opens the next round's search.
         act_idx, act, warm = act_idx[keep], act.take(keep), (mu, act_powers[keep])

@@ -378,9 +378,9 @@ class AfRelay(_ClosedForm):
 
     @staticmethod
     def _bank_demand(w, a, b, mu):
-        one_minus_a = 1.0 - a
-        disc = a * a + 4.0 * w * one_minus_a * a * b / mu
-        return (np.sqrt(disc) - (2.0 - a)) / (2.0 * one_minus_a * b)
+        with np.errstate(over="ignore"):  # a level near 0: inf, which the solvers' checks catch
+            disc = a * a + 4.0 * w * (1.0 - a) * a * b / mu
+        return (np.sqrt(disc) - (2.0 - a)) / (2.0 * (1.0 - a) * b)
 
     @staticmethod
     def _bank_rate(w, a, b, p):

@@ -574,6 +574,20 @@ def test_set_a_and_set_b_where_a_slope_underflows_are_one_error_line(runner, tmp
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_p1_whose_level_leaves_the_float_range_is_one_error_line(runner, tmp_path):
+    # The tangent steps give up on a slope that underflows; the loop's level
+    # search halves the level to a subnormal one, where the af_relay demand
+    # w*a*b/mu overflows to inf with no warning raised.
+    inst = str(tmp_path / "subnormal.json")
+    save_instance(SimplexProblem([AfRelay(1, 0.5, 1), AfRelay(1, 0.5, 2)], 1e170), inst)
+    result = runner.invoke(main, ["solve", inst])
+    assert result.exit_code == 2, (result.output, result.exception)
+    errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+    assert errors == ["error: no water level spends the budget"]
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_order_where_a_slope_underflows_solves_and_verifies(runner, tmp_path):
     # Off the log/inverse bank with the first channel's rate slope below the
     # float range: order's tangent steps hand the box to bisect, whose

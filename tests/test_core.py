@@ -14,7 +14,7 @@ from waterline import (
     LogCapacity, InverseMse, ScenarioSpec, SimplexProblem, SolverConfig, SumInverseMse, SumLog,
     check_conditions, enumerate_p1, kkt_residual_p1, solve_ascending,
     solve_box, solve_p1, solve_p1_lower, solve_water_level)
-from waterline import box, scenario
+from waterline import box, core, scenario
 from waterline.core import (
     _bank_terms, _breakpoint_level, _classify, _closed_form_mu, _level_search,
     _water_level_and_powers, deactivation_loop, finish, illinois_root, tangent_fill, water_fill)
@@ -637,17 +637,119 @@ def test_bank_rounds_call_demand_once(monkeypatch):
     assert check_conditions(problem, powers.tolist(), tolerance=1e-8).passed
 
 
+# set_a's per-round paths that take the unpinned channels: the lambdas are
+# not water_fill or deactivation_loop, so _set_a runs them on Channels.take.
+_GENERIC_P1 = {"set_a": lambda *args: water_fill(*args),
+               "set_b": lambda *args: deactivation_loop(*args)}
+
+
+def _assert_bank_path_matches_the_taken_channels(channels, gamma, tau, budget):
+    """``set_a`` and ``set_b`` off the terms and join points built once, bit
+    for bit as their P1.1 solves on the taken channels give them, and
+    ``set_b`` as the reference loop gives it.  Returns the round counts."""
+    rounds = []
+    for name, generic in _GENERIC_P1.items():
+        result = box._STRATEGIES[name](channels, gamma, tau, budget, SolverConfig())
+        refs = [box._set_a(channels, gamma, tau, budget, SolverConfig(), p1=generic)]
+        if name == "set_b":
+            refs.append(box._set_a(channels, gamma, tau, budget, SolverConfig(),
+                                   p1=_reference_loop))
+        for ref in refs:
+            assert result[0].tobytes() == ref[0].tobytes() and result[1:] == ref[1:]
+        rounds.append(result[2])
+    return rounds
+
+
+def test_set_a_bank_path_matches_the_taken_channels_on_the_scenario_shape():
+    """K = 1,024 scenario boxes, each over several ``set_a`` rounds."""
+    spec = ScenarioSpec(antennas=4, subcarriers=256, gamma=0.4, tau=1.6, realizations=3, seed=11)
+    for problem in scenario.generate(spec):
+        rounds = _assert_bank_path_matches_the_taken_channels(
+            problem.channels, np.array(problem.lower_bounds, dtype=float),
+            np.array(problem.upper_bounds, dtype=float), problem.budget)
+        assert min(rounds) > 2
+
+
+def test_set_a_bank_path_matches_the_taken_channels_on_mixed_banks():
+    """300 banks, K 1 to 64, of one family or of both in a random mix, with
+    b = 0 channels at zero floors and infinite upper bounds; in a third of
+    them one family's caps are tight, so that its channels are pinned first
+    and the channels left hold one family."""
+    rng = np.random.default_rng(41)
+    rounds = 0
+    for i in range(300):
+        k = int(rng.integers(1, 65))
+        family = rng.integers(0, 2, k) if i % 2 else np.full(k, i % 4 // 2)
+        w, b = rng.uniform(0.5, 2.0, k), rng.uniform(0.05, 2.0, k)
+        a = 10.0 ** rng.uniform(-2.0, 2.0, k)
+        budget = k * rng.uniform(0.5, 3.0)
+        gamma = rng.uniform(0.0, 0.8, k) * budget / k
+        zero = rng.random(k) < 0.15
+        b[zero], gamma[zero] = 0.0, 0.0
+        tau = gamma + rng.uniform(0.0, 3.0, k) * budget / k
+        if i % 3 == 0:
+            tau[family == 0] = gamma[family == 0] + 1e-3
+        tau[rng.random(k) < 0.2] = np.inf
+        channels = Channels([(LogCapacity, InverseMse)[f](*p)
+                             for f, p in zip(family, zip(w, a, b))])
+        rounds = max(rounds, *_assert_bank_path_matches_the_taken_channels(
+            channels, gamma, tau, budget))
+    assert rounds > 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("first", [0, 1])
+def test_set_a_bank_path_matches_the_taken_channels_with_an_infinite_offset(first):
+    # a = 1e-310 puts channel 0's b/a past the float range, so its join
+    # point is infinite; the inverse_mse channel is pinned at its tau in the
+    # first round, and the second round's channels are log_capacity alone.
+    objs = [LogCapacity(1, 1e-310, 1), LogCapacity(1, 1, 1), InverseMse(1, 1, 1)]
+    tau = np.array([np.inf, np.inf, 0.1])
+    if first:
+        objs, tau = objs[::-1], tau[::-1].copy()
+    rounds = _assert_bank_path_matches_the_taken_channels(Channels(objs), np.zeros(3), tau, 2.0)
+    assert rounds == [2, 2]
+    powers = box._STRATEGIES["set_a"](Channels(objs), np.zeros(3), tau, 2.0, SolverConfig())[0]
+    assert powers.tolist() == ([0.0, 1.9, 0.1] if first == 0 else [0.1, 1.9, 0.0])
+
+
+@pytest.mark.parametrize("strategy", ["set_a", "set_b"])
+def test_set_a_builds_the_bank_once_per_box_solve(monkeypatch, strategy):
+    """On a bank, one ``_bank_terms``, one ``_points`` (sorted for ``set_a``
+    only) and no ``Channels.take`` per solve, over several rounds."""
+    spec = ScenarioSpec(antennas=4, subcarriers=64, gamma=0.4, tau=1.6, realizations=1, seed=11)
+    problem = next(iter(scenario.generate(spec)))
+    calls = {"terms": 0, "sorts": 0, "points": 0, "take": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            calls["sorts"] += name == "points" and kwargs.get("sort", True)
+            return original(*args, **kwargs)
+        return counted
+    monkeypatch.setattr(core, "_bank_terms", counting("terms", core._bank_terms))
+    monkeypatch.setattr(core, "_points", counting("points", core._points))
+    monkeypatch.setattr(Channels, "take", counting("take", Channels.take))
+    gamma = np.array(problem.lower_bounds, dtype=float)
+    tau = np.array(problem.upper_bounds, dtype=float)
+    result = box._STRATEGIES[strategy](problem.channels, gamma, tau, problem.budget,
+                                       SolverConfig())
+    monkeypatch.undo()
+    assert result[2] > 2 and result[3] == "optimal"
+    assert calls == {"terms": 1, "points": 1, "sorts": int(strategy == "set_a"), "take": 0}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("problem", [
     SimplexProblem([AfRelay(1, 0.5, 1), AfRelay(1, 0.5, 2)], 1e170),
     SimplexProblem([LogCapacity(1, 1e-200, 1), AfRelay(1, 0.5, 1)], 2.0),
 ], ids=["level_below_the_float_range", "b_over_a_past_1e200"])
 def test_loop_whose_last_round_misses_the_budget_raises(problem):
     # The tangent steps give up on a slope that underflows, and the loop's
-    # level spends about 1e154 of 1e170, or 1e185 of 2: no optimum.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the af_relay demand past the float range
-        with pytest.raises(BracketFailure, match="no water level spends the budget"):
-            solve_p1_lower(problem)
+    # level spends about 1e154 of 1e170, or 1e185 of 2: no optimum.  The
+    # af_relay demand at a subnormal level overflows to inf with no warning.
+    with pytest.raises(BracketFailure, match="no water level spends the budget"):
+        solve_p1_lower(problem)
 
 
 def test_tangent_steps_on_no_channels():

@@ -1,5 +1,6 @@
 """Cross-checks among the reference solvers."""
 
+import inspect
 import math
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 from waterline import (
     AfRelay, BoxProblem, BracketFailure, FairProblem, InverseMse, LogCapacity, SimplexProblem,
     SizeLimit, enumerate_box, check_conditions, enumerate_p1, grid_search, projected_gradient,
-    solve_p1_lower)
+    solve_maxmin, solve_p1_lower)
 from waterline import oracle
 
 from conftest import CLOSED_FORM_FAMILIES, random_box, random_simplex
@@ -153,6 +154,60 @@ def test_enumeration_skips_an_active_set_with_no_level(monkeypatch, enumerate_):
     assert failures == ["could not bracket the water level from below"]
     assert res.powers == [0.0, 2.0]
     assert check_conditions(problem, res.powers, tolerance=1e-8).passed
+
+
+def _oracle_lines_run(call):
+    """``call()``'s result and the line numbers it ran in ``oracle``."""
+    lines, previous = set(), sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != oracle.__file__:
+            return None
+        if event == "line":
+            lines.add(frame.f_lineno)
+        return trace
+    sys.settrace(trace)
+    try:
+        return call(), lines
+    finally:
+        sys.settrace(previous)
+
+
+def test_projected_gradient_stops_where_no_step_is_accepted():
+    # The first step's projection stops 1.07e-15 over the budget, within its
+    # 1e-15 * (1 + cap) tolerance, at the optimum's vertex (0.08, 0).  Every
+    # later trial lands nearer the budget on channel 0, so its value is a
+    # rounding lower at all 60 halvings: the ascent stops, and the polish
+    # keeps the vertex.
+    problem = SimplexProblem([LogCapacity(1e4, 1, 1), LogCapacity(1e3, 1, 10)], 0.08)
+    res, lines = _oracle_lines_run(lambda: projected_gradient(problem))
+    source, first = inspect.getsourcelines(oracle.projected_gradient)
+    stop = first + 1 + next(i for i, line in enumerate(source) if "if not accepted:" in line)
+    assert source[stop - first].strip() == "break" and stop in lines
+    assert res.candidates == 2
+    assert res.powers == pytest.approx(solve_p1_lower(problem).powers, abs=1e-14)
+    assert check_conditions(problem, res.powers, tolerance=1e-8).passed
+
+
+def test_grid_search_scores_a_group_budget_below_its_floors_as_minus_inf(monkeypatch):
+    # Group 0's tau is one ulp above 2, the grid's top point: the budget
+    # left, 3 - tau, lies 4e-16 below group 1's floor of 1, within the grid's
+    # 1e-12 slack, so that point scores -inf without a solve of group 1.
+    tau = math.nextafter(2.0, 3.0)
+    problem = FairProblem([[LogCapacity(1, 2, 1)], [LogCapacity(1, 1, 1)]], 3.0,
+                          lower_bounds=[[0.0], [1.0]], upper_bounds=[[tau], [None]])
+    solves = []
+
+    def recorded(*args, _fill=oracle.water_fill):
+        solves.append(args[2])
+        return _fill(*args)
+    monkeypatch.setattr(oracle, "water_fill", recorded)
+    res = grid_search(problem)
+    assert len(solves) == res.candidates - 1 and min(solves) >= 1.0
+    solution = solve_maxmin(problem)
+    assert check_conditions(problem, solution, tolerance=1e-8).passed
+    assert res.objective_value == pytest.approx(solution.t, abs=1e-5)
+    assert res.objective_value <= solution.t
 
 
 def test_three_way_agreement_on_box(rng):
