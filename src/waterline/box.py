@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    _bank_terms, _breakpoint_level, _classify, _floor_points, _level_search,
+    _bank_points, _bank_terms, _breakpoint_level, _classify, _level_search,
     _take_bank, deactivation_loop, finish, tangent_fill, water_fill)
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
 from .errors import BracketFailure
@@ -65,7 +65,7 @@ def _set_a(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: float
     remaining = np.arange(len(channels))
     powers = gamma.copy()
     mu, calls, slack = None, 0, cfg.power_tolerance * budget
-    bank = _floor_points(channels, gamma, p1 is water_fill) \
+    bank = _bank_points(channels, gamma, sort=p1 is water_fill) \
         if p1 in (water_fill, deactivation_loop) else None
     while remaining.size and budget - float(gamma[remaining].sum()) > slack:
         sub_powers, mu, _, _ = p1(channels.take(remaining), gamma[remaining], budget, cfg) \

@@ -109,6 +109,8 @@ def _bank_terms(channels: Channels, upper: bool = False) -> _Terms | None:
         offset = channels.b / channels.a
     # q and u are 0 on the other family's channels: q + u adds exact zeros.
     divisor = u if q is None else q if u is None else q + u
+    if u is not None and np.isinf(offset).any():  # w/a and b/a past the float range:
+        divisor = np.where(np.isinf(offset), 1.0, divisor)  # a point of +inf, not inf/inf
     signed = tuple(None if v is None else np.concatenate((v, -v)) for v in (q, u)) \
         if upper else None
     return _Terms(q, u, root, offset, divisor, signed)
@@ -130,14 +132,14 @@ def _quadratic_level(q_sum, u_sum, total):
     return level if q_sum else s * s
 
 
-def _bank_points(channels: Channels, gamma: np.ndarray, tau: np.ndarray | None = None):
-    """``(q, u, offset, c, x, order)`` of a ``log_capacity``/``inverse_mse``
-    bank (None for any other set): its :func:`_bank_terms`' q, u and b/a,
-    then :func:`_points` of the bounds."""
-    terms = _bank_terms(channels)
-    if terms is None:
-        return None
-    return (terms.q, terms.u, terms.offset, *_points(terms, gamma, tau))
+def _bank_points(channels: Channels, gamma: np.ndarray, tau=None, sort: bool = True):
+    """``(terms, (c, x, order), index)`` of a ``log_capacity``/``inverse_mse``
+    bank's every channel (None for any other set): its :func:`_bank_terms`,
+    :func:`_points` of the bounds, and the channels' indices.  A channel whose
+    b/a leaves the float range never joins: its point is +inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _bank_terms(channels)
+        return terms and (terms, _points(terms, gamma, tau, sort=sort), np.arange(gamma.size))
 
 
 def _points(terms: _Terms, gamma: np.ndarray, tau: np.ndarray | None = None,
@@ -324,12 +326,13 @@ def _p1_fill(channels: Channels, gamma: np.ndarray, budget: float, cfg: SolverCo
     """:func:`water_fill`'s result and its iteration count: 1 on the bank,
     else the tangent steps, and the loop's rounds after them where they give
     up.  A ``bank`` (:func:`_take_bank`) gives the terms and sorted points."""
-    terms, points, index = (_bank_terms(channels), None, None) if bank is None else bank
+    terms, points, index = bank or _bank_points(channels, gamma) or (None,) * 3
     if terms is not None:
         mu, active, _ = _breakpoint_level(terms, gamma, budget, None, cfg, points)
         powers, steps = gamma.copy(), 1
-        if mu is not None:
-            powers[active] = channels.demand(mu)[active if index is None else index[active]]
+        if mu is not None:  # a channel that never joins may overflow: not read
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers[active] = channels.demand(mu)[index[active]]
     else:
         powers, mu, steps = tangent_fill(channels, gamma, budget, cfg)
         if powers is None:
@@ -433,8 +436,10 @@ def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,
     if tau is not None:  # a saturation takes its channel's terms away
         np.negative(c[k:], out=c[k:])
     xs = x[order]
-    # The points of an infinite tau come last; each over-spends.
-    n = len(x) if tau is None else int(xs.searchsorted(np.inf))
+    # Infinite points (a channel that never joins, an infinite tau) come last.
+    n = int(xs.searchsorted(np.inf))
+    if not n:
+        raise BracketFailure("the water level leaves the float range")
     before = order[:n - 1]
     # The total above the lower bounds at each finite point after the first.
     excess = -c[before].cumsum()
@@ -458,16 +463,8 @@ def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,
     return _quadratic_level(q_sum, u_sum, total), active, upper
 
 
-def _floor_points(channels: Channels, gamma: np.ndarray, sort: bool = True):
-    """``(terms, points, index)`` of a log/inverse bank's every channel (None
-    for any other set); a w/a or b/a past the float range never joins."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _bank_terms(channels)
-        return terms and (terms, _points(terms, gamma, sort=sort), np.arange(gamma.size))
-
-
 def _take_bank(bank, index: np.ndarray):
-    """:func:`_floor_points`' ``bank`` at the sorted ``index``, as the channels taken
+    """:func:`_bank_points`' ``bank`` at the sorted ``index``, as the channels taken
     there give it, with no take; ``root`` and ``divisor``, for :func:`_points`, are None."""
     terms, (c, x, order), _ = bank
     q, u = (None if v is None else v[index] for v in terms[:2])
@@ -484,7 +481,7 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
                       cfg: SolverConfig = _DEFAULT_CFG, bank=None):
     """P1.1 by the deactivation loop (any family); inputs unchecked.  Returns
     ``(powers, mu, water_levels, status)`` as :func:`water_fill`.  A bank's
-    round keeps the channels whose join point (``bank``, or :func:`_floor_points`)
+    round keeps the channels whose join point (``bank``, or :func:`_bank_points`)
     lies below x = 1/sqrt(mu); :class:`BracketFailure` for its level not positive
     and finite, and for other powers off the budget by over its tolerance."""
     if gamma.sum() > budget * (1.0 + 1e-12):
@@ -494,7 +491,7 @@ def deactivation_loop(channels: Channels, gamma: np.ndarray, budget: float,
     act_idx, act, warm = np.arange(k), channels, None
     powers = gamma.copy()
     water_levels: list[float] = []
-    terms, points, index = bank or _floor_points(channels, gamma, sort=False) or (None,) * 3
+    terms, points, index = bank or _bank_points(channels, gamma, sort=False) or (None,) * 3
     if terms is not None:
         q, u, offset, joins = *terms[:2], terms.offset, points[1]
 

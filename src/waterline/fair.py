@@ -146,7 +146,7 @@ def _group_levels(channels: Channels, gamma, tau, offsets):
         _group_mu_for_t, channels.take(np.arange(lo, hi)), gamma[lo:hi], tau[lo:hi]))
     if bank is None:
         return [(search(lo, hi), None) for lo, hi in spans]
-    (q, u, _, c, x, order), k, width = bank, len(idx), sizes[table]
+    ((q, u, *_), (c, x, order), _), k, width = bank, len(idx), sizes[table]
     bounds = np.append(0, np.cumsum(width)).tolist()  # each table group's channels in sub
     zero = x == 0  # b = 0 at a zero bound: an infinite rate, a utility of -inf
     utils = np.concatenate((sub.eval(np.where(zero[:k], 1.0, gamma_t)),
@@ -475,7 +475,7 @@ def _cluster_tables(cluster: ClusterChannels, gamma, offsets):
         return [None] * len(sizes), lambda bound, totals: [None] * len(sizes)
     width = sizes[table]
     order, row, col, _, cuts = _grouped(
-        bank[5], np.repeat(np.arange(len(width)), width), len(width))
+        bank[1][2], np.repeat(np.arange(len(width)), width), len(width))
     pos = idx[order] if cluster.index.size == n_entries else \
         np.searchsorted(cluster.index, idx[order])  # the places among the aware entries
     w, a, e2, n2 = (v[pos] for v in (cluster.w, cluster.a, cluster.sigma_e2, cluster.sigma_n2))
@@ -545,6 +545,14 @@ def _spender(tables, inverse: int, maps, lows, budget: float):
     return spend
 
 
+def _group_fill(channels: Channels, gamma, budget: float, cfg: SolverConfig):
+    """``water_fill`` on bound cluster entries; no finite join point names the group."""
+    try:
+        return water_fill(channels, gamma, budget, cfg)
+    except BracketFailure:
+        raise BracketFailure("a group's water level leaves the float range") from None
+
+
 def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
     """``(gamma, floors, tables, solve_group, finish)``: floors (flat, and each
     group's sum), the :func:`_cluster_tables` maps, ``solve_group(j, b)``
@@ -558,7 +566,7 @@ def _cluster_solver(problem: FairProblem, cfg: SolverConfig):
     def solve_group(j: int, group_budget: float):
         channels = problem.group_banks[j].bind(group_budget)
         return (problem.group_banks[j], channels,
-                *water_fill(channels, gamma[ends[j]:ends[j + 1]], group_budget, cfg)[:2])
+                *_group_fill(channels, gamma[ends[j]:ends[j + 1]], group_budget, cfg)[:2])
 
     def finish(totals, iterations: int, t: float | None = None) -> FairSolution:
         bound = problem.bank.bind(np.repeat(np.asarray(totals, dtype=float), sizes))
@@ -585,7 +593,7 @@ def solve_cluster(problem: FairProblem,
         return finish([budget], 1)
     if not problem.bank.coupled:
         # No interference coupling: the groups pool into one problem.
-        powers, _, water_levels, _ = water_fill(problem.bank.bind(0.0), gamma, budget, cfg)
+        powers, _, water_levels, _ = _group_fill(problem.bank.bind(0.0), gamma, budget, cfg)
         return finish(np.add.reduceat(powers, ends[:-1]).tolist(), len(water_levels) or 1)
 
     total_floor = sum(floors)
@@ -630,7 +638,7 @@ def solve_cluster_maxmin(problem: FairProblem,
         channels, gamma_j = problem.group_banks[j].bind(group_budget), gamma[ends[j]:ends[j + 1]]
         if group_budget <= floors[j] and not np.isfinite(channels.rate(gamma_j)).all():
             return -math.inf  # a channel with b = 0 rests at a zero floor
-        powers = water_fill(channels, gamma_j, group_budget, cfg)[0]
+        powers = _group_fill(channels, gamma_j, group_budget, cfg)[0]
         return float(channels.eval(powers).sum())
 
     utilities = [_MonotoneMap(partial(utility, j), increasing=True) for j in range(n_groups)]

@@ -8,16 +8,16 @@ problem-type invariant, so a loaded instance is always directly solvable.
 A flat problem's ``objectives`` come in one of two layouts (README,
 "Instance format"):
 
-* columns, which :func:`save_instance` writes whenever every channel is of
-  the five serializable families: ``{"family": name or [one per channel],
-  "w": [...], "a": [...], "b": [...]}``, plus ``"terms": {"w", "c", "d",
-  "count"}`` with a sum-family channel, the ``Channels.from_arrays`` layout
-  (a sum channel's ``w`` entry is the placeholder 0).  They load straight
-  into one bank, and a fault names its column and index, ``objectives.a[3]``;
+* columns, the one layout :func:`save_instance` writes for a flat problem
+  (every channel of the five serializable families; any other does not
+  serialize): ``{"family": name or [one per channel], "w": [...], "a":
+  [...], "b": [...]}``, plus ``"terms": {"w", "c", "d", "count"}`` with a
+  sum-family channel, the ``Channels.from_arrays`` layout (a sum channel's
+  ``w`` entry is the placeholder 0).  They load straight into one bank, and
+  a fault names its column and index, ``objectives.a[3]``;
 * records, one object per channel, which the writer keeps for fair
-  problems' ``groups`` (and tries for a problem holding an objective of
-  another class, which does not serialize).  Flat-family records still load
-  straight into one bank, the same bank as their columns.
+  problems' ``groups``.  Records load through their objects, one per
+  record, which then form the same bank as their columns.
 
 Like ``family``, the columns ``w``, ``a``, ``b`` and a flat problem's
 ``lower_bounds`` and ``upper_bounds`` may each be one number for every
@@ -41,13 +41,12 @@ from functools import partial
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .errors import DomainError, SchemaError, WaterlineError
 import numpy as np
 
+from .errors import DomainError, SchemaError, WaterlineError
 from .objectives import _BANK_CLASSES, _BANK_CODES, Channels, Objective, objective_from_params
-from .problems import (
-    FAIR_MODES, Allocation, AscendingProblem, BoxProblem, FairProblem,
-    FairSolution, KktReport, SimplexProblem, SolverConfig)
+from .problems import (AscendingProblem, BoxProblem, FairProblem, FairSolution, KktReport,
+                       SimplexProblem, SolverConfig)
 
 PROBLEM_CLASSES = ("p1", "p1_lower", "box", "ascending",
                    "maxmin", "cluster", "cluster_maxmin")
@@ -140,34 +139,6 @@ def _objective_list(value, field: str) -> list:
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"{field}[{i}]", f"bad parameters: {exc}") from exc
     return out
-
-
-def _bank(value):
-    """``value``'s objectives as one bank, loaded straight into columns, when
-    every record is a flat-family record of numbers; otherwise, or when the
-    bank refuses a value, None, so that the objects word the error."""
-    if not (isinstance(value, list) and value and set(map(type, value)) == {dict}):
-        return None
-    # A record without one of its keys reads None there, which the type
-    # tests refuse; the length test then refuses any other key.
-    families, w, a, b, c, d = ([r.get(key) for r in value] for key in ("family", *"wabcd"))
-    is_sum = [f in ("sum_log", "sum_inverse_mse") for f in families]
-    lists = [[x for x, s in zip(col, is_sum) if s] for col in (w, c, d)]
-    if set(map(type, families)) != {str} \
-            or list(map(len, value)) != [4 + 2 * x for x in is_sum] \
-            or not set(map(type, lists[0] + lists[1] + lists[2])) <= {list} \
-            or len({tuple(map(len, col)) for col in lists}) != 1:
-        return None
-    terms = [[x for t in col for x in t] for col in lists]
-    w = [math.nan if s else x for x, s in zip(w, is_sum)]
-    if not set(map(type, w + a + b + terms[0] + terms[1] + terms[2])) <= _NUMBER_TYPES:
-        return None
-    counts = [len(r["w"]) if s else 0 for r, s in zip(value, is_sum)]
-    try:
-        return Channels.from_arrays(families[0] if len(set(families)) == 1 else families,
-                                    w, a, b, (*terms, counts) if lists[0] else None)
-    except (DomainError, OverflowError):
-        return None
 
 
 _SUM_FAMILIES = {cls.family for cls in _BANK_CLASSES if not cls.closed_form_inverse}
@@ -279,13 +250,9 @@ def _term_columns(value, sums: list, reference: str) -> tuple:
 
 def _flat_objectives(value):
     """A flat problem's objectives: the bank of a columnar block
-    (:func:`_columns`) or of flat-family records (:func:`_bank`), or failing
-    that the objects of :func:`_objective_list`."""
+    (:func:`_columns`), else the objects of :func:`_objective_list`."""
     if isinstance(value, dict):
         return _columns(value)
-    bank = _bank(value)
-    if bank is not None:
-        return bank
     objectives = _objective_list(value, "objectives")
     if any(not isinstance(o, Objective) for o in objectives):
         raise SchemaError("objectives",
@@ -407,12 +374,11 @@ def _params(obj) -> dict:
     raise SchemaError("objectives", "objective is not serializable")
 
 
-def _columns_out(channels: Channels):
+def _columns_out(channels: Channels) -> dict:
     """``channels`` as a columnar ``objectives`` block, read from the bank's
-    arrays (None when it holds an object of another class, which keeps the
-    record layout)."""
+    arrays; a channel outside the five bank families does not serialize."""
     if channels._custom() is not None:
-        return None
+        raise SchemaError("objectives", "objective is not serializable")
     codes, terms = channels._codes, channels._terms
     family = channels.family if codes is None else \
         [_BANK_CLASSES[c].family for c in codes.tolist()]
@@ -456,9 +422,7 @@ def instance_to_dict(problem) -> dict:
                 u if u is not None else [None] * len(problem.groups[j])
                 for j, u in enumerate(uppers)]
         return doc
-    doc = {"problem_class": cls,
-           "objectives": _columns_out(problem.channels)
-           or [_params(o) for o in problem.objectives]}
+    doc = {"problem_class": cls, "objectives": _columns_out(problem.channels)}
     if isinstance(problem, AscendingProblem):
         doc["prefix_budgets"] = list(problem.prefix_budgets)
     else:

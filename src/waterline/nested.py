@@ -37,7 +37,7 @@ def _block_levels(channels: Channels, gamma: np.ndarray, tau: np.ndarray):
     bank = _bank_points(channels, gamma, tau)
     if bank is None:
         return None
-    (q, u, offset, _, x, order), k = bank, len(gamma)
+    ((q, u, _, offset, *_), (_, x, order), _), k = bank, len(gamma)
     keep = np.isfinite(x[order])  # an infinite tau never saturates
     points, owner = x[order][keep], order[keep] % k
     coef = np.array([np.zeros(k) if v is None else v for v in (q, u)] + [offset])

@@ -182,6 +182,7 @@ def projected_gradient(problem, cfg: SolverConfig = _DEFAULT_CFG,
 
     x = _project(g.copy(), g, t, caps)
     fx = value(x)
+    limit = np.asarray(caps, dtype=float) * (1.0 + 1e-12)  # a trial over it is refused
     step = 1.0
     iters = 0
     for _ in range(max_iterations):
@@ -191,7 +192,7 @@ def projected_gradient(problem, cfg: SolverConfig = _DEFAULT_CFG,
         for _ in range(60):
             cand = _project(x + step * gr, g, t, caps)
             fc = value(cand)
-            if fc >= fx or not math.isfinite(fx):
+            if (fc >= fx or not math.isfinite(fx)) and not (np.cumsum(cand) > limit).any():
                 accepted = True
                 break
             step *= 0.5

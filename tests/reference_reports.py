@@ -266,7 +266,7 @@ def _group_level(channels: Channels, gamma, tau):
     bank = _bank_points(channels, gamma, tau)
     if bank is None:
         return partial(_group_mu_for_t, channels, gamma, tau), None
-    (q, u, _, c, x, order), k = bank, len(gamma)
+    ((q, u, *_), (c, x, order), _), k = bank, len(gamma)
     zero = x == 0  # b = 0 at a zero bound: an infinite rate, a utility of -inf
     utils = np.concatenate((channels.eval(np.where(zero[:k], 1.0, gamma)),
                             channels.eval(np.where(zero[k:], 1.0, tau))))

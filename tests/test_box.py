@@ -487,6 +487,18 @@ def test_set_b_where_the_budget_left_falls_to_a_channel_past_the_float_range(cls
         solve_box(problem, SolverConfig(box_strategy="set_b"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("first", [0, 1])
+def test_set_a_where_the_budget_left_falls_to_a_channel_past_the_float_range(first):
+    # As for set_b: once the log channel is pinned at tau, the budget left
+    # goes to the inverse_mse channel whose w/a and b/a leave the float range.
+    # Its join point is +inf, so no point of the P1.1 search is finite.
+    objs = [InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1)]
+    problem = BoxProblem(objs if first == 0 else objs[::-1], 2.0, None, [1.5, 1.5])
+    with pytest.raises(BracketFailure, match="the water level leaves the float range"):
+        solve_box(problem, SolverConfig(box_strategy="set_a"))
+
+
 def _root_from_half():
     """2*sqrt(p - 0.5): a custom utility whose domain starts at 0.5, with an
     infinite rate there and no rate below it."""

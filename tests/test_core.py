@@ -713,6 +713,36 @@ def test_set_a_bank_path_matches_the_taken_channels_with_an_infinite_offset(firs
     assert powers.tolist() == ([0.0, 1.9, 0.1] if first == 0 else [0.1, 1.9, 0.0])
 
 
+_X = (math.sqrt(17.0) - 1.0) / 2.0  # x + x**2 = 4: the log and inverse channels spend 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("other,powers", [
+    (InverseMse(1, 1, 1), [_X * _X - 1.0, _X - 1.0]),
+    (LogCapacity(1, 2, 1), [0.75, 1.25]),
+], ids=["inverse_mse", "log_capacity"])
+def test_p1_where_a_join_point_is_inf_over_inf(first, other, powers):
+    # a = 1e-310 puts channel 0's w/a and b/a past the float range: its join
+    # point is +inf, not inf/inf = NaN, so it never joins, and the search
+    # stops at the last finite point.  The floors do not spend the budget.
+    objs = [InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1), other]
+    problem = SimplexProblem(objs if first == 0 else objs[::-1], 2.0)
+    alloc = solve_p1_lower(problem)
+    assert alloc.status == "optimal"
+    expected = [0.0, *powers]
+    assert alloc.powers == pytest.approx(expected if first == 0 else expected[::-1], rel=1e-12)
+    assert check_conditions(problem, alloc, tolerance=1e-8).passed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_breakpoint_search_with_no_finite_point_raises():
+    # Every join point is +inf: no positive level spends the budget.
+    channels = Channels([InverseMse(1, 1e-310, 1), LogCapacity(1, 1e-310, 1)])
+    with pytest.raises(BracketFailure, match="the water level leaves the float range"):
+        water_fill(channels, np.zeros(2), 1.0)
+
+
 @pytest.mark.parametrize("strategy", ["set_a", "set_b"])
 def test_set_a_builds_the_bank_once_per_box_solve(monkeypatch, strategy):
     """On a bank, one ``_bank_terms``, one ``_points`` (sorted for ``set_a``

@@ -252,7 +252,6 @@ def test_sum_records_load_into_the_bank():
     problem = instance_from_dict(SUM_RECORDS)
     channels = problem.channels
     assert layout(channels) == [LogCapacity, AfRelay, _SumFamily]  # the sums in one group
-    assert channels._objects is None
     assert [o.to_params() for o in problem.objectives] == \
         [objective_from_params(r).to_params() for r in records]
     objects = SimplexProblem(problem.objectives, 6.0, problem.lower_bounds)
@@ -498,6 +497,25 @@ def test_custom_objective_is_not_serializable():
                     FairProblem([[LogCapacity(1, 1, 1)], [custom]], 2.0)):
         with pytest.raises(SchemaError, match="objective is not serializable"):
             instance_to_dict(problem)
+
+
+class _Named(CustomObjective):
+    """A custom objective with a record of its own, of no family the loader knows."""
+
+    def to_params(self) -> dict:
+        return {"family": "named", "w": 1.0}
+
+
+def test_custom_objective_with_its_own_record_is_not_serializable(tmp_path):
+    # The one flat layout is columns, of the five bank families: a record of
+    # another family would save a file that load_instance refuses.
+    named = _Named(lambda p: math.log1p(p), lambda p: 1.0 / (1.0 + p))
+    problem = SimplexProblem([LogCapacity(1, 1, 1), named], 2.0)
+    path = tmp_path / "instance.json"
+    with pytest.raises(SchemaError) as err:
+        save_instance(problem, str(path))
+    assert str(err.value) == "objectives: objective is not serializable"
+    assert not path.exists()
 
 
 def _columnar_doc():

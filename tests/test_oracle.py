@@ -189,6 +189,18 @@ def test_projected_gradient_stops_where_no_step_is_accepted():
     assert check_conditions(problem, res.powers, tolerance=1e-8).passed
 
 
+def test_projected_gradient_refuses_a_trial_over_the_budget():
+    # _project can leave a trial over the budget after its rounds of clip
+    # and cap projection; the ascent refuses it and halves the step, as the
+    # polish refuses a transfer over a cap.
+    problem = SimplexProblem([AfRelay(4e5, 0.7, 2), LogCapacity(4e5, 7, 450),
+                              InverseMse(5e5, 2, 400), AfRelay(3e5, 0.5, 1.5)],
+                             0.005, [0, 1.6e-4, 1e-4, 5e-5])
+    res = projected_gradient(problem)
+    assert sum(res.powers) == pytest.approx(0.005, rel=1e-11)
+    assert check_conditions(problem, res.powers, tolerance=1e-8).passed
+
+
 def test_grid_search_scores_a_group_budget_below_its_floors_as_minus_inf(monkeypatch):
     # Group 0's tau is one ulp above 2, the grid's top point: the budget
     # left, 3 - tau, lies 4e-16 below group 1's floor of 1, within the grid's
