@@ -111,7 +111,9 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
 
     def excess(mu_val: float) -> float:
         nonlocal start, evals, last, under
-        with np.errstate(over="ignore"):  # a demand past the float range: inf, which tau clamps
+        # A demand past the float range is inf, which tau clamps; one of inf -
+        # inf is NaN, which the NaN total turns into the BracketFailure below.
+        with np.errstate(over="ignore", invalid="ignore"):
             start = channels.demand(mu_val, start)
         powers = np.minimum(np.maximum(start, gamma), tau)
         evals, last = evals + 1, (powers, mu_val, float(powers.sum()) - budget)
@@ -134,7 +136,8 @@ def _order_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
     bank, None for any other set: the bank's :func:`~waterline.core._bank_terms`
     once, then each row's :func:`~waterline.core._breakpoint_level` on them (an
     (S, 2K) table of the points costs more in fresh memory pages), then one
-    ``demand`` pass at every level, clipped into the boxes."""
+    ``demand`` pass at every level, clipped into the boxes at the interior
+    channels; the others sit at the bound the search puts them at."""
     terms = _bank_terms(channels, upper=True)
     if terms is None:
         return None
@@ -145,9 +148,13 @@ def _order_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
     powers = np.where([search[2] for search in searches], tau, gamma)
     if rows:  # a one-family bank takes a column of levels, a mixed one a level at a time
         levels = [mus[i] for i in rows]
-        demand = channels.demand(np.array(levels)[:, None]) if channels.family else \
-            np.array([channels.demand(mu) for mu in levels])
-        powers[rows] = np.minimum(np.maximum(demand, gamma[rows]), tau[rows])
+        # A channel that never joins (b/a past the float range) demands inf - inf: not read.
+        with np.errstate(over="ignore", invalid="ignore"):
+            demand = channels.demand(np.array(levels)[:, None]) if channels.family else \
+                np.array([channels.demand(mu) for mu in levels])
+        powers[rows] = np.where([searches[i][1] for i in rows],
+                                np.minimum(np.maximum(demand, gamma[rows]), tau[rows]),
+                                powers[rows])
     return [(p, mu, 1, "optimal", [] if mu is None else [mu])
             for p, mu in zip(powers, mus)]
 

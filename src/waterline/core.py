@@ -96,17 +96,17 @@ def _bank_terms(channels: Channels, upper: bool = False) -> _Terms | None:
         return None
     k, root = len(channels), None
     terms = {LogCapacity: None, InverseMse: None}
-    for cls, idx, (w, a, _) in groups:
-        v = w if cls is LogCapacity else np.sqrt(w / a)
-        if idx is None:
-            terms[cls] = v
-        else:  # zero on the other family's channels
-            terms[cls] = np.zeros(k)
-            terms[cls][idx] = v
-            root = idx if cls is LogCapacity else root
-    q, u = terms[LogCapacity], terms[InverseMse]
-    with np.errstate(over="ignore"):  # past the float range: the solvers raise
+    with np.errstate(over="ignore"):  # w/a and b/a past the float range: the solvers raise
+        for cls, idx, (w, a, _) in groups:
+            v = w if cls is LogCapacity else np.sqrt(w / a)
+            if idx is None:
+                terms[cls] = v
+            else:  # zero on the other family's channels
+                terms[cls] = np.zeros(k)
+                terms[cls][idx] = v
+                root = idx if cls is LogCapacity else root
         offset = channels.b / channels.a
+    q, u = terms[LogCapacity], terms[InverseMse]
     # q and u are 0 on the other family's channels: q + u adds exact zeros.
     divisor = u if q is None else q if u is None else q + u
     if u is not None and np.isinf(offset).any():  # w/a and b/a past the float range:
@@ -288,7 +288,10 @@ def solve_water_level(objectives: Sequence[Objective], budget: float,
         raise BracketFailure("no budget left for the active channels")
     objs = list(objectives)
     if {type(o) for o in objs} in ({LogCapacity}, {InverseMse}):
-        return _closed_form_mu(Channels(objs), remaining)
+        mu = _closed_form_mu(Channels(objs), remaining)
+        if not 0.0 < mu < math.inf:  # every channel's b/a past the float range
+            raise BracketFailure("the water level leaves the float range")
+        return mu
     hints: list = [None] * len(objs)
 
     def h(mu_val: float) -> float:
@@ -422,7 +425,8 @@ def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,
     :func:`_points` give the clamped total at each, a saturation adding its
     channel's terms negated; the first over the budget ends the level's
     segment, and the level is :func:`_quadratic_level` of the sums over the
-    segment's interior channels, free of the running sums' rounding.  Only
+    segment's interior channels, free of the running sums' rounding.  With
+    none interior, bounds that miss the budget raise :class:`BracketFailure`.  Only
     the points, their sort and the sums are the row's own work: rows on one
     bank (``box._order_rows``) share its terms, ``set_a``'s rounds ``points``."""
     floor = float(gamma.sum())
@@ -454,9 +458,13 @@ def _breakpoint_level(terms: _Terms, gamma: np.ndarray, budget: float,
     joined = x[:k] <= point
     upper = None if tau is None else x[k:] <= point
     active = joined if tau is None else joined & ~upper
-    if not active.any():
-        return None, active, upper
     pinned = gamma[~joined].sum() + (0.0 if tau is None else tau[upper].sum())
+    if not active.any():
+        # Every channel at a bound: they spend the budget, unless the rest of
+        # it falls to a channel that never joins (b/a past the float range).
+        if abs(float(pinned) - budget) > cfg.power_tolerance * budget:
+            raise BracketFailure("the water level leaves the float range")
+        return None, active, upper
     q_sum = 0.0 if terms.q is None else float(terms.q[active].sum())
     u_sum = 0.0 if terms.u is None else float(terms.u[active].sum())
     total = float((budget - float(pinned)) + terms.offset[active].sum())

@@ -44,7 +44,8 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError, SchemaError, WaterlineError
-from .objectives import _BANK_CLASSES, _BANK_CODES, Channels, Objective, objective_from_params
+from .objectives import (FAMILIES, _BANK_CLASSES, _BANK_CODES, Channels, Objective,
+                         objective_from_params)
 from .problems import (AscendingProblem, BoxProblem, FairProblem, FairSolution, KktReport,
                        SimplexProblem, SolverConfig)
 
@@ -365,13 +366,11 @@ def problem_class(problem) -> str:
 
 
 def _params(obj) -> dict:
-    to_params = getattr(obj, "to_params", None)
-    if to_params is not None:
-        try:
-            return to_params()
-        except NotImplementedError:  # a custom objective's
-            pass
-    raise SchemaError("objectives", "objective is not serializable")
+    """A fair group entry's record; as in :func:`_columns_out`, an entry of no
+    family the loader builds (a custom objective, a subclass) does not serialize."""
+    if FAMILIES.get(getattr(obj, "family", None)) is not type(obj):
+        raise SchemaError("objectives", "objective is not serializable")
+    return obj.to_params()
 
 
 def _columns_out(channels: Channels) -> dict:

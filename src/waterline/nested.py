@@ -21,7 +21,7 @@ import numpy as np
 
 from .box import _rate_inside, box_fill
 from .core import _bank_points, _classify, _level_search, _quadratic_level, finish
-from .errors import InfeasibleBudget
+from .errors import BracketFailure, InfeasibleBudget
 from .objectives import Channels
 from .problems import Allocation, AscendingProblem, SolverConfig
 
@@ -48,7 +48,8 @@ def _block_levels(channels: Channels, gamma: np.ndarray, tau: np.ndarray):
         xs = points[owner >= start].tolist()
 
         def binds(x_val: float) -> bool:
-            clamped = np.minimum(np.maximum((qb * x_val + ub) * x_val - off, g), t)
+            with np.errstate(invalid="ignore"):  # inf - inf, as in excess below
+                clamped = np.minimum(np.fmax((qb * x_val + ub) * x_val - off, g), t)
             return bool((np.cumsum(clamped) >= room).any())
 
         lo = bisect_left(xs, True, key=binds)
@@ -62,7 +63,10 @@ def _block_levels(channels: Channels, gamma: np.ndarray, tau: np.ndarray):
         levels = _quadratic_level(*run[:, (run[0] + run[1] > 0) & (run[2] > 0)])
         # At or above the segment end's level, where with no root (rounding) a
         # cap binds; past the last point, only with every channel at a finite tau.
-        return float(levels.max(initial=x_hi ** -2.0)) or x_lo ** -2.0
+        mu = float(levels.max(initial=x_hi ** -2.0))
+        if not (mu or x_lo):  # no finite point: no channel's b/a is in the float range
+            raise BracketFailure("the water level leaves the float range")
+        return mu or x_lo ** -2.0
 
     return level
 
@@ -92,10 +96,13 @@ def solve_ascending(problem: AscendingProblem,
             break
         rest, demand = None if block_level else channels.take(suffix), None
 
+        # A channel whose b/a leaves the float range demands inf - inf = NaN at
+        # every level: np.fmax puts it at its floor, where it stays.
         def excess(mu: float) -> np.ndarray:
             nonlocal demand  # the last level's demands warm-start the next
-            demand = channels.demand(mu)[start:] if rest is None else rest.demand(mu, demand)
-            return np.cumsum(np.minimum(np.maximum(demand, g), t)) - room
+            with np.errstate(over="ignore", invalid="ignore"):
+                demand = channels.demand(mu)[start:] if rest is None else rest.demand(mu, demand)
+            return np.cumsum(np.minimum(np.fmax(demand, g), t)) - room
 
         # The largest excess over the caps falls as the level rises.  At the
         # largest rate at a lower bound every demand sits there: unless the
@@ -111,7 +118,7 @@ def solve_ascending(problem: AscendingProblem,
         budget, block = room[stop - start - 1], (gamma[start:stop], tau[start:stop])
         if budget - block[0].sum() > cfg.power_tolerance * budget:
             if rest is None:
-                clamped = np.minimum(np.maximum(demand[:stop - start], block[0]), block[1])
+                clamped = np.minimum(np.fmax(demand[:stop - start], block[0]), block[1])
                 powers[start:stop], level, calls = _bank_block(clamped, mu, *block)
             else:
                 powers[start:stop], level, calls, _, _ = box_fill(

