@@ -15,10 +15,10 @@ groups of cluster-aware entries with one noise pair and zero floors
 (:func:`_cluster_tables`).  A problem's tables come from one sort of its
 points on :func:`~waterline.core._bank_points` over its bank
 (:attr:`~waterline.problems.FairProblem.bank`), keyed by group, with running
-sums restarting at each group; final powers from one ``demand`` pass, and
-utilities from one ``eval`` (:func:`_build_solution`).  Other groups, their
-channels taken alone, search their level (:func:`_group_mu_for_t`) or keep
-the points they evaluate (:class:`_MonotoneMap`).
+sums restarting at each group, read through memoryviews, not Python lists;
+final powers from one ``demand`` pass, utilities from one ``eval``
+(:func:`_build_solution`).  Other groups, their channels taken alone, search
+their level (:func:`_group_mu_for_t`) or keep their points (:class:`_MonotoneMap`).
 """
 
 from __future__ import annotations
@@ -54,26 +54,16 @@ def _bounds(problem: FairProblem):
                  for rows in (problem.lower_bounds, problem.upper_bounds))
 
 
-def _grouped(order: np.ndarray, group: np.ndarray, n_groups: int):
-    """``(order, row, col, counts, cuts)``: ``order`` stably sorted by
-    ``group[order]`` (a radix sort, in the least type), each point's group and
-    place in it, each group's count, and its first point (the end last)."""
-    group = group.astype(np.min_scalar_type(n_groups))
-    order = order[np.argsort(group[order], kind="stable")]
-    row = group[order]
-    counts = np.bincount(row, minlength=n_groups)
-    first = np.cumsum(counts) - counts
-    return order, row, np.arange(len(order)) - first[row], counts, first.tolist() + [len(order)]
-
-
-def _running(ufunc, values: np.ndarray, cuts):
-    """``ufunc.accumulate`` along the last axis of ``values`` (group r's points
-    at ``cuts[r]:cuts[r + 1]``), one group's slice at a time: no group's sums
-    take another's rounding, and nothing is larger than ``values``."""
-    out = np.empty_like(values)
-    for lo, hi in zip(cuts, cuts[1:]):
-        ufunc.accumulate(values[..., lo:hi], -1, out=out[..., lo:hi])
-    return out
+def _by_group(values: np.ndarray, cuts, ufunc=None) -> np.ndarray:
+    """Along the last axis of each group's ``values[..., cuts[r]:cuts[r + 1]]``, its
+    sum, pairwise as on the group's own array, or its ``ufunc.accumulate``: no
+    group's sums take another's rounding.  Groups of one size take one call."""
+    fn = (lambda v: v.sum(-1)) if ufunc is None else (lambda v: ufunc.accumulate(v, -1))
+    if len({hi - lo for lo, hi in zip(cuts, cuts[1:])}) == 1:
+        out = fn(values.reshape(*values.shape[:-1], len(cuts) - 1, -1))
+        return out if ufunc is None else out.reshape(values.shape)
+    parts = [fn(values[..., lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    return np.stack(parts, -1) if ufunc is None else np.concatenate(parts, -1)
 
 
 def _group_state(channels: Channels, gamma, tau, mu: float | None, demand=None):
@@ -127,82 +117,95 @@ def _group_levels(channels: Channels, gamma, tau, offsets):
     :func:`~waterline.core._bank_points`, where, as the level falls, a channel
     joins (demands gamma) or saturates (a finite tau).  Between two points the
     total is ``P + Q/mu + U/sqrt(mu)`` and the utility ``F + C - Q*log(mu) -
-    U*sqrt(mu)``, from signed running sums restarting at each group: Q, U and
-    C of q, u and q*log(a*w), P of the bounds plus b/a, F of the utilities at
-    the bounds.  Both rise along a group's points (a tie reads the segment
-    before it): one bisect finds the segment, one formula the level (a scalar
-    search for a target where both families are active).  Levels outside the
-    float range, and other groups, take :func:`_group_mu_for_t`.
+    U*sqrt(mu)``, a column per segment of signed running sums restarting at
+    each group: Q, U, C of q, u, q*log(a*w), P of the bounds plus b/a, F of the
+    utilities at the bounds (a channel that never joins stays at its floor).
+    Both rise along a group's points (a tie reads the segment before it): one
+    bisect of the events or totals, read as memoryviews (no column becomes a
+    list), finds the segment, one formula the level.  Other groups, and levels
+    outside the float range, take :func:`_group_mu_for_t`.
     """
     ends = np.asarray(offsets).tolist()
     spans, sizes = list(zip(ends[:-1], ends[1:])), np.subtract(ends[1:], ends[:-1])
     table = np.logical_and.reduceat(_term_mask(channels), ends[:-1])
-    idx = np.flatnonzero(np.repeat(table, sizes))
-    sub, gamma_t, tau_t = (channels, gamma, tau) if idx.size == len(gamma) else \
+    idx = None if table.all() else np.flatnonzero(np.repeat(table, sizes))
+    sub, gamma_t, tau_t = (channels, gamma, tau) if idx is None else \
         (channels.take(idx), gamma[idx], tau[idx])
-    bank = _bank_points(sub, gamma_t, tau_t) if idx.size else None
-
+    bank = _bank_points(sub, gamma_t, tau_t) if len(gamma_t) else None
     search = cache(lambda lo, hi: partial(  # a group's channels taken once a solve
         _group_mu_for_t, channels.take(np.arange(lo, hi)), gamma[lo:hi], tau[lo:hi]))
     if bank is None:
         return [(search(lo, hi), None) for lo, hi in spans]
-    ((q, u, *_), (c, x, order), _), k, width = bank, len(idx), sizes[table]
-    bounds = np.append(0, np.cumsum(width)).tolist()  # each table group's channels in sub
-    zero = x == 0  # b = 0 at a zero bound: an infinite rate, a utility of -inf
-    utils = np.concatenate((sub.eval(np.where(zero[:k], 1.0, gamma_t)),
-                            sub.eval(np.where(zero[k:], 1.0, tau_t))))
+    ((q, u, *_), (c, x, order), _), k = bank, len(gamma_t)
+    width, cuts = (sizes, ends) if idx is None else (sizes[table], [0, *np.cumsum(sizes[table])])
+    n_groups, capped, zero = len(width), np.isfinite(tau_t), x == 0  # x = 0: b = 0 at a bound of 0
+    bounds = np.where(zero, 1.0, np.concatenate((gamma_t, tau_t)))
+    utils = np.concatenate((sub.eval(bounds[:k]), sub.eval(bounds[k:]) if capped.any() else tau_t))
     utils[zero] = -math.inf
-    capped = np.isfinite(tau_t)
-    # Each group's floor total and utility and tau utility, as its own array sums them.
-    ends_sum = np.stack((gamma_t, utils[:k], np.where(capped, utils[k:], 0.0)))
-    floor_total, floor_util, tops = np.stack(
-        [ends_sum[:, lo:hi].sum(-1) for lo, hi in zip(bounds, bounds[1:])], -1)
-    tops[~np.logical_and.reduceat(capped, bounds[:-1])] = math.inf
-    order, row, col, counts, cuts = _grouped(  # an infinite tau never saturates
-        order[:int(np.isfinite(x).sum())], np.tile(np.repeat(np.arange(len(width)), width), 2),
-        len(width))
-    who, joins, xs = order % k, order < k, x[order]
-    # Group r's running sums before point m (segment m) sit at first point + r + m.
-    slot = np.arange(len(xs)) + row
-    sign, ends_u = np.where(joins, 1.0, -1.0), utils[order]
-    qk, uk = (np.zeros(k) if v is None else v for v in (q, u))
-    sums = np.zeros((7, len(xs) + len(width)))
-    sums[:, slot + 1] = _running(np.add, np.vstack((
-        sign * np.stack((qk > 0, uk > 0, qk, uk, qk * np.log(sub.a * sub.w)))[:, who],
-        sign * c[order], np.where(joins, 0.0, ends_u))), cuts)
-    n_q, n_u, Q, U, C, spent, F = sums
-    F[slot] += _running(np.add, np.where(joins, ends_u, 0.0)[::-1],  # joins still to come
-                        [len(xs) - cut for cut in cuts[::-1]])[::-1]
+    floor_total, floor_util, tops = _by_group(np.concatenate(  # as each group's own sums
+        (gamma_t, utils[:k], np.where(capped, utils[k:], 0.0))).reshape(3, k), cuts)
+    tops[~np.logical_and.reduceat(capped, cuts[:-1])] = math.inf
+    # A column per join, per saturation, then per group; rows: a join's floor utility, signed
+    # counts of active log channels, q, q*log(a*w), a saturation's tau utility (a group's floor
+    # utility of channels that never join), signed bound + b/a, inverse counts, u, and x.
+    half = (cols := np.zeros((9, 2 * k + n_groups)))[:, :2 * k].reshape(9, 2, k)
+    if q is not None:
+        half[1, 0], half[2, 0], half[3, 0] = q > 0, q, q * np.log(sub.a * sub.w)
+    if u is not None:
+        half[6, 0], half[7, 0] = u > 0, u
+    np.negative(half[1:8, 0], out=half[1:8, 1])
+    half[0, 0], half[4, 1], cols[8, :2 * k], cols[8, 2 * k:] = utils[:k], utils[k:], x, math.nan
+    np.multiply(c.reshape(2, k), ((1.0,), (-1.0,)), out=half[5])
+    if not np.isfinite(x[:k]).all():  # a channel that never joins rests at its floor
+        cols[4, 2 * k:] = np.add.reduceat(np.where(np.isfinite(x[:k]), 0.0, utils[:k]), cuts[:-1])
+    # Each group's column, then its finite points in order, by a stable sort on the group.
+    group = np.repeat(np.arange(n_groups, dtype=np.min_scalar_type(n_groups)), width)
+    order = order[:np.count_nonzero(np.isfinite(x))]
+    key = np.concatenate((np.arange(n_groups, dtype=group.dtype), group[order % k]))
+    sums = cols.take(np.concatenate((np.arange(2 * k, 2 * k + n_groups), order))[
+        np.argsort(key, kind="stable")], 1)
+    stops = np.cumsum(counts := np.bincount(key, minlength=n_groups))
+    starts, slots = stops - counts, [0, *stops.tolist()]
+    live = slice(4 if q is None else 1, 6 if u is None else 8)  # a family's rows, if present
+    sums[live] = _by_group(sums[live], slots, np.add)
+    sums[0] = _by_group(sums[0, ::-1], [slots[-1] - cut for cut in slots[::-1]], np.add)[::-1]
+    later, n_q, Q, C, F, P, n_u, U, xs = sums
+    later[starts] = 0.0  # the floor utility of the joins to come, none after the last point
+    F[:-1] += later[1:]
     # Where no channel of a family is active its sums are 0, not a rounding residue.
-    Q, FC, U = np.where(n_q > 0, Q, 0.0), F + np.where(n_q > 0, C, 0.0), np.where(n_u > 0, U, 0.0)
-    P = np.repeat(floor_total, counts + 1) - spent
-    tie = np.append(True, (xs[1:] != xs[:-1]) | (col[1:] == 0))
-    at = np.maximum.accumulate(np.where(tie, np.arange(len(xs)), 0)) + row  # before the tie
-    Q_at, U_at = Q[at], U[at]
+    Q[n_q <= 0], U[n_u <= 0] = 0.0, 0.0
+    F += np.where(n_q > 0, C, 0.0)
+    np.subtract(np.repeat(floor_total, counts), P, out=P)
+    ties, xp = xs[1:] == xs[:-1], xs[1:]  # a point reads the segment before it, or its tie's
+    at = np.maximum.accumulate(np.where(ties, 0, np.arange(xp.size))) if ties.any() else slice(-1)
+    Q_at, _, FC_at, P_at, _, U_at = sums[2:8, at]
     with np.errstate(all="ignore"):  # x = 0, and x**2 beyond the float range
-        events = FC[at] + 2.0 * Q_at * np.log(xs) - U_at / xs
-        totals = P[at] + (Q_at * xs + U_at) * xs
-        mus = 1.0 / (xs * xs)
-    events[xs == 0] = totals[xs == 0] = -math.inf
-    n0, first = (np.bincount(row, weights=v, minlength=len(width)) for v in (
-        xs == 0, xs == xs[cuts[:-1]][row]))  # zero points, and the first point's ties
-    FC, Q, U, P, events, totals, mus = (v.tolist() for v in (FC, Q, U, P, events, totals, mus))
+        events, totals = FC_at + 2.0 * Q_at * np.log(xp), Q_at * xp
+        if u is not None:  # else U is 0
+            events, totals = events - U_at / xp, totals + U_at
+        totals, mus = P_at + totals * xp, 1.0 / (xs * xs)
+    if zero.any():
+        events[xp == 0] = totals[xp == 0] = -math.inf
+    least = np.minimum(starts + 1 if isinstance(at, slice) else np.searchsorted(  # the segment
+        at, starts, "right"), stops - 1)  # after the first point's ties, the least one read
+    events, totals, mus, seg = map(memoryview, (events, totals, mus, sums))
+    rows = zip(*(v.tolist() for v in (  # the table groups' rows, in group order
+        starts, stops, least, np.logical_or.reduceat(zero[:k], cuts[:-1]), tops, floor_util,
+        floor_total)))
 
-    def group_table(r: int, lo: int, hi: int):
-        p0, n, first_r, top = cuts[r], int(counts[r]), int(first[r]), float(tops[r])
-        base = p0 + r  # segment 0 of the group's running sums
-        floor = None if n0[r] else (gamma[lo:hi], float(floor_util[r]), float(floor_total[r]))
+    def group_table(lo, hi, a, b, least_r, zero_r, top, *floor):  # points at a:b - 1
+        floor = None if zero_r else (gamma[lo:hi], *floor)
 
         def level(t: float):
             if floor is not None and floor[1] >= t:
                 return (None, *floor)
-            m = max(bisect_left(events, t, p0, p0 + n) - p0, first_r)
-            fc, q_m, u_m = FC[base + m], Q[base + m], U[base + m]
+            i = max(bisect_left(events, t, a, b - 1), least_r)  # the segment's column
+            fc, q_m, u_m = seg[4, i], seg[2, i], seg[7, i]
             if not (q_m or u_m):  # flat: every channel that joined is saturated
                 if t > top:
                     raise InfeasibleTarget(
                         f"group utility target {t} above the utility {top} at tau")
-                mu = mus[p0 + m - 1]
+                mu = mus[i]  # the level of the point before
             elif not u_m:
                 mu = math.exp(min((fc - t) / q_m, _LOG_MAX))
             elif not q_m:
@@ -211,7 +214,7 @@ def _group_levels(channels: Channels, gamma, tau, offsets):
                     raise InfeasibleTarget(f"group utility target {t} unreachable at any power")
                 mu = root * root
             else:  # both families: the utility falls with the level, from a finite guess
-                guess = mus[p0 + min(m, n - 1)]
+                guess = mus[min(i + 1, b - 1)]
                 try:
                     mu = _level_search(lambda v: fc - q_m * math.log(v) - u_m * math.sqrt(v) - t,
                                        0.0, _ULP_WIDTH, guess if 0.0 < guess < math.inf else 1.0)
@@ -219,11 +222,11 @@ def _group_levels(channels: Channels, gamma, tau, offsets):
                     mu = math.inf
             if not 0.0 < mu < math.inf:  # the level leaves the float range
                 return search(lo, hi)(t)
-            return mu, None, None, P[base + m] + q_m / mu + u_m / math.sqrt(mu)
+            return mu, None, None, seg[5, i] + q_m / mu + u_m / math.sqrt(mu)
 
         def cap(total: float) -> float:
-            m = max(bisect_left(totals, total, p0, p0 + n) - p0, first_r)
-            fc, q_m, u_m, spare = FC[base + m], Q[base + m], U[base + m], total - P[base + m]
+            i = max(bisect_left(totals, total, a, b - 1), least_r)
+            fc, q_m, u_m, spare = seg[4, i], seg[2, i], seg[7, i], total - seg[5, i]
             if not (q_m or u_m):  # flat: any level
                 return min(fc, top)
             mu = _quadratic_level(q_m, u_m, spare) if spare > 0 else math.nan
@@ -231,20 +234,20 @@ def _group_levels(channels: Channels, gamma, tau, offsets):
                 return math.nan
             return min(fc - q_m * math.log(mu) - u_m * math.sqrt(mu), top)
         return level, cap
-    rows = itertools.count()  # the table groups' rows, in group order
-    return [group_table(next(rows), lo, hi) if on else (search(lo, hi), None)
+    return [group_table(lo, hi, *next(rows)) if on else (search(lo, hi), None)
             for on, (lo, hi) in zip(table.tolist(), spans)]
 
 
 def _demanded(channels: Channels, gamma, tau, offsets, levels) -> np.ndarray:
     """Flat powers: each group j with a level ``levels[j]`` demands it, clamped
-    into the boxes (one ``demand`` pass); the others rest at gamma."""
+    into the boxes (one ``demand`` pass); the others, and NaN demands, rest at gamma."""
     has, powers = np.array([mu is not None for mu in levels]), gamma.copy()
     if has.any():
         idx = np.flatnonzero(np.repeat(has, sizes := np.diff(offsets)))
         mu = np.repeat([mu for mu in levels if mu is not None], sizes[has])
         some = channels if idx.size == len(gamma) else channels.take(idx)
-        powers[idx] = np.minimum(np.maximum(some.demand(mu), gamma[idx]), tau[idx])
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers[idx] = np.minimum(np.fmax(some.demand(mu), gamma[idx]), tau[idx])
     return powers
 
 
@@ -441,67 +444,65 @@ class _MonotoneMap:
 
 
 def _cluster_tables(cluster: ClusterChannels, gamma, offsets):
-    """``(tables, levels)`` for the cluster groups (bank and floors flat,
-    group j at ``offsets[j]:offsets[j + 1]``): ``tables[j]`` is ``(at,
-    at_price, at_target)``, None unless all entries are cluster-aware with
-    one (sigma_e2, sigma_n2) and gamma = 0.
-
-    Bound at B, such a group is ``log_capacity`` with a' = a/s, s =
-    sigma_e2*B + sigma_n2, ordered by 1/(a*w) at every B: the join points of
-    :func:`~waterline.core._bank_points` at B = 0.  With U = sum(w), A =
-    sum(1/a), L = sum(w*log(a*w)) running in that order, the first m
-    channels are active while ``g_m = U_m/(a_m*w_m) - A_m < B/s``, at ``mu =
-    U_m/(B + s*A_m)``: ``at(B)`` gives the marginal ``mu*sigma_n2/s``, the
-    utility ``L_m - U_m*log(s*mu)`` and the segment (None at B <= 0 or mu
-    out of the float range).  Segment m ends at B = sigma_n2*g/(1 -
-    sigma_e2*g), g = g_{m+1} (never once sigma_e2*g >= 1): ``at_price(nu)``
-    and ``at_target(t)`` bisect the ends and solve ``(B + s*A)*s =
-    U*sigma_n2/nu`` or take ``sigma_n2*y/(1 - sigma_e2*y)``, ``y =
-    U*exp((t - L)/U) - A``.  ``levels(bound, totals)`` gives the final levels
-    as ``water_fill`` does, ``sum(w)/(B + sum(b/a))`` on ``bound``, since far
-    below b/a the powers cancel w/mu against b/a.
+    """``(tables, levels)`` for the cluster groups (bank and floors flat, group
+    j at ``offsets[j]:offsets[j + 1]``): ``tables[j]`` is ``(at, at_price,
+    at_target)``, None unless all entries are cluster-aware with one
+    (sigma_e2, sigma_n2) and gamma = 0.  Bound at B, such a group is
+    ``log_capacity`` with a' = a/s, s = sigma_e2*B + sigma_n2, ordered by
+    1/(a*w) at every B: the join points of :func:`~waterline.core._bank_points`
+    at B = 0.  With U = sum(w), A = sum(1/a), L = sum(w*log(a*w)) running in
+    that order, the first m channels are active while ``g_m = U_m/(a_m*w_m) -
+    A_m < B/s``, at ``mu = U_m/(B + s*A_m)``: ``at(B)`` gives the marginal
+    ``mu*sigma_n2/s``, the utility ``L_m - U_m*log(s*mu)`` and the segment
+    (None at B <= 0 or mu out of the float range).  Segment m ends at B =
+    sigma_n2*g/(1 - sigma_e2*g), g = g_{m+1} (never once sigma_e2*g >= 1):
+    ``at_price(nu)`` and ``at_target(t)`` bisect the ends and solve ``(B +
+    s*A)*s = U*sigma_n2/nu`` or take ``sigma_n2*y/(1 - sigma_e2*y)``, ``y =
+    U*exp((t - L)/U) - A``.  ``levels(bound, totals)``: the final levels as
+    ``water_fill`` gives them, ``sum(w)/(B + sum(b/a))`` on ``bound``.
     """
     ends = np.asarray(offsets).tolist()
     sizes, n_entries = np.subtract(ends[1:], ends[:-1]), len(gamma)
-    noise = np.full((2, n_entries), np.nan)  # NaN for an entry that is not cluster-aware
-    noise[:, cluster.index] = cluster.sigma_e2, cluster.sigma_n2
-    table = ~np.logical_or.reduceat(gamma != 0, ends[:-1]) & (np.minimum.reduceat(
-        noise, ends[:-1], 1) == np.maximum.reduceat(noise, ends[:-1], 1)).all(0)
+    ranges = np.full((3, n_entries), np.nan)  # noise pairs (NaN: not cluster-aware), floors
+    ranges[0, cluster.index], ranges[1, cluster.index], ranges[2] = \
+        cluster.sigma_e2, cluster.sigma_n2, gamma
+    least, most = (ufunc.reduceat(ranges, ends[:-1], 1) for ufunc in (np.minimum, np.maximum))
+    table = (least == most).all(0) & (most[2] == 0)  # one noise pair, zero floors
     idx = np.flatnonzero(np.repeat(table, sizes))
     bound = cluster.bind(0.0) if idx.size else None
     bank = idx.size and _bank_points(bound if idx.size == n_entries else bound.take(idx),
                                      np.zeros(idx.size))
     if not bank:
         return [None] * len(sizes), lambda bound, totals: [None] * len(sizes)
-    width = sizes[table]
-    order, row, col, _, cuts = _grouped(
-        bank[1][2], np.repeat(np.arange(len(width)), width), len(width))
+    width, order = sizes[table], bank[1][2]
+    group = np.repeat(np.arange(len(width), dtype=np.min_scalar_type(len(width))), width)
+    order, cuts = order[np.argsort(group[order], kind="stable")], [0, *np.cumsum(width).tolist()]
     pos = idx[order] if cluster.index.size == n_entries else \
         np.searchsorted(cluster.index, idx[order])  # the places among the aware entries
     w, a, e2, n2 = (v[pos] for v in (cluster.w, cluster.a, cluster.sigma_e2, cluster.sigma_n2))
-    U, A, L = _running(np.add, np.stack((w, 1.0 / a, w * np.log(a * w))), cuts)
-    g = _running(np.maximum, U / (a * w) - A, cuts)
+    U, A, L = _by_group(np.stack((w, 1.0 / a, w * np.log(aw := a * w))), cuts, np.add)
+    g = _by_group(U / aw - A, cuts, np.maximum)
     # n segments up to a join no budget reaches; the last runs on to B = inf.
-    last, after = col == width[row] - 1, np.append(g[1:], 0.0)  # g of the next point
-    n = np.minimum.reduceat(np.where(last | (e2 * after >= 1.0), col, len(order)), cuts[:-1]) + 1
-    mid = col < n[row] - 1
+    y = np.append(g[1:], 0.0)  # g of the next point
+    last = np.minimum(np.minimum.reduceat(  # each group's last segment
+        np.where(e2 * y >= 1.0, np.arange(len(y)), len(y)), cuts[:-1]), np.subtract(cuts[1:], 1))
     with np.errstate(all="ignore"):  # 1/0, log(0), and past the last segment, never read
-        y = np.where(mid, after, 1.0 / e2)
+        y[last] = 1.0 / e2[last]
         end = n2 * y / (1.0 - e2 * y)
         s_end = e2 * end + n2
-        neg_margin = np.where(mid, -U * n2 / ((end + s_end * A) * s_end), 0.0).tolist()
-        utility_end = (L - U * np.log(U / (y + A))).tolist()
-    g, U, A, L = g.tolist(), U.tolist(), A.tolist(), L.tolist()
+        neg_margin = -U * n2 / ((end + s_end * A) * s_end)
+        utility_end = L - U * np.log(U / (y + A))
+    neg_margin[last] = 0.0
+    g, U, A, L, neg_margin, utility_end = map(memoryview, (g, U, A, L, neg_margin, utility_end))
+    # Each table group's points, last segment and noise pair, in group order.
+    rows = zip(cuts, cuts[1:], last.tolist(), *least[:2, table].tolist())
 
-    def group_table(r: int):
-        p0, k, n_r = cuts[r], int(width[r]), int(n[r])
-        e2_r, n2_r = float(e2[p0]), float(n2[p0])
-
+    def group_table(p0: int, p1: int, end_r: int, e2_r: float, n2_r: float):
         def at(budget: float):
             if budget <= 0:
                 return None
             s = e2_r * budget + n2_r
-            m = max(bisect_left(g, budget / s, p0, p0 + k), p0 + 1) - 1
+            m = max(bisect_left(g, budget / s, p0, p1), p0 + 1) - 1
             mu = U[m] / (budget + s * A[m])
             if not 0.0 < mu < math.inf:
                 return None
@@ -510,23 +511,22 @@ def _cluster_tables(cluster: ClusterChannels, gamma, offsets):
         def at_price(nu: float) -> float:
             if not nu > 0.0:  # the marginal stays above it at every budget
                 return math.inf
-            m = bisect_left(neg_margin, -nu, p0, p0 + n_r)
+            m = bisect_left(neg_margin, -nu, p0, end_r + 1)
             quad, lin, c = e2_r * (1.0 + e2_r * A[m]), n2_r * (1.0 + 2.0 * e2_r * A[m]), \
                 n2_r * (U[m] / nu - n2_r * A[m])
             return 2.0 * c / (lin + math.sqrt(max(lin * lin + 4.0 * quad * c, 0.0)))
 
         def at_target(t: float) -> float:
-            m = min(bisect_left(utility_end, t, p0, p0 + n_r), p0 + n_r - 1)
+            m = min(bisect_left(utility_end, t, p0, end_r + 1), end_r)
             y = U[m] * math.exp(min((t - L[m]) / U[m], _LOG_MAX)) - A[m]
             return n2_r * y / (1.0 - e2_r * y) if e2_r * y < 1.0 else math.inf
         return at, at_price, at_target
-    rows = itertools.count()  # the table groups' rows, in group order
-    tables = [group_table(next(rows)) if on else None for on in table.tolist()]
+    tables = [group_table(*next(rows)) if on else None for on in table.tolist()]
 
     def levels(bound: Channels, totals):
         some = bound if idx.size == n_entries else bound.take(idx)
         with np.errstate(over="ignore"):  # past the float range: _build_solution raises
-            offset = _running(np.add, (some.b / some.a)[order], cuts).tolist()
+            offset = memoryview(_by_group((some.b / some.a)[order], cuts, np.add))
         return [(state := table and table[0](total)) and U[state[2]] / (total + offset[state[2]])
                 for table, total in zip(tables, totals)]
     return tables, levels

@@ -9,7 +9,9 @@ They are kept verbatim as the reference the one-pass reports in
 ``waterline.box`` and ``waterline.oracle``, and the problem-wide tables in
 ``waterline.fair``, are compared against (``test_certificates.py``,
 ``test_properties.py`` and ``test_fair.py``).  Only the names changed:
-``reference_conditions`` dispatches as ``check_conditions`` does.
+``reference_conditions`` dispatches as ``check_conditions`` does.  One fix
+since: ``_group_level``'s F keeps the floor utility of a channel that never
+joins (its b/a past the float range), as the problem-wide table does.
 """
 
 import math
@@ -275,7 +277,8 @@ def _group_level(channels: Channels, gamma, tau):
     xs, who, joins, n0 = x[order], order % k, order < k, int(np.count_nonzero(zero))
     sign, ends = np.where(joins, 1.0, -1.0), utils[order]
     F = np.append(np.where(joins, ends, 0.0)[::-1].cumsum()[::-1], 0.0) + \
-        np.append(0.0, np.where(joins, 0.0, ends).cumsum())
+        np.append(0.0, np.where(joins, 0.0, ends).cumsum()) + \
+        utils[:k][~np.isfinite(x[:k])].sum()  # a channel that never joins stays at its floor
     qk, uk = (np.zeros(k) if v is None else v for v in (q, u))
     n_q, n_u, Q, U, C = np.append(np.zeros((5, 1)), np.cumsum(sign * np.stack(
         (qk > 0, uk > 0, qk, uk, qk * np.log(channels.a * channels.w)))[:, who], axis=1), 1)

@@ -177,6 +177,8 @@ def falling_mse(outs, doc):
     assert report.passed, report.residuals
 
 
+_FAR_P = (7.0 * math.e - 1.0) / (1.0 + 2.0 * math.e)
+
 CASES = [
     *(solve(name) for name in (
         "box", "p1_lower", "cluster", "table_cluster", "table_cluster_maxmin", "ulp", "maxmin",
@@ -237,6 +239,11 @@ CASES = [
     *(compare(f"far_log_{end}_tau15", exit=2,
               error="strategy bisect: could not bracket the water level from below")
       for end in ("first", "last")),
+    # The same far channel in a max-min group: it rests at 0, at utility -1,
+    # and the log channels split the budget at p = (7e - 1)/(1 + 2e).
+    *(solve(f"far_maxmin_{end}", checks=(each(lambda r, far=far: r["powers"][0][far] == 0.0 and max(
+        abs(r["powers"][0][1 - far] - _FAR_P), abs(r["powers"][1][0] - (3.0 - _FAR_P))) <= 3e-8),))
+      for end, far in (("first", 0), ("last", 1))),
     solve("far_ascending", *ALL,
           checks=(each(lambda result: result["powers"] == [0.0, 2.0, 1.0]),)),
     solve("far_ascending_last", *ALL, exit=2, error="the water level leaves the float range"),

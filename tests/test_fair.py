@@ -1175,11 +1175,18 @@ def test_batched_maxmin_tables_match_the_per_group_reference():
     # A running sum taken over the whole problem, less each group's base,
     # would carry a 1e6 group's rounding into a 1e-6 group's sums.
     from waterline import InfeasibleTarget
-    from waterline.fair import _group_levels, _group_state
+    from waterline.fair import _group_levels
     import reference_reports
     rng, checked = random.Random(61), {"level": 0, "cap": 0, "off": 0}
-    for _ in range(12):
-        groups = _batched_maxmin_problem(rng)
+    # After the random draws, groups with an inverse_mse channel whose b/a
+    # leaves the float range: it never joins, and its floor utility stays in F.
+    far = InverseMse(1.0, 1e-310, 1.0)
+    problems = [_batched_maxmin_problem(rng) for _ in range(12)] + [[
+        ([far, LogCapacity(1.0, 1.0, 1.0)], np.zeros(2), np.full(2, math.inf), 1.0),
+        ([LogCapacity(2.0, 0.5, 1.0), far, InverseMse(1.0, 2.0, 0.5)], np.array([0.1, 0.0, 0.0]),
+         np.array([2.0, 1.5, math.inf]), 1.0),
+        ([InverseMse(1e6, 1.0, 1.0), far], np.zeros(2), np.array([3.0, math.inf]), 1e6)]]
+    for groups in problems:
         offsets = np.cumsum([0] + [len(objs) for objs, *_ in groups])
         batched = _group_levels(Channels([o for objs, *_ in groups for o in objs]),
                                 np.concatenate([g[1] for g in groups]),
@@ -1192,10 +1199,12 @@ def test_batched_maxmin_tables_match_the_per_group_reference():
                 checked["off"] += 1
                 continue
             rates = np.concatenate((channels.rate(gamma), channels.rate(np.minimum(tau, 1e3))))
-            rates = rates[np.isfinite(rates) & (rates > 0)]
+            rates = rates[np.isfinite(rates) & (rates > 1e-300)]  # not a channel that never joins
             lo, hi = (rates.min() / 4, rates.max() * 4) if rates.size else (0.1, 10.0)
-            targets = [_group_state(channels, gamma, tau, mu)[1]
-                       for mu in np.geomspace(lo, hi, 15).tolist()]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # it rests at gamma
+                targets = [float(channels.eval(np.minimum(np.fmax(channels.demand(mu), gamma),
+                                                          tau)).sum())
+                           for mu in np.geomspace(lo, hi, 15).tolist()]
             targets += [0.5 * (x + y) for x, y in zip(targets, targets[1:])]
             for t in targets:
                 try:
@@ -1327,6 +1336,23 @@ def test_cluster_solvers_where_b_over_a_leaves_the_float_range(mode):
     # t that did not spend the budget); they raise instead.
     group = [ClusterLogCapacity(1, 1e-10, 0.5, 1)]
     assert _finite_or_float_range(FairProblem([group, group], 1e300, mode=mode)) is None
+
+
+@pytest.mark.parametrize("far_first", [True, False], ids=["far_first", "far_last"])
+def test_maxmin_group_with_a_channel_that_never_joins(far_first):
+    # An inverse_mse channel whose b/a leaves the float range (a = 1e-310)
+    # never joins: it rests at 0, at utility -1.  So group 0's log channel
+    # meets log(1 + p) - 1 = log(1 + 2*(3 - p)) at p = (7e - 1)/(1 + 2e).  The
+    # table had left the -1 out of the group's utility, and the last demand
+    # pass formed inf - inf, so the solve ended in BracketFailure.
+    group = [InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1)]
+    far = 0 if far_first else 1
+    problem = FairProblem([group if far_first else group[::-1], [LogCapacity(1, 2, 1)]], 3.0)
+    sol = _finite_or_float_range(problem)
+    assert sol is not None and sol.powers[0][far] == 0.0
+    p = (7 * math.e - 1) / (1 + 2 * math.e)
+    assert abs(sol.powers[0][1 - far] - p) <= 1e-8 * 3.0
+    assert abs(sol.powers[1][0] - (3.0 - p)) <= 1e-8 * 3.0
 
 
 @pytest.mark.parametrize("mode", ["maxmin", "cluster"])
