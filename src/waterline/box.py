@@ -47,7 +47,7 @@ from .core import (
     _bank_points, _bank_terms, _breakpoint_level, _classify, _level_search,
     _take_bank, deactivation_loop, finish, tangent_fill, water_fill)
 from .core import solve_p1_lower  # noqa: F401  (perfbench's tracer wraps this name)
-from .errors import BracketFailure
+from .errors import WaterlineError
 from .objectives import Channels
 from .problems import (
     BOX_STRATEGIES, Allocation, BoxProblem, KktReport, SimplexProblem, SolverConfig)
@@ -102,8 +102,7 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
     from the largest rate at the lower bounds, each level's demands
     warm-starting the next; iterations count its evaluations.  A stop on
     bracket width that over-spends beyond the search's tolerance takes the
-    evaluation that under-spends least, which the bracket holds; with none,
-    it raises :class:`~waterline.errors.BracketFailure`."""
+    evaluation that under-spends least, which the bracket holds."""
     if budget - float(gamma.sum()) <= cfg.power_tolerance * budget:
         return gamma.copy(), None, 1, "optimal", []
     sigma = 1e-4 * cfg.power_tolerance * budget
@@ -112,10 +111,11 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
     def excess(mu_val: float) -> float:
         nonlocal start, evals, last, under
         # A demand past the float range is inf, which tau clamps; one of inf -
-        # inf is NaN, which the NaN total turns into the BracketFailure below.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # inf (a channel whose b/a leaves the float range, or a subnormal a·mu)
+        # is NaN, which rests at the floor, as in nested and fair.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             start = channels.demand(mu_val, start)
-        powers = np.minimum(np.maximum(start, gamma), tau)
+        powers = np.minimum(np.fmax(start, gamma), tau)
         evals, last = evals + 1, (powers, mu_val, float(powers.sum()) - budget)
         if last[2] <= 0 and (under is None or last[2] > under[2]):
             under = last
@@ -123,8 +123,6 @@ def _bisect(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: floa
 
     _level_search(excess, sigma, 1e-4 * cfg.mu_tolerance,
                   float(_rate_inside(channels, gamma).max()))
-    if not last[2] <= sigma and under is None:  # also where the excess is NaN
-        raise BracketFailure("no water level spends at most the budget")
     powers, mu, gap = last if last[2] <= sigma else under
     return (powers, mu, evals,
             "optimal" if abs(gap) <= cfg.power_tolerance * budget else "feasible", [])
@@ -200,20 +198,34 @@ def box_fill(channels: Channels, gamma: np.ndarray, tau: np.ndarray, budget: flo
     return powers, mu, iterations, status, water_levels
 
 
+def _fill_or_none(*args):
+    """:func:`_fill`, or None where it raises a :class:`~waterline.errors.WaterlineError`."""
+    try:
+        return _fill(*args)
+    except WaterlineError:
+        return None
+
+
 def box_fill_rows(channels: Channels, gamma: np.ndarray, tau: np.ndarray,
                   budget: np.ndarray, cfg: SolverConfig = _DEFAULT_CFG) -> list:
     """S box problems on one bank, bounds (S, K) and budgets (S,); inputs
     unchecked.  One ``(powers, mu, iterations, status, water_levels)`` per
-    row, the tuple :func:`solve_box` finishes.  On a ``log_capacity``/
+    row, the tuple :func:`solve_box` finishes, or None where it raises a
+    :class:`~waterline.errors.WaterlineError`.  On a ``log_capacity``/
     ``inverse_mse`` bank the ``order`` search runs at once on every row that
     does not fit all its upper bounds (:func:`_order_rows`: the bank's terms
-    built once, then one sort per row); otherwise each row is solved alone."""
+    built once, then one sort per row); otherwise, and where one of those
+    rows raises, each row is solved alone, so that rows fail alone."""
     # A row sum adds as the 1-D sum of _fill's test does.
     full = np.isfinite(tau).all(axis=1) & (tau.sum(axis=1) <= budget)
-    search = _order_rows(channels, gamma[~full], tau[~full], budget[~full], cfg) \
-        if cfg.box_strategy == "order" and not full.all() else None
+    try:
+        search = _order_rows(channels, gamma[~full], tau[~full], budget[~full], cfg) \
+            if cfg.box_strategy == "order" and not full.all() else None
+    except WaterlineError:
+        search = None
     if search is None:
-        return [_fill(channels, g, t, float(p), cfg) for g, t, p in zip(gamma, tau, budget)]
+        return [_fill_or_none(channels, g, t, float(p), cfg)
+                for g, t, p in zip(gamma, tau, budget)]
     rows = iter(search)
     return [(t.copy(), None, 1, "optimal", []) if f else next(rows)
             for f, t in zip(full.tolist(), tau)]

@@ -25,8 +25,8 @@ from .io import (_finite_numbers, dumps, load_instance, load_result, problem_cla
                  result_to_dict, save_instance, save_result, write_json)
 from .nested import solve_ascending
 from .oracle import check_conditions, enumerate_box
-from .problems import (BOX_STRATEGIES, AscendingProblem, BoxProblem,
-                       FairProblem, FairSolution, SolverConfig)
+from .problems import (BOX_STRATEGIES, AscendingProblem, BoxProblem, FairProblem,
+                       FairSolution, SolverConfig, _bound_fault, _floor_fault)
 from .scenario import (ScenarioSpec, build_instance, channel_gains, instance_bounds,
                        instance_channels)
 
@@ -277,61 +277,43 @@ def cmd_sweep(antennas, taps, decay, subcarriers, snr_list, gamma, tau,
                                       realizations=realizations, seed=seed))
         except ValueError as exc:
             _fail(1, str(exc))
-    budgets = np.array([spec.budget for spec in specs])
     # The bounds depend only on the SNR points, gamma, tau and the channel
-    # count: one (S, K) row each serves every realization.
+    # count: one (S, K) row each serves every realization, checked once by
+    # BoxProblem's rules. A point they refuse, or a row that raises, is an error.
     k = subcarriers * antennas
     lower, upper = map(np.array, zip(*(instance_bounds(s, k) for s in specs)))
-    # BoxProblem's bound checks as arrays; a row that fails one, or lies near
-    # the budget limit, is solved alone below.
-    rows = ((np.isfinite(lower) & (lower >= 0) & (upper >= lower)).all(axis=1)
-            & (lower.sum(axis=1) <= (1.0 - 1e-9) * budgets)).nonzero()[0]
-    row_bounds = lower[rows], upper[rows], budgets[rows]
-    row_of = {i: j for j, i in enumerate(rows.tolist())}  # SNR point -> batch row
-    # Per SNR point: summed mean MSE, solves, solves with a bound hit, errors.
-    mse, solved, hits, errors = ([0] * len(snrs) for _ in range(4))
+    rows = np.array([_bound_fault(lo, hi) is None and _floor_fault(lo, s.budget) is None
+                     for lo, hi, s in zip(lower, upper, specs)], dtype=bool).nonzero()[0]
+    row_bounds = lower[rows], upper[rows], np.array([specs[i].budget for i in rows])
+    # Per SNR point: summed mean MSE, solves, solves with a bound hit.
+    mse, solved, hits = ([0] * len(snrs) for _ in range(3))
     dump_doc = None
     for r in range(realizations):
         # The gains depend on neither the SNR nor the bounds: one draw and one
-        # bank serve every SNR point, and the points are solved as one batch.
+        # bank serve every SNR point, and the points are solved as one batch
+        # whose rows fail alone.
         gains = channel_gains(specs[0], r)
-        batch = {}
-        try:
-            bank = instance_channels(specs[0], gains)
-            fills = box_fill_rows(bank, *row_bounds, cfg)
-            powers = np.array([fill[0] for fill in fills]).reshape(len(rows), k)
-            values = bank.eval(powers).sum(axis=1).tolist()
-            active = _classify(powers, *row_bounds[:2])[3]
-            batch = row_of
-        except WaterlineError:
-            pass
-        for i, spec in enumerate(specs):
-            keep = dump and r == 0 and snrs[i] == snrs[-1]
-            if i in batch:
-                j = batch[i]
-                objective, hit = values[j], not active[j].all()
-                alloc = finish(bank, powers[j], lower[i], upper[i], *fills[j][1:]) \
-                    if keep else None
-            else:
-                try:
-                    alloc = solve_box(build_instance(spec, r, gains), cfg)
-                except WaterlineError:
-                    errors[i] += 1
-                    continue
-                objective = alloc.objective_value
-                hit = bool(alloc.lower_set) or bool(alloc.upper_set)
-            mse[i] += -objective / gains.size
+        bank = instance_channels(specs[0], gains)
+        fills = box_fill_rows(bank, *row_bounds, cfg)
+        done = [j for j, fill in enumerate(fills) if fill is not None]
+        points = rows[done]
+        powers = np.array([fills[j][0] for j in done]).reshape(len(done), k)
+        values = bank.eval(powers).sum(axis=1).tolist()
+        active = _classify(powers, lower[points], upper[points])[3]
+        for n, (i, j) in enumerate(zip(points.tolist(), done)):
+            mse[i] += -values[n] / gains.size
             solved[i] += 1
-            hits[i] += hit
-            if keep:
+            hits[i] += not active[n].all()
+            if dump and r == 0 and snrs[i] == snrs[-1]:
+                alloc = finish(bank, powers[n], lower[i], upper[i], *fills[j][1:])
                 dump_doc = {"snr_db": snrs[i], "gamma": gamma, "tau": tau,
                             "powers": alloc.powers,
                             "lower_set": alloc.lower_set,
                             "upper_set": alloc.upper_set,
-                            "budget": spec.budget}
-    records = [(snr, gamma, tau if tau is not None else "", n, err,
+                            "budget": specs[i].budget}
+    records = [(snr, gamma, tau if tau is not None else "", n, realizations - n,
                 total / n if n else "", hit / n if n else "")
-               for snr, total, n, hit, err in zip(snrs, mse, solved, hits, errors)]
+               for snr, total, n, hit in zip(snrs, mse, solved, hits)]
     writer_target = open(out, "w", newline="", encoding="utf-8") if out \
         else sys.stdout
     writer = csv.writer(writer_target)

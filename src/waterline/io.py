@@ -47,7 +47,7 @@ from .errors import DomainError, SchemaError, WaterlineError
 from .objectives import (FAMILIES, _BANK_CLASSES, _BANK_CODES, Channels, Objective,
                          objective_from_params)
 from .problems import (AscendingProblem, BoxProblem, FairProblem, FairSolution, KktReport,
-                       SimplexProblem, SolverConfig)
+                       SimplexProblem, SolverConfig, _bound_fault)
 
 PROBLEM_CLASSES = ("p1", "p1_lower", "box", "ascending",
                    "maxmin", "cluster", "cluster_maxmin")
@@ -266,8 +266,8 @@ def _flat_bounds(doc: dict, n: int) -> tuple:
     absent, a list of one per channel (null: no upper bound), or one number
     for every channel, given as ``n`` of it.  A fault is named here: a
     number's by its field alone, a list's by its field and the index of the
-    first channel at fault (``upper_bounds[1]``), in the words of the
-    problem's checks.  A list of the wrong length is left to those checks."""
+    first channel at fault (``upper_bounds[1]``), by the problems' rule and in
+    its words.  A list of the wrong length is left to the problem's checks."""
     lower, upper = doc.get("lower_bounds"), doc.get("upper_bounds")
     if lower is not None:
         lower = _column_or_number(lower, "lower_bounds", _number_list)
@@ -278,29 +278,17 @@ def _flat_bounds(doc: dict, n: int) -> tuple:
         raise SchemaError("lower_bounds", f"expected a finite, nonnegative number, got {lower}")
     if type(upper) is float and math.isnan(upper):
         raise SchemaError("upper_bounds", "expected a number or null, got NaN")
-    if not (isinstance(lower, list) or isinstance(upper, list)):
-        floor = lower if type(lower) is float else 0.0
-        if type(upper) is float and upper < floor:
-            raise SchemaError("upper_bounds", f"{upper} is below the lower bound {floor}")
-        return tuple(None if x is None else np.full(n, x) for x in (lower, upper))
     lo = np.zeros(n) if lower is None else np.full(n, lower) if type(lower) is float else \
         np.array(lower)
     hi = None if upper is None else np.full(n, upper) if type(upper) is float else \
         np.array([math.inf if x is None else x for x in upper])
-    if isinstance(lower, list) and lo.shape == (n,):
-        bad = ~np.isfinite(lo) | (lo < 0)
-        if bad.any():
-            raise SchemaError(f"lower_bounds[{bad.argmax()}]",
-                              "lower bounds must be finite and nonnegative")
-    if hi is not None and lo.shape == hi.shape == (n,):
-        bad = np.isnan(hi) | (hi < lo)
-        if bad.any():
-            i = int(bad.argmax())
-            if type(upper) is float:
-                raise SchemaError("upper_bounds", f"{upper} is below the lower bound {lo[i]}")
-            raise SchemaError(f"upper_bounds[{i}]", "upper bounds must be numbers or null, "
-                              "got NaN" if math.isnan(hi[i]) else
-                              f"upper bound {hi[i]} below lower bound {lo[i]}")
+    fault = _bound_fault(lo, hi if hi is not None and hi.shape == (n,) else None) \
+        if lo.shape == (n,) else None
+    if fault:
+        field, i, words = fault
+        if field == "upper_bounds" and type(upper) is float:
+            raise SchemaError(field, f"{upper} is below the lower bound {lo[i]}")
+        raise SchemaError(f"{field}[{i}]", words)
     return (None if lower is None else lo), hi
 
 

@@ -28,38 +28,59 @@ class SolverConfig:
             raise DomainError(f"unknown box strategy: {self.box_strategy!r}")
 
 
+def _bound_fault(lo: np.ndarray, hi: np.ndarray | None) -> tuple[str, int, str] | None:
+    """The per-channel bound rule: the first fault as ``(field, channel,
+    words)``, else None.  Lower bounds ``lo`` must be finite and nonnegative;
+    then upper bounds ``hi`` (None: not checked) may not be NaN or lie below
+    their lower bounds."""
+    bad = ~np.isfinite(lo) | (lo < 0)
+    if np.count_nonzero(bad):
+        return "lower_bounds", int(bad.argmax()), "lower bounds must be finite and nonnegative"
+    if hi is not None and np.count_nonzero(bad := ~(hi >= lo)):  # NaN compares false
+        i = int(bad.argmax())
+        return "upper_bounds", i, ("upper bounds must be numbers or null, got NaN"
+                                   if math.isnan(hi[i]) else
+                                   f"upper bound {hi[i]} below lower bound {lo[i]}")
+    return None
+
+
+def _floor_fault(lo: np.ndarray, budget: float) -> str | None:
+    """The floor rule: why lower bounds ``lo`` do not fit ``budget``, else None.
+    Their total, added left to right (``np.sum`` adds pairwise, and Python
+    3.12's ``sum`` compensates), may exceed the budget by 1e-12 of it."""
+    total = float(np.cumsum(lo)[-1])
+    if total > budget * (1.0 + 1e-12):
+        return f"sum of lower bounds {total} exceeds budget {budget}"
+    return None
+
+
 def _validate_bounds(k: int, budget: float, lower, upper):
     """Checked ``(lower, upper)`` float lists for k channels under ``budget``.
 
-    Every problem class validates its budget and bounds here.  ``None`` in
-    ``upper`` (or ``upper`` itself None) means no upper bound.
+    Every problem class validates its budget and bounds here, by
+    :func:`_bound_fault` and :func:`_floor_fault`.  ``None`` in ``upper`` (or
+    ``upper`` itself None) means no upper bound.
     """
     if not math.isfinite(budget):
         raise DomainError(f"budget must be finite, got {budget}")
     lo = np.zeros(k) if lower is None else np.array(lower, dtype=float)
     if lo.shape != (k,):
         raise DomainError("lower bound count does not match objective count")
-    if not np.isfinite(lo).all() or (lo < 0).any():
-        raise DomainError("lower bounds must be finite and nonnegative")
     if upper is None:
         hi = np.full(k, math.inf)
     else:
         if not isinstance(upper, np.ndarray):  # float(None) would be NaN
             upper = [math.inf if x is None else x for x in upper]
         hi = np.array(upper, dtype=float)
-        if hi.shape != (k,):
-            raise DomainError("upper bound count does not match objective count")
-    bad = np.isnan(hi) | (hi < lo)
-    if bad.any():
-        i = int(bad.argmax())
-        if math.isnan(hi[i]):
-            raise DomainError("upper bounds must be numbers or null, got NaN")
-        raise DomainError(f"upper bound {hi[i]} below lower bound {lo[i]}")
-    lower = lo.tolist()
-    total = sum(lower)  # left to right; np.sum's pairwise rounding may differ
-    if total > budget * (1.0 + 1e-12):
-        raise InfeasibleBudget(f"sum of lower bounds {total} exceeds budget {budget}")
-    return lower, hi.tolist()
+    fault = _bound_fault(lo, hi if hi.shape == (k,) else None)
+    if fault:
+        raise DomainError(fault[2])
+    if hi.shape != (k,):
+        raise DomainError("upper bound count does not match objective count")
+    fault = _floor_fault(lo, budget)
+    if fault:
+        raise InfeasibleBudget(fault)
+    return lo.tolist(), hi.tolist()
 
 
 def _channel_bank(cls):
@@ -304,6 +325,3 @@ class KktReport:
     def passed(self) -> bool:
         return all(v <= self.tolerance for v in self.residuals.values())
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0

@@ -103,13 +103,10 @@ def instance_bounds(spec: ScenarioSpec, k: int) -> tuple[np.ndarray, np.ndarray]
             np.full(k, math.inf if math.isinf(spec.tau) else spec.tau * uniform))
 
 
-def build_instance(spec: ScenarioSpec, realization: int,
-                   gains: np.ndarray | None = None) -> BoxProblem:
+def build_instance(spec: ScenarioSpec, realization: int) -> BoxProblem:
     """One realization as a box-constrained sum-MSE minimization instance on
-    :func:`instance_channels`; ``gains`` is the realization's
-    :func:`channel_gains` when the caller has drawn them already."""
-    channels = instance_channels(
-        spec, channel_gains(spec, realization) if gains is None else gains)
+    :func:`instance_channels`."""
+    channels = instance_channels(spec, channel_gains(spec, realization))
     return BoxProblem(channels, spec.budget, *instance_bounds(spec, len(channels)))
 
 

@@ -3,7 +3,6 @@
 import math
 import random
 import time
-import warnings
 import zlib
 
 import numpy as np
@@ -463,13 +462,25 @@ def test_set_b_on_a_p1_warm_starts_like_solve_p1_lower(monkeypatch):
 @pytest.mark.parametrize("first", [0, 1], ids=["inverse_mse_first", "log_capacity_first"])
 def test_bisect_with_no_level_that_spends_at_most_the_budget(first):
     # a = 1e-310 puts the inverse_mse channel's b/a past the float range: its
-    # demand is NaN at every level, so no evaluation under-spends.
+    # demand is NaN at every level and rests at its floor, so every level
+    # under-spends, and the search halves the level out of the float range.
     objs = [InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1)]
     problem = BoxProblem(objs if first == 0 else objs[::-1], 2.0, None, [1.5, 1.5])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(BracketFailure, match="no water level spends at most the budget"):
-            solve_box(problem, SolverConfig(box_strategy="bisect"))
+    with pytest.raises(BracketFailure, match="could not bracket the water level from below"):
+        solve_box(problem, SolverConfig(box_strategy="bisect"))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_bisect_rests_a_channel_past_the_float_range_at_its_floor(first):
+    # At the far channel's tau 1.5 and the log channel's 3.0, the log channel
+    # takes the budget, as order, set_a and set_b find.
+    objs = [InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1)]
+    tau = [1.5, 3.0]
+    problem = BoxProblem(objs if first == 0 else objs[::-1], 2.0, None,
+                         tau if first == 0 else tau[::-1])
+    allocation = solve_box(problem, SolverConfig(box_strategy="bisect"))
+    assert allocation.status == "optimal"
+    assert allocation.powers == ([0.0, 2.0] if first == 0 else [2.0, 0.0])
 
 
 @pytest.mark.parametrize("cls", [LogCapacity, InverseMse])

@@ -10,9 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from waterline import (
-    AfRelay, BoxProblem, InverseMse, LogCapacity, ScenarioSpec, SimplexProblem,
-    SolverConfig, build_instance, channel_gains, instance_to_dict,
-    save_instance, solve_box)
+    BOX_STRATEGIES, AfRelay, BoxProblem, InverseMse, LogCapacity, ScenarioSpec,
+    SimplexProblem, SolverConfig, WaterlineError, build_instance, channel_gains,
+    instance_to_dict, save_instance, solve_box)
 from waterline.cli import main
 
 from conftest import random_box
@@ -345,7 +345,9 @@ def test_scenario_commands_reject_non_finite_input(runner, tmp_path, command,
 
 def _sweep_reference(snrs, gamma, tau, realizations, seed, strategy, **shape):
     """The CSV and dump bytes of ``sweep``, from a plain loop of
-    ``build_instance`` and ``solve_box`` over every (SNR, realization)."""
+    ``build_instance`` and ``solve_box`` over every (SNR, realization); a
+    point whose ``BoxProblem`` refuses its bounds, or whose solve raises,
+    counts one error.  The dump is None when no file is written."""
     cfg = SolverConfig(box_strategy=strategy)
     rows, dump = [], None
     for snr in snrs:
@@ -354,23 +356,41 @@ def _sweep_reference(snrs, gamma, tau, realizations, seed, strategy, **shape):
                             realizations=realizations, seed=seed, **shape)
         values, hits = [], 0
         for r in range(realizations):
-            problem = build_instance(spec, r)
-            alloc = solve_box(problem, cfg)
+            try:
+                problem = build_instance(spec, r)
+                alloc = solve_box(problem, cfg)
+            except WaterlineError:
+                continue
             values.append(-alloc.objective_value / len(alloc.powers))
             hits += bool(alloc.lower_set or alloc.upper_set)
             if r == 0 and snr == snrs[-1]:
                 dump = {"snr_db": snr, "gamma": gamma, "tau": tau,
                         "powers": alloc.powers, "lower_set": alloc.lower_set,
                         "upper_set": alloc.upper_set, "budget": problem.budget}
-        rows.append([snr, gamma, "" if tau is None else tau, len(values), 0,
-                     sum(values) / len(values), hits / len(values)])
+        n = len(values)
+        rows.append([snr, gamma, "" if tau is None else tau, n, realizations - n,
+                     sum(values) / n if n else "", hits / n if n else ""])
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(["snr_db", "gamma", "tau", "solved", "errors",
                      "mean_mse", "bound_active_fraction"])
     for row in rows:
         writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
-    return text.getvalue().encode(), (json.dumps(dump, indent=2) + "\n").encode()
+    return text.getvalue().encode(), \
+        None if dump is None else (json.dumps(dump, indent=2) + "\n").encode()
+
+
+def _sweep_run(runner, tmp_path, gamma, tau, strategy):
+    """The CSV bytes and the dump's (None when not written) of a ``sweep`` of
+    ``_SNRS``, 3 realizations of ``_SMALL``, seed 7."""
+    out, dump = tmp_path / "sweep.csv", tmp_path / "dump.json"
+    result = runner.invoke(main, [
+        "sweep", "--snr-list", ",".join(map(str, _SNRS)), "--gamma", gamma,
+        *(["--tau", tau] if tau else []), "--realizations", "3", "--seed", "7",
+        "--strategy", strategy, "--out", str(out), "--dump", str(dump),
+        *(f"--{k}={v}" for k, v in _SMALL.items())])
+    assert result.exit_code == 0, result.output
+    return out.read_bytes(), dump.read_bytes() if dump.exists() else None
 
 
 _SNRS = [10.0, 0.0, 10.0, -5.0, 10.0]  # one SNR listed three times
@@ -432,29 +452,62 @@ def test_sweep_builds_the_bound_rows_once_per_snr_point(runner, tmp_path, monkey
     assert (out.read_bytes(), dump.read_bytes()) == (expected_csv, expected_dump)
 
 
+@pytest.mark.parametrize("strategy", BOX_STRATEGIES)
+@pytest.mark.parametrize("gamma,tau", [("1.0", None), ("1.0000000000001", None),
+                                       ("1.0", "1.0"), ("1.00000000001", None),
+                                       ("1.00000000001", "2.0")])
+def test_sweep_at_the_floor_edge_matches_a_solve_per_snr(runner, tmp_path, strategy,
+                                                        gamma, tau):
+    """Lower bounds that use the whole budget: BoxProblem accepts them up to
+    1e-12 of it (gamma 1.0, 1.0000000000001), and the bytes are the per-point
+    reference's; past it (gamma 1.00000000001) it refuses every point, and
+    each realization counts one error with no solve and no dump."""
+    csv_bytes, dump_bytes = _sweep_run(runner, tmp_path, gamma, tau, strategy)
+    expected = _sweep_reference(_SNRS, float(gamma), tau and float(tau), 3, 7, strategy,
+                                **_SMALL)
+    assert (csv_bytes, dump_bytes) == expected
+    refused = gamma == "1.00000000001"
+    assert [row["errors"] for row in csv.DictReader(io.StringIO(csv_bytes.decode()))] == \
+        ["3" if refused else "0"] * len(_SNRS)
+
+
 @pytest.mark.parametrize("strategy", ["order", "set_a"])
-def test_sweep_rescues_a_failed_batch_with_a_solve_per_snr(runner, tmp_path, monkeypatch,
-                                                           strategy):
-    """When the batch of a realization's SNR points fails, every point is
-    solved alone by ``solve_box``: the bytes are the per-point reference's."""
+def test_sweep_counts_a_failed_row_and_keeps_every_other_point(runner, tmp_path,
+                                                               monkeypatch, strategy):
+    """A row whose solve raises fails alone: its point counts one error per
+    realization, and every other point keeps the per-point reference's
+    bytes (the reference's solves raise at that point too).  No point is
+    solved again on its own instance."""
+    import numpy as np
+
+    import waterline.box as box
     import waterline.cli as cli
     from waterline import BracketFailure
 
-    def fail(*args, **kwargs):
-        calls.append(1)
-        raise BracketFailure("batch refused")
-    calls = []
-    monkeypatch.setattr(cli, "box_fill_rows", fail)
-    out, dump = tmp_path / "sweep.csv", tmp_path / "dump.json"
-    result = runner.invoke(main, [
-        "sweep", "--snr-list", ",".join(map(str, _SNRS)), "--gamma", "0.3", "--tau", "1.7",
-        "--realizations", "3", "--seed", "7", "--strategy", strategy, "--out", str(out),
-        "--dump", str(dump), *(f"--{k}={v}" for k, v in _SMALL.items())])
-    assert result.exit_code == 0, result.output
-    assert len(calls) == 3  # one batch per realization, each rescued
-    expected_csv, expected_dump = _sweep_reference(_SNRS, 0.3, 1.7, 3, 7, strategy, **_SMALL)
-    assert out.read_bytes() == expected_csv
-    assert dump.read_bytes() == expected_dump
+    def unused(*args, **kwargs):
+        raise AssertionError("sweep solves each point in its batch only")
+    monkeypatch.setattr(cli, "solve_box", unused)
+    monkeypatch.setattr(cli, "build_instance", unused)
+
+    failing = ScenarioSpec(snr_db=-5.0, **_SMALL).budget
+
+    def refuse(solve):
+        def wrapped(channels, gamma, tau, budget, cfg):
+            if np.isin(failing, budget):
+                raise BracketFailure("row refused")
+            return solve(channels, gamma, tau, budget, cfg)
+        return wrapped
+    # order's batch runs _order_rows on every row at once, set_a each row alone.
+    if strategy == "order":
+        monkeypatch.setattr(box, "_order_rows", refuse(box._order_rows))
+    else:
+        monkeypatch.setitem(box._STRATEGIES, strategy, refuse(box._STRATEGIES[strategy]))
+    csv_bytes, dump_bytes = _sweep_run(runner, tmp_path, "0.3", "1.7", strategy)
+    assert (csv_bytes, dump_bytes) == _sweep_reference(_SNRS, 0.3, 1.7, 3, 7, strategy,
+                                                       **_SMALL)
+    rows = list(csv.DictReader(io.StringIO(csv_bytes.decode())))
+    assert [(row["solved"], row["errors"]) for row in rows] == \
+        [("0", "3") if snr == -5.0 else ("3", "0") for snr in _SNRS]
 
 
 @pytest.mark.parametrize("late", ["nan", "1e400", "-1e400"])
@@ -532,14 +585,14 @@ def test_solve_where_a_level_leaves_the_float_range_warns_nothing(runner, tmp_pa
 @pytest.mark.parametrize("first", [0, 1], ids=["inverse_mse_first", "log_capacity_first"])
 def test_bisect_with_no_level_that_spends_at_most_the_budget(runner, tmp_path, first):
     # The bisect strategy's BracketFailure is one error line and exit 2, not
-    # a traceback.
+    # a traceback, with no RuntimeWarning on the way.
     objs = [InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1)]
     inst = str(tmp_path / "far.json")
     save_instance(BoxProblem(objs if first == 0 else objs[::-1], 2.0, None, [1.5, 1.5]), inst)
     result = runner.invoke(main, ["solve", inst, "--strategy", "bisect"])
     assert result.exit_code == 2, (result.output, result.exception)
     errors = [line for line in result.output.splitlines() if line.startswith("error:")]
-    assert errors == ["error: no water level spends at most the budget"]
+    assert errors == ["error: could not bracket the water level from below"]
     assert "Traceback" not in result.output
 
 

@@ -80,6 +80,17 @@ def test_projected_gradient_respects_boxes(rng):
         assert sum(res.powers) <= problem.budget * (1 + 1e-9)
 
 
+def test_projected_gradient_at_a_nanowatt_budget():
+    # Its stop on the step size is absolute: at budget 2e-9 the ascent still
+    # takes its steps to the optimum rather than stopping after the first.
+    problem = BoxProblem([LogCapacity(1, 10, 1), LogCapacity(1, 1, 1)], 2e-9, None,
+                         [5e-10, None])
+    res = projected_gradient(problem)
+    assert res.candidates > 1
+    assert res.powers == pytest.approx([5e-10, 1.5e-9], rel=1e-9, abs=0.0)
+    assert check_conditions(problem, res.powers, tolerance=1e-8).passed
+
+
 def test_grid_matches_enumeration_k2():
     problem = SimplexProblem([LogCapacity(1, 1, 1), LogCapacity(1, 1, 3)], 1.0)
     grid = grid_search(problem)

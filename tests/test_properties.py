@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, strategies as st  # noqa: E402
 from waterline import (  # noqa: E402
     BOX_STRATEGIES, FAIR_MODES, AfRelay, AscendingProblem, BoxProblem,
     ClusterLogCapacity, FairProblem, InverseMse, LogCapacity, SimplexProblem, SolverConfig,
-    SumInverseMse, SumLog, check_conditions, solve_ascending, solve_box, solve_fair)
+    SumInverseMse, SumLog, WaterlineError, check_conditions, solve_ascending, solve_box,
+    solve_fair)
 from waterline.box import box_fill, box_fill_rows  # noqa: E402
 from waterline.cli import _rebuild_fair_solution  # noqa: E402
 from waterline.core import deactivation_loop, water_fill  # noqa: E402
@@ -353,12 +354,19 @@ def test_exact_block_levels_match_a_bisection(problem):
         assert binds(mu ** -0.5, -tie), start
 
 
+# Channels whose solves may raise: b/a past the float range (the far boxes
+# of tests/cli_cases/), and a log slope that underflows (steps_underflow.json).
+_FAR = [("inverse_mse", 1e-310), ("log_capacity", 1e-310), ("log_capacity", 1e-200)]
+
+
 @st.composite
-def box_rows(draw):
+def box_rows(draw, far=False):
     """S box problems on one closed-form bank, of one family or of
     log_capacity and inverse_mse channels mixed: rows with some infinite
     upper bounds, with none finite, with every upper bound inside the budget,
-    and with lower bounds that use the whole budget."""
+    and with lower bounds that use the whole budget.  With ``far``, the first
+    or last channel of some log_capacity/inverse_mse banks is one of
+    ``_FAR``, so that some rows raise."""
     family = draw(st.sampled_from(CLOSED_FORM_FAMILIES + ("mixed",)))
     k = draw(st.integers(1, 12))
     w, b = ([draw(_param) for _ in range(k)] for _ in range(2))
@@ -366,9 +374,16 @@ def box_rows(draw):
          for _ in range(k)]
     if family == "mixed":
         family = [draw(st.sampled_from(["log_capacity", "inverse_mse"])) for _ in range(k)]
+    if far and family != "af_relay" and draw(st.booleans()):
+        family = [family] * k if isinstance(family, str) else family
+        i = draw(st.sampled_from([0, k - 1]))
+        (family[i], a[i]), w[i], b[i] = draw(st.sampled_from(_FAR)), 1.0, 1.0
+        kinds = ["far", "box", "open", "all_upper", "floor"]
+    else:
+        kinds = ["box", "open", "all_upper", "floor"]
     gammas, taus, budgets = [], [], []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["box", "open", "all_upper", "floor"]))
+        kind = draw(st.sampled_from(kinds))
         budget = k * draw(st.floats(0.5, 3.0))
         gamma = np.array([draw(st.floats(0.0, 0.6)) * budget / k for _ in range(k)])
         tau = gamma + [draw(st.floats(0.2, 2.5)) * budget / k for _ in range(k)]
@@ -378,6 +393,9 @@ def box_rows(draw):
             tau[:] = np.inf
         elif kind == "all_upper":
             budget = float(tau.sum()) * draw(st.floats(1.0, 1.5))
+        elif kind == "far":  # the far channel i must spend part of its box
+            budget = float(tau.sum() - tau[i] + gamma[i]) + \
+                draw(st.floats(0.1, 0.9)) * float(tau[i] - gamma[i])
         else:
             budget = float(gamma.sum())
         gammas.append(gamma)
@@ -387,16 +405,36 @@ def box_rows(draw):
             np.array(budgets))
 
 
-@given(box_rows())
+def _far_rows(objectives, gamma, tau, budgets):
+    """``box_rows`` of the given channels, one row per budget."""
+    s = len(budgets)
+    return (Channels(objectives), np.tile(gamma, (s, 1)), np.tile(tau, (s, 1)),
+            np.array(budgets))
+
+
+@given(box_rows(far=True))
+# Rows of the cli_cases steps_underflow box (set_a and set_b raise), and of
+# the far inverse_mse box at tau 1.5 (every strategy raises) and [1.5, 3.0].
+@example(_far_rows([LogCapacity(1, 1e-200, 1), AfRelay(1, 0.5, 1)], [0.0, 0.0],
+                   [1.5, np.inf], [2.0, 1.0]))
+@example(_far_rows([InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1)], [0.0, 0.0],
+                   [1.5, 1.5], [2.0, 1.0]))
+@example(_far_rows([InverseMse(1, 1e-310, 1), LogCapacity(1, 1, 1)], [0.0, 0.0],
+                   [1.5, 3.0], [2.0, 1.0]))
 def test_row_search_matches_one_box_fill_per_row(rows):
     """box_fill_rows, whose order search runs every row at once, returns
-    each row's box_fill powers bit for bit under every strategy."""
+    each row's box_fill powers bit for bit under every strategy, and None
+    exactly where box_fill raises: a row fails alone."""
     bank, gamma, tau, budget = rows
     for strategy in BOX_STRATEGIES:
         cfg = SolverConfig(box_strategy=strategy)
-        for i, (powers, _, iterations, status, levels) in enumerate(
-                box_fill_rows(bank, gamma, tau, budget, cfg)):
-            expected = box_fill(bank, gamma[i], tau[i], float(budget[i]), cfg)
+        for i, row in enumerate(box_fill_rows(bank, gamma, tau, budget, cfg)):
+            try:
+                expected = box_fill(bank, gamma[i], tau[i], float(budget[i]), cfg)
+            except WaterlineError:
+                assert row is None, (strategy, i)
+                continue
+            powers, _, iterations, status, levels = row
             assert powers.tobytes() == expected[0].tobytes(), (strategy, i)
             assert (iterations, status, levels) == expected[2:], (strategy, i)
 
